@@ -10,9 +10,11 @@ traceback goes to stderr).
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 import traceback
+from contextlib import redirect_stdout
 from typing import Optional
 
 from .cohomology import compute_h2, parse_cocycle
@@ -235,13 +237,14 @@ def run_experiment_file(spec: dict) -> int:
     """Declarative experiments: steps are CLI argv lists, expectations are
     (path into the collected reports, expected value) pairs."""
     reports = []
-    for step in spec.get("steps", []):
+    for t, step in enumerate(spec.get("steps", [])):
         argv = step["cmd"]
-        import io
-        from contextlib import redirect_stdout
         buf = io.StringIO()
         with redirect_stdout(buf):
-            main(argv)
+            code = main(argv)
+        if code in (1, 3):  # a usage error or an internal fault printed no report
+            print("error: step %d (%s) exited %d" % (t, " ".join(map(str, argv)), code), file=sys.stderr)
+            return code
         reports.append(json.loads(buf.getvalue()))
     failures = []
     for exp in spec.get("expectations", []):

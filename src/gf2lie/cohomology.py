@@ -5,6 +5,8 @@ All signs are trivial in characteristic 2:
     (d2 c)(x,y,z) = [x,c(y,z)] + [y,c(x,z)] + [z,c(x,y)]
                   + c([x,y],z) + c([x,z],y) + c([y,z],x)
 Cochains are stored sparsely on i<j pairs with GF(2) mask values.
+d1 and d2 walk the algebra's incidence lists (Algebra.incidence), so
+their cost follows the support of the cochain, not dim^3.
 """
 
 from __future__ import annotations
@@ -95,15 +97,35 @@ def d1(g: Algebra, images: Sequence[int]) -> Cochain2:
     """Differential of the linear map e_i -> images[i]."""
     n = g.dim
     T = g.pair_table()
+    pre, nbr = g.incidence()
     terms: Dict[Pair, int] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            acc = g.bracket(images[i], 1 << j)
-            acc ^= g.bracket(1 << i, images[j])
-            acc ^= gf2.apply_rows(images, T[i * n + j])
-            if acc:
-                terms[(i, j)] = acc
-    return Cochain2(g, terms)
+    for i, b in enumerate(images):
+        if not b:
+            continue
+        # [b(e_i), e_j] is nonzero only for j next to the support of b(e_i)
+        row: Dict[int, int] = {}
+        for k in gf2.bits(b):
+            base = k * n
+            for j in nbr[k]:
+                row[j] = row.get(j, 0) ^ T[base + j]
+        for j, w in row.items():
+            if w and j != i:
+                pr = (i, j) if i < j else (j, i)
+                terms[pr] = terms.get(pr, 0) ^ w
+        # b([e_x, e_y]) picks up b(e_i) wherever e_i occurs in the bracket
+        for pr in pre[i]:
+            terms[pr] = terms.get(pr, 0) ^ b
+    # ascending pairs: the term order must not depend on the walk above
+    return Cochain2(g, {pr: terms[pr] for pr in sorted(terms)})
+
+
+def _triple(x: int, y: int, z: int) -> Tuple[int, int, int]:
+    """The sorted triple of x < y and a third index z."""
+    if z < x:
+        return (z, x, y)
+    if z < y:
+        return (x, z, y)
+    return (x, y, z)
 
 
 def d2(c: Cochain2) -> Dict[Tuple[int, int, int], int]:
@@ -111,36 +133,25 @@ def d2(c: Cochain2) -> Dict[Tuple[int, int, int], int]:
     g = c.algebra
     n = g.dim
     T = g.pair_table()
+    pre, nbr = g.incidence()
     out: Dict[Tuple[int, int, int], int] = {}
-
-    def hit(tri, w):
-        if w:
-            out[tri] = out.get(tri, 0) ^ w
-            if not out[tri]:
-                del out[tri]
-
-    # [e_z, c(e_a, e_b)] over all (a<b) in the support and z outside
     for (a, b), v in c.terms.items():
-        for z in range(n):
-            if z == a or z == b:
-                continue
-            w = g.bracket(1 << z, v)
-            hit(tuple(sorted((a, b, z))), w)
-    # c([e_x, e_y], e_z) over bracket pairs and z outside
-    for (x, y) in g.sc:
-        wmask = T[x * n + y]
-        for z in range(n):
-            if z == x or z == y:
-                continue
-            acc = 0
-            for u in gf2.bits(wmask):
-                acc ^= c.pair_value(u, z)
-            hit(tuple(sorted((x, y, z))), acc)
-    return out
-
-
-def is_cocycle(c: Cochain2) -> bool:
-    return not d2(c)
+        # [e_z, c(e_a, e_b)] is nonzero only for z next to the support of v
+        row: Dict[int, int] = {}
+        for k in gf2.bits(v):
+            for z in nbr[k]:
+                row[z] = row.get(z, 0) ^ T[z * n + k]
+        for z, w in row.items():
+            if w and z != a and z != b:
+                tri = _triple(a, b, z)
+                out[tri] = out.get(tri, 0) ^ w
+        # c([e_x, e_y], e_z) with e_u in [e_x, e_y] and (u, z) = (a, b) or (b, a)
+        for u, z in ((a, b), (b, a)):
+            for (x, y) in pre[u]:
+                if z != x and z != y:
+                    tri = _triple(x, y, z)
+                    out[tri] = out.get(tri, 0) ^ v
+    return {tri: w for tri, w in out.items() if w}
 
 
 # ---------------------------------------------------------------------------
@@ -166,13 +177,111 @@ def c1_weight(g: Algebra, target: int, source: int, mode: str) -> Tuple[int, ...
 
 Constraint = Tuple[str, Tuple[int, ...]]
 
+# In every mode the weight of x ⊗ d(y)^d(z) is key(x) - key(y) - key(z) plus
+# this offset (mod 2 for "mod2"), and that of e_x ⊗ d(e_y) is key(x) - key(y).
+_C2_OFFSET = {"z": 1, "mod2": 0, "outer": 2}
 
-def _match2(g: Algebra, k: int, pair: Pair, constraints: Sequence[Constraint]) -> bool:
-    return all(cochain_term_weight(g, k, pair, mode) == tuple(w) for mode, w in constraints)
+
+def _weight_keys(g: Algebra, mode: str) -> List[Tuple[int, ...]]:
+    monos = g.meta.get("mono_degrees")
+    if monos is None:
+        raise AlgebraError("algebra carries no monomial degrees")
+    if mode == "z":
+        return [tuple(m) for m in monos]
+    if mode == "mod2":
+        return [tuple(d % 2 for d in m) for m in monos]
+    if mode == "outer":
+        return [(sum(m),) for m in monos]
+    raise AlgebraError("unknown weight mode %r" % mode)
 
 
-def _match1(g: Algebra, k: int, i: int, constraints: Sequence[Constraint]) -> bool:
-    return all(c1_weight(g, k, i, mode) == tuple(w) for mode, w in constraints)
+def _block_keys(g: Algebra, constraints: Sequence[Constraint], offset: bool):
+    """Per constraint (keys, weight minus offset, modulus), with the basis
+    bucketed by its key tuple; None when no weight can meet a constraint."""
+    specs = []
+    for mode, w in constraints:
+        keys = _weight_keys(g, mode)
+        w = tuple(w)
+        if (keys and len(w) != len(keys[0])) or (mode == "mod2" and any(x not in (0, 1) for x in w)):
+            return None
+        shift = _C2_OFFSET[mode] if offset else 0
+        specs.append((keys, tuple(x - shift for x in w), 2 if mode == "mod2" else 0))
+    buckets: Dict[tuple, List[int]] = {}
+    for k in range(g.dim):
+        buckets.setdefault(tuple(keys[k] for keys, _, _ in specs), []).append(k)
+    return specs, buckets
+
+
+def c2_block_coords(g: Algebra, constraints: Sequence[Constraint] = ()) -> List[Tuple[Pair, int]]:
+    """The C^2 coordinates (pair, k) of a weight block, pair-major with k
+    ascending; every coordinate when there are no constraints."""
+    n = g.dim
+    if not constraints:
+        return [(pr, k) for pr in _pairs(n) for k in range(n)]
+    keyed = _block_keys(g, constraints, offset=True)
+    if keyed is None:
+        return []
+    specs, buckets = keyed
+    coords = []
+    for pr in _pairs(n):
+        i, j = pr
+        want = tuple(tuple((s + a + b) % m if m else s + a + b
+                           for s, a, b in zip(shift, keys[i], keys[j]))
+                     for keys, shift, m in specs)
+        for k in buckets.get(want, ()):
+            coords.append((pr, k))
+    return coords
+
+
+def c1_block_coords(g: Algebra, constraints: Sequence[Constraint] = ()) -> List[Tuple[int, int]]:
+    """The C^1 coordinates (k, i), i.e. e_k ⊗ d(e_i), of a weight block,
+    k-major with i ascending; every coordinate when there are no constraints."""
+    n = g.dim
+    if not constraints:
+        return [(k, i) for k in range(n) for i in range(n)]
+    keyed = _block_keys(g, constraints, offset=False)
+    if keyed is None:
+        return []
+    specs, buckets = keyed
+    coords = []
+    for k in range(n):
+        want = tuple(tuple((a - s) % m if m else a - s for s, a in zip(shift, keys[k]))
+                     for keys, shift, m in specs)
+        for i in buckets.get(want, ()):
+            coords.append((k, i))
+    return coords
+
+
+def _unit_coboundary(g: Algebra, k: int, i: int) -> Cochain2:
+    """d1 of the 1-cochain e_k ⊗ d(e_i)."""
+    images = [0] * g.dim
+    images[i] = 1 << k
+    return d1(g, images)
+
+
+class C3Index:
+    """Bit positions of C^3 coordinates (i<j<k triple, value index),
+    assigned in order of first use."""
+
+    def __init__(self):
+        self.positions: Dict[Tuple[int, int, int, int], int] = {}
+
+    def encode(self, tri_val: Dict[Tuple[int, int, int], int]) -> int:
+        pos = self.positions
+        m = 0
+        for tri, w in tri_val.items():
+            for l in gf2.bits(w):
+                m |= 1 << pos.setdefault(tri + (l,), len(pos))
+        return m
+
+    @property
+    def width(self) -> int:
+        return max(1, len(self.positions))
+
+
+def d2_columns(g: Algebra, coords: Sequence[Tuple[Pair, int]], c3: C3Index) -> List[int]:
+    """d2 of each unit C^2 coordinate, encoded through c3."""
+    return [c3.encode(d2(Cochain2(g, {pr: 1 << k}))) for pr, k in coords]
 
 
 class H2Basis:
@@ -210,14 +319,9 @@ def compute_h2(g: Algebra, weight_filter: Optional[Tuple[int, ...]] = None, mode
     if weight_filter is not None:
         constraints = list(constraints) + [(mode, tuple(weight_filter))]
     n = g.dim
-    pairs = _pairs(n)
     if constraints and "mono_degrees" not in g.meta:
         raise AlgebraError("weight filters need an algebra with monomial degrees")
-    coords: List[Tuple[Pair, int]] = []
-    for pr in pairs:
-        for k in range(n):
-            if not constraints or _match2(g, k, pr, constraints):
-                coords.append((pr, k))
+    coords = c2_block_coords(g, constraints)
     coord_index = {c: i for i, c in enumerate(coords)}
     if not constraints:
         est_c3 = n * n * (n - 1) * (n - 2) // 6
@@ -226,39 +330,14 @@ def compute_h2(g: Algebra, weight_filter: Optional[Tuple[int, ...]] = None, mode
                 "d2 matrix would have ~%d entries (> budget %d); restrict to a weight block"
                 % (len(coords) * est_c3, budget))
 
-    # d2 images of unit coordinates, encoded over on-demand C3 coordinates
-    c3_index: Dict[Tuple[int, int, int, int], int] = {}
-
-    def encode3(tri_val: Dict[Tuple[int, int, int], int]) -> int:
-        m = 0
-        for tri, w in tri_val.items():
-            for l in gf2.bits(w):
-                key = tri + (l,)
-                pos = c3_index.get(key)
-                if pos is None:
-                    pos = len(c3_index)
-                    c3_index[key] = pos
-                m |= 1 << pos
-        return m
-
-    images = []
-    for (pr, k) in coords:
-        unit = Cochain2(g, {pr: 1 << k})
-        images.append(encode3(d2(unit)))
-    width3 = max(1, len(c3_index))
-    z2_masks = gf2.combination_kernel(images, width3)
+    c3 = C3Index()
+    z2_masks = gf2.combination_kernel(d2_columns(g, coords, c3), c3.width)
 
     # coboundaries within the block
     b2_span = gf2.Span()
-    for k in range(n):
-        for i in range(n):
-            if constraints and not _match1(g, k, i, constraints):
-                continue
-            imgs = [0] * n
-            imgs[i] = 1 << k
-            cb = d1(g, imgs)
-            if not cb:
-                continue
+    for k, i in c1_block_coords(g, constraints):
+        cb = _unit_coboundary(g, k, i)
+        if cb:
             b2_span.add(_cochain_to_coords(cb, coord_index, strict=bool(constraints)))
     dim_b2 = b2_span.dim
 
@@ -300,21 +379,11 @@ def coboundary_of(c: Cochain2, constraints: Sequence[Constraint] = ()) -> Option
     """Solve d1(b) = c; returns the images of b or None if c is not a coboundary."""
     g = c.algebra
     n = g.dim
-    pairs = _pairs(n)
-    coord_index = {(pr, k): t * n + k for t, pr in enumerate(pairs) for k in range(n)}
-    width = len(pairs) * n
-    span = gf2.TaggedSpan(width)
-    gens: List[Tuple[int, int]] = []
-    for k in range(n):
-        for i in range(n):
-            if constraints and not _match1(g, k, i, constraints):
-                continue
-            imgs = [0] * n
-            imgs[i] = 1 << k
-            cb = d1(g, imgs)
-            mask = _cochain_to_coords(cb, coord_index, strict=False)
-            span.add(mask)
-            gens.append((k, i))
+    coord_index = {c: t for t, c in enumerate(c2_block_coords(g))}
+    span = gf2.TaggedSpan(len(coord_index))
+    gens = c1_block_coords(g, constraints)
+    for k, i in gens:
+        span.add(_cochain_to_coords(_unit_coboundary(g, k, i), coord_index, strict=False))
     target = _cochain_to_coords(c, coord_index, strict=False)
     sol = span.solve(target)
     if sol is None:
@@ -332,21 +401,20 @@ def is_coboundary(c: Cochain2) -> bool:
 
 def coboundary_block(g: Algebra, constraints: Sequence[Constraint]) -> List[Cochain2]:
     """A basis of the coboundaries restricted to a weight block."""
-    n = g.dim
     span = gf2.Span()
-    pairs = _pairs(n)
-    coord_index = {(pr, k): t * n + k for t, pr in enumerate(pairs) for k in range(n)}
+    coord_index = {c: t for t, c in enumerate(c2_block_coords(g))}
     out = []
-    for k in range(n):
-        for i in range(n):
-            if constraints and not _match1(g, k, i, constraints):
-                continue
-            imgs = [0] * n
-            imgs[i] = 1 << k
-            cb = d1(g, imgs)
-            if cb and span.add(_cochain_to_coords(cb, coord_index, strict=False)):
-                out.append(cb)
+    for k, i in c1_block_coords(g, constraints):
+        cb = _unit_coboundary(g, k, i)
+        if cb and span.add(_cochain_to_coords(cb, coord_index, strict=False)):
+            out.append(cb)
     return out
+
+
+def _generator_rows(gens: Sequence[Cochain2], coords: Sequence[Tuple[Pair, int]]) -> List[int]:
+    """One row per coordinate: the mask of the generators that carry it."""
+    return [gf2.from_bits(t for t, gen in enumerate(gens) if (gen.terms.get(pr, 0) >> k) & 1)
+            for pr, k in coords]
 
 
 def block_consistent_representative(g: Algebra, printed: Cochain2,
@@ -364,13 +432,7 @@ def block_consistent_representative(g: Algebra, printed: Cochain2,
     coords = [(pr, k) for pr, v in printed.terms.items() for k in gf2.bits(v)]
     if not coords:
         return None
-    rows = []
-    for (pr, k) in coords:
-        row = 0
-        for t, gen in enumerate(gens):
-            if (gen.terms.get(pr, 0) >> k) & 1:
-                row |= 1 << t
-        rows.append(row)
+    rows = _generator_rows(gens, coords)
     x0 = gf2.solve(rows, [1] * len(rows), len(gens))
     if x0 is None:
         return None
@@ -396,13 +458,7 @@ def consistent_class_masks(g: Algebra, printed: Cochain2,
     blk = compute_h2(g, constraints=constraints)
     gens = blk.representatives + coboundary_block(g, list(constraints))
     coords = [(pr, k) for pr, v in printed.terms.items() for k in gf2.bits(v)]
-    rows = []
-    for (pr, k) in coords:
-        row = 0
-        for t, gen in enumerate(gens):
-            if (gen.terms.get(pr, 0) >> k) & 1:
-                row |= 1 << t
-        rows.append(row)
+    rows = _generator_rows(gens, coords)
     x0 = gf2.solve(rows, [1] * len(rows), len(gens))
     if x0 is None:
         return blk, []

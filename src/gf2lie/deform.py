@@ -13,7 +13,8 @@ from itertools import product as _cartesian
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import gf2
-from .cohomology import Cochain2, d2, is_coboundary, compute_h2
+from .cohomology import (C3Index, Cochain2, c2_block_coords, coboundary_block, compute_h2, d2,
+                         d2_columns, is_coboundary)
 from .constructions import build_hamiltonian, build_jurman, build_kap2, build_kap4B, pq_names
 from .divpow import monomials, mono_mul
 from .fields import GF2, GF2k, Scalar
@@ -97,26 +98,11 @@ def defect(c: Cochain2) -> Dict[Tuple[int, int, int], int]:
 
 def in_d2_image(g: Algebra, target: Dict[Tuple[int, int, int], int]) -> Optional[Cochain2]:
     """Solve d2(x) = target over all of C^2; None when the class is nonzero."""
-    n = g.dim
-    c3_index: Dict[Tuple[int, int, int, int], int] = {}
-
-    def encode(tri_val):
-        m = 0
-        for tri, w in tri_val.items():
-            for l in gf2.bits(w):
-                key = tri + (l,)
-                pos = c3_index.setdefault(key, len(c3_index))
-                m |= 1 << pos
-        return m
-
-    coords = [((i, j), k) for i in range(n) for j in range(i + 1, n) for k in range(n)]
-    width_guess = n * n * (n - 1) * (n - 2) // 6 + len(target) * n
-    span = gf2.TaggedSpan(width_guess)
-    images = []
-    for (pr, k) in coords:
-        unit = Cochain2(g, {pr: 1 << k})
-        images.append(encode(d2(unit)))
-    tmask = encode(target)
+    coords = c2_block_coords(g)
+    c3 = C3Index()
+    images = d2_columns(g, coords, c3)
+    tmask = c3.encode(target)
+    span = gf2.TaggedSpan(c3.width)
     for im in images:
         span.add(im)
     sol = span.solve(tmask)
@@ -241,30 +227,6 @@ def obstruction_poly(f: DeformFamily) -> ObstructionReport:
 # representative search inside a cohomology class
 # ---------------------------------------------------------------------------
 
-def coboundary_block_basis(g: Algebra, constraints) -> List[Cochain2]:
-    """A basis of the coboundary space restricted to a weight block."""
-    from .cohomology import _match1, _cochain_to_coords, _pairs
-    n = g.dim
-    pairs = _pairs(n)
-    coord_index = {(pr, k): t * n + k for t, pr in enumerate(pairs) for k in range(n)}
-    span = gf2.Span()
-    out = []
-    from .cohomology import d1
-    for k in range(n):
-        for i in range(n):
-            if constraints and not _match1(g, k, i, constraints):
-                continue
-            imgs = [0] * n
-            imgs[i] = 1 << k
-            cb = d1(g, imgs)
-            if not cb:
-                continue
-            mask = _cochain_to_coords(cb, coord_index, strict=False)
-            if span.add(mask):
-                out.append(cb)
-    return out
-
-
 def _gray_steps(nbits: int):
     """Consecutive Gray-code pairs covering all 2^nbits values from 0."""
     prev = 0
@@ -272,19 +234,6 @@ def _gray_steps(nbits: int):
         cur = t ^ (t >> 1)
         yield prev, cur
         prev = cur
-
-
-def _encode3_masks(tri_dicts: Sequence[Dict]) -> Tuple[List[int], Dict]:
-    index: Dict[Tuple[int, int, int, int], int] = {}
-    out = []
-    for d in tri_dicts:
-        m = 0
-        for tri, w in d.items():
-            for l in gf2.bits(w):
-                key = tri + (l,)
-                m |= 1 << index.setdefault(key, len(index))
-        out.append(m)
-    return out, index
 
 
 def zero_defect_representative(g: Algebra, c: Cochain2, constraints=(),
@@ -297,7 +246,7 @@ def zero_defect_representative(g: Algebra, c: Cochain2, constraints=(),
     """
     if not defect(c):
         return c
-    cbs = coboundary_block_basis(g, list(constraints))
+    cbs = coboundary_block(g, list(constraints))
     B = len(cbs)
     tc = BracketTerm.from_cochain(c)
     tb = [BracketTerm.from_cochain(b) for b in cbs]
@@ -310,13 +259,14 @@ def zero_defect_representative(g: Algebra, c: Cochain2, constraints=(),
                 d_b[(i, i)] = compose_defect(tb[i], tb[i])
             else:
                 d_b[(i, j)] = add3(compose_defect(tb[i], tb[j]), compose_defect(tb[j], tb[i]))
+    c3 = C3Index()
+    enc_dc = c3.encode(d_c)
+    enc_cross = [c3.encode(x) for x in cross_c]
+    enc_q = {k: c3.encode(d_b[k]) for k in sorted(d_b)}
     if B <= enum_limit:
         # Gray-code walk over the block with int-encoded 3-cochains: a bit
         # flip costs O(B) xors, so 2^B candidates stay affordable to B ~ 22.
-        flat, _ = _encode3_masks([d_c] + cross_c + [d_b[k] for k in sorted(d_b)])
-        acc = flat[0]
-        enc_cross = flat[1:1 + B]
-        enc_q = {k: flat[1 + B + t] for t, k in enumerate(sorted(d_b))}
+        acc = enc_dc
         if not acc:
             return c
         cur = 0
@@ -339,10 +289,6 @@ def zero_defect_representative(g: Algebra, c: Cochain2, constraints=(),
     # Newton iteration on F(x) = d_c + sum x_i cross_i + sum x_i x_j q_ij = 0
     import random as _random
     rng = _random.Random(0)
-    flat, index = _encode3_masks([d_c] + cross_c + [d_b[k] for k in sorted(d_b)])
-    enc_dc = flat[0]
-    enc_cross = flat[1:1 + B]
-    enc_q = {k: flat[1 + B + t] for t, k in enumerate(sorted(d_b))}
 
     def f_of(xmask: int) -> int:
         acc = enc_dc
@@ -354,7 +300,7 @@ def zero_defect_representative(g: Algebra, c: Cochain2, constraints=(),
                 acc ^= enc_q[(sel[ai], sel[bi])]
         return acc
 
-    width = max(1, len(index))
+    width = c3.width
     for attempt in range(8):
         x = 0 if attempt == 0 else rng.getrandbits(B)
         for _round in range(12):
@@ -432,30 +378,13 @@ def massey_tower(g: Algebra, c: Cochain2, constraints=(), max_order: int = 8,
 def _d2_solutions(g: Algebra, target: Dict, constraints, kernel_cap: int = 6):
     """Solutions m of d2(m) = target within a weight block: the particular
     one plus a few kernel offsets (cocycles of the block)."""
-    from .cohomology import _match2, _pairs
-    n = g.dim
-    coords = []
-    for pr in _pairs(n):
-        for k in range(n):
-            if not constraints or _match2(g, k, pr, constraints):
-                coords.append((pr, k))
+    coords = c2_block_coords(g, constraints)
     if not coords:
         return []
-    index: Dict[Tuple[int, int, int, int], int] = {}
-
-    def encode(tri_val):
-        m = 0
-        for tri, w in tri_val.items():
-            for l in gf2.bits(w):
-                key = tri + (l,)
-                m |= 1 << index.setdefault(key, len(index))
-        return m
-
-    images = []
-    for (pr, k) in coords:
-        images.append(encode(d2(Cochain2(g, {pr: 1 << k}))))
-    tmask = encode(target)
-    width = max(1, len(index))
+    c3 = C3Index()
+    images = d2_columns(g, coords, c3)
+    tmask = c3.encode(target)
+    width = c3.width
     span = gf2.TaggedSpan(width)
     for im in images:
         span.add(im)
@@ -536,7 +465,7 @@ def jurman_cocycle(g: int, h: int, mirrored: bool = False) -> Cochain2:
     return Cochain2(hp, terms)
 
 
-def _lambda_grading(g_alg: Algebra, cocycle_weight: Tuple[int, int]):
+def lambda_grading(g_alg: Algebra, cocycle_weight: Tuple[int, int]):
     """A rank-1 Z-grading of the base that the deformed bracket preserves."""
     w1, w2 = cocycle_weight
     from math import gcd
@@ -629,7 +558,7 @@ def jurman_deform_check(g: int, h: int, mirrored: bool = False) -> JurmanDeformR
     rep = obstruction_poly(fam)
     if rep.verdict != "linear-global":
         raise AlgebraError("jurman deform unexpectedly not linear-global: %r" % rep)
-    grading = _lambda_grading(hp, w)
+    grading = lambda_grading(hp, w)
     deformed = fam.specialize([GF2.one], grading=grading, grading_mod=(0,))
     target = build_jurman(g, h) if not mirrored else build_jurman(h + 1, g - 1)
     iso = search_isomorphism(deformed, target)
@@ -656,7 +585,7 @@ def quantization_deform_check(a: int = 2):
     if is_coboundary(c):
         raise AlgebraError("quantization class collapsed to a coboundary")
     fam = deform_bracket(hp, c, check=False, name="h'_Pi quantization deform")
-    grading = _lambda_grading(hp, (-2, -2))
+    grading = lambda_grading(hp, (-2, -2))
     deformed = fam.specialize([GF2.one], grading=grading, grading_mod=(0,))
     target = build_classical("psl", 1 << a)
     fps = (fingerprint(deformed), fingerprint(target))
@@ -794,7 +723,7 @@ def _rescale_and_search_certificate(fam: DeformFamily, hbar: Scalar,
         return None
     axis = w.index(d)
     # deform at 1 over GF(2), searched against the base
-    grading = _lambda_grading(base, w) if len(w) == 2 else None
+    grading = lambda_grading(base, w) if len(w) == 2 else None
     mod = (0,) if grading else None
     alg1 = fam.specialize([GF2.one], grading=grading, grading_mod=mod)
     base1 = Algebra(GF2, base.labels, base.sc, grading=grading, grading_mod=mod,

@@ -12,8 +12,8 @@ from functools import lru_cache
 from typing import Dict, List
 
 from . import gf2
-from .cohomology import (Cochain2, block_consistent_representative, compute_h2, d2,
-                          is_coboundary, parse_cocycle)
+from .cohomology import (Cochain2, block_consistent_representative, coboundary_block,
+                          compute_h2, d2, is_coboundary, parse_cocycle)
 from .constructions import (QuadraticFormSpec, build_a2gh, build_classical,
                             build_div_free_hI, build_hI, build_hamiltonian, build_jurman,
                             build_kap1, build_kap2, build_kap3, build_kap4A, build_kap4B,
@@ -24,7 +24,7 @@ from .deform import (bracket_map_cochain, deform_bracket, defect, integrability_
                      jurman_cocycle, jurman_deform_check,
                      kap4b_as_deform, partial_matrix, poisson_family, f_alpha_matrix,
                      reindex_map, semitrivial_certificate, zero_defect_representative,
-                     coboundary_block_basis, _lambda_grading)
+                     lambda_grading)
 from .fields import GF2, GF2k
 from .grading import associated_graded, weisfeiler_filtration
 from .isom import fingerprint, search_isomorphism
@@ -412,13 +412,13 @@ def criterion_09_quantization() -> dict:
     hp = HP(2, 2)
     blk = compute_h2(hp, weight_filter=(-2, -2), mode="z")
     psl4 = build_classical("psl", 4)
-    grading = _lambda_grading(hp, (-2, -2))
+    grading = lambda_grading(hp, (-2, -2))
 
     def at_one(c):
         return deform_bracket(hp, c, check=True).specialize([GF2.one], grading=grading,
                                                            grading_mod=(0,))
 
-    gens = blk.representatives + coboundary_block_basis(hp, [("z", (-2, -2))])
+    gens = blk.representatives + coboundary_block(hp, [("z", (-2, -2))])
     reps = []
     for mask in range(1, 1 << len(gens)):
         if not (mask & 1):

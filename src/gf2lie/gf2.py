@@ -151,11 +151,6 @@ def solve(rows: Sequence[int], rhs: Sequence[int], ncols: int) -> Optional[int]:
     return x
 
 
-def solve_mask(rows: Sequence[int], rhs_mask: int, ncols: int) -> Optional[int]:
-    """Like solve() but with the right-hand side packed as a bit mask."""
-    return solve(rows, [(rhs_mask >> i) & 1 for i in range(len(rows))], ncols)
-
-
 def combination_kernel(images: Sequence[int], width: int) -> List[int]:
     """All index-set combinations of `images` that xor to zero.
 

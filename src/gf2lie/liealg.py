@@ -90,6 +90,7 @@ class Algebra:
         self.grading_mod = tuple(grading_mod) if grading_mod else (
             tuple(0 for _ in self.grading[0]) if self.grading else None)
         self._pair_table: Optional[List[int]] = None
+        self._incidence: Optional[Tuple[List[List[Tuple[int, int]]], List[List[int]]]] = None
         if self.grading is not None:
             bad = self._check_grading()
             if bad:
@@ -133,6 +134,24 @@ class Algebra:
                 T[j * n + i] = m
             self._pair_table = T
         return self._pair_table
+
+    def incidence(self) -> Tuple[List[List[Tuple[int, int]]], List[List[int]]]:
+        """(pre, nbr): pre[u] lists the pairs x<y with e_u in [e_x,e_y],
+        nbr[k] the z with [e_z,e_k] != 0, both ascending; GF(2) only."""
+        if self._incidence is None:
+            n = self.dim
+            T = self.pair_table()
+            pre: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+            nbr: List[List[int]] = [[] for _ in range(n)]
+            for (x, y) in sorted(self.sc):
+                for u in gf2.bits(T[x * n + y]):
+                    pre[u].append((x, y))
+                nbr[x].append(y)
+                nbr[y].append(x)
+            for row in nbr:
+                row.sort()
+            self._incidence = (pre, nbr)
+        return self._incidence
 
     def bracket(self, u: Vec, v: Vec) -> Vec:
         """Bracket of two vectors in the ambient coordinates."""
@@ -416,13 +435,6 @@ def center(g: Algebra) -> Subspace:
         cols = gf2.transpose([T[i * n + j] for i in range(n)], n)
         eqs.extend(c for c in cols if c)
     return Subspace(g, gf2.kernel(eqs, n))
-
-
-def centralizer_dim(g: Algebra, x: int) -> int:
-    n = g.dim
-    rows = g.ad_rows(x)
-    eqs = [e for e in gf2.transpose(rows, n) if e]
-    return n - gf2.rank(eqs)
 
 
 def quotient(g: Algebra, ideal: Subspace, name: str = "") -> Algebra:

@@ -143,6 +143,23 @@ def test_internal_fault_exit_code(monkeypatch, capsys):
     assert "KeyError" in capsys.readouterr().err
 
 
+def test_experiment_step_fault_ends_the_experiment(tmp_path, monkeypatch, capsys):
+    from gf2lie import cli
+
+    def broken(args):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, "cmd_validate", broken)
+    path = str(tmp_path / "exp.json")
+    with open(path, "w") as fh:
+        json.dump({"name": "faulty", "steps": [{"cmd": ["validate", "--algebra", "x.json"]}]}, fh)
+    assert main(["experiment", path]) == 3
+    captured = capsys.readouterr()
+    assert "Expecting value" not in captured.err
+    assert "step 0" in captured.err and "KeyError" in captured.err
+    assert captured.out == ""
+
+
 def test_unreadable_input_is_a_usage_error(tmp_path):
     code, _ = run_cli(["validate", "--algebra", str(tmp_path / "missing.json")])
     assert code == 1

@@ -3,9 +3,11 @@ import random
 import pytest
 
 from gf2lie import gf2
-from gf2lie.cohomology import (Cochain2, CochainError, coboundary_of, compute_h2, d1, d2,
+from gf2lie.cohomology import (Cochain2, CochainError, c1_block_coords, c1_weight,
+                               c2_block_coords, coboundary_of, compute_h2, d1, d2,
                                h2_weight_table, is_coboundary, parse_cocycle)
-from gf2lie.constructions import build_hI, build_hamiltonian, build_tensor_example
+from gf2lie.constructions import build_hI, build_hamiltonian, build_jurman, build_tensor_example
+from gf2lie.grading import cochain_term_weight
 from gf2lie.liealg import AlgebraError
 
 
@@ -126,3 +128,105 @@ def test_hI_block_13_classes():
         sub = compute_h2(hi, constraints=[("mod2", (0, 0)), ("outer", (d,))])
         degrees[d] = sub.dim
     assert degrees == {-4: 3, -2: 4, 0: 1, 2: 4, 6: 1}
+
+
+# ---------------------------------------------------------------------------
+# the dense differentials, kept as an oracle for the incidence-indexed ones
+# ---------------------------------------------------------------------------
+
+def _dense_d1(g, images):
+    n = g.dim
+    T = g.pair_table()
+    terms = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            acc = g.bracket(images[i], 1 << j)
+            acc ^= g.bracket(1 << i, images[j])
+            acc ^= gf2.apply_rows(images, T[i * n + j])
+            if acc:
+                terms[(i, j)] = acc
+    return Cochain2(g, terms)
+
+
+def _dense_d2(c):
+    g = c.algebra
+    n = g.dim
+    T = g.pair_table()
+    out = {}
+
+    def hit(tri, w):
+        if w:
+            out[tri] = out.get(tri, 0) ^ w
+            if not out[tri]:
+                del out[tri]
+
+    for (a, b), v in c.terms.items():
+        for z in range(n):
+            if z == a or z == b:
+                continue
+            hit(tuple(sorted((a, b, z))), g.bracket(1 << z, v))
+    for (x, y) in g.sc:
+        wmask = T[x * n + y]
+        for z in range(n):
+            if z == x or z == y:
+                continue
+            acc = 0
+            for u in gf2.bits(wmask):
+                acc ^= c.pair_value(u, z)
+            hit(tuple(sorted((x, y, z))), acc)
+    return out
+
+
+ORACLE_ALGEBRAS = {
+    "hp22": HP,
+    "hp23": build_hamiltonian(1, (2, 3), "derived"),
+    "hI": build_hI(2, (2, 2)),
+    "j21": build_jurman(2, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
+def test_sparse_differentials_match_dense(name):
+    g = ORACLE_ALGEBRAS[name]
+    n = g.dim
+    rng = random.Random(sum(map(ord, name)))
+    for _ in range(60):
+        terms = {}
+        for _ in range(rng.randint(1, 10)):
+            i, j = sorted(rng.sample(range(n), 2))
+            terms[(i, j)] = rng.getrandbits(n)
+        c = Cochain2(g, terms)
+        assert d2(c) == _dense_d2(c)
+        density = rng.choice((0.1, 0.5, 1.0))
+        images = [rng.getrandbits(n) if rng.random() < density else 0 for _ in range(n)]
+        b = d1(g, images)
+        assert b.terms == _dense_d1(g, images).terms
+        assert not d2(b)
+    assert not d1(g, [0] * n) and not d2(Cochain2(g, {}))
+
+
+def _all_weights(g, mode):
+    n = g.dim
+    return {((i, j), k): cochain_term_weight(g, k, (i, j), mode)
+            for i in range(n) for j in range(i + 1, n) for k in range(n)}
+
+
+@pytest.mark.parametrize("name", ["hp22", "hI"])
+def test_block_coords_match_weight_filter(name):
+    g = ORACLE_ALGEBRAS[name]
+    n = g.dim
+    c2_all = sorted(_all_weights(g, "z"), key=lambda c: (c[0], c[1]))
+    assert c2_block_coords(g) == c2_all
+    assert c1_block_coords(g) == [(k, i) for k in range(n) for i in range(n)]
+    table = {mode: _all_weights(g, mode) for mode in ("z", "mod2", "outer")}
+    blocks = [[(mode, w)] for mode in table for w in sorted(set(table[mode].values()))]
+    blocks += [[("mod2", (0, 0)), ("outer", w)] for w in sorted(set(table["outer"].values()))]
+    blocks.append([("mod2", (2, 0))])  # a weight no coordinate has
+    for cons in blocks:
+        want = [c for c in c2_all if all(table[mode][c] == tuple(w) for mode, w in cons)]
+        assert c2_block_coords(g, cons) == want, cons
+        want1 = [(k, i) for k in range(n) for i in range(n)
+                 if all(c1_weight(g, k, i, mode) == tuple(w) for mode, w in cons)]
+        assert c1_block_coords(g, cons) == want1, cons
+    with pytest.raises(AlgebraError):
+        c2_block_coords(g, [("q", (0,))])

@@ -3,7 +3,7 @@ import pytest
 from gf2lie import gf2
 from gf2lie.cohomology import Cochain2, compute_h2, d1, d2, is_coboundary, parse_cocycle
 from gf2lie.constructions import build_hI, build_hamiltonian, build_jurman, build_kap2, build_kap4B
-from gf2lie.deform import (DeformFamily, bracket_map_cochain, coboundary_block_basis,
+from gf2lie.deform import (DeformFamily, bracket_map_cochain,
                            defect, deform_bracket, integrability_verdict, jurman_cocycle,
                            jurman_deform_check, jurman_united_family, kap4b_as_deform,
                            kap4b_quotient_map, obstruction_poly, partial_matrix,

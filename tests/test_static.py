@@ -1,12 +1,18 @@
-"""Static guard: every name a module of the package loads must be bound
-somewhere in that module (a def, a class, an import, an assignment or
-loop target, an argument, an ``except ... as`` name) or be a builtin.
+"""Static guards over the package source.
+
+Every name a module of the package loads must be bound somewhere in that
+module (a def, a class, an import, an assignment or loop target, an
+argument, an ``except ... as`` name) or be a builtin.
 
 A name that is used but never imported only fails when its line runs;
 this scan fails at once, without running anything.  Scoping is ignored
 (a name bound anywhere in the module counts), so the scan needs no model
 of Python's scope rules, at the cost of missing a name that is bound in
 one function and loaded in another.
+
+No module may reach a ``_``-prefixed name of another package module, by
+import or through an imported module's attribute: private helpers stay
+private to the module that owns them.
 """
 
 import ast
@@ -73,3 +79,48 @@ def test_scan_flags_a_missing_import():
            "            raise RuntimeError(err)\n"
            "    return floor(y) + len(rest) + k + i + j\n")
     assert undefined_names(src) == [(8, "floor")]
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _from_package(node: ast.ImportFrom) -> bool:
+    return node.level > 0 or (node.module or "").split(".")[0] == "gf2lie"
+
+
+def private_imports(source: str, filename: str = "<src>") -> list:
+    """(line, name) for every private name taken from another package module."""
+    tree = ast.parse(source, filename)
+    modules = set()  # local names of package modules, from `from . import gf2`
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and _from_package(node):
+            for alias in node.names:
+                if _is_private(alias.name):
+                    out.append((node.lineno, alias.name))
+                elif node.module is None or node.module == "gf2lie":
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and _is_private(node.attr)):
+            out.append((node.lineno, "%s.%s" % (node.value.id, node.attr)))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_imports(path):
+    found = private_imports(path.read_text(), str(path))
+    assert not found, "%s: %s" % (path.name, ", ".join(
+        "line %d: %s" % (line, name) for line, name in found))
+
+
+def test_scan_flags_a_private_import():
+    src = ("from __future__ import annotations\n"
+           "from itertools import product as _cartesian\n"
+           "from . import gf2\n"
+           "from .cohomology import Cochain2, _pairs\n"
+           "from gf2lie.deform import _helper as helper\n"
+           "def f(n):\n"
+           "    return _pairs(n), gf2._mask(n), gf2.bits(n), gf2.__name__\n")
+    assert private_imports(src) == [(4, "_pairs"), (5, "_helper"), (7, "gf2._mask")]
