@@ -11,6 +11,7 @@ their cost follows the support of the cochain, not dim^3.
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -195,6 +196,29 @@ def _weight_keys(g: Algebra, mode: str) -> List[Tuple[int, ...]]:
     raise AlgebraError("unknown weight mode %r" % mode)
 
 
+def _check_graded(g: Algebra, constraints: Sequence[Constraint]) -> None:
+    """Raise unless every bracket term has weight 0 in each constraint's
+    mode; only then do d1 and d2 map each weight block into itself."""
+    for mode in sorted({mode for mode, _ in constraints}):
+        keys = _weight_keys(g, mode)
+        shift, m = _C2_OFFSET[mode], 2 if mode == "mod2" else 0
+        # weight 0 means key(k) + shift = key(i) + key(j), mod 2 for "mod2"
+        lhs = [tuple((x + shift) % m if m else x + shift for x in key) for key in keys]
+        plus = operator.xor if m else operator.add  # mod-2 keys are 0 or 1
+        bad = []
+        for (i, j), row in g.sc.items():
+            want = tuple(map(plus, keys[i], keys[j]))
+            for k in row:
+                if lhs[k] != want:
+                    bad.append((i, j, k))
+        if bad:
+            i, j, k = min(bad)
+            w = tuple((x - a - b + shift) % m if m else x - a - b + shift
+                      for x, a, b in zip(keys[k], keys[i], keys[j]))
+            raise AlgebraError("weight mode %r does not grade %s: [%s, %s] has the term %s of weight %r"
+                               % (mode, g.name or "the algebra", g.labels[i], g.labels[j], g.labels[k], w))
+
+
 def _block_keys(g: Algebra, constraints: Sequence[Constraint], offset: bool):
     """Per constraint (keys, weight minus offset, modulus), with the basis
     bucketed by its key tuple; None when no weight can meet a constraint."""
@@ -321,6 +345,7 @@ def compute_h2(g: Algebra, weight_filter: Optional[Tuple[int, ...]] = None, mode
     n = g.dim
     if constraints and "mono_degrees" not in g.meta:
         raise AlgebraError("weight filters need an algebra with monomial degrees")
+    _check_graded(g, constraints)
     coords = c2_block_coords(g, constraints)
     coord_index = {c: i for i, c in enumerate(coords)}
     if not constraints:

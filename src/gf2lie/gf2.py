@@ -8,7 +8,7 @@ Pivots sit at the highest set bit of a row.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 def dot(a: int, b: int) -> int:
@@ -46,20 +46,27 @@ def from_seq(seq: Sequence[int]) -> int:
 class Span:
     """Incrementally maintained row space in reduced row echelon form.
 
-    Invariant: pivot (top) bit of each row is set in no other row, so a
-    single reduction pass is complete.
+    Invariant: pivot (top) bit of each row is set in no other row, and a
+    row holds no pivot bit but its own.  So v reduces by xoring in the rows
+    at the pivot bits v carries, found through `mask` and a pivot -> row
+    index map, in O(popcount) instead of O(dim).
     """
 
     def __init__(self, rows: Iterable[int] = ()):
         self.rows: List[int] = []
         self.pivots: List[int] = []
+        self.mask = 0  # OR of the pivot bits
+        self._row_at: Dict[int, int] = {}  # pivot bit -> index into rows
         for v in rows:
             self.add(v)
 
     def reduce(self, v: int) -> int:
-        for r, p in zip(self.rows, self.pivots):
-            if (v >> p) & 1:
-                v ^= r
+        rows, row_at = self.rows, self._row_at
+        hit = v & self.mask
+        while hit:
+            low = hit & -hit
+            v ^= rows[row_at[low.bit_length() - 1]]
+            hit ^= low
         return v
 
     def add(self, v: int) -> bool:
@@ -71,8 +78,10 @@ class Span:
         for i, r in enumerate(self.rows):
             if (r >> p) & 1:
                 self.rows[i] = r ^ v
+        self._row_at[p] = len(self.rows)
         self.rows.append(v)
         self.pivots.append(p)
+        self.mask |= 1 << p
         return True
 
     def __contains__(self, v: int) -> bool:
@@ -93,6 +102,8 @@ class Span:
         s = Span()
         s.rows = list(self.rows)
         s.pivots = list(self.pivots)
+        s.mask = self.mask
+        s._row_at = dict(self._row_at)
         return s
 
     def __eq__(self, other) -> bool:
@@ -113,7 +124,16 @@ def rref(rows: Iterable[int]) -> Tuple[List[int], List[int]]:
 
 
 def rank(rows: Iterable[int]) -> int:
-    return Span(rows).dim
+    by_pivot: Dict[int, int] = {}
+    for v in rows:
+        while v:
+            p = v.bit_length() - 1
+            hit = by_pivot.get(p)
+            if hit is None:
+                by_pivot[p] = v
+                break
+            v ^= hit
+    return len(by_pivot)
 
 
 def kernel(rows: Sequence[int], ncols: int) -> List[int]:
@@ -262,6 +282,7 @@ def invert(rows: Sequence[int], n: int) -> Optional[List[int]]:
     mask = (1 << n) - 1
     basis: List[int] = []
     pivots: List[int] = []
+    at: Dict[int, int] = {}  # pivot -> index into basis
     for j in range(n):
         v = (rows[j] & mask) | (1 << (n + j))
         while True:
@@ -269,16 +290,13 @@ def invert(rows: Sequence[int], n: int) -> Optional[List[int]]:
             if not img:
                 return None  # columns dependent
             p = img.bit_length() - 1
-            hit = None
-            for r, q in zip(basis, pivots):
-                if q == p:
-                    hit = r
-                    break
-            if hit is None:
+            i = at.get(p)
+            if i is None:
+                at[p] = len(basis)
                 basis.append(v)
                 pivots.append(p)
                 break
-            v ^= hit
+            v ^= basis[i]
     # back-substitute, highest pivot first, until image parts are unit vectors
     order = sorted(range(n), key=lambda i: -pivots[i])
     for i in order:

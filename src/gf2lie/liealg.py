@@ -218,7 +218,16 @@ class Algebra:
 
     # -- validation -------------------------------------------------------
     def validate(self, max_report: int = 5) -> ValidationReport:
-        """Alternation (structural, re-checked) + full Jacobi sweep."""
+        """Alternation (structural, re-checked) + Jacobi on every triple
+        i<j<k, reporting the first `max_report` failures in (i,j,k) order.
+
+        Over GF(2) only the triples where some double bracket can be
+        nonzero are evaluated, which is exact: [[e_a,e_b],e_c] != 0 needs
+        (a,b) in `sc` and c in nbr[l] for some l in [e_a,e_b], i.e. c in
+        the pair's reach mask R[a*n+b].  Each such triple is evaluated
+        once, from the first of its pairs (i,j), (i,k), (j,k) that reaches
+        it, with the same three-term sum as a full sweep.
+        """
         rep = ValidationReport()
         if self.grading is not None:
             rep.grading_failures = self._check_grading()[:max_report]
@@ -228,32 +237,59 @@ class Algebra:
             for i in range(n):
                 if T[i * n + i]:
                     rep.alternation_failures.append((i,))
-            for i in range(n):
-                Ti = T[i * n:]
-                for j in range(i + 1, n):
-                    Tj = T[j * n:]
-                    w_ij = Ti[j]
-                    for k in range(j + 1, n):
-                        acc = 0
-                        w = w_ij
-                        while w:
-                            low = w & -w
-                            acc ^= T[(low.bit_length() - 1) * n + k]
-                            w ^= low
-                        w = Tj[k]
-                        while w:
-                            low = w & -w
-                            acc ^= Ti[low.bit_length() - 1]
-                            w ^= low
-                        w = Ti[k]
-                        while w:
-                            low = w & -w
-                            acc ^= Tj[low.bit_length() - 1]
-                            w ^= low
-                        if acc:
-                            rep.jacobi_failures.append((i, j, k))
-                            if len(rep.jacobi_failures) >= max_report:
-                                return rep
+            pairs = sorted(self.sc)
+            nbr_mask = [0] * n  # bit z of nbr_mask[l]: [e_z,e_l] != 0
+            for a, b in pairs:
+                nbr_mask[a] |= 1 << b
+                nbr_mask[b] |= 1 << a
+            R = [0] * (n * n)  # R[a*n+b], a<b: the c with [[e_a,e_b],e_c] possibly != 0
+            for a, b in pairs:
+                r = 0
+                w = T[a * n + b]
+                while w:
+                    low = w & -w
+                    r |= nbr_mask[low.bit_length() - 1]
+                    w ^= low
+                R[a * n + b] = r & ~((1 << a) | (1 << b))
+            fails = []
+            for a, b in pairs:
+                w = R[a * n + b]
+                while w:
+                    low = w & -w
+                    w ^= low
+                    c = low.bit_length() - 1
+                    if c > b:
+                        i, j, k = a, b, c
+                    elif c > a:  # triple (a,c,b): skip if its pair (a,c) reaches b
+                        if (R[a * n + c] >> b) & 1:
+                            continue
+                        i, j, k = a, c, b
+                    else:  # triple (c,a,b): skip if (c,a) reaches b or (c,b) reaches a
+                        if (R[c * n + a] >> b) & 1 or (R[c * n + b] >> a) & 1:
+                            continue
+                        i, j, k = c, a, b
+                    i_n, j_n = i * n, j * n
+                    acc = 0
+                    v = T[i_n + j]
+                    while v:
+                        lo = v & -v
+                        acc ^= T[(lo.bit_length() - 1) * n + k]
+                        v ^= lo
+                    v = T[j_n + k]
+                    while v:
+                        lo = v & -v
+                        acc ^= T[i_n + lo.bit_length() - 1]
+                        v ^= lo
+                    v = T[i_n + k]
+                    while v:
+                        lo = v & -v
+                        acc ^= T[j_n + lo.bit_length() - 1]
+                        v ^= lo
+                    if acc:
+                        fails.append((i, j, k))
+            # a full sweep stops once it holds max_report failures, and
+            # always holds the first one it meets
+            rep.jacobi_failures = sorted(fails)[:max(max_report, 1)]
             return rep
         f = self.field
         for i in range(n):

@@ -44,6 +44,14 @@ def test_pipeline_h2(tmp_path):
     assert doc["representatives"]
 
 
+def test_h2_in_an_ungraded_mode_is_a_usage_error(tmp_path, capsys):
+    out = str(tmp_path / "hp.json")
+    run_cli(["build", "h", "--N", "2,2", "--derived", "--out", out])
+    code, doc = run_cli(["h2", "--algebra", out, "--weight", "0,0", "--mode", "mod2"])
+    assert code == 1 and doc is None
+    assert "weight mode 'mod2' does not grade" in capsys.readouterr().err
+
+
 def test_simple_subcommand(tmp_path):
     out = str(tmp_path / "j.json")
     run_cli(["build", "jurman", "--g", "2", "--h", "1", "--out", out])

@@ -85,6 +85,18 @@ def test_budget_guard():
         compute_h2(big, budget=1000)
 
 
+def test_ungraded_weight_mode_is_refused_up_front():
+    # the bracket of h'_Pi(2;2,2) has mod-2 weight (1, 1), not 0
+    msg = r"weight mode 'mod2' does not grade h'_Pi\(2;\[2, 2\]\): \[q, p\*q\] has the term q"
+    with pytest.raises(AlgebraError, match=msg):
+        h2_weight_table(HP, "mod2")
+    with pytest.raises(AlgebraError, match=msg):
+        compute_h2(HP, constraints=[("z", (0, -2)), ("mod2", (0, 0))])
+    hi = build_hI(2, (2, 2))
+    with pytest.raises(AlgebraError, match="weight mode 'z' does not grade"):
+        compute_h2(hi, weight_filter=(0, 0), mode="z")
+
+
 def test_tensor_example_cocycle():
     ex = build_tensor_example()
     c = Cochain2(ex, {(1, 3): 1 << 2})  # e10 (x) d(e01)^d(e11)

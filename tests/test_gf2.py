@@ -50,15 +50,16 @@ def test_solve():
 
 def test_invert_and_compose():
     rng = random.Random(2)
-    n = 7
-    for _ in range(30):
-        rows = [rng.getrandbits(n) for _ in range(n)]
-        inv = gf2.invert(rows, n)
-        if gf2.rank(rows) < n:
-            assert inv is None
-            continue
-        both = gf2.compose(rows, inv)
-        assert both == [1 << i for i in range(n)]
+    for n in (1, 4, 7, 16, 40):
+        for _ in range(30):
+            rows = [rng.getrandbits(n) for _ in range(n)]
+            inv = gf2.invert(rows, n)
+            if gf2.rank(rows) < n:
+                assert inv is None
+                continue
+            both = gf2.compose(rows, inv)
+            assert both == [1 << i for i in range(n)]
+            assert gf2.compose(inv, rows) == both
 
 
 def test_combination_kernel():
@@ -86,3 +87,87 @@ def test_tagged_span_solve():
         acc ^= vals[i]
     assert acc == t
     assert span.solve(0b1000) is None
+
+
+# ---------------------------------------------------------------------------
+# the row-scanning echelon, kept as an oracle for the pivot-indexed Span
+# ---------------------------------------------------------------------------
+
+class _ScanSpan:
+    def __init__(self):
+        self.rows = []
+        self.pivots = []
+
+    def reduce(self, v):
+        for r, p in zip(self.rows, self.pivots):
+            if (v >> p) & 1:
+                v ^= r
+        return v
+
+    def add(self, v):
+        v = self.reduce(v)
+        if not v:
+            return False
+        p = v.bit_length() - 1
+        for i, r in enumerate(self.rows):
+            if (r >> p) & 1:
+                self.rows[i] = r ^ v
+        self.rows.append(v)
+        self.pivots.append(p)
+        return True
+
+
+def _random_rows(rng, width):
+    """Rows of one width, some sparse, some repeated or dependent."""
+    rows = []
+    for _ in range(rng.randrange(1, min(width, 60) + 8)):
+        kind = rng.random()
+        if kind < 0.3:
+            v = 0
+            for _ in range(rng.randint(1, 3)):
+                v |= 1 << rng.randrange(width)
+        elif kind < 0.45 and rows:
+            v = rng.choice(rows) ^ rng.choice(rows)
+        else:
+            v = rng.getrandbits(width)
+        rows.append(v)
+    return rows
+
+
+def test_span_matches_row_scan():
+    rng = random.Random(3)
+    for width in (4, 5, 9, 31, 64, 65, 130, 300):
+        for _ in range(8):
+            rows = _random_rows(rng, width)
+            span, scan = gf2.Span(), _ScanSpan()
+            for v in rows:
+                assert span.add(v) == scan.add(v)
+                assert span.rows == scan.rows and span.pivots == scan.pivots
+            assert gf2.Span(rows).rows == scan.rows
+            order = sorted(range(len(scan.rows)), key=lambda i: scan.pivots[i])
+            assert span.sorted_rows() == [scan.rows[i] for i in order]
+            for _ in range(20):
+                v = rng.getrandbits(width) ^ rng.choice(rows)
+                assert span.reduce(v) == scan.reduce(v)
+                assert (v in span) == (scan.reduce(v) == 0)
+            assert gf2.rank(rows) == len(gf2.rref(rows)[0]) == len(scan.rows)
+
+
+def test_span_copy_is_independent():
+    rng = random.Random(4)
+    width = 40
+    span = gf2.Span(rng.getrandbits(width) for _ in range(10))
+    probes = [rng.getrandbits(width) for _ in range(30)]
+    before = ([span.reduce(v) for v in probes], list(span.rows), list(span.pivots))
+    dup = span.copy()
+    assert dup == span and dup.rows == span.rows and dup.pivots == span.pivots
+    grew = sum(dup.add(rng.getrandbits(width)) for _ in range(20))
+    assert grew and dup.dim == span.dim + grew
+    assert ([span.reduce(v) for v in probes], span.rows, span.pivots) == before
+    assert all(dup.reduce(r) == 0 for r in span.rows)
+
+
+def test_rank_edge_cases():
+    assert gf2.rank([]) == 0
+    assert gf2.rank([0, 0]) == 0
+    assert gf2.rank(iter([0b11, 0b11, 0b01])) == 2

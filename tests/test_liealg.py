@@ -3,12 +3,12 @@ import random
 import pytest
 
 from gf2lie import gf2
-from gf2lie.constructions import (build_classical, build_hamiltonian, build_jurman,
+from gf2lie.constructions import (build_classical, build_hamiltonian, build_hI, build_jurman,
                                   build_kap2, build_kap4A, build_kap4B, build_poisson,
                                   build_tensor_example)
 from gf2lie.fields import GF2, GF2k
-from gf2lie.liealg import (Algebra, AlgebraError, LinearMap, Subspace, center,
-                           check_invariant_form, compute_h1_dim, derivation_dim,
+from gf2lie.liealg import (Algebra, AlgebraError, LinearMap, Subspace, ValidationReport,
+                           center, check_invariant_form, compute_h1_dim, derivation_dim,
                            derived_subalgebra, ideal_generated, quotient,
                            simplicity_check, subalgebra_on, verify_morphism)
 
@@ -30,6 +30,69 @@ def test_validate_passes_and_detects_flips():
     broken = Algebra(GF2, po.labels, sc, name="broken")
     rep = broken.validate()
     assert not rep.ok and rep.jacobi_failures
+
+
+# ---------------------------------------------------------------------------
+# the full triple sweep, kept as an oracle for the reach-indexed one
+# ---------------------------------------------------------------------------
+
+def _dense_jacobi_failures(g, max_report):
+    n = g.dim
+    T = g.pair_table()
+    fails = []
+    for i in range(n):
+        Ti = T[i * n:]
+        for j in range(i + 1, n):
+            Tj = T[j * n:]
+            for k in range(j + 1, n):
+                acc = 0
+                for l in gf2.bits(Ti[j]):
+                    acc ^= T[l * n + k]
+                for l in gf2.bits(Tj[k]):
+                    acc ^= Ti[l]
+                for l in gf2.bits(Ti[k]):
+                    acc ^= Tj[l]
+                if acc:
+                    fails.append((i, j, k))
+                    if len(fails) >= max_report:
+                        return fails
+    return fails
+
+
+def _perturbed(g, rng):
+    """g with one to four structure constants flipped, ungraded."""
+    n = g.dim
+    sc = {pr: dict(row) for pr, row in g.sc.items()}
+    for _ in range(rng.randint(1, 4)):
+        pr = rng.choice(sorted(sc)) if rng.random() < 0.7 else tuple(sorted(rng.sample(range(n), 2)))
+        row = sc.setdefault(pr, {})
+        k = rng.randrange(n)
+        if row.pop(k, None) is None:
+            row[k] = 1
+    return Algebra(GF2, g.labels, sc, name="perturbed")
+
+
+JACOBI_ORACLE_ALGEBRAS = {
+    "hp22": build_hamiltonian(1, (2, 2), "derived"),
+    "hI": build_hI(2, (2, 2)),
+    "j21": build_jurman(2, 1),
+    "kap2_4": build_kap2(4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JACOBI_ORACLE_ALGEBRAS))
+def test_validate_matches_dense_sweep(name):
+    g = JACOBI_ORACLE_ALGEBRAS[name]
+    rng = random.Random(sum(map(ord, name)))
+    cases = [g] + [_perturbed(g, rng) for _ in range(40)]
+    assert any(not h.validate().ok for h in cases)
+    for h in cases:
+        for max_report in (1, 5, 10 ** 9):
+            rep = h.validate(max_report=max_report)
+            want = ValidationReport()
+            want.jacobi_failures = _dense_jacobi_failures(h, max_report)
+            assert rep.jacobi_failures == want.jacobi_failures
+            assert rep.summary() == want.summary()
 
 
 def test_tensor_example_validates():
