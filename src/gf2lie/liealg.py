@@ -742,29 +742,34 @@ def _all_pairs(n: int):
             yield (i, j)
 
 
-def derivations(g: Algebra) -> List[List[int]]:
-    """Basis of der(g): each derivation as a list of image masks per basis vector."""
+def derivation_equations(g: Algebra) -> List[int]:
+    """The nonzero rows of D[e_i,e_j] = [De_i,e_j] + [e_i,De_j], in (i<j, l)
+    order; unknown q = k*n + i is the coefficient of e_k in D(e_i)."""
     n = g.dim
     T = g.pair_table()
-    nun = n * n  # unknown q = k*n + i  <->  coefficient of e_k in D(e_i)
+    _, nbr = g.incidence()
     eqs: List[int] = []
     for i in range(n):
         for j in range(i + 1, n):
+            # row l = D([e_i,e_j])_l + [D e_i, e_j]_l + [e_i, D e_j]_l; the
+            # bracket terms need D_{k,i} with [e_k,e_j] != 0 and D_{k,j}
+            # with [e_i,e_k] != 0
             w = T[i * n + j]
-            for l in range(n):
-                row = 0
-                # D([e_i,e_j])_l
-                for k in gf2.bits(w):
-                    row ^= 1 << (l * n + k)
-                # [D e_i, e_j]_l : sum_k D_{k,i} sc[k,j][l]
-                for k in range(n):
-                    if (T[k * n + j] >> l) & 1:
-                        row ^= 1 << (k * n + i)
-                    if (T[i * n + k] >> l) & 1:
-                        row ^= 1 << (k * n + j)
-                if row:
-                    eqs.append(row)
-    ker = gf2.kernel(eqs, nun)
+            rows = [w << (l * n) for l in range(n)]
+            for k in nbr[j]:
+                for l in gf2.bits(T[k * n + j]):
+                    rows[l] ^= 1 << (k * n + i)
+            for k in nbr[i]:
+                for l in gf2.bits(T[i * n + k]):
+                    rows[l] ^= 1 << (k * n + j)
+            eqs.extend(row for row in rows if row)
+    return eqs
+
+
+def derivations(g: Algebra) -> List[List[int]]:
+    """Basis of der(g): each derivation as a list of image masks per basis vector."""
+    n = g.dim
+    ker = gf2.kernel(derivation_equations(g), n * n)
     out = []
     for x in ker:
         images = [0] * n

@@ -9,7 +9,6 @@ torus, the squaring sends e_u to the functional B(u, .) and fixes V*.
 from __future__ import annotations
 
 import random
-from itertools import product as _cartesian
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import gf2
@@ -211,18 +210,57 @@ def parity_nonlinearity_witness(s: SuperAlgebra) -> Optional[Tuple[int, int]]:
 # equivalence of superizations
 # ---------------------------------------------------------------------------
 
-def _group_elements(n: int, keep, budget: Optional[int] = None, rng_seed: int = 0):
-    """Invertible n x n GF(2) matrices (rows as ints) passing `keep`.
+def _isometries(B: BilinearFormSpec, Q: Optional[QuadraticFormSpec] = None,
+                budget: Optional[int] = None, rng_seed: int = 0):
+    """Invertible n x n GF(2) matrices M (rows[j] = M e_j) preserving Q,
+    or B when Q is None.
 
-    Exhaustive for n <= 4; randomized sample of `budget` invertibles
-    beyond that.
+    Exhaustive for n <= 4: the rows are chosen depth-first, each from
+    1 .. 2^n - 1 ascending (itertools.product order), and a prefix is
+    extended only while its new row is independent of the earlier ones
+    and every form condition on rows[:k+1] holds.  Beyond n = 4 a
+    randomized sample of `budget` invertibles is filtered instead.
     """
+    n = B.n
+    img = [0] * (1 << n)  # img[u] = M u
+
+    def place(k, r):  # rows[k] = r: fill img for the u with top bit k
+        lo = 1 << k
+        for u in range(lo):
+            img[lo | u] = r ^ img[u]
+
+    # fits(k): the form conditions on rows[:k+1] that involve row k; they
+    # read only img[:2^(k+1)]
+    if Q is not None:
+        qv = [Q.value(u) for u in range(1 << n)]
+
+        def fits(k):
+            lo = 1 << k
+            return all(qv[img[u]] == qv[u] for u in range(lo, lo << 1))
+    else:
+        gram = [[B.pair(1 << i, 1 << k) for i in range(k + 1)] for k in range(n)]
+
+        def fits(k):
+            r = img[1 << k]
+            return all(B.pair(img[1 << i], r) == b for i, b in enumerate(gram[k]))
+
     if n <= 4:
-        for rows in _cartesian(range(1, 1 << n), repeat=n):
-            if gf2.rank(rows) != n:
-                continue
-            if keep(rows):
-                yield list(rows)
+        rows = [0] * n
+
+        def extend(k):
+            span = set(img[:1 << k])
+            for r in range(1, 1 << n):
+                if r in span:
+                    continue
+                place(k, r)
+                if fits(k):
+                    rows[k] = r
+                    if k + 1 == n:
+                        yield list(rows)
+                    else:
+                        yield from extend(k + 1)
+
+        yield from extend(0)
     else:
         rng = random.Random(rng_seed)
         count = 0
@@ -231,44 +269,31 @@ def _group_elements(n: int, keep, budget: Optional[int] = None, rng_seed: int = 
             if gf2.rank(rows) != n:
                 continue
             count += 1
-            if keep(rows):
+            for k, r in enumerate(rows):
+                place(k, r)
+            if all(fits(k) for k in range(n)):
                 yield rows
-
-
-def _preserves_form(B: BilinearFormSpec, rows: Sequence[int]) -> bool:
-    n = B.n
-    for i in range(n):
-        mi = gf2.apply_rows(rows, 1 << i)
-        for j in range(i, n):
-            if B.pair(mi, gf2.apply_rows(rows, 1 << j)) != B.pair(1 << i, 1 << j):
-                return False
-    return True
-
-
-def _preserves_quadratic(Q: QuadraticFormSpec, rows: Sequence[int]) -> bool:
-    n = Q.polar.n
-    for u in range(1, 1 << n):
-        if Q.value(gf2.apply_rows(rows, u)) != Q.value(u):
-            return False
-    return True
 
 
 def induced_super_iso(s1: SuperAlgebra, s2: SuperAlgebra, rows: Sequence[int]) -> Optional[LinearMap]:
     """The map e_u -> e_{Mu}, alpha -> alpha o M^{-1}, verified as a
-    parity- and squaring-compatible isomorphism s1 -> s2."""
+    parity- and squaring-compatible isomorphism s1 -> s2.
+
+    The cheap conditions (gamma images and parities, squaring) are
+    checked before the bracket check, which gates every returned map.
+    """
     clo1, clo2 = s1.closure, s2.closure
     n = clo1.n
     pos2 = {u: i for i, u in enumerate(clo2.gamma)}
     images: List[int] = []
-    for u in clo1.gamma:
-        mu = gf2.apply_rows(rows, u)
-        if mu not in pos2:
+    for i, u in enumerate(clo1.gamma):
+        k = pos2.get(gf2.apply_rows(rows, u))
+        if k is None or s2.parity[k] != s1.parity[i]:
             return None
-        images.append(1 << pos2[mu])
+        images.append(1 << k)
     minv = gf2.invert(list(rows), n)
     if minv is None:
         return None
-    base = clo1.base.dim
     for t in range(n):
         # alpha_t o M^{-1} = sum_s (M^{-1})_{t s} alpha_s: functional x -> alpha_t(M^{-1} x)
         img = 0
@@ -276,11 +301,8 @@ def induced_super_iso(s1: SuperAlgebra, s2: SuperAlgebra, rows: Sequence[int]) -
             if (minv[s] >> t) & 1:
                 img |= 1 << (clo2.base.dim + s)
         images.append(img)
-    m = LinearMap(clo1.algebra, clo2.algebra, images)
-    if not verify_morphism(m, "isomorphism"):
-        return None
-    # parity match
-    for i in range(clo1.dim):
+    # parity match on V*
+    for i in range(clo1.base.dim, clo1.dim):
         for k in gf2.bits(images[i]):
             if s2.parity[k] != s1.parity[i]:
                 return None
@@ -290,6 +312,9 @@ def induced_super_iso(s1: SuperAlgebra, s2: SuperAlgebra, rows: Sequence[int]) -
         rhs = clo2.square_vector(images[i])
         if lhs != rhs:
             return None
+    m = LinearMap(clo1.algebra, clo2.algebra, images)
+    if not verify_morphism(m, "isomorphism"):
+        return None
     return m
 
 
@@ -310,18 +335,16 @@ def equivalence_of_superizations(s1: SuperAlgebra, s2: SuperAlgebra,
     super-isomorphism: M preserves B (Kap_2) or Q (Kap_4), and the induced
     maps must match parities and squarings.
 
-    Exhaustive over GL(n,2) for n <= 4; for larger n a randomized budget
-    applies, so only the positive verdict is certain there.  A negative
-    exhaustive verdict rules out maps of the induced shape only.
+    Exhaustive over the isometry group of B or Q for n <= 4 (|Sp(4,2)| =
+    720, |O+(4,2)| = 72, |O-(4,2)| = 120 maps); for larger n a randomized
+    budget of GL(n,2) samples applies, so only the positive verdict is
+    certain there.  A negative exhaustive verdict rules out maps of the
+    induced shape only.
     """
     clo1 = s1.closure
     n = clo1.n
-    if quadratic is not None:
-        keep = lambda rows: _preserves_quadratic(quadratic, rows)
-    else:
-        keep = lambda rows: _preserves_form(clo1.B, rows)
     tried = 0
-    for rows in _group_elements(n, keep, budget=budget):
+    for rows in _isometries(clo1.B, quadratic, budget=budget):
         tried += 1
         m = induced_super_iso(s1, s2, rows)
         if m is not None:

@@ -1,7 +1,10 @@
 import io
 import json
 import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +23,16 @@ def test_build_jurman():
     assert code == 0
     assert doc["dim"] == 14
     assert doc["validated"] is True
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-m", "gf2lie", "build", "jurman", "--g", "2", "--h", "1"],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["dim"] == 14
 
 
 def test_build_emits_stable_json():

@@ -4,13 +4,14 @@ import pytest
 
 from gf2lie import gf2
 from gf2lie.constructions import (build_classical, build_hamiltonian, build_hI, build_jurman,
-                                  build_kap2, build_kap4A, build_kap4B, build_poisson,
+                                  build_kap1, build_kap2, build_kap4A, build_kap4B, build_poisson,
                                   build_tensor_example)
 from gf2lie.fields import GF2, GF2k
 from gf2lie.liealg import (Algebra, AlgebraError, LinearMap, Subspace, ValidationReport,
                            center, check_invariant_form, compute_h1_dim, derivation_dim,
-                           derived_subalgebra, ideal_generated, quotient,
-                           simplicity_check, subalgebra_on, verify_morphism)
+                           derivation_equations, derivations, derived_subalgebra, direct_sum,
+                           ideal_generated, quotient, simplicity_check, subalgebra_on,
+                           verify_morphism)
 
 
 def test_alternation_enforced():
@@ -182,9 +183,66 @@ def test_derivation_dim_basics():
     assert derivation_dim(two) == 4
     j = build_jurman(2, 1)
     assert derivation_dim(j) == 20  # golden, fixed by the kernel computation
-    from gf2lie.liealg import direct_sum
     g = build_kap4A(2, 1)
     assert derivation_dim(direct_sum(g, g)) >= 2 * derivation_dim(g)
+
+
+# ---------------------------------------------------------------------------
+# the O(n) scan per equation row, kept as an oracle for the neighbour-list one
+# ---------------------------------------------------------------------------
+
+def _dense_derivation_equations(g):
+    n = g.dim
+    T = g.pair_table()
+    eqs = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = T[i * n + j]
+            for l in range(n):
+                row = 0
+                for k in gf2.bits(w):
+                    row ^= 1 << (l * n + k)
+                for k in range(n):
+                    if (T[k * n + j] >> l) & 1:
+                        row ^= 1 << (k * n + i)
+                    if (T[i * n + k] >> l) & 1:
+                        row ^= 1 << (k * n + j)
+                if row:
+                    eqs.append(row)
+    return eqs
+
+
+def _dense_derivations(g):
+    n = g.dim
+    out = []
+    for x in gf2.kernel(_dense_derivation_equations(g), n * n):
+        images = [0] * n
+        for q in gf2.bits(x):
+            k, i = divmod(q, n)
+            images[i] |= 1 << k
+        out.append(images)
+    return out
+
+
+_o3 = build_classical("oPi", 3, "derived")
+DERIVATION_ORACLE_ALGEBRAS = {
+    "j21": build_jurman(2, 1),
+    "j31": build_jurman(3, 1),
+    "kap1_4": build_kap1(4),
+    "oPi5": build_classical("oPi", 5, "derived"),
+    "hp22": build_hamiltonian(1, (2, 2), "derived"),
+    # the centre c has an empty neighbour list
+    "oPi3+c": direct_sum(_o3, Algebra(GF2, ["c"], {}, name="c")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DERIVATION_ORACLE_ALGEBRAS))
+def test_derivations_match_dense_equations(name):
+    g = DERIVATION_ORACLE_ALGEBRAS[name]
+    rng = random.Random(sum(map(ord, name)))
+    for h in [g] + [_perturbed(g, rng) for _ in range(3)]:
+        assert derivation_equations(h) == _dense_derivation_equations(h)
+        assert derivations(h) == _dense_derivations(h)
 
 
 def test_compute_h1_dim():

@@ -1,11 +1,15 @@
+import random
+from itertools import product
+
 import pytest
 
-from gf2lie import gf2
-from gf2lie.constructions import QuadraticFormSpec, build_kap2, build_kap4A
-from gf2lie.liealg import AlgebraError
-from gf2lie.superize import (equivalence_of_superizations, nonlinear_reduction_check,
-                             parity_nonlinearity_witness, restricted_closure,
-                             seven_families, superize_linear, superize_nonlinear)
+from gf2lie import gf2, superize
+from gf2lie.constructions import BilinearFormSpec, QuadraticFormSpec, build_kap2, build_kap4A
+from gf2lie.liealg import AlgebraError, LinearMap, verify_morphism
+from gf2lie.superize import (equivalence_of_superizations, induced_super_iso,
+                             nonlinear_reduction_check, parity_nonlinearity_witness,
+                             restricted_closure, seven_families, superize_linear,
+                             superize_nonlinear)
 
 
 def test_closure_dims_and_axioms():
@@ -120,3 +124,162 @@ def test_nonlinear_reduction():
     assert rep["additive"] and rep["matches_linear"]
     trivial = nonlinear_reduction_check(2, Q0, Q0)
     assert trivial["trivial"]
+
+
+# ---------------------------------------------------------------------------
+# the product filter and the bracket-first check, kept as oracles for the
+# prefix-pruned isometry enumeration and the cheap-first induced map
+# ---------------------------------------------------------------------------
+
+def _group_elements(n, keep, budget=None, rng_seed=0):
+    if n <= 4:
+        for rows in product(range(1, 1 << n), repeat=n):
+            if gf2.rank(rows) != n:
+                continue
+            if keep(rows):
+                yield list(rows)
+    else:
+        rng = random.Random(rng_seed)
+        count = 0
+        while count < (budget or 100000):
+            rows = [rng.getrandbits(n) or 1 for _ in range(n)]
+            if gf2.rank(rows) != n:
+                continue
+            count += 1
+            if keep(rows):
+                yield rows
+
+
+def _preserves_form(B, rows):
+    n = B.n
+    for i in range(n):
+        mi = gf2.apply_rows(rows, 1 << i)
+        for j in range(i, n):
+            if B.pair(mi, gf2.apply_rows(rows, 1 << j)) != B.pair(1 << i, 1 << j):
+                return False
+    return True
+
+
+def _preserves_quadratic(Q, rows):
+    return all(Q.value(gf2.apply_rows(rows, u)) == Q.value(u) for u in range(1, 1 << Q.polar.n))
+
+
+def _bracket_first_super_iso(s1, s2, rows):
+    clo1, clo2 = s1.closure, s2.closure
+    n = clo1.n
+    pos2 = {u: i for i, u in enumerate(clo2.gamma)}
+    images = []
+    for u in clo1.gamma:
+        mu = gf2.apply_rows(rows, u)
+        if mu not in pos2:
+            return None
+        images.append(1 << pos2[mu])
+    minv = gf2.invert(list(rows), n)
+    if minv is None:
+        return None
+    for t in range(n):
+        img = 0
+        for s in range(n):
+            if (minv[s] >> t) & 1:
+                img |= 1 << (clo2.base.dim + s)
+        images.append(img)
+    m = LinearMap(clo1.algebra, clo2.algebra, images)
+    if not verify_morphism(m, "isomorphism"):
+        return None
+    for i in range(clo1.dim):
+        for k in gf2.bits(images[i]):
+            if s2.parity[k] != s1.parity[i]:
+                return None
+    for i in s1.odd_indices():
+        if gf2.apply_rows(images, clo1.squaring[i]) != clo2.square_vector(images[i]):
+            return None
+    return m
+
+
+def _zero_form(n):
+    return BilinearFormSpec("explicit", n, [0] * n)
+
+
+@pytest.mark.parametrize("kind,n,order", [
+    ("Pi", 2, 6), ("Pi", 4, 720), ("I", 1, 1), ("I", 2, 2), ("I", 3, 6), ("I", 4, 48),
+    ("zero", 3, 168)])
+def test_isometries_match_product_filter(kind, n, order):
+    B = _zero_form(n) if kind == "zero" else BilinearFormSpec(kind, n)
+    got = list(superize._isometries(B))
+    assert got == list(_group_elements(n, lambda rows: _preserves_form(B, rows)))
+    assert len(got) == order
+
+
+@pytest.mark.parametrize("m,arf,order", [(1, 0, 2), (1, 1, 6), (2, 0, 72), (2, 1, 120)])
+def test_quadratic_isometries_match_product_filter(m, arf, order):
+    Q = QuadraticFormSpec.standard(m, arf)
+    got = list(superize._isometries(Q.polar, Q))
+    assert got == list(_group_elements(2 * m, lambda rows: _preserves_quadratic(Q, rows)))
+    assert len(got) == order
+
+
+def test_random_isometry_branch_keeps_its_draws(monkeypatch):
+    """n = 6: the same rng draws, the same budget, the same survivors."""
+    drawn = []
+    real_rank = gf2.rank
+    monkeypatch.setattr(gf2, "rank", lambda rows: drawn.append(list(rows)) or real_rank(rows))
+    Q = QuadraticFormSpec.standard(3, 1)
+    cases = [(_zero_form(6), None, lambda rows: True),
+             (BilinearFormSpec("Pi", 6), None, lambda rows: _preserves_form(BilinearFormSpec("Pi", 6), rows)),
+             (Q.polar, Q, lambda rows: _preserves_quadratic(Q, rows))]
+    for B, quad, keep in cases:
+        for seed in (0, 5):
+            drawn.clear()
+            got = list(superize._isometries(B, quad, budget=40, rng_seed=seed))
+            got_draws = list(drawn)
+            drawn.clear()
+            assert got == list(_group_elements(6, keep, budget=40, rng_seed=seed))
+            assert got_draws == drawn
+    # every invertible preserves the zero form: the budget bounds the sample
+    assert len(list(superize._isometries(_zero_form(6), budget=40))) == 40
+
+
+def _kap_pairs():
+    """(closure, Q or None, v1, v2, equivalent?) for linear superizations."""
+    kap2 = restricted_closure(build_kap2(4))
+    out = [(kap2, None, a, b, True) for a, b in [(1, 1), (1, 2), (3, 12), (5, 9)]]
+    for arf in (0, 1):
+        base = build_kap4A(4, arf)
+        Q = base.meta["quadratic_form"]
+        vs = {0: [], 1: []}
+        for v in range(1, 16):
+            vs[Q.value(v)].append(v)
+        clo = restricted_closure(base)
+        out += [(clo, Q, vs[0][0], vs[0][-1], True), (clo, Q, vs[0][0], vs[1][0], False)]
+    return out
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_cheap_first_super_iso_matches_bracket_first(case):
+    clo, Q, a, b, equivalent = _kap_pairs()[case]
+    s1, s2 = superize_linear(clo, a), superize_linear(clo, b)
+    found = 0
+    for rows in superize._isometries(clo.B, Q):
+        got = induced_super_iso(s1, s2, rows)
+        want = _bracket_first_super_iso(s1, s2, rows)
+        assert (got and got.images) == (want and want.images)
+        found += got is not None
+    assert bool(found) == equivalent
+
+
+@pytest.mark.parametrize("case,order", [(0, 720), (1, 720), (4, 72), (5, 72), (6, 120), (7, 120)])
+def test_bracket_check_gates_every_verdict(monkeypatch, case, order):
+    """With every bracket check failing no pair is equivalent, and the
+    whole isometry group is tried."""
+    calls = []
+
+    def reject(m, kind):
+        calls.append(kind)
+        return False
+
+    monkeypatch.setattr(superize, "verify_morphism", reject)
+    clo, Q, a, b, equivalent = _kap_pairs()[case]
+    r = equivalence_of_superizations(superize_linear(clo, a), superize_linear(clo, b), quadratic=Q)
+    assert (r.kind, r.tried, r.map) == ("exhausted-no-map", order, None)
+    # candidates that pass the cheap checks reach the bracket check
+    assert bool(calls) == equivalent
