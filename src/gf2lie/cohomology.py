@@ -63,14 +63,6 @@ class Cochain2:
         key = (i, j) if i < j else (j, i)
         return self.terms.get(key, 0)
 
-    def evaluate(self, u: int, v: int) -> int:
-        """Bilinear extension c(u, v) for mask vectors."""
-        acc = 0
-        for i in gf2.bits(u):
-            for j in gf2.bits(v):
-                acc ^= self.pair_value(i, j)
-        return acc
-
     def weight(self, mode: str) -> Tuple[int, ...]:
         return cochain_weight(self, mode)
 

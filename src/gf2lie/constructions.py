@@ -63,9 +63,6 @@ class BilinearFormSpec:
             acc ^= self.rows[s]
         return (acc & v).bit_count() & 1
 
-    def is_alternate(self) -> bool:
-        return all(self.pair(1 << i, 1 << i) == 0 for i in range(self.n))
-
     def is_nondegenerate(self) -> bool:
         return gf2.rank(self.rows) == self.n
 

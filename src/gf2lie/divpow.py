@@ -160,19 +160,6 @@ class DPoly:
                 out.pop(m2, None)
         return DPoly(self.field, self.N, out)
 
-    def partial_pow(self, i: int, k: int) -> "DPoly":
-        """k-fold d/dx_i; exact on divided powers (no factorials appear)."""
-        out = self
-        for _ in range(k):
-            out = out.partial(i)
-        return out
-
-    def degree_mono(self) -> Optional[Monomial]:
-        """Leading monomial in grlex order, or None for 0."""
-        if not self.terms:
-            return None
-        return max(self.terms, key=lambda r: (sum(r), r))
-
     def text(self, names: Sequence[str]) -> str:
         if not self.terms:
             return "0"

@@ -7,6 +7,7 @@ sweep the whole list in minutes.
 
 from __future__ import annotations
 
+import time
 import traceback
 from functools import lru_cache
 from typing import Dict, List
@@ -670,20 +671,21 @@ def _guarded(fn, label: str, progress=None) -> dict:
                 "error": "%s: %s" % (type(e).__name__, e)}
 
 
-def _status(rep: dict, failed: str = "FAIL") -> str:
+def _status(rep: dict, seconds: float, failed: str = "FAIL") -> str:
     word = "ERR" if "error" in rep else "PASS" if rep["pass"] else failed
-    return "%-4s %s" % (word, rep["criterion"])
+    return "%-4s %s (%.2f s)" % (word, rep["criterion"], seconds)
 
 
 def run_all(progress=None) -> List[dict]:
+    """Every criterion's report, then the harmonic note; progress gets one
+    status line per report with its wall time, which the reports leave out."""
     out = []
-    for number, fn in enumerate(ALL_CRITERIA, 1):
-        rep = _guarded(fn, "%d %s" % (number, fn.__name__), progress)
-        out.append(rep)
+    jobs = [(fn, "%d %s" % (number, fn.__name__), "FAIL")
+            for number, fn in enumerate(ALL_CRITERIA, 1)]
+    jobs.append((harmonic_subalgebra_h2_report, "note: harmonic subalgebra H2", "INFO"))
+    for fn, label, failed in jobs:
+        t0 = time.perf_counter()
+        out.append(_guarded(fn, label, progress))
         if progress:
-            progress(_status(rep))
-    out.append(_guarded(harmonic_subalgebra_h2_report, "note: harmonic subalgebra H2",
-                        progress))
-    if progress:
-        progress(_status(out[-1], failed="INFO"))
+            progress(_status(out[-1], time.perf_counter() - t0, failed))
     return out

@@ -8,6 +8,7 @@ Pivots sit at the highest set bit of a row.
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 
@@ -44,127 +45,162 @@ def from_seq(seq: Sequence[int]) -> int:
 
 
 class Span:
-    """Incrementally maintained row space in reduced row echelon form.
+    """Incrementally maintained row space, kept triangular: one row per pivot.
 
-    Invariant: pivot (top) bit of each row is set in no other row, and a
-    row holds no pivot bit but its own.  So v reduces by xoring in the rows
-    at the pivot bits v carries, found through `mask` and a pivot -> row
-    index map, in O(popcount) instead of O(dim).
+    The pivot of a row is its top bit below the tag width (TaggedSpan);
+    a plain Span has no tags.  Insertion stops as soon as the top bit is a
+    new pivot, so it never touches other rows.  The reduced row echelon
+    form is built on demand and dropped when the span grows; `reduce`
+    walks it when it is there.
     """
 
+    _low = -1  # the non-tag bits
+
     def __init__(self, rows: Iterable[int] = ()):
-        self.rows: List[int] = []
-        self.pivots: List[int] = []
+        self._rows: Dict[int, int] = {}  # pivot -> triangular row
+        self._rref: Optional[Dict[int, int]] = None  # pivot -> RREF row, ascending
+        self.pivots: List[int] = []  # in insertion order
         self.mask = 0  # OR of the pivot bits
-        self._row_at: Dict[int, int] = {}  # pivot bit -> index into rows
         for v in rows:
             self.add(v)
 
     def reduce(self, v: int) -> int:
-        rows, row_at = self.rows, self._row_at
-        hit = v & self.mask
+        """v minus a combination of rows, holding no pivot bit (tags ride along)."""
+        rows, mask = self._rref or self._rows, self.mask
+        hit = v & mask
         while hit:
-            low = hit & -hit
-            v ^= rows[row_at[low.bit_length() - 1]]
-            hit ^= low
+            v ^= rows[hit.bit_length() - 1]
+            hit = v & mask
         return v
+
+    def _insert(self, v: int) -> Optional[int]:
+        """Insert v; None if the span grew, else the residue (tag bits only)."""
+        rows, low = self._rows, self._low
+        while True:
+            img = v & low
+            if not img:
+                return v
+            p = img.bit_length() - 1
+            r = rows.get(p)
+            if r is None:
+                rows[p] = v
+                self.pivots.append(p)
+                self.mask |= 1 << p
+                self._rref = None
+                return None
+            v ^= r
 
     def add(self, v: int) -> bool:
         """Insert v; return True if the span grew."""
-        v = self.reduce(v)
-        if not v:
-            return False
-        p = v.bit_length() - 1
-        for i, r in enumerate(self.rows):
-            if (r >> p) & 1:
-                self.rows[i] = r ^ v
-        self._row_at[p] = len(self.rows)
-        self.rows.append(v)
-        self.pivots.append(p)
-        self.mask |= 1 << p
-        return True
+        return self._insert(v) is None
+
+    def _reduced(self) -> Dict[int, int]:
+        if self._rref is None:
+            red: Dict[int, int] = {}
+            for p, r in sorted(self._rows.items()):
+                hit = (r & self.mask) ^ (1 << p)
+                while hit:  # lower pivots, whose RREF rows hold no other pivot
+                    low = hit & -hit
+                    r ^= red[low.bit_length() - 1]
+                    hit ^= low
+                red[p] = r
+            self._rref = red
+        return self._rref
+
+    @property
+    def rows(self) -> List[int]:
+        """RREF rows in insertion order of their pivots."""
+        red = self._reduced()
+        return [red[p] for p in self.pivots]
 
     def __contains__(self, v: int) -> bool:
         return self.reduce(v) == 0
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
     def sorted_rows(self) -> List[int]:
-        order = sorted(range(len(self.rows)), key=lambda i: self.pivots[i])
-        return [self.rows[i] for i in order]
+        return list(self._reduced().values())
 
     def copy(self) -> "Span":
-        s = Span()
-        s.rows = list(self.rows)
-        s.pivots = list(self.pivots)
-        s.mask = self.mask
-        s._row_at = dict(self._row_at)
+        s = copy.copy(self)
+        s._rows, s.pivots = dict(self._rows), list(self.pivots)
         return s
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Span):
             return NotImplemented
-        return sorted(self.rows) == sorted(other.rows)
+        return self._reduced() == other._reduced()
 
     def __hash__(self):
-        return hash(tuple(sorted(self.rows)))
+        return hash(tuple(self.sorted_rows()))
+
+
+class TaggedSpan(Span):
+    """Span with combination tracking: tag bits live above `width`.
+
+    add(v) inserts v tagged with a fresh index; solve(t) returns the
+    index mask whose inputs xor to t, or None.  The inputs a row combines
+    are all ones that grew the span, so that mask is unique.
+    """
+
+    def __init__(self, width: int):
+        super().__init__()
+        self.width = width
+        self._low = (1 << width) - 1
+        self.count = 0
+
+    def _tagged(self, v: int) -> int:
+        tag = 1 << (self.width + self.count)
+        self.count += 1
+        return (v & self._low) | tag
+
+    def add(self, v: int) -> bool:
+        """Insert v with a fresh tag; returns True if the image span grew."""
+        return self._insert(self._tagged(v)) is None
+
+    def solve(self, t: int) -> Optional[int]:
+        assert t <= self._low
+        res = self.reduce(t)
+        return None if res & self._low else res >> self.width
 
 
 def rref(rows: Iterable[int]) -> Tuple[List[int], List[int]]:
     """Reduced row echelon form; returns (nonzero rows, their pivots), both
     sorted by pivot column ascending."""
-    s = Span(rows)
-    order = sorted(range(len(s.rows)), key=lambda i: s.pivots[i])
-    return [s.rows[i] for i in order], [s.pivots[i] for i in order]
+    red = Span(rows)._reduced()
+    return list(red.values()), list(red)
 
 
 def rank(rows: Iterable[int]) -> int:
-    by_pivot: Dict[int, int] = {}
-    for v in rows:
-        while v:
-            p = v.bit_length() - 1
-            hit = by_pivot.get(p)
-            if hit is None:
-                by_pivot[p] = v
-                break
-            v ^= hit
-    return len(by_pivot)
+    return Span(rows).dim
 
 
 def kernel(rows: Sequence[int], ncols: int) -> List[int]:
     """Basis of {x : dot(row, x) = 0 for every row}, rows read as equations."""
-    red, pivots = rref(rows)
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
+    red = Span(rows)._reduced()
     out = []
-    for f in free:
-        x = 1 << f
-        for r, p in zip(red, pivots):
-            if (r >> f) & 1:
-                x |= 1 << p
-        out.append(x)
+    for f in range(ncols):
+        if f not in red:
+            out.append((1 << f) | from_bits(p for p, r in red.items() if (r >> f) & 1))
     return out
 
 
 def solve(rows: Sequence[int], rhs: Sequence[int], ncols: int) -> Optional[int]:
-    """One solution x of dot(rows[i], x) = rhs[i] for all i, or None.
+    """The solution x of dot(rows[i], x) = rhs[i] for all i with every free
+    variable zero, or None.
 
     The rhs bit is kept below the variable columns so that top-bit
     pivoting never selects it.
     """
-    aug = [(r << 1) | (b & 1) for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    x = 0
-    for r, p in zip(red, pivots):
-        if p == 0:
-            return None  # row 0...0 | 1
-        if r & 1:
-            x |= 1 << (p - 1)
+    red = Span((r << 1) | (b & 1) for r, b in zip(rows, rhs))._reduced()
+    if 0 in red:
+        return None  # row 0...0 | 1
+    x = from_bits(p - 1 for p, r in red.items() if r & 1)
     for r, b in zip(rows, rhs):
         if dot(r, x) != (b & 1):  # cheap belt-and-braces
             return None
@@ -175,85 +211,17 @@ def combination_kernel(images: Sequence[int], width: int) -> List[int]:
     """All index-set combinations of `images` that xor to zero.
 
     Returns a basis of {x : xor of images[i] over set bits i of x = 0},
-    each x a bit mask over range(len(images)).  `width` bounds the bit
-    length of the images; tag bits are carried above it and pivoting is
-    restricted to the image part.
+    each x a bit mask over range(len(images)): one per image that does not
+    grow the span of those before it.  `width` bounds the bit length of
+    the images.
     """
-    n = len(images)
-    mask = (1 << width) - 1
-    by_pivot: dict = {}
-    out: List[int] = []
-    for i in range(n):
-        v = (images[i] & mask) | (1 << (width + i))
-        while True:
-            img = v & mask
-            if not img:
-                out.append(v >> width)
-                break
-            p = img.bit_length() - 1
-            hit = by_pivot.get(p)
-            if hit is None:
-                by_pivot[p] = v
-                break
-            v ^= hit
+    span = TaggedSpan(width)
+    out = []
+    for v in images:
+        res = span._insert(span._tagged(v))
+        if res is not None:
+            out.append(res >> width)
     return out
-
-
-class TaggedSpan:
-    """Row space with combination tracking: tag bits live above `width`.
-
-    add(v) inserts v tagged with a fresh index; solve(t) returns the
-    index mask whose rows xor to t, or None.  Pivoting is restricted to
-    the image part below `width`; rows are kept triangular (pivot dict),
-    which a repeated-reduction loop handles without full RREF.
-    """
-
-    def __init__(self, width: int):
-        self.width = width
-        self.by_pivot: dict = {}
-        self.count = 0
-
-    def _mask(self) -> int:
-        return (1 << self.width) - 1
-
-    def add(self, v: int) -> bool:
-        """Insert v with a fresh tag; returns True if the image span grew."""
-        tag = 1 << (self.width + self.count)
-        self.count += 1
-        v = (v & self._mask()) | tag
-        mask = self._mask()
-        while True:
-            img = v & mask
-            if not img:
-                return False
-            p = img.bit_length() - 1
-            hit = self.by_pivot.get(p)
-            if hit is None:
-                self.by_pivot[p] = v
-                return True
-            v ^= hit
-
-    def reduce(self, t: int):
-        """Reduce an untagged image vector; returns (residue, tag mask)."""
-        assert t < (1 << self.width)
-        mask = self._mask()
-        while True:
-            img = t & mask
-            if not img:
-                return 0, t >> self.width
-            p = img.bit_length() - 1
-            hit = self.by_pivot.get(p)
-            if hit is None:
-                return img, t >> self.width
-            t ^= hit
-
-    def solve(self, t: int) -> Optional[int]:
-        res, tags = self.reduce(t)
-        return None if res else tags
-
-    @property
-    def dim(self) -> int:
-        return len(self.by_pivot)
 
 
 def transpose(rows: Sequence[int], ncols: int) -> List[int]:
@@ -279,31 +247,9 @@ def compose(a_rows: Sequence[int], b_rows: Sequence[int]) -> List[int]:
 
 def invert(rows: Sequence[int], n: int) -> Optional[List[int]]:
     """Inverse of the map e_j ↦ rows[j] on n coordinates, or None."""
-    mask = (1 << n) - 1
-    basis: List[int] = []
-    pivots: List[int] = []
-    at: Dict[int, int] = {}  # pivot -> index into basis
+    span = TaggedSpan(n)
     for j in range(n):
-        v = (rows[j] & mask) | (1 << (n + j))
-        while True:
-            img = v & mask
-            if not img:
-                return None  # columns dependent
-            p = img.bit_length() - 1
-            i = at.get(p)
-            if i is None:
-                at[p] = len(basis)
-                basis.append(v)
-                pivots.append(p)
-                break
-            v ^= basis[i]
-    # back-substitute, highest pivot first, until image parts are unit vectors
-    order = sorted(range(n), key=lambda i: -pivots[i])
-    for i in order:
-        for k in range(n):
-            if k != i and (basis[k] >> pivots[i]) & 1:
-                basis[k] ^= basis[i]
-    inv = [0] * n
-    for r, p in zip(basis, pivots):
-        inv[p] = r >> n
-    return inv
+        if not span.add(rows[j]):
+            return None  # columns dependent
+    red = span._reduced()
+    return [red[p] >> n for p in range(n)]

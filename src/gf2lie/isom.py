@@ -153,10 +153,12 @@ class GenWords:
 
     def basis_coords(self) -> Optional[List[int]]:
         """For each unit e_i of the source, its combination over self.vecs."""
-        inv_rows = gf2.transpose(self.vecs, self.g.dim)
+        span = gf2.TaggedSpan(self.g.dim)
+        for v in self.vecs:
+            span.add(v)
         out = []
         for i in range(self.g.dim):
-            sol = gf2.solve(inv_rows, [(1 if t == i else 0) for t in range(self.g.dim)], len(self.vecs))
+            sol = span.solve(1 << i)
             if sol is None:
                 return None
             out.append(sol)

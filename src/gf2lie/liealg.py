@@ -376,7 +376,7 @@ class Algebra:
 
 
 class Subspace:
-    """Row space of an ambient algebra, kept in reduced echelon form."""
+    """Row space of an ambient algebra; rows() is its reduced echelon basis."""
 
     def __init__(self, ambient: Algebra, rows: Iterable[int] = ()):
         assert ambient.is_gf2, "subspaces are computed over GF(2)"
@@ -392,9 +392,6 @@ class Subspace:
 
     def __contains__(self, v: int) -> bool:
         return v in self.span
-
-    def contains_space(self, other: "Subspace") -> bool:
-        return all(r in self.span for r in other.span.rows)
 
     def rows(self) -> List[int]:
         return self.span.sorted_rows()
@@ -520,18 +517,14 @@ def subalgebra_on(g: Algebra, sub: Subspace, name: str = "") -> Algebra:
     """The algebra induced on a bracket-closed subspace (its RREF basis)."""
     rows = sub.rows()
     span = sub.span
-    pivots = sub.pivots()
+    pos = {p: idx for idx, p in enumerate(sub.pivots())}
     m = len(rows)
 
     def coords(w: int) -> Dict[int, int]:
-        out = {}
-        for idx, (r, p) in enumerate(zip(rows, pivots)):
-            if (w >> p) & 1:
-                out[idx] = 1
-                w ^= r
-        if w:
+        # an RREF combination takes row idx exactly when w has its pivot bit
+        if w not in span:
             raise AlgebraError("subspace is not bracket-closed")
-        return out
+        return {pos[p]: 1 for p in gf2.bits(w & span.mask)}
 
     sc: Dict[Tuple[int, int], Dict[int, int]] = {}
     for a in range(m):

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -151,6 +152,28 @@ def test_paper_suite_survives_a_crashed_criterion(monkeypatch, capsys):
     assert broken["error"] == "NameError: name 'undefined_helper' is not defined"
     assert doc["pass"] is False
     assert "ERR  2 criterion_02_broken" in err and "Traceback" in err
+
+
+def test_paper_suite_times_go_to_stderr_only(monkeypatch, capsys):
+    from gf2lie import experiments
+
+    monkeypatch.setattr(experiments, "ALL_CRITERIA", [
+        lambda: {"criterion": "1 fine", "pass": True, "dims": [3, 1]},
+        lambda: {"criterion": "2 off", "pass": False}])
+    monkeypatch.setattr(experiments, "harmonic_subalgebra_h2_report",
+                        lambda: {"criterion": "note: stub", "pass": False})
+    code = main(["experiment", "paper-suite"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    # the stdout document, byte for byte as it was before times were shown
+    assert out == ('{\n "experiment": "paper-suite",\n "pass": false,\n "reports": [\n  {\n'
+                   '   "criterion": "1 fine",\n   "dims": [\n    3,\n    1\n   ],\n   "pass": true\n'
+                   '  },\n  {\n   "criterion": "2 off",\n   "pass": false\n  },\n  {\n'
+                   '   "criterion": "note: stub",\n   "pass": false\n  }\n ],\n "seed": 0\n}\n')
+    lines = err.splitlines()[1:]
+    assert [re.sub(r" \(\d+\.\d\d s\)$", "", line) for line in lines] == [
+        "PASS 1 fine", "FAIL 2 off", "INFO note: stub"]
+    assert all(line.endswith(" s)") for line in lines)
 
 
 def test_internal_fault_exit_code(monkeypatch, capsys):

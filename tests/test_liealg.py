@@ -33,6 +33,19 @@ def test_validate_passes_and_detects_flips():
     assert not rep.ok and rep.jacobi_failures
 
 
+def test_subalgebra_on_rejects_a_subspace_not_bracket_closed():
+    po = build_poisson(1, (1, 1))
+    e = {name: 1 << i for i, name in enumerate(po.labels)}
+    sub = Subspace(po, [e["p"], e["q"] ^ e["p*q"]])
+    # [p, q + pq] = 1 + p carries the pivot bit of the row p, and 1 lies outside
+    w = po.bracket(e["p"], e["q"] ^ e["p*q"])
+    assert w == e["1"] ^ e["p"] and w & sub.span.mask and w not in sub
+    with pytest.raises(AlgebraError, match="subspace is not bracket-closed"):
+        subalgebra_on(po, sub)
+    closed = subalgebra_on(po, Subspace(po, [e["p"], e["q"] ^ e["p*q"], e["1"]]))
+    assert closed.dim == 3 and closed.validate().ok
+
+
 # ---------------------------------------------------------------------------
 # the full triple sweep, kept as an oracle for the reach-indexed one
 # ---------------------------------------------------------------------------

@@ -13,15 +13,23 @@ one function and loaded in another.
 No module may reach a ``_``-prefixed name of another package module, by
 import or through an imported module's attribute: private helpers stay
 private to the module that owns them.
+
+Every function or method the package defines, dunders aside, must be named
+somewhere besides its own definition: in the package, its tests or the
+benchmark.  The search is by word, so a mention in a comment or a string
+counts as a use.
 """
 
 import ast
 import builtins
 import pathlib
+import re
+from collections import Counter
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "gf2lie"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "gf2lie"
 MODULE_NAMES = set(dir(builtins)) | {"__file__", "__path__", "__spec__", "__loader__"}
 
 
@@ -124,3 +132,34 @@ def test_scan_flags_a_private_import():
            "def f(n):\n"
            "    return _pairs(n), gf2._mask(n), gf2.bits(n), gf2.__name__\n")
     assert private_imports(src) == [(4, "_pairs"), (5, "_helper"), (7, "gf2._mask")]
+
+
+def dead_definitions(package: dict, searched: list) -> list:
+    """(file, line, name) for every non-dunder def in the package sources
+    ({file: text}) whose name the searched texts hold only at its definitions."""
+    words = Counter(w for text in searched for w in re.findall(r"\w+", text))
+    defs = [(fname, node.lineno, node.name) for fname, text in package.items()
+            for node in ast.walk(ast.parse(text, fname))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+    ndefs = Counter(name for _, _, name in defs)
+    return sorted(d for d in defs if words[d[2]] <= ndefs[d[2]])
+
+
+def test_no_dead_definitions():
+    package = {p.name: p.read_text() for p in MODULES}
+    searched = [p.read_text() for top in ("src", "tests", "bench")
+                for p in sorted((ROOT / top).rglob("*.py"))]
+    dead = dead_definitions(package, searched)
+    assert not dead, ", ".join("%s:%d %s" % d for d in dead)
+
+
+def test_scan_flags_a_dead_definition():
+    lib = ("def used(x):\n"
+           "    return x\n"
+           "class A:\n"
+           "    def __init__(self):\n"
+           "        self.v = used(1)\n"
+           "    def unused(self):\n"
+           "        return self.v\n")
+    assert dead_definitions({"lib.py": lib}, [lib, "from lib import A\n"]) == [("lib.py", 6, "unused")]
