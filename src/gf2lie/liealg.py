@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import random
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Container, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import gf2
 from .fields import GF2, Field, GF2k, PolyRing
@@ -23,6 +23,11 @@ Vec = Union[int, Dict[int, int]]  # GF(2) mask, or sparse dict elsewhere
 
 class AlgebraError(ValueError):
     pass
+
+
+def _require_gf2(g: "Algebra", what: str) -> None:
+    if not g.is_gf2:
+        raise AlgebraError("%s is computed over GF(2) only, not over %r" % (what, g.field))
 
 
 class ValidationReport:
@@ -122,8 +127,8 @@ class Algebra:
 
     def pair_table(self) -> List[int]:
         """Flat dim*dim table of bracket masks; GF(2) only."""
-        assert self.is_gf2
         if self._pair_table is None:
+            _require_gf2(self, "the pair table")
             n = self.dim
             T = [0] * (n * n)
             for (i, j), row in self.sc.items():
@@ -192,7 +197,7 @@ class Algebra:
     def as_mask(self, v: Vec) -> int:
         if isinstance(v, int):
             return v
-        assert self.is_gf2
+        _require_gf2(self, "a bit mask")
         m = 0
         for i, c in v.items():
             if c & 1:
@@ -204,7 +209,6 @@ class Algebra:
 
     def ad_rows(self, x: Vec) -> List[int]:
         """ad_x as a list of masks: row k = [x, e_k]; GF(2) only."""
-        assert self.is_gf2
         T = self.pair_table()
         n = self.dim
         xb = list(gf2.bits(self.as_mask(x)))
@@ -379,7 +383,7 @@ class Subspace:
     """Row space of an ambient algebra; rows() is its reduced echelon basis."""
 
     def __init__(self, ambient: Algebra, rows: Iterable[int] = ()):
-        assert ambient.is_gf2, "subspaces are computed over GF(2)"
+        _require_gf2(ambient, "a subspace")
         self.ambient = ambient
         self.span = gf2.Span(rows)
 
@@ -418,12 +422,9 @@ class Subspace:
 def derived_subalgebra(g: Algebra) -> Subspace:
     """Span of all brackets of basis pairs."""
     s = Subspace(g)
-    if g.is_gf2:
-        T = g.pair_table()
-        for (i, j) in g.sc:
-            s.add(T[i * g.dim + j])
-    else:
-        raise AlgebraError("derived_subalgebra needs a GF(2) algebra")
+    T = g.pair_table()
+    for (i, j) in g.sc:
+        s.add(T[i * g.dim + j])
     return s
 
 
@@ -566,6 +567,14 @@ def ideal_generated(g: Algebra, seed: int) -> Subspace:
     """Smallest ideal containing the seed vector (spinning closure)."""
     if not seed:
         raise AlgebraError("seed must be nonzero")
+    return _spin(g, seed, ())
+
+
+def _spin(g: Algebra, seed: int, settled: Container[int]) -> Optional[Subspace]:
+    """The ideal spun from `seed`, or None as soon as the seed or one of
+    its brackets lies in `settled`, vectors whose ideal is known to be g."""
+    if seed in settled:
+        return None
     s = Subspace(g)
     s.add(seed)
     queue = [seed]
@@ -578,10 +587,13 @@ def ideal_generated(g: Algebra, seed: int) -> Subspace:
             acc = 0
             for i in vb:
                 acc ^= T[i * n + j]
-            if acc and s.add(acc):
-                queue.append(acc)
-                if s.dim == n:
-                    return s
+            if acc:
+                if acc in settled:
+                    return None
+                if s.add(acc):
+                    queue.append(acc)
+                    if s.dim == n:
+                        return s
     return s
 
 
@@ -604,6 +616,16 @@ def simplicity_check(g: Algebra, random_seeds: int = 1000, exhaustive_dim: int =
     Exhaustive over all nonzero vectors for GF(2) algebras of dim <=
     exhaustive_dim, which proves simplicity; otherwise spins from the
     basis plus random vectors and can only report probable-simple.
+
+    A spin stops early, exactly, once it meets a settled vector: if a
+    nonzero w lies in ideal(v), then ideal(v) is an ideal holding w, so
+    ideal(w) ⊆ ideal(v), and ideal(w) = g forces ideal(v) = g.  Seeds
+    are settled only after their own spin reached g: the exhaustive walk
+    returns at the first proper ideal, so when it spins v every nonzero
+    w < v is settled; the random walk keeps the set of seeds it has
+    proven.  A spin that ends in a proper ideal meets no settled vector,
+    so the witness is the full spin of the first failing seed, as without
+    the shortcut.
     """
     n = g.dim
     if n == 0:
@@ -611,20 +633,20 @@ def simplicity_check(g: Algebra, random_seeds: int = 1000, exhaustive_dim: int =
     if n == 1:
         return SimplicityVerdict("ideal-witness", Subspace(g, [1]), 1)
     if g.is_gf2 and n <= exhaustive_dim:
-        count = 0
         for seed in range(1, 1 << n):
-            count += 1
-            sp = ideal_generated(g, seed)
-            if sp.dim < n:
-                return SimplicityVerdict("ideal-witness", sp, count)
-        return SimplicityVerdict("simple", None, count)
+            sp = _spin(g, seed, range(1, seed))
+            if sp is not None and sp.dim < n:
+                return SimplicityVerdict("ideal-witness", sp, seed)
+        return SimplicityVerdict("simple", None, (1 << n) - 1)
     rng = random.Random(rng_seed)
     seeds = [1 << i for i in range(n)]
     seeds += [rng.getrandbits(n) or 1 for _ in range(random_seeds)]
+    proven = set()
     for count, seed in enumerate(seeds, 1):
-        sp = ideal_generated(g, seed)
-        if sp.dim < n:
+        sp = _spin(g, seed, proven)
+        if sp is not None and sp.dim < n:
             return SimplicityVerdict("ideal-witness", sp, count)
+        proven.add(seed)
     return SimplicityVerdict("probable-simple", None, len(seeds))
 
 
@@ -666,7 +688,7 @@ class LinearMap:
                                    self.target.dim, self.target.field)
 
     def inverse(self) -> "LinearMap":
-        assert self.target.is_gf2
+        _require_gf2(self.target, "the inverse map")
         inv = gf2.invert(self.images, self.target.dim)
         if inv is None:
             raise AlgebraError("map is not invertible")

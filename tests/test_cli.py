@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 from gf2lie.cli import main
+from gf2lie.fields import GF2k
+from gf2lie.liealg import Algebra
 
 
 def run_cli(argv):
@@ -207,3 +209,30 @@ def test_experiment_step_fault_ends_the_experiment(tmp_path, monkeypatch, capsys
 def test_unreadable_input_is_a_usage_error(tmp_path):
     code, _ = run_cli(["validate", "--algebra", str(tmp_path / "missing.json")])
     assert code == 1
+
+
+def _gf4_algebra_file(tmp_path):
+    """sl(2) over GF(4), with a coefficient outside GF(2): [h,x] = w.x."""
+    g = Algebra(GF2k(2), ["h", "x", "y"], {(0, 1): {1: 2}, (0, 2): {2: 2}, (1, 2): {0: 1}},
+                name="sl2 over GF(4)")
+    path = tmp_path / "gf4.json"
+    path.write_text(g.dumps())
+    return str(path)
+
+
+@pytest.mark.parametrize("cmd", ["simple", "derived", "center", "h1"])
+def test_gf2_only_subcommand_on_gf4_is_a_usage_error(tmp_path, capsys, cmd):
+    code, doc = run_cli([cmd, "--algebra", _gf4_algebra_file(tmp_path)])
+    assert code == 1 and doc is None
+    assert "GF(2) only" in capsys.readouterr().err
+
+
+def test_gf2_only_subcommand_refuses_gf4_under_python_dash_O(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-O", "-m", "gf2lie", "simple", "--algebra",
+                          _gf4_algebra_file(tmp_path)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 1 and out.stdout == ""
+    assert "GF(2) only" in out.stderr

@@ -181,6 +181,74 @@ def test_simplicity_check():
     assert v3.kind == "ideal-witness" and v3.witness.dim == 3
 
 
+# ---------------------------------------------------------------------------
+# spinning every seed in full, kept as an oracle for the settled-seed stop
+# ---------------------------------------------------------------------------
+
+def _full_spin_simplicity(g, random_seeds=1000, exhaustive_dim=20, rng_seed=0):
+    """(kind, seeds_tried, witness rows) from ideal_generated on every seed."""
+    n = g.dim
+    if n <= exhaustive_dim:
+        seeds, kind = list(range(1, 1 << n)), "simple"
+    else:
+        rng = random.Random(rng_seed)
+        seeds = [1 << i for i in range(n)] + [rng.getrandbits(n) or 1 for _ in range(random_seeds)]
+        kind = "probable-simple"
+    for count, seed in enumerate(seeds, 1):
+        sp = ideal_generated(g, seed)
+        if sp.dim < n:
+            return "ideal-witness", count, sp.rows()
+    return kind, len(seeds), None
+
+
+def _random_alternating(n, density, rng):
+    """An alternating GF(2) table, Jacobi not imposed: spinning needs none."""
+    sc = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            row = {k: 1 for k in range(n) if rng.random() < density}
+            if row:
+                sc[(i, j)] = row
+    return Algebra(GF2, ["e%d" % i for i in range(n)], sc, name="random")
+
+
+SPIN_ORACLE_ALGEBRAS = {
+    "j21": lambda: build_jurman(2, 1),
+    "kap1_4": lambda: build_kap1(4),
+    "kap4A_4_0": lambda: build_kap4A(4, 0),
+    "kap4A_4_1": lambda: build_kap4A(4, 1),
+    "po_11": lambda: build_poisson(1, (1, 1)),
+    "po_22": lambda: build_poisson(1, (2, 2)),
+    "kap2_4": lambda: build_kap2(4),
+}
+
+
+def _verdict_rows(v):
+    return v.kind, v.seeds_tried, v.witness.rows() if v.witness is not None else None
+
+
+@pytest.mark.parametrize("name", sorted(SPIN_ORACLE_ALGEBRAS))
+def test_simplicity_check_matches_full_spins_on_paper_algebras(name):
+    g = SPIN_ORACLE_ALGEBRAS[name]()
+    assert _verdict_rows(simplicity_check(g)) == _full_spin_simplicity(g)
+    assert (_verdict_rows(simplicity_check(g, random_seeds=200, exhaustive_dim=1, rng_seed=5))
+            == _full_spin_simplicity(g, random_seeds=200, exhaustive_dim=1, rng_seed=5))
+
+
+def test_simplicity_check_matches_full_spins_on_random_tables():
+    rng = random.Random(2024)
+    kinds = set()
+    for n in range(2, 10):
+        for density in (0.05, 0.15, 0.3, 0.6):
+            for _ in range(6):
+                g = _random_alternating(n, density, rng)
+                for kw in ({}, {"exhaustive_dim": 1, "random_seeds": 40, "rng_seed": n}):
+                    want = _full_spin_simplicity(g, **kw)
+                    assert _verdict_rows(simplicity_check(g, **kw)) == want, (n, density, kw, g.sc)
+                    kinds.add(want[0])
+    assert kinds == {"simple", "probable-simple", "ideal-witness"}
+
+
 def test_verify_morphism_identity_and_zero():
     j = build_jurman(2, 1)
     ident = LinearMap(j, j, [1 << i for i in range(j.dim)])

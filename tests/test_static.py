@@ -14,6 +14,10 @@ No module may reach a ``_``-prefixed name of another package module, by
 import or through an imported module's attribute: private helpers stay
 private to the module that owns them.
 
+No ``assert`` may test ``is_gf2``: ``python -O`` strips asserts, and a
+GF(2)-only routine fed another field must raise ``AlgebraError`` (a usage
+error) instead of running on and answering wrongly.
+
 Every function or method the package defines, dunders aside, must be named
 somewhere besides its own definition: in the package, its tests or the
 benchmark.  The search is by word, so a mention in a comment or a string
@@ -132,6 +136,32 @@ def test_scan_flags_a_private_import():
            "def f(n):\n"
            "    return _pairs(n), gf2._mask(n), gf2.bits(n), gf2.__name__\n")
     assert private_imports(src) == [(4, "_pairs"), (5, "_helper"), (7, "gf2._mask")]
+
+
+def field_asserts(source: str, filename: str = "<src>") -> list:
+    """Lines of the asserts whose test reads an ``is_gf2`` name or attribute."""
+    tree = ast.parse(source, filename)
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)
+                  and any(getattr(sub, "attr", getattr(sub, "id", None)) == "is_gf2"
+                          for sub in ast.walk(node.test)))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_field_asserts(path):
+    found = field_asserts(path.read_text(), str(path))
+    assert not found, "%s: assert on is_gf2 at line(s) %s" % (path.name, ", ".join(map(str, found)))
+
+
+def test_scan_flags_a_field_assert():
+    src = ("def f(g, h):\n"
+           "    assert g.is_gf2\n"
+           "    assert g.dim and not h.is_gf2, 'GF(2)'\n"
+           "    assert g.dim\n"
+           "    is_gf2 = g.is_gf2\n"
+           "    assert is_gf2\n"
+           "    if not g.is_gf2:\n"
+           "        raise ValueError\n")
+    assert field_asserts(src) == [2, 3, 6]
 
 
 def dead_definitions(package: dict, searched: list) -> list:
