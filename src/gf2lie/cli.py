@@ -44,6 +44,16 @@ def _parse_N(text: str):
     return tuple(int(x) for x in text.split(","))
 
 
+def _parse_pairs(text: str):
+    try:
+        pairs = [tuple(int(x) for x in chunk.split(",")) for chunk in text.split(";")]
+    except ValueError:
+        pairs = []
+    if not pairs or any(len(p) != 2 for p in pairs):
+        raise ValueError("--pairs takes g,h;g,h;... (e.g. 2,1;2,1), not %r" % text)
+    return pairs
+
+
 def _build_from_args(args) -> Algebra:
     kind = args.what
     if kind == "po":
@@ -62,11 +72,8 @@ def _build_from_args(args) -> Algebra:
     if kind == "a":
         return build_a2gh(args.g, args.h, args.variant)
     if kind == "multipair":
-        pairs = []
-        for chunk in args.pairs.split(";"):
-            g, h = chunk.split(",")
-            pairs.append((int(g), int(h)))
-        return build_multipair("Pi" if args.form != "i" else "I", pairs, args.variant)
+        return build_multipair("Pi" if args.form != "i" else "I", _parse_pairs(args.pairs),
+                               args.variant)
     if kind == "kap":
         return build_kaplansky(args.family, args.n, args.arf)
     if kind == "classical":

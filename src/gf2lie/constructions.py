@@ -15,7 +15,8 @@ from itertools import combinations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import gf2
-from .divpow import check_shearing, mono_mul, mono_text, monomials
+from .divpow import (check_shearing, mono_mul, mono_offsets, mono_pack, mono_text,
+                     mono_unpack, monomials, packed_mul)
 from .fields import GF2, Scalar
 from .liealg import (Algebra, AlgebraError, LinearMap, Subspace, center,
                      derived_subalgebra, quotient, subalgebra_on)
@@ -392,13 +393,6 @@ def build_jurman(g: int, h: int) -> Algebra:
 # the two-derivation generalizations a(2;g,h), multipair versions
 # ---------------------------------------------------------------------------
 
-def _apply_del(mono: Mono, i: int, k: int, N) -> Optional[Mono]:
-    """d_i^k on a monomial (coefficient is always 1 on divided powers)."""
-    if mono[i] < k:
-        return None
-    return mono[:i] + (mono[i] - k,) + mono[i + 1:]
-
-
 def _a_brmono(pairs: Sequence[Tuple[int, int, int]], N, kind: str) -> Callable:
     """Bracket for a_Pi/a_I-type algebras.
 
@@ -406,46 +400,49 @@ def _a_brmono(pairs: Sequence[Tuple[int, int, int]], N, kind: str) -> Callable:
     twisted derivation is E = d_y + y d_x^(2^g).
     kind 'Pi': [u,v] = sum d_x u * E v + E u * d_x v
     kind 'I' : [u,v] = sum d_x u * d_x v + E u * E v
+
+    Each monomial's d_x and E images are packed monomials (divpow.mono_pack),
+    computed once per build, so a product is one AND and one OR; terms
+    cancel in a dict keyed by packed ints, in the order the sums above
+    list them.
     """
-    def ell(mono: Mono, xi: int, yi: int, gg: int) -> Dict[Mono, int]:
-        out: Dict[Mono, int] = {}
-        m1 = _apply_del(mono, yi, 1, N)
-        if m1 is not None:
-            out[m1] = 1
-        m2 = _apply_del(mono, xi, 1 << gg, N)
-        if m2 is not None and m2[yi] == 0:
-            # multiply by y: exponent bound N(y)=1 makes this the only case
-            m2y = m2[:yi] + (1,) + m2[yi + 1:]
-            out[m2y] = out.get(m2y, 0) ^ 1
-            if not out[m2y]:
-                del out[m2y]
+    offs = mono_offsets(N)
+    pi = kind == "Pi"
+
+    def images(mono: Mono) -> List[Tuple[Optional[int], Optional[int]]]:
+        # (d_x u, E u) per pair, None where the operator kills u.  N(y) = 1,
+        # so E u is d_y u when y divides u and y d_x^(2^g) u otherwise
+        p = mono_pack(mono, N)
+        out = []
+        for (xi, yi, gg) in pairs:
+            x, y = 1 << offs[xi], 1 << offs[yi]
+            if mono[yi]:
+                e = p - y
+            elif mono[xi] >> gg:
+                e = p - (x << gg) + y
+            else:
+                e = None
+            out.append((p - x if mono[xi] else None, e))
         return out
 
+    # every int below 2^(sum N) packs a monomial
+    unpacked = [mono_unpack(p, N) for p in range(1 << sum(N))]
+    ops = {mono: images(mono) for mono in unpacked}
+
     def br(a: Mono, b: Mono) -> Dict[Mono, int]:
-        out: Dict[Mono, int] = {}
-        for (xi, yi, gg) in pairs:
-            da = _apply_del(a, xi, 1, N)
-            db = _apply_del(b, xi, 1, N)
-            ea = ell(a, xi, yi, gg)
-            eb = ell(b, xi, yi, gg)
-            terms: List[Tuple[Mono, Mono]] = []
-            if kind == "Pi":
-                if da is not None:
-                    terms += [(da, mb) for mb in eb]
-                if db is not None:
-                    terms += [(ma, db) for ma in ea]
-            else:
-                if da is not None and db is not None:
-                    terms.append((da, db))
-                terms += [(ma, mb) for ma in ea for mb in eb]
-            for (ma, mb) in terms:
-                c, mono = mono_mul(ma, mb, N)
-                if c:
-                    if mono in out:
-                        del out[mono]
-                    else:
-                        out[mono] = 1
-        return out
+        out: Dict[int, int] = {}
+        for (da, ea), (db, eb) in zip(ops[a], ops[b]):
+            for u, v in (((da, eb), (ea, db)) if pi else ((da, db), (ea, eb))):
+                if u is None or v is None:
+                    continue
+                c, w = packed_mul(u, v)
+                if not c:
+                    continue
+                if w in out:
+                    del out[w]
+                else:
+                    out[w] = 1
+        return {unpacked[w]: 1 for w in out}
     return br
 
 
@@ -505,6 +502,7 @@ def build_multipair(kind: str, pairs: Sequence[Tuple[int, int]], variant: str = 
 
 
 def _apply_variant(alg: Algebra, variant: str) -> Algebra:
+    """'full', 'derived' (name + "'") or 'derived_mod_center' (name + "'/c")."""
     if variant == "full":
         return alg
     if variant in ("derived", "derived_mod_center"):
@@ -738,19 +736,14 @@ def build_classical(kind: str, n: int, variant: str = "full") -> Algebra:
     gl = build_gl(n)
     if kind == "gl":
         g = gl
-    elif kind == "sl":
-        trace_row = gf2.from_bits([i * n + i for i in range(n)])
-        g = subalgebra_on(gl, Subspace(gl, gf2.kernel([trace_row], n * n)), name="sl(%d)" % n)
-    elif kind == "psl":
-        trace_row = gf2.from_bits([i * n + i for i in range(n)])
-        sl = subalgebra_on(gl, Subspace(gl, gf2.kernel([trace_row], n * n)), name="sl(%d)" % n)
-        ident = gf2.from_bits([i * n + i for i in range(n)])
-        if n % 2 == 0:
+    elif kind in ("sl", "psl"):
+        # the diagonal mask is both the trace row and the identity matrix
+        diag = gf2.from_bits([i * n + i for i in range(n)])
+        g = subalgebra_on(gl, Subspace(gl, gf2.kernel([diag], n * n)), name="sl(%d)" % n)
+        if kind == "psl" and n % 2 == 0:
             # scalars lie in sl; quotient them out
-            coords = _vector_in_subalgebra(gl, sl, ident)
-            g = quotient(sl, Subspace(sl, [coords]), name="psl(%d)" % n)
-        else:
-            g = sl
+            coords = _vector_in_subalgebra(gl, g, diag)
+            g = quotient(g, Subspace(g, [coords]), name="psl(%d)" % n)
     elif kind == "oI":
         rows = []
         for i in range(n):
@@ -776,7 +769,7 @@ def build_classical(kind: str, n: int, variant: str = "full") -> Algebra:
         g = subalgebra_on(gl, Subspace(gl, gf2.kernel(eqs, n * n)), name="o_Pi(%d)" % n)
     else:
         raise AlgebraError("unknown classical kind %r" % kind)
-    return _apply_variant_named(g, variant)
+    return _apply_variant(g, variant)
 
 
 def _vector_in_subalgebra(amb: Algebra, sub: Algebra, v: int) -> int:
@@ -800,17 +793,6 @@ def _vector_in_subalgebra(amb: Algebra, sub: Algebra, v: int) -> int:
     if sol is None:
         raise AlgebraError("vector not in subalgebra")
     return sol
-
-
-def _apply_variant_named(g: Algebra, variant: str) -> Algebra:
-    if variant == "full":
-        return g
-    if variant == "derived":
-        return subalgebra_on(g, derived_subalgebra(g), name=g.name + "'")
-    if variant == "derived_mod_center":
-        der = subalgebra_on(g, derived_subalgebra(g), name=g.name + "'")
-        return quotient(der, center(der), name=g.name + "'/c")
-    raise AlgebraError("unknown variant %r" % variant)
 
 
 # ---------------------------------------------------------------------------

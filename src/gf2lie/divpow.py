@@ -4,7 +4,9 @@ A monomial x^(r) is the exponent tuple r with 0 <= r_i <= 2^N_i - 1.
 The product rule x^(r) x^(s) = binom(r+s, r) x^(r+s) reduces mod 2 to
 the bitwise test (r_i & s_i) == 0 in every coordinate (Lucas), and the
 product is zero whenever some r_i + s_i leaves the shearing range.
-Out-of-range and negative binomial data always mean 0 here.
+Out-of-range and negative binomial data always mean 0 here.  Packed into
+one int (`mono_pack`), monomials multiply by one AND and one OR
+(`packed_mul`).
 """
 
 from __future__ import annotations
@@ -45,6 +47,39 @@ def mono_mul(a: Monomial, b: Monomial, N: ShearingVector) -> Tuple[int, Optional
             return 0, None  # out of the shearing range
         out.append(r)
     return 1, tuple(out)
+
+
+# A packed monomial is one int holding r_i in an N_i-bit field, the first
+# variable lowest.  When no field shares a bit, r_i + s_i = r_i | s_i stays
+# below 2^N_i, so by the Lucas rule above a product is one AND and one OR.
+
+def mono_offsets(N: ShearingVector) -> Tuple[int, ...]:
+    """Bit offset of each variable's exponent field in a packed monomial."""
+    out, o = [], 0
+    for n in N:
+        out.append(o)
+        o += n
+    return tuple(out)
+
+
+def mono_pack(r: Monomial, N: ShearingVector) -> int:
+    p = 0
+    for e, o in zip(r, mono_offsets(N)):
+        p |= e << o
+    return p
+
+
+def mono_unpack(p: int, N: ShearingVector) -> Monomial:
+    out = []
+    for n in N:
+        out.append(p & ((1 << n) - 1))
+        p >>= n
+    return tuple(out)
+
+
+def packed_mul(a: int, b: int) -> Tuple[int, Optional[int]]:
+    """mono_mul on packed monomials: (1, a | b), or (0, None) if they share a bit."""
+    return (0, None) if a & b else (1, a | b)
 
 
 def mono_text(r: Monomial, names: Sequence[str]) -> str:

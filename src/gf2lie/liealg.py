@@ -108,13 +108,13 @@ class Algebra:
 
     def _check_grading(self) -> List[tuple]:
         bad = []
-        g, mod = self.grading, self.grading_mod
+        mod = self.grading_mod
+        g = [tuple(w % m if m else w for w, m in zip(gr, mod)) for gr in self.grading]
         for (i, j), row in self.sc.items():
             want = tuple((a + b) % m if m else (a + b) for a, b, m in zip(g[i], g[j], mod))
             for k in row:
-                have = tuple(w % m if m else w for w, m in zip(g[k], mod))
-                if have != want:
-                    bad.append((i, j, k, want, have))
+                if g[k] != want:
+                    bad.append((i, j, k, want, g[k]))
         return bad
 
     # -- basic bracket access -------------------------------------------
@@ -527,23 +527,29 @@ def subalgebra_on(g: Algebra, sub: Subspace, name: str = "") -> Algebra:
             raise AlgebraError("subspace is not bracket-closed")
         return {pos[p]: 1 for p in gf2.bits(w & span.mask)}
 
+    T = g.pair_table()
+    n = g.dim
+    row_bits = [list(gf2.bits(r)) for r in rows]
     sc: Dict[Tuple[int, int], Dict[int, int]] = {}
     for a in range(m):
+        bases = [i * n for i in row_bits[a]]
         for b in range(a + 1, m):
-            w = g.bracket(rows[a], rows[b])
+            w = 0
+            for base in bases:
+                for j in row_bits[b]:
+                    w ^= T[base + j]
             if w:
                 sc[(a, b)] = coords(w)
     labels = []
-    for r in rows:
-        bs = list(gf2.bits(r))
+    for bs in row_bits:
         labels.append(g.labels[bs[0]] if len(bs) == 1 else "(" + "+".join(g.labels[b] for b in bs) + ")")
     grading = None
     mod = None
     if g.grading is not None:
         ok = True
         grading = []
-        for r in rows:
-            ws = {g.grading[b] for b in gf2.bits(r)}
+        for bs in row_bits:
+            ws = {g.grading[b] for b in bs}
             if len(ws) != 1:
                 ok = False
                 break
@@ -554,8 +560,8 @@ def subalgebra_on(g: Algebra, sub: Subspace, name: str = "") -> Algebra:
             mod = g.grading_mod
     meta = {}
     md = g.meta.get("mono_degrees")
-    if md is not None and all(len(list(gf2.bits(r))) == 1 for r in rows):
-        meta["mono_degrees"] = [md[list(gf2.bits(r))[0]] for r in rows]
+    if md is not None and all(len(bs) == 1 for bs in row_bits):
+        meta["mono_degrees"] = [md[bs[0]] for bs in row_bits]
         for key in ("vars", "N"):
             if key in g.meta:
                 meta[key] = g.meta[key]

@@ -49,6 +49,13 @@ def test_usage_error():
     assert code == 1
 
 
+@pytest.mark.parametrize("pairs", ["2", ""])
+def test_malformed_pairs_is_a_usage_error(pairs, capsys):
+    code, doc = run_cli(["build", "multipair", "--pairs", pairs])
+    assert code == 1 and doc is None
+    assert "--pairs takes g,h;g,h;..." in capsys.readouterr().err
+
+
 def test_pipeline_h2(tmp_path):
     out = str(tmp_path / "hp.json")
     code, _ = run_cli(["build", "h", "--N", "2,2", "--derived", "--out", out])

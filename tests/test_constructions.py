@@ -1,6 +1,9 @@
+import hashlib
+import json
+
 import pytest
 
-from gf2lie import gf2
+from gf2lie import constructions, gf2
 from gf2lie.constructions import (BilinearFormSpec, JSystemSpec, QuadraticFormSpec,
                                   arf_invariant, build_a2gh, build_classical,
                                   build_div_free_hI, build_hI, build_hamiltonian,
@@ -8,6 +11,7 @@ from gf2lie.constructions import (BilinearFormSpec, JSystemSpec, QuadraticFormSp
                                   build_kap4A, build_kap4B, build_kap4_subalgebra,
                                   build_multipair, build_poisson, dim_kap4A,
                                   jsystem_algebra, kap4_subalgebra_condition)
+from gf2lie.divpow import mono_mul
 from gf2lie.liealg import (AlgebraError, Subspace, center, derived_subalgebra, quotient,
                            simplicity_check, subalgebra_on)
 
@@ -103,6 +107,93 @@ def test_multipair():
         g = build_multipair(kind, [(2, 1), (2, 1)])
         assert g.validate().ok
     assert build_multipair("Pi", [(2, 1)]).sc == build_a2gh(2, 1).sc
+
+
+def _apply_del(mono, i, k, N):
+    """d_i^k on a monomial (coefficient is always 1 on divided powers)."""
+    if mono[i] < k:
+        return None
+    return mono[:i] + (mono[i] - k,) + mono[i + 1:]
+
+
+def _tuple_a_brmono(pairs, N, kind):
+    """The multipair bracket on exponent tuples through mono_mul, recomputing
+    d_x and E on every call: the oracle for the packed, cached bracket."""
+    def ell(mono, xi, yi, gg):
+        out = {}
+        m1 = _apply_del(mono, yi, 1, N)
+        if m1 is not None:
+            out[m1] = 1
+        m2 = _apply_del(mono, xi, 1 << gg, N)
+        if m2 is not None and m2[yi] == 0:
+            # multiply by y: exponent bound N(y)=1 makes this the only case
+            m2y = m2[:yi] + (1,) + m2[yi + 1:]
+            out[m2y] = out.get(m2y, 0) ^ 1
+            if not out[m2y]:
+                del out[m2y]
+        return out
+
+    def br(a, b):
+        out = {}
+        for (xi, yi, gg) in pairs:
+            da = _apply_del(a, xi, 1, N)
+            db = _apply_del(b, xi, 1, N)
+            ea = ell(a, xi, yi, gg)
+            eb = ell(b, xi, yi, gg)
+            terms = []
+            if kind == "Pi":
+                if da is not None:
+                    terms += [(da, mb) for mb in eb]
+                if db is not None:
+                    terms += [(ma, db) for ma in ea]
+            else:
+                if da is not None and db is not None:
+                    terms.append((da, db))
+                terms += [(ma, mb) for ma in ea for mb in eb]
+            for (ma, mb) in terms:
+                c, mono = mono_mul(ma, mb, N)
+                if c:
+                    if mono in out:
+                        del out[mono]
+                    else:
+                        out[mono] = 1
+        return out
+    return br
+
+
+def _output(g):
+    # rows as item lists: dict equality alone would ignore their order
+    return (g.name, g.labels, [(key, list(row.items())) for key, row in g.sc.items()],
+            g.grading, g.grading_mod, g.meta)
+
+
+@pytest.mark.parametrize("pairs", [[(2, 1)], [(3, 1)], [(2, 2)], [(3, 2)],
+                                   [(2, 1), (2, 1)], [(2, 1), (3, 1)]])
+@pytest.mark.parametrize("kind", ["Pi", "I"])
+def test_packed_multipair_bracket_matches_tuple_oracle(kind, pairs, monkeypatch):
+    new = build_multipair(kind, pairs)
+    with monkeypatch.context() as m:
+        m.setattr(constructions, "_a_brmono", _tuple_a_brmono)
+        old = build_multipair(kind, pairs)
+    assert _output(new) == _output(old)
+    for variant in ("derived", "derived_mod_center"):
+        a = constructions._apply_variant(new, variant)
+        b = constructions._apply_variant(old, variant)
+        assert _output(a) == _output(b), variant
+
+
+def test_structure_sweep_multipairs_pinned():
+    # sha256 of the labels and sorted structure constants, computed with the
+    # tuple bracket above
+    pins = {("Pi", "full"): "41df12dcb0b6c3176964e08e807048771ddb6d7cb891ba83101a669dbd1eeafc",
+            ("Pi", "derived_mod_center"):
+                "4db4b2d54c2f60b673594730fa8e5562660a65ae653acfb9108b6d0041364846",
+            ("I", "derived_mod_center"):
+                "c749aa61defad280663484e01284ccfbedb1a6ff5db332ba9b9082e299c27b74"}
+    for (kind, variant), pin in pins.items():
+        g = build_multipair(kind, [(2, 1), (2, 1)], variant)
+        doc = [g.labels, sorted([i, j, sorted(row.items())] for (i, j), row in g.sc.items())]
+        assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == pin, (kind, variant)
 
 
 def test_multipair_derived_mod_center_no_center():

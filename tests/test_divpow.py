@@ -5,8 +5,8 @@ import pytest
 
 from gf2lie.fields import GF2, GF2k, Scalar
 from gf2lie.divpow import (
-    DPoly, d_alpha_derivative, f_alpha_map, mono_mul, monomials,
-    reindex_context, reindex_iso, reindex_mono,
+    DPoly, d_alpha_derivative, f_alpha_map, mono_mul, mono_offsets, mono_pack, mono_unpack,
+    monomials, packed_mul, reindex_context, reindex_iso, reindex_mono,
 )
 
 
@@ -27,6 +27,31 @@ def test_mono_mul_against_binomial_oracle_exhaustive():
             assert coeff == expect, (k, l)
             if coeff:
                 assert mono == (k + l,)
+
+
+@pytest.mark.parametrize("N", [(3, 1, 2), (2, 2)])
+def test_packed_mul_matches_mono_mul_exhaustive(N):
+    monos = monomials(N)
+    packed = [mono_pack(r, N) for r in monos]
+    assert len(set(packed)) == len(monos)
+    assert [mono_unpack(p, N) for p in packed] == monos
+    zeros = 0
+    for a, pa in zip(monos, packed):
+        for b, pb in zip(monos, packed):
+            coeff, mono = mono_mul(a, b, N)
+            pcoeff, pmono = packed_mul(pa, pb)
+            assert pcoeff == coeff, (a, b)
+            if coeff:
+                assert mono_unpack(pmono, N) == mono, (a, b)
+            else:
+                zeros += 1
+                assert pmono is None, (a, b)
+    assert 0 < zeros < len(monos) ** 2
+
+
+def test_mono_offsets():
+    assert mono_offsets((3, 1, 2)) == (0, 3, 4)
+    assert mono_pack((5, 1, 2), (3, 1, 2)) == 5 | 1 << 3 | 2 << 4
 
 
 def test_mono_mul_examples():

@@ -19,6 +19,22 @@ def test_alternation_enforced():
         Algebra(GF2, ["a", "b"], {(0, 0): {1: 1}})
 
 
+def test_grading_check_names_the_first_violation():
+    # Z/3 x Z weights; [b, c] = a + d breaks the grading at a, [a, c] = d at d
+    labels = ["a", "b", "c", "d"]
+    grading = [(1, 0), (2, 1), (0, 1), (5, 2)]
+    sc = {(1, 2): {3: 1, 0: 1}, (0, 2): {3: 1}, (0, 1): {2: 1}}
+    with pytest.raises(AlgebraError) as err:
+        Algebra(GF2, labels, sc, grading=grading, grading_mod=(3, 0))
+    assert str(err.value) == "grading not respected by bracket, e.g. (1, 2, 0, (2, 2), (1, 0))"
+    del sc[(1, 2)]
+    with pytest.raises(AlgebraError) as err:
+        Algebra(GF2, labels, sc, grading=grading, grading_mod=(3, 0))
+    assert str(err.value) == "grading not respected by bracket, e.g. (0, 2, 3, (1, 1), (2, 2))"
+    del sc[(0, 2)]
+    assert Algebra(GF2, labels, sc, grading=grading, grading_mod=(3, 0)).grading == grading
+
+
 def test_validate_passes_and_detects_flips():
     po = build_poisson(1, (1, 1))
     assert po.dim == 4
