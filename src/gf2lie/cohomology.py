@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import gf2
 from .divpow import mono_text
 from .grading import cochain_term_weight, cochain_weight
-from .liealg import Algebra, AlgebraError, compute_h1_dim  # noqa: F401 (H^1 lives here too)
+from .liealg import Algebra, AlgebraError
 
 Pair = Tuple[int, int]
 
@@ -155,19 +155,6 @@ def _pairs(n: int) -> List[Pair]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def c1_weight(g: Algebra, target: int, source: int, mode: str) -> Tuple[int, ...]:
-    """Weight of the 1-cochain coordinate e_target ⊗ d(e_source)."""
-    monos = g.meta["mono_degrees"]
-    x, y = monos[target], monos[source]
-    if mode == "z":
-        return tuple((a - 1) - (b - 1) for a, b in zip(x, y))
-    if mode == "mod2":
-        return tuple((a - b) % 2 for a, b in zip(x, y))
-    if mode == "outer":
-        return (sum(x) - sum(y),)
-    raise AlgebraError("unknown weight mode %r" % mode)
-
-
 Constraint = Tuple[str, Tuple[int, ...]]
 
 # In every mode the weight of x ⊗ d(y)^d(z) is key(x) - key(y) - key(z) plus
@@ -268,13 +255,6 @@ def c1_block_coords(g: Algebra, constraints: Sequence[Constraint] = ()) -> List[
     return coords
 
 
-def _unit_coboundary(g: Algebra, k: int, i: int) -> Cochain2:
-    """d1 of the 1-cochain e_k ⊗ d(e_i)."""
-    images = [0] * g.dim
-    images[i] = 1 << k
-    return d1(g, images)
-
-
 class C3Index:
     """Bit positions of C^3 coordinates (i<j<k triple, value index),
     assigned in order of first use."""
@@ -295,27 +275,74 @@ class C3Index:
         return max(1, len(self.positions))
 
 
-def d2_columns(g: Algebra, coords: Sequence[Tuple[Pair, int]], c3: C3Index) -> List[int]:
-    """d2 of each unit C^2 coordinate, encoded through c3."""
-    return [c3.encode(d2(Cochain2(g, {pr: 1 << k}))) for pr, k in coords]
+class Block:
+    """One weight block of the complex: its C^2 coordinates `coords`
+    ((pair, k) for e_k ⊗ d(e_i)^d(e_j), pair-major with k ascending) and C^1
+    coordinates `c1` ((k, i) for e_k ⊗ d(e_i)); all of them when there are
+    no constraints.  `encode` and `decode` map a 2-cochain of the block to
+    its bit mask over `coords` and back.  Every constraint's mode must
+    grade the algebra, so that d1 and d2 map the block into itself.
+    """
+
+    def __init__(self, g: Algebra, constraints: Sequence[Constraint] = ()):
+        _check_graded(g, constraints)
+        self.g = g
+        self.coords = c2_block_coords(g, constraints)
+        self.c1 = c1_block_coords(g, constraints)
+        self._index = {c: t for t, c in enumerate(self.coords)}
+
+    def encode(self, c: Cochain2) -> int:
+        index, m = self._index, 0
+        for pr, v in c.terms.items():
+            for k in gf2.bits(v):
+                pos = index.get((pr, k))
+                if pos is None:
+                    raise AlgebraError("cochain leaves the weight block at %r" % ((pr, k),))
+                m |= 1 << pos
+        return m
+
+    def decode(self, mask: int) -> Cochain2:
+        coords, terms = self.coords, {}
+        for pos in gf2.bits(mask):
+            pr, k = coords[pos]
+            terms[pr] = terms.get(pr, 0) ^ (1 << k)
+        return Cochain2(self.g, terms)
+
+    def d1_columns(self):
+        """d1 of each unit 1-cochain, in `c1` order, encoded (a generator)."""
+        images = [0] * self.g.dim
+        for k, i in self.c1:
+            images[i] = 1 << k
+            yield self.encode(d1(self.g, images))
+            images[i] = 0
+
+    def d2_columns(self, c3: C3Index) -> List[int]:
+        """d2 of each unit 2-cochain, in `coords` order, encoded through c3."""
+        return [c3.encode(d2(Cochain2(self.g, {pr: 1 << k}))) for pr, k in self.coords]
+
+    def coboundaries(self) -> Tuple[gf2.Span, List[Cochain2]]:
+        """B^2 of the block, and the unit coboundaries that grew it, in `c1` order."""
+        span, grew = gf2.Span(), []
+        for col in self.d1_columns():
+            if span.add(col):
+                grew.append(self.decode(col))
+        return span, grew
 
 
 class H2Basis:
     """Representatives of H^2(g;g), independent modulo coboundaries."""
 
-    def __init__(self, algebra: Algebra, representatives: List[Cochain2],
-                 dims: Tuple[int, int, int], constraints: Sequence[Constraint] = ()):
-        self.algebra = algebra
+    def __init__(self, block: Block, representatives: List[Cochain2],
+                 dims: Tuple[int, int, int], coboundaries: List[Cochain2]):
+        self.block = block
+        self.algebra = block.g
         self.representatives = representatives
         self.dims = dims  # (dim Z2, dim B2, dim H2) within the block
-        self.constraints = list(constraints)
+        self.coboundaries = coboundaries  # a basis of B2, as Block.coboundaries gives it
 
     @property
     def dim(self) -> int:
         return self.dims[2]
-
-    def weights(self, mode: str) -> List[Tuple[int, ...]]:
-        return [c.weight(mode) for c in self.representatives]
 
     def __repr__(self):
         return "<H2 block dim %d (Z2=%d, B2=%d)>" % (self.dims[2], self.dims[0], self.dims[1])
@@ -330,84 +357,45 @@ def compute_h2(g: Algebra, weight_filter: Optional[Tuple[int, ...]] = None, mode
     several simultaneous (mode, weight) restrictions.  The matrix budget
     guards against accidentally huge unrestricted computations.
     """
-    if constraints is None:
-        constraints = []
+    constraints = list(constraints or ())
     if weight_filter is not None:
-        constraints = list(constraints) + [(mode, tuple(weight_filter))]
+        constraints.append((mode, tuple(weight_filter)))
+    blk = Block(g, constraints)
     n = g.dim
-    if constraints and "mono_degrees" not in g.meta:
-        raise AlgebraError("weight filters need an algebra with monomial degrees")
-    _check_graded(g, constraints)
-    coords = c2_block_coords(g, constraints)
-    coord_index = {c: i for i, c in enumerate(coords)}
     if not constraints:
         est_c3 = n * n * (n - 1) * (n - 2) // 6
-        if len(coords) * est_c3 > budget:
+        if len(blk.coords) * est_c3 > budget:
             raise AlgebraError(
                 "d2 matrix would have ~%d entries (> budget %d); restrict to a weight block"
-                % (len(coords) * est_c3, budget))
+                % (len(blk.coords) * est_c3, budget))
 
     c3 = C3Index()
-    z2_masks = gf2.combination_kernel(d2_columns(g, coords, c3), c3.width)
-
-    # coboundaries within the block
-    b2_span = gf2.Span()
-    for k, i in c1_block_coords(g, constraints):
-        cb = _unit_coboundary(g, k, i)
-        if cb:
-            b2_span.add(_cochain_to_coords(cb, coord_index, strict=bool(constraints)))
-    dim_b2 = b2_span.dim
-
+    z2_masks = gf2.combination_kernel(blk.d2_columns(c3), c3.width)
+    span, cobs = blk.coboundaries()
+    dim_b2 = span.dim
     # representatives: reduce cocycles through B2 plus previously chosen reps,
     # so each one is independent modulo coboundaries and coboundary-reduced
     reps: List[Cochain2] = []
-    combined = b2_span.copy()
     for zm in z2_masks:
-        res = combined.reduce(zm)
+        res = span.reduce(zm)
         if res:
-            combined.add(res)
-            reps.append(_coords_to_cochain(g, res, coords))
-    dims = (len(z2_masks), dim_b2, len(reps))
-    return H2Basis(g, reps, dims, constraints)
+            span.add(res)
+            reps.append(blk.decode(res))
+    return H2Basis(blk, reps, (len(z2_masks), dim_b2, len(reps)), cobs)
 
 
-def _cochain_to_coords(c: Cochain2, coord_index: Dict[Tuple[Pair, int], int], strict: bool) -> int:
-    m = 0
-    for pr, v in c.terms.items():
-        for k in gf2.bits(v):
-            pos = coord_index.get((pr, k))
-            if pos is None:
-                if strict:
-                    raise AlgebraError("cochain leaves the weight block at %r" % ((pr, k),))
-                continue
-            m |= 1 << pos
-    return m
-
-
-def _coords_to_cochain(g: Algebra, mask: int, coords: List[Tuple[Pair, int]]) -> Cochain2:
-    terms: Dict[Pair, int] = {}
-    for pos in gf2.bits(mask):
-        pr, k = coords[pos]
-        terms[pr] = terms.get(pr, 0) ^ (1 << k)
-    return Cochain2(g, terms)
-
-
-def coboundary_of(c: Cochain2, constraints: Sequence[Constraint] = ()) -> Optional[List[int]]:
+def coboundary_of(c: Cochain2) -> Optional[List[int]]:
     """Solve d1(b) = c; returns the images of b or None if c is not a coboundary."""
-    g = c.algebra
-    n = g.dim
-    coord_index = {c: t for t, c in enumerate(c2_block_coords(g))}
-    span = gf2.TaggedSpan(len(coord_index))
-    gens = c1_block_coords(g, constraints)
-    for k, i in gens:
-        span.add(_cochain_to_coords(_unit_coboundary(g, k, i), coord_index, strict=False))
-    target = _cochain_to_coords(c, coord_index, strict=False)
-    sol = span.solve(target)
+    blk = Block(c.algebra)
+    span = gf2.TaggedSpan(len(blk.coords))
+    for col in blk.d1_columns():
+        span.add(col)
+    sol = span.solve(blk.encode(c))
     if sol is None:
         return None
-    images = [0] * n
+    images = [0] * c.algebra.dim
     for pos in gf2.bits(sol):
-        k, i = gens[pos]
+        k, i = blk.c1[pos]
         images[i] ^= 1 << k
     return images
 
@@ -418,20 +406,30 @@ def is_coboundary(c: Cochain2) -> bool:
 
 def coboundary_block(g: Algebra, constraints: Sequence[Constraint]) -> List[Cochain2]:
     """A basis of the coboundaries restricted to a weight block."""
-    span = gf2.Span()
-    coord_index = {c: t for t, c in enumerate(c2_block_coords(g))}
-    out = []
-    for k, i in c1_block_coords(g, constraints):
-        cb = _unit_coboundary(g, k, i)
-        if cb and span.add(_cochain_to_coords(cb, coord_index, strict=False)):
-            out.append(cb)
-    return out
+    return Block(g, constraints).coboundaries()[1]
 
 
-def _generator_rows(gens: Sequence[Cochain2], coords: Sequence[Tuple[Pair, int]]) -> List[int]:
-    """One row per coordinate: the mask of the generators that carry it."""
-    return [gf2.from_bits(t for t, gen in enumerate(gens) if (gen.terms.get(pr, 0) >> k) & 1)
-            for pr, k in coords]
+def combine(gens: Sequence[Cochain2], mask: int, start: Cochain2) -> Cochain2:
+    """start plus the generators at the set bits of mask, added left to right."""
+    for t in gf2.bits(mask):
+        start = start + gens[t]
+    return start
+
+
+def _printed_solutions(g: Algebra, printed: Cochain2, constraints: Sequence[Constraint]):
+    """(H^2 of the block, generators, x0, kernel).  The generators are the
+    class representatives, then the coboundaries.  The masks over them whose
+    sum carries every printed term are x0 (None when there is none) plus
+    any sum of the kernel vectors."""
+    h2 = compute_h2(g, constraints=constraints)
+    gens = h2.representatives + h2.coboundaries
+    try:
+        target = h2.block.encode(printed)
+    except AlgebraError:  # a printed term outside the block: no generator carries it
+        return h2, gens, None, []
+    cols = gf2.transpose([h2.block.encode(c) for c in gens], len(h2.block.coords))
+    rows = [cols[p] for p in gf2.bits(target)]
+    return h2, gens, gf2.solve(rows, [1] * len(rows), len(gens)), gf2.kernel(rows, len(gens))
 
 
 def block_consistent_representative(g: Algebra, printed: Cochain2,
@@ -440,31 +438,19 @@ def block_consistent_representative(g: Algebra, printed: Cochain2,
     with every term of a partially printed cochain, or None.
 
     Solves linearly over the block's cocycle representatives plus its
-    coboundaries; the class part of the solution is forced nonzero.
+    coboundaries; the class part of the solution is forced nonzero.  An
+    empty printed cochain is met by the first class representative.
     """
-    blk = compute_h2(g, constraints=constraints)
-    if blk.dim == 0:
-        return None
-    gens = blk.representatives + coboundary_block(g, list(constraints))
-    coords = [(pr, k) for pr, v in printed.terms.items() for k in gf2.bits(v)]
-    if not coords:
-        return None
-    rows = _generator_rows(gens, coords)
-    x0 = gf2.solve(rows, [1] * len(rows), len(gens))
+    h2, gens, x0, kernel = _printed_solutions(g, printed, constraints)
     if x0 is None:
         return None
-    class_mask = (1 << blk.dim) - 1
-    if not (x0 & class_mask):
-        for kv in gf2.kernel(rows, len(gens)):
-            if kv & class_mask:
-                x0 ^= kv
-                break
-        else:
+    class_mask = (1 << h2.dim) - 1
+    if not x0 & class_mask:
+        x0 ^= next((kv for kv in kernel if kv & class_mask), 0)
+        if not x0 & class_mask:
             return None
-    out = Cochain2(g, {})
-    for t in gf2.bits(x0):
-        out = out + gens[t]
-    assert all((out.terms.get(pr, 0) >> k) & 1 for (pr, k) in coords)
+    out = combine(gens, x0, Cochain2(g, {}))
+    assert all(out.pair_value(*pr) & v == v for pr, v in printed.terms.items())
     return out
 
 
@@ -472,25 +458,13 @@ def consistent_class_masks(g: Algebra, printed: Cochain2,
                            constraints: Sequence[Constraint]) -> Tuple[H2Basis, List[int]]:
     """All cohomology classes of the block (as masks over the block basis)
     admitting a representative whose coordinates contain every printed term."""
-    blk = compute_h2(g, constraints=constraints)
-    gens = blk.representatives + coboundary_block(g, list(constraints))
-    coords = [(pr, k) for pr, v in printed.terms.items() for k in gf2.bits(v)]
-    rows = _generator_rows(gens, coords)
-    x0 = gf2.solve(rows, [1] * len(rows), len(gens))
+    h2, _, x0, kernel = _printed_solutions(g, printed, constraints)
     if x0 is None:
-        return blk, []
-    class_mask = (1 << blk.dim) - 1
-    proj = gf2.Span(kv & class_mask for kv in gf2.kernel(rows, len(gens)))
-    base = x0 & class_mask
-    out = {base}
+        return h2, []
+    class_mask = (1 << h2.dim) - 1
     # the achievable classes form an affine subspace; enumerate it
-    rows_p = proj.sorted_rows()
-    for sub in range(1 << len(rows_p)):
-        v = base
-        for t in gf2.bits(sub):
-            v ^= rows_p[t]
-        out.add(v)
-    return blk, sorted(out)
+    rows = gf2.Span(kv & class_mask for kv in kernel).sorted_rows()
+    return h2, sorted({(x0 & class_mask) ^ gf2.apply_rows(rows, sub) for sub in range(1 << len(rows))})
 
 
 def h2_weight_table(g: Algebra, mode: str = "z") -> Dict[Tuple[int, ...], H2Basis]:

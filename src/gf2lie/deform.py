@@ -13,8 +13,7 @@ from itertools import product as _cartesian
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import gf2
-from .cohomology import (C3Index, Cochain2, c2_block_coords, coboundary_block, compute_h2, d2,
-                         d2_columns, is_coboundary)
+from .cohomology import Block, C3Index, Cochain2, coboundary_block, combine, compute_h2, d2, is_coboundary
 from .constructions import build_hamiltonian, build_jurman, build_kap2, build_kap4B, pq_names
 from .divpow import monomials, mono_mul
 from .fields import GF2, GF2k, Scalar
@@ -98,21 +97,8 @@ def defect(c: Cochain2) -> Dict[Tuple[int, int, int], int]:
 
 def in_d2_image(g: Algebra, target: Dict[Tuple[int, int, int], int]) -> Optional[Cochain2]:
     """Solve d2(x) = target over all of C^2; None when the class is nonzero."""
-    coords = c2_block_coords(g)
-    c3 = C3Index()
-    images = d2_columns(g, coords, c3)
-    tmask = c3.encode(target)
-    span = gf2.TaggedSpan(c3.width)
-    for im in images:
-        span.add(im)
-    sol = span.solve(tmask)
-    if sol is None:
-        return None
-    terms: Dict[Pair, int] = {}
-    for pos in gf2.bits(sol):
-        pr, k = coords[pos]
-        terms[pr] = terms.get(pr, 0) ^ (1 << k)
-    return Cochain2(g, terms)
+    sols = _d2_solutions(g, target, (), kernel_cap=0)
+    return sols[0] if sols else None
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +266,7 @@ def zero_defect_representative(g: Algebra, c: Cochain2, constraints=(),
             acc ^= delta
             cur = g_next
             if not acc:
-                out = c
-                for t2 in gf2.bits(cur):
-                    out = out + cbs[t2]
+                out = combine(cbs, cur, c)
                 assert not defect(out)
                 return out
         return None
@@ -306,9 +290,7 @@ def zero_defect_representative(g: Algebra, c: Cochain2, constraints=(),
         for _round in range(12):
             fx = f_of(x)
             if not fx:
-                out = c
-                for i in gf2.bits(x):
-                    out = out + cbs[i]
+                out = combine(cbs, x, c)
                 assert not defect(out)
                 return out
             # derivative at x: L_i = cross_i + sum_j x_j q_{ij} + q_{ii}
@@ -377,33 +359,21 @@ def massey_tower(g: Algebra, c: Cochain2, constraints=(), max_order: int = 8,
 
 def _d2_solutions(g: Algebra, target: Dict, constraints, kernel_cap: int = 6):
     """Solutions m of d2(m) = target within a weight block: the particular
-    one plus a few kernel offsets (cocycles of the block)."""
-    coords = c2_block_coords(g, constraints)
-    if not coords:
+    one plus up to kernel_cap kernel offsets (cocycles of the block)."""
+    blk = Block(g, constraints)
+    if not blk.coords:
         return []
     c3 = C3Index()
-    images = d2_columns(g, coords, c3)
+    images = blk.d2_columns(c3)
     tmask = c3.encode(target)
-    width = c3.width
-    span = gf2.TaggedSpan(width)
+    span = gf2.TaggedSpan(c3.width)
     for im in images:
         span.add(im)
     sol = span.solve(tmask)
     if sol is None:
         return []
-    kernel = gf2.combination_kernel(images, width)
-
-    def decode(mask):
-        terms: Dict[Pair, int] = {}
-        for pos in gf2.bits(mask):
-            pr, k = coords[pos]
-            terms[pr] = terms.get(pr, 0) ^ (1 << k)
-        return Cochain2(g, terms)
-
-    out = [decode(sol)]
-    for t, kv in enumerate(kernel[:kernel_cap]):
-        out.append(decode(sol ^ kv))
-    return out
+    offsets = gf2.combination_kernel(images, c3.width)[:kernel_cap] if kernel_cap else []
+    return [blk.decode(sol ^ kv) for kv in [0] + offsets]
 
 
 def integrability_verdict(g: Algebra, c: Cochain2, constraints=()) -> Tuple[str, Optional[Cochain2]]:

@@ -13,8 +13,8 @@ from functools import lru_cache
 from typing import Dict, List
 
 from . import gf2
-from .cohomology import (Cochain2, block_consistent_representative, coboundary_block,
-                          compute_h2, d2, is_coboundary, parse_cocycle)
+from .cohomology import (Cochain2, block_consistent_representative, combine, compute_h2,
+                          consistent_class_masks, d2, is_coboundary, parse_cocycle)
 from .constructions import (QuadraticFormSpec, build_a2gh, build_classical,
                             build_div_free_hI, build_hI, build_hamiltonian, build_jurman,
                             build_kap1, build_kap2, build_kap3, build_kap4A, build_kap4B,
@@ -367,18 +367,13 @@ def criterion_08_hI_integrability() -> dict:
     ok_counts = sum(v.count("linear-global") for v in verdicts.values()) == 12 \
         and len(nonlinear) == 1 and nonlinear[0][0] == -2
     cons2 = [("mod2", (0, 0)), ("outer", (-2,))]
-    blk2 = compute_h2(hi, constraints=cons2)
     # some class matching the printed leading terms must be non-integrable
-    from .cohomology import consistent_class_masks
-    printed = parse_cocycle(PRINTED_HI_C23, hi)
-    _, masks = consistent_class_masks(hi, printed, cons2)
+    blk2, masks = consistent_class_masks(hi, parse_cocycle(PRINTED_HI_C23, hi), cons2)
     consistent = False
     for cls in masks:
         if not cls:
             continue
-        cc = Cochain2(hi, {})
-        for t in gf2.bits(cls):
-            cc = cc + blk2.representatives[t]
+        cc = combine(blk2.representatives, cls, Cochain2(hi, {}))
         if zero_defect_representative(hi, cc, cons2) is None:
             consistent = True
             break
@@ -386,9 +381,7 @@ def criterion_08_hI_integrability() -> dict:
     # that a basis with exactly one non-integrable element is forced
     lin_masks = []
     for cls in range(1, 1 << len(blk2.representatives)):
-        cc = Cochain2(hi, {})
-        for t in gf2.bits(cls):
-            cc = cc + blk2.representatives[t]
+        cc = combine(blk2.representatives, cls, Cochain2(hi, {}))
         if zero_defect_representative(hi, cc, cons2) is not None:
             lin_masks.append(cls)
     n_block = len(blk2.representatives)
@@ -419,15 +412,9 @@ def criterion_09_quantization() -> dict:
         return deform_bracket(hp, c, check=True).specialize([GF2.one], grading=grading,
                                                            grading_mod=(0,))
 
-    gens = blk.representatives + coboundary_block(hp, [("z", (-2, -2))])
-    reps = []
-    for mask in range(1, 1 << len(gens)):
-        if not (mask & 1):
-            continue
-        cc = Cochain2(hp, {})
-        for t in gf2.bits(mask):
-            cc = cc + gens[t]
-        reps.append(cc)
+    gens = blk.representatives + blk.coboundaries
+    # the masks holding the class generator (bit 0)
+    reps = [combine(gens, mask, Cochain2(hp, {})) for mask in range(1, 1 << len(gens), 2)]
     # the representative consistent with the reference leading terms
     printed = parse_cocycle(PRINTED_GH21_PARTIAL[(-2, -2)], hp)
     coords = [(pr, k) for pr, v in printed.terms.items() for k in gf2.bits(v)]

@@ -14,9 +14,19 @@ report), but its correction cochain mixes weights (0,0), (-1,-1) and
 (-2,-2) and is not cohomologous to any single homogeneous cocycle.
 """
 
-import pytest
+import hashlib
+import json
 
 from gf2lie import experiments
+
+# sha256 of json.dumps(report, sort_keys=True): every check, verdict and
+# witness of the cohomology-driven reports, pinned so that refactors of the
+# solvers behind them cannot move any of it
+REPORT_SHA256 = {
+    5: "3beff5d53f0c65fa5eea04da06815ae95d1f11110eb587043cfdfa5962940b30",
+    7: "6922da01732d0539e2ec1b5f3759cb81ea04fbddd18226bd73c669a061e81118",
+    8: "b8dd877d8ce3f0b5140d614a7a255ffff027f5ed787eeccbb1f61f2ac1cbb2d0",
+}
 
 
 def _run(fn):
@@ -24,6 +34,10 @@ def _run(fn):
     line = "%-4s %s" % ("PASS" if rep["pass"] else "FAIL", rep["criterion"])
     print(line)
     return rep
+
+
+def _sha256(rep):
+    return hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()
 
 
 def test_criterion_01_validation_sweep():
@@ -51,6 +65,7 @@ def test_criterion_05_cocycle_ingestion():
     rep = _run(experiments.criterion_05_cocycle_ingestion)
     assert rep["hi_degrees"] == {-4: 3, -2: 4, 0: 1, 2: 4, 6: 1}
     assert rep["pass"], [c for c in rep["checks"] if not c[1]]
+    assert _sha256(rep) == REPORT_SHA256[5]
 
 
 def test_criterion_06_jurman_deforms():
@@ -61,6 +76,7 @@ def test_criterion_06_jurman_deforms():
 def test_criterion_07_semitrivial_certificates():
     rep = _run(experiments.criterion_07_semitrivial_certificates)
     assert rep["pass"], rep["checks"]
+    assert _sha256(rep) == REPORT_SHA256[7]
 
 
 def test_criterion_08_hI_integrability():
@@ -69,6 +85,7 @@ def test_criterion_08_hI_integrability():
     assert len(rep["non_integrable"]) == 1 and rep["non_integrable"][0][0] == -2
     assert rep["print_consistent"]
     assert rep["pass"], rep
+    assert _sha256(rep) == REPORT_SHA256[8]
 
 
 def test_criterion_09_quantization_literal():

@@ -3,9 +3,9 @@ import random
 import pytest
 
 from gf2lie import gf2
-from gf2lie.cohomology import (Cochain2, CochainError, c1_block_coords, c1_weight,
-                               c2_block_coords, coboundary_of, compute_h2, d1, d2,
-                               h2_weight_table, is_coboundary, parse_cocycle)
+from gf2lie.cohomology import (Cochain2, CochainError, c1_block_coords, c2_block_coords,
+                               coboundary_of, compute_h2, d1, d2, h2_weight_table, is_coboundary,
+                               parse_cocycle)
 from gf2lie.constructions import build_hI, build_hamiltonian, build_jurman, build_tensor_example
 from gf2lie.grading import cochain_term_weight
 from gf2lie.liealg import AlgebraError
@@ -215,6 +215,20 @@ def test_sparse_differentials_match_dense(name):
         assert b.terms == _dense_d1(g, images).terms
         assert not d2(b)
     assert not d1(g, [0] * n) and not d2(Cochain2(g, {}))
+
+
+def c1_weight(g, target, source, mode):
+    """Weight of the 1-cochain coordinate e_target ⊗ d(e_source): the
+    per-coordinate oracle for c1_block_coords."""
+    monos = g.meta["mono_degrees"]
+    x, y = monos[target], monos[source]
+    if mode == "z":
+        return tuple((a - 1) - (b - 1) for a, b in zip(x, y))
+    if mode == "mod2":
+        return tuple((a - b) % 2 for a, b in zip(x, y))
+    if mode == "outer":
+        return (sum(x) - sum(y),)
+    raise AlgebraError("unknown weight mode %r" % mode)
 
 
 def _all_weights(g, mode):
