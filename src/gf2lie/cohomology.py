@@ -5,22 +5,28 @@ All signs are trivial in characteristic 2:
     (d2 c)(x,y,z) = [x,c(y,z)] + [y,c(x,z)] + [z,c(x,y)]
                   + c([x,y],z) + c([x,z],y) + c([y,z],x)
 Cochains are stored sparsely on i<j pairs with GF(2) mask values.
-d1 and d2 walk the algebra's incidence lists (Algebra.incidence), so
-their cost follows the support of the cochain, not dim^3.
+The second line of d2 and its first are the cyclic compositions c∘μ and
+μ∘c with the bracket μ, where (a∘b)(x,y,z) = Σ_cyc a(b(x,y), z); the
+same composition gives the quadratic Jacobi defect c∘c of a deform and
+every Jacobiator and Massey term (module deform).  `cyclic_compose`
+walks the incidence index that an Algebra and a Cochain2 both expose,
+so its cost, and that of d1 and d2, follows the support of the operands,
+not dim^3.
 """
 
 from __future__ import annotations
 
 import operator
 import re
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import gf2
 from .divpow import mono_text
-from .grading import cochain_term_weight, cochain_weight
-from .liealg import Algebra, AlgebraError
+from .grading import C2_OFFSET, cochain_term_weight, cochain_weight, weight_keys
+from .liealg import Algebra, AlgebraError, Incidence
 
 Pair = Tuple[int, int]
+Triple = Tuple[int, int, int]
 
 
 class CochainError(ValueError):
@@ -33,6 +39,7 @@ class Cochain2:
     def __init__(self, algebra: Algebra, terms: Optional[Dict[Pair, int]] = None):
         self.algebra = algebra
         self.terms: Dict[Pair, int] = {}
+        self._incidence: Optional[Incidence] = None
         if terms:
             for (i, j), v in terms.items():
                 if i == j:
@@ -63,6 +70,21 @@ class Cochain2:
         key = (i, j) if i < j else (j, i)
         return self.terms.get(key, 0)
 
+    def incidence(self) -> Incidence:
+        """(pre, rows) in the shape Algebra.incidence gives them, with c in
+        place of the bracket: pre[u] lists the pairs x<y with e_u in c(x,y),
+        rows[u] the (z, c(e_u,e_z)) with c(e_u,e_z) != 0; built on first use."""
+        if self._incidence is None:
+            pre: Dict[int, List[Pair]] = {}
+            rows: Dict[int, List[Tuple[int, int]]] = {}
+            for (x, y), w in self.terms.items():
+                for u in gf2.bits(w):
+                    pre.setdefault(u, []).append((x, y))
+                rows.setdefault(x, []).append((y, w))
+                rows.setdefault(y, []).append((x, w))
+            self._incidence = (pre, rows)
+        return self._incidence
+
     def weight(self, mode: str) -> Tuple[int, ...]:
         return cochain_weight(self, mode)
 
@@ -88,9 +110,7 @@ class Cochain2:
 
 def d1(g: Algebra, images: Sequence[int]) -> Cochain2:
     """Differential of the linear map e_i -> images[i]."""
-    n = g.dim
-    T = g.pair_table()
-    pre, nbr = g.incidence()
+    pre, rows = g.incidence()
     terms: Dict[Pair, int] = {}
     for i, b in enumerate(images):
         if not b:
@@ -98,53 +118,52 @@ def d1(g: Algebra, images: Sequence[int]) -> Cochain2:
         # [b(e_i), e_j] is nonzero only for j next to the support of b(e_i)
         row: Dict[int, int] = {}
         for k in gf2.bits(b):
-            base = k * n
-            for j in nbr[k]:
-                row[j] = row.get(j, 0) ^ T[base + j]
+            for j, w in rows.get(k, ()):
+                row[j] = row.get(j, 0) ^ w
         for j, w in row.items():
             if w and j != i:
                 pr = (i, j) if i < j else (j, i)
                 terms[pr] = terms.get(pr, 0) ^ w
         # b([e_x, e_y]) picks up b(e_i) wherever e_i occurs in the bracket
-        for pr in pre[i]:
+        for pr in pre.get(i, ()):
             terms[pr] = terms.get(pr, 0) ^ b
     # ascending pairs: the term order must not depend on the walk above
     return Cochain2(g, {pr: terms[pr] for pr in sorted(terms)})
 
 
-def _triple(x: int, y: int, z: int) -> Tuple[int, int, int]:
-    """The sorted triple of x < y and a third index z."""
-    if z < x:
-        return (z, x, y)
-    if z < y:
-        return (x, z, y)
-    return (x, y, z)
+Operand = Union[Algebra, Cochain2]
 
 
-def d2(c: Cochain2) -> Dict[Tuple[int, int, int], int]:
-    """The 3-cochain d2(c) as a sparse dict on i<j<k triples."""
-    g = c.algebra
-    n = g.dim
-    T = g.pair_table()
-    pre, nbr = g.incidence()
-    out: Dict[Tuple[int, int, int], int] = {}
-    for (a, b), v in c.terms.items():
-        # [e_z, c(e_a, e_b)] is nonzero only for z next to the support of v
-        row: Dict[int, int] = {}
-        for k in gf2.bits(v):
-            for z in nbr[k]:
-                row[z] = row.get(z, 0) ^ T[z * n + k]
-        for z, w in row.items():
-            if w and z != a and z != b:
-                tri = _triple(a, b, z)
-                out[tri] = out.get(tri, 0) ^ w
-        # c([e_x, e_y], e_z) with e_u in [e_x, e_y] and (u, z) = (a, b) or (b, a)
-        for u, z in ((a, b), (b, a)):
-            for (x, y) in pre[u]:
+def cyclic_compose(a: Operand, b: Operand,
+                   out: Optional[Dict[Triple, int]] = None) -> Dict[Triple, int]:
+    """The 3-cochain (a∘b)(x,y,z) = Σ_cyc a(b(x,y), z) as a sparse dict on
+    i<j<k triples; an Algebra stands for its bracket.
+
+    The sum runs over the u that both operands touch: each pair x<y with
+    e_u in b(x,y) meets each z with a(e_u,e_z) != 0, walking whichever
+    operand touches fewer u.  With `out` the terms are added into it;
+    either way the dict returned holds no zero value.
+    """
+    pre, rows = b.incidence()[0], a.incidence()[1]
+    if out is None:
+        out = {}
+    for u in (pre if len(pre) <= len(rows) else rows):
+        pairs, row = pre.get(u), rows.get(u)
+        if pairs is None or row is None:
+            continue
+        for x, y in pairs:
+            for z, v in row:
                 if z != x and z != y:
-                    tri = _triple(x, y, z)
+                    tri = (z, x, y) if z < x else (x, z, y) if z < y else (x, y, z)
                     out[tri] = out.get(tri, 0) ^ v
-    return {tri: w for tri, w in out.items() if w}
+    for tri in [tri for tri, w in out.items() if not w]:
+        del out[tri]
+    return out
+
+
+def d2(c: Cochain2) -> Dict[Triple, int]:
+    """The 3-cochain d2(c) = μ∘c + c∘μ as a sparse dict on i<j<k triples."""
+    return cyclic_compose(c, c.algebra, cyclic_compose(c.algebra, c))
 
 
 # ---------------------------------------------------------------------------
@@ -157,30 +176,12 @@ def _pairs(n: int) -> List[Pair]:
 
 Constraint = Tuple[str, Tuple[int, ...]]
 
-# In every mode the weight of x ⊗ d(y)^d(z) is key(x) - key(y) - key(z) plus
-# this offset (mod 2 for "mod2"), and that of e_x ⊗ d(e_y) is key(x) - key(y).
-_C2_OFFSET = {"z": 1, "mod2": 0, "outer": 2}
-
-
-def _weight_keys(g: Algebra, mode: str) -> List[Tuple[int, ...]]:
-    monos = g.meta.get("mono_degrees")
-    if monos is None:
-        raise AlgebraError("algebra carries no monomial degrees")
-    if mode == "z":
-        return [tuple(m) for m in monos]
-    if mode == "mod2":
-        return [tuple(d % 2 for d in m) for m in monos]
-    if mode == "outer":
-        return [(sum(m),) for m in monos]
-    raise AlgebraError("unknown weight mode %r" % mode)
-
-
 def _check_graded(g: Algebra, constraints: Sequence[Constraint]) -> None:
     """Raise unless every bracket term has weight 0 in each constraint's
     mode; only then do d1 and d2 map each weight block into itself."""
     for mode in sorted({mode for mode, _ in constraints}):
-        keys = _weight_keys(g, mode)
-        shift, m = _C2_OFFSET[mode], 2 if mode == "mod2" else 0
+        keys = weight_keys(g, mode)
+        shift, m = C2_OFFSET[mode], 2 if mode == "mod2" else 0
         # weight 0 means key(k) + shift = key(i) + key(j), mod 2 for "mod2"
         lhs = [tuple((x + shift) % m if m else x + shift for x in key) for key in keys]
         plus = operator.xor if m else operator.add  # mod-2 keys are 0 or 1
@@ -203,11 +204,11 @@ def _block_keys(g: Algebra, constraints: Sequence[Constraint], offset: bool):
     bucketed by its key tuple; None when no weight can meet a constraint."""
     specs = []
     for mode, w in constraints:
-        keys = _weight_keys(g, mode)
+        keys = weight_keys(g, mode)
         w = tuple(w)
         if (keys and len(w) != len(keys[0])) or (mode == "mod2" and any(x not in (0, 1) for x in w)):
             return None
-        shift = _C2_OFFSET[mode] if offset else 0
+        shift = C2_OFFSET[mode] if offset else 0
         specs.append((keys, tuple(x - shift for x in w), 2 if mode == "mod2" else 0))
     buckets: Dict[tuple, List[int]] = {}
     for k in range(g.dim):
@@ -262,7 +263,7 @@ class C3Index:
     def __init__(self):
         self.positions: Dict[Tuple[int, int, int, int], int] = {}
 
-    def encode(self, tri_val: Dict[Tuple[int, int, int], int]) -> int:
+    def encode(self, tri_val: Dict[Triple, int]) -> int:
         pos = self.positions
         m = 0
         for tri, w in tri_val.items():

@@ -13,7 +13,8 @@ from itertools import product as _cartesian
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import gf2
-from .cohomology import Block, C3Index, Cochain2, coboundary_block, combine, compute_h2, d2, is_coboundary
+from .cohomology import (Block, C3Index, Cochain2, Triple, coboundary_block, combine, compute_h2,
+                         cyclic_compose, d2, is_coboundary)
 from .constructions import build_hamiltonian, build_jurman, build_kap2, build_kap4B, pq_names
 from .divpow import monomials, mono_mul
 from .fields import GF2, GF2k, Scalar
@@ -25,77 +26,12 @@ Pair = Tuple[int, int]
 ParamMono = Tuple[int, ...]
 
 
-# ---------------------------------------------------------------------------
-# bracket maps and their compositions
-# ---------------------------------------------------------------------------
-
-class BracketTerm:
-    """A bilinear alternating map on the algebra, sparse on i<j pairs."""
-
-    def __init__(self, g: Algebra, terms: Dict[Pair, int]):
-        self.g = g
-        self.terms = {k: v for k, v in terms.items() if v}
-
-    @classmethod
-    def from_cochain(cls, c: Cochain2) -> "BracketTerm":
-        return cls(c.algebra, dict(c.terms))
-
-    @classmethod
-    def base(cls, g: Algebra) -> "BracketTerm":
-        n = g.dim
-        T = g.pair_table()
-        return cls(g, {(i, j): T[i * n + j] for (i, j) in g.sc})
-
-    def pair_value(self, i: int, j: int) -> int:
-        if i == j:
-            return 0
-        key = (i, j) if i < j else (j, i)
-        return self.terms.get(key, 0)
-
-    def eval_vec(self, w: int, k: int) -> int:
-        acc = 0
-        for u in gf2.bits(w):
-            acc ^= self.pair_value(u, k)
-        return acc
-
-    def __bool__(self):
-        return bool(self.terms)
-
-
-def compose_defect(a: BracketTerm, b: BracketTerm) -> Dict[Tuple[int, int, int], int]:
-    """The 3-cochain (x,y,z) -> sum_cyc a(b(x,y), z) on basis triples."""
-    g = a.g
-    n = g.dim
-    out: Dict[Tuple[int, int, int], int] = {}
-    for (x, y), w in b.terms.items():
-        for z in range(n):
-            if z == x or z == y:
-                continue
-            v = a.eval_vec(w, z)
-            if v:
-                tri = tuple(sorted((x, y, z)))
-                out[tri] = out.get(tri, 0) ^ v
-                if not out[tri]:
-                    del out[tri]
-    return out
-
-
-def add3(a: Dict, b: Dict) -> Dict:
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, 0) ^ v
-        if not out[k]:
-            del out[k]
-    return out
-
-
-def defect(c: Cochain2) -> Dict[Tuple[int, int, int], int]:
+def defect(c: Cochain2) -> Dict[Triple, int]:
     """sum_cyc c(c(x,y),z): the quadratic Jacobi defect of the linear deform."""
-    t = BracketTerm.from_cochain(c)
-    return compose_defect(t, t)
+    return cyclic_compose(c, c)
 
 
-def in_d2_image(g: Algebra, target: Dict[Tuple[int, int, int], int]) -> Optional[Cochain2]:
+def in_d2_image(g: Algebra, target: Dict[Triple, int]) -> Optional[Cochain2]:
     """Solve d2(x) = target over all of C^2; None when the class is nonzero."""
     sols = _d2_solutions(g, target, (), kernel_cap=0)
     return sols[0] if sols else None
@@ -120,13 +56,6 @@ class DeformFamily:
                 raise AlgebraError("the constant term is the base bracket, not a cochain")
         self.terms = {m: c for m, c in terms.items() if c}
         self.name = name or (base.name + " deform")
-
-    def bracket_terms(self) -> Dict[ParamMono, BracketTerm]:
-        zero = tuple(0 for _ in self.params)
-        out = {zero: BracketTerm.base(self.base)}
-        for mono, c in self.terms.items():
-            out[mono] = BracketTerm.from_cochain(c)
-        return out
 
     def specialize(self, values: Sequence[Scalar], grading=None, grading_mod=None) -> Algebra:
         """Evaluate the parameters in a common field; zero gives the base."""
@@ -156,18 +85,16 @@ class DeformFamily:
                        name=self.name + "@" + ",".join(repr(v) for v in values),
                        meta=self.base.meta)
 
-    def jacobiator(self) -> Dict[ParamMono, Dict[Tuple[int, int, int], int]]:
+    def jacobiator(self) -> Dict[ParamMono, Dict[Triple, int]]:
         """Jacobi defect of the family, collected by parameter monomial."""
-        terms = self.bracket_terms()
-        out: Dict[ParamMono, Dict] = {}
-        monos = list(terms)
-        for m1 in monos:
-            for m2 in monos:
-                tri = compose_defect(terms[m1], terms[m2])
-                if not tri:
-                    continue
-                key = tuple(a + b for a, b in zip(m1, m2))
-                out[key] = add3(out.get(key, {}), tri)
+        terms = {tuple(0 for _ in self.params): self.base, **self.terms}
+        out: Dict[ParamMono, Dict[Triple, int]] = {}
+        for m1, a in terms.items():
+            for m2, b in terms.items():
+                key = tuple(x + y for x, y in zip(m1, m2))
+                tri = cyclic_compose(a, b, out.get(key, {}))
+                if tri:
+                    out[key] = tri
         return {k: v for k, v in out.items() if v}
 
 
@@ -198,7 +125,9 @@ def obstruction_poly(f: DeformFamily) -> ObstructionReport:
     """
     jac = f.jacobiator()
     zero = tuple(0 for _ in f.params)
-    assert zero not in jac, "base bracket fails Jacobi"
+    if zero in jac:
+        raise AlgebraError("the base bracket fails Jacobi at (%s, %s, %s)"
+                           % tuple(f.base.labels[t] for t in min(jac[zero])))
     if not jac:
         return ObstructionReport("linear-global", {})
     by_mono = {m: len(v) for m, v in jac.items()}
@@ -230,21 +159,17 @@ def zero_defect_representative(g: Algebra, c: Cochain2, constraints=(),
     exhaustively (conclusive); larger ones fall back to Newton iteration
     on the quadratic system (conclusive only when it succeeds).
     """
-    if not defect(c):
+    d_c = defect(c)
+    if not d_c:
         return c
     cbs = coboundary_block(g, list(constraints))
     B = len(cbs)
-    tc = BracketTerm.from_cochain(c)
-    tb = [BracketTerm.from_cochain(b) for b in cbs]
-    d_c = compose_defect(tc, tc)
-    cross_c = [add3(compose_defect(tc, t), compose_defect(t, tc)) for t in tb]
-    d_b: Dict[Tuple[int, int], Dict] = {}
+    cross_c = [cyclic_compose(b, c, cyclic_compose(c, b)) for b in cbs]
+    d_b: Dict[Tuple[int, int], Dict[Triple, int]] = {}
     for i in range(B):
-        for j in range(i, B):
-            if i == j:
-                d_b[(i, i)] = compose_defect(tb[i], tb[i])
-            else:
-                d_b[(i, j)] = add3(compose_defect(tb[i], tb[j]), compose_defect(tb[j], tb[i]))
+        d_b[(i, i)] = defect(cbs[i])
+        for j in range(i + 1, B):
+            d_b[(i, j)] = cyclic_compose(cbs[j], cbs[i], cyclic_compose(cbs[i], cbs[j]))
     c3 = C3Index()
     enc_dc = c3.encode(d_c)
     enc_cross = [c3.encode(x) for x in cross_c]
@@ -329,17 +254,17 @@ def massey_tower(g: Algebra, c: Cochain2, constraints=(), max_order: int = 8,
 
     state = {"budget": branch_budget, "stuck_order": None}
 
-    def extend(terms: Dict[int, BracketTerm], k: int) -> bool:
+    def extend(terms: Dict[int, Cochain2], k: int) -> bool:
         if k > max_order or k > 2 * max(terms):
             # all higher right-hand sides vanish: the tower closed
             return k > 2 * max(terms)
         if state["budget"] <= 0:
             return False
-        rhs: Dict = {}
+        rhs: Dict[Triple, int] = {}
         for a in range(1, k):
             b = k - a
             if a in terms and b in terms:
-                rhs = add3(rhs, compose_defect(terms[a], terms[b]))
+                cyclic_compose(terms[a], terms[b], rhs)
         if not rhs:
             return extend(terms, k + 1)
         state["budget"] -= 1
@@ -348,12 +273,12 @@ def massey_tower(g: Algebra, c: Cochain2, constraints=(), max_order: int = 8,
             state["stuck_order"] = k
         for m_k in sols:
             terms2 = dict(terms)
-            terms2[k] = BracketTerm.from_cochain(m_k)
+            terms2[k] = m_k
             if extend(terms2, k + 1):
                 return True
         return False
 
-    done = extend({1: BracketTerm.from_cochain(c)}, 2)
+    done = extend({1: c}, 2)
     return {"integrable": done, "stuck_order": state["stuck_order"]}
 
 

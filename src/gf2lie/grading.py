@@ -36,7 +36,7 @@ class Filtration:
         for i in idx:
             nxt = self.layers.get(i + 1)
             out.append(self.layers[i].dim - (nxt.dim if nxt else 0))
-        return [d for d in out]
+        return out
 
     def check_compatible(self) -> bool:
         """Exhaustive [L_i, L_j] ⊆ L_{i+j} check."""
@@ -219,6 +219,30 @@ def associated_graded(f: Filtration, name: str = "") -> Algebra:
 # cochain weights
 # ---------------------------------------------------------------------------
 
+# In every mode the weight of x ⊗ d(y)∧d(z) is key(x) - key(y) - key(z) plus
+# this offset (mod 2 for "mod2"), and that of e_x ⊗ d(e_y) is key(x) - key(y).
+C2_OFFSET = {"z": 1, "mod2": 0, "outer": 2}
+
+
+def weight_key(mono: Sequence[int], mode: str) -> Tuple[int, ...]:
+    """The key of one basis monomial in a weight mode."""
+    if mode == "z":
+        return tuple(mono)
+    if mode == "mod2":
+        return tuple(d % 2 for d in mono)
+    if mode == "outer":
+        return (sum(mono),)
+    raise AlgebraError("unknown weight mode %r" % mode)
+
+
+def weight_keys(g: Algebra, mode: str) -> List[Tuple[int, ...]]:
+    """The key of every basis vector of a function algebra, in basis order."""
+    monos = g.meta.get("mono_degrees")
+    if monos is None:
+        raise AlgebraError("algebra carries no monomial degrees")
+    return [weight_key(m, mode) for m in monos]
+
+
 def cochain_term_weight(g: Algebra, value_idx: int, pair: Tuple[int, int], mode: str) -> Tuple[int, ...]:
     """Weight of x ⊗ d(y_i)∧d(y_j) per the stated grading mode.
 
@@ -229,17 +253,11 @@ def cochain_term_weight(g: Algebra, value_idx: int, pair: Tuple[int, int], mode:
     monos = g.meta.get("mono_degrees")
     if monos is None:
         raise AlgebraError("algebra carries no monomial degrees")
-    x = monos[value_idx]
-    yi = monos[pair[0]]
-    yj = monos[pair[1]]
-    nv = len(x)
-    if mode == "z":
-        return tuple((x[v] - 1) - (yi[v] - 1) - (yj[v] - 1) for v in range(nv))
+    x, yi, yj = (weight_key(monos[t], mode) for t in (value_idx, pair[0], pair[1]))
+    shift = C2_OFFSET[mode]
     if mode == "mod2":
-        return tuple((x[v] - yi[v] - yj[v]) % 2 for v in range(nv))
-    if mode == "outer":
-        return ((sum(x) - 2) + (2 - sum(yi)) + (2 - sum(yj)),)
-    raise AlgebraError("unknown weight mode %r" % mode)
+        return tuple((a - b - c + shift) % 2 for a, b, c in zip(x, yi, yj))
+    return tuple(a - b - c + shift for a, b, c in zip(x, yi, yj))
 
 
 def cochain_weight(c, mode: str) -> Tuple[int, ...]:
@@ -248,7 +266,7 @@ def cochain_weight(c, mode: str) -> Tuple[int, ...]:
     seen = None
     witness = None
     for (i, j), vec in c.terms.items():
-        for k in gf2.bits(vec) if isinstance(vec, int) else vec:
+        for k in gf2.bits(vec):
             w = cochain_term_weight(g, k, (i, j), mode)
             if seen is None:
                 seen = w

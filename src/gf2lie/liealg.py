@@ -53,6 +53,11 @@ class ValidationReport:
         return "ValidationReport(%s)" % self.summary()
 
 
+# (pre, rows): for each basis index u, the pairs x<y whose bracket (or
+# cochain value) holds e_u, and the (z, mask of [e_u,e_z]) with a nonzero mask
+Incidence = Tuple[Dict[int, List[Tuple[int, int]]], Dict[int, List[Tuple[int, int]]]]
+
+
 class Algebra:
     """Algebra with alternating bracket given by sparse structure constants."""
 
@@ -95,7 +100,7 @@ class Algebra:
         self.grading_mod = tuple(grading_mod) if grading_mod else (
             tuple(0 for _ in self.grading[0]) if self.grading else None)
         self._pair_table: Optional[List[int]] = None
-        self._incidence: Optional[Tuple[List[List[Tuple[int, int]]], List[List[int]]]] = None
+        self._incidence: Optional[Incidence] = None
         if self.grading is not None:
             bad = self._check_grading()
             if bad:
@@ -140,22 +145,24 @@ class Algebra:
             self._pair_table = T
         return self._pair_table
 
-    def incidence(self) -> Tuple[List[List[Tuple[int, int]]], List[List[int]]]:
-        """(pre, nbr): pre[u] lists the pairs x<y with e_u in [e_x,e_y],
-        nbr[k] the z with [e_z,e_k] != 0, both ascending; GF(2) only."""
+    def incidence(self) -> Incidence:
+        """(pre, rows): pre[u] lists the pairs x<y with e_u in [e_x,e_y] and
+        rows[u] the (z, [e_u,e_z] as a mask) with [e_u,e_z] != 0, both
+        ascending and keyed only by the u they hold; GF(2) only."""
         if self._incidence is None:
             n = self.dim
             T = self.pair_table()
-            pre: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-            nbr: List[List[int]] = [[] for _ in range(n)]
+            pre: Dict[int, List[Tuple[int, int]]] = {}
+            rows: Dict[int, List[Tuple[int, int]]] = {}
             for (x, y) in sorted(self.sc):
-                for u in gf2.bits(T[x * n + y]):
-                    pre[u].append((x, y))
-                nbr[x].append(y)
-                nbr[y].append(x)
-            for row in nbr:
+                w = T[x * n + y]
+                for u in gf2.bits(w):
+                    pre.setdefault(u, []).append((x, y))
+                rows.setdefault(x, []).append((y, w))
+                rows.setdefault(y, []).append((x, w))
+            for row in rows.values():
                 row.sort()
-            self._incidence = (pre, nbr)
+            self._incidence = (pre, rows)
         return self._incidence
 
     def bracket(self, u: Vec, v: Vec) -> Vec:
@@ -227,7 +234,7 @@ class Algebra:
 
         Over GF(2) only the triples where some double bracket can be
         nonzero are evaluated, which is exact: [[e_a,e_b],e_c] != 0 needs
-        (a,b) in `sc` and c in nbr[l] for some l in [e_a,e_b], i.e. c in
+        (a,b) in `sc` and [e_c,e_l] != 0 for some l in [e_a,e_b], i.e. c in
         the pair's reach mask R[a*n+b].  Each such triple is evaluated
         once, from the first of its pairs (i,j), (i,k), (j,k) that reaches
         it, with the same three-term sum as a full sweep.
@@ -768,7 +775,7 @@ def derivation_equations(g: Algebra) -> List[int]:
     order; unknown q = k*n + i is the coefficient of e_k in D(e_i)."""
     n = g.dim
     T = g.pair_table()
-    _, nbr = g.incidence()
+    _, nbrs = g.incidence()
     eqs: List[int] = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -777,11 +784,11 @@ def derivation_equations(g: Algebra) -> List[int]:
             # with [e_i,e_k] != 0
             w = T[i * n + j]
             rows = [w << (l * n) for l in range(n)]
-            for k in nbr[j]:
-                for l in gf2.bits(T[k * n + j]):
+            for k, v in nbrs.get(j, ()):
+                for l in gf2.bits(v):
                     rows[l] ^= 1 << (k * n + i)
-            for k in nbr[i]:
-                for l in gf2.bits(T[i * n + k]):
+            for k, v in nbrs.get(i, ()):
+                for l in gf2.bits(v):
                     rows[l] ^= 1 << (k * n + j)
             eqs.extend(row for row in rows if row)
     return eqs
@@ -850,7 +857,6 @@ def subalgebra_generated(g: Algebra, vectors: Sequence[int]) -> Subspace:
     """Closure of a set of vectors under the bracket (GF(2))."""
     s = Subspace(g)
     fresh = [v for v in vectors if s.add(v)]
-    current = list(fresh)
     while fresh and s.dim < g.dim:
         newly = []
         rows = s.rows()
@@ -862,7 +868,6 @@ def subalgebra_generated(g: Algebra, vectors: Sequence[int]) -> Subspace:
                     if s.dim == g.dim:
                         return s
         fresh = newly
-        current.extend(newly)
     return s
 
 

@@ -20,12 +20,17 @@ import json
 from gf2lie import experiments
 
 # sha256 of json.dumps(report, sort_keys=True): every check, verdict and
-# witness of the cohomology-driven reports, pinned so that refactors of the
-# solvers behind them cannot move any of it
+# witness of these reports, pinned so that refactors of the solvers and
+# kernels behind them cannot move any of it
 REPORT_SHA256 = {
+    1: "b0b6081d647bf08417d6ec73e05ee8acdeaa6bfff7906d968ac20aefd8432820",
     5: "3beff5d53f0c65fa5eea04da06815ae95d1f11110eb587043cfdfa5962940b30",
+    6: "7b52eb2bb22b07d3b27455606035310bc5b398851c97b73ab542f6f66b46cf81",
     7: "6922da01732d0539e2ec1b5f3759cb81ea04fbddd18226bd73c669a061e81118",
     8: "b8dd877d8ce3f0b5140d614a7a255ffff027f5ed787eeccbb1f61f2ac1cbb2d0",
+    9: "2f1139e4454372314df154c8c1863223f8cd9cf8d6eea14ecebf2d19948f6306",
+    11: "8620746142549ecc457e5e9c9ad909bf619d945c68064d69ac2a79bb8ae9463e",
+    13: "1ec222091127b92ff6abe1209b768dbb4fbf9cfe34d26c38816d5bb918d282e3",
 }
 
 
@@ -43,6 +48,7 @@ def _sha256(rep):
 def test_criterion_01_validation_sweep():
     rep = _run(experiments.criterion_01_validation_sweep)
     assert rep["pass"], rep
+    assert _sha256(rep) == REPORT_SHA256[1]
 
 
 def test_criterion_02_dimension_table():
@@ -71,6 +77,7 @@ def test_criterion_05_cocycle_ingestion():
 def test_criterion_06_jurman_deforms():
     rep = _run(experiments.criterion_06_jurman_deforms)
     assert rep["pass"], rep["checks"]
+    assert _sha256(rep) == REPORT_SHA256[6]
 
 
 def test_criterion_07_semitrivial_certificates():
@@ -101,6 +108,13 @@ def test_criterion_09_quantization_literal():
                              rep["psl_fingerprint"]["derivation_dim"]))
 
 
+def test_criterion_09_report_is_pinned():
+    # the literal comparison stays red (test above); its whole report, the
+    # certificate included, must not move
+    rep = experiments.criterion_09_quantization()
+    assert _sha256(rep) == REPORT_SHA256[9]
+
+
 def test_criterion_10_alpha_family():
     rep = _run(experiments.criterion_10_alpha_family)
     assert rep["pass"], rep
@@ -109,6 +123,7 @@ def test_criterion_10_alpha_family():
 def test_criterion_11_kap4b():
     rep = _run(experiments.criterion_11_kap4b_deform)
     assert rep["pass"], rep
+    assert _sha256(rep) == REPORT_SHA256[11]
 
 
 def test_criterion_12_superizations():
@@ -119,6 +134,7 @@ def test_criterion_12_superizations():
 def test_criterion_13_property_suites():
     rep = _run(experiments.criterion_13_property_suites)
     assert rep["pass"], rep["checks"]
+    assert _sha256(rep) == REPORT_SHA256[13]
 
 
 def test_note_harmonic_subalgebra_h2_dim34():

@@ -217,6 +217,20 @@ def test_sparse_differentials_match_dense(name):
     assert not d1(g, [0] * n) and not d2(Cochain2(g, {}))
 
 
+def c2_weight(g, value, pair, mode):
+    """Weight of the 2-cochain coordinate e_value ⊗ d(e_i)^d(e_j): the
+    per-coordinate oracle for c2_block_coords and cochain_term_weight."""
+    monos = g.meta["mono_degrees"]
+    x, yi, yj = monos[value], monos[pair[0]], monos[pair[1]]
+    if mode == "z":
+        return tuple((a - 1) - (b - 1) - (c - 1) for a, b, c in zip(x, yi, yj))
+    if mode == "mod2":
+        return tuple((a - b - c) % 2 for a, b, c in zip(x, yi, yj))
+    if mode == "outer":
+        return ((sum(x) - 2) + (2 - sum(yi)) + (2 - sum(yj)),)
+    raise AlgebraError("unknown weight mode %r" % mode)
+
+
 def c1_weight(g, target, source, mode):
     """Weight of the 1-cochain coordinate e_target ⊗ d(e_source): the
     per-coordinate oracle for c1_block_coords."""
@@ -233,7 +247,7 @@ def c1_weight(g, target, source, mode):
 
 def _all_weights(g, mode):
     n = g.dim
-    return {((i, j), k): cochain_term_weight(g, k, (i, j), mode)
+    return {((i, j), k): c2_weight(g, k, (i, j), mode)
             for i in range(n) for j in range(i + 1, n) for k in range(n)}
 
 
@@ -245,6 +259,8 @@ def test_block_coords_match_weight_filter(name):
     assert c2_block_coords(g) == c2_all
     assert c1_block_coords(g) == [(k, i) for k in range(n) for i in range(n)]
     table = {mode: _all_weights(g, mode) for mode in ("z", "mod2", "outer")}
+    for mode, weights in table.items():
+        assert all(cochain_term_weight(g, k, pr, mode) == w for (pr, k), w in weights.items()), mode
     blocks = [[(mode, w)] for mode in table for w in sorted(set(table[mode].values()))]
     blocks += [[("mod2", (0, 0)), ("outer", w)] for w in sorted(set(table["outer"].values()))]
     blocks.append([("mod2", (2, 0))])  # a weight no coordinate has

@@ -1,19 +1,192 @@
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from gf2lie import gf2
-from gf2lie.cohomology import Cochain2, compute_h2, d1, d2, is_coboundary, parse_cocycle
+from gf2lie.cohomology import Cochain2, compute_h2, cyclic_compose, d1, d2, is_coboundary, parse_cocycle
 from gf2lie.constructions import build_hI, build_hamiltonian, build_jurman, build_kap2, build_kap4B
 from gf2lie.deform import (DeformFamily, bracket_map_cochain,
                            defect, deform_bracket, integrability_verdict, jurman_cocycle,
-                           jurman_deform_check, jurman_united_family, kap4b_as_deform,
+                           jurman_deform_check, jurman_united_family, kap4b_as_deform, kap4b_family,
                            kap4b_quotient_map, obstruction_poly, partial_matrix,
                            poisson_family, semitrivial_certificate,
                            zero_defect_representative)
 from gf2lie.fields import GF2, GF2k
-from gf2lie.liealg import AlgebraError, verify_morphism
+from gf2lie.liealg import Algebra, AlgebraError, verify_morphism
+from test_cohomology import _dense_d2
 
 F4 = GF2k(2)
 HP = build_hamiltonian(1, (2, 2), "derived")
+
+
+# ---------------------------------------------------------------------------
+# the scan that composed bracket maps before cyclic_compose, kept as an oracle
+# ---------------------------------------------------------------------------
+
+class BracketTerm:
+    """A bilinear alternating map on the algebra, sparse on i<j pairs."""
+
+    def __init__(self, g, terms):
+        self.g = g
+        self.terms = {k: v for k, v in terms.items() if v}
+
+    @classmethod
+    def from_cochain(cls, c):
+        return cls(c.algebra, dict(c.terms))
+
+    @classmethod
+    def base(cls, g):
+        n = g.dim
+        T = g.pair_table()
+        return cls(g, {(i, j): T[i * n + j] for (i, j) in g.sc})
+
+    @classmethod
+    def of(cls, x):
+        """The map of a 2-cochain, or the bracket of an algebra."""
+        return cls.base(x) if isinstance(x, Algebra) else cls.from_cochain(x)
+
+    def pair_value(self, i, j):
+        if i == j:
+            return 0
+        key = (i, j) if i < j else (j, i)
+        return self.terms.get(key, 0)
+
+    def eval_vec(self, w, k):
+        acc = 0
+        for u in gf2.bits(w):
+            acc ^= self.pair_value(u, k)
+        return acc
+
+
+def compose_defect(a, b):
+    """The 3-cochain (x,y,z) -> sum_cyc a(b(x,y), z) on basis triples."""
+    n = a.g.dim
+    out = {}
+    for (x, y), w in b.terms.items():
+        for z in range(n):
+            if z == x or z == y:
+                continue
+            v = a.eval_vec(w, z)
+            if v:
+                tri = tuple(sorted((x, y, z)))
+                out[tri] = out.get(tri, 0) ^ v
+                if not out[tri]:
+                    del out[tri]
+    return out
+
+
+def add3(a, b):
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, 0) ^ v
+        if not out[k]:
+            del out[k]
+    return out
+
+
+def scan_jacobiator(fam):
+    terms = {tuple(0 for _ in fam.params): BracketTerm.of(fam.base)}
+    terms.update((m, BracketTerm.of(c)) for m, c in fam.terms.items())
+    out = {}
+    for m1 in terms:
+        for m2 in terms:
+            tri = compose_defect(terms[m1], terms[m2])
+            if tri:
+                key = tuple(a + b for a, b in zip(m1, m2))
+                out[key] = add3(out.get(key, {}), tri)
+    return {k: v for k, v in out.items() if v}
+
+
+COMPOSE_ALGEBRAS = {
+    "hp22": HP,
+    "hp23": build_hamiltonian(1, (2, 3), "derived"),
+    "hI": build_hI(2, (2, 2)),
+}
+
+
+def _random_cochain(g, rng):
+    terms = {}
+    for _ in range(rng.randint(1, 10)):
+        i, j = sorted(rng.sample(range(g.dim), 2))
+        terms[(i, j)] = rng.getrandbits(g.dim) if rng.random() < 0.5 else 1 << rng.randrange(g.dim)
+    return Cochain2(g, terms)
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSE_ALGEBRAS))
+def test_cyclic_compose_matches_the_scan(name):
+    g = COMPOSE_ALGEBRAS[name]
+    mu = BracketTerm.of(g)
+    rng = random.Random(sum(map(ord, name)))
+    for _ in range(25):
+        a, b = _random_cochain(g, rng), _random_cochain(g, rng)
+        ta, tb = BracketTerm.of(a), BracketTerm.of(b)
+        for x, y, tx, ty in ((a, b, ta, tb), (b, a, tb, ta), (g, a, mu, ta), (a, g, ta, mu)):
+            assert cyclic_compose(x, y) == compose_defect(tx, ty)
+        assert defect(a) == compose_defect(ta, ta)
+        assert d2(a) == add3(compose_defect(mu, ta), compose_defect(ta, mu)) == _dense_d2(a)
+        # the accumulator takes the second composition on top of the first
+        both = add3(compose_defect(ta, tb), compose_defect(tb, ta))
+        assert cyclic_compose(b, a, cyclic_compose(a, b)) == both
+    assert cyclic_compose(g, Cochain2(g, {})) == {} == defect(Cochain2(g, {}))
+
+
+def _random_family():
+    """Two random cochains of h'_Pi(2;2,2) as two parameter directions: a
+    Jacobiator with several nonzero monomials, to pin their order."""
+    rng = random.Random(7)
+    return DeformFamily(HP, ["s", "t"], {(1, 0): _random_cochain(HP, rng),
+                                         (0, 1): _random_cochain(HP, rng)})
+
+
+FAMILIES = {
+    "jurman3": lambda: jurman_united_family(3),
+    "jurman4": lambda: jurman_united_family(4),
+    "kap4b1": lambda: kap4b_family(1),
+    "kap4b2": lambda: kap4b_family(2),
+    "random": _random_family,
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_jacobiator_matches_the_scan(family):
+    fam = FAMILIES[family]()
+    terms = {tuple(0 for _ in fam.params): fam.base, **fam.terms}
+    for x in terms.values():
+        for y in terms.values():
+            assert cyclic_compose(x, y) == compose_defect(BracketTerm.of(x), BracketTerm.of(y))
+    jac, want = fam.jacobiator(), scan_jacobiator(fam)
+    assert jac == want and list(jac) == list(want)
+    assert bool(jac) == (family == "random")
+
+
+def _non_lie_hp22():
+    """h'_Pi(2;2,2) without its grading and with one extra term in [q, p*q]."""
+    sc = {pr: dict(row) for pr, row in HP.sc.items()}
+    sc[(0, 3)][5] = 1
+    return Algebra(GF2, HP.labels, sc, name="broken hp22", meta=HP.meta)
+
+
+def test_obstruction_poly_refuses_a_non_lie_base():
+    bad = _non_lie_hp22()
+    assert not bad.validate().ok
+    with pytest.raises(AlgebraError, match="fails Jacobi at"):
+        obstruction_poly(deform_bracket(bad, Cochain2(bad, {})))
+
+
+def test_deform_cocycle_on_a_non_lie_base_is_a_usage_error_under_python_dash_O(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(_non_lie_hp22().dumps())
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-O", "-m", "gf2lie", "deform", "cocycle", "--algebra", str(path),
+                          "--cocycle", ""], capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 1 and out.stdout == ""
+    assert "fails Jacobi at" in out.stderr
 
 
 def test_deform_bracket_requires_cocycle():
