@@ -189,10 +189,28 @@ def cmd_iso(args) -> int:
     return _emit(doc, 0 if res.kind != "exhausted" else 2)
 
 
+def _parse_rows(raw, dim: int) -> list:
+    """--subalgebra rows: a JSON list of ints or int strings ("0x1f"), each
+    a vector of the dim-dim algebra."""
+    if not isinstance(raw, list):
+        raise ValueError("--subalgebra takes a JSON list of rows, not %r" % (raw,))
+    rows = []
+    for x in raw:
+        try:
+            r = int(x, 0) if isinstance(x, str) else x if type(x) is int else -1
+        except ValueError:
+            r = -1
+        if r < 0 or r >> dim:
+            raise ValueError("--subalgebra row %r is not a vector of the %d-dim algebra: "
+                             "an int or int string in [0, 2^%d)" % (x, dim, dim))
+        rows.append(r)
+    return rows
+
+
 def cmd_grade(args) -> int:
     g = _load_algebra(args.algebra)
     with open(args.subalgebra) as fh:
-        rows = [int(x, 0) for x in json.load(fh)]
+        rows = _parse_rows(json.load(fh), g.dim)
     filt = weisfeiler_filtration(g, Subspace(g, rows))
     gr = associated_graded(filt)
     return _emit({"name": g.name, "depth": filt.depth, "l0_maximal": filt.l0_maximal,

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import gf2
 from .divpow import mono_text
-from .grading import C2_OFFSET, cochain_term_weight, cochain_weight, weight_keys
+from .grading import C2_OFFSET, cochain_weight, weight_keys
 from .liealg import Algebra, AlgebraError, Incidence
 
 Pair = Tuple[int, int]
@@ -220,8 +220,6 @@ def c2_block_coords(g: Algebra, constraints: Sequence[Constraint] = ()) -> List[
     """The C^2 coordinates (pair, k) of a weight block, pair-major with k
     ascending; every coordinate when there are no constraints."""
     n = g.dim
-    if not constraints:
-        return [(pr, k) for pr in _pairs(n) for k in range(n)]
     keyed = _block_keys(g, constraints, offset=True)
     if keyed is None:
         return []
@@ -241,8 +239,6 @@ def c1_block_coords(g: Algebra, constraints: Sequence[Constraint] = ()) -> List[
     """The C^1 coordinates (k, i), i.e. e_k ⊗ d(e_i), of a weight block,
     k-major with i ascending; every coordinate when there are no constraints."""
     n = g.dim
-    if not constraints:
-        return [(k, i) for k in range(n) for i in range(n)]
     keyed = _block_keys(g, constraints, offset=False)
     if keyed is None:
         return []
@@ -257,19 +253,28 @@ def c1_block_coords(g: Algebra, constraints: Sequence[Constraint] = ()) -> List[
 
 
 class C3Index:
-    """Bit positions of C^3 coordinates (i<j<k triple, value index),
-    assigned in order of first use."""
+    """Bit positions of the C^3 coordinates of an n-dim algebra, assigned in
+    order of first use.  The coordinate e_l ⊗ d(e_a)^d(e_b)^d(e_c), a<b<c,
+    is keyed by the one int ((a·n + b)·n + c)·n + l."""
 
-    def __init__(self):
-        self.positions: Dict[Tuple[int, int, int, int], int] = {}
+    def __init__(self, n: int):
+        self.n = n
+        self.positions: Dict[int, int] = {}
+
+    def _mask(self, keyed) -> int:
+        """The mask of (triple key (a·n + b)·n + c, value mask) items."""
+        pos, n, m = self.positions, self.n, 0
+        for key, w in keyed:
+            base = key * n - 1
+            while w:  # gf2.bits, inlined: most values are one bit
+                low = w & -w
+                m |= 1 << pos.setdefault(base + low.bit_length(), len(pos))
+                w ^= low
+        return m
 
     def encode(self, tri_val: Dict[Triple, int]) -> int:
-        pos = self.positions
-        m = 0
-        for tri, w in tri_val.items():
-            for l in gf2.bits(w):
-                m |= 1 << pos.setdefault(tri + (l,), len(pos))
-        return m
+        n = self.n
+        return self._mask(((a * n + b) * n + c, w) for (a, b, c), w in tri_val.items())
 
     @property
     def width(self) -> int:
@@ -281,8 +286,10 @@ class Block:
     ((pair, k) for e_k ⊗ d(e_i)^d(e_j), pair-major with k ascending) and C^1
     coordinates `c1` ((k, i) for e_k ⊗ d(e_i)); all of them when there are
     no constraints.  `encode` and `decode` map a 2-cochain of the block to
-    its bit mask over `coords` and back.  Every constraint's mode must
-    grade the algebra, so that d1 and d2 map the block into itself.
+    its bit mask over `coords` and back; `d1_columns` and `d2_columns` write
+    the differentials of unit cochains straight from the incidence index.
+    Every constraint's mode must grade the algebra, so that d1 and d2 map
+    the block into itself.
     """
 
     def __init__(self, g: Algebra, constraints: Sequence[Constraint] = ()):
@@ -290,16 +297,24 @@ class Block:
         self.g = g
         self.coords = c2_block_coords(g, constraints)
         self.c1 = c1_block_coords(g, constraints)
-        self._index = {c: t for t, c in enumerate(self.coords)}
+        n = g.dim
+        # at the key (i·n + j)·n + k, the position of e_k ⊗ d(e_i)^d(e_j),
+        # i < j: a list over all n^3 keys when the block is all of C^2 (it
+        # holds n^2(n-1)/2 of them), a dict when it is a weight block
+        self._pos = [None] * n ** 3 if not constraints else {}
+        for t, ((i, j), k) in enumerate(self.coords):
+            self._pos[(i * n + j) * n + k] = t
 
     def encode(self, c: Cochain2) -> int:
-        index, m = self._index, 0
-        for pr, v in c.terms.items():
+        pos, n, m = self._pos, self.g.dim, 0
+        get = pos.__getitem__ if isinstance(pos, list) else pos.get
+        for (i, j), v in c.terms.items():
+            base = (i * n + j) * n
             for k in gf2.bits(v):
-                pos = index.get((pr, k))
-                if pos is None:
-                    raise AlgebraError("cochain leaves the weight block at %r" % ((pr, k),))
-                m |= 1 << pos
+                t = get(base + k)
+                if t is None:
+                    raise AlgebraError("cochain leaves the weight block at %r" % (((i, j), k),))
+                m |= 1 << t
         return m
 
     def decode(self, mask: int) -> Cochain2:
@@ -310,16 +325,47 @@ class Block:
         return Cochain2(self.g, terms)
 
     def d1_columns(self):
-        """d1 of each unit 1-cochain, in `c1` order, encoded (a generator)."""
-        images = [0] * self.g.dim
+        """d1 of each unit 1-cochain e_k ⊗ d(e_i), in `c1` order, encoded (a
+        generator): [e_k, e_j] at each pair {i, j}, j != i, plus e_k at each
+        pair x<y whose bracket holds e_i."""
+        pre, rows = self.g.incidence()
+        pos, n = self._pos, self.g.dim
         for k, i in self.c1:
-            images[i] = 1 << k
-            yield self.encode(d1(self.g, images))
-            images[i] = 0
+            m = 0
+            for j, w in rows.get(k, ()):
+                if j != i:
+                    base = ((i * n + j) * n if i < j else (j * n + i) * n) - 1
+                    while w:
+                        low = w & -w
+                        m ^= 1 << pos[base + low.bit_length()]
+                        w ^= low
+            for x, y in pre.get(i, ()):
+                m ^= 1 << pos[(x * n + y) * n + k]
+            yield m
 
     def d2_columns(self, c3: C3Index) -> List[int]:
-        """d2 of each unit 2-cochain, in `coords` order, encoded through c3."""
-        return [c3.encode(d2(Cochain2(self.g, {pr: 1 << k}))) for pr, k in self.coords]
+        """d2 of each unit 2-cochain e_k ⊗ d(e_i)^d(e_j), in `coords` order,
+        encoded through c3: μ∘c puts [e_k, e_z] at {i, j, z}, and c∘μ puts
+        e_k at {x, y, j} for each pair x<y whose bracket holds e_i, and at
+        {x, y, i} for each one whose bracket holds e_j."""
+        pre, rows = self.g.incidence()
+        n, out = self.g.dim, []
+        for (i, j), k in self.coords:
+            acc: Dict[int, int] = {}
+            for z, w in rows.get(k, ()):
+                if z != i and z != j:
+                    key = ((z * n + i) * n + j if z < i else (i * n + z) * n + j if z < j
+                           else (i * n + j) * n + z)
+                    acc[key] = acc.get(key, 0) ^ w
+            bit = 1 << k
+            for u, v in ((i, j), (j, i)):
+                for x, y in pre.get(u, ()):
+                    if v != x and v != y:
+                        key = ((v * n + x) * n + y if v < x else (x * n + v) * n + y if v < y
+                               else (x * n + y) * n + v)
+                        acc[key] = acc.get(key, 0) ^ bit
+            out.append(c3._mask(acc.items()))
+        return out
 
     def coboundaries(self) -> Tuple[gf2.Span, List[Cochain2]]:
         """B^2 of the block, and the unit coboundaries that grew it, in `c1` order."""
@@ -370,7 +416,7 @@ def compute_h2(g: Algebra, weight_filter: Optional[Tuple[int, ...]] = None, mode
                 "d2 matrix would have ~%d entries (> budget %d); restrict to a weight block"
                 % (len(blk.coords) * est_c3, budget))
 
-    c3 = C3Index()
+    c3 = C3Index(n)
     z2_masks = gf2.combination_kernel(blk.d2_columns(c3), c3.width)
     span, cobs = blk.coboundaries()
     dim_b2 = span.dim
@@ -468,15 +514,20 @@ def consistent_class_masks(g: Algebra, printed: Cochain2,
     return h2, sorted({(x0 & class_mask) ^ gf2.apply_rows(rows, sub) for sub in range(1 << len(rows))})
 
 
+def c2_weights(g: Algebra, mode: str) -> List[Tuple[int, ...]]:
+    """The distinct weights of the C^2 coordinates, ascending: the weight of
+    e_k ⊗ d(e_i)^d(e_j) is key(k) - key(i) - key(j) + shift, mod 2 for "mod2"."""
+    keys = weight_keys(g, mode)
+    shift, m = C2_OFFSET[mode], 2 if mode == "mod2" else 0
+    bases = {tuple(shift - a - b for a, b in zip(keys[i], keys[j])) for i, j in _pairs(g.dim)}
+    return sorted({tuple((x + s) % m if m else x + s for x, s in zip(key, base))
+                   for base in bases for key in set(keys)})
+
+
 def h2_weight_table(g: Algebra, mode: str = "z") -> Dict[Tuple[int, ...], H2Basis]:
     """Full H^2 split into weight blocks of the given mode."""
-    n = g.dim
-    weights = set()
-    for pr in _pairs(n):
-        for k in range(n):
-            weights.add(cochain_term_weight(g, k, pr, mode))
     out = {}
-    for w in sorted(weights):
+    for w in c2_weights(g, mode):
         blk = compute_h2(g, weight_filter=w, mode=mode)
         if blk.dim:
             out[w] = blk

@@ -170,7 +170,7 @@ def zero_defect_representative(g: Algebra, c: Cochain2, constraints=(),
         d_b[(i, i)] = defect(cbs[i])
         for j in range(i + 1, B):
             d_b[(i, j)] = cyclic_compose(cbs[j], cbs[i], cyclic_compose(cbs[i], cbs[j]))
-    c3 = C3Index()
+    c3 = C3Index(g.dim)
     enc_dc = c3.encode(d_c)
     enc_cross = [c3.encode(x) for x in cross_c]
     enc_q = {k: c3.encode(d_b[k]) for k in sorted(d_b)}
@@ -288,7 +288,7 @@ def _d2_solutions(g: Algebra, target: Dict, constraints, kernel_cap: int = 6):
     blk = Block(g, constraints)
     if not blk.coords:
         return []
-    c3 = C3Index()
+    c3 = C3Index(g.dim)
     images = blk.d2_columns(c3)
     tmask = c3.encode(target)
     span = gf2.TaggedSpan(c3.width)

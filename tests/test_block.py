@@ -3,19 +3,22 @@
 The functions prefixed `old_` are the implementations that each built
 their own cochain <-> bit-mask encoding before `cohomology.Block` owned
 it; they are kept verbatim as differential oracles.  Results must agree
-exactly, including the insertion order of `Cochain2.terms`.
+exactly, including the insertion order of `Cochain2.terms`.  So are the
+unit columns built through `d1`/`d2` and the tuple-keyed `OldC3Index`,
+against the columns `Block` writes from the incidence index.
 """
 
+import copy
 import random
 
 import pytest
 
-from gf2lie import gf2
+from gf2lie import deform, gf2
 from gf2lie.cohomology import (Block, C3Index, Cochain2, block_consistent_representative,
                                c1_block_coords, c2_block_coords, coboundary_block, coboundary_of,
                                combine, compute_h2, consistent_class_masks, d1, d2, parse_cocycle)
 from gf2lie.constructions import build_hamiltonian, build_hI, build_tensor_example
-from gf2lie.deform import _d2_solutions, defect, in_d2_image
+from gf2lie.deform import _d2_solutions, defect, in_d2_image, zero_defect_representative
 from gf2lie.experiments import (GH31_WEIGHTS, HI_OUTER_DEGREES, PRINTED_GH21, PRINTED_GH21_PARTIAL,
                                 PRINTED_GH31, PRINTED_GH31_PARTIAL, PRINTED_HI, PRINTED_HI_PARTIAL)
 from gf2lie.liealg import AlgebraError
@@ -50,6 +53,29 @@ def _old_unit_coboundary(g, k, i):
     images = [0] * g.dim
     images[i] = 1 << k
     return d1(g, images)
+
+
+class OldC3Index:
+    """The tuple-keyed C^3 index: position of (i<j<k triple, value index)."""
+
+    def __init__(self):
+        self.positions = {}
+
+    def encode(self, tri_val):
+        pos = self.positions
+        m = 0
+        for tri, w in tri_val.items():
+            for l in gf2.bits(w):
+                m |= 1 << pos.setdefault(tri + (l,), len(pos))
+        return m
+
+    @property
+    def width(self):
+        return max(1, len(self.positions))
+
+
+def _old_d1_columns(blk):
+    return [blk.encode(_old_unit_coboundary(blk.g, k, i)) for k, i in blk.c1]
 
 
 def _old_d2_columns(g, coords, c3):
@@ -140,7 +166,7 @@ def old_consistent_class_masks(g, printed, constraints):
 
 def old_in_d2_image(g, target):
     coords = c2_block_coords(g)
-    c3 = C3Index()
+    c3 = OldC3Index()
     images = _old_d2_columns(g, coords, c3)
     tmask = c3.encode(target)
     span = gf2.TaggedSpan(c3.width)
@@ -156,7 +182,7 @@ def old_d2_solutions(g, target, constraints, kernel_cap=6):
     coords = c2_block_coords(g, constraints)
     if not coords:
         return []
-    c3 = C3Index()
+    c3 = OldC3Index()
     images = _old_d2_columns(g, coords, c3)
     tmask = c3.encode(target)
     width = c3.width
@@ -236,6 +262,77 @@ def test_block_matches_pre_block_solvers(name):
     for rep in h2.representatives:
         assert (_items(_d2_solutions(g, defect(rep), doubled))
                 == _items(old_d2_solutions(g, defect(rep), doubled)))
+
+
+# every printed block, and the unconstrained blocks
+BLOCKS = dict({name: (g, cons) for name, (g, cons, _) in CASES.items()},
+              **{"%s all" % tag: (g, []) for tag, g in (("hp22", HP22), ("hp23", HP23), ("hI", HI))})
+
+
+def _sub_block(blk, coords):
+    """blk restricted to the unit 2-cochains at `coords`, for d2_columns."""
+    sub = copy.copy(blk)
+    sub.coords = coords
+    return sub
+
+
+def _coordinate_sets(cols, c3, coordinate):
+    """Each column as its set of C^3 coordinates (i, j, k, l);
+    `coordinate` reads one back from a key of c3."""
+    key_at = {t: key for key, t in c3.positions.items()}
+    return [{coordinate(key_at[t]) for t in gf2.bits(col)} for col in cols]
+
+
+def _unkey(n):
+    def coordinate(key):
+        key, l = divmod(key, n)
+        key, k = divmod(key, n)
+        return divmod(key, n) + (k, l)
+    return coordinate
+
+
+@pytest.mark.parametrize("name", sorted(BLOCKS))
+def test_unit_columns_match_d1_and_d2(name):
+    g, cons = BLOCKS[name]
+    blk = Block(g, cons)
+    d1_cols = list(blk.d1_columns())
+    assert d1_cols == _old_d1_columns(blk)
+    # the unconstrained hp23 block has 13,050 columns: compare them in
+    # slices, each through fresh indexes, to keep the masks short
+    for lo in range(0, len(blk.coords), 2000):
+        coords = blk.coords[lo:lo + 2000]
+        c3, old_c3 = C3Index(g.dim), OldC3Index()
+        assert (_coordinate_sets(_sub_block(blk, coords).d2_columns(c3), c3, _unkey(g.dim))
+                == _coordinate_sets(_old_d2_columns(g, coords, old_c3), old_c3, tuple))
+    # d2∘d1 = 0 on the emitted columns
+    assert any(d1_cols) or not blk.c1
+    for col in d1_cols:
+        acc = 0
+        for d2_col in _sub_block(blk, [blk.coords[t] for t in gf2.bits(col)]).d2_columns(C3Index(g.dim)):
+            acc ^= d2_col
+        assert not acc, (name, col)
+
+
+def test_newton_branch_of_zero_defect_representative(monkeypatch):
+    # enum_limit=0 sends every representative with a nonzero defect to the
+    # Newton iteration, which encodes its quadratic system through C3Index
+    found = 0
+    for d in sorted(HI_OUTER_DEGREES):
+        cons = _hi(d)
+        blk = Block(HI, cons)
+        cob_span = blk.coboundaries()[0]
+        for rep in compute_h2(HI, constraints=cons).representatives:
+            if not defect(rep):
+                continue
+            got = zero_defect_representative(HI, rep, cons, enum_limit=0)
+            with monkeypatch.context() as m:
+                m.setattr(deform, "C3Index", lambda n: OldC3Index())
+                want = zero_defect_representative(HI, rep, cons, enum_limit=0)
+            assert _items([got]) == _items([want])
+            if got is not None:
+                found += 1
+                assert not defect(got) and not cob_span.reduce(blk.encode(got + rep))
+    assert found  # the degree -4 block has one
 
 
 def test_coboundary_of_matches_pre_block():

@@ -83,6 +83,43 @@ def test_simple_subcommand(tmp_path):
     assert doc["seed"] == 0  # seeds are printed in every report
 
 
+def _jurman_21_file(tmp_path):
+    out = str(tmp_path / "j.json")
+    run_cli(["build", "jurman", "--g", "2", "--h", "1", "--out", out])
+    return out
+
+
+def test_grade_subcommand(tmp_path):
+    out = _jurman_21_file(tmp_path)
+    with open(out) as fh:
+        labels = json.load(fh)["labels"]
+    # L0 of j(2,1): every basis vector outside Y_{-1}, as ints and int strings
+    l0 = [1 << i for i, lbl in enumerate(labels) if not lbl.startswith("Y-1")]
+    sub = tmp_path / "l0.json"
+    sub.write_text(json.dumps([hex(r) for r in l0[:3]] + [str(r) for r in l0[3:6]] + l0[6:]))
+    code, doc = run_cli(["grade", "--algebra", out, "--subalgebra", str(sub)])
+    assert code == 0
+    assert doc["l0_maximal"] and doc["depth"] == 1
+    assert doc["layer_dims"] == [14, 12, 9, 5, 2] and doc["codims"] == [2, 3, 4, 3, 2]
+
+
+# [3] is a row, read as e_0 + e_1, that spans no subalgebra with a filtration
+@pytest.mark.parametrize("rows, why", [([3], "filtration does not exhaust"), (["0x100000"], "not a vector of the 14-dim"),
+                                       (["-0x3"], "not a vector of the 14-dim"),
+                                       ([1.5], "not a vector of the 14-dim"),
+                                       (["0xg"], "not a vector of the 14-dim"),
+                                       ([True], "not a vector of the 14-dim"),
+                                       ({"rows": [3]}, "takes a JSON list")])
+def test_grade_refuses_bad_rows_as_a_usage_error(tmp_path, capsys, rows, why):
+    out = _jurman_21_file(tmp_path)
+    sub = tmp_path / "rows.json"
+    sub.write_text(json.dumps(rows))
+    code, doc = run_cli(["grade", "--algebra", out, "--subalgebra", str(sub)])
+    err = capsys.readouterr().err
+    assert code == 1 and doc is None
+    assert why in err and "Traceback" not in err
+
+
 def test_iso_subcommand(tmp_path):
     a = str(tmp_path / "a.json")
     b = str(tmp_path / "b.json")

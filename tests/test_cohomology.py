@@ -3,7 +3,7 @@ import random
 import pytest
 
 from gf2lie import gf2
-from gf2lie.cohomology import (Cochain2, CochainError, c1_block_coords, c2_block_coords,
+from gf2lie.cohomology import (Cochain2, CochainError, c1_block_coords, c2_block_coords, c2_weights,
                                coboundary_of, compute_h2, d1, d2, h2_weight_table, is_coboundary,
                                parse_cocycle)
 from gf2lie.constructions import build_hI, build_hamiltonian, build_jurman, build_tensor_example
@@ -70,6 +70,15 @@ def test_full_h2_gh21_golden():
     assert {w: b.dim for w, b in tab.items()} == {
         (4, -2): 1, (-2, 4): 1, (0, -4): 1, (-4, 0): 1, (2, 0): 1, (0, 2): 1,
         (0, -2): 1, (-2, 0): 1, (-2, -2): 1}
+
+
+@pytest.mark.parametrize("g", [HP, build_hamiltonian(1, (2, 3), "derived"), build_hI(2, (2, 2))],
+                         ids=["hp22", "hp23", "hI"])
+def test_c2_weights_are_the_term_weights(g):
+    n = g.dim
+    want = {cochain_term_weight(g, k, (i, j), "z")
+            for i in range(n) for j in range(i + 1, n) for k in range(n)}
+    assert c2_weights(g, "z") == sorted(want)
 
 
 def test_weight_filtered_agrees_with_full():
