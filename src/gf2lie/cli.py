@@ -240,8 +240,8 @@ def cmd_closure(args) -> int:
     clo = restricted_closure(base)
     doc = clo.algebra.to_json()
     doc["squaring"] = [hex(x) for x in clo.squaring]
-    doc["restricted_ok"] = clo.check_restricted()
-    return _emit(doc)
+    doc["restricted_ok"] = ok = clo.check_restricted()
+    return _emit(doc, 0 if ok else 2)
 
 
 def cmd_experiment(args) -> int:

@@ -79,31 +79,34 @@ class ClosureAlgebra:
                 acc ^= self.algebra.bracket(1 << idx[a], 1 << idx[b])
         return acc
 
-    def check_restricted(self, exhaustive_pairs: bool = True) -> bool:
-        """[x^[2], y] = [x, [x, y]] on basis x (and sums when asked), all basis y."""
-        g = self.algebra
-        n = g.dim
-        for i in range(n):
-            sq = self.squaring[i]
-            for j in range(n):
-                lhs = g.bracket(sq, 1 << j)
-                rhs = g.bracket(1 << i, g.bracket(1 << i, 1 << j))
-                if lhs != rhs:
-                    return False
-        if exhaustive_pairs:
-            rng = random.Random(0)
-            for _ in range(64):
-                x = rng.getrandbits(n)
-                if not x:
-                    continue
-                sq = self.square_vector(x)
-                for j in range(n):
-                    if g.bracket(sq, 1 << j) != g.bracket(x, g.bracket(x, 1 << j)):
-                        return False
-        return True
+    def check_restricted(self) -> bool:
+        """Jacobi, then [x^[2], y] = [x, [x, y]] for every x and y: exact,
+        see `_squaring_failure`."""
+        return self.algebra.validate().ok and _squaring_failure(self, range(self.dim)) is None
 
     def __repr__(self):
         return "<2-closure of %s, dim %d>" % (self.base.name, self.dim)
+
+
+def _squaring_failure(clo: ClosureAlgebra, indices) -> Optional[Tuple[int, int]]:
+    """The first (i, j), i in `indices` and then j ascending, with
+    [e_i^[2], e_j] != [e_i, [e_i, e_j]], or None: for each i the identity
+    ad(e_i^[2]) = ad(e_i)^2 of ad matrices.
+
+    On a bracket that satisfies Jacobi the basis identity holds for every
+    x in the span of the e_i (Jacobson's criterion for a p-map, N. Jacobson,
+    Trans. AMS 50, 1941).  With F(x) = ad(x^[2]) + ad(x)^2 and x^[2] as in
+    `square_vector`, over GF(2)
+        F(sum x_i) = sum F(x_i) + sum_{i<j} (ad[x_i, x_j] + [ad x_i, ad x_j]),
+    and each cross term sends y to the Jacobiator of x_i, x_j, y.
+    """
+    g = clo.algebra
+    for i in indices:
+        a = g.ad_rows(1 << i)
+        lhs, rhs = g.ad_rows(clo.squaring[i]), gf2.compose(a, a)
+        if lhs != rhs:
+            return i, next(j for j, (u, w) in enumerate(zip(lhs, rhs)) if u != w)
+    return None
 
 
 def restricted_closure(base: Algebra) -> ClosureAlgebra:
@@ -136,7 +139,9 @@ class SuperAlgebra:
         return [i for i, p in enumerate(self.parity) if p]
 
     def check_super_axioms(self) -> Tuple[bool, str]:
-        """Bracket parity rules + squaring axiom on the odd part."""
+        """Bracket parity rules, even squares of odd basis vectors, the
+        squaring axiom on the odd basis, then Jacobi: exact for every odd
+        x, see `_squaring_failure`."""
         g = self.algebra
         for (i, j), row in g.sc.items():
             want = (self.parity[i] + self.parity[j]) % 2
@@ -144,26 +149,14 @@ class SuperAlgebra:
                 if self.parity[k] != want:
                     return False, "parity breaks at [%d,%d] -> %d" % (i, j, k)
         for i in self.odd_indices():
-            sq = self.closure.squaring[i]
-            # squares of odd elements must be even
-            for k in gf2.bits(sq):
-                if self.parity[k]:
-                    return False, "square of odd %d is not even" % i
-            for j in range(g.dim):
-                if g.bracket(sq, 1 << j) != g.bracket(1 << i, g.bracket(1 << i, 1 << j)):
-                    return False, "squaring axiom fails at (%d, %d)" % (i, j)
-        # quadratic extension consistency on random odd sums
-        rng = random.Random(1)
-        odd = self.odd_indices()
-        for _ in range(32):
-            sel = [i for i in odd if rng.getrandbits(1)]
-            if not sel:
-                continue
-            x = gf2.from_bits(sel)
-            sq = self.closure.square_vector(x)
-            for j in range(g.dim):
-                if g.bracket(sq, 1 << j) != g.bracket(x, g.bracket(x, 1 << j)):
-                    return False, "squaring axiom fails on an odd sum"
+            if any(self.parity[k] for k in gf2.bits(self.closure.squaring[i])):
+                return False, "square of odd %d is not even" % i
+            bad = _squaring_failure(self.closure, [i])
+            if bad:
+                return False, "squaring axiom fails at (%d, %d)" % bad
+        jacobi = g.validate(max_report=1).jacobi_failures
+        if jacobi:
+            return False, "Jacobi fails at (%d, %d, %d)" % jacobi[0]
         return True, ""
 
     def __repr__(self):
@@ -171,9 +164,9 @@ class SuperAlgebra:
 
 
 def superize_linear(clo: ClosureAlgebra, v: int, name: str = "") -> SuperAlgebra:
-    """Parity of e_u is B(v, u); V* is even.  Needs v != 0."""
-    if v == 0:
-        raise AlgebraError("v must be nonzero (B_v = 0 only for v = 0)")
+    """Parity of e_u is B(v, u); V* is even.  Needs v in 1 .. 2^n - 1."""
+    if not 0 < v < 1 << clo.n:
+        raise AlgebraError("v must be a nonzero vector of F_2^%d, not %r" % (clo.n, v))
     parity = [clo.B.pair(v, u) for u in clo.gamma] + [0] * clo.n
     return SuperAlgebra(clo, parity, name=name or (clo.base.name + " linear superization"))
 
@@ -367,8 +360,7 @@ def kap_s_4A(m: int, arf: int, eps: int) -> SuperAlgebra:
     if v is None:
         raise AlgebraError("no vector with Q_%d(v)=%d exists for m=%d" % (arf, eps, m))
     assert Q.value(v) == eps
-    return SuperAlgebra(clo, [clo.B.pair(v, u) for u in clo.gamma] + [0] * clo.n,
-                        name="KapS_{4,%d}(%d;%d)" % (arf, 2 * m, eps))
+    return superize_linear(clo, v, name="KapS_{4,%d}(%d;%d)" % (arf, 2 * m, eps))
 
 
 def _standard_v(m: int, arf: int, eps: int) -> Optional[int]:

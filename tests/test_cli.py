@@ -143,6 +143,24 @@ def test_closure_subcommand():
     assert doc["dim"] == 19 and doc["restricted_ok"] is True
 
 
+def test_closure_that_is_not_restricted_exits_2():
+    code, doc = run_cli(["closure", "--base", "1", "--n", "4"])
+    assert code == 2 and doc["restricted_ok"] is False
+
+
+def test_super_that_fails_the_squaring_axiom_exits_2():
+    code, doc = run_cli(["super", "--base", "1", "--n", "4"])
+    assert code == 2 and doc["axioms_msg"] == "squaring axiom fails at (0, 0)"
+
+
+@pytest.mark.parametrize("v", ["16", "-1"])
+def test_super_refuses_a_v_outside_the_space(v, capsys):
+    code, doc = run_cli(["super", "--base", "2", "--n", "4", "--mode", "linear", "--v", v])
+    err = capsys.readouterr().err
+    assert code == 1 and doc is None
+    assert "v must be a nonzero vector of F_2^4" in err and "Traceback" not in err
+
+
 def test_super_subcommand():
     code, doc = run_cli(["super", "--base", "2", "--n", "4", "--mode", "nonlinear",
                          "--arf2", "0"])

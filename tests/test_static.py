@@ -22,6 +22,11 @@ Every function or method the package defines, dunders aside, must be named
 somewhere besides its own definition: in the package, its tests or the
 benchmark.  The search is by word, so a mention in a comment or a string
 counts as a use.
+
+Only an allowlisted set of package functions may build a
+``random.Random``, under whatever name the module imports ``random`` or
+``Random``: a verdict drawn from a seeded sample is not exact, so a new
+sampler must be seen and named here.
 """
 
 import ast
@@ -193,3 +198,55 @@ def test_scan_flags_a_dead_definition():
            "    def unused(self):\n"
            "        return self.v\n")
     assert dead_definitions({"lib.py": lib}, [lib, "from lib import A\n"]) == [("lib.py", 6, "unused")]
+
+
+def random_generators(source: str, module: str) -> list:
+    """module.qualname of each function (or ``module`` at top level) that
+    calls random.Random, by any import alias; scoping is ignored."""
+    tree = ast.parse(source, module)
+    modules, classes = set(), set()  # local names of `random` and of `random.Random`
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name == "random"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "random":
+            classes |= {a.asname or a.name for a in node.names if a.name == "Random"}
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + [node.name]
+        if isinstance(node, ast.Call):
+            f = node.func
+            if ((isinstance(f, ast.Attribute) and f.attr == "Random"
+                 and isinstance(f.value, ast.Name) and f.value.id in modules)
+                    or (isinstance(f, ast.Name) and f.id in classes)):
+                found.add(".".join([module] + scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, [])
+    return sorted(found)
+
+
+RANDOM_ALLOWLIST = ["deform.zero_defect_representative", "experiments.criterion_13_property_suites",
+                    "liealg.simplicity_check", "superize._isometries"]
+
+
+def test_random_generators_are_allowlisted():
+    found = [name for p in MODULES for name in random_generators(p.read_text(), p.stem)]
+    assert sorted(found) == RANDOM_ALLOWLIST
+
+
+def test_scan_flags_a_random_generator():
+    src = ("import random\n"
+           "from random import Random as R, choice\n"
+           "SEEDED = random.Random(0)\n"
+           "class C:\n"
+           "    def check(self):\n"
+           "        import random as _random\n"
+           "        return _random.Random(1).random()\n"
+           "def f():\n"
+           "    return R(2), choice([1]), random.random()\n"
+           "def g(rng):\n"
+           "    return rng.Random\n")
+    assert random_generators(src, "m") == ["m", "m.C.check", "m.f"]

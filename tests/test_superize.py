@@ -4,8 +4,9 @@ from itertools import product
 import pytest
 
 from gf2lie import gf2, superize
-from gf2lie.constructions import BilinearFormSpec, QuadraticFormSpec, build_kap2, build_kap4A
-from gf2lie.liealg import AlgebraError, LinearMap, verify_morphism
+from gf2lie.constructions import (BilinearFormSpec, QuadraticFormSpec, build_kap1, build_kap2,
+                                  build_kap3, build_kap4A)
+from gf2lie.liealg import Algebra, AlgebraError, LinearMap, verify_morphism
 from gf2lie.superize import (equivalence_of_superizations, induced_super_iso,
                              nonlinear_reduction_check, parity_nonlinearity_witness,
                              restricted_closure, seven_families, superize_linear,
@@ -13,7 +14,7 @@ from gf2lie.superize import (equivalence_of_superizations, induced_super_iso,
 
 
 def test_closure_dims_and_axioms():
-    for m in (1, 2):
+    for m in (1, 2, 3):
         clo = restricted_closure(build_kap2(2 * m))
         assert clo.dim == (1 << (2 * m)) - 1 + 2 * m
         assert clo.algebra.validate().ok
@@ -56,8 +57,9 @@ def test_linear_superization_axioms():
         ok, msg = s.check_super_axioms()
         assert ok, msg
         assert s.even_subspace().is_subalgebra()
-    with pytest.raises(AlgebraError):
-        superize_linear(clo, 0)
+    for v in (0, -1, 16):
+        with pytest.raises(AlgebraError):
+            superize_linear(clo, v)
 
 
 def test_nonlinear_superization_structure():
@@ -283,3 +285,135 @@ def test_bracket_check_gates_every_verdict(monkeypatch, case, order):
     assert (r.kind, r.tried, r.map) == ("exhausted-no-map", order, None)
     # candidates that pass the cheap checks reach the bracket check
     assert bool(calls) == equivalent
+
+
+# ---------------------------------------------------------------------------
+# the per-basis bracket loops and the seeded samples of sums, kept as oracles
+# for the exact ad-matrix checks
+# ---------------------------------------------------------------------------
+
+def _sampled_check_restricted(clo):
+    g = clo.algebra
+    n = g.dim
+    for i in range(n):
+        sq = clo.squaring[i]
+        for j in range(n):
+            if g.bracket(sq, 1 << j) != g.bracket(1 << i, g.bracket(1 << i, 1 << j)):
+                return False
+    rng = random.Random(0)
+    for _ in range(64):
+        x = rng.getrandbits(n)
+        if not x:
+            continue
+        sq = clo.square_vector(x)
+        for j in range(n):
+            if g.bracket(sq, 1 << j) != g.bracket(x, g.bracket(x, 1 << j)):
+                return False
+    return True
+
+
+def _sampled_check_super_axioms(s):
+    g = s.algebra
+    for (i, j), row in g.sc.items():
+        want = (s.parity[i] + s.parity[j]) % 2
+        for k in row:
+            if s.parity[k] != want:
+                return False, "parity breaks at [%d,%d] -> %d" % (i, j, k)
+    for i in s.odd_indices():
+        sq = s.closure.squaring[i]
+        for k in gf2.bits(sq):
+            if s.parity[k]:
+                return False, "square of odd %d is not even" % i
+        for j in range(g.dim):
+            if g.bracket(sq, 1 << j) != g.bracket(1 << i, g.bracket(1 << i, 1 << j)):
+                return False, "squaring axiom fails at (%d, %d)" % (i, j)
+    rng = random.Random(1)
+    odd = s.odd_indices()
+    for _ in range(32):
+        sel = [i for i in odd if rng.getrandbits(1)]
+        if not sel:
+            continue
+        x = gf2.from_bits(sel)
+        sq = s.closure.square_vector(x)
+        for j in range(g.dim):
+            if g.bracket(sq, 1 << j) != g.bracket(x, g.bracket(x, 1 << j)):
+                return False, "squaring axiom fails on an odd sum"
+    return True, ""
+
+
+FAMILIES = [(m, key) for m in (1, 2, 3) for key in seven_families(m)]
+
+
+def test_eighteen_families():
+    assert len(FAMILIES) == 18
+
+
+@pytest.mark.parametrize("m,key", FAMILIES)
+def test_super_axioms_match_sampled_check_on_the_families(m, key):
+    s = seven_families(m)[key]
+    assert s.check_super_axioms() == _sampled_check_super_axioms(s) == (True, "")
+    if key.startswith("KapS_{4"):  # the linear rule along the standard v
+        arf, eps = int(key[8]), int(key[-2])
+        v = superize._standard_v(m, arf, eps)
+        clo = s.closure
+        assert s.parity == [clo.B.pair(v, u) for u in clo.gamma] + [0] * clo.n
+        assert s.name == ("oo'_II(1|2)" if m == 1 else "KapS_{4,%d}(%d;%d)" % (arf, 2 * m, eps))
+
+
+CLOSURES = {"Kap2(2)": lambda: build_kap2(2), "Kap2(4)": lambda: build_kap2(4),
+            "Kap2(6)": lambda: build_kap2(6), "Kap4,0(4)": lambda: build_kap4A(4, 0),
+            "Kap4,1(4)": lambda: build_kap4A(4, 1), "Kap3(5)": lambda: build_kap3(5),
+            "Kap3(7)": lambda: build_kap3(7), "Kap1(4)": lambda: build_kap1(4),
+            "Kap1(6)": lambda: build_kap1(6)}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURES))
+def test_check_restricted_matches_sampled_check(name):
+    clo = restricted_closure(CLOSURES[name]())
+    assert clo.check_restricted() == _sampled_check_restricted(clo) == (not name.startswith("Kap1"))
+
+
+def test_kap1_closures_fail_the_basis_identity():
+    for n, first in ((4, [0, 1, 3, 6, 7]), (6, [0, 1, 3, 6, 7])):
+        clo = restricted_closure(build_kap1(n))
+        assert clo.algebra.validate().ok
+        bad = [i for i in range(clo.dim) if superize._squaring_failure(clo, [i])]
+        assert bad[:5] == first
+
+
+def test_super_axioms_match_sampled_check_on_kap1_superizations():
+    clo = restricted_closure(build_kap1(4))
+    for v in range(1, 16):
+        s = superize_linear(clo, v)
+        got = s.check_super_axioms()
+        assert got == _sampled_check_super_axioms(s)
+        assert not got[0]
+
+
+@pytest.mark.parametrize("m,key", [(1, "KapLS_2"), (2, "KapS_{2,0}"), (2, "KapS_{4,1}(;0)"),
+                                   (3, "KapS_{4,0}(;1)")])
+def test_flipped_squaring_bit_is_refused_by_both_checks(m, key):
+    s = seven_families(m)[key]
+    clo = s.closure
+    i = s.odd_indices()[-1]
+    clo.squaring[i] ^= 1 << clo.base.dim  # a V* coordinate: the square stays even
+    got = s.check_super_axioms()
+    assert got == _sampled_check_super_axioms(s)
+    assert got[1].startswith("squaring axiom fails at (%d, " % i)
+    assert clo.check_restricted() is _sampled_check_restricted(clo) is False
+
+
+def test_jacobi_only_break_is_refused_only_by_the_exact_check():
+    """KapS_{2,1}(2) has no odd part, so the sampled check only reads the
+    parity rules; [a1, a2] = a1 keeps them and the grading but breaks
+    Jacobi on (e10, a1, a2)."""
+    s = seven_families(1)["KapS_{2,1}"]
+    g = s.algebra
+    assert s.odd_dim == 0 and g.labels[3:] == ["a1", "a2"]
+    sc = dict(g.sc)
+    sc[(3, 4)] = {3: 1}
+    bad = Algebra(g.field, g.labels, sc, grading=g.grading, grading_mod=g.grading_mod)
+    s.algebra = s.closure.algebra = bad
+    assert _sampled_check_super_axioms(s) == (True, "")
+    assert s.check_super_axioms() == (False, "Jacobi fails at (0, 3, 4)")
+    assert not s.closure.check_restricted()
