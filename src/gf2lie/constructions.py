@@ -679,6 +679,8 @@ def build_kaplansky(family: str, n: int, arf: Optional[int] = None) -> Algebra:
 # ---------------------------------------------------------------------------
 
 def build_gl(n: int) -> Algebra:
+    if n < 1:
+        raise AlgebraError("a matrix algebra needs n >= 1, not %d" % n)
     labels = ["E%d%d" % (i + 1, j + 1) for i in range(n) for j in range(n)]
     idx = {(i, j): i * n + j for i in range(n) for j in range(n)}
     sc: Dict[Tuple[int, int], Dict[int, int]] = {}

@@ -265,15 +265,10 @@ class Algebra:
 
     def ad_rows(self, x: Vec) -> List[int]:
         """ad_x as a list of masks: row k = [x, e_k]; GF(2) only."""
-        T = self.pair_table()
-        n = self.dim
-        xb = list(gf2.bits(self.as_mask(x)))
-        rows = []
-        for k in range(n):
-            acc = 0
-            for i in xb:
-                acc ^= T[i * n + k]
-            rows.append(acc)
+        T, n = self.pair_table(), self.dim
+        rows = [0] * n
+        for i in gf2.bits(self.as_mask(x)):
+            rows = [r ^ t for r, t in zip(rows, T[i * n:i * n + n])]
         return rows
 
     # -- validation -------------------------------------------------------
@@ -281,12 +276,19 @@ class Algebra:
         """Alternation (structural, re-checked) + Jacobi on every triple
         i<j<k, reporting the first `max_report` failures in (i,j,k) order.
 
-        Over GF(2) only the triples where some double bracket can be
-        nonzero are evaluated, which is exact: [[e_a,e_b],e_c] != 0 needs
-        (a,b) in `sc` and [e_c,e_l] != 0 for some l in [e_a,e_b], i.e. c in
-        the pair's reach mask R[a*n+b].  Each such triple is evaluated
-        once, from the first of its pairs (i,j), (i,k), (j,k) that reaches
-        it, with the same three-term sum as a full sweep.
+        Over GF(2) Jacobi is first proven from a few basis vectors.  With an
+        alternating bracket the Jacobiator J(x,y,z) is trilinear and
+        symmetric, and J(x,.,.) = 0 says ad_x is a derivation.  So D = {x :
+        ad_x is a derivation} is a subspace, and for x, y in D, ad_[x,y] =
+        [ad_x, ad_y] is a derivation: D is a subalgebra.  `_jacobi_proof`
+        checks ad_s for basis vectors s, in a greedy order fixed by the
+        algebra (it affects speed only), until the span of those s closed
+        under their ad_s, inside D, is g.  Otherwise only the triples where
+        some double bracket can be nonzero are evaluated, which is exact:
+        [[e_a,e_b],e_c] != 0 needs (a,b) in `sc` and [e_c,e_l] != 0 for some
+        l in [e_a,e_b], i.e. c in the pair's reach mask R[a*n+b].  Each such
+        triple is evaluated once, from the first of its pairs (i,j), (i,k),
+        (j,k) that reaches it, with the same three-term sum as a full sweep.
         """
         rep = ValidationReport()
         if self.grading is not None:
@@ -311,6 +313,8 @@ class Algebra:
                     r |= nbr_mask[low.bit_length() - 1]
                     w ^= low
                 R[a * n + b] = r & ~((1 << a) | (1 << b))
+            if not rep.alternation_failures and _jacobi_proof(self, pairs, nbr_mask, R):
+                return rep
             fails = []
             for a, b in pairs:
                 w = R[a * n + b]
@@ -328,24 +332,7 @@ class Algebra:
                         if (R[c * n + a] >> b) & 1 or (R[c * n + b] >> a) & 1:
                             continue
                         i, j, k = c, a, b
-                    i_n, j_n = i * n, j * n
-                    acc = 0
-                    v = T[i_n + j]
-                    while v:
-                        lo = v & -v
-                        acc ^= T[(lo.bit_length() - 1) * n + k]
-                        v ^= lo
-                    v = T[j_n + k]
-                    while v:
-                        lo = v & -v
-                        acc ^= T[i_n + lo.bit_length() - 1]
-                        v ^= lo
-                    v = T[i_n + k]
-                    while v:
-                        lo = v & -v
-                        acc ^= T[j_n + lo.bit_length() - 1]
-                        v ^= lo
-                    if acc:
+                    if _jacobiator(T, n, i, j, k):
                         fails.append((i, j, k))
             # a full sweep stops once it holds max_report failures, and
             # always holds the first one it meets
@@ -433,6 +420,77 @@ class Algebra:
     def __repr__(self):
         nm = self.name or "algebra"
         return "<%s dim=%d over %r>" % (nm, self.dim, self.field)
+
+
+def _jacobiator(T: List[int], n: int, i: int, j: int, k: int) -> int:
+    """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_i,e_k],e_j] from the pair table T."""
+    i_n, j_n = i * n, j * n
+    acc = 0
+    v = T[i_n + j]
+    while v:
+        lo = v & -v
+        acc ^= T[(lo.bit_length() - 1) * n + k]
+        v ^= lo
+    v = T[j_n + k]
+    while v:
+        lo = v & -v
+        acc ^= T[i_n + lo.bit_length() - 1]
+        v ^= lo
+    v = T[i_n + k]
+    while v:
+        lo = v & -v
+        acc ^= T[j_n + lo.bit_length() - 1]
+        v ^= lo
+    return acc
+
+
+def _jacobi_proof(g: Algebra, pairs: List[Tuple[int, int]], nbr: List[int], R: List[int]) -> bool:
+    """True when Jacobi is proven on all of g from an ad-generating set S of
+    basis vectors (see `validate`); False when a check fails or the work
+    passes the sweep's reach count."""
+    n, T = g.dim, g.pair_table()
+    pre: Dict[int, List[Tuple[int, int]]] = {}  # l -> the pairs a<b with e_l in [e_a,e_b]
+    for p in pairs:
+        for l in gf2.bits(T[p[0] * n + p[1]]):
+            pre.setdefault(l, []).append(p)
+    budget, cost = 0, [0] * n  # the sweep's reach count; a bound on each s's triples
+    for a, b in pairs:
+        r = R[a * n + b].bit_count()
+        budget += r
+        cost[a] += r + len(pre.get(b, ()))
+        cost[b] += r + len(pre.get(a, ()))
+    if not budget:
+        return False
+    order = sorted(range(n), key=cost.__getitem__)
+    order.insert(0, order.pop())  # the costliest first, then ascending cost
+    V, vecs, ads, keep = gf2.Span(), [], [], -1  # ads: ad_t for t in S; keep: all but S
+    for s in order:
+        if V.dim == n or not V.reduce(1 << s):
+            continue
+        sn = s * n
+        keep ^= 1 << s  # J(s,t,c) = J(t,s,c) = 0 for t in S: skip the triples holding t
+        # b -> the c with J(s,b,c) possibly nonzero: c in the reach of {s,b}, or s in that of {b,c}
+        cm = {b: R[sn + b if s < b else b * n + s] for b in gf2.bits(nbr[s] & keep)}
+        for l in gf2.bits(nbr[s]):
+            for b, c in pre.get(l, ()):
+                cm[b] = cm.get(b, 0) | 1 << c
+        for b, m in cm.items():
+            m &= keep if keep >> b & 1 else 0
+            budget -= m.bit_count()
+            if budget < 0:
+                return False
+            for c in gf2.bits(m):  # a pair in both entries is taken from the lower one
+                if (c > b or not cm.get(c, 0) >> b & 1) and _jacobiator(T, n, s, b, c):
+                    return False
+        ads.append(g.ad_rows(1 << s))
+        # close V under ad_t, t in S: each bracket [e_t, v] is taken once
+        new = [1 << s] + [gf2.apply_rows(ads[-1], v) for v in vecs]
+        while new:
+            w = new.pop()
+            if V.add(w):
+                vecs.append(w)
+                new += [gf2.apply_rows(A, w) for A in ads]
+    return True
 
 
 class Subspace:

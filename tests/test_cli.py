@@ -169,6 +169,15 @@ def test_super_refuses_an_arf_outside_0_1(arf2, capsys):
     assert "the Arf invariant is 0 or 1, not %s" % arf2 in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("family", ["gl", "sl", "psl", "oI", "oPi"])
+@pytest.mark.parametrize("n", ["-2", "-1", "0"])
+def test_build_classical_refuses_n_below_1(family, n, capsys):
+    code, doc = run_cli(["build", "classical", "--family", family, "--n", n])
+    err = capsys.readouterr().err
+    assert code == 1 and doc is None
+    assert "a matrix algebra needs n >= 1, not %s" % n in err and "Traceback" not in err
+
+
 def test_super_subcommand():
     code, doc = run_cli(["super", "--base", "2", "--n", "4", "--mode", "nonlinear",
                          "--arf2", "0"])

@@ -1,12 +1,13 @@
+import itertools
 import random
 import re
 
 import pytest
 
-from gf2lie import gf2
-from gf2lie.constructions import (build_classical, build_hamiltonian, build_hI, build_jurman,
-                                  build_kap1, build_kap2, build_kap4A, build_kap4B, build_multipair,
-                                  build_poisson, build_tensor_example)
+from gf2lie import gf2, liealg
+from gf2lie.constructions import (build_classical, build_div_free_hI, build_hamiltonian, build_hI,
+                                  build_jurman, build_kap1, build_kap2, build_kap3, build_kap4A,
+                                  build_kap4B, build_multipair, build_poisson, build_tensor_example)
 from gf2lie.fields import GF2, GF2k
 from gf2lie.liealg import (Algebra, AlgebraError, LinearMap, Subspace, ValidationReport,
                            center, check_invariant_form, compute_h1_dim, derivation_dim,
@@ -72,10 +73,12 @@ def _dense_jacobi_failures(g, max_report):
     T = g.pair_table()
     fails = []
     for i in range(n):
-        Ti = T[i * n:]
+        Ti = T[i * n:i * n + n]
         for j in range(i + 1, n):
-            Tj = T[j * n:]
+            Tj = T[j * n:j * n + n]
             for k in range(j + 1, n):
+                if not (Ti[j] | Tj[k] | Ti[k]):
+                    continue  # all three inner brackets vanish
                 acc = 0
                 for l in gf2.bits(Ti[j]):
                     acc ^= T[l * n + k]
@@ -124,6 +127,171 @@ def test_validate_matches_dense_sweep(name):
             want.jacobi_failures = _dense_jacobi_failures(h, max_report)
             assert rep.jacobi_failures == want.jacobi_failures
             assert rep.summary() == want.summary()
+
+
+# ---------------------------------------------------------------------------
+# the proof of Jacobi from an ad-generating set, against the dense sweep
+# ---------------------------------------------------------------------------
+
+MUTATION_CORPUS = {
+    "j(2,1)": lambda: build_jurman(2, 1),
+    "Kap1(4)": lambda: build_kap1(4),
+    "h'_Pi(2;2,2)": lambda: build_hamiltonian(1, (2, 2), "derived"),
+    "h'_Pi(2;2,3)": lambda: build_hamiltonian(1, (2, 3), "derived"),
+    "o'_Pi(5)": lambda: build_classical("oPi", 5, "derived"),
+    "Kap3(5)": lambda: build_kap3(5),
+    "h_I(2;2,2)": lambda: build_hI(2, (2, 2)),
+    "Kap2(4)": lambda: build_kap2(4),
+    "Kap4,0(4)": lambda: build_kap4A(4, 0),
+    "lh_I(4;1_s)'": lambda: build_div_free_hI(4, (1, 1, 1, 1), "derived"),
+    "po(1;1,1)": lambda: build_poisson(1, (1, 1)),
+    "po(1;2,2)": lambda: build_poisson(1, (2, 2)),
+}
+
+
+def _flipped(g, rng):
+    """g with one or two structure-constant bits flipped, ungraded."""
+    n = g.dim
+    sc = {pr: dict(row) for pr, row in g.sc.items()}
+    for _ in range(rng.randint(1, 2)):
+        pr = rng.choice(sorted(g.sc)) if rng.random() < 0.8 else tuple(sorted(rng.sample(range(n), 2)))
+        row = sc.setdefault(pr, {})
+        k = rng.randrange(n)
+        if row.pop(k, None) is None:
+            row[k] = 1
+    return Algebra(GF2, g.labels, sc, name="flipped")
+
+
+def _assert_matches_dense(h):
+    dense = _dense_jacobi_failures(h, 5)  # at max_report 1 the sweep stops at its first failure
+    for max_report in (1, 5):
+        rep = h.validate(max_report=max_report)
+        want = ValidationReport()
+        want.jacobi_failures = dense[:max_report]
+        assert rep.jacobi_failures == want.jacobi_failures
+        assert rep.summary() == want.summary()
+
+
+@pytest.mark.parametrize("name", sorted(MUTATION_CORPUS))
+def test_validate_matches_dense_sweep_on_flipped_bits(name):
+    g = MUTATION_CORPUS[name]()
+    rng = random.Random(sum(map(ord, name)))
+    cases = [_flipped(g, rng) for _ in range(100)]
+    assert sum(not h.validate().ok for h in cases) > 50
+    for h in [g] + cases:
+        _assert_matches_dense(h)
+
+
+def test_validate_matches_dense_sweep_on_random_tables(monkeypatch):
+    # small tables, where a failure can hide in the [[e_b,e_c],e_s] term alone
+    verdicts, _ = _proof_verdicts(monkeypatch)
+    rng = random.Random(31)
+    for n in range(3, 9):
+        for density in (0.05, 0.1, 0.2):
+            for _ in range(30):
+                _assert_matches_dense(_random_alternating(n, density, rng))
+    assert verdicts.count(True) >= 8 and verdicts.count(False) > 500
+
+
+def _proof_verdicts(monkeypatch):
+    """Record every _jacobi_proof call: its verdict, and the basis vectors s
+    whose ad_s it checked, in order.  Returns the two lists."""
+    verdicts, checked = [], []
+    proof, jacobiator = liealg._jacobi_proof, liealg._jacobiator
+
+    def spy(T, n, s, b, c):
+        if s not in checked[-1]:
+            checked[-1].append(s)
+        return jacobiator(T, n, s, b, c)
+
+    def run(*args):
+        checked.append([])
+        monkeypatch.setattr(liealg, "_jacobiator", spy)
+        try:
+            verdicts.append(proof(*args))
+        finally:
+            monkeypatch.setattr(liealg, "_jacobiator", jacobiator)
+        return verdicts[-1]
+
+    monkeypatch.setattr(liealg, "_jacobi_proof", run)
+    return verdicts, checked
+
+
+def _heisenberg(m):
+    labels = ["x%d" % i for i in range(m)] + ["y%d" % i for i in range(m)] + ["z"]
+    return Algebra(GF2, labels, {(i, m + i): {2 * m: 1} for i in range(m)}, name="heis")
+
+
+def _abelian(n):
+    return Algebra(GF2, ["a%d" % i for i in range(n)], {}, name="abelian")
+
+
+@pytest.mark.parametrize("g", [_abelian(200), _heisenberg(100)], ids=["abelian(200)", "heisenberg(201)"])
+def test_validate_without_double_brackets_skips_the_proof(g, monkeypatch):
+    verdicts, _ = _proof_verdicts(monkeypatch)
+    _assert_matches_dense(g)
+    assert g.validate().ok and verdicts == [False] * 3
+
+
+def test_validate_proves_a_sum_with_an_abelian_summand(monkeypatch):
+    # each of the 20 abelian basis vectors must join S
+    g = direct_sum(build_multipair("Pi", PAIRS, "derived_mod_center"), _abelian(20))
+    verdicts, _ = _proof_verdicts(monkeypatch)
+    _assert_matches_dense(g)
+    assert g.validate().ok and verdicts == [True] * 3
+
+
+def test_validate_hands_a_later_failing_generator_to_the_sweep(monkeypatch):
+    # j(2,1) plus the po(1;1,1) bracket with [p, pq] = q: ad_s passes for the
+    # first generator, in j(2,1), and fails for one in the broken summand
+    po = build_poisson(1, (1, 1))
+    sc = {k: dict(v) for k, v in po.sc.items()}
+    sc[tuple(sorted((po.labels.index("p"), po.labels.index("p*q"))))] = {po.labels.index("q"): 1}
+    g = direct_sum(build_jurman(2, 1), Algebra(GF2, po.labels, sc))
+    verdicts, checked = _proof_verdicts(monkeypatch)
+    assert not g.validate().ok
+    assert verdicts == [False] and checked[0][0] < 14 <= checked[0][-1]
+    _assert_matches_dense(g)
+
+
+def _generic_jacobi_failures(g):
+    """Every triple i<j<k whose Jacobiator, summed with Algebra.bracket over
+    g's field, is nonzero."""
+    f, e = g.field, [g.unit(i) for i in range(g.dim)]
+    fails = []
+    for i, j, k in itertools.combinations(range(g.dim), 3):
+        acc = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, v in g.bracket(g.bracket(e[a], e[b]), e[c]).items():
+                acc[m] = f.add(acc.get(m, 0), v)
+        if any(acc.values()):
+            fails.append((i, j, k))
+    return fails
+
+
+def test_validate_over_gf4_never_runs_the_proof(monkeypatch):
+    verdicts, _ = _proof_verdicts(monkeypatch)
+    po = build_poisson(1, (2, 2))
+    # all structure constants times 3 in GF(4): still Lie; then one entry set to 2
+    lifted = Algebra(GF2k(2), po.labels, {key: dict.fromkeys(row, 3) for key, row in po.sc.items()})
+    sc = {key: dict(row) for key, row in lifted.sc.items()}
+    key = sorted(sc)[len(sc) // 2]
+    sc[key][max(sc[key])] = 2
+    broken = Algebra(GF2k(2), po.labels, sc)
+    assert lifted.validate().ok and not broken.validate().ok
+    for g in (lifted, broken):
+        want = _generic_jacobi_failures(g)
+        for max_report in (1, 5):
+            assert g.validate(max_report).jacobi_failures == want[:max_report]
+    assert verdicts == []
+
+
+@pytest.mark.parametrize("name", ["a_Pi(4;(2,1),(2,1))", "a_Pi(4;(2,1),(2,1))'/c",
+                                  "a_I(4;(2,1),(2,1))'/c", "j(2,1)", "Kap1(4)"])
+def test_the_proof_accepts_the_structure_sweep_algebras(name, monkeypatch):
+    g = CENTER_CASES[name]()
+    verdicts, _ = _proof_verdicts(monkeypatch)
+    assert g.validate().ok and verdicts == [True]
 
 
 def test_tensor_example_validates():
