@@ -16,7 +16,7 @@ from . import gf2
 from .cohomology import (Block, C3Index, Cochain2, Triple, coboundary_block, combine, compute_h2,
                          cyclic_compose, d2, is_coboundary)
 from .constructions import build_hamiltonian, build_jurman, build_kap2, build_kap4B, pq_names
-from .divpow import monomials, mono_mul
+from .divpow import check_shearing, monomials, mono_mul
 from .fields import GF2, GF2k, Scalar
 from .grading import cochain_weight
 from .isom import search_isomorphism
@@ -657,7 +657,9 @@ def poisson_family(m_pairs: int, N: Sequence[int], alpha: Scalar) -> Algebra:
     reindexed tensor-product bracket.
     """
     field = alpha.field
-    N = tuple(N)
+    N = check_shearing(N)
+    if len(N) != 2 * m_pairs:
+        raise AlgebraError("need one shearing entry per variable")
     monos = monomials(N)
     index = {m: t for t, m in enumerate(monos)}
     names = pq_names(m_pairs)

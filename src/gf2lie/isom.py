@@ -12,11 +12,12 @@ derivation space), never on grading data.
 
 from __future__ import annotations
 
-from itertools import product as _cartesian
+from functools import cached_property
+from itertools import combinations, product as _cartesian
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import gf2
-from .liealg import (Algebra, LinearMap, center, derivation_dim,
+from .liealg import (Algebra, AlgebraError, LinearMap, ad_walk, center, derivation_dim,
                      derived_series_dims, lower_central_dims, verify_morphism)
 
 
@@ -48,6 +49,8 @@ def fingerprint(g: Algebra, with_derivations: bool = True) -> dict:
 
 def search_isomorphism(a: Algebra, b: Algebra, budget: int = 200_000,
                        rng_seed: int = 0) -> IsoResult:
+    if budget < 1:
+        raise AlgebraError("search budget must be at least 1, got %d" % budget)
     if a.dim != b.dim:
         return IsoResult("distinguished", reason="dim %d != %d" % (a.dim, b.dim))
     fa, fb = fingerprint(a), fingerprint(b)
@@ -151,6 +154,7 @@ class GenWords:
     def generates(self) -> bool:
         return self.span.dim == self.g.dim
 
+    @cached_property
     def basis_coords(self) -> Optional[List[int]]:
         """For each unit e_i of the source, its combination over self.vecs."""
         span = gf2.TaggedSpan(self.g.dim)
@@ -185,32 +189,14 @@ def find_generators(g: Algebra, candidates: Optional[Sequence[int]] = None,
     """A small generating set among the given vectors (default: basis)."""
     cand = list(candidates) if candidates is not None else [1 << i for i in range(g.dim)]
     for size in range(1, max_size + 1):
-        idxs = list(range(len(cand)))
-        for combo in _combos(idxs, size):
-            gens = [cand[t] for t in combo]
-            gw = GenWords(g, gens)
-            if gw.generates:
-                return gens
+        for gens in combinations(cand, size):
+            if GenWords(g, gens).generates:
+                return list(gens)
     return None
 
 
-def _combos(idxs, size):
-    if size == 1:
-        for i in idxs:
-            yield (i,)
-    elif size == 2:
-        for ai in range(len(idxs)):
-            for bi in range(ai + 1, len(idxs)):
-                yield (idxs[ai], idxs[bi])
-    else:
-        for ai in range(len(idxs)):
-            for bi in range(ai + 1, len(idxs)):
-                for ci in range(bi + 1, len(idxs)):
-                    yield (idxs[ai], idxs[bi], idxs[ci])
-
-
 def _finish_map(a: Algebra, b: Algebra, gw: GenWords, word_images: List[int]) -> Optional[LinearMap]:
-    coords = gw.basis_coords()
+    coords = gw.basis_coords
     if coords is None:
         return None
     images = [gf2.apply_rows(word_images, c) for c in coords]
@@ -308,11 +294,20 @@ def _try_zgraded_engine(a: Algebra, b: Algebra, budget: int) -> Optional[IsoResu
 # E3: generic search with ad-rank pruning
 # ---------------------------------------------------------------------------
 
-def _ad_invariant(g: Algebra, v: int) -> Tuple[int, int]:
-    rows = g.ad_rows(v)
-    r1 = gf2.rank(rows)
-    rows2 = gf2.compose(rows, rows)
-    return r1, gf2.rank(rows2)
+def _ad_invariant(rows: List[int]) -> Tuple[int, int]:
+    """(rank ad v, rank ad v^2) from the rows of ad v."""
+    return gf2.rank(rows), gf2.rank(gf2.compose(rows, rows))
+
+
+def _ad_classes(g: Algebra) -> Dict[Tuple[int, int], List[int]]:
+    """Every nonzero vector of g, ascending, keyed by its `_ad_invariant`."""
+    n = g.dim
+    mask = (1 << n) - 1
+    by_inv: Dict[Tuple[int, int], List[int]] = {}
+    for v, ad in ad_walk(g):
+        rows = [(ad >> s) & mask for s in range(0, n * n, n)]
+        by_inv.setdefault(_ad_invariant(rows), []).append(v)
+    return by_inv
 
 
 def _generic_engine(a: Algebra, b: Algebra, budget: int) -> IsoResult:
@@ -328,11 +323,8 @@ def _generic_engine(a: Algebra, b: Algebra, budget: int) -> IsoResult:
                                max_size=3)
         if gens is None:
             return IsoResult("exhausted", reason="no small generating set", engine="generic")
-    inv_gens = [_ad_invariant(a, v) for v in gens]
-    # classify all nonzero vectors of b by the same invariant
-    by_inv: Dict[Tuple[int, int], List[int]] = {}
-    for v in range(1, 1 << n):
-        by_inv.setdefault(_ad_invariant(b, v), []).append(v)
+    inv_gens = [_ad_invariant(a.ad_rows(v)) for v in gens]
+    by_inv = _ad_classes(b)
     cand_lists = [by_inv.get(inv, []) for inv in inv_gens]
     if any(not c for c in cand_lists):
         return IsoResult("exhausted", reason="no candidates share generator invariants",

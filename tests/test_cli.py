@@ -130,11 +130,35 @@ def test_iso_subcommand(tmp_path):
     assert code == 0 and doc["verdict"] == "iso"
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_iso_refuses_a_budget_below_1(tmp_path, budget, capsys):
+    a = str(tmp_path / "j21.json")
+    run_cli(["build", "jurman", "--g", "2", "--h", "1", "--out", a])
+    capsys.readouterr()
+    code, doc = run_cli(["iso", "--algebra", a, "--other", a, "--budget", budget])
+    err = capsys.readouterr().err
+    assert code == 1 and doc is None
+    assert "search budget must be at least 1, got %s" % budget in err and "Traceback" not in err
+
+
 def test_deform_jurman_subcommand():
     code, doc = run_cli(["deform", "jurman", "--g", "2", "--h", "1"])
     assert code == 0
     assert doc["isomorphic_to_jurman"] is True
     assert doc["cocycle_weight"] == [4, -2]
+
+
+@pytest.mark.parametrize("N", ["2", "2,2,2", "1,1,1"])
+def test_poisson_family_refuses_an_unpaired_variable(N, capsys):
+    code, doc = run_cli(["deform", "poisson-family", "--N", N])
+    err = capsys.readouterr().err
+    assert code == 1 and doc is None
+    assert "need one shearing entry per variable" in err and "Traceback" not in err
+
+
+def test_poisson_family_subcommand():
+    code, doc = run_cli(["deform", "poisson-family", "--N", "1,1", "--alpha", "1"])
+    assert code == 0 and doc["dim"] == 4 and doc["validated"] is True
 
 
 def test_closure_subcommand():

@@ -556,6 +556,144 @@ def test_simplicity_check_matches_full_spins_on_random_tables():
     assert kinds == {"simple", "probable-simple", "ideal-witness"}
 
 
+# ---------------------------------------------------------------------------
+# the per-j bit loop spin and the spin-every-seed exhaustive walk, kept as
+# oracles for the ad_rows spin and the seeds settled on the ad walk
+# ---------------------------------------------------------------------------
+
+def _bit_loop_spin(g, seed, settled):
+    if seed in settled:
+        return None
+    s = Subspace(g)
+    s.add(seed)
+    queue = [seed]
+    n = g.dim
+    T = g.pair_table()
+    while queue:
+        v = queue.pop()
+        vb = list(gf2.bits(v))
+        for j in range(n):
+            acc = 0
+            for i in vb:
+                acc ^= T[i * n + j]
+            if acc:
+                if acc in settled:
+                    return None
+                if s.add(acc):
+                    queue.append(acc)
+                    if s.dim == n:
+                        return s
+    return s
+
+
+def _bit_loop_exhaustive(g):
+    n = g.dim
+    for seed in range(1, 1 << n):
+        sp = _bit_loop_spin(g, seed, range(1, seed))
+        if sp is not None and sp.dim < n:
+            return "ideal-witness", seed, sp.rows()
+    return "simple", (1 << n) - 1, None
+
+
+def _change_basis(g, cols):
+    """g in the basis e'_i = cols[i] (masks in the old coordinates)."""
+    back = gf2.invert(cols, g.dim)
+    sc = {}
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            w = gf2.apply_rows(back, g.bracket(cols[i], cols[j]))
+            if w:
+                sc[(i, j)] = {k: 1 for k in gf2.bits(w)}
+    return Algebra(GF2, g.labels, sc, name=g.name + "'")
+
+
+def _random_basis(n, rng):
+    while True:
+        cols = [rng.getrandbits(n) for _ in range(n)]
+        if gf2.rank(cols) == n:
+            return cols
+
+
+def _central_on_top(n, rng):
+    """A dense table with a central z whose spin is the only proper ideal,
+    put in a basis where z = e_{n-1} + e_0: its first witness seed is
+    2^(n-1) + 1."""
+    body = _random_alternating(n - 1, 0.5, rng)
+    sc = {pr: dict(row) for pr, row in body.sc.items()}
+    for pr in sc:
+        if rng.random() < 0.5:
+            sc[pr][n - 1] = 1  # the z-component of [e_i, e_j]
+    g = Algebra(GF2, ["e%d" % i for i in range(n)], sc)
+    # e'_{n-1} = z + e_0 and the rest unchanged, so z = e'_{n-1} + e'_0
+    z = 1 << (n - 1)
+    return _change_basis(g, [1 << i for i in range(n - 1)] + [z | 1])
+
+
+def _spin_corpus():
+    rng = random.Random(15)
+    cases = []
+    for n in range(10, 15):
+        for density in (0.02, 0.05, 0.1):
+            cases.append(_random_alternating(n, density, rng))
+        a = _random_alternating(n // 2, 0.4, rng)
+        b = _random_alternating(n - n // 2, 0.4, rng)
+        cases.append(_change_basis(direct_sum(a, b), _random_basis(n, rng)))
+        cases.append(_central_on_top(n, rng))
+    return cases
+
+
+def test_ad_walk_matches_ad_rows():
+    for g in [build_jurman(2, 1), build_kap4A(4, 0)] + _spin_corpus()[:3]:
+        n = g.dim
+        walk = list(liealg.ad_walk(g))
+        assert [v for v, _ in walk] == list(range(1, 1 << n))
+        for v, ad in walk:
+            assert ad == sum(r << (j * n) for j, r in enumerate(g.ad_rows(v))), (g.name, v)
+
+
+def test_exhaustive_simplicity_matches_the_bit_loop_walk():
+    tops = []
+    kinds = set()
+    for g in _spin_corpus():
+        want = _bit_loop_exhaustive(g)
+        assert _verdict_rows(simplicity_check(g)) == want, (g.dim, g.sc)
+        kinds.add(want[0])
+        if want[0] == "ideal-witness" and want[1] > 1 << (g.dim - 1):
+            tops.append(want[1])
+    assert kinds == {"simple", "ideal-witness"}
+    assert len(tops) >= 5
+
+
+def test_exhaustive_walk_spins_only_the_unsettled_seeds(monkeypatch):
+    spun = []
+    spin = liealg._spin
+
+    def recording(g, seed, settled):
+        spun.append(seed)
+        return spin(g, seed, settled)
+
+    monkeypatch.setattr(liealg, "_spin", recording)
+    for g in [build_jurman(2, 1), build_kap1(4)] + _spin_corpus()[-4:]:
+        spun.clear()
+        v = simplicity_check(g)
+        want = [seed for seed in range(1, v.seeds_tried + 1)
+                if not any(0 < w < seed for w in g.ad_rows(seed))]
+        assert spun == want and spun[0] == 1
+
+
+def test_ad_rows_spin_matches_the_bit_loop_spin():
+    rng = random.Random(7)
+    for g in _spin_corpus():
+        n = g.dim
+        for _ in range(20):
+            seed = rng.getrandbits(n) or 1
+            settled = set(rng.getrandbits(n) for _ in range(rng.choice((0, 3, 30))))
+            got, want = liealg._spin(g, seed, settled), _bit_loop_spin(g, seed, settled)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.span.rows == want.span.rows
+
+
 def test_verify_morphism_identity_and_zero():
     j = build_jurman(2, 1)
     ident = LinearMap(j, j, [1 << i for i in range(j.dim)])
@@ -631,6 +769,17 @@ def test_derivations_match_dense_equations(name):
     for h in [g] + [_perturbed(g, rng) for _ in range(3)]:
         assert derivation_equations(h) == _dense_derivation_equations(h)
         assert derivations(h) == _dense_derivations(h)
+
+
+def test_derivation_dim_is_the_kernel_dimension():
+    cases = list(DERIVATION_ORACLE_ALGEBRAS.values()) + [
+        build_kap4A(2, 1), build_kap4A(4, 0), build_kap4A(4, 1), build_kap3(5), build_kap2(4),
+        build_kap4B(2), build_poisson(1, (1, 1)), build_div_free_hI(4, (1, 1, 1, 1), "derived"),
+        Algebra(GF2, ["a", "b"], {})]
+    rng = random.Random(884)
+    for g in cases:
+        for h in [g, _perturbed(g, rng)]:
+            assert derivation_dim(h) == len(derivations(h)), h.name
 
 
 def test_compute_h1_dim():
