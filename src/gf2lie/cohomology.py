@@ -476,7 +476,7 @@ def _printed_solutions(g: Algebra, printed: Cochain2, constraints: Sequence[Cons
         return h2, gens, None, []
     cols = gf2.transpose([h2.block.encode(c) for c in gens], len(h2.block.coords))
     rows = [cols[p] for p in gf2.bits(target)]
-    return h2, gens, gf2.solve(rows, [1] * len(rows), len(gens)), gf2.kernel(rows, len(gens))
+    return h2, gens, gf2.solve(rows, [1] * len(rows)), gf2.kernel(rows, len(gens))
 
 
 def block_consistent_representative(g: Algebra, printed: Cochain2,

@@ -15,13 +15,14 @@ from itertools import combinations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import gf2
-from .divpow import (check_shearing, mono_mul, mono_offsets, mono_pack, mono_text,
-                     mono_unpack, monomials, packed_mul)
+from .divpow import check_shearing, mono_offsets, mono_pack, mono_text, monomials
 from .fields import GF2, Scalar
 from .liealg import (Algebra, AlgebraError, LinearMap, Subspace, center,
                      derived_subalgebra, quotient, subalgebra_on)
 
 Mono = Tuple[int, ...]
+# (left, right) operator images of a monomial, packed; see function_algebra
+Images = Tuple[List[Optional[int]], List[Optional[int]]]
 
 
 # ---------------------------------------------------------------------------
@@ -163,62 +164,78 @@ def jsystem_algebra(spec: JSystemSpec, name: str) -> Algebra:
 # function-space algebras
 # ---------------------------------------------------------------------------
 
-def function_algebra(names: Sequence[str], N: Sequence[int],
-                     brmono: Callable[[Mono, Mono], Dict[int, int]],
+def function_algebra(names: Sequence[str], N: Sequence[int], images: Callable[[Mono], Images],
                      mod_out: Optional[Callable[[Mono], bool]] = None,
                      name: str = "",
                      grading: Optional[Callable[[Mono], Tuple[int, ...]]] = None,
                      grading_mod: Optional[Tuple[int, ...]] = None) -> Algebra:
-    """Algebra on the monomials of O[m;N] with a given bracket-on-monomials.
+    """Algebra on the monomials of O[m;N] with [a, b] = sum over t of
+    left_t(a) right_t(b), where images(mono) = (left, right) lists packed
+    monomials (divpow.mono_pack), None where an operator kills mono.
 
-    brmono(a, b) returns {packed monomial (divpow.mono_pack): coefficient};
-    the basis index is keyed by packed monomial.  mod_out marks monomial
-    coordinates that are quotiented to zero (e.g. constants); bracket
-    values there are dropped.
+    A packed product u v is u | v when u & v == 0 and zero otherwise
+    (divpow.packed_mul), so term t of [a, b] is nonzero exactly when
+    right_t(b) is a submask of the bits that u = left_t(a) leaves free.
+    Each right image is indexed once, and only those pairs are visited;
+    terms cancel in the order t, as the sum is written.  mod_out marks
+    monomial coordinates that are quotiented to zero (e.g. constants);
+    bracket values there are dropped.
     """
     N = check_shearing(N)
+    full = (1 << sum(N)) - 1
     basis = [m for m in monomials(N) if not (mod_out and mod_out(m))]
-    index = {mono_pack(m, N): i for i, m in enumerate(basis)}
+    pos: List[Optional[int]] = [None] * (full + 1)  # packed monomial -> basis index, or None
+    for i, m in enumerate(basis):
+        pos[mono_pack(m, N)] = i
+    ims = [images(m) for m in basis]
+    R: List[Dict[int, List[int]]] = [{} for _ in ims[0][0]]  # R[t][v]: the b with right_t(b) = v
+    for b, (left, right) in enumerate(ims):
+        if not len(left) == len(right) == len(R) or any(
+                x is not None and not 0 <= x <= full for x in left + right):
+            raise AlgebraError("bracket leaves the basis at an image of %r" % (basis[b],))
+        for t, v in enumerate(right):
+            if v is not None:
+                R[t].setdefault(v, []).append(b)
     sc: Dict[Tuple[int, int], Dict[int, int]] = {}
-    for a, ma in enumerate(basis):
-        for b in range(a + 1, len(basis)):
-            out = brmono(ma, basis[b])
-            if not out:
+    for a, (left, _) in enumerate(ims):
+        rows: Dict[int, Dict[int, int]] = {}  # b -> the row [a, b] so far
+        for u, Rt in zip(left, R):
+            if u is None:
                 continue
-            row: Dict[int, int] = {}
-            for p, c in out.items():
-                if c & 1:
-                    k = index.get(p)
-                    if k is not None:
-                        row[k] = 1
-                    elif not (mod_out and mod_out(mono_unpack(p, N))):
-                        raise AlgebraError("bracket leaves the basis at %r" % (mono_unpack(p, N),))
-            if row:
-                sc[(a, b)] = row
+            free = s = full ^ u
+            while True:  # every submask s of free, free first and 0 last
+                bs = Rt.get(s)
+                k = pos[u | s]
+                if bs is not None and k is not None:
+                    for b in bs:
+                        if b > a:
+                            row = rows.setdefault(b, {})
+                            if k in row:
+                                del row[k]
+                            else:
+                                row[k] = 1
+                if not s:
+                    break
+                s = (s - 1) & free
+        for b in sorted(rows):
+            if rows[b]:
+                sc[(a, b)] = rows[b]
     labels = [mono_text(m, names) for m in basis]
     gr = [grading(m) for m in basis] if grading else None
     return Algebra.from_gf2_rows(labels, sc, grading=gr, grading_mod=grading_mod, name=name,
                                  meta={"vars": tuple(names), "N": N, "mono_degrees": basis})
 
 
-def _partials_brmono(terms: Sequence[Tuple[int, int]], N) -> Callable[[Mono, Mono], Dict[int, int]]:
-    """[f,g] = sum over (u, v) in terms of d_u f d_v g, in that order."""
-    def br(a: Mono, b: Mono) -> Dict[int, int]:
-        out: Dict[int, int] = {}
-        for (u, v) in terms:
-            if a[u] == 0 or b[v] == 0:
-                continue
-            da = a[:u] + (a[u] - 1,) + a[u + 1:]
-            db = b[:v] + (b[v] - 1,) + b[v + 1:]
-            c, mono = mono_mul(da, db, N)
-            if c:
-                w = mono_pack(mono, N)
-                if w in out:
-                    del out[w]
-                else:
-                    out[w] = 1
-        return out
-    return br
+def _partials_images(terms: Sequence[Tuple[int, int]], N) -> Callable[[Mono], Images]:
+    """[f,g] = sum over (u, v) in terms of d_u f d_v g, in that order: d_u
+    on the left, d_v on the right, d_u taking packed p to p - (1 << offs[u])."""
+    offs = mono_offsets(N)
+
+    def images(mono: Mono) -> Images:
+        p = mono_pack(mono, N)
+        d = [p - (1 << o) if e else None for e, o in zip(mono, offs)]
+        return [d[u] for u, _ in terms], [d[v] for _, v in terms]
+    return images
 
 
 def pq_names(m: int) -> List[str]:
@@ -248,7 +265,7 @@ def build_poisson(m_pairs: int, N: Sequence[int], name: str = "") -> Algebra:
     else:
         grading = lambda mono: (sum(mono) - 2,)
         gr_mod = (0,)
-    return function_algebra(names, N, _partials_brmono(terms, N), name=name or "po_Pi(%d;%s)" % (2 * m_pairs, list(N)),
+    return function_algebra(names, N, _partials_images(terms, N), name=name or "po_Pi(%d;%s)" % (2 * m_pairs, list(N)),
                             grading=grading, grading_mod=gr_mod)
 
 
@@ -274,7 +291,7 @@ def build_hI(nvars: int, N: Sequence[int], variant: str = "full") -> Algebra:
     if len(N) != nvars:
         raise AlgebraError("need one shearing entry per variable")
     names = ["x%d" % (i + 1) for i in range(nvars)] if nvars != 2 else ["p", "q"]
-    g = function_algebra(names, N, _partials_brmono([(i, i) for i in range(nvars)], N),
+    g = function_algebra(names, N, _partials_images([(i, i) for i in range(nvars)], N),
                          mod_out=is_constant_mono, name="h_I(%d;%s)" % (nvars, list(N)),
                          grading=lambda mono: tuple(e % 2 for e in mono),
                          grading_mod=tuple(2 for _ in range(nvars)))
@@ -380,23 +397,18 @@ def build_jurman(g: int, h: int) -> Algebra:
 # the two-derivation generalizations a(2;g,h), multipair versions
 # ---------------------------------------------------------------------------
 
-def _a_brmono(pairs: Sequence[Tuple[int, int, int]], N, kind: str) -> Callable:
-    """Bracket for a_Pi/a_I-type algebras.
+def _a_images(pairs: Sequence[Tuple[int, int, int]], N, kind: str) -> Callable[[Mono], Images]:
+    """Operator images for a_Pi/a_I-type algebras.
 
     pairs lists (x index, y index, g) per pair of indeterminates; the
     twisted derivation is E = d_y + y d_x^(2^g).
     kind 'Pi': [u,v] = sum d_x u * E v + E u * d_x v
     kind 'I' : [u,v] = sum d_x u * d_x v + E u * E v
-
-    Each monomial's d_x and E images are packed monomials (divpow.mono_pack),
-    computed once per build, so a product is one AND and one OR; terms
-    cancel in the returned dict, keyed by packed ints, in the order the
-    sums above list them.
     """
     offs = mono_offsets(N)
     pi = kind == "Pi"
 
-    def images(mono: Mono) -> Tuple[List[Optional[int]], List[Optional[int]]]:
+    def images(mono: Mono) -> Images:
         # the factors of the sums above, pair by pair: (d_x u, E u) on the
         # left, (E v, d_x v) ('Pi') or (d_x v, E v) ('I') on the right; None
         # where the operator kills the monomial.  N(y) = 1, so E u is d_y u
@@ -416,24 +428,7 @@ def _a_brmono(pairs: Sequence[Tuple[int, int, int]], N, kind: str) -> Callable:
             left += (d, e)
             right += (e, d) if pi else (d, e)
         return left, right
-
-    # every int below 2^(sum N) packs a monomial
-    ops = {mono: images(mono) for mono in (mono_unpack(p, N) for p in range(1 << sum(N)))}
-
-    def br(a: Mono, b: Mono) -> Dict[int, int]:
-        out: Dict[int, int] = {}
-        for u, v in zip(ops[a][0], ops[b][1]):
-            if u is None or v is None:
-                continue
-            c, w = packed_mul(u, v)
-            if not c:
-                continue
-            if w in out:
-                del out[w]
-            else:
-                out[w] = 1
-        return out
-    return br
+    return images
 
 
 def build_a2gh(g: int, h: int, variant: str = "full") -> Algebra:
@@ -484,7 +479,7 @@ def build_multipair(kind: str, pairs: Sequence[Tuple[int, int]], variant: str = 
         grading = None
         gr_mod = None
     alg = function_algebra(
-        names, N, _a_brmono(trip, N, kind),
+        names, N, _a_images(trip, N, kind),
         mod_out=is_constant_mono if kind == "I" else None,
         name="a_%s(%d;%s)" % (kind, 2 * len(pairs), ",".join(map(str, pairs))),
         grading=grading, grading_mod=gr_mod)
@@ -570,55 +565,39 @@ def build_kap4B(twom: int, coords: str = "p") -> Algebra:
         raise AlgebraError("Kap_4 needs an even dimension 2m >= 2")
     m = twom // 2
     N = tuple(1 for _ in range(twom))
-
-    def br_p(a: Mono, b: Mono) -> Dict[int, int]:
-        out: Dict[Mono, int] = {}
-        for t in range(m):
-            pi, qi = 2 * t, 2 * t + 1
-            for (u, v) in ((pi, qi), (qi, pi)):
-                if a[u] == 0 or b[v] == 0:
-                    continue
-                da = a[:u] + (a[u] - 1,) + a[u + 1:]
-                db = b[:v] + (b[v] - 1,) + b[v + 1:]
-                c, mono = mono_mul(da, db, N)
-                if not c:
-                    continue
-                # multiply by (1+p_i)(1+q_i): four shifts, out-of-range drop
-                for dp in (0, 1):
-                    for dq in (0, 1):
-                        if mono[pi] + dp > 1 or mono[qi] + dq > 1:
-                            continue
-                        mono2 = list(mono)
-                        mono2[pi] += dp
-                        mono2[qi] += dq
-                        key = tuple(mono2)
-                        out[key] = out.get(key, 0) ^ 1
-                        if not out[key]:
-                            del out[key]
-        return {mono_pack(m, N): c for m, c in out.items()}
-
-    def br_x(a: Mono, b: Mono) -> Dict[int, int]:
-        # x_i^2 = 1, so products xor exponents; the derivative drops e_u, e_v
-        # and the x_i y_i factor restores exactly those bits: each term lands
-        # on the monomial a xor b, with the symplectic pairing as coefficient
-        out: Dict[Mono, int] = {}
-        key = tuple(ea ^ eb for ea, eb in zip(a, b))
-        for t in range(m):
-            xi, yi = 2 * t, 2 * t + 1
-            for (u, v) in ((xi, yi), (yi, xi)):
-                if a[u] == 0 or b[v] == 0:
-                    continue
-                out[key] = out.get(key, 0) ^ 1
-                if not out[key]:
-                    del out[key]
-        return {mono_pack(m, N): c for m, c in out.items()}
-
     if coords == "x":
+        # x_i^2 = 1, so products xor exponents; the derivative drops e_u, e_v
+        # and the x_i y_i factor restores exactly those bits: [a, b] is the
+        # monomial a xor b, times the symplectic pairing of a and b
         names = [nm.replace("p", "x").replace("q", "y") for nm in pq_names(m)]
-        g = function_algebra(names, N, br_x, name="Kap4,B(%d)" % twom,
-                             grading=lambda mono: mono, grading_mod=tuple(2 for _ in range(twom)))
+        basis = monomials(N)
+        packed = [mono_pack(mono, N) for mono in basis]
+        index = {u: i for i, u in enumerate(packed)}
+        xs = sum(1 << (2 * t) for t in range(m))  # the x_i bits
+        sc: Dict[Tuple[int, int], Dict[int, int]] = {}
+        for a, u in enumerate(packed):
+            w = (u & xs) << 1 | (u >> 1) & xs  # u with x_i and y_i swapped
+            for b in range(a + 1, len(packed)):
+                if (w & packed[b]).bit_count() & 1:
+                    sc[(a, b)] = {index[u ^ packed[b]]: 1}
+        g = Algebra.from_gf2_rows([mono_text(mono, names) for mono in basis], sc, grading=basis,
+                                  grading_mod=(2,) * twom, name="Kap4,B(%d)" % twom,
+                                  meta={"vars": tuple(names), "N": N, "mono_degrees": basis})
     else:
-        g = function_algebra(pq_names(m), N, br_p, name="Kap4,B(%d)" % twom)
+        def images(mono: Mono) -> Images:
+            # d_p f d_q g + d_q f d_p g times (1+p_i)(1+q_i): the four
+            # products by 1, q_i, p_i, p_i q_i fold into the left image
+            p = mono_pack(mono, N)
+            left: List[Optional[int]] = []
+            right: List[Optional[int]] = []
+            for t in range(m):
+                for u, v in ((2 * t, 2 * t + 1), (2 * t + 1, 2 * t)):
+                    du = p - (1 << u) if mono[u] else None
+                    left += [None if du is None or du & e else du | e
+                             for e in (0, 2 << 2 * t, 1 << 2 * t, 3 << 2 * t)]
+                    right += [p - (1 << v) if mono[v] else None] * 4
+            return left, right
+        g = function_algebra(pq_names(m), N, images, name="Kap4,B(%d)" % twom)
     g.meta["kap4B_m"] = m
     g.meta["kap4B_coords"] = coords
     return g
@@ -781,7 +760,7 @@ def _vector_in_subalgebra(amb: Algebra, sub: Algebra, v: int) -> int:
             rows.append(m)
         else:
             raise AlgebraError("cannot map label %r back to ambient" % lbl)
-    sol = gf2.solve(gf2.transpose(rows, amb.dim), [(v >> i) & 1 for i in range(amb.dim)], len(rows))
+    sol = gf2.solve(gf2.transpose(rows, amb.dim), [(v >> i) & 1 for i in range(amb.dim)])
     if sol is None:
         raise AlgebraError("vector not in subalgebra")
     return sol
@@ -841,5 +820,5 @@ def build_po_tensor_O(m_pairs: int, extra_N: Sequence[int]) -> Algebra:
     N = tuple(base_N) + tuple(extra_N)
     terms = [uv for t in range(m_pairs) for uv in ((2 * t, 2 * t + 1), (2 * t + 1, 2 * t))]
     names = pq_names(m_pairs) + ["w%d" % (i + 1) for i in range(len(extra_N))]
-    return function_algebra(names, N, _partials_brmono(terms, N),
+    return function_algebra(names, N, _partials_images(terms, N),
                             name="po_Pi(%d;1s)xO[%s]" % (2 * m_pairs, list(extra_N)))

@@ -190,7 +190,7 @@ def kernel(rows: Sequence[int], ncols: int) -> List[int]:
     return out
 
 
-def solve(rows: Sequence[int], rhs: Sequence[int], ncols: int) -> Optional[int]:
+def solve(rows: Sequence[int], rhs: Sequence[int]) -> Optional[int]:
     """The solution x of dot(rows[i], x) = rhs[i] for all i with every free
     variable zero, or None.
 

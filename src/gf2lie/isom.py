@@ -47,8 +47,7 @@ def fingerprint(g: Algebra, with_derivations: bool = True) -> dict:
     return fp
 
 
-def search_isomorphism(a: Algebra, b: Algebra, budget: int = 200_000,
-                       rng_seed: int = 0) -> IsoResult:
+def search_isomorphism(a: Algebra, b: Algebra, budget: int = 200_000) -> IsoResult:
     if budget < 1:
         raise AlgebraError("search budget must be at least 1, got %d" % budget)
     if a.dim != b.dim:

@@ -264,12 +264,13 @@ class Algebra:
         return (1 << i) if self.is_gf2 else {i: 1}
 
     def ad_rows(self, x: Vec) -> List[int]:
-        """ad_x as a list of masks: row k = [x, e_k]; GF(2) only."""
+        """ad_x as a fresh list of masks: row k = [x, e_k]; GF(2) only."""
         T, n = self.pair_table(), self.dim
-        rows = [0] * n
+        rows = None
         for i in gf2.bits(self.as_mask(x)):
-            rows = [r ^ t for r, t in zip(rows, T[i * n:i * n + n])]
-        return rows
+            Ti = T[i * n:i * n + n]
+            rows = Ti if rows is None else [r ^ t for r, t in zip(rows, Ti)]
+        return [0] * n if rows is None else rows
 
     # -- validation -------------------------------------------------------
     def validate(self, max_report: int = 5) -> ValidationReport:
@@ -602,12 +603,16 @@ def quotient(g: Algebra, ideal: Subspace, name: str = "") -> Algebra:
     coords = gf2.compressor(keep)
     pos = [coords(1 << i).bit_length() - 1 for i in range(n)]  # -1 on the ideal's pivots
     T = g.pair_table()
+    new: Dict[int, List[int]] = {}  # bracket mask -> its coordinates, each mask reduced once
     sc: Dict[Tuple[int, int], Dict[int, int]] = {}
     for a, b in sorted(g.sc):
         if pos[a] >= 0 and pos[b] >= 0:
-            w = span.reduce(T[a * n + b])
-            if w:
-                sc[(pos[a], pos[b])] = dict.fromkeys(gf2.bits(coords(w)), 1)
+            w = T[a * n + b]
+            ks = new.get(w)
+            if ks is None:
+                ks = new[w] = list(gf2.bits(coords(span.reduce(w))))
+            if ks:
+                sc[(pos[a], pos[b])] = dict.fromkeys(ks, 1)
     q = Algebra.from_gf2_rows([g.labels[i] for i in keep], sc, name=name or (g.name + "/ideal"),
                               meta=_restrict_meta(g, keep))
     if g.grading is not None:
@@ -635,21 +640,22 @@ def subalgebra_on(g: Algebra, sub: Subspace, name: str = "") -> Algebra:
     m = len(rows)
     # an RREF combination takes row idx exactly when w has its pivot bit
     coords = gf2.compressor(sub.pivots())
-    T = g.pair_table()
-    n = g.dim
     row_bits = [list(gf2.bits(r)) for r in rows]
+    new: Dict[int, List[int]] = {}  # bracket mask -> its coordinates, each mask reduced once
     sc: Dict[Tuple[int, int], Dict[int, int]] = {}
     for a in range(m):
-        bases = [i * n for i in row_bits[a]]
+        A = g.ad_rows(rows[a])  # A[j] = [row a, e_j]
         for b in range(a + 1, m):
             w = 0
-            for base in bases:
-                for j in row_bits[b]:
-                    w ^= T[base + j]
+            for j in row_bits[b]:
+                w ^= A[j]
             if w:
-                if span.reduce(w):
-                    raise AlgebraError("subspace is not bracket-closed")
-                sc[(a, b)] = dict.fromkeys(gf2.bits(coords(w)), 1)
+                ks = new.get(w)
+                if ks is None:
+                    if span.reduce(w):
+                        raise AlgebraError("subspace is not bracket-closed")
+                    ks = new[w] = list(gf2.bits(coords(w)))
+                sc[(a, b)] = dict.fromkeys(ks, 1)
     labels = [g.labels[bs[0]] if len(bs) == 1 else "(" + "+".join(g.labels[b] for b in bs) + ")"
               for bs in row_bits]
     grading = mod = None

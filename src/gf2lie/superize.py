@@ -418,7 +418,7 @@ def nonlinear_reduction_check(m: int, Q: QuadraticFormSpec, Qp: QuadraticFormSpe
     # the linear functional Q+Q' equals B_v for a unique v
     rows = [Q.polar.rows[t] for t in range(n)]
     rhs = [diff_vals[1 << t] for t in range(n)]
-    v = gf2.solve(rows, rhs, n)
+    v = gf2.solve(rows, rhs)
     out = {"additive": additive, "v": v, "trivial": all(x == 0 for x in diff_vals)}
     if v is None:
         out["matches_linear"] = False

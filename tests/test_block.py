@@ -126,7 +126,7 @@ def old_block_consistent_representative(g, printed, constraints):
     if not coords:
         return None
     rows = _old_generator_rows(gens, coords)
-    x0 = gf2.solve(rows, [1] * len(rows), len(gens))
+    x0 = gf2.solve(rows, [1] * len(rows))
     if x0 is None:
         return None
     class_mask = (1 << blk.dim) - 1
@@ -148,7 +148,7 @@ def old_consistent_class_masks(g, printed, constraints):
     gens = blk.representatives + old_coboundary_block(g, list(constraints))
     coords = [(pr, k) for pr, v in printed.terms.items() for k in gf2.bits(v)]
     rows = _old_generator_rows(gens, coords)
-    x0 = gf2.solve(rows, [1] * len(rows), len(gens))
+    x0 = gf2.solve(rows, [1] * len(rows))
     if x0 is None:
         return blk, []
     class_mask = (1 << blk.dim) - 1

@@ -9,10 +9,11 @@ from gf2lie.constructions import (BilinearFormSpec, JSystemSpec, QuadraticFormSp
                                   build_div_free_hI, build_hI, build_hamiltonian,
                                   build_jurman, build_kap1, build_kap2, build_kap3,
                                   build_kap4A, build_kap4B, build_kap4_subalgebra,
-                                  build_multipair, build_poisson, dim_kap4A,
-                                  jsystem_algebra, kap4_subalgebra_condition)
-from gf2lie.divpow import mono_mul, mono_pack
-from gf2lie.liealg import (AlgebraError, Subspace, center, derived_subalgebra, quotient,
+                                  build_multipair, build_po_tensor_O, build_poisson,
+                                  dim_kap4A, jsystem_algebra, kap4_subalgebra_condition,
+                                  pq_names)
+from gf2lie.divpow import check_shearing, mono_mul, mono_pack, mono_text, mono_unpack, monomials
+from gf2lie.liealg import (Algebra, AlgebraError, Subspace, center, derived_subalgebra, quotient,
                            simplicity_check, subalgebra_on)
 
 
@@ -118,8 +119,8 @@ def _apply_del(mono, i, k, N):
 
 def _tuple_a_brmono(pairs, N, kind):
     """The multipair bracket on exponent tuples through mono_mul, recomputing
-    d_x and E on every call: the oracle for the packed, cached bracket.  Its
-    result is packed only on return, as function_algebra takes it."""
+    d_x and E on every call: the oracle for the packed operator images.  Its
+    result is packed only on return, as the dense loop below takes it."""
     def ell(mono, xi, yi, gg):
         out = {}
         m1 = _apply_del(mono, yi, 1, N)
@@ -162,6 +163,109 @@ def _tuple_a_brmono(pairs, N, kind):
     return br
 
 
+def _dense_function_algebra(names, N, brmono, mod_out=None, name="", grading=None,
+                            grading_mod=None):
+    """function_algebra as a callback loop over every basis pair, brmono(a, b)
+    returning {packed monomial: coefficient}: the oracle for the pair walk
+    over indexed operator images."""
+    N = check_shearing(N)
+    basis = [m for m in monomials(N) if not (mod_out and mod_out(m))]
+    index = {mono_pack(m, N): i for i, m in enumerate(basis)}
+    sc = {}
+    for a, ma in enumerate(basis):
+        for b in range(a + 1, len(basis)):
+            out = brmono(ma, basis[b])
+            if not out:
+                continue
+            row = {}
+            for p, c in out.items():
+                if c & 1:
+                    k = index.get(p)
+                    if k is not None:
+                        row[k] = 1
+                    elif not (mod_out and mod_out(mono_unpack(p, N))):
+                        raise AlgebraError("bracket leaves the basis at %r" % (mono_unpack(p, N),))
+            if row:
+                sc[(a, b)] = row
+    labels = [mono_text(m, names) for m in basis]
+    gr = [grading(m) for m in basis] if grading else None
+    return Algebra.from_gf2_rows(labels, sc, grading=gr, grading_mod=grading_mod, name=name,
+                                 meta={"vars": tuple(names), "N": N, "mono_degrees": basis})
+
+
+def _partials_brmono(terms, N):
+    """[f,g] = sum over (u, v) in terms of d_u f d_v g, in that order, on
+    exponent tuples: the oracle for the partial-derivative images."""
+    def br(a, b):
+        out = {}
+        for (u, v) in terms:
+            if a[u] == 0 or b[v] == 0:
+                continue
+            da = a[:u] + (a[u] - 1,) + a[u + 1:]
+            db = b[:v] + (b[v] - 1,) + b[v + 1:]
+            c, mono = mono_mul(da, db, N)
+            if c:
+                w = mono_pack(mono, N)
+                if w in out:
+                    del out[w]
+                else:
+                    out[w] = 1
+        return out
+    return br
+
+
+def _kap4B_brmono(m, N, coords):
+    """The Kap_{4,B}(2m) bracket on exponent tuples, in p or x coordinates."""
+    def br_p(a, b):
+        out = {}
+        for t in range(m):
+            pi, qi = 2 * t, 2 * t + 1
+            for (u, v) in ((pi, qi), (qi, pi)):
+                if a[u] == 0 or b[v] == 0:
+                    continue
+                da = a[:u] + (a[u] - 1,) + a[u + 1:]
+                db = b[:v] + (b[v] - 1,) + b[v + 1:]
+                c, mono = mono_mul(da, db, N)
+                if not c:
+                    continue
+                # multiply by (1+p_i)(1+q_i): four shifts, out-of-range drop
+                for dp in (0, 1):
+                    for dq in (0, 1):
+                        if mono[pi] + dp > 1 or mono[qi] + dq > 1:
+                            continue
+                        mono2 = list(mono)
+                        mono2[pi] += dp
+                        mono2[qi] += dq
+                        key = tuple(mono2)
+                        out[key] = out.get(key, 0) ^ 1
+                        if not out[key]:
+                            del out[key]
+        return {mono_pack(m, N): c for m, c in out.items()}
+
+    def br_x(a, b):
+        out = {}
+        key = tuple(ea ^ eb for ea, eb in zip(a, b))
+        for t in range(m):
+            xi, yi = 2 * t, 2 * t + 1
+            for (u, v) in ((xi, yi), (yi, xi)):
+                if a[u] == 0 or b[v] == 0:
+                    continue
+                out[key] = out.get(key, 0) ^ 1
+                if not out[key]:
+                    del out[key]
+        return {mono_pack(m, N): c for m, c in out.items()}
+    return br_p if coords == "p" else br_x
+
+
+def _dense_build(build, *args):
+    """build(*args) through the dense loop and the callback brackets."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(constructions, "function_algebra", _dense_function_algebra)
+        m.setattr(constructions, "_partials_images", _partials_brmono)
+        m.setattr(constructions, "_a_images", _tuple_a_brmono)
+        return build(*args)
+
+
 def _output(g):
     # rows as item lists: dict equality alone would ignore their order
     return (g.name, g.labels, [(key, list(row.items())) for key, row in g.sc.items()],
@@ -171,16 +275,56 @@ def _output(g):
 @pytest.mark.parametrize("pairs", [[(2, 1)], [(3, 1)], [(2, 2)], [(3, 2)],
                                    [(2, 1), (2, 1)], [(2, 1), (3, 1)]])
 @pytest.mark.parametrize("kind", ["Pi", "I"])
-def test_packed_multipair_bracket_matches_tuple_oracle(kind, pairs, monkeypatch):
+def test_packed_multipair_bracket_matches_tuple_oracle(kind, pairs):
     new = build_multipair(kind, pairs)
-    with monkeypatch.context() as m:
-        m.setattr(constructions, "_a_brmono", _tuple_a_brmono)
-        old = build_multipair(kind, pairs)
+    old = _dense_build(build_multipair, kind, pairs)
     assert _output(new) == _output(old)
     for variant in ("derived", "derived_mod_center"):
         a = constructions._apply_variant(new, variant)
         b = constructions._apply_variant(old, variant)
         assert _output(a) == _output(b), variant
+
+
+FUNCTION_ALGEBRAS = [
+    (build_poisson, 1, (1, 1)), (build_poisson, 1, (2, 3)), (build_poisson, 1, (3, 1)),
+    (build_poisson, 2, (1, 1, 1, 1)), (build_poisson, 2, (2, 1, 1, 2)),
+    (build_hamiltonian, 1, (2, 2), "full"), (build_hamiltonian, 1, (2, 2), "derived"),
+    (build_hamiltonian, 1, (3, 3), "derived"),
+    (build_hI, 2, (2, 2)), (build_hI, 3, (1, 2, 1)), (build_hI, 2, (3, 2), "derived"),
+    (build_po_tensor_O, 1, (2,)), (build_po_tensor_O, 2, (1, 1))]
+
+
+@pytest.mark.parametrize("case", FUNCTION_ALGEBRAS,
+                         ids=lambda c: "%s%r" % (c[0].__name__, c[1:]))
+def test_function_algebras_match_the_dense_callback_loop(case):
+    build, args = case[0], case[1:]
+    assert _output(build(*args)) == _output(_dense_build(build, *args))
+
+
+@pytest.mark.parametrize("coords", ["p", "x"])
+@pytest.mark.parametrize("twom", [2, 4, 6])
+def test_kap4B_matches_the_dense_callback_loop(twom, coords):
+    m, N = twom // 2, (1,) * twom
+    names = pq_names(m)
+    if coords == "x":
+        names = [nm.replace("p", "x").replace("q", "y") for nm in names]
+    kw = {"grading": lambda mono: mono, "grading_mod": (2,) * twom} if coords == "x" else {}
+    old = _dense_function_algebra(names, N, _kap4B_brmono(m, N, coords),
+                                  name="Kap4,B(%d)" % twom, **kw)
+    old.meta.update(kap4B_m=m, kap4B_coords=coords)
+    assert _output(build_kap4B(twom, coords)) == _output(old)
+
+
+@pytest.mark.parametrize("step", [lambda p: p - 1, lambda p: p + 16],
+                         ids=["below-zero", "above-the-width"])
+def test_images_outside_the_basis_are_refused(step):
+    # on O[2;(2,2)] every packed monomial lies in 0..15; d_p without its
+    # exponent test takes the constant to -1
+    def images(mono):
+        p = mono_pack(mono, (2, 2))
+        return [step(p)], [p - 4 if mono[1] else None]
+    with pytest.raises(AlgebraError, match="bracket leaves the basis"):
+        constructions.function_algebra(["p", "q"], (2, 2), images)
 
 
 def test_structure_sweep_multipairs_pinned():

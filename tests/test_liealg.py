@@ -12,8 +12,8 @@ from gf2lie.fields import GF2, GF2k
 from gf2lie.liealg import (Algebra, AlgebraError, LinearMap, Subspace, ValidationReport,
                            center, check_invariant_form, compute_h1_dim, derivation_dim,
                            derivation_equations, derivations, derived_subalgebra, direct_sum,
-                           ideal_generated, quotient, simplicity_check, subalgebra_on,
-                           verify_morphism)
+                           ideal_generated, quotient, simplicity_check, subalgebra_generated,
+                           subalgebra_on, verify_morphism)
 
 
 def test_alternation_enforced():
@@ -327,7 +327,7 @@ def test_quotient():
     g0 = quotient(po, Subspace(po))
     assert g0.dim == po.dim and g0.sc == po.sc
     # non-ideal subspaces are rejected
-    with pytest.raises(AlgebraError):
+    with pytest.raises(AlgebraError, match="subspace is not an ideal"):
         quotient(po, Subspace(po, [1 << 1]))
 
 
@@ -354,6 +354,150 @@ def test_quotient_by_a_non_homogeneous_ideal_drops_the_grading():
     q = quotient(g, Subspace(g, [0b1100]))
     assert (q.labels, q.sc, q.grading, q.grading_mod) == (["a", "b", "c"], {(0, 1): {2: 1}},
                                                           [(1,), (1,), (2,)], (0,))
+
+
+def _loop_subalgebra_on(g, sub, name=""):
+    """subalgebra_on reducing and compressing every row pair's bracket: the
+    oracle for the one reduction per distinct bracket mask."""
+    rows = sub.rows()
+    span = sub.span
+    m = len(rows)
+    coords = gf2.compressor(sub.pivots())
+    T = g.pair_table()
+    n = g.dim
+    row_bits = [list(gf2.bits(r)) for r in rows]
+    sc = {}
+    for a in range(m):
+        bases = [i * n for i in row_bits[a]]
+        for b in range(a + 1, m):
+            w = 0
+            for base in bases:
+                for j in row_bits[b]:
+                    w ^= T[base + j]
+            if w:
+                if span.reduce(w):
+                    raise AlgebraError("subspace is not bracket-closed")
+                sc[(a, b)] = dict.fromkeys(gf2.bits(coords(w)), 1)
+    labels = [g.labels[bs[0]] if len(bs) == 1 else "(" + "+".join(g.labels[b] for b in bs) + ")"
+              for bs in row_bits]
+    grading = mod = None
+    if g.grading is not None:
+        ws = [{g.grading[b] for b in bs} for bs in row_bits]
+        if all(len(w) == 1 for w in ws):
+            grading, mod = [w.pop() for w in ws], g.grading_mod
+    units = all(len(bs) == 1 for bs in row_bits)
+    meta = liealg._restrict_meta(g, [bs[0] for bs in row_bits]) if units and "mono_degrees" in g.meta else {}
+    return Algebra.from_gf2_rows(labels, sc, grading=grading, grading_mod=mod,
+                                 name=name or (g.name + "|sub"), meta=meta)
+
+
+def _loop_quotient(g, ideal, name=""):
+    """quotient reducing and compressing every pair's bracket: the oracle for
+    the one reduction per distinct bracket mask."""
+    if not ideal.is_ideal():
+        raise AlgebraError("subspace is not an ideal")
+    span = ideal.span
+    n = g.dim
+    keep = [i for i in range(n) if not (span.mask >> i) & 1]
+    coords = gf2.compressor(keep)
+    pos = [coords(1 << i).bit_length() - 1 for i in range(n)]
+    T = g.pair_table()
+    sc = {}
+    for a, b in sorted(g.sc):
+        if pos[a] >= 0 and pos[b] >= 0:
+            w = span.reduce(T[a * n + b])
+            if w:
+                sc[(pos[a], pos[b])] = dict.fromkeys(gf2.bits(coords(w)), 1)
+    q = Algebra.from_gf2_rows([g.labels[i] for i in keep], sc, name=name or (g.name + "/ideal"),
+                              meta=liealg._restrict_meta(g, keep))
+    if g.grading is not None:
+        q.grading, q.grading_mod = [g.grading[i] for i in keep], g.grading_mod
+        if q._grading_failures(1):
+            q.grading = q.grading_mod = None
+    return q
+
+
+def _output(g):
+    # rows as item lists: dict equality alone would ignore their order
+    return (g.name, g.labels, [(key, list(row.items())) for key, row in g.sc.items()],
+            g.grading, g.grading_mod, g.meta)
+
+
+def _in_basis(h, back, s):
+    """The subspace s of g as a subspace of h = _change_basis(g, cols)."""
+    return Subspace(h, [gf2.apply_rows(back, r) for r in s.rows()])
+
+
+def _subspace_corpus():
+    """(algebra, subspace, ideal) triples, seeded, most rows not unit vectors.
+    The subspaces are the non-negative part of a Z-grading, the derived
+    algebra and subalgebras generated by random vectors of that part; the
+    ideals are the center, the derived algebra and the ideals generated by
+    random vectors.  Each algebra comes in its built basis and after a
+    random change of basis."""
+    rng = random.Random(16)
+    cases = []
+    for g in (build_poisson(1, (2, 2)), build_hamiltonian(1, (2, 3), "derived"),
+              build_multipair("Pi", [(2, 1)]), build_jurman(2, 1), build_classical("gl", 3),
+              direct_sum(build_jurman(2, 1), build_classical("gl", 2))):
+        n = g.dim
+        P = gf2.from_bits(i for i, w in enumerate(g.grading or [(0,)] * n) if sum(w) >= 0)
+        subs = [Subspace(g, [1 << i for i in gf2.bits(P)]), derived_subalgebra(g)]
+        subs += [subalgebra_generated(g, [rng.getrandbits(n) & P for _ in range(k)])
+                 for k in (1, 2, 2, 3)]
+        cols = _random_basis(n, rng)
+        back = gf2.invert(cols, n)
+        h = _change_basis(g, cols)
+        for alg, ss in ((g, subs), (h, [_in_basis(h, back, s) for s in subs])):
+            ideals = [center(alg), derived_subalgebra(alg)]
+            ideals += [ideal_generated(alg, rng.getrandbits(n) & rng.getrandbits(n) or 1) for _ in range(3)]
+            cases += [(alg, s, None) for s in ss] + [(alg, None, i) for i in ideals]
+    return cases
+
+
+def test_subalgebra_on_and_quotient_match_the_pair_loops():
+    corpus = _subspace_corpus()
+    for g, sub, ideal in corpus:
+        if sub is not None:
+            assert _output(subalgebra_on(g, sub)) == _output(_loop_subalgebra_on(g, sub))
+        else:
+            assert _output(quotient(g, ideal)) == _output(_loop_quotient(g, ideal))
+    # most cases have a row that is not a unit vector
+    assert sum(any(r & (r - 1) for r in (s or i).rows()) for _, s, i in corpus) > len(corpus) // 2
+
+
+def test_subalgebra_on_and_quotient_refuse_like_the_pair_loops():
+    rng = random.Random(17)
+    refused = 0
+    for g in (build_poisson(1, (2, 2)), _change_basis(build_jurman(2, 1), _random_basis(14, rng))):
+        for _ in range(20):
+            s = Subspace(g, [rng.getrandbits(g.dim) for _ in range(rng.randint(2, 5))])
+            got = []
+            for f in (subalgebra_on, _loop_subalgebra_on, quotient, _loop_quotient):
+                try:
+                    f(g, s)
+                    got.append(None)
+                except AlgebraError as err:
+                    got.append(str(err))
+            assert got[0] == got[1] and got[2] == got[3]
+            refused += got[0] is not None
+    assert refused > 20
+
+
+def test_subalgebra_on_refuses_a_failing_bracket_with_the_coordinates_of_a_closed_one():
+    po = build_poisson(1, (2, 1))
+    e = {name: 1 << i for i, name in enumerate(po.labels)}
+    sub = Subspace(po, [e["q"] ^ e["p"], e["p*q"], e["p^(2)"]])
+    r = sub.rows()
+    assert r == [e["q"] ^ e["p"], e["p*q"], e["p^(2)"]]
+    # [q+p, pq] = q+p lies in sub.  [q+p, p^(2)] = p does not, but it has the
+    # same pivot bits as q+p, so the same coordinates: a memo keyed by those
+    # would take it for the closed bracket
+    assert po.bracket(r[0], r[1]) == r[0]
+    w = po.bracket(r[0], r[2])
+    assert w == e["p"] and w not in sub and not (w ^ r[0]) & sub.span.mask
+    with pytest.raises(AlgebraError, match="subspace is not bracket-closed"):
+        subalgebra_on(po, sub)
 
 
 def _transpose_kernel_center(g):
@@ -649,6 +793,10 @@ def test_ad_walk_matches_ad_rows():
         assert [v for v, _ in walk] == list(range(1, 1 << n))
         for v, ad in walk:
             assert ad == sum(r << (j * n) for j, r in enumerate(g.ad_rows(v))), (g.name, v)
+    g = build_jurman(2, 1)
+    assert g.ad_rows(0) == [0] * g.dim
+    g.ad_rows(1)[0] = 1  # a fresh list: writing to it leaves the pair table alone
+    assert g.pair_table()[0] == 0
 
 
 def test_exhaustive_simplicity_matches_the_bit_loop_walk():

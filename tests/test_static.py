@@ -23,6 +23,12 @@ somewhere besides its own definition: in the package, its tests or the
 benchmark.  The search is by word, so a mention in a comment or a string
 counts as a use.
 
+Every parameter of a package function must be read somewhere in its body
+(nested functions included): a parameter the body never reads is an option
+callers can set to no effect.  ``self`` and ``cls`` are exempt, and so are
+the allowlisted interface methods, whose signature is fixed by the siblings
+they stand in for.
+
 Only an allowlisted set of package functions may build a
 ``random.Random``, under whatever name the module imports ``random`` or
 ``Random``: a verdict drawn from a seeded sample is not exact, so a new
@@ -198,6 +204,53 @@ def test_scan_flags_a_dead_definition():
            "    def unused(self):\n"
            "        return self.v\n")
     assert dead_definitions({"lib.py": lib}, [lib, "from lib import A\n"]) == [("lib.py", 6, "unused")]
+
+
+def unused_parameters(source: str, module: str) -> list:
+    """module.qualname(param) for each parameter, ``self`` and ``cls`` aside,
+    that its function's body never loads; scoping is ignored, so a read in a
+    nested function counts."""
+    tree = ast.parse(source, module)
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + [node.name]
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+            loaded = {n.id for stmt in node.body for n in ast.walk(stmt)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            found.extend("%s(%s)" % (".".join([module] + scope), p.arg) for p in params
+                         if p.arg not in loaded and p.arg not in ("self", "cls"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, [])
+    return sorted(found)
+
+
+# the Field interface: GF(2)[h] has no square roots, but keeps the signature
+UNUSED_PARAMETER_ALLOWLIST = ["fields.PolyRing.sqrt(a)"]
+
+
+def test_no_unused_parameters():
+    found = [name for p in MODULES for name in unused_parameters(p.read_text(), p.stem)]
+    assert sorted(found) == UNUSED_PARAMETER_ALLOWLIST
+
+
+def test_scan_flags_an_unused_parameter():
+    src = ("def f(x, y, *args, z=0, **kw):\n"
+           "    return x + len(kw)\n"
+           "class C:\n"
+           "    def m(self, a, b):\n"
+           "        def inner(c):\n"
+           "            return a\n"
+           "        return inner\n"
+           "    @classmethod\n"
+           "    def k(cls):\n"
+           "        return 1\n")
+    assert unused_parameters(src, "m") == ["m.C.m(b)", "m.C.m.inner(c)", "m.f(args)", "m.f(y)", "m.f(z)"]
 
 
 def random_generators(source: str, module: str) -> list:
