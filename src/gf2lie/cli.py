@@ -25,7 +25,7 @@ from .deform import deform_bracket, jurman_deform_check, obstruction_poly, poiss
 from .fields import Scalar, field_make
 from .grading import associated_graded, weisfeiler_filtration
 from .isom import fingerprint, search_isomorphism
-from .liealg import (Algebra, Subspace, center, compute_h1_dim, derived_subalgebra,
+from .liealg import (Algebra, AlgebraError, Subspace, center, compute_h1_dim, derived_subalgebra,
                      simplicity_check)
 from .superize import restricted_closure, superize_linear, superize_nonlinear
 
@@ -56,17 +56,19 @@ def _parse_pairs(text: str):
 
 def _build_from_args(args) -> Algebra:
     kind = args.what
+    if kind in ("po", "jurman", "kap", "tensor-example") and args.variant != "full":
+        raise AlgebraError("build %s has no variant %r" % (kind, args.variant))
     if kind == "po":
         N = _parse_N(args.N)
         return build_poisson(len(N) // 2, N)
     if kind == "h":
         N = _parse_N(args.N)
         if args.form == "i":
-            return build_hI(len(N), N, "derived" if args.derived else "full")
-        return build_hamiltonian(len(N) // 2, N, "derived" if args.derived else "full")
+            return build_hI(len(N), N, args.variant)
+        return build_hamiltonian(len(N) // 2, N, args.variant)
     if kind == "lh":
         N = _parse_N(args.N)
-        return build_div_free_hI(len(N), N, "derived" if args.derived else "full")
+        return build_div_free_hI(len(N), N, args.variant)
     if kind == "jurman":
         return build_jurman(args.g, args.h)
     if kind == "a":
@@ -299,7 +301,6 @@ def make_parser() -> argparse.ArgumentParser:
     b.add_argument("--form", default="pi", choices=["pi", "i"])
     b.add_argument("--g", type=int, default=2)
     b.add_argument("--h", type=int, default=1)
-    b.add_argument("--derived", action="store_true")
     b.add_argument("--variant", default="full",
                    choices=["full", "derived", "derived_mod_center"])
     b.add_argument("--pairs", default="2,1;2,1", help="multipair (g,h) list, ; separated")

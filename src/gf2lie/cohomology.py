@@ -201,12 +201,15 @@ def _check_graded(g: Algebra, constraints: Sequence[Constraint]) -> None:
 
 def _block_keys(g: Algebra, constraints: Sequence[Constraint], offset: bool):
     """Per constraint (keys, weight minus offset, modulus), with the basis
-    bucketed by its key tuple; None when no weight can meet a constraint."""
+    bucketed by its key tuple; None when no weight can meet a constraint.
+    A weight of the wrong length is refused."""
     specs = []
     for mode, w in constraints:
         keys = weight_keys(g, mode)
         w = tuple(w)
-        if (keys and len(w) != len(keys[0])) or (mode == "mod2" and any(x not in (0, 1) for x in w)):
+        if keys and len(w) != len(keys[0]):
+            raise AlgebraError("a weight in mode %r has %d entries, not %d" % (mode, len(w), len(keys[0])))
+        if mode == "mod2" and any(x not in (0, 1) for x in w):
             return None
         shift = C2_OFFSET[mode] if offset else 0
         specs.append((keys, tuple(x - shift for x in w), 2 if mode == "mod2" else 0))

@@ -164,26 +164,21 @@ def jsystem_algebra(spec: JSystemSpec, name: str) -> Algebra:
 # function-space algebras
 # ---------------------------------------------------------------------------
 
-def function_algebra(names: Sequence[str], N: Sequence[int], images: Callable[[Mono], Images],
-                     mod_out: Optional[Callable[[Mono], bool]] = None,
-                     name: str = "",
-                     grading: Optional[Callable[[Mono], Tuple[int, ...]]] = None,
-                     grading_mod: Optional[Tuple[int, ...]] = None) -> Algebra:
-    """Algebra on the monomials of O[m;N] with [a, b] = sum over t of
-    left_t(a) right_t(b), where images(mono) = (left, right) lists packed
-    monomials (divpow.mono_pack), None where an operator kills mono.
+def image_rows(basis: Sequence[Mono], N: Sequence[int],
+               images: Callable[[Mono], Images]) -> Dict[Tuple[int, int], Dict[int, int]]:
+    """The GF(2) rows {(a, b): {k: 1}}, a < b, in (a, b) order, of the
+    bilinear map [a, b] = sum over t of left_t(a) right_t(b) on the
+    monomials `basis` of O[m;N], where images(mono) = (left, right) lists
+    packed monomials (divpow.mono_pack), None where an operator kills mono.
 
     A packed product u v is u | v when u & v == 0 and zero otherwise
     (divpow.packed_mul), so term t of [a, b] is nonzero exactly when
     right_t(b) is a submask of the bits that u = left_t(a) leaves free.
     Each right image is indexed once, and only those pairs are visited;
-    terms cancel in the order t, as the sum is written.  mod_out marks
-    monomial coordinates that are quotiented to zero (e.g. constants);
-    bracket values there are dropped.
+    terms cancel in the order t, as the sum is written.  Values outside
+    `basis` are dropped.
     """
-    N = check_shearing(N)
     full = (1 << sum(N)) - 1
-    basis = [m for m in monomials(N) if not (mod_out and mod_out(m))]
     pos: List[Optional[int]] = [None] * (full + 1)  # packed monomial -> basis index, or None
     for i, m in enumerate(basis):
         pos[mono_pack(m, N)] = i
@@ -220,9 +215,22 @@ def function_algebra(names: Sequence[str], N: Sequence[int], images: Callable[[M
         for b in sorted(rows):
             if rows[b]:
                 sc[(a, b)] = rows[b]
+    return sc
+
+
+def function_algebra(names: Sequence[str], N: Sequence[int], images: Callable[[Mono], Images],
+                     mod_out: Optional[Callable[[Mono], bool]] = None,
+                     name: str = "",
+                     grading: Optional[Callable[[Mono], Tuple[int, ...]]] = None,
+                     grading_mod: Optional[Tuple[int, ...]] = None) -> Algebra:
+    """Algebra on the monomials of O[m;N] with the image_rows bracket; mod_out
+    marks monomials quotiented to zero (e.g. constants), and values there drop."""
+    N = check_shearing(N)
+    basis = [m for m in monomials(N) if not (mod_out and mod_out(m))]
     labels = [mono_text(m, names) for m in basis]
     gr = [grading(m) for m in basis] if grading else None
-    return Algebra.from_gf2_rows(labels, sc, grading=gr, grading_mod=grading_mod, name=name,
+    return Algebra.from_gf2_rows(labels, image_rows(basis, N, images), grading=gr,
+                                 grading_mod=grading_mod, name=name,
                                  meta={"vars": tuple(names), "N": N, "mono_degrees": basis})
 
 
@@ -551,6 +559,27 @@ def dim_kap4A(m: int, arf: int) -> int:
     return (1 << (m - 1)) * ((1 << m) - (1 if arf == 0 else -1))
 
 
+def kap4B_images(m: int, factors: Sequence[int]) -> Callable[[Mono], Images]:
+    """Images of the sum over pairs i of (d_p f d_q g + d_q f d_p g) times
+    each factor of pair i, on O[2m;1_s]: factor 0, 2, 1, 3 stands for 1,
+    q_i, p_i, p_i q_i and folds into the left image.  All four factors
+    give the Kap_{4,B} bracket's (1+p_i)(1+q_i)."""
+    N = (1,) * (2 * m)
+
+    def images(mono: Mono) -> Images:
+        p = mono_pack(mono, N)
+        left: List[Optional[int]] = []
+        right: List[Optional[int]] = []
+        for t in range(m):
+            for u, v in ((2 * t, 2 * t + 1), (2 * t + 1, 2 * t)):
+                du = p - (1 << u) if mono[u] else None
+                left += [None if du is None or du & (e << 2 * t) else du | (e << 2 * t)
+                         for e in factors]
+                right += [p - (1 << v) if mono[v] else None] * len(factors)
+        return left, right
+    return images
+
+
 def build_kap4B(twom: int, coords: str = "p") -> Algebra:
     """Kap_{4,B}(2m) on all of O[2m;1_s].
 
@@ -584,20 +613,7 @@ def build_kap4B(twom: int, coords: str = "p") -> Algebra:
                                   grading_mod=(2,) * twom, name="Kap4,B(%d)" % twom,
                                   meta={"vars": tuple(names), "N": N, "mono_degrees": basis})
     else:
-        def images(mono: Mono) -> Images:
-            # d_p f d_q g + d_q f d_p g times (1+p_i)(1+q_i): the four
-            # products by 1, q_i, p_i, p_i q_i fold into the left image
-            p = mono_pack(mono, N)
-            left: List[Optional[int]] = []
-            right: List[Optional[int]] = []
-            for t in range(m):
-                for u, v in ((2 * t, 2 * t + 1), (2 * t + 1, 2 * t)):
-                    du = p - (1 << u) if mono[u] else None
-                    left += [None if du is None or du & e else du | e
-                             for e in (0, 2 << 2 * t, 1 << 2 * t, 3 << 2 * t)]
-                    right += [p - (1 << v) if mono[v] else None] * 4
-            return left, right
-        g = function_algebra(pq_names(m), N, images, name="Kap4,B(%d)" % twom)
+        g = function_algebra(pq_names(m), N, kap4B_images(m, (0, 2, 1, 3)), name="Kap4,B(%d)" % twom)
     g.meta["kap4B_m"] = m
     g.meta["kap4B_coords"] = coords
     return g

@@ -15,11 +15,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import gf2
 from .cohomology import (Block, C3Index, Cochain2, Triple, coboundary_block, combine, compute_h2,
                          cyclic_compose, d2, is_coboundary)
-from .constructions import build_hamiltonian, build_jurman, build_kap2, build_kap4B, pq_names
-from .divpow import check_shearing, monomials, mono_mul
+from .constructions import (build_classical, build_hamiltonian, build_jurman, build_kap2, build_kap4B,
+                            build_poisson, image_rows, jurman_bracket, kap4B_images, pq_names)
+from .divpow import check_shearing, mono_offsets, mono_pack, mono_text, monomials, reindex_mono
 from .fields import GF2, GF2k, Scalar
 from .grading import cochain_weight
-from .isom import search_isomorphism
+from .isom import fingerprint, search_isomorphism
 from .liealg import Algebra, AlgebraError, LinearMap, Subspace, quotient, verify_morphism
 
 Pair = Tuple[int, int]
@@ -318,6 +319,12 @@ def integrability_verdict(g: Algebra, c: Cochain2, constraints=()) -> Tuple[str,
 # Jurman cocycles and the Jurman deform check
 # ---------------------------------------------------------------------------
 
+def _image_cochain(g: Algebra, images) -> Cochain2:
+    """The 2-cochain of g with the image_rows values of `images`."""
+    rows = image_rows(g.meta["mono_degrees"], g.meta["N"], images)
+    return Cochain2(g, {ab: gf2.from_bits(row) for ab, row in rows.items()})
+
+
 def jurman_cocycle(g: int, h: int, mirrored: bool = False) -> Cochain2:
     """The deforming cocycle on h'_Pi(2;(g,h+1)).
 
@@ -326,38 +333,17 @@ def jurman_cocycle(g: int, h: int, mirrored: bool = False) -> Cochain2:
     (theta = 2^(h+1) - 1) and deforms into j(h+1, g-1).
     """
     hp = build_hamiltonian(1, (g, h + 1), "derived")
-    basis = hp.meta["mono_degrees"]
-    index = {m: t for t, m in enumerate(basis)}
     N = hp.meta["N"]
-    if not mirrored:
-        mult = ((1 << g) - 1, 0)   # p^(eta)
-        var = 1                    # differentiate in q
-    else:
-        mult = (0, (1 << (h + 1)) - 1)  # q^(theta)
-        var = 0
-    terms: Dict[Pair, int] = {}
-    for a in range(len(basis)):
-        for b in range(a + 1, len(basis)):
-            acc = 0
-            for (da, db) in ((1, 2), (2, 1)):
-                ma, mb = basis[a], basis[b]
-                if ma[var] < da or mb[var] < db:
-                    continue
-                f1 = list(ma)
-                f1[var] -= da
-                f2 = list(mb)
-                f2[var] -= db
-                c1, m1 = mono_mul(tuple(f1), tuple(f2), N)
-                if not c1:
-                    continue
-                c2, m2 = mono_mul(mult, m1, N)
-                if not c2:
-                    continue
-                if m2 in index:
-                    acc ^= 1 << index[m2]
-            if acc:
-                terms[(a, b)] = acc
-    return Cochain2(hp, terms)
+    # packed p^(eta), d_q at offset g; or q^(theta) (above p's g bits), d_p at offset 0
+    mult, var, o = (((1 << (h + 1)) - 1) << g, 0, 0) if mirrored else ((1 << g) - 1, 1, g)
+
+    def images(mono):
+        # d^(k) takes packed p to p - (k << o); the factor folds into the left image
+        p = mono_pack(mono, N)
+        d = [p - (k << o) if mono[var] >= k else None for k in range(3)]
+        left = [None if d[k] is None or d[k] & mult else d[k] | mult for k in (1, 2)]
+        return left, [d[2], d[1]]
+    return _image_cochain(hp, images)
 
 
 def lambda_grading(g_alg: Algebra, cocycle_weight: Tuple[int, int]):
@@ -382,7 +368,6 @@ def jurman_united_family(K: int) -> DeformFamily:
     [odd, odd] = 0, and each partition contributes its odd-odd part as
     one parameter direction; the family is linear in the parameters.
     """
-    from .constructions import jurman_bracket
     partitions = [(g, K - g) for g in range(2, K)]
     if not partitions:
         raise AlgebraError("K must be at least 3")
@@ -467,8 +452,6 @@ def jurman_deform_check(g: int, h: int, mirrored: bool = False) -> JurmanDeformR
 def quantization_deform_check(a: int = 2):
     """Deform h'_Pi(2;a,a) by the weight (-2,-2) class at parameter 1 and
     compare with psl(2^a).  Returns (cocycle, iso result, fingerprint pair)."""
-    from .constructions import build_classical
-    from .isom import fingerprint
     hp = build_hamiltonian(1, (a, a), "derived")
     blk = compute_h2(hp, weight_filter=(-2, -2), mode="z")
     if blk.dim != 1:
@@ -654,52 +637,45 @@ def poisson_family(m_pairs: int, N: Sequence[int], alpha: Scalar) -> Algebra:
     """[f,g]_{Pi,alpha} = sum D_{alpha,p_i} f D_{alpha,q_i} g + (p<->q).
 
     alpha = 1 is the Poisson bracket; alpha = 0 degenerates to the
-    reindexed tensor-product bracket.
+    reindexed tensor-product bracket.  D_alpha is d on odd exponents and
+    alpha d on even ones, so the bracket is B_0 + alpha B_1 + alpha^2 B_2,
+    B_e the GF(2) bracket whose terms take e of their two derivatives at
+    even exponents.
     """
     field = alpha.field
     N = check_shearing(N)
     if len(N) != 2 * m_pairs:
         raise AlgebraError("need one shearing entry per variable")
     monos = monomials(N)
-    index = {m: t for t, m in enumerate(monos)}
-    names = pq_names(m_pairs)
-    pairs = [(2 * t, 2 * t + 1) for t in range(m_pairs)]
+    offs = mono_offsets(N)
+    terms = [uv for t in range(m_pairs) for uv in ((2 * t, 2 * t + 1), (2 * t + 1, 2 * t))]
+
+    def images(parities):
+        # (left, right) parities per term, 0 even and 1 odd
+        def at(mono):
+            p = mono_pack(mono, N)
+            d = [[p - (1 << o) if x and x & 1 == r else None for r in (0, 1)]
+                 for x, o in zip(mono, offs)]
+            return ([d[u][r] for u, _ in terms for r, _ in parities],
+                    [d[v][s] for _, v in terms for _, s in parities])
+        return at
+
     sc: Dict[Pair, Dict[int, int]] = {}
-
-    def dalpha(m, v):
-        """(coefficient, monomial) of D_alpha,v on a monomial."""
-        if m[v] == 0:
-            return 0, None
-        coeff = field.one.value if (m[v] & 1) else alpha.value
-        if not coeff:
-            return 0, None
-        m2 = list(m)
-        m2[v] -= 1
-        return coeff, tuple(m2)
-
-    for a in range(len(monos)):
-        for b in range(a + 1, len(monos)):
-            row: Dict[int, int] = {}
-            for (i, j) in pairs:
-                for (u, v) in ((i, j), (j, i)):
-                    ca, ma = dalpha(monos[a], u)
-                    cb, mb = dalpha(monos[b], v)
-                    if not ca or not cb:
-                        continue
-                    c2, mm = mono_mul(ma, mb, N)
-                    if not c2:
-                        continue
-                    k = index[mm]
-                    s = field.add(row.get(k, 0), field.mul(ca, cb))
-                    if s:
-                        row[k] = s
-                    else:
-                        row.pop(k, None)
-            if row:
-                sc[(a, b)] = row
-    from .divpow import mono_text
-    labels = [mono_text(m, names) for m in monos]
-    return Algebra(field, labels, sc, name="po_Pi(%d;%s)@alpha=%r" % (2 * m_pairs, list(N), alpha),
+    for e, parities in enumerate([[(1, 1)], [(1, 0), (0, 1)], [(0, 0)]]):
+        c = field.pow(alpha.value, e)
+        if not c:
+            continue
+        for ab, row in image_rows(monos, N, images(parities)).items():
+            out = sc.setdefault(ab, {})
+            for k in row:
+                s = field.add(out.get(k, 0), c)
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+    names = pq_names(m_pairs)
+    return Algebra(field, [mono_text(m, names) for m in monos], {ab: sc[ab] for ab in sorted(sc) if sc[ab]},
+                   name="po_Pi(%d;%s)@alpha=%r" % (2 * m_pairs, list(N), alpha),
                    meta={"vars": tuple(names), "N": N, "mono_degrees": monos})
 
 
@@ -716,7 +692,6 @@ def f_alpha_matrix(g_alg: Algebra, alpha: Scalar) -> List[Dict[int, int]]:
 
 def reindex_map(src: Algebra, dst: Algebra) -> LinearMap:
     """The digit-splitting bijection between function algebras as a LinearMap."""
-    from .divpow import reindex_mono
     src_basis = src.meta["mono_degrees"]
     N = src.meta["N"]
     dst_index = {m: t for t, m in enumerate(dst.meta["mono_degrees"])}
@@ -734,49 +709,11 @@ def kap4b_family(m: int) -> DeformFamily:
     """po_Pi(2m;1_s) with bracket sum (1 + h p_i)(1 + h q_i)(...): the
     linear term is the h-coefficient cochain, the quadratic term the
     h^2 one."""
-    from .constructions import build_poisson
-    N = tuple(1 for _ in range(2 * m))
-    po = build_poisson(m, N)
-    basis = po.meta["mono_degrees"]
-    index = {mm: t for t, mm in enumerate(basis)}
-
-    def cochain_from(shifts: Sequence[Tuple[int, ...]]) -> Cochain2:
-        terms: Dict[Pair, int] = {}
-        for a in range(len(basis)):
-            for b in range(a + 1, len(basis)):
-                acc = 0
-                for t in range(m):
-                    pi, qi = 2 * t, 2 * t + 1
-                    for (u, v) in ((pi, qi), (qi, pi)):
-                        ma, mb = basis[a], basis[b]
-                        if ma[u] == 0 or mb[v] == 0:
-                            continue
-                        da = list(ma)
-                        da[u] -= 1
-                        db = list(mb)
-                        db[v] -= 1
-                        c1, mm = mono_mul(tuple(da), tuple(db), N)
-                        if not c1:
-                            continue
-                        for shift in shifts:
-                            m2 = list(mm)
-                            ok = True
-                            for w in shift:
-                                var = pi if w == 0 else qi
-                                m2[var] += 1
-                                if m2[var] > 1:
-                                    ok = False
-                                    break
-                            if ok:
-                                acc ^= 1 << index[tuple(m2)]
-                if acc:
-                    terms[(a, b)] = acc
-        return Cochain2(po, terms)
-
-    # (1 + h p)(1 + h q) = 1 + h (p + q) + h^2 p q
-    c1 = cochain_from([(0,), (1,)])
-    c2 = cochain_from([(0, 1)])
-    return DeformFamily(po, ["h"], {(1,): c1, (2,): c2}, name="Kap4B family")
+    po = build_poisson(m, (1,) * (2 * m))
+    # (1 + h p)(1 + h q) = 1 + h (p + q) + h^2 p q, factors as in kap4B_images
+    return DeformFamily(po, ["h"], {(1,): _image_cochain(po, kap4B_images(m, (1, 2))),
+                                    (2,): _image_cochain(po, kap4B_images(m, (3,)))},
+                        name="Kap4B family")
 
 
 class Kap4bReport:

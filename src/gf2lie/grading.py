@@ -275,7 +275,6 @@ def cochain_weight(c, mode: str) -> Tuple[int, ...]:
                 raise AlgebraError(
                     "cochain not homogeneous in mode %s: term %r has weight %s, term %r has weight %s"
                     % (mode, witness, seen, (k, (i, j)), w))
-    if seen is None:
-        nv = len(g.meta["mono_degrees"][0]) if mode != "outer" else 1
-        return tuple(0 for _ in range(nv))
+    if seen is None:  # weight_keys raises the errors a nonzero cochain would
+        return tuple(0 for _ in weight_keys(g, mode)[0])
     return seen

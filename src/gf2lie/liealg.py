@@ -538,8 +538,8 @@ def derived_subalgebra(g: Algebra) -> Subspace:
     """Span of all brackets of basis pairs."""
     s = Subspace(g)
     T = g.pair_table()
-    for (i, j) in g.sc:
-        s.add(T[i * g.dim + j])
+    for w in dict.fromkeys(T[i * g.dim + j] for (i, j) in g.sc):  # each distinct mask once
+        s.add(w)
     return s
 
 

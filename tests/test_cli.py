@@ -58,7 +58,7 @@ def test_malformed_pairs_is_a_usage_error(pairs, capsys):
 
 def test_pipeline_h2(tmp_path):
     out = str(tmp_path / "hp.json")
-    code, _ = run_cli(["build", "h", "--N", "2,2", "--derived", "--out", out])
+    code, _ = run_cli(["build", "h", "--N", "2,2", "--variant", "derived", "--out", out])
     assert code == 0 and os.path.exists(out)
     code, doc = run_cli(["h2", "--algebra", out, "--weight", "4,-2", "--mode", "z"])
     assert code == 0
@@ -67,9 +67,50 @@ def test_pipeline_h2(tmp_path):
     assert doc["representatives"]
 
 
+@pytest.mark.parametrize("weight", ["1,2,3", "1"])
+def test_h2_refuses_a_weight_of_the_wrong_length(tmp_path, capsys, weight):
+    out = str(tmp_path / "hp.json")
+    run_cli(["build", "h", "--N", "2,2", "--variant", "derived", "--out", out])
+    code, doc = run_cli(["h2", "--algebra", out, "--weight", weight, "--mode", "z"])
+    assert code == 1 and doc is None
+    assert "a weight in mode 'z' has %d entries, not 2" % len(weight.split(",")) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, dim", [(["h", "--N", "2,2"], 15),
+                                       (["h", "--N", "2,2", "--variant", "derived"], 14),
+                                       (["h", "--form", "i", "--N", "1,1,1", "--variant", "derived"], 6),
+                                       (["lh", "--N", "1,1,1,1"], 15),
+                                       (["lh", "--N", "1,1,1,1", "--variant", "derived"], 14)])
+def test_build_h_and_lh_read_the_variant(argv, dim):
+    code, doc = run_cli(["build"] + argv)
+    assert code == 0 and doc["dim"] == dim
+
+
+@pytest.mark.parametrize("argv", [["h", "--N", "2,2"], ["h", "--form", "i", "--N", "2,2"],
+                                  ["lh", "--N", "1,1,1,1"]])
+def test_build_refuses_a_variant_the_builder_lacks(argv, capsys):
+    code, doc = run_cli(["build"] + argv + ["--variant", "derived_mod_center"])
+    assert code == 1 and doc is None
+    assert "unknown variant 'derived_mod_center'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["po", "--N", "2,2"], ["jurman"], ["kap", "--family", "2"],
+                                  ["tensor-example"]])
+@pytest.mark.parametrize("variant", ["derived", "derived_mod_center"])
+def test_build_without_variants_refuses_one(argv, variant, capsys):
+    code, doc = run_cli(["build"] + argv + ["--variant", variant])
+    assert code == 1 and doc is None
+    assert "has no variant %r" % variant in capsys.readouterr().err
+
+
+def test_build_has_no_derived_flag():
+    code, doc = run_cli(["build", "multipair", "--pairs", "2,1", "--derived"])
+    assert code == 1 and doc is None
+
+
 def test_h2_in_an_ungraded_mode_is_a_usage_error(tmp_path, capsys):
     out = str(tmp_path / "hp.json")
-    run_cli(["build", "h", "--N", "2,2", "--derived", "--out", out])
+    run_cli(["build", "h", "--N", "2,2", "--variant", "derived", "--out", out])
     code, doc = run_cli(["h2", "--algebra", out, "--weight", "0,0", "--mode", "mod2"])
     assert code == 1 and doc is None
     assert "weight mode 'mod2' does not grade" in capsys.readouterr().err

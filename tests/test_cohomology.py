@@ -281,3 +281,13 @@ def test_block_coords_match_weight_filter(name):
         assert c1_block_coords(g, cons) == want1, cons
     with pytest.raises(AlgebraError):
         c2_block_coords(g, [("q", (0,))])
+
+
+@pytest.mark.parametrize("mode, weight, want", [("z", (1, 2, 3), 2), ("z", (1,), 2), ("outer", (0, 0), 1)])
+def test_compute_h2_refuses_a_weight_of_the_wrong_length(mode, weight, want):
+    hp = build_hamiltonian(1, (2, 2), "derived")
+    why = "a weight in mode %r has %d entries, not %d" % (mode, len(weight), want)
+    with pytest.raises(AlgebraError, match=why):
+        compute_h2(hp, weight_filter=weight, mode=mode)
+    with pytest.raises(AlgebraError, match=why):
+        c1_block_coords(hp, [(mode, weight)])

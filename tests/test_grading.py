@@ -87,6 +87,18 @@ def test_cochain_weight_modes():
     assert cochain_weight(zero, "z") == (0, 0)
 
 
+@pytest.mark.parametrize("terms", [{}, {(0, 1): 1 << 2}], ids=["zero", "nonzero"])
+def test_cochain_weight_errors_do_not_depend_on_the_terms(terms):
+    from gf2lie.cohomology import Cochain2
+    hp = build_hamiltonian(1, (2, 2), "derived")
+    with pytest.raises(AlgebraError, match="no monomial degrees"):
+        Cochain2(build_jurman(2, 1), terms).weight("z")
+    with pytest.raises(AlgebraError, match="unknown weight mode 'bogus'"):
+        Cochain2(hp, terms).weight("bogus")
+    if not terms:
+        assert [Cochain2(hp, {}).weight(mode) for mode in ("z", "mod2", "outer")] == [(0, 0), (0, 0), (0,)]
+
+
 def test_cochain_weight_nonhomogeneous_errors():
     from gf2lie.cohomology import parse_cocycle
     hp = build_hamiltonian(1, (2, 2), "derived")

@@ -310,6 +310,19 @@ def test_derived_subalgebra():
     assert derived_subalgebra(h).dim == 14
 
 
+@pytest.mark.parametrize("kind", ["Pi", "I"])
+def test_derived_subalgebra_matches_adding_every_bracket(kind):
+    # each distinct bracket mask is added once; every nonzero pair's mask,
+    # repeats included, gives the same reduced echelon rows and pivots
+    g = build_multipair(kind, [(2, 1), (2, 1)])
+    T = g.pair_table()
+    every = Subspace(g)
+    for (i, j) in g.sc:
+        every.add(T[i * g.dim + j])
+    der = derived_subalgebra(g)
+    assert der.rows() == every.rows() and der.pivots() == every.pivots()
+
+
 def test_center_examples():
     po = build_poisson(1, (1, 1))
     c = center(po)
