@@ -22,7 +22,7 @@ from .constructions import (build_a2gh, build_classical, build_div_free_hI, buil
                             build_hamiltonian, build_jurman, build_kaplansky,
                             build_multipair, build_poisson, build_tensor_example)
 from .deform import deform_bracket, jurman_deform_check, obstruction_poly, poisson_family, semitrivial_certificate
-from .fields import Scalar, field_make
+from .fields import FieldError, Scalar, field_make
 from .grading import associated_graded, weisfeiler_filtration
 from .isom import fingerprint, search_isomorphism
 from .liealg import (Algebra, AlgebraError, Subspace, center, compute_h1_dim, derived_subalgebra,
@@ -38,6 +38,15 @@ def _emit(doc: dict, code: int = 0) -> int:
 def _load_algebra(path: str) -> Algebra:
     with open(path) as fh:
         return Algebra.from_json(json.load(fh))
+
+
+def _scalar(field: str, text: str) -> Scalar:
+    """The int literal `text` as an element of the --field, refused outside it."""
+    fld = field_make(field)
+    v = int(text, 0)
+    if v < 0 or (fld.order and v >= fld.order):
+        raise FieldError("%s is not an element of %r" % (text, fld))
+    return Scalar(fld, v)
 
 
 def _parse_N(text: str):
@@ -81,11 +90,7 @@ def _build_from_args(args) -> Algebra:
     if kind == "classical":
         return build_classical(args.family, args.n, args.variant)
     if kind == "tensor-example":
-        hbar = None
-        if args.hbar:
-            fld = field_make(args.field)
-            hbar = Scalar(fld, int(args.hbar, 0))
-        return build_tensor_example(hbar)
+        return build_tensor_example(_scalar(args.field, args.hbar) if args.hbar else None)
     raise SystemExit("unknown build target %r" % kind)
 
 
@@ -157,10 +162,8 @@ def cmd_deform(args) -> int:
                       "isomorphic_to_jurman": rep.ok, "engine": rep.iso.engine,
                       "cocycle": rep.cocycle.text()}, 0 if rep.ok else 2)
     if args.what == "poisson-family":
-        fld = field_make(args.field)
-        alpha = Scalar(fld, int(args.alpha, 0))
         N = _parse_N(args.N)
-        g = poisson_family(len(N) // 2, N, alpha)
+        g = poisson_family(len(N) // 2, N, _scalar(args.field, args.alpha))
         doc = g.to_json()
         doc["validated"] = g.validate().ok
         return _emit(doc)
@@ -172,9 +175,7 @@ def cmd_deform(args) -> int:
         doc = {"name": g.name, "verdict": rep.verdict,
                "jacobiator_by_power": {str(k): v for k, v in rep.by_mono.items()}}
         if args.hbar:
-            fld = field_make(args.field)
-            hbar = Scalar(fld, int(args.hbar, 0))
-            cert = semitrivial_certificate(fam, hbar)
+            cert = semitrivial_certificate(fam, _scalar(args.field, args.hbar))
             doc["semitrivial_certificate"] = cert.description if cert else None
         return _emit(doc)
     raise SystemExit("unknown deform target %r" % args.what)

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from . import gf2
 from .divpow import mono_text
 from .grading import C2_OFFSET, cochain_weight, weight_keys
-from .liealg import Algebra, AlgebraError, Incidence
+from .liealg import Algebra, AlgebraError, Incidence, incidence_index
 
 Pair = Tuple[int, int]
 Triple = Tuple[int, int, int]
@@ -71,18 +71,10 @@ class Cochain2:
         return self.terms.get(key, 0)
 
     def incidence(self) -> Incidence:
-        """(pre, rows) in the shape Algebra.incidence gives them, with c in
-        place of the bracket: pre[u] lists the pairs x<y with e_u in c(x,y),
-        rows[u] the (z, c(e_u,e_z)) with c(e_u,e_z) != 0; built on first use."""
+        """`incidence_index` of the terms, with c in place of the bracket;
+        built on first use."""
         if self._incidence is None:
-            pre: Dict[int, List[Pair]] = {}
-            rows: Dict[int, List[Tuple[int, int]]] = {}
-            for (x, y), w in self.terms.items():
-                for u in gf2.bits(w):
-                    pre.setdefault(u, []).append((x, y))
-                rows.setdefault(x, []).append((y, w))
-                rows.setdefault(y, []).append((x, w))
-            self._incidence = (pre, rows)
+            self._incidence = incidence_index(self.terms.items())
         return self._incidence
 
     def weight(self, mode: str) -> Tuple[int, ...]:
@@ -589,9 +581,9 @@ def _parse_mono(text: str, g: Algebra) -> Tuple[int, ...]:
         i = pos[v]
         if e < 0 or e >= (1 << N[i]):
             raise CochainError("exponent out of range: %s^(%d) with N=%d" % (v, e, N[i]))
-        exps[i] += e
-        if exps[i] >= (1 << N[i]):
-            raise CochainError("exponent out of range after combining factors in %r" % text)
+        if exps[i] & e:  # x^(a) x^(b) = binom(a+b, a) x^(a+b), even by Lucas
+            raise CochainError("the product %r vanishes: %s^(%d) %s^(%d) = 0" % (text, v, exps[i], v, e))
+        exps[i] |= e
     return tuple(exps)
 
 

@@ -256,7 +256,7 @@ def is_constant_mono(mono: Mono) -> bool:
     return all(e == 0 for e in mono)
 
 
-def build_poisson(m_pairs: int, N: Sequence[int], name: str = "") -> Algebra:
+def build_poisson(m_pairs: int, N: Sequence[int]) -> Algebra:
     """po_Pi(2m; N): divided-power functions with the alternate Poisson bracket.
 
     Variables are interleaved (p1, q1, p2, q2, ...); N lists their
@@ -273,7 +273,7 @@ def build_poisson(m_pairs: int, N: Sequence[int], name: str = "") -> Algebra:
     else:
         grading = lambda mono: (sum(mono) - 2,)
         gr_mod = (0,)
-    return function_algebra(names, N, _partials_images(terms, N), name=name or "po_Pi(%d;%s)" % (2 * m_pairs, list(N)),
+    return function_algebra(names, N, _partials_images(terms, N), name="po_Pi(%d;%s)" % (2 * m_pairs, list(N)),
                             grading=grading, grading_mod=gr_mod)
 
 

@@ -16,7 +16,7 @@ from . import gf2
 from .cohomology import (Block, C3Index, Cochain2, Triple, coboundary_block, combine, compute_h2,
                          cyclic_compose, d2, is_coboundary)
 from .constructions import (build_classical, build_hamiltonian, build_jurman, build_kap2, build_kap4B,
-                            build_poisson, image_rows, jurman_bracket, kap4B_images, pq_names)
+                            build_poisson, image_rows, kap4B_images, pq_names)
 from .divpow import check_shearing, mono_offsets, mono_pack, mono_text, monomials, reindex_mono
 from .fields import GF2, GF2k, Scalar
 from .grading import cochain_weight
@@ -99,12 +99,12 @@ class DeformFamily:
         return {k: v for k, v in out.items() if v}
 
 
-def deform_bracket(g: Algebra, c: Cochain2, param: str = "h", check: bool = True,
+def deform_bracket(g: Algebra, c: Cochain2, check: bool = True,
                    name: str = "") -> DeformFamily:
     """The family [x,y] + h c(x,y); c must be a 2-cocycle."""
     if check and d2(c):
         raise AlgebraError("the cochain is not a cocycle")
-    return DeformFamily(g, [param], {(1,): c}, name=name)
+    return DeformFamily(g, ["h"], {(1,): c}, name=name)
 
 
 class ObstructionReport:
@@ -235,14 +235,14 @@ def zero_defect_representative(g: Algebra, c: Cochain2, constraints=(),
     return None
 
 
-def massey_tower(g: Algebra, c: Cochain2, constraints=(), max_order: int = 8,
-                 branch_budget: int = 4096) -> dict:
+def massey_tower(g: Algebra, c: Cochain2, constraints=()) -> dict:
     """Try to integrate [x,y] + h c + h^2 m_2 + ... order by order.
 
     At order k the correction m_k must solve d2(m_k) = sum of composed
     lower terms; the solution is searched per weight block (constraints
     scale with the order for Z-type modes).  Backtracks over the affine
-    solution freedom within a branch budget.  Returns a report dict.
+    solution freedom within 4,096 branches, up to order 8.  Returns a
+    report dict.
     """
     def scaled_constraints(k: int):
         out = []
@@ -253,10 +253,10 @@ def massey_tower(g: Algebra, c: Cochain2, constraints=(), max_order: int = 8,
                 out.append((mode, tuple(k * x for x in w)))
         return out
 
-    state = {"budget": branch_budget, "stuck_order": None}
+    state = {"budget": 4096, "stuck_order": None}
 
     def extend(terms: Dict[int, Cochain2], k: int) -> bool:
-        if k > max_order or k > 2 * max(terms):
+        if k > 8 or k > 2 * max(terms):
             # all higher right-hand sides vanish: the tower closed
             return k > 2 * max(terms)
         if state["budget"] <= 0:
@@ -371,39 +371,17 @@ def jurman_united_family(K: int) -> DeformFamily:
     partitions = [(g, K - g) for g in range(2, K)]
     if not partitions:
         raise AlgebraError("K must be at least 3")
-    kmax = 1 << K
-    js = list(range(-1, kmax - 2))
-    basis = [(j, t) for j in js for t in (0, 1)]
-    index = {bt: i for i, bt in enumerate(basis)}
-    sc: Dict[Pair, Dict[int, int]] = {}
-    for a in range(len(basis)):
-        ja, ta = basis[a]
-        for b in range(a + 1, len(basis)):
-            jb, tb = basis[b]
-            if ta and tb:
-                continue  # odd-odd lives in the parameter directions
-            c, m, par = jurman_bracket(ja, ta, jb, tb, *partitions[0])
-            c2 = jurman_bracket(ja, ta, jb, tb, *partitions[-1])[0]
-            assert c == c2, "even/mixed brackets must not depend on the partition"
-            if c:
-                sc[(a, b)] = {index[(m, par)]: 1}
-    base = Algebra(GF2, ["Y%d(%d)" % bt for bt in basis], sc, name="jurman united base")
-    terms: Dict[ParamMono, Cochain2] = {}
-    for t_idx, (g, h) in enumerate(partitions):
-        ct: Dict[Pair, int] = {}
-        for a in range(len(basis)):
-            ja, ta = basis[a]
-            if not ta:
-                continue
-            for b in range(a + 1, len(basis)):
-                jb, tb = basis[b]
-                if not tb:
-                    continue
-                c, m, par = jurman_bracket(ja, ta, jb, tb, g, h)
-                if c:
-                    ct[(a, b)] = ct.get((a, b), 0) ^ (1 << index[(m, par)])
-        mono = tuple(1 if i == t_idx else 0 for i in range(len(partitions)))
-        terms[mono] = Cochain2(base, ct)
+    sc: Optional[Dict[Pair, Dict[int, int]]] = None
+    odd: List[Dict[Pair, int]] = []
+    for g, h in partitions:
+        j = build_jurman(g, h)  # basis index a holds a Y(a & 1)
+        even = {ab: row for ab, row in j.sc.items() if not ab[0] & ab[1] & 1}
+        assert sc is None or sc == even, "even/mixed brackets must not depend on the partition"
+        sc = even
+        odd.append({ab: gf2.from_bits(row) for ab, row in j.sc.items() if ab[0] & ab[1] & 1})
+    base = Algebra.from_gf2_rows(j.labels, sc, name="jurman united base")
+    terms = {tuple(int(i == t) for i in range(len(partitions))): Cochain2(base, ct)
+             for t, ct in enumerate(odd)}
     return DeformFamily(base, ["t%d%d" % p for p in partitions], terms,
                         name="jurman united family K=%d" % K)
 
@@ -513,13 +491,11 @@ class Certificate:
         return "<certificate %s>" % self.description
 
 
-def semitrivial_certificate(fam: DeformFamily, hbar: Scalar,
-                            derivation_candidates: Optional[Sequence[Tuple[str, List[int]]]] = None,
-                            search_budget: int = 200_000) -> Optional[Certificate]:
+def semitrivial_certificate(fam: DeformFamily, hbar: Scalar) -> Optional[Certificate]:
     """Find an isomorphism from the specialized deform onto the base.
 
     Strategy (a): maps F = id + a1 D + a2 D^2 + a3 D^3 for nilpotent
-    derivation candidates D (all d_i^(2^s) by default), coefficients
+    derivation candidates D (every d_i^(2^s), s < 3), coefficients
     brute-forced over the specialization field, sqrt(hbar) first.
     Strategy (b): generic isomorphism search.
     """
@@ -527,16 +503,11 @@ def semitrivial_certificate(fam: DeformFamily, hbar: Scalar,
     base = fam.base
     deformed = fam.specialize([hbar])
     base_f = Algebra(field, base.labels, base.sc, name=base.name, meta=base.meta)
-    if derivation_candidates is None:
-        derivation_candidates = []
-        nvars = len(base.meta["N"])
-        for v in range(nvars):
-            for s in range(3):
-                name = "d_%s^%d" % (base.meta["vars"][v], 1 << s)
-                derivation_candidates.append((name, partial_matrix(base, v, 1 << s)))
+    candidates = [("d_%s^%d" % (base.meta["vars"][v], 1 << s), partial_matrix(base, v, 1 << s))
+                  for v in range(len(base.meta["N"])) for s in range(3)]
     sq = hbar.sqrt().value
     coeff_order = sorted(range(field.order), key=lambda x: (x != sq, x))
-    for dname, D in derivation_candidates:
+    for dname, D in candidates:
         # nilpotency degree of D
         rows = D
         powers = [None, D]
@@ -572,18 +543,17 @@ def semitrivial_certificate(fam: DeformFamily, hbar: Scalar,
                     if ck:
                         parts.append("%s*(%s)^%d" % (field.text(ck), dname, k))
                 return Certificate(m, "F = id + " + " + ".join(parts))
-    cert = _rescale_and_search_certificate(fam, hbar, search_budget)
+    cert = _rescale_and_search_certificate(fam, hbar)
     if cert is not None:
         return cert
     if isinstance(field, GF2k) and field.k == 1:
-        res = search_isomorphism(deformed, base_f, budget=search_budget)
+        res = search_isomorphism(deformed, base_f)
         if res.kind == "iso":
             return Certificate(res.map, "generic search (%s engine)" % res.engine)
     return None
 
 
-def _rescale_and_search_certificate(fam: DeformFamily, hbar: Scalar,
-                                    search_budget: int) -> Optional[Certificate]:
+def _rescale_and_search_certificate(fam: DeformFamily, hbar: Scalar) -> Optional[Certificate]:
     """Move the parameter to 1 by a grading torus map, search over GF(2),
     and compose; the diagonal scaling carries the sqrt(hbar)-style
     non-differentiability."""
@@ -606,7 +576,7 @@ def _rescale_and_search_certificate(fam: DeformFamily, hbar: Scalar,
     alg1 = fam.specialize([GF2.one], grading=grading, grading_mod=mod)
     base1 = Algebra(GF2, base.labels, base.sc, grading=grading, grading_mod=mod,
                     name=base.name, meta=base.meta)
-    res = search_isomorphism(alg1, base1, budget=search_budget)
+    res = search_isomorphism(alg1, base1)
     if res.kind != "iso":
         return None
     gmask = res.map.images  # GF(2) masks
@@ -718,15 +688,13 @@ def kap4b_family(m: int) -> DeformFamily:
 
 class Kap4bReport:
     def __init__(self, m, linear_is_coboundary, quadratic_is_cocycle,
-                 quadratic_is_coboundary, at_one_equals_kap4b, quotient_iso_verified,
-                 extra=None):
+                 quadratic_is_coboundary, at_one_equals_kap4b, quotient_iso_verified):
         self.m = m
         self.linear_is_coboundary = linear_is_coboundary
         self.quadratic_is_cocycle = quadratic_is_cocycle
         self.quadratic_is_coboundary = quadratic_is_coboundary
         self.at_one_equals_kap4b = at_one_equals_kap4b
         self.quotient_iso_verified = quotient_iso_verified
-        self.extra = extra or {}
 
     @property
     def ok(self):

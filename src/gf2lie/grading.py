@@ -147,7 +147,7 @@ def _subalgebra_with(g: Algebra, L0: Subspace, v: int) -> Subspace:
     return subalgebra_generated(g, list(L0.rows()) + [v])
 
 
-def associated_graded(f: Filtration, name: str = "") -> Algebra:
+def associated_graded(f: Filtration) -> Algebra:
     """gr = ⊕ L_i / L_{i+1} with the induced bracket and its Z-grading.
 
     Complement representatives are chosen lex-first inside each layer;
@@ -212,7 +212,7 @@ def associated_graded(f: Filtration, name: str = "") -> Algebra:
         labels.append(g.labels[bs[0]] if len(bs) == 1 else "gr(" + "+".join(g.labels[b] for b in bs) + ")")
     grading = [(rep_layer[a],) for a in range(m)]
     return Algebra(g.field, labels, sc, grading=grading, grading_mod=(0,),
-                   name=name or ("gr " + g.name))
+                   name="gr " + g.name)
 
 
 # ---------------------------------------------------------------------------

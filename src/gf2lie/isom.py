@@ -35,14 +35,14 @@ class IsoResult:
         return "<%s: %s>" % (self.kind, self.reason)
 
 
-def fingerprint(g: Algebra, with_derivations: bool = True) -> dict:
+def fingerprint(g: Algebra) -> dict:
     fp = {
         "dim": g.dim,
         "derived_dims": tuple(derived_series_dims(g)),
         "lower_central_dims": tuple(lower_central_dims(g)),
         "center_dim": center(g).dim,
     }
-    if with_derivations and g.dim <= 32:
+    if g.dim <= 32:
         fp["derivation_dim"] = derivation_dim(g)
     return fp
 
@@ -194,15 +194,25 @@ def find_generators(g: Algebra, candidates: Optional[Sequence[int]] = None,
     return None
 
 
-def _finish_map(a: Algebra, b: Algebra, gw: GenWords, word_images: List[int]) -> Optional[LinearMap]:
-    coords = gw.basis_coords
-    if coords is None:
-        return None
-    images = [gf2.apply_rows(word_images, c) for c in coords]
-    m = LinearMap(a, b, images)
-    if verify_morphism(m, "isomorphism"):
-        return m
-    return None
+def _search(a: Algebra, b: Algebra, gens: Sequence[int], cand_lists: Sequence[Sequence[int]],
+            budget: int) -> Tuple[Optional[LinearMap], int]:
+    """The first verified isomorphism sending gens[t] to a vector of
+    cand_lists[t], over the product of the lists in order, and the number
+    of tuples tried; budget + 1 tried means the budget ran out.  The gens
+    must generate a, as `find_generators` ensures."""
+    gw = GenWords(a, gens)
+    tried = 0
+    for images in _cartesian(*cand_lists):
+        tried += 1
+        if tried > budget:
+            break
+        word_imgs = gw.evaluate_in(b, list(images))
+        if word_imgs is None:
+            continue
+        m = LinearMap(a, b, [gf2.apply_rows(word_imgs, c) for c in gw.basis_coords])
+        if verify_morphism(m, "isomorphism"):
+            return m, tried
+    return None, tried
 
 
 # ---------------------------------------------------------------------------
@@ -274,18 +284,11 @@ def _try_zgraded_engine(a: Algebra, b: Algebra, budget: int) -> Optional[IsoResu
             for mask in range(1, 1 << len(tgt)):
                 vecs.append(gf2.from_bits(tgt[t] for t in gf2.bits(mask)))
             cand_lists.append(sorted(vecs))
-        gw = GenWords(a, gens)
-        tried = 0
-        for images in _cartesian(*cand_lists):
-            tried += 1
-            if tried > budget:
-                return IsoResult("exhausted", reason="graded search budget", engine="zgraded")
-            word_imgs = gw.evaluate_in(b, list(images))
-            if word_imgs is None:
-                continue
-            m = _finish_map(a, b, gw, word_imgs)
-            if m is not None:
-                return IsoResult("iso", m, engine="zgraded")
+        m, tried = _search(a, b, gens, cand_lists, budget)
+        if m is not None:
+            return IsoResult("iso", m, engine="zgraded")
+        if tried > budget:
+            return IsoResult("exhausted", reason="graded search budget", engine="zgraded")
     return None
 
 
@@ -328,18 +331,8 @@ def _generic_engine(a: Algebra, b: Algebra, budget: int) -> IsoResult:
     if any(not c for c in cand_lists):
         return IsoResult("exhausted", reason="no candidates share generator invariants",
                          engine="generic")
-    gw = GenWords(a, gens)
-    tried = 0
-    for images in _cartesian(*cand_lists):
-        tried += 1
-        if tried > budget:
-            return IsoResult("exhausted", reason="generic search budget (%d tried)" % tried,
-                             engine="generic")
-        word_imgs = gw.evaluate_in(b, list(images))
-        if word_imgs is None:
-            continue
-        m = _finish_map(a, b, gw, word_imgs)
-        if m is not None:
-            return IsoResult("iso", m, engine="generic")
-    return IsoResult("exhausted", reason="search space exhausted (%d tried)" % tried,
-                     engine="generic")
+    m, tried = _search(a, b, gens, cand_lists, budget)
+    if m is not None:
+        return IsoResult("iso", m, engine="generic")
+    what = "generic search budget" if tried > budget else "search space exhausted"
+    return IsoResult("exhausted", reason="%s (%d tried)" % (what, tried), engine="generic")

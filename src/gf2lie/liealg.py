@@ -58,6 +58,19 @@ class ValidationReport:
 Incidence = Tuple[Dict[int, List[Tuple[int, int]]], Dict[int, List[Tuple[int, int]]]]
 
 
+def incidence_index(items: Iterable[Tuple[Tuple[int, int], int]]) -> Incidence:
+    """The (pre, rows) of the nonzero values ((x, y), mask), x < y, of a
+    bracket or a cochain, each list in the order of `items`."""
+    pre: Dict[int, List[Tuple[int, int]]] = {}
+    rows: Dict[int, List[Tuple[int, int]]] = {}
+    for (x, y), w in items:
+        for u in gf2.bits(w):
+            pre.setdefault(u, []).append((x, y))
+        rows.setdefault(x, []).append((y, w))
+        rows.setdefault(y, []).append((x, w))
+    return pre, rows
+
+
 class Algebra:
     """Algebra with alternating bracket given by sparse structure constants."""
 
@@ -66,8 +79,11 @@ class Algebra:
                  grading_mod: Optional[Tuple[int, ...]] = None,
                  name: str = "", meta: Optional[dict] = None):
         n = len(labels)
+        top = field.order or float("inf")  # GF(2)[h] takes every v >= 0
         clean: Dict[Tuple[int, int], Dict[int, int]] = {}
         for (i, j), val in sc.items():
+            if any(not 0 <= v < top for v in val.values()):
+                raise AlgebraError("structure constant at (%d,%d) lies outside %r" % (i, j, field))
             if i == j:
                 if any(val.values()):
                     raise AlgebraError("[e_%d, e_%d] must vanish (alternation)" % (i, i))
@@ -195,23 +211,11 @@ class Algebra:
         return self._pair_table
 
     def incidence(self) -> Incidence:
-        """(pre, rows): pre[u] lists the pairs x<y with e_u in [e_x,e_y] and
-        rows[u] the (z, [e_u,e_z] as a mask) with [e_u,e_z] != 0, both
-        ascending and keyed only by the u they hold; GF(2) only."""
+        """`incidence_index` of the bracket, pairs ascending, so that pre[u]
+        and rows[u] are ascending too; GF(2) only."""
         if self._incidence is None:
-            n = self.dim
-            T = self.pair_table()
-            pre: Dict[int, List[Tuple[int, int]]] = {}
-            rows: Dict[int, List[Tuple[int, int]]] = {}
-            for (x, y) in sorted(self.sc):
-                w = T[x * n + y]
-                for u in gf2.bits(w):
-                    pre.setdefault(u, []).append((x, y))
-                rows.setdefault(x, []).append((y, w))
-                rows.setdefault(y, []).append((x, w))
-            for row in rows.values():
-                row.sort()
-            self._incidence = (pre, rows)
+            T, n = self.pair_table(), self.dim
+            self._incidence = incidence_index((xy, T[xy[0] * n + xy[1]]) for xy in sorted(self.sc))
         return self._incidence
 
     def bracket(self, u: Vec, v: Vec) -> Vec:
@@ -543,11 +547,11 @@ def derived_subalgebra(g: Algebra) -> Subspace:
     return s
 
 
-def derived_series_dims(g: Algebra, steps: int = 6) -> List[int]:
-    """Dimensions of g ⊇ g' ⊇ g'' ⊇ ... until stabilization (GF(2))."""
+def derived_series_dims(g: Algebra) -> List[int]:
+    """Dimensions of g ⊇ g' ⊇ g'' ⊇ ... until stabilization, at most six steps (GF(2))."""
     dims = [g.dim]
     cur = Subspace(g, [1 << i for i in range(g.dim)])
-    while len(dims) < steps + 1:
+    while len(dims) < 7:
         rows = cur.rows()
         nxt = Subspace(g)
         for ai, a in enumerate(rows):
@@ -560,10 +564,11 @@ def derived_series_dims(g: Algebra, steps: int = 6) -> List[int]:
     return dims
 
 
-def lower_central_dims(g: Algebra, steps: int = 4) -> List[int]:
+def lower_central_dims(g: Algebra) -> List[int]:
+    """Dimensions of g ⊇ [g, g] ⊇ [[g, g], g] ⊇ ..., at most four steps."""
     dims = [g.dim]
     cur = Subspace(g, [1 << i for i in range(g.dim)])
-    for _ in range(steps):
+    for _ in range(4):
         nxt = Subspace(g)
         for a in cur.rows():
             for j in range(g.dim):
@@ -942,7 +947,7 @@ def check_invariant_form(g: Algebra, K: Sequence[int]) -> Tuple[bool, int]:
     return True, n - gf2.rank(K)
 
 
-def direct_sum(a: Algebra, b: Algebra, name: str = "") -> Algebra:
+def direct_sum(a: Algebra, b: Algebra) -> Algebra:
     if a.field != b.field:
         raise AlgebraError("fields differ")
     labels = ["%s.1" % l for l in a.labels] + ["%s.2" % l for l in b.labels]
@@ -952,7 +957,7 @@ def direct_sum(a: Algebra, b: Algebra, name: str = "") -> Algebra:
     off = a.dim
     for (i, j), row in b.sc.items():
         sc[(i + off, j + off)] = {k + off: v for k, v in row.items()}
-    return Algebra(a.field, labels, sc, name=name or "(%s)+(%s)" % (a.name, b.name))
+    return Algebra(a.field, labels, sc, name="(%s)+(%s)" % (a.name, b.name))
 
 
 def subalgebra_generated(g: Algebra, vectors: Sequence[int]) -> Subspace:

@@ -171,7 +171,7 @@ def superize_linear(clo: ClosureAlgebra, v: int, name: str = "") -> SuperAlgebra
     return SuperAlgebra(clo, parity, name=name or (clo.base.name + " linear superization"))
 
 
-def superize_nonlinear(clo: ClosureAlgebra, Q: QuadraticFormSpec, name: str = "") -> SuperAlgebra:
+def superize_nonlinear(clo: ClosureAlgebra, Q: QuadraticFormSpec) -> SuperAlgebra:
     """KapS_{2,A}: even = {Q=1} ⊕ V*, odd = {Q=0, u != 0}; parity Q(u)+1.
 
     Only the closure of Kap_2 carries this: the gamma set must be all
@@ -183,7 +183,7 @@ def superize_nonlinear(clo: ClosureAlgebra, Q: QuadraticFormSpec, name: str = ""
         raise AlgebraError("quadratic form does not polarize to the closure's form")
     parity = [(Q.value(u) + 1) % 2 for u in clo.gamma] + [0] * clo.n
     arf = arf_invariant(Q)
-    return SuperAlgebra(clo, parity, name=name or ("KapS_{2,%d}(%d)" % (arf, clo.n)))
+    return SuperAlgebra(clo, parity, name="KapS_{2,%d}(%d)" % (arf, clo.n))
 
 
 def parity_nonlinearity_witness(s: SuperAlgebra) -> Optional[Tuple[int, int]]:
@@ -322,22 +322,21 @@ class EquivalenceVerdict:
 
 
 def equivalence_of_superizations(s1: SuperAlgebra, s2: SuperAlgebra,
-                                 quadratic: Optional[QuadraticFormSpec] = None,
-                                 budget: int = 100000) -> EquivalenceVerdict:
+                                 quadratic: Optional[QuadraticFormSpec] = None) -> EquivalenceVerdict:
     """Search for M with the stated preservation constraints inducing a
     super-isomorphism: M preserves B (Kap_2) or Q (Kap_4), and the induced
     maps must match parities and squarings.
 
     Exhaustive over the isometry group of B or Q for n <= 4 (|Sp(4,2)| =
-    720, |O+(4,2)| = 72, |O-(4,2)| = 120 maps); for larger n a randomized
-    budget of GL(n,2) samples applies, so only the positive verdict is
+    720, |O+(4,2)| = 72, |O-(4,2)| = 120 maps); for larger n 100,000
+    random GL(n,2) samples are filtered, so only the positive verdict is
     certain there.  A negative exhaustive verdict rules out maps of the
     induced shape only.
     """
     clo1 = s1.closure
     n = clo1.n
     tried = 0
-    for rows in _isometries(clo1.B, quadratic, budget=budget):
+    for rows in _isometries(clo1.B, quadratic):
         tried += 1
         m = induced_super_iso(s1, s2, rows)
         if m is not None:

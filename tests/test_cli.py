@@ -67,6 +67,38 @@ def test_pipeline_h2(tmp_path):
     assert doc["representatives"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["build", "tensor-example", "--field", "gf4", "--hbar", "4"],
+    ["build", "tensor-example", "--field", "gf2", "--hbar", "0x2"],
+    ["deform", "poisson-family", "--field", "gf4", "--alpha", "7"],
+    ["deform", "poisson-family", "--field", "gf2", "--alpha", "2"],
+], ids=["tensor-gf4", "tensor-gf2", "alpha-gf4", "alpha-gf2"])
+def test_a_value_outside_the_field_is_a_usage_error(argv, capsys):
+    code, doc = run_cli(argv)
+    assert code == 1 and doc is None
+    assert "is not an element of GF" in capsys.readouterr().err
+
+
+def test_deform_cocycle_refuses_an_hbar_outside_the_field(tmp_path, capsys):
+    out = str(tmp_path / "hp.json")
+    assert run_cli(["build", "h", "--N", "2,2", "--variant", "derived", "--out", out])[0] == 0
+    code, doc = run_cli(["deform", "cocycle", "--algebra", out, "--cocycle", "",
+                         "--field", "gf4", "--hbar", "0x4"])
+    assert code == 1 and doc is None
+    assert "0x4 is not an element of GF(2^2)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k, value", [(1, "0x2"), (2, "4")])
+def test_validate_refuses_a_json_value_outside_the_field(tmp_path, capsys, k, value):
+    doc = Algebra(GF2k(k), ["a", "b", "c", "d"], {(0, 1): {2: 1}}).to_json()
+    doc["sc"].append([2, 3, [[0, value]]])
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(["validate", "--algebra", str(path)])
+    assert code == 1 and out is None
+    assert "structure constant at (2,3) lies outside GF" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("weight", ["1,2,3", "1"])
 def test_h2_refuses_a_weight_of_the_wrong_length(tmp_path, capsys, weight):
     out = str(tmp_path / "hp.json")

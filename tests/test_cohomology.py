@@ -7,8 +7,9 @@ from gf2lie.cohomology import (Cochain2, CochainError, c1_block_coords, c2_block
                                coboundary_of, compute_h2, d1, d2, h2_weight_table, is_coboundary,
                                parse_cocycle)
 from gf2lie.constructions import build_hI, build_hamiltonian, build_jurman, build_tensor_example
+from gf2lie.fields import GF2
 from gf2lie.grading import cochain_term_weight
-from gf2lie.liealg import AlgebraError
+from gf2lie.liealg import Algebra, AlgebraError
 
 
 HP = build_hamiltonian(1, (2, 2), "derived")
@@ -140,6 +141,16 @@ def test_parser_roundtrip_and_errors():
         parse_cocycle("1 (x) d(p)^d(q)", HP)
 
 
+def test_parser_combines_repeated_factors_by_the_lucas_rule():
+    # p * p = 2 p^(2) = 0, while p * p^(2) = 3 p^(3) = p^(3)
+    with pytest.raises(CochainError, match="vanishes"):
+        parse_cocycle("p (x) d(p*p)^d(q)", HP)
+    with pytest.raises(CochainError, match="vanishes"):
+        parse_cocycle("p^(2) q * p^(3) (x) d(p)^d(q)", HP)
+    assert parse_cocycle("p (x) d(p*p^(2))^d(q)", HP) == parse_cocycle("p (x) d(p^(3))^d(q)", HP)
+    assert parse_cocycle("q p^(2) * p (x) d(p)^d(q)", HP) == parse_cocycle("p^(3) q (x) d(p)^d(q)", HP)
+
+
 def test_hI_block_13_classes():
     hi = build_hI(2, (2, 2))
     blk = compute_h2(hi, weight_filter=(0, 0), mode="mod2")
@@ -224,6 +235,53 @@ def test_sparse_differentials_match_dense(name):
         assert b.terms == _dense_d1(g, images).terms
         assert not d2(b)
     assert not d1(g, [0] * n) and not d2(Cochain2(g, {}))
+
+
+# the two (pre, rows) builders that `incidence_index` replaced, kept as an
+# oracle for it
+
+def _loop_algebra_incidence(g):
+    n = g.dim
+    T = g.pair_table()
+    pre, rows = {}, {}
+    for (x, y) in sorted(g.sc):
+        w = T[x * n + y]
+        for u in gf2.bits(w):
+            pre.setdefault(u, []).append((x, y))
+        rows.setdefault(x, []).append((y, w))
+        rows.setdefault(y, []).append((x, w))
+    for row in rows.values():
+        row.sort()
+    return pre, rows
+
+
+def _loop_cochain_incidence(c):
+    pre, rows = {}, {}
+    for (x, y), w in c.terms.items():
+        for u in gf2.bits(w):
+            pre.setdefault(u, []).append((x, y))
+        rows.setdefault(x, []).append((y, w))
+        rows.setdefault(y, []).append((x, w))
+    return pre, rows
+
+
+def ordered_incidence(inc):
+    """(pre, rows) as item lists, so that key order counts in comparisons."""
+    return [list(part.items()) for part in inc]
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
+def test_incidence_index_matches_both_builders(name):
+    g = ORACLE_ALGEBRAS[name]
+    for h in (g, Algebra(GF2, g.labels, dict(reversed(g.sc.items())))):  # rows out of order
+        assert ordered_incidence(h.incidence()) == ordered_incidence(_loop_algebra_incidence(h))
+    rng = random.Random(sum(map(ord, name)))
+    for _ in range(20):
+        terms = {}
+        for _ in range(rng.randint(1, 10)):
+            terms[tuple(rng.sample(range(g.dim), 2))] = rng.getrandbits(g.dim)
+        c = Cochain2(g, terms)
+        assert ordered_incidence(c.incidence()) == ordered_incidence(_loop_cochain_incidence(c))
 
 
 def c2_weight(g, value, pair, mode):

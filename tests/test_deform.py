@@ -9,7 +9,7 @@ import pytest
 from gf2lie import gf2
 from gf2lie.cohomology import Cochain2, compute_h2, cyclic_compose, d1, d2, is_coboundary, parse_cocycle
 from gf2lie.constructions import (build_hI, build_hamiltonian, build_jurman, build_kap2, build_kap4B,
-                                  build_poisson, pq_names)
+                                  build_poisson, jurman_bracket, pq_names)
 from gf2lie.deform import (DeformFamily, bracket_map_cochain,
                            defect, deform_bracket, integrability_verdict, jurman_cocycle,
                            jurman_deform_check, jurman_united_family, kap4b_as_deform, kap4b_family,
@@ -19,7 +19,7 @@ from gf2lie.deform import (DeformFamily, bracket_map_cochain,
 from gf2lie.divpow import mono_mul, mono_text, monomials
 from gf2lie.fields import GF2, GF2k, Scalar
 from gf2lie.liealg import Algebra, AlgebraError, verify_morphism
-from test_cohomology import _dense_d2
+from test_cohomology import _dense_d2, _loop_algebra_incidence, _loop_cochain_incidence, ordered_incidence
 
 F4 = GF2k(2)
 HP = build_hamiltonian(1, (2, 2), "derived")
@@ -165,6 +165,15 @@ def test_jacobiator_matches_the_scan(family):
     assert bool(jac) == (family == "random")
 
 
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_family_incidence_matches_both_builders(family):
+    fam = FAMILIES[family]()
+    assert (ordered_incidence(fam.base.incidence())
+            == ordered_incidence(_loop_algebra_incidence(fam.base)))
+    for c in fam.terms.values():
+        assert ordered_incidence(c.incidence()) == ordered_incidence(_loop_cochain_incidence(c))
+
+
 def _non_lie_hp22():
     """h'_Pi(2;2,2) without its grading and with one extra term in [q, p*q]."""
     sc = {pr: dict(row) for pr, row in HP.sc.items()}
@@ -254,6 +263,57 @@ def test_jurman_united_family():
         for t, (g, h) in enumerate(parts):
             vals = [GF2.one if i == t else GF2.zero for i in range(len(parts))]
             assert fam.specialize(vals).sc == build_jurman(g, h).sc
+
+
+def _dense_united_family(K):
+    """jurman_united_family with its dense jurman_bracket pair loops, kept as
+    an oracle for the family read off the build_jurman rows: (base, terms)."""
+    partitions = [(g, K - g) for g in range(2, K)]
+    kmax = 1 << K
+    js = list(range(-1, kmax - 2))
+    basis = [(j, t) for j in js for t in (0, 1)]
+    index = {bt: i for i, bt in enumerate(basis)}
+    sc = {}
+    for a in range(len(basis)):
+        ja, ta = basis[a]
+        for b in range(a + 1, len(basis)):
+            jb, tb = basis[b]
+            if ta and tb:
+                continue  # odd-odd lives in the parameter directions
+            c, m, par = jurman_bracket(ja, ta, jb, tb, *partitions[0])
+            c2 = jurman_bracket(ja, ta, jb, tb, *partitions[-1])[0]
+            assert c == c2, "even/mixed brackets must not depend on the partition"
+            if c:
+                sc[(a, b)] = {index[(m, par)]: 1}
+    base = Algebra(GF2, ["Y%d(%d)" % bt for bt in basis], sc, name="jurman united base")
+    terms = {}
+    for t_idx, (g, h) in enumerate(partitions):
+        ct = {}
+        for a in range(len(basis)):
+            ja, ta = basis[a]
+            if not ta:
+                continue
+            for b in range(a + 1, len(basis)):
+                jb, tb = basis[b]
+                if not tb:
+                    continue
+                c, m, par = jurman_bracket(ja, ta, jb, tb, g, h)
+                if c:
+                    ct[(a, b)] = ct.get((a, b), 0) ^ (1 << index[(m, par)])
+        mono = tuple(1 if i == t_idx else 0 for i in range(len(partitions)))
+        terms[mono] = Cochain2(base, ct)
+    return base, terms
+
+
+@pytest.mark.parametrize("K", [3, 4, 5])
+def test_jurman_united_family_matches_the_dense_loops(K):
+    fam = jurman_united_family(K)
+    base, terms = _dense_united_family(K)
+    assert fam.base.dumps() == base.dumps()
+    assert list(fam.base.sc.items()) == list(base.sc.items())
+    assert list(fam.terms) == list(terms)
+    for mono, c in terms.items():
+        assert list(fam.terms[mono].terms.items()) == list(c.terms.items()), mono
 
 
 def test_zero_defect_representatives_exist_gh21():

@@ -1,3 +1,5 @@
+from itertools import product
+
 from gf2lie.constructions import (build_classical, build_div_free_hI, build_jurman,
                                   build_kap1, build_kap2, build_kap3, build_kap4A,
                                   build_kap4B, build_poisson)
@@ -5,7 +7,7 @@ import pytest
 
 from gf2lie import gf2, isom
 from gf2lie.isom import GenWords, fingerprint, search_isomorphism
-from gf2lie.liealg import Algebra, AlgebraError, direct_sum, verify_morphism
+from gf2lie.liealg import Algebra, AlgebraError, LinearMap, direct_sum, verify_morphism
 from gf2lie.fields import GF2
 
 
@@ -124,3 +126,154 @@ def test_find_generators_matches_nested_index_loops():
         pairs = [(1 << i) | (1 << j) for i in range(n) for j in range(i + 1, n)]
         for cand in ([1 << i for i in range(n)], [1 << i for i in reversed(range(n))] + pairs):
             assert isom.find_generators(g, cand) == _nested_loop_generators(g, cand), g.name
+
+
+# ---------------------------------------------------------------------------
+# the two generator-product loops that `isom._search` replaced, kept as an
+# oracle for it
+# ---------------------------------------------------------------------------
+
+def _finish_map(a, b, gw, word_images):
+    coords = gw.basis_coords
+    if coords is None:
+        return None
+    m = LinearMap(a, b, [gf2.apply_rows(word_images, c) for c in coords])
+    return m if verify_morphism(m, "isomorphism") else None
+
+
+def _zgraded_loop(a, b, budget):
+    da, db = isom._z_degrees(a), isom._z_degrees(b)
+    if da is None or db is None:
+        return None
+    blocks_a, blocks_b = isom._block_map(da), isom._block_map(db)
+    for (num, den, flip) in isom._match_scales(da, db):
+        def bdeg(d):
+            v = d * num // den
+            return -v if flip else v
+        if sorted((bdeg(d), len(ix)) for d, ix in blocks_a.items()) != \
+           sorted((d, len(ix)) for d, ix in blocks_b.items()):
+            continue
+        order = sorted(range(a.dim), key=lambda i: (len(blocks_a[da[i]]), da[i], i))
+        gens = isom.find_generators(a, [1 << i for i in order], max_size=3)
+        if gens is None:
+            continue
+        gen_deg = []
+        for v in gens:
+            ds = {da[i] for i in gf2.bits(v)}
+            gen_deg.append(ds.pop())
+        cand_lists = []
+        for d in gen_deg:
+            tgt = blocks_b.get(bdeg(d), [])
+            vecs = []
+            for mask in range(1, 1 << len(tgt)):
+                vecs.append(gf2.from_bits(tgt[t] for t in gf2.bits(mask)))
+            cand_lists.append(sorted(vecs))
+        gw = GenWords(a, gens)
+        tried = 0
+        for images in product(*cand_lists):
+            tried += 1
+            if tried > budget:
+                return isom.IsoResult("exhausted", reason="graded search budget", engine="zgraded")
+            word_imgs = gw.evaluate_in(b, list(images))
+            if word_imgs is None:
+                continue
+            m = _finish_map(a, b, gw, word_imgs)
+            if m is not None:
+                return isom.IsoResult("iso", m, engine="zgraded")
+    return None
+
+
+def _generic_loop(a, b, budget):
+    n = a.dim
+    if n > 16:
+        return isom.IsoResult("exhausted", reason="generic engine capped at dim 16 (dim %d)" % n,
+                              engine="generic")
+    gens = isom.find_generators(a, max_size=3)
+    if gens is None:
+        gens = isom.find_generators(a, [1 << i for i in range(n)] +
+                                    [(1 << i) | (1 << j) for i in range(n) for j in range(i + 1, n)],
+                                    max_size=3)
+        if gens is None:
+            return isom.IsoResult("exhausted", reason="no small generating set", engine="generic")
+    by_inv = isom._ad_classes(b)
+    cand_lists = [by_inv.get(isom._ad_invariant(a.ad_rows(v)), []) for v in gens]
+    if any(not c for c in cand_lists):
+        return isom.IsoResult("exhausted", reason="no candidates share generator invariants",
+                              engine="generic")
+    gw = GenWords(a, gens)
+    tried = 0
+    for images in product(*cand_lists):
+        tried += 1
+        if tried > budget:
+            return isom.IsoResult("exhausted", reason="generic search budget (%d tried)" % tried,
+                                  engine="generic")
+        word_imgs = gw.evaluate_in(b, list(images))
+        if word_imgs is None:
+            continue
+        m = _finish_map(a, b, gw, word_imgs)
+        if m is not None:
+            return isom.IsoResult("iso", m, engine="generic")
+    return isom.IsoResult("exhausted", reason="search space exhausted (%d tried)" % tried,
+                          engine="generic")
+
+
+def _outcome(r):
+    return r.kind, r.engine, r.reason, r.map.images if r.map is not None else None
+
+
+def _block_reversed(g):
+    """g with its basis reversed inside each grading block: the first
+    candidate tuple of the Z-graded search then fails."""
+    blocks = {}
+    for i, w in enumerate(g.grading):
+        blocks.setdefault(w, []).append(i)
+    pi = [0] * g.dim
+    for ix in blocks.values():
+        for s, t in zip(ix, reversed(ix)):
+            pi[s] = t
+    inv = sorted(range(g.dim), key=lambda i: pi[i])
+    return Algebra(GF2, [g.labels[i] for i in inv],
+                   {(pi[i], pi[j]): {pi[k]: 1 for k in row} for (i, j), row in g.sc.items()},
+                   grading=[g.grading[i] for i in inv], grading_mod=g.grading_mod, name=g.name + " reversed")
+
+
+def _algebra(n, rows, graded):
+    return Algebra(GF2, ["e%d" % i for i in range(n)], {ij: dict.fromkeys(ks, 1) for ij, ks in rows.items()},
+                   grading=[(0,)] * n if graded else None)
+
+
+# two 4-dim algebras with equal fingerprints and no isomorphism: the generic
+# search tries all 56 candidate tuples
+NON_ISO_4 = ({(0, 1): (0, 2, 3), (1, 2): (3,), (1, 3): (0, 3)}, {(0, 3): (0,), (1, 3): (2,), (2, 3): (0, 1)})
+
+
+def _search_corpus():
+    o3 = build_classical("oPi", 3, "derived")
+    o5 = build_classical("oPi", 5, "derived")
+    j21 = build_jurman(2, 1)
+    return {
+        "j(2,1)": (j21, j21),
+        "j(2,1) reversed": (j21, _block_reversed(j21)),
+        "j(2,2) reversed": (build_jurman(2, 2), _block_reversed(build_jurman(2, 2))),
+        "Kap4,1(2) ~ o'_Pi(3)": (build_kap4A(2, 1), o3),
+        "Kap4,0(4) ~ o'_Pi(3)+o'_Pi(3)": (build_kap4A(4, 0), direct_sum(o3, o3)),
+        "Kap4,1(4) ~ o'_Pi(5)": (build_kap4A(4, 1), o5),
+        "o'_Pi(5) ~ Kap3(5)": (o5, build_kap3(5)),
+        "Kap1(4) ~ lh_I(4;1_s)'": (build_kap1(4), build_div_free_hI(4, (1, 1, 1, 1), "derived")),
+        "Kap4B(2) ~ o'_Pi(3)+c": (build_kap4B(2), direct_sum(o3, Algebra(GF2, ["c"], {}, name="c"))),
+        "non-iso 4": tuple(_algebra(4, rows, False) for rows in NON_ISO_4),
+        "non-iso 4, graded": tuple(_algebra(4, rows, True) for rows in NON_ISO_4),
+    }
+
+
+def test_search_matches_the_product_loops():
+    reasons = set()
+    for name, (a, b) in _search_corpus().items():
+        assert fingerprint(a) == fingerprint(b), name
+        for budget in (1, 2, 3, 10, 55, 56, 200_000):
+            got = search_isomorphism(a, b, budget=budget)
+            want = (isom._try_torus_engine(a, b) or _zgraded_loop(a, b, budget)
+                    or _generic_loop(a, b, budget))
+            assert _outcome(got) == _outcome(want), (name, budget)
+            reasons.add(got.reason.split(" (")[0])
+    assert reasons == {"", "graded search budget", "generic search budget", "search space exhausted"}

@@ -8,7 +8,7 @@ from gf2lie import gf2, liealg
 from gf2lie.constructions import (build_classical, build_div_free_hI, build_hamiltonian, build_hI,
                                   build_jurman, build_kap1, build_kap2, build_kap3, build_kap4A,
                                   build_kap4B, build_multipair, build_poisson, build_tensor_example)
-from gf2lie.fields import GF2, GF2k
+from gf2lie.fields import GF2, GF2k, PolyRing
 from gf2lie.liealg import (Algebra, AlgebraError, LinearMap, Subspace, ValidationReport,
                            center, check_invariant_form, compute_h1_dim, derivation_dim,
                            derivation_equations, derivations, derived_subalgebra, direct_sum,
@@ -615,6 +615,20 @@ def test_from_gf2_rows_keeps_rows_and_matches_init():
     # item order is kept as given
     h = Algebra.from_gf2_rows(["a", "b", "c", "d"], {(0, 1): {3: 1, 2: 1}})
     assert list(h.sc[(0, 1)]) == [3, 2] and h.pair_table()[1] == 0b1100
+
+
+@pytest.mark.parametrize("field, value", [(GF2, 2), (GF2, -1), (GF2k(2), 4), (GF2k(2), -1),
+                                          (PolyRing(), -1)],
+                         ids=["gf2-2", "gf2-neg", "gf4-4", "gf4-neg", "poly-neg"])
+def test_init_refuses_a_value_outside_the_field(field, value):
+    with pytest.raises(AlgebraError, match=r"at \(2,3\) lies outside"):
+        Algebra(field, ["a", "b", "c", "d"], {(0, 1): {2: 1}, (2, 3): {0: value}})
+
+
+def test_init_keeps_every_value_of_the_field():
+    for field, value in [(GF2, 1), (GF2k(2), 3), (GF2k(3), 7), (PolyRing(), 1 << 70)]:
+        g = Algebra(field, ["a", "b", "c"], {(0, 1): {2: value, 1: 0}})
+        assert g.sc == {(0, 1): {2: value}}
 
 
 def test_ideal_generated():

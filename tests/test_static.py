@@ -29,6 +29,10 @@ callers can set to no effect.  ``self`` and ``cls`` are exempt, and so are
 the allowlisted interface methods, whose signature is fixed by the siblings
 they stand in for.
 
+Every option, a parameter with a default of a module-level function or
+class, must be set by some call in the package, its tests or the benchmark:
+an option no caller sets is one more path nobody runs.
+
 Only an allowlisted set of package functions may build a
 ``random.Random``, under whatever name the module imports ``random`` or
 ``Random``: a verdict drawn from a seeded sample is not exact, so a new
@@ -251,6 +255,70 @@ def test_scan_flags_an_unused_parameter():
            "    def k(cls):\n"
            "        return 1\n")
     assert unused_parameters(src, "m") == ["m.C.m(b)", "m.C.m.inner(c)", "m.f(args)", "m.f(y)", "m.f(z)"]
+
+
+def never_set_options(package: dict, searched: list) -> list:
+    """module.name(param) for each parameter with a default of a
+    module-level function of the package sources ({file: text}), or of a
+    module-level class's __init__, that no call in the searched texts sets,
+    by keyword or by position.  Calls match by name alone, and a call with
+    *args or **kwargs sets every option."""
+    options = {}  # function name -> [(label, param, position or None)]
+    for fname, text in package.items():
+        for node in ast.parse(text, fname).body:
+            fn, skip = node, 0
+            if isinstance(node, ast.ClassDef):
+                fn = next((s for s in node.body if getattr(s, "name", None) == "__init__"), None)
+                skip = 1  # self
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = fn.args
+            positional = [p.arg for p in a.posonlyargs + a.args]
+            defaulted = positional[len(positional) - len(a.defaults):]
+            defaulted += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            options.setdefault(node.name, []).extend(
+                ("%s.%s(%s)" % (fname[:-3], node.name, p), p,
+                 positional.index(p) - skip if p in positional else None) for p in defaulted)
+    set_ = set()
+    for text in searched:
+        for call in ast.walk(ast.parse(text)):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            keys = {k.arg for k in call.keywords}
+            star = None in keys or any(isinstance(x, ast.Starred) for x in call.args)
+            set_.update(label for label, p, pos in options.get(name, ())
+                        if star or p in keys or (pos is not None and pos < len(call.args)))
+    return sorted(label for opts in options.values() for label, _, _ in opts if label not in set_)
+
+
+def test_every_option_is_set_by_some_call():
+    package = {p.name: p.read_text() for p in MODULES}
+    searched = [p.read_text() for top in ("src", "tests", "bench")
+                for p in sorted((ROOT / top).rglob("*.py"))]
+    assert never_set_options(package, searched) == []
+
+
+def test_scan_flags_a_never_set_option():
+    lib = ("def f(a, b=1, *, c=2, d=3):\n"
+           "    return a + b + c + d\n"
+           "def g(x, y=0, z=0):\n"
+           "    return x + y + z\n"
+           "class R:\n"
+           "    def __init__(self, m, extra=None, more=None):\n"
+           "        self.m = m\n"
+           "    def method(self, w=1):\n"
+           "        return w\n"
+           "def h(*args, k=0, **kw):\n"
+           "    return args, k, kw\n")
+    uses = ("import lib\n"
+            "lib.f(1, 2, c=5)\n"       # b by position, c by keyword
+            "g(*(1, 2))\n"             # a starred call sets every option
+            "R(1, 2)\n"                # self does not count as a position
+            "h(1, 2, 3, 4)\n"          # *args never reaches k
+            "R(0).method()\n")
+    assert never_set_options({"lib.py": lib}, [lib, uses]) == [
+        "lib.R(more)", "lib.f(d)", "lib.h(k)"]
 
 
 def random_generators(source: str, module: str) -> list:
