@@ -16,13 +16,12 @@ not dim^3.
 
 from __future__ import annotations
 
-import operator
 import re
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import gf2
 from .divpow import mono_text
-from .grading import C2_OFFSET, cochain_weight, weight_keys
+from .grading import C2_OFFSET, cochain_term_weight, cochain_weight, weight_keys
 from .liealg import Algebra, AlgebraError, Incidence, incidence_index
 
 Pair = Tuple[int, int]
@@ -162,10 +161,6 @@ def d2(c: Cochain2) -> Dict[Triple, int]:
 # coordinates and weight blocks
 # ---------------------------------------------------------------------------
 
-def _pairs(n: int) -> List[Pair]:
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
 Constraint = Tuple[str, Tuple[int, ...]]
 
 def _check_graded(g: Algebra, constraints: Sequence[Constraint]) -> None:
@@ -173,103 +168,98 @@ def _check_graded(g: Algebra, constraints: Sequence[Constraint]) -> None:
     mode; only then do d1 and d2 map each weight block into itself."""
     for mode in sorted({mode for mode, _ in constraints}):
         keys = weight_keys(g, mode)
-        shift, m = C2_OFFSET[mode], 2 if mode == "mod2" else 0
-        # weight 0 means key(k) + shift = key(i) + key(j), mod 2 for "mod2"
-        lhs = [tuple((x + shift) % m if m else x + shift for x in key) for key in keys]
-        plus = operator.xor if m else operator.add  # mod-2 keys are 0 or 1
-        bad = []
-        for (i, j), row in g.sc.items():
-            want = tuple(map(plus, keys[i], keys[j]))
-            for k in row:
-                if lhs[k] != want:
-                    bad.append((i, j, k))
+        add, xor, wanted = _packed_keys(g, [(mode, (0,) * len(keys[0]) if keys else ())], offset=True)
+        bad = [(i, j, k) for (i, j), row in g.sc.items()
+               for k in row if k not in wanted.get(add[i] + add[j] + (xor[i] ^ xor[j]), ())]
         if bad:
             i, j, k = min(bad)
+            shift, m = C2_OFFSET[mode], 2 if mode == "mod2" else 0
             w = tuple((x - a - b + shift) % m if m else x - a - b + shift
                       for x, a, b in zip(keys[k], keys[i], keys[j]))
             raise AlgebraError("weight mode %r does not grade %s: [%s, %s] has the term %s of weight %r"
                                % (mode, g.name or "the algebra", g.labels[i], g.labels[j], g.labels[k], w))
 
 
-def _block_keys(g: Algebra, constraints: Sequence[Constraint], offset: bool):
-    """Per constraint (keys, weight minus offset, modulus), with the basis
-    bucketed by its key tuple; None when no weight can meet a constraint.
-    A weight of the wrong length is refused."""
-    specs = []
+def _packed_keys(g: Algebra, constraints: Sequence[Constraint], offset: bool):
+    """The key entries of all constraints packed into ints: (add, xor, wanted).
+
+    Z entries (modes "z" and "outer") are digits wide enough for a sum of
+    two keys, mod-2 entries single bits above them.  add[i] + xor[i] packs
+    key(i), and add[i] + add[j] + (xor[i] ^ xor[j]) packs key(i) + key(j).
+    `wanted` maps the packed key(i) + key(j) (offset: C^2) or key(i) (C^1)
+    to the k, ascending, for which e_k ⊗ d(e_i)^d(e_j) or e_k ⊗ d(e_i) lies
+    in the block.  A weight of the wrong length is refused."""
+    zs, ms, n = [], [], g.dim  # per Z or mod-2 entry: its key column and the weight minus offset
     for mode, w in constraints:
         keys = weight_keys(g, mode)
-        w = tuple(w)
         if keys and len(w) != len(keys[0]):
             raise AlgebraError("a weight in mode %r has %d entries, not %d" % (mode, len(w), len(keys[0])))
         if mode == "mod2" and any(x not in (0, 1) for x in w):
-            return None
+            return [0] * n, [0] * n, {}  # no coordinate has that weight
         shift = C2_OFFSET[mode] if offset else 0
-        specs.append((keys, tuple(x - shift for x in w), 2 if mode == "mod2" else 0))
-    buckets: Dict[tuple, List[int]] = {}
-    for k in range(g.dim):
-        buckets.setdefault(tuple(keys[k] for keys, _, _ in specs), []).append(k)
-    return specs, buckets
+        (ms if mode == "mod2" else zs).extend(([key[d] for key in keys], x - shift) for d, x in enumerate(w))
+    top = 2 * max((x for col, _ in zs for x in col), default=0)
+    width = top.bit_length()
+    add, xor, want = [0] * n, [0] * n, [0] * n
+    for d, (col, s) in enumerate(zs):
+        add = [a + (x << d * width) for a, x in zip(add, col)]
+        want = [t + (x - s << d * width) if t is not None and 0 <= x - s <= top else None
+                for t, x in zip(want, col)]
+    for d, (col, s) in enumerate(ms, width * len(zs)):
+        xor = [a + (x << d) for a, x in zip(xor, col)]
+        want = [t + ((x ^ s) << d) if t is not None else None for t, x in zip(want, col)]
+    wanted: Dict[int, List[int]] = {}
+    for k, t in enumerate(want):
+        if t is not None:
+            wanted.setdefault(t, []).append(k)
+    return add, xor, wanted
 
 
 def c2_block_coords(g: Algebra, constraints: Sequence[Constraint] = ()) -> List[Tuple[Pair, int]]:
     """The C^2 coordinates (pair, k) of a weight block, pair-major with k
     ascending; every coordinate when there are no constraints."""
-    n = g.dim
-    keyed = _block_keys(g, constraints, offset=True)
-    if keyed is None:
-        return []
-    specs, buckets = keyed
-    coords = []
-    for pr in _pairs(n):
-        i, j = pr
-        want = tuple(tuple((s + a + b) % m if m else s + a + b
-                           for s, a, b in zip(shift, keys[i], keys[j]))
-                     for keys, shift, m in specs)
-        for k in buckets.get(want, ()):
-            coords.append((pr, k))
+    add, xor, wanted = _packed_keys(g, constraints, offset=True)
+    get, coords = wanted.get, []
+    for i in range(g.dim):
+        a, x = add[i], xor[i]
+        for j in range(i + 1, g.dim):
+            ks = get(a + add[j] + (x ^ xor[j]))
+            if ks:
+                coords += [((i, j), k) for k in ks]
     return coords
 
 
 def c1_block_coords(g: Algebra, constraints: Sequence[Constraint] = ()) -> List[Tuple[int, int]]:
     """The C^1 coordinates (k, i), i.e. e_k ⊗ d(e_i), of a weight block,
     k-major with i ascending; every coordinate when there are no constraints."""
-    n = g.dim
-    keyed = _block_keys(g, constraints, offset=False)
-    if keyed is None:
-        return []
-    specs, buckets = keyed
-    coords = []
-    for k in range(n):
-        want = tuple(tuple((a - s) % m if m else a - s for s, a in zip(shift, keys[k]))
-                     for keys, shift, m in specs)
-        for i in buckets.get(want, ()):
-            coords.append((k, i))
-    return coords
+    add, xor, wanted = _packed_keys(g, constraints, offset=False)
+    return sorted((k, i) for i in range(g.dim) for k in wanted.get(add[i] + xor[i], ()))
 
 
 class C3Index:
-    """Bit positions of the C^3 coordinates of an n-dim algebra, assigned in
-    order of first use.  The coordinate e_l ⊗ d(e_a)^d(e_b)^d(e_c), a<b<c,
-    is keyed by the one int ((a·n + b)·n + c)·n + l."""
+    """Bit positions of the C^3 coordinates of an n-dim algebra.  The
+    coordinate e_l ⊗ d(e_a)^d(e_b)^d(e_c), a<b<c, is keyed by the one int
+    ((a·n + b)·n + c)·n + l; a key without a position gets the next free one.
+
+    Which positions the keys get does not change any result: the solvers
+    (`gf2.combination_kernel`, `TaggedSpan.solve`) return the unique
+    combination over the inputs that grew the span, and whether an input
+    grows the span does not depend on how the C^3 bits are ordered.
+    """
 
     def __init__(self, n: int):
         self.n = n
         self.positions: Dict[int, int] = {}
 
-    def _mask(self, keyed) -> int:
-        """The mask of (triple key (a·n + b)·n + c, value mask) items."""
+    def encode(self, tri_val: Dict[Triple, int]) -> int:
         pos, n, m = self.positions, self.n, 0
-        for key, w in keyed:
-            base = key * n - 1
+        for (a, b, c), w in tri_val.items():
+            base = ((a * n + b) * n + c) * n - 1
             while w:  # gf2.bits, inlined: most values are one bit
                 low = w & -w
                 m |= 1 << pos.setdefault(base + low.bit_length(), len(pos))
                 w ^= low
         return m
-
-    def encode(self, tri_val: Dict[Triple, int]) -> int:
-        n = self.n
-        return self._mask(((a * n + b) * n + c, w) for (a, b, c), w in tri_val.items())
 
     @property
     def width(self) -> int:
@@ -293,20 +283,15 @@ class Block:
         self.coords = c2_block_coords(g, constraints)
         self.c1 = c1_block_coords(g, constraints)
         n = g.dim
-        # at the key (i·n + j)·n + k, the position of e_k ⊗ d(e_i)^d(e_j),
-        # i < j: a list over all n^3 keys when the block is all of C^2 (it
-        # holds n^2(n-1)/2 of them), a dict when it is a weight block
-        self._pos = [None] * n ** 3 if not constraints else {}
-        for t, ((i, j), k) in enumerate(self.coords):
-            self._pos[(i * n + j) * n + k] = t
+        # the position of e_k ⊗ d(e_i)^d(e_j), i < j, at the key (i·n + j)·n + k
+        self._pos = {(i * n + j) * n + k: t for t, ((i, j), k) in enumerate(self.coords)}
 
     def encode(self, c: Cochain2) -> int:
         pos, n, m = self._pos, self.g.dim, 0
-        get = pos.__getitem__ if isinstance(pos, list) else pos.get
         for (i, j), v in c.terms.items():
             base = (i * n + j) * n
             for k in gf2.bits(v):
-                t = get(base + k)
+                t = pos.get(base + k)
                 if t is None:
                     raise AlgebraError("cochain leaves the weight block at %r" % (((i, j), k),))
                 m |= 1 << t
@@ -342,24 +327,27 @@ class Block:
         """d2 of each unit 2-cochain e_k ⊗ d(e_i)^d(e_j), in `coords` order,
         encoded through c3: μ∘c puts [e_k, e_z] at {i, j, z}, and c∘μ puts
         e_k at {x, y, j} for each pair x<y whose bracket holds e_i, and at
-        {x, y, i} for each one whose bracket holds e_j."""
+        {x, y, i} for each one whose bracket holds e_j.  Each term is XORed
+        straight into its C^3 position, so repeated terms cancel."""
         pre, rows = self.g.incidence()
-        n, out = self.g.dim, []
+        pos, n, out = c3.positions, self.g.dim, []
         for (i, j), k in self.coords:
-            acc: Dict[int, int] = {}
+            m = 0
             for z, w in rows.get(k, ()):
                 if z != i and z != j:
-                    key = ((z * n + i) * n + j if z < i else (i * n + z) * n + j if z < j
-                           else (i * n + j) * n + z)
-                    acc[key] = acc.get(key, 0) ^ w
-            bit = 1 << k
+                    base = ((z * n + i) * n + j if z < i else (i * n + z) * n + j if z < j
+                            else (i * n + j) * n + z) * n - 1
+                    while w:
+                        low = w & -w
+                        m ^= 1 << pos.setdefault(base + low.bit_length(), len(pos))
+                        w ^= low
             for u, v in ((i, j), (j, i)):
                 for x, y in pre.get(u, ()):
                     if v != x and v != y:
                         key = ((v * n + x) * n + y if v < x else (x * n + v) * n + y if v < y
-                               else (x * n + y) * n + v)
-                        acc[key] = acc.get(key, 0) ^ bit
-            out.append(c3._mask(acc.items()))
+                               else (x * n + y) * n + v) * n + k
+                        m ^= 1 << pos.setdefault(key, len(pos))
+            out.append(m)
         return out
 
     def coboundaries(self) -> Tuple[gf2.Span, List[Cochain2]]:
@@ -426,19 +414,41 @@ def compute_h2(g: Algebra, weight_filter: Optional[Tuple[int, ...]] = None, mode
     return H2Basis(blk, reps, (len(z2_masks), dim_b2, len(reps)), cobs)
 
 
+def _weight_parts(c: Cochain2) -> List[Tuple[List[Constraint], Cochain2]]:
+    """c split by its weight in every mode that grades its algebra, as
+    (constraints, component) pairs; one unconstrained part when no mode
+    does, and none for the zero cochain."""
+    g, modes, parts = c.algebra, [], {}
+    for mode in C2_OFFSET:
+        try:
+            _check_graded(g, [(mode, ())])
+            modes.append(mode)
+        except AlgebraError:  # no monomial degrees, or the mode does not grade g
+            pass
+    for pr, v in c.terms.items():
+        for k in gf2.bits(v):
+            part = parts.setdefault(tuple((mode, cochain_term_weight(g, k, pr, mode)) for mode in modes), {})
+            part[pr] = part.get(pr, 0) | 1 << k
+    return [(list(cons), Cochain2(g, terms)) for cons, terms in parts.items()]
+
+
 def coboundary_of(c: Cochain2) -> Optional[List[int]]:
-    """Solve d1(b) = c; returns the images of b or None if c is not a coboundary."""
-    blk = Block(c.algebra)
-    span = gf2.TaggedSpan(len(blk.coords))
-    for col in blk.d1_columns():
-        span.add(col)
-    sol = span.solve(blk.encode(c))
-    if sol is None:
-        return None
+    """Solve d1(b) = c; returns the images of b or None if c is not a coboundary.
+
+    d1 maps each weight block into itself, so each weight component of c
+    is solved inside its own block and the images are summed."""
     images = [0] * c.algebra.dim
-    for pos in gf2.bits(sol):
-        k, i = blk.c1[pos]
-        images[i] ^= 1 << k
+    for constraints, part in _weight_parts(c):
+        blk = Block(c.algebra, constraints)
+        span = gf2.TaggedSpan(len(blk.coords))
+        for col in blk.d1_columns():
+            span.add(col)
+        sol = span.solve(blk.encode(part))
+        if sol is None:
+            return None
+        for pos in gf2.bits(sol):
+            k, i = blk.c1[pos]
+            images[i] ^= 1 << k
     return images
 
 
@@ -514,7 +524,8 @@ def c2_weights(g: Algebra, mode: str) -> List[Tuple[int, ...]]:
     e_k ⊗ d(e_i)^d(e_j) is key(k) - key(i) - key(j) + shift, mod 2 for "mod2"."""
     keys = weight_keys(g, mode)
     shift, m = C2_OFFSET[mode], 2 if mode == "mod2" else 0
-    bases = {tuple(shift - a - b for a, b in zip(keys[i], keys[j])) for i, j in _pairs(g.dim)}
+    bases = {tuple(shift - a - b for a, b in zip(keys[i], keys[j]))
+             for i in range(g.dim) for j in range(i + 1, g.dim)}
     return sorted({tuple((x + s) % m if m else x + s for x, s in zip(key, base))
                    for base in bases for key in set(keys)})
 

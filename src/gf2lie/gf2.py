@@ -213,7 +213,8 @@ def combination_kernel(images: Sequence[int], width: int) -> List[int]:
     Returns a basis of {x : xor of images[i] over set bits i of x = 0},
     each x a bit mask over range(len(images)): one per image that does not
     grow the span of those before it.  `width` bounds the bit length of
-    the images.
+    the images.  Each x is unique over the images that grew the span, and
+    which ones grow does not depend on how the bit positions are ordered.
     """
     span = TaggedSpan(width)
     out = []

@@ -57,8 +57,10 @@ def search_isomorphism(a: Algebra, b: Algebra, budget: int = 200_000) -> IsoResu
         if key in fb and fa[key] != fb[key]:
             return IsoResult("distinguished",
                              reason="%s: %r != %r" % (key, fa[key], fb[key]))
-    if a.dim == 0:
-        return IsoResult("iso", LinearMap(a, b, []), engine="trivial")
+    if not a.sc and not b.sc:  # abelian: every invertible map is an isomorphism
+        identity = LinearMap(a, b, [b.unit(i) for i in range(b.dim)])
+        if verify_morphism(identity, "isomorphism"):
+            return IsoResult("iso", identity, engine="trivial")
 
     res = _try_torus_engine(a, b)
     if res is not None:

@@ -5,7 +5,8 @@ their own cochain <-> bit-mask encoding before `cohomology.Block` owned
 it; they are kept verbatim as differential oracles.  Results must agree
 exactly, including the insertion order of `Cochain2.terms`.  So are the
 unit columns built through `d1`/`d2` and the tuple-keyed `OldC3Index`,
-against the columns `Block` writes from the incidence index.
+against the columns `Block` writes from the incidence index, and the
+generator-expression coordinate scans against the packed weight keys.
 """
 
 import copy
@@ -13,19 +14,71 @@ import random
 
 import pytest
 
-from gf2lie import deform, gf2
+from gf2lie import cohomology, deform, gf2
 from gf2lie.cohomology import (Block, C3Index, Cochain2, block_consistent_representative,
-                               c1_block_coords, c2_block_coords, coboundary_block, coboundary_of,
-                               combine, compute_h2, consistent_class_masks, d1, d2, parse_cocycle)
+                               c1_block_coords, c2_block_coords, c2_weights, coboundary_block,
+                               coboundary_of, combine, compute_h2, consistent_class_masks, d1, d2,
+                               parse_cocycle)
 from gf2lie.constructions import build_hamiltonian, build_hI, build_tensor_example
 from gf2lie.deform import _d2_solutions, defect, in_d2_image, zero_defect_representative
 from gf2lie.experiments import (GH31_WEIGHTS, HI_OUTER_DEGREES, PRINTED_GH21, PRINTED_GH21_PARTIAL,
                                 PRINTED_GH31, PRINTED_GH31_PARTIAL, PRINTED_HI, PRINTED_HI_PARTIAL)
+from gf2lie.grading import C2_OFFSET, weight_keys
 from gf2lie.liealg import AlgebraError
 
 # ---------------------------------------------------------------------------
 # the pre-Block implementations
 # ---------------------------------------------------------------------------
+
+
+def _old_block_keys(g, constraints, offset):
+    specs = []
+    for mode, w in constraints:
+        keys = weight_keys(g, mode)
+        w = tuple(w)
+        if keys and len(w) != len(keys[0]):
+            raise AlgebraError("a weight in mode %r has %d entries, not %d" % (mode, len(w), len(keys[0])))
+        if mode == "mod2" and any(x not in (0, 1) for x in w):
+            return None
+        shift = C2_OFFSET[mode] if offset else 0
+        specs.append((keys, tuple(x - shift for x in w), 2 if mode == "mod2" else 0))
+    buckets = {}
+    for k in range(g.dim):
+        buckets.setdefault(tuple(keys[k] for keys, _, _ in specs), []).append(k)
+    return specs, buckets
+
+
+def old_c2_block_coords(g, constraints=()):
+    """The generator-expression scan: one key tuple per pair and constraint."""
+    n = g.dim
+    keyed = _old_block_keys(g, constraints, offset=True)
+    if keyed is None:
+        return []
+    specs, buckets = keyed
+    coords = []
+    for pr in [(i, j) for i in range(n) for j in range(i + 1, n)]:
+        i, j = pr
+        want = tuple(tuple((s + a + b) % m if m else s + a + b
+                           for s, a, b in zip(shift, keys[i], keys[j]))
+                     for keys, shift, m in specs)
+        for k in buckets.get(want, ()):
+            coords.append((pr, k))
+    return coords
+
+
+def old_c1_block_coords(g, constraints=()):
+    n = g.dim
+    keyed = _old_block_keys(g, constraints, offset=False)
+    if keyed is None:
+        return []
+    specs, buckets = keyed
+    coords = []
+    for k in range(n):
+        want = tuple(tuple((a - s) % m if m else a - s for s, a in zip(shift, keys[k]))
+                     for keys, shift, m in specs)
+        for i in buckets.get(want, ()):
+            coords.append((k, i))
+    return coords
 
 
 def _old_cochain_to_coords(c, coord_index, strict):
@@ -85,9 +138,9 @@ def _old_d2_columns(g, coords, c3):
 def old_coboundary_of(c, constraints=()):
     g = c.algebra
     n = g.dim
-    coord_index = {c: t for t, c in enumerate(c2_block_coords(g))}
+    coord_index = {c: t for t, c in enumerate(old_c2_block_coords(g))}
     span = gf2.TaggedSpan(len(coord_index))
-    gens = c1_block_coords(g, constraints)
+    gens = old_c1_block_coords(g, constraints)
     for k, i in gens:
         span.add(_old_cochain_to_coords(_old_unit_coboundary(g, k, i), coord_index, strict=False))
     target = _old_cochain_to_coords(c, coord_index, strict=False)
@@ -103,9 +156,9 @@ def old_coboundary_of(c, constraints=()):
 
 def old_coboundary_block(g, constraints):
     span = gf2.Span()
-    coord_index = {c: t for t, c in enumerate(c2_block_coords(g))}
+    coord_index = {c: t for t, c in enumerate(old_c2_block_coords(g))}
     out = []
-    for k, i in c1_block_coords(g, constraints):
+    for k, i in old_c1_block_coords(g, constraints):
         cb = _old_unit_coboundary(g, k, i)
         if cb and span.add(_old_cochain_to_coords(cb, coord_index, strict=False)):
             out.append(cb)
@@ -165,7 +218,7 @@ def old_consistent_class_masks(g, printed, constraints):
 
 
 def old_in_d2_image(g, target):
-    coords = c2_block_coords(g)
+    coords = old_c2_block_coords(g)
     c3 = OldC3Index()
     images = _old_d2_columns(g, coords, c3)
     tmask = c3.encode(target)
@@ -179,7 +232,7 @@ def old_in_d2_image(g, target):
 
 
 def old_d2_solutions(g, target, constraints, kernel_cap=6):
-    coords = c2_block_coords(g, constraints)
+    coords = old_c2_block_coords(g, constraints)
     if not coords:
         return []
     c3 = OldC3Index()
@@ -335,6 +388,17 @@ def test_newton_branch_of_zero_defect_representative(monkeypatch):
     assert found  # the degree -4 block has one
 
 
+def _mixed_cochains(g, blocks, rng):
+    """Sums of two or three weight components, one per block: all of them
+    coboundaries, then the same sums with a class representative added."""
+    h2s = [compute_h2(g, constraints=cons) for cons in blocks]
+    cobs = [combine(h2.coboundaries, rng.getrandbits(len(h2.coboundaries)) | 1, Cochain2(g, {}))
+            for h2 in h2s]
+    rep = next(h2.representatives[0] for h2 in h2s if h2.representatives)
+    sums = [cobs[0] + cobs[1], cobs[0] + cobs[1] + cobs[2]]
+    return sums, [c + rep for c in sums] + [rep + cobs[2]]
+
+
 def test_coboundary_of_matches_pre_block():
     rng = random.Random(5)
     ex = build_tensor_example()
@@ -348,6 +412,18 @@ def test_coboundary_of_matches_pre_block():
     for c in cases:
         assert coboundary_of(c) == old_coboundary_of(c)
     assert coboundary_of(cex) is None and coboundary_of(cases[2]) is not None
+    # the ungraded tensor example keeps the one full block
+    assert all(cohomology._weight_parts(c) == [([], c)] for c in cases[:7])
+    # non-homogeneous cochains: each weight component is solved in its own
+    # block, and the images must be the full-block ones
+    for g, blocks in ((HP23, [[("z", w)] for w in ((-2, -4), (0, -2), (1, -5))]),
+                      (HI, [_hi(-4), _hi(2), [("mod2", (1, 1)), ("outer", (0,))]])):
+        cobs, others = _mixed_cochains(g, blocks, rng)
+        for c in cobs + others:
+            assert len(cohomology._weight_parts(c)) >= 2
+            assert coboundary_of(c) == old_coboundary_of(c)
+        assert all(coboundary_of(c) is not None for c in cobs)
+        assert all(coboundary_of(c) is None for c in others)
 
 
 def test_in_d2_image_matches_pre_block():
@@ -403,3 +479,79 @@ def test_encode_refuses_a_cochain_outside_the_block():
     with pytest.raises(AlgebraError, match="leaves the weight block"):
         blk.encode(c)
     assert blk.decode(0) == Cochain2(HP22, {})
+
+
+# ---------------------------------------------------------------------------
+# the packed weight keys against the generator-expression scan
+# ---------------------------------------------------------------------------
+
+COORD_ALGEBRAS = {"hp22": HP22, "hp23": HP23, "hI": HI}
+
+
+@pytest.mark.parametrize("name", sorted(COORD_ALGEBRAS))
+def test_packed_block_coords_match_the_scan(name):
+    g = COORD_ALGEBRAS[name]
+    blocks = [[]] + [[(mode, w)] for mode in ("z", "mod2", "outer") for w in c2_weights(g, mode)]
+    blocks += [[("mod2", w), ("outer", (d,))] for w in c2_weights(g, "mod2") for d in range(-6, 8)]
+    blocks += [[("z", w), ("mod2", (1, 0)), ("outer", (d,))] for w in c2_weights(g, "z")[:5] for d in (-2, 0)]
+    for cons in blocks:
+        assert c2_block_coords(g, cons) == old_c2_block_coords(g, cons), cons
+        assert c1_block_coords(g, cons) == old_c1_block_coords(g, cons), cons
+    assert len(c2_block_coords(g)) == g.dim * g.dim * (g.dim - 1) // 2
+    # a weight of the wrong length is refused before a mod-2 entry is read
+    for cons in ([("z", (1, 2, 3))], [("outer", (0, 0))], [("mod2", (0, 5, 1))]):
+        for coords in (c2_block_coords, old_c2_block_coords, c1_block_coords, old_c1_block_coords):
+            with pytest.raises(AlgebraError, match="a weight in mode %r has" % cons[0][0]):
+                coords(g, cons)
+    for cons in ([("mod2", (2, 0))], [("z", (0, 0)), ("mod2", (0, -1))]):
+        assert c2_block_coords(g, cons) == [] == c1_block_coords(g, cons)
+
+
+# ---------------------------------------------------------------------------
+# the C^3 layout does not change any result
+# ---------------------------------------------------------------------------
+
+def _seeded_c3(keys, rng):
+    """A C3Index factory whose indexes start with `keys` at shuffled positions."""
+    order = sorted(keys)
+    rng.shuffle(order)
+
+    def make(n):
+        c3 = C3Index(n)
+        c3.positions.update((key, t) for t, key in enumerate(order))
+        return c3
+    return make
+
+
+def _h2_and_solutions(g, cons):
+    h2 = compute_h2(g, constraints=cons)
+    doubled = [(mode, w if mode == "mod2" else tuple(2 * x for x in w)) for mode, w in cons]
+    rng = random.Random(repr(cons))
+    c = h2.block.decode(rng.getrandbits(len(h2.block.coords)))
+    sols = [_d2_solutions(g, d2(c), cons)] + [_d2_solutions(g, defect(rep), doubled) for rep in h2.representatives]
+    return (h2.dims, [rep.text() for rep in h2.representatives], [[m.text() for m in ms] for ms in sols])
+
+
+@pytest.mark.parametrize("name", ["hp22 z(-2, -2)", "hp22 z(0, -2)", "hp23 z(-2, -4)", "hI outer -4", "hI outer 0"])
+def test_c3_layout_is_output_free(name, monkeypatch):
+    g, cons, _ = CASES[name]
+    made = []
+
+    def recording(n):
+        made.append(C3Index(n))
+        return made[-1]
+
+    with monkeypatch.context() as m:
+        for module in (cohomology, deform):
+            m.setattr(module, "C3Index", recording)
+        want = _h2_and_solutions(g, cons)
+    keys = set().union(*(c3.positions for c3 in made))
+    assert keys
+    rng = random.Random(name)
+    for extra in (0, 500):  # the used keys only, then with keys no column reaches
+        n = g.dim
+        seeded = keys | {rng.randrange(n ** 4) for _ in range(extra)}
+        with monkeypatch.context() as m:
+            for module in (cohomology, deform):
+                m.setattr(module, "C3Index", _seeded_c3(seeded, rng))
+            assert _h2_and_solutions(g, cons) == want

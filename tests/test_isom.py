@@ -60,6 +60,25 @@ def test_dim_mismatch_distinguished():
     assert r.kind == "distinguished"
 
 
+@pytest.mark.parametrize("dim", [0, 3, 4, 5])
+def test_abelian_algebras_of_equal_dim_are_isomorphic(dim):
+    # three generators cannot generate an abelian algebra of dim >= 4, so
+    # the generic engine used to answer "exhausted (no small generating set)"
+    a = Algebra(GF2, ["a%d" % i for i in range(dim)], {})
+    b = Algebra(GF2, ["b%d" % i for i in range(dim)], {})
+    r = search_isomorphism(a, b)
+    assert r.kind == "iso" and r.engine == "trivial"
+    assert r.map.images == [1 << i for i in range(dim)] and verify_morphism(r.map, "isomorphism")
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5])
+def test_abelian_and_non_abelian_of_equal_dim_are_distinguished(dim):
+    ab = Algebra(GF2, ["a%d" % i for i in range(dim)], {})
+    heis = Algebra(GF2, ["h%d" % i for i in range(dim)], {(0, 1): {2: 1}})
+    for a, b in ((ab, heis), (heis, ab)):
+        assert search_isomorphism(a, b).kind == "distinguished"
+
+
 @pytest.mark.parametrize("budget", [0, -5])
 def test_budget_below_1_is_refused(budget):
     j = build_jurman(2, 1)
