@@ -173,11 +173,9 @@ def _check_graded(g: Algebra, constraints: Sequence[Constraint]) -> None:
                for k in row if k not in wanted.get(add[i] + add[j] + (xor[i] ^ xor[j]), ())]
         if bad:
             i, j, k = min(bad)
-            shift, m = C2_OFFSET[mode], 2 if mode == "mod2" else 0
-            w = tuple((x - a - b + shift) % m if m else x - a - b + shift
-                      for x, a, b in zip(keys[k], keys[i], keys[j]))
             raise AlgebraError("weight mode %r does not grade %s: [%s, %s] has the term %s of weight %r"
-                               % (mode, g.name or "the algebra", g.labels[i], g.labels[j], g.labels[k], w))
+                               % (mode, g.name or "the algebra", g.labels[i], g.labels[j], g.labels[k],
+                                  cochain_term_weight(g, k, (i, j), mode)))
 
 
 def _packed_keys(g: Algebra, constraints: Sequence[Constraint], offset: bool):

@@ -1,6 +1,7 @@
 """Deformation engine: parameter-polynomial bracket families, Jacobiator
 obstructions, semi-triviality certificates, and the named deformation
-checks (Jurman, quantization, the alpha-family, Kap_{4,B}).
+checks (Jurman, the alpha-family, Kap_{4,B}).  The quantization
+comparison of h'_Pi(2;2,2) with psl(4) is criterion 9 of `experiments`.
 
 A family is the base bracket plus cochain increments weighted by
 monomials in the formal parameters; everything is exact over GF(2) and
@@ -13,14 +14,14 @@ from itertools import product as _cartesian
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import gf2
-from .cohomology import (Block, C3Index, Cochain2, Triple, coboundary_block, combine, compute_h2,
-                         cyclic_compose, d2, is_coboundary)
-from .constructions import (build_classical, build_hamiltonian, build_jurman, build_kap2, build_kap4B,
-                            build_poisson, image_rows, kap4B_images, pq_names)
+from .cohomology import (Block, C3Index, Cochain2, Triple, coboundary_block, combine, cyclic_compose, d2,
+                         is_coboundary)
+from .constructions import (build_hamiltonian, build_jurman, build_kap2, build_kap4B, build_poisson,
+                            image_rows, kap4B_images, pq_names)
 from .divpow import check_shearing, mono_offsets, mono_pack, mono_text, monomials, reindex_mono
 from .fields import GF2, GF2k, Scalar
 from .grading import cochain_weight
-from .isom import fingerprint, search_isomorphism
+from .isom import search_isomorphism
 from .liealg import Algebra, AlgebraError, LinearMap, Subspace, quotient, verify_morphism
 
 Pair = Tuple[int, int]
@@ -421,32 +422,6 @@ def jurman_deform_check(g: int, h: int, mirrored: bool = False) -> JurmanDeformR
     target = build_jurman(g, h) if not mirrored else build_jurman(h + 1, g - 1)
     iso = search_isomorphism(deformed, target)
     return JurmanDeformReport(g, h, c, w, iso, deformed, target)
-
-
-# ---------------------------------------------------------------------------
-# the quantization deform: h'_Pi(2;a,a) -> psl(2^a)
-# ---------------------------------------------------------------------------
-
-def quantization_deform_check(a: int = 2):
-    """Deform h'_Pi(2;a,a) by the weight (-2,-2) class at parameter 1 and
-    compare with psl(2^a).  Returns (cocycle, iso result, fingerprint pair)."""
-    hp = build_hamiltonian(1, (a, a), "derived")
-    blk = compute_h2(hp, weight_filter=(-2, -2), mode="z")
-    if blk.dim != 1:
-        raise AlgebraError("expected a 1-dimensional (-2,-2) block, got %d" % blk.dim)
-    c0 = blk.representatives[0]
-    c = zero_defect_representative(hp, c0, [("z", (-2, -2))])
-    if c is None:
-        raise AlgebraError("no globally integrable representative in the (-2,-2) class")
-    if is_coboundary(c):
-        raise AlgebraError("quantization class collapsed to a coboundary")
-    fam = deform_bracket(hp, c, check=False, name="h'_Pi quantization deform")
-    grading = lambda_grading(hp, (-2, -2))
-    deformed = fam.specialize([GF2.one], grading=grading, grading_mod=(0,))
-    target = build_classical("psl", 1 << a)
-    fps = (fingerprint(deformed), fingerprint(target))
-    iso = search_isomorphism(deformed, target)
-    return c, iso, fps
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ reference and supplies operators; hot loops work on the raw ints.
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import Optional, Union
 
 
 class FieldError(ValueError):
@@ -269,9 +269,6 @@ class Scalar:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        return Scalar(self.field, self.field.pow(self.value, n))
-
     def inv(self) -> "Scalar":
         return Scalar(self.field, self.field.inv(self.value))
 
@@ -326,11 +323,6 @@ def field_make(spec) -> Field:
     raise FieldError("unrecognized field spec %r" % (spec,))
 
 
-def scalar_sqrt(a: Scalar) -> Scalar:
-    """Square root in GF(2^k) via iterated Frobenius; errors on GF(2)[h]."""
-    return a.sqrt()
-
-
 def poly_eval(p: Scalar, at: Scalar) -> Scalar:
     """Horner evaluation of p in GF(2)[h] at a point of GF(2^k)."""
     if not isinstance(p.field, PolyRing):
@@ -344,8 +336,3 @@ def poly_eval(p: Scalar, at: Scalar) -> Scalar:
             acc ^= 1
     return Scalar(fld, acc)
 
-
-def poly_coeffs(p: Scalar) -> List[int]:
-    """Coefficient list [c0, c1, ...] of an element of GF(2)[h]."""
-    v = p.value
-    return [(v >> i) & 1 for i in range(max(1, v.bit_length()))]

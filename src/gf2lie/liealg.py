@@ -391,6 +391,11 @@ class Algebra:
 
     @classmethod
     def from_json(cls, d: dict) -> "Algebra":
+        if not isinstance(d, dict):
+            raise AlgebraError("an algebra file holds a JSON object, not %s" % type(d).__name__)
+        missing = [key for key in ("field", "labels", "sc") if key not in d]
+        if missing:
+            raise AlgebraError("an algebra file needs the key(s) %s" % ", ".join(missing))
         fd = d["field"]
         if fd["kind"] == "poly":
             field = PolyRing(fd.get("var", "h"))
@@ -410,6 +415,9 @@ class Algebra:
         md = d.get("meta", {})
         if "mono_degrees" in md:
             meta["mono_degrees"] = [tuple(m) for m in md["mono_degrees"]]
+            if len(meta["mono_degrees"]) != len(d["labels"]):
+                raise AlgebraError("meta.mono_degrees has %d entries for %d basis vectors"
+                                   % (len(meta["mono_degrees"]), len(d["labels"])))
         if "vars" in md:
             meta["vars"] = tuple(md["vars"])
         if "N" in md:

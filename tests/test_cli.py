@@ -387,6 +387,27 @@ def test_unreadable_input_is_a_usage_error(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("text, why", [("{}", "needs the key(s) field, labels, sc"),
+                                       ("[1, 2]", "holds a JSON object, not list")],
+                         ids=["no-keys", "a-list"])
+def test_validate_refuses_a_malformed_algebra_file(tmp_path, capsys, text, why):
+    path = tmp_path / "alg.json"
+    path.write_text(text)
+    code, doc = run_cli(["validate", "--algebra", str(path)])
+    assert code == 1 and doc is None
+    assert "error: an algebra file %s" % why in capsys.readouterr().err
+
+
+def test_h2_refuses_mono_degrees_of_the_wrong_length(tmp_path, capsys):
+    doc = Algebra(GF2k(1), ["a", "b"], {}).to_json()
+    doc["meta"] = {"mono_degrees": [[0]]}  # a 1-variable key, so the weight "0" fits
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(["h2", "--algebra", str(path), "--weight", "0", "--mode", "z"])
+    assert code == 1 and out is None
+    assert "error: meta.mono_degrees has 1 entries for 2 basis vectors" in capsys.readouterr().err
+
+
 def _gf4_algebra_file(tmp_path):
     """sl(2) over GF(4), with a coefficient outside GF(2): [h,x] = w.x."""
     g = Algebra(GF2k(2), ["h", "x", "y"], {(0, 1): {1: 2}, (0, 2): {2: 2}, (1, 2): {0: 1}},

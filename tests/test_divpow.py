@@ -3,11 +3,17 @@ import random
 
 import pytest
 
-from gf2lie.fields import GF2, GF2k, Scalar
+from gf2lie import gf2
+from gf2lie.constructions import build_po_tensor_O, build_poisson
+from gf2lie.deform import f_alpha_matrix, partial_matrix, poisson_family, reindex_map
 from gf2lie.divpow import (
-    DPoly, d_alpha_derivative, f_alpha_map, mono_mul, mono_offsets, mono_pack, mono_unpack,
-    monomials, packed_mul, reindex_context, reindex_iso, reindex_mono,
+    check_shearing, mono_mul, mono_offsets, mono_pack, mono_unpack, monomials, packed_mul, reindex_mono,
 )
+from gf2lie.fields import GF2, GF2k, Scalar
+from gf2lie.liealg import LinearMap, verify_morphism
+from test_deform import POISSON_SHAPES
+
+F4, F8 = GF2k(2), GF2k(3)
 
 
 def big_binom_odd(n, k):
@@ -62,132 +68,152 @@ def test_mono_mul_examples():
 
 
 def test_squares_are_constant():
-    # f^2 lands in the constants for every f in O[m;N], exhaustively for dim <= 2^6
+    # f^2 lands in the constants for every f in O[m;N]: the cross terms
+    # pair off and x^(r) x^(r) = binom(2r, r) x^(2r) is even unless r = 0
     N = (2, 1)
-    monos = monomials(N)
+    packed = [mono_pack(r, N) for r in monomials(N)]
     rng = random.Random(1)
     for trial in range(200):
-        terms = {m: 1 for m in monos if rng.getrandbits(1)}
-        f = DPoly(GF2, N, terms)
-        assert (f * f).is_constant()
+        f = {p for p in packed if rng.getrandbits(1)}
+        square = set()  # the terms of f * f, packed
+        for a in f:
+            for b in f:
+                coeff, ab = packed_mul(a, b)
+                if coeff:
+                    square ^= {ab}
+        assert square == ({0} if 0 in f else set())
+
+
+PO22 = build_poisson(1, (2, 2))
+
+
+def _po_index(g):
+    return {m: t for t, m in enumerate(g.meta["mono_degrees"])}
 
 
 def test_partial_derivative_basics():
-    N = (2,)
-    x3 = DPoly.mono(GF2, N, (3,))
-    assert x3.partial(0) == DPoly.mono(GF2, N, (2,))
-    assert DPoly.one(GF2, N).partial(0) == DPoly.zero(GF2, N)
+    N = (3, 1)
+    po = build_poisson(1, N)
+    idx = _po_index(po)
+    d_p = partial_matrix(po, 0)
+    assert d_p[idx[(3, 1)]] == 1 << idx[(2, 1)]  # x^(r) -> x^(r - e_i)
+    assert d_p[idx[(0, 1)]] == 0 and d_p[idx[(0, 0)]] == 0
+    d_p2 = partial_matrix(po, 0, 2)
+    assert d_p2[idx[(3, 0)]] == 1 << idx[(1, 0)] and d_p2[idx[(1, 1)]] == 0
 
 
 def test_partials_commute():
-    N = (2, 2)
-    monos = monomials(N)
-    rng = random.Random(2)
-    for trial in range(100):
-        f = DPoly(GF2, N, {m: 1 for m in monos if rng.getrandbits(1)})
-        assert f.partial(0).partial(1) == f.partial(1).partial(0)
+    for g in (PO22, build_poisson(2, (2, 1, 1, 2))):
+        n_vars = len(g.meta["N"])
+        d = [partial_matrix(g, i) for i in range(n_vars)]
+        for i in range(n_vars):
+            for j in range(n_vars):
+                assert gf2.compose(d[i], d[j]) == gf2.compose(d[j], d[i]), (i, j)
+            # in divided powers d_i^2 x^(r) = x^(r - 2e_i), the power-2 matrix
+            assert gf2.compose(d[i], d[i]) == partial_matrix(g, i, 2)
 
 
 def test_leibniz():
-    N = (2, 2)
-    monos = monomials(N)
-    rng = random.Random(3)
-    for trial in range(100):
-        f = DPoly(GF2, N, {m: 1 for m in monos if rng.getrandbits(1)})
-        g = DPoly(GF2, N, {m: 1 for m in monos if rng.getrandbits(1)})
-        for i in range(2):
-            assert (f * g).partial(i) == f.partial(i) * g + f * g.partial(i)
+    # each d_i commutes with d_p, d_q and obeys Leibniz on the product, so
+    # it is a derivation of the Poisson bracket: d[x,y] = [dx,y] + [x,dy]
+    for g in (PO22, build_poisson(1, (2, 3)), build_poisson(2, (2, 1, 1, 2))):
+        for i in range(len(g.meta["N"])):
+            d = partial_matrix(g, i)
+            for a in range(g.dim):
+                for b in range(a + 1, g.dim):
+                    x, y = 1 << a, 1 << b
+                    assert (gf2.apply_rows(d, g.bracket(x, y))
+                            == g.bracket(d[a], y) ^ g.bracket(x, d[b])), (i, a, b)
+
+
+def _f_alpha_diagonal(g, alpha):
+    return [row[t] for t, row in enumerate(f_alpha_matrix(g, alpha))]
 
 
 def test_f_alpha_on_monomials():
-    f4 = GF2k(2)
-    t = f4.gen()
-    N = (3,)
-    x5 = DPoly.mono(f4, N, (5,))
-    out = f_alpha_map(x5, t)
-    assert out.terms == {(5,): f4.pow(t.value, 2)}  # [5/2] = 2
-    x1 = DPoly.mono(f4, N, (1,))
-    assert f_alpha_map(x1, t).terms == {(1,): 1}
+    t = F4.gen()
+    fam = poisson_family(1, (3, 1), t)
+    idx = _po_index(fam)
+    diag = _f_alpha_diagonal(fam, t)
+    assert diag[idx[(5, 0)]] == F4.pow(t.value, 2)  # [5/2] + [0/2] = 2
+    assert diag[idx[(5, 1)]] == F4.pow(t.value, 2)
+    assert diag[idx[(3, 0)]] == t.value and diag[idx[(1, 1)]] == 1
 
 
 def test_f_alpha_multiplicative():
-    f4 = GF2k(2)
-    t = f4.gen()
-    N = (3,)
-    a = DPoly.mono(f4, N, (2,))
-    b = DPoly.mono(f4, N, (3,))
-    assert f_alpha_map(a * b, t) == f_alpha_map(a, t) * f_alpha_map(b, t)
-    # randomized, two variables
-    N2 = (2, 2)
-    monos = monomials(N2)
-    rng = random.Random(4)
-    for trial in range(60):
-        f = DPoly(f4, N2, {m: rng.randrange(4) for m in monos if rng.getrandbits(1)})
-        g = DPoly(f4, N2, {m: rng.randrange(4) for m in monos if rng.getrandbits(1)})
-        assert f_alpha_map(f * g, t) == f_alpha_map(f, t) * f_alpha_map(g, t)
+    # F_alpha(x^(r) x^(s)) = F_alpha(x^(r)) F_alpha(x^(s)) on every nonzero
+    # packed product: [r_i/2] adds up when r_i and s_i share no bit
+    t = F4.gen()
+    for m, N in [(1, (2, 3)), (2, (2, 1, 1, 2))]:
+        fam = poisson_family(m, N, t)
+        packed = [mono_pack(r, N) for r in fam.meta["mono_degrees"]]
+        idx = {p: k for k, p in enumerate(packed)}
+        diag = _f_alpha_diagonal(fam, t)
+        products = 0
+        for a, pa in enumerate(packed):
+            for b, pb in enumerate(packed):
+                coeff, pab = packed_mul(pa, pb)
+                if coeff:
+                    products += 1
+                    assert diag[idx[pab]] == F4.mul(diag[a], diag[b]), (a, b)
+        assert products > len(packed)
 
 
 def test_f_alpha_composition_law():
-    f4 = GF2k(2)
-    N = (2, 3)
-    monos = monomials(N)
-    rng = random.Random(5)
+    # F_alpha F_beta = F_{alpha beta}, and F_1 is the identity
+    fam = poisson_family(1, (2, 3), F4.one)
     for a in range(4):
         for b in range(4):
-            al, be = Scalar(f4, a), Scalar(f4, b)
-            f = DPoly(f4, N, {m: rng.randrange(1, 4) for m in monos if rng.getrandbits(1)})
-            assert f_alpha_map(f_alpha_map(f, be), al) == f_alpha_map(f, al * be)
-    one = f4.one
-    f = DPoly(f4, N, {m: rng.randrange(1, 4) for m in monos})
-    assert f_alpha_map(f, one) == f
+            al, be = Scalar(F4, a), Scalar(F4, b)
+            composed = [F4.mul(x, y) for x, y in zip(_f_alpha_diagonal(fam, al), _f_alpha_diagonal(fam, be))]
+            assert composed == _f_alpha_diagonal(fam, al * be), (a, b)
+    assert _f_alpha_diagonal(fam, F4.one) == [1] * fam.dim
 
 
 def test_d_alpha_cases():
-    f4 = GF2k(2)
-    t = f4.gen()
-    N = (3,)
-    x2 = DPoly.mono(f4, N, (2,))
-    x3 = DPoly.mono(f4, N, (3,))
-    assert d_alpha_derivative(x2, 0, t).terms == {(1,): t.value}
-    assert d_alpha_derivative(x3, 0, t).terms == {(2,): 1}
-    assert d_alpha_derivative(x2, 0, f4.zero).terms == {}
+    # [f, q] = D_{alpha,p} f, since D_{alpha,q} q = 1 and D_{alpha,p} q = 0:
+    # D_alpha is d on odd exponents and alpha d on even ones
+    t = F4.gen()
+    for alpha in (t, F4.zero):
+        fam = poisson_family(1, (3, 1), alpha)
+        idx = _po_index(fam)
+
+        def bracket_with_q(r):
+            a, b = sorted((idx[r], idx[(0, 1)]))
+            return fam.sc.get((a, b), {})
+
+        assert bracket_with_q((2, 0)) == ({idx[(1, 0)]: t.value} if alpha else {})
+        assert bracket_with_q((3, 0)) == {idx[(2, 0)]: 1}
 
 
 def test_d_alpha_matches_conjugated_partial():
-    f4 = GF2k(2)
-    N = (2, 2)
-    monos = monomials(N)
-    rng = random.Random(6)
-    for a in range(1, 4):
-        al = Scalar(f4, a)
-        ali = al.inv()
-        for trial in range(40):
-            f = DPoly(f4, N, {m: rng.randrange(4) for m in monos if rng.getrandbits(1)})
-            for i in range(2):
-                lhs = d_alpha_derivative(f, i, al)
-                rhs = f_alpha_map(f_alpha_map(f, al).partial(i), ali)
-                assert lhs == rhs
+    # D_alpha = F_alpha^-1 d F_alpha, so F_alpha carries the alpha-bracket
+    # onto the Poisson bracket: an isomorphism for every alpha != 0
+    for field in (F4, F8):
+        for a in range(1, field.order):
+            alpha = Scalar(field, a)
+            for m, N in POISSON_SHAPES:
+                fam, po = poisson_family(m, N, alpha), poisson_family(m, N, field.one)
+                f = LinearMap(fam, po, f_alpha_matrix(fam, alpha))
+                assert verify_morphism(f, "isomorphism"), (field, a, N)
 
 
 def test_reindex_examples():
     N = (3,)
     assert reindex_mono((5,), N) == (1, 2)
     assert reindex_mono((0,), N) == (0, 0)
-    assert reindex_context(N) == (1, 2)
+    assert reindex_mono((3, 1, 4), (2, 1, 3)) == (1, 1, 0, 1, 2)  # N_2 = 1 keeps no high digit
 
 
 def test_reindex_multiplicative_and_conjugates_d0():
-    N = (2, 2)
-    monos = monomials(N)
-    rng = random.Random(7)
-    zero = GF2.zero
-    for trial in range(100):
-        f = DPoly(GF2, N, {m: 1 for m in monos if rng.getrandbits(1)})
-        g = DPoly(GF2, N, {m: 1 for m in monos if rng.getrandbits(1)})
-        assert reindex_iso(f * g) == reindex_iso(f) * reindex_iso(g)
-        for i in range(2):
-            # D_{0,i} on O[m;N] turns into d/dy_i downstairs
-            assert reindex_iso(d_alpha_derivative(f, i, zero)) == reindex_iso(f).partial(i)
+    # at alpha = 0 the digit split x^(r) -> y^(r mod 2) w^([r/2]) turns D_0
+    # into d/dy: the alpha-bracket becomes po_Pi(2m;1_s) tensor O[N - 1]
+    shapes = [(m, N) for m, N in POISSON_SHAPES if max(N) >= 2]
+    assert len(shapes) == 4
+    for m, N in shapes:
+        fam = poisson_family(m, N, GF2.zero)
+        tensor = build_po_tensor_O(m, [n - 1 for n in N if n >= 2])
+        assert verify_morphism(reindex_map(fam, tensor), "isomorphism"), N
 
 
 def test_monomial_order_is_grlex():
@@ -199,7 +225,10 @@ def test_monomial_order_is_grlex():
 
 
 def test_exponent_bounds_enforced():
+    # exponents run over 0 <= r_i < 2^N_i, so each N_i must be at least 1
+    for N in [(0,), (), (2, -1)]:
+        with pytest.raises(ValueError):
+            check_shearing(N)
     with pytest.raises(ValueError):
-        DPoly(GF2, (2,), {(4,): 1})
-    with pytest.raises(ValueError):
-        DPoly(GF2, (2,), {(1, 1): 1})
+        build_poisson(1, (0, 2))
+    assert max(monomials((2, 1))) == (3, 1)

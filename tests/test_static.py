@@ -23,6 +23,11 @@ somewhere besides its own definition: in the package, its tests or the
 benchmark.  The search is by word, so a mention in a comment or a string
 counts as a use.
 
+Every such function must also be named in the package or the benchmark,
+not only in the tests: a function only tests call is a second copy of a
+path the product runs, or a path nobody runs.  An explicit allowlist keeps
+the public API whose callers are the paper-claim tests.
+
 Every parameter of a package function must be read somewhere in its body
 (nested functions included): a parameter the body never reads is an option
 callers can set to no effect.  ``self`` and ``cls`` are exempt, and so are
@@ -208,6 +213,39 @@ def test_scan_flags_a_dead_definition():
            "    def unused(self):\n"
            "        return self.v\n")
     assert dead_definitions({"lib.py": lib}, [lib, "from lib import A\n"]) == [("lib.py", 6, "unused")]
+
+
+# package functions only tests call, each with the claim or check it serves
+TEST_ONLY_ALLOWLIST = {
+    "build_kap4_subalgebra": "Kap_{4,A} as the kernel inside Kap_{4,B}: the Kaplansky identifications",
+    "check_invariant_form": "the invariant forms on Kap2 and h'_Pi that the paper's simplicity rests on",
+    "check_polarization": "the Arf quadratic-form axiom behind every Kaplansky builder",
+    "even_subspace": "the even part of a superization, a subalgebra by the super axioms",
+    "h2_weight_table": "the whole H^2 of an algebra split by weight: the printed tables at once",
+    "jurman_united_family": "every j(g,h) with g + h = K as one deform of one base",
+    "mono_unpack": "the inverse of mono_pack: the packed-monomial codec's other half",
+    "rref": "reduced echelon form, the gf2 kernel checked against an independent oracle",
+}
+
+
+def test_no_test_only_definitions():
+    package = {p.name: p.read_text() for p in MODULES}
+    product = [p.read_text() for top in ("src", "bench") for p in sorted((ROOT / top).rglob("*.py"))]
+    test_only = dead_definitions(package, product)
+    assert sorted(name for _, _, name in test_only) == sorted(TEST_ONLY_ALLOWLIST), \
+        ", ".join("%s:%d %s" % d for d in test_only if d[2] not in TEST_ONLY_ALLOWLIST)
+
+
+def test_scan_flags_a_test_only_definition():
+    lib = ("def run(x):\n"
+           "    return x\n"
+           "def run_slowly(x):\n"
+           "    return x\n")
+    tests = "from lib import run, run_slowly\nassert run(1) == run_slowly(1)\n"
+    product = "from lib import run\nrun(2)\n"
+    assert dead_definitions({"lib.py": lib}, [lib, product, tests]) == []
+    # searched without the tests, run_slowly is named only at its definition
+    assert dead_definitions({"lib.py": lib}, [lib, product]) == [("lib.py", 3, "run_slowly")]
 
 
 def unused_parameters(source: str, module: str) -> list:
