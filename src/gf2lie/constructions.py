@@ -171,8 +171,8 @@ def image_rows(basis: Sequence[Mono], N: Sequence[int],
     monomials `basis` of O[m;N], where images(mono) = (left, right) lists
     packed monomials (divpow.mono_pack), None where an operator kills mono.
 
-    A packed product u v is u | v when u & v == 0 and zero otherwise
-    (divpow.packed_mul), so term t of [a, b] is nonzero exactly when
+    A packed product u v is u | v when u & v == 0 and zero otherwise,
+    so term t of [a, b] is nonzero exactly when
     right_t(b) is a submask of the bits that u = left_t(a) leaves free.
     Each right image is indexed once, and only those pairs are visited;
     terms cancel in the order t, as the sum is written.  Values outside
@@ -726,11 +726,11 @@ def build_classical(kind: str, n: int, variant: str = "full") -> Algebra:
     elif kind in ("sl", "psl"):
         # the diagonal mask is both the trace row and the identity matrix
         diag = gf2.from_bits([i * n + i for i in range(n)])
-        g = subalgebra_on(gl, Subspace(gl, gf2.kernel([diag], n * n)), name="sl(%d)" % n)
+        sl = Subspace(gl, gf2.kernel([diag], n * n))
+        g = subalgebra_on(gl, sl, name="sl(%d)" % n)
         if kind == "psl" and n % 2 == 0:
-            # scalars lie in sl; quotient them out
-            coords = _vector_in_subalgebra(gl, g, diag)
-            g = quotient(g, Subspace(g, [coords]), name="psl(%d)" % n)
+            # scalars lie in sl; quotient them out, in sl's RREF coordinates
+            g = quotient(g, Subspace(g, [gf2.compressor(sl.pivots())(diag)]), name="psl(%d)" % n)
     elif kind == "oI":
         rows = []
         for i in range(n):
@@ -757,29 +757,6 @@ def build_classical(kind: str, n: int, variant: str = "full") -> Algebra:
     else:
         raise AlgebraError("unknown classical kind %r" % kind)
     return _apply_variant(g, variant)
-
-
-def _vector_in_subalgebra(amb: Algebra, sub: Algebra, v: int) -> int:
-    """Coordinates of an ambient vector in a subalgebra_on() basis.
-
-    subalgebra_on() labels single-coordinate rows by the ambient label
-    and sums as "(a+b+...)", which is enough to reconstruct the rows.
-    """
-    rows = []
-    for lbl in sub.labels:
-        if lbl in amb.labels:
-            rows.append(1 << amb.labels.index(lbl))
-        elif lbl.startswith("(") and lbl.endswith(")"):
-            m = 0
-            for part in lbl[1:-1].split("+"):
-                m |= 1 << amb.labels.index(part)
-            rows.append(m)
-        else:
-            raise AlgebraError("cannot map label %r back to ambient" % lbl)
-    sol = gf2.solve(gf2.transpose(rows, amb.dim), [(v >> i) & 1 for i in range(amb.dim)])
-    if sol is None:
-        raise AlgebraError("vector not in subalgebra")
-    return sol
 
 
 # ---------------------------------------------------------------------------

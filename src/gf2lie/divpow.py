@@ -5,8 +5,8 @@ The product rule x^(r) x^(s) = binom(r+s, r) x^(r+s) reduces mod 2 to
 the bitwise test (r_i & s_i) == 0 in every coordinate (Lucas), and the
 product is zero whenever some r_i + s_i leaves the shearing range.
 Out-of-range and negative binomial data always mean 0 here.  Packed into
-one int (`mono_pack`), monomials multiply by one AND and one OR
-(`packed_mul`).
+one int (`mono_pack`), monomials multiply by one AND and one OR: the
+product of a and b is a | b when a & b == 0, and zero otherwise.
 """
 
 from __future__ import annotations
@@ -73,11 +73,6 @@ def mono_unpack(p: int, N: ShearingVector) -> Monomial:
         out.append(p & ((1 << n) - 1))
         p >>= n
     return tuple(out)
-
-
-def packed_mul(a: int, b: int) -> Tuple[int, Optional[int]]:
-    """mono_mul on packed monomials: (1, a | b), or (0, None) if they share a bit."""
-    return (0, None) if a & b else (1, a | b)
 
 
 def mono_text(r: Monomial, names: Sequence[str]) -> str:

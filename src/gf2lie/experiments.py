@@ -15,7 +15,7 @@ from typing import Dict, List
 from . import gf2
 from .cohomology import (Cochain2, block_consistent_representative, combine, compute_h2,
                           consistent_class_masks, d2, is_coboundary, parse_cocycle)
-from .constructions import (QuadraticFormSpec, build_a2gh, build_classical,
+from .constructions import (QuadraticFormSpec, build_a2gh, build_classical, build_gl,
                             build_div_free_hI, build_hI, build_hamiltonian, build_jurman,
                             build_kap1, build_kap2, build_kap3, build_kap4A, build_kap4B,
                             build_multipair, build_po_tensor_O,
@@ -55,6 +55,36 @@ def HI22() -> Algebra:
 @lru_cache(maxsize=None)
 def J(g: int, h: int) -> Algebra:
     return build_jurman(g, h)
+
+
+@lru_cache(maxsize=None)
+def QPO() -> Algebra:
+    """The operator quantization of po(1; (2, 2)): its 16 operator matrices
+    are a basis of gl(4), so Q is gl(4) carried to that basis, bracket and
+    column-minus-row grading alike."""
+    import math
+    po = build_poisson(1, (2, 2))
+    monos = po.meta["mono_degrees"]
+
+    def op_matrix(i, j):  # the gl(4) mask: bit 4k + t holds entry (k, t)
+        m = 0
+        for k in range(j, 4):
+            tgt = k - j + i
+            if tgt < 4 and math.comb(tgt, i) & 1:
+                m |= 1 << (4 * k + tgt)
+        return m
+
+    gl4 = build_gl(4)
+    cols = [op_matrix(i, j) for (i, j) in monos]
+    inv = gf2.invert(cols, 16)
+    sc = {}
+    for a in range(16):
+        for b in range(a + 1, 16):
+            coords = gf2.apply_rows(inv, gl4.bracket(cols[a], cols[b]))
+            if coords:
+                sc[(a, b)] = dict.fromkeys(gf2.bits(coords), 1)
+    return Algebra(GF2, po.labels, sc, grading=[(i - j,) for (i, j) in monos], grading_mod=(0,),
+                   meta=po.meta, name="quantized po")
 
 
 # the reference cocycle tables for these algebras, in the ingestion grammar;
@@ -442,38 +472,7 @@ def quantization_realizes_psl() -> dict:
     """The quantization realization that does hold: an explicit operator quantization
     of the h'-space is isomorphic to psl(4); its correction cochain has
     weight components (0,0), (-1,-1), (-2,-2) only."""
-    import math
-    po = build_poisson(1, (2, 2))
-    monos = po.meta["mono_degrees"]
-
-    def op_matrix(i, j):
-        rows = [0] * 4
-        for k in range(4):
-            if k < j:
-                continue
-            tgt = k - j + i
-            if tgt < 4 and math.comb(tgt, i) & 1:
-                rows[k] |= 1 << tgt
-        return rows
-
-    def flatten(rows):
-        m = 0
-        for k, r in enumerate(rows):
-            m |= r << (4 * k)
-        return m
-
-    cols = [flatten(op_matrix(i, j)) for (i, j) in monos]
-    inv = gf2.invert(cols, 16)
-    sc = {}
-    for a in range(16):
-        for b in range(a + 1, 16):
-            r1, r2 = op_matrix(*monos[a]), op_matrix(*monos[b])
-            ab = [gf2.apply_rows(r1, br) for br in r2]
-            ba = [gf2.apply_rows(r2, ar) for ar in r1]
-            coords = gf2.apply_rows(inv, flatten([x ^ y for x, y in zip(ab, ba)]))
-            if coords:
-                sc[(a, b)] = {k: 1 for k in gf2.bits(coords)}
-    Q = Algebra(GF2, po.labels, sc, meta=po.meta, name="quantized po")
+    Q = QPO()
     Qh = quotient(Q, Subspace(Q, [1]))
     Qd = subalgebra_on(Qh, derived_subalgebra(Qh), name="quantized h'")
     hp = HP(2, 2)

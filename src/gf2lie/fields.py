@@ -126,9 +126,6 @@ class GF2k:
         """Frobenius is a bijection; the square root is a^(2^(k-1))."""
         return self.pow(a, 1 << (self.k - 1))
 
-    def elements(self):
-        return range(self.order)
-
     # -- wrappers ----------------------------------------------------------
     def el(self, v: Union[int, "Scalar"]) -> "Scalar":
         if isinstance(v, Scalar):
@@ -321,18 +318,3 @@ def field_make(spec) -> Field:
         if s.startswith("poly:"):
             return PolyRing(s.split(":", 1)[1])
     raise FieldError("unrecognized field spec %r" % (spec,))
-
-
-def poly_eval(p: Scalar, at: Scalar) -> Scalar:
-    """Horner evaluation of p in GF(2)[h] at a point of GF(2^k)."""
-    if not isinstance(p.field, PolyRing):
-        raise FieldError("poly_eval expects an element of GF(2)[h]")
-    fld = at.field
-    acc = 0
-    v = p.value
-    for i in range(v.bit_length() - 1, -1, -1):
-        acc = fld.mul(acc, at.value)
-        if (v >> i) & 1:
-            acc ^= 1
-    return Scalar(fld, acc)
-

@@ -397,19 +397,31 @@ class Algebra:
         if missing:
             raise AlgebraError("an algebra file needs the key(s) %s" % ", ".join(missing))
         fd = d["field"]
-        if fd["kind"] == "poly":
+        kind = fd.get("kind") if isinstance(fd, dict) else None
+        if kind == "poly":
             field = PolyRing(fd.get("var", "h"))
 
             def parse(s):
                 return int("".join(reversed([c for c in s if c in "01"])), 2) if s.startswith("[") else int(s, 0)
-        else:
+        elif kind == "gf2k" and isinstance(fd.get("k"), int) and isinstance(fd.get("modulus"), str):
             field = GF2 if fd["k"] == 1 else GF2k(fd["k"], int(fd["modulus"], 0))
 
             def parse(s):
                 return int(s, 0)
+        else:
+            raise AlgebraError('an algebra file\'s field is {"kind": "poly"} or {"kind": "gf2k", "k": <int>, '
+                               '"modulus": "<hex>"}, not %s' % json.dumps(fd))
+        if not isinstance(d["labels"], list) or not isinstance(d["sc"], list):
+            raise AlgebraError('an algebra file\'s "labels" and "sc" are JSON lists')
         sc = {}
-        for i, j, row in d["sc"]:
-            sc[(i, j)] = {int(k): parse(v) for k, v in row}
+        for e in d["sc"]:
+            row = e[2] if isinstance(e, list) and len(e) == 3 else None
+            if not (isinstance(row, list) and all(isinstance(x, int) for x in e[:2])
+                    and all(isinstance(t, list) and len(t) == 2 and isinstance(t[0], (int, str))
+                            and isinstance(t[1], str) for t in row)):
+                raise AlgebraError('an algebra file\'s sc entries are [i, j, [[k, "c"], ...]], each c a '
+                                   'JSON string such as "1", not %s' % json.dumps(e))
+            sc[(e[0], e[1])] = {int(k): parse(v) for k, v in row}
         grading = d.get("grading")
         meta = {}
         md = d.get("meta", {})
@@ -828,13 +840,6 @@ class LinearMap:
         return _generic_invertible([self.target.as_dict(im) for im in self.images],
                                    self.target.dim, self.target.field)
 
-    def inverse(self) -> "LinearMap":
-        _require_gf2(self.target, "the inverse map")
-        inv = gf2.invert(self.images, self.target.dim)
-        if inv is None:
-            raise AlgebraError("map is not invertible")
-        return LinearMap(self.target, self.source, inv)
-
     def __repr__(self):
         return "<linear map %r -> %r>" % (self.source, self.target)
 
@@ -984,22 +989,3 @@ def subalgebra_generated(g: Algebra, vectors: Sequence[int]) -> Subspace:
                         return s
         fresh = newly
     return s
-
-
-def specialize(g: Algebra, at) -> Algebra:
-    """Evaluate a PolyRing-coefficient algebra at a scalar of GF(2^k)."""
-    from .fields import Scalar, poly_eval
-    if not isinstance(g.field, PolyRing):
-        raise AlgebraError("specialize() expects coefficients in GF(2)[h]")
-    fld = at.field
-    sc = {}
-    for (i, j), row in g.sc.items():
-        out = {}
-        for k, v in row.items():
-            val = poly_eval(Scalar(g.field, v), at).value
-            if val:
-                out[k] = val
-        if out:
-            sc[(i, j)] = out
-    return Algebra(fld, g.labels, sc, grading=g.grading, grading_mod=g.grading_mod,
-                   name=g.name + "@%s" % at, meta=g.meta)

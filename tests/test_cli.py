@@ -398,6 +398,29 @@ def test_validate_refuses_a_malformed_algebra_file(tmp_path, capsys, text, why):
     assert "error: an algebra file %s" % why in capsys.readouterr().err
 
 
+GF2_FIELD = {"kind": "gf2k", "k": 1, "modulus": "0x3"}
+
+
+@pytest.mark.parametrize("field, labels, sc, why", [
+    ({}, ["a", "b"], [], "field is"),
+    ({"kind": "gf2k"}, ["a", "b"], [], "field is"),
+    ("gf2", ["a", "b"], [], "field is"),
+    (GF2_FIELD, ["a", "b"], [[0, 1, [[1, 1]]]], "sc entries are"),
+    (GF2_FIELD, ["a", "b"], [[0, 1, 5]], "sc entries are"),
+    (GF2_FIELD, ["a", "b"], [["0", 1, [[1, "1"]]]], "sc entries are"),
+    (GF2_FIELD, ["a", "b"], 7, "are JSON lists"),
+    (GF2_FIELD, 5, [], "are JSON lists"),
+], ids=["empty-field", "no-k", "a-string", "an-int-coefficient", "an-int-row", "a-string-index",
+        "an-int-sc", "int-labels"])
+def test_validate_refuses_a_malformed_field_or_structure(tmp_path, capsys, field, labels, sc, why):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({"field": field, "labels": labels, "sc": sc}))
+    code, doc = run_cli(["validate", "--algebra", str(path)])
+    assert code == 1 and doc is None
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and why in err
+
+
 def test_h2_refuses_mono_degrees_of_the_wrong_length(tmp_path, capsys):
     doc = Algebra(GF2k(1), ["a", "b"], {}).to_json()
     doc["meta"] = {"mono_degrees": [[0]]}  # a 1-variable key, so the weight "0" fits

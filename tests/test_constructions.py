@@ -454,6 +454,30 @@ def test_classical_dims():
     assert build_classical("psl", 4).dim < build_classical("sl", 4).dim
 
 
+def _vector_in_subalgebra(amb, sub, v):
+    """Coordinates of an ambient vector in a subalgebra_on() basis, rebuilt
+    from its labels: a unit row keeps the ambient label, a sum reads "(a+b+...)"."""
+    rows = []
+    for lbl in sub.labels:
+        parts = lbl[1:-1].split("+") if lbl.startswith("(") and lbl.endswith(")") else [lbl]
+        rows.append(gf2.from_bits(amb.labels.index(part) for part in parts))
+    return gf2.solve(gf2.transpose(rows, amb.dim), [(v >> i) & 1 for i in range(amb.dim)])
+
+
+@pytest.mark.parametrize("kind", ["sl", "psl"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_classical_sl_psl_match_the_label_parsing_route(kind, n):
+    # the identity's sl(n) coordinates were once recovered by parsing the
+    # subalgebra's labels back into ambient rows; the builder now reads them
+    # off the RREF pivots, and must build the same algebra byte for byte
+    gl = constructions.build_gl(n)
+    diag = gf2.from_bits(i * n + i for i in range(n))
+    g = subalgebra_on(gl, Subspace(gl, gf2.kernel([diag], n * n)), name="sl(%d)" % n)
+    if kind == "psl" and n % 2 == 0:
+        g = quotient(g, Subspace(g, [_vector_in_subalgebra(gl, g, diag)]), name="psl(%d)" % n)
+    assert build_classical(kind, n).dumps() == g.dumps()
+
+
 def test_kap1_equals_lhI_derived_monomially():
     # x^u -> e_u is an isomorphism on the nose
     from gf2lie.liealg import LinearMap, verify_morphism

@@ -8,8 +8,8 @@ import pytest
 
 from gf2lie import gf2
 from gf2lie.cohomology import Cochain2, compute_h2, cyclic_compose, d1, d2, is_coboundary, parse_cocycle
-from gf2lie.constructions import (build_hI, build_hamiltonian, build_jurman, build_kap2, build_kap4B,
-                                  build_poisson, jurman_bracket, pq_names)
+from gf2lie.constructions import (build_classical, build_hI, build_hamiltonian, build_jurman, build_kap2,
+                                  build_kap4B, build_poisson, jurman_bracket, pq_names)
 from gf2lie.deform import (DeformFamily, bracket_map_cochain,
                            defect, deform_bracket, integrability_verdict, jurman_cocycle,
                            jurman_deform_check, jurman_united_family, kap4b_as_deform, kap4b_family,
@@ -18,7 +18,9 @@ from gf2lie.deform import (DeformFamily, bracket_map_cochain,
                            zero_defect_representative)
 from gf2lie.divpow import mono_mul, mono_text, monomials
 from gf2lie.fields import GF2, GF2k, Scalar
-from gf2lie.liealg import Algebra, AlgebraError, verify_morphism
+from gf2lie.isom import search_isomorphism
+from gf2lie.liealg import (Algebra, AlgebraError, LinearMap, Subspace, derived_subalgebra, quotient,
+                           subalgebra_on, verify_morphism)
 from test_cohomology import _dense_d2, _loop_algebra_incidence, _loop_cochain_incidence, ordered_incidence
 
 F4 = GF2k(2)
@@ -419,6 +421,61 @@ def test_quantization_deform_check_is_field_stably_distinguished():
     assert rep["deform_fingerprint"]["derivation_dim"] == 20
     assert rep["psl_fingerprint"]["derivation_dim"] == 21
     assert rep["representative_derivation_dims"] == [20] * 4
+
+
+def _row_commutator_quantization():
+    """The operator quantization as first built: each x^(i) d^(j) a list of
+    four row masks, flattened to a gl(4) mask, and Q's bracket the row
+    commutator read back in operator coordinates.  Returns (Q's sc, cols)."""
+    import math
+    monos = build_poisson(1, (2, 2)).meta["mono_degrees"]
+
+    def op_matrix(i, j):
+        rows = [0] * 4
+        for k in range(j, 4):
+            tgt = k - j + i
+            if tgt < 4 and math.comb(tgt, i) & 1:
+                rows[k] |= 1 << tgt
+        return rows
+
+    def flatten(rows):
+        return sum(r << (4 * k) for k, r in enumerate(rows))
+
+    cols = [flatten(op_matrix(i, j)) for (i, j) in monos]
+    inv = gf2.invert(cols, 16)
+    sc = {}
+    for a in range(16):
+        for b in range(a + 1, 16):
+            r1, r2 = op_matrix(*monos[a]), op_matrix(*monos[b])
+            ab = [gf2.apply_rows(r1, br) for br in r2]
+            ba = [gf2.apply_rows(r2, ar) for ar in r1]
+            coords = gf2.apply_rows(inv, flatten([x ^ y for x, y in zip(ab, ba)]))
+            if coords:
+                sc[(a, b)] = {k: 1 for k in gf2.bits(coords)}
+    return sc, cols
+
+
+def test_quantized_po_is_gl4_on_the_operator_basis():
+    from gf2lie.experiments import QPO
+    Q = QPO()
+    sc, cols = _row_commutator_quantization()
+    assert Q.sc == sc and Q.labels == build_poisson(1, (2, 2)).labels
+    # the grading is gl(4)'s column-minus-row degree, carried through cols
+    gl4 = build_classical("gl", 4)
+    assert all({gl4.grading[k] for k in gf2.bits(c)} == {Q.grading[a]} for a, c in enumerate(cols))
+    assert Q.grading_mod == (0,)
+    assert verify_morphism(LinearMap(Q, gl4, cols), "isomorphism")
+
+
+def test_quantized_h_prime_meets_psl4_through_the_graded_engine():
+    from gf2lie.experiments import QPO, quantization_realizes_psl
+    Q = QPO()
+    Qh = quotient(Q, Subspace(Q, [1]))
+    Qd = subalgebra_on(Qh, derived_subalgebra(Qh))
+    res = search_isomorphism(Qd, build_classical("psl", 4))
+    assert res.kind == "iso" and res.engine == "zgraded"
+    assert verify_morphism(res.map, "isomorphism")
+    assert quantization_realizes_psl()["correction_weights"] == [(-2, -2), (-1, -1), (0, 0)]
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,19 @@ from gf2lie import gf2
 from gf2lie.constructions import build_po_tensor_O, build_poisson
 from gf2lie.deform import f_alpha_matrix, partial_matrix, poisson_family, reindex_map
 from gf2lie.divpow import (
-    check_shearing, mono_mul, mono_offsets, mono_pack, mono_unpack, monomials, packed_mul, reindex_mono,
+    check_shearing, mono_mul, mono_offsets, mono_pack, mono_unpack, monomials, reindex_mono,
 )
 from gf2lie.fields import GF2, GF2k, Scalar
 from gf2lie.liealg import LinearMap, verify_morphism
 from test_deform import POISSON_SHAPES
 
 F4, F8 = GF2k(2), GF2k(3)
+
+
+def packed_mul(a, b):
+    """mono_mul on packed monomials, the product rule `image_rows` reads
+    off masks: (1, a | b), or (0, None) if they share a bit."""
+    return (0, None) if a & b else (1, a | b)
 
 
 def big_binom_odd(n, k):

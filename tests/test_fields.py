@@ -1,10 +1,8 @@
-import random
-
 import pytest
 
 from gf2lie.fields import (
-    DEFAULT_MODULUS, GF2, FieldError, GF2k, PolyRing, Scalar,
-    field_make, poly2_irreducible, poly_eval,
+    DEFAULT_MODULUS, GF2, FieldError, GF2k, PolyRing,
+    field_make, poly2_irreducible,
 )
 
 
@@ -61,31 +59,6 @@ def test_sqrt_rejected_in_poly_ring():
     R = PolyRing()
     with pytest.raises(FieldError):
         R.gen().sqrt()
-
-
-def test_poly_eval():
-    R = PolyRing()
-    h = R.gen()
-    p = h * h + h  # h^2 + h
-    one = GF2.one
-    assert poly_eval(p, one).value == 0
-    assert poly_eval(R.one, one).value == 1
-    f4 = GF2k(2)
-    t = f4.gen()
-    assert poly_eval(h, t) == t
-    assert p.value == 0b110
-
-
-def test_poly_eval_is_ring_hom():
-    R = PolyRing()
-    f4 = GF2k(2)
-    rng = random.Random(0)
-    for _ in range(50):
-        p = Scalar(R, rng.getrandbits(6))
-        q = Scalar(R, rng.getrandbits(6))
-        at = Scalar(f4, rng.randrange(4))
-        assert poly_eval(p + q, at) == poly_eval(p, at) + poly_eval(q, at)
-        assert poly_eval(p * q, at) == poly_eval(p, at) * poly_eval(q, at)
 
 
 def test_no_inverse_of_zero():

@@ -1000,18 +1000,3 @@ def test_json_roundtrip():
         g2 = Algebra.from_json(d)
         assert g2.dim == g.dim and g2.sc == g.sc
         assert g.dumps() == g2.dumps()  # byte stable
-
-
-def test_specialize_polyring():
-    from gf2lie.fields import PolyRing, Scalar
-    from gf2lie.liealg import specialize
-    R = PolyRing()
-    h = R.gen()
-    g = Algebra(R, ["a", "b", "c"], {(0, 1): {2: h.value}})
-    f4 = GF2k(2)
-    t = f4.gen()
-    sp = specialize(g, t)
-    assert sp.field is f4 or sp.field == f4
-    assert sp.sc[(0, 1)][2] == t.value
-    zero = specialize(g, f4.zero)
-    assert not zero.sc

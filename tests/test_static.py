@@ -20,8 +20,9 @@ error) instead of running on and answering wrongly.
 
 Every function or method the package defines, dunders aside, must be named
 somewhere besides its own definition: in the package, its tests or the
-benchmark.  The search is by word, so a mention in a comment or a string
-counts as a use.
+benchmark.  The search reads code tokens: a name counts, and so does a
+string literal that is exactly the name (a target handed over as data,
+as the bench tracer does), but a mention in a comment or in prose does not.
 
 Every such function must also be named in the package or the benchmark,
 not only in the tests: a function only tests call is a second copy of a
@@ -46,8 +47,9 @@ sampler must be seen and named here.
 
 import ast
 import builtins
+import io
 import pathlib
-import re
+import tokenize
 from collections import Counter
 
 import pytest
@@ -184,10 +186,22 @@ def test_scan_flags_a_field_assert():
     assert field_asserts(src) == [2, 3, 6]
 
 
+def code_words(text: str) -> list:
+    """The NAME tokens of a source, plus each string literal that is exactly
+    an identifier (a name handed over as data, like a traced target):
+    comments and prose in docstrings name nothing."""
+    words = []
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        word = tok.string.strip("'\"") if tok.type == tokenize.STRING else tok.string
+        if tok.type in (tokenize.NAME, tokenize.STRING) and word.isidentifier():
+            words.append(word)
+    return words
+
+
 def dead_definitions(package: dict, searched: list) -> list:
     """(file, line, name) for every non-dunder def in the package sources
     ({file: text}) whose name the searched texts hold only at its definitions."""
-    words = Counter(w for text in searched for w in re.findall(r"\w+", text))
+    words = Counter(w for text in searched for w in code_words(text))
     defs = [(fname, node.lineno, node.name) for fname, text in package.items()
             for node in ast.walk(ast.parse(text, fname))
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -213,6 +227,10 @@ def test_scan_flags_a_dead_definition():
            "    def unused(self):\n"
            "        return self.v\n")
     assert dead_definitions({"lib.py": lib}, [lib, "from lib import A\n"]) == [("lib.py", 6, "unused")]
+    # prose and comments name nothing; a literal that is exactly the name does
+    prose = '"""A.unused: see unused"""\nx = "call unused"  # unused\n'
+    assert dead_definitions({"lib.py": lib}, [lib, prose]) == [("lib.py", 6, "unused")]
+    assert dead_definitions({"lib.py": lib}, [lib, 'TARGETS = [("lib", "unused")]\n']) == []
 
 
 # package functions only tests call, each with the claim or check it serves
