@@ -4,17 +4,21 @@ Three engines, tried in order of strength of available structure:
   E1  both algebras carry (Z/2)^r torus gradings with 1-dimensional
       weight blocks: enumerate small GL(r,2) lattice maps;
   E2  both carry a rank-1 Z-grading: block-matched generator search;
-  E3  generic generator search pruned by ad-rank invariant classes.
+  E3  generic generator search over ad-rank invariant classes, walked
+      only as far as the search reads them.
 Every found map is post-verified; "distinguished" is only reported on
-honest invariants (dimension, derived/lower-central series, center,
-derivation space), never on grading data.
+honest invariants, never on grading data: dimension, the derived and
+lower-central series and the center first, then, only when E1 and E2 found
+no map, the derivation space (before E3 or a Z-graded "exhausted").  A
+verified isomorphism implies equal invariants, so the verdict and reason
+are those of comparing whole fingerprints first.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from itertools import combinations, product as _cartesian
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import gf2
 from .liealg import (Algebra, AlgebraError, LinearMap, ad_walk, center, derivation_dim,
@@ -35,16 +39,28 @@ class IsoResult:
         return "<%s: %s>" % (self.kind, self.reason)
 
 
-def fingerprint(g: Algebra) -> dict:
-    fp = {
+def _structure_dims(g: Algebra) -> dict:
+    return {
         "dim": g.dim,
         "derived_dims": tuple(derived_series_dims(g)),
         "lower_central_dims": tuple(lower_central_dims(g)),
         "center_dim": center(g).dim,
     }
-    if g.dim <= 32:
-        fp["derivation_dim"] = derivation_dim(g)
-    return fp
+
+
+def _derivation_dims(g: Algebra) -> dict:
+    return {"derivation_dim": derivation_dim(g)} if g.dim <= 32 else {}
+
+
+def fingerprint(g: Algebra) -> dict:
+    return {**_structure_dims(g), **_derivation_dims(g)}
+
+
+def _first_difference(fa: dict, fb: dict) -> Optional[IsoResult]:
+    for key in fa:
+        if key in fb and fa[key] != fb[key]:
+            return IsoResult("distinguished", reason="%s: %r != %r" % (key, fa[key], fb[key]))
+    return None
 
 
 def search_isomorphism(a: Algebra, b: Algebra, budget: int = 200_000) -> IsoResult:
@@ -52,23 +68,19 @@ def search_isomorphism(a: Algebra, b: Algebra, budget: int = 200_000) -> IsoResu
         raise AlgebraError("search budget must be at least 1, got %d" % budget)
     if a.dim != b.dim:
         return IsoResult("distinguished", reason="dim %d != %d" % (a.dim, b.dim))
-    fa, fb = fingerprint(a), fingerprint(b)
-    for key in fa:
-        if key in fb and fa[key] != fb[key]:
-            return IsoResult("distinguished",
-                             reason="%s: %r != %r" % (key, fa[key], fb[key]))
+    res = _first_difference(_structure_dims(a), _structure_dims(b))
+    if res is not None:
+        return res
     if not a.sc and not b.sc:  # abelian: every invertible map is an isomorphism
         identity = LinearMap(a, b, [b.unit(i) for i in range(b.dim)])
         if verify_morphism(identity, "isomorphism"):
             return IsoResult("iso", identity, engine="trivial")
 
-    res = _try_torus_engine(a, b)
-    if res is not None:
+    res = _try_torus_engine(a, b) or _try_zgraded_engine(a, b, budget)
+    if res is not None and res.kind == "iso":
         return res
-    res = _try_zgraded_engine(a, b, budget)
-    if res is not None:
-        return res
-    return _generic_engine(a, b, budget)
+    return (_first_difference(_derivation_dims(a), _derivation_dims(b))
+            or res or _generic_engine(a, b, budget))
 
 
 # ---------------------------------------------------------------------------
@@ -76,17 +88,12 @@ def search_isomorphism(a: Algebra, b: Algebra, budget: int = 200_000) -> IsoResu
 # ---------------------------------------------------------------------------
 
 def _torus_data(g: Algebra):
-    if g.grading is None or g.grading_mod is None:
-        return None
-    if any(m != 2 for m in g.grading_mod):
-        return None
-    r = len(g.grading_mod)
-    if r > 4:
+    if not g.grading or set(g.grading_mod) != {2} or len(g.grading_mod) > 4:
         return None
     weights = [gf2.from_seq(w) for w in g.grading]
     if len(set(weights)) != len(weights):
         return None  # blocks must be singletons
-    return r, weights
+    return len(g.grading_mod), weights
 
 
 def _try_torus_engine(a: Algebra, b: Algebra) -> Optional[IsoResult]:
@@ -101,19 +108,13 @@ def _try_torus_engine(a: Algebra, b: Algebra) -> Optional[IsoResult]:
         if gf2.rank(rows) != r:
             continue
         mapped = []
-        ok = True
         for w in wa:
-            mw = 0
-            for t in gf2.bits(w):
-                mw ^= rows[t]
-            if mw not in pos_b:
-                ok = False
+            mapped.append(pos_b.get(gf2.apply_rows(rows, w)))
+            if mapped[-1] is None:
                 break
-            mapped.append(pos_b[mw])
-        if not ok or len(set(mapped)) != len(mapped):
+        if None in mapped or len(set(mapped)) != len(mapped):
             continue
-        images = [1 << mapped[i] for i in range(a.dim)]
-        m = LinearMap(a, b, images)
+        m = LinearMap(a, b, [1 << i for i in mapped])
         if verify_morphism(m, "isomorphism"):
             return IsoResult("iso", m, engine="torus")
     return None
@@ -139,8 +140,9 @@ class GenWords:
         while frontier and self.span.dim < g.dim:
             new_frontier = []
             for i in frontier:
+                ad = g.ad_rows(self.vecs[i])
                 for j in range(len(self.vecs)):
-                    w = g.bracket(self.vecs[i], self.vecs[j])
+                    w = gf2.apply_rows(ad, self.vecs[j])
                     if w and self.span.add(w):
                         self.vecs.append(w)
                         self.words.append(("br", i, j))
@@ -161,13 +163,8 @@ class GenWords:
         span = gf2.TaggedSpan(self.g.dim)
         for v in self.vecs:
             span.add(v)
-        out = []
-        for i in range(self.g.dim):
-            sol = span.solve(1 << i)
-            if sol is None:
-                return None
-            out.append(sol)
-        return out
+        out = [span.solve(1 << i) for i in range(self.g.dim)]
+        return None if None in out else out
 
     def evaluate_in(self, h: Algebra, gen_images: Sequence[int]) -> Optional[List[int]]:
         """Images of all word vectors under a would-be morphism; None when the
@@ -196,15 +193,15 @@ def find_generators(g: Algebra, candidates: Optional[Sequence[int]] = None,
     return None
 
 
-def _search(a: Algebra, b: Algebra, gens: Sequence[int], cand_lists: Sequence[Sequence[int]],
+def _search(a: Algebra, b: Algebra, gens: Sequence[int], candidates: Iterable[Tuple[int, ...]],
             budget: int) -> Tuple[Optional[LinearMap], int]:
-    """The first verified isomorphism sending gens[t] to a vector of
-    cand_lists[t], over the product of the lists in order, and the number
-    of tuples tried; budget + 1 tried means the budget ran out.  The gens
-    must generate a, as `find_generators` ensures."""
+    """The first verified isomorphism sending gens[t] to images[t], over the
+    candidate tuples `images` in order, and the number of tuples tried;
+    budget + 1 tried means the budget ran out.  The gens must generate a,
+    as `find_generators` ensures."""
     gw = GenWords(a, gens)
     tried = 0
-    for images in _cartesian(*cand_lists):
+    for images in candidates:
         tried += 1
         if tried > budget:
             break
@@ -251,8 +248,6 @@ def _match_scales(da: List[int], db: List[int]):
             continue
         # candidate scale from extreme entries
         num, den = nzB[-1], nzA[-1]
-        if den == 0 or num == 0:
-            continue
         if all(x * num % den == 0 for x in A) and [x * num // den for x in A] == Bf:
             yield (num, den, flip)
 
@@ -275,18 +270,12 @@ def _try_zgraded_engine(a: Algebra, b: Algebra, budget: int) -> Optional[IsoResu
         gens = find_generators(a, [1 << i for i in order], max_size=3)
         if gens is None:
             continue
-        gen_deg = []
-        for v in gens:
-            ds = {da[i] for i in gf2.bits(v)}
-            gen_deg.append(ds.pop())
         cand_lists = []
-        for d in gen_deg:
-            tgt = blocks_b.get(bdeg(d), [])
-            vecs = []
-            for mask in range(1, 1 << len(tgt)):
-                vecs.append(gf2.from_bits(tgt[t] for t in gf2.bits(mask)))
-            cand_lists.append(sorted(vecs))
-        m, tried = _search(a, b, gens, cand_lists, budget)
+        for v in gens:  # basis vectors, so homogeneous
+            tgt = blocks_b.get(bdeg(da[v.bit_length() - 1]), [])
+            cand_lists.append(sorted(gf2.from_bits(tgt[t] for t in gf2.bits(mask))
+                                     for mask in range(1, 1 << len(tgt))))
+        m, tried = _search(a, b, gens, _cartesian(*cand_lists), budget)
         if m is not None:
             return IsoResult("iso", m, engine="zgraded")
         if tried > budget:
@@ -303,15 +292,41 @@ def _ad_invariant(rows: List[int]) -> Tuple[int, int]:
     return gf2.rank(rows), gf2.rank(gf2.compose(rows, rows))
 
 
-def _ad_classes(g: Algebra) -> Dict[Tuple[int, int], List[int]]:
-    """Every nonzero vector of g, ascending, keyed by its `_ad_invariant`."""
-    n = g.dim
-    mask = (1 << n) - 1
-    by_inv: Dict[Tuple[int, int], List[int]] = {}
-    for v, ad in ad_walk(g):
-        rows = [(ad >> s) & mask for s in range(0, n * n, n)]
-        by_inv.setdefault(_ad_invariant(rows), []).append(v)
-    return by_inv
+class _AdClasses:
+    """The nonzero vectors of g with each wanted `_ad_invariant`, ascending.
+    One `ad_walk` advances only as far as a read needs, and rank ad v^2 is
+    computed only where rank ad v is a wanted one."""
+
+    def __init__(self, g: Algebra, wanted: Sequence[Tuple[int, int]]):
+        self.n = g.dim
+        self.walk = ad_walk(g)
+        self.classes: Dict[Tuple[int, int], List[int]] = {inv: [] for inv in wanted}
+        self.ranks = {r for r, _ in wanted}
+
+    def member(self, inv: Tuple[int, int], k: int) -> Optional[int]:
+        """The k-th vector of class inv, or None past its end."""
+        n, found = self.n, self.classes[inv]
+        mask = (1 << n) - 1
+        while len(found) <= k:
+            step = next(self.walk, None)
+            if step is None:
+                return None
+            v, ad = step
+            rows = [(ad >> s) & mask for s in range(0, n * n, n)]
+            r = gf2.rank(rows)
+            if r in self.ranks:
+                cls = self.classes.get((r, gf2.rank(gf2.compose(rows, rows))))
+                if cls is not None:
+                    cls.append(v)
+        return found[k]
+
+    def product(self, invs: Sequence[Tuple[int, int]]) -> Iterator[Tuple[int, ...]]:
+        """`itertools.product` over the classes invs, read lazily."""
+        k = 0
+        while (v := self.member(invs[0], k)) is not None:
+            for rest in (self.product(invs[1:]) if len(invs) > 1 else [()]):
+                yield (v,) + rest
+            k += 1
 
 
 def _generic_engine(a: Algebra, b: Algebra, budget: int) -> IsoResult:
@@ -328,13 +343,10 @@ def _generic_engine(a: Algebra, b: Algebra, budget: int) -> IsoResult:
         if gens is None:
             return IsoResult("exhausted", reason="no small generating set", engine="generic")
     inv_gens = [_ad_invariant(a.ad_rows(v)) for v in gens]
-    by_inv = _ad_classes(b)
-    cand_lists = [by_inv.get(inv, []) for inv in inv_gens]
-    if any(not c for c in cand_lists):
-        return IsoResult("exhausted", reason="no candidates share generator invariants",
-                         engine="generic")
-    m, tried = _search(a, b, gens, cand_lists, budget)
+    m, tried = _search(a, b, gens, _AdClasses(b, inv_gens).product(inv_gens), budget)
     if m is not None:
         return IsoResult("iso", m, engine="generic")
+    if not tried:  # some generator's class is empty
+        return IsoResult("exhausted", reason="no candidates share generator invariants", engine="generic")
     what = "generic search budget" if tried > budget else "search space exhausted"
     return IsoResult("exhausted", reason="%s (%d tried)" % (what, tried), engine="generic")

@@ -148,6 +148,8 @@ class Algebra:
             raise AlgebraError("grading length != dim")
         self.grading_mod = tuple(grading_mod) if grading_mod else (
             tuple(0 for _ in self.grading[0]) if self.grading else None)
+        if self.grading and any(len(w) != len(self.grading_mod) for w in self.grading):
+            raise AlgebraError("every grading weight has one entry per grading_mod entry")
         self._pair_table: Optional[List[int]] = table
         self._incidence: Optional[Incidence] = None
         if self.grading is not None:
@@ -422,9 +424,25 @@ class Algebra:
                 raise AlgebraError('an algebra file\'s sc entries are [i, j, [[k, "c"], ...]], each c a '
                                    'JSON string such as "1", not %s' % json.dumps(e))
             sc[(e[0], e[1])] = {int(k): parse(v) for k, v in row}
-        grading = d.get("grading")
+        grading, mod, md = d.get("grading"), d.get("grading_mod"), d.get("meta", {})
+        mdd = md if isinstance(md, dict) else {}
+
+        def list_of(ok, x):
+            return isinstance(x, list) and all(map(ok, x))
+
+        def int_list(x):
+            return list_of(lambda c: isinstance(c, int), x)
+
+        for key, ok, what in (
+                ("grading", grading is None or list_of(int_list, grading), "a list of integer lists"),
+                ("grading_mod", mod is None or int_list(mod), "an integer list"),
+                ("meta", isinstance(md, dict), "an object"),
+                ("meta.mono_degrees", list_of(int_list, mdd.get("mono_degrees", [])), "a list of integer lists"),
+                ("meta.vars", list_of(lambda v: isinstance(v, str), mdd.get("vars", [])), "a list of strings"),
+                ("meta.N", int_list(mdd.get("N", [])), "an integer list")):
+            if not ok:
+                raise AlgebraError("an algebra file's %s is %s" % (key, what))
         meta = {}
-        md = d.get("meta", {})
         if "mono_degrees" in md:
             meta["mono_degrees"] = [tuple(m) for m in md["mono_degrees"]]
             if len(meta["mono_degrees"]) != len(d["labels"]):
@@ -436,7 +454,7 @@ class Algebra:
             meta["N"] = tuple(md["N"])
         return cls(field, d["labels"], sc,
                    grading=[tuple(w) for w in grading] if grading else None,
-                   grading_mod=tuple(d["grading_mod"]) if d.get("grading_mod") else None,
+                   grading_mod=tuple(mod) if mod else None,
                    name=d.get("name", ""), meta=meta)
 
     def dumps(self) -> str:
@@ -869,24 +887,21 @@ def _generic_invertible(cols: List[Dict[int, int]], n: int, field) -> bool:
 
 
 def verify_morphism(m: LinearMap, kind: str = "homomorphism") -> bool:
-    """Check m([x,y]) = [m(x), m(y)] on all basis pairs; isomorphism adds invertibility."""
-    src, tgt = m.source, m.target
+    """Check m([x,y]) = [m(x), m(y)] on all basis pairs; isomorphism adds
+    invertibility.  Over GF(2) with mask images, both sides come from the
+    source pair table and ad m(e_i) in the target."""
+    src, tgt, images = m.source, m.target, m.images
     if src.field != tgt.field:
         raise AlgebraError("source and target fields differ")
-    fast = tgt.is_gf2 and all(isinstance(im, int) for im in m.images)
-    for i in range(src.dim):
-        for j in range(i + 1, src.dim):
-            lhs = m.apply(src.bracket(src.unit(i), src.unit(j)))
-            rhs = tgt.bracket(m.images[i], m.images[j])
-            if fast:
-                if lhs != rhs:
-                    return False
-            else:
-                if tgt.as_dict(lhs) != tgt.as_dict(rhs):
-                    return False
-    if kind == "isomorphism":
-        return m.is_invertible()
-    return True
+    n = src.dim
+    if tgt.is_gf2 and all(isinstance(im, int) for im in images):
+        T = src.pair_table()
+        ok = all(gf2.apply_rows(images, T[i * n + j]) == gf2.apply_rows(ad, images[j])
+                 for i, ad in enumerate(map(tgt.ad_rows, images)) for j in range(i + 1, n))
+    else:
+        ok = all(tgt.as_dict(m.apply(src.bracket(src.unit(i), src.unit(j))))
+                 == tgt.as_dict(tgt.bracket(images[i], images[j])) for i in range(n) for j in range(i + 1, n))
+    return ok and (kind != "isomorphism" or m.is_invertible())
 
 
 def derivation_equations(g: Algebra) -> List[int]:

@@ -13,7 +13,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import gf2
 from .constructions import BilinearFormSpec, QuadraticFormSpec, arf_invariant
-from .fields import GF2
 from .liealg import Algebra, AlgebraError, LinearMap, Subspace, verify_morphism
 
 
@@ -51,8 +50,8 @@ class ClosureAlgebra:
         if base.grading is not None:
             grading = list(base.grading) + [tuple(0 for _ in range(n))] * n
             mod = base.grading_mod
-        self.algebra = Algebra(GF2, labels, sc, grading=grading, grading_mod=mod,
-                               name=(base.name + " 2-closure"))
+        self.algebra = Algebra.from_gf2_rows(labels, sc, grading=grading, grading_mod=mod,
+                                             name=(base.name + " 2-closure"))
         # squaring on the natural basis
         self.squaring: List[int] = []
         for u in self.gamma:

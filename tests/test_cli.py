@@ -421,6 +421,38 @@ def test_validate_refuses_a_malformed_field_or_structure(tmp_path, capsys, field
     assert err.startswith("error: ") and why in err
 
 
+@pytest.mark.parametrize("key, value, why", [
+    ("grading", 5, "grading is a list of integer lists"),
+    ("grading", [[0], ["1"]], "grading is a list of integer lists"),
+    ("grading_mod", 2, "grading_mod is an integer list"),
+    ("grading_mod", [[2]], "grading_mod is an integer list"),
+    ("meta", 5, "meta is an object"),
+    ("meta", {"mono_degrees": 5}, "meta.mono_degrees is a list of integer lists"),
+    ("meta", {"vars": [1, 2]}, "meta.vars is a list of strings"),
+    ("meta", {"N": ["2"]}, "meta.N is an integer list"),
+], ids=["int-grading", "string-weight", "int-grading_mod", "nested-grading_mod", "int-meta",
+        "int-mono_degrees", "int-vars", "string-N"])
+def test_validate_refuses_a_malformed_optional_key(tmp_path, capsys, key, value, why):
+    doc = Algebra(GF2k(1), ["a", "b"], {}).to_json()
+    doc[key] = value
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(["validate", "--algebra", str(path)])
+    assert code == 1 and out is None
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and why in err
+
+
+def test_weights_and_grading_mod_of_different_lengths_are_refused(tmp_path, capsys):
+    doc = Algebra(GF2k(1), ["a", "b"], {}, grading=[(0, 1), (1, 1)], grading_mod=(2, 2)).to_json()
+    doc["grading_mod"] = [2]
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(["validate", "--algebra", str(path)])
+    assert code == 1 and out is None
+    assert "one entry per grading_mod entry" in capsys.readouterr().err
+
+
 def test_h2_refuses_mono_degrees_of_the_wrong_length(tmp_path, capsys):
     doc = Algebra(GF2k(1), ["a", "b"], {}).to_json()
     doc["meta"] = {"mono_degrees": [[0]]}  # a 1-variable key, so the weight "0" fits

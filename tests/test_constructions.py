@@ -10,11 +10,10 @@ from gf2lie.constructions import (BilinearFormSpec, JSystemSpec, QuadraticFormSp
                                   build_jurman, build_kap1, build_kap2, build_kap3,
                                   build_kap4A, build_kap4B, build_kap4_subalgebra,
                                   build_multipair, build_po_tensor_O, build_poisson,
-                                  dim_kap4A, jsystem_algebra, kap4_subalgebra_condition,
-                                  pq_names)
+                                  dim_kap4A, pq_names)
 from gf2lie.divpow import check_shearing, mono_mul, mono_pack, mono_text, mono_unpack, monomials
-from gf2lie.liealg import (Algebra, AlgebraError, Subspace, center, derived_subalgebra, quotient,
-                           simplicity_check, subalgebra_on)
+from gf2lie.liealg import (Algebra, AlgebraError, Subspace, center, quotient, simplicity_check,
+                           subalgebra_on)
 
 
 def test_poisson_smallest():

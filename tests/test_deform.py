@@ -8,8 +8,8 @@ import pytest
 
 from gf2lie import gf2
 from gf2lie.cohomology import Cochain2, compute_h2, cyclic_compose, d1, d2, is_coboundary, parse_cocycle
-from gf2lie.constructions import (build_classical, build_hI, build_hamiltonian, build_jurman, build_kap2,
-                                  build_kap4B, build_poisson, jurman_bracket, pq_names)
+from gf2lie.constructions import (build_classical, build_hI, build_hamiltonian, build_jurman, build_kap4B,
+                                  build_poisson, jurman_bracket, pq_names)
 from gf2lie.deform import (DeformFamily, bracket_map_cochain,
                            defect, deform_bracket, integrability_verdict, jurman_cocycle,
                            jurman_deform_check, jurman_united_family, kap4b_as_deform, kap4b_family,

@@ -5,7 +5,7 @@ from gf2lie.constructions import (build_classical, build_div_free_hI, build_jurm
                                   build_kap4B, build_poisson)
 import pytest
 
-from gf2lie import gf2, isom
+from gf2lie import experiments, gf2, isom
 from gf2lie.isom import GenWords, fingerprint, search_isomorphism
 from gf2lie.liealg import Algebra, AlgebraError, LinearMap, direct_sum, verify_morphism
 from gf2lie.fields import GF2
@@ -91,6 +91,41 @@ def test_budget_of_1_still_searches():
     assert search_isomorphism(j, j, budget=1).kind == "iso"
 
 
+def _bracket_closure(g, gens):
+    """GenWords' closure through Algebra.bracket, kept as an oracle for the
+    closure through each frontier vector's ad_rows: (vecs, words)."""
+    span, vecs, words = gf2.Span(), [], []
+    for t, v in enumerate(gens):
+        if span.add(v):
+            vecs.append(v)
+            words.append(("g", t))
+    frontier = list(range(len(vecs)))
+    while frontier and span.dim < g.dim:
+        new_frontier = []
+        for i in frontier:
+            for j in range(len(vecs)):
+                w = g.bracket(vecs[i], vecs[j])
+                if w and span.add(w):
+                    vecs.append(w)
+                    words.append(("br", i, j))
+                    new_frontier.append(len(vecs) - 1)
+                    if span.dim == g.dim:
+                        break
+            if span.dim == g.dim:
+                break
+        frontier = new_frontier
+    return vecs, words
+
+
+def test_genwords_match_the_bracket_closure():
+    for g in [build_jurman(2, 1), build_kap3(5), build_kap4A(4, 1), build_classical("psl", 4),
+              build_kap4B(2), build_poisson(1, (1, 1))]:
+        n = g.dim
+        for gens in ([1], [1, 2], [3, 1 << (n - 1)], [1 << (n - 1), 5, 6], isom.find_generators(g) or [1]):
+            gw = GenWords(g, gens)
+            assert (gw.vecs, gw.words) == _bracket_closure(g, gens), (g.name, gens)
+
+
 def test_basis_coords_is_computed_once_per_genwords():
     g = build_jurman(2, 1)
     gw = GenWords(g, isom.find_generators(g))
@@ -101,7 +136,7 @@ def test_basis_coords_is_computed_once_per_genwords():
 
 # ---------------------------------------------------------------------------
 # classification by ad_rows and rank per vector, kept as an oracle for the
-# classification on the incremental ad walk
+# lazy classification on the incremental ad walk
 # ---------------------------------------------------------------------------
 
 def _ad_rows_classes(g):
@@ -117,8 +152,27 @@ def _ad_rows_classes(g):
                          ids=["oPi5", "kap3_5", "psl4"])
 def test_ad_classes_match_the_per_vector_classification(build):
     g = build()
-    got, want = isom._ad_classes(g), _ad_rows_classes(g)
+    want = _ad_rows_classes(g)
+    lazy = isom._AdClasses(g, list(want))
+    assert lazy.member(next(iter(want)), 1 << g.dim) is None  # walks to the end
+    got = lazy.classes
     assert got == want and list(got) == list(want)
+
+
+def test_lazy_classes_walk_only_as_far_as_the_product_reads():
+    g = build_kap3(5)
+    want = _ad_rows_classes(g)
+    invs = [(4, 0), (6, 4), (4, 0)]
+    lazy = isom._AdClasses(g, invs)
+    first = next(lazy.product(invs))
+    assert first == tuple(want[inv][0] for inv in invs)
+    assert next(lazy.walk)[0] == max(first) + 1 < 1 << g.dim  # the walk stopped there
+    lazy = isom._AdClasses(g, invs)
+    assert list(lazy.product(invs)) == list(product(*(want[inv] for inv in invs)))
+    assert lazy.classes == {inv: want[inv] for inv in invs}
+    assert list(lazy.classes) == [(4, 0), (6, 4)]
+    lazy = isom._AdClasses(g, [(5, 5)])
+    assert lazy.member((5, 5), 0) is None and lazy.classes == {(5, 5): []}
 
 
 def _nested_loop_generators(g, cand, max_size=3):
@@ -214,7 +268,7 @@ def _generic_loop(a, b, budget):
                                     max_size=3)
         if gens is None:
             return isom.IsoResult("exhausted", reason="no small generating set", engine="generic")
-    by_inv = isom._ad_classes(b)
+    by_inv = _ad_rows_classes(b)
     cand_lists = [by_inv.get(isom._ad_invariant(a.ad_rows(v)), []) for v in gens]
     if any(not c for c in cand_lists):
         return isom.IsoResult("exhausted", reason="no candidates share generator invariants",
@@ -234,6 +288,22 @@ def _generic_loop(a, b, budget):
             return isom.IsoResult("iso", m, engine="generic")
     return isom.IsoResult("exhausted", reason="search space exhausted (%d tried)" % tried,
                           engine="generic")
+
+
+def _fingerprint_first_search(a, b, budget=200_000):
+    """search_isomorphism comparing whole fingerprints, derivation space
+    included, before any engine runs; kept as an oracle for the search that
+    computes the derivation space only when no graded engine found a map."""
+    if a.dim != b.dim:
+        return isom.IsoResult("distinguished", reason="dim %d != %d" % (a.dim, b.dim))
+    fa, fb = fingerprint(a), fingerprint(b)
+    for key in fa:
+        if key in fb and fa[key] != fb[key]:
+            return isom.IsoResult("distinguished", reason="%s: %r != %r" % (key, fa[key], fb[key]))
+    if not a.sc and not b.sc:
+        return isom.IsoResult("iso", LinearMap(a, b, [1 << i for i in range(b.dim)]), engine="trivial")
+    return (isom._try_torus_engine(a, b) or isom._try_zgraded_engine(a, b, budget)
+            or isom._generic_engine(a, b, budget))
 
 
 def _outcome(r):
@@ -264,6 +334,9 @@ def _algebra(n, rows, graded):
 # two 4-dim algebras with equal fingerprints and no isomorphism: the generic
 # search tries all 56 candidate tuples
 NON_ISO_4 = ({(0, 1): (0, 2, 3), (1, 2): (3,), (1, 3): (0, 3)}, {(0, 3): (0,), (1, 3): (2,), (2, 3): (0, 1)})
+# two more, where no vector of the second shares the ad ranks of a generator of the first
+NO_CANDIDATES_4 = ({(0, 3): (0, 2, 3), (1, 2): (2,), (1, 3): (0, 3)},
+                   {(0, 1): (0, 2, 3), (0, 2): (1, 2, 3), (1, 3): (0, 1), (2, 3): (0, 2, 3)})
 
 
 def _search_corpus():
@@ -282,6 +355,7 @@ def _search_corpus():
         "Kap4B(2) ~ o'_Pi(3)+c": (build_kap4B(2), direct_sum(o3, Algebra(GF2, ["c"], {}, name="c"))),
         "non-iso 4": tuple(_algebra(4, rows, False) for rows in NON_ISO_4),
         "non-iso 4, graded": tuple(_algebra(4, rows, True) for rows in NON_ISO_4),
+        "non-iso 4, no candidates": tuple(_algebra(4, rows, False) for rows in NO_CANDIDATES_4),
     }
 
 
@@ -295,4 +369,32 @@ def test_search_matches_the_product_loops():
                     or _generic_loop(a, b, budget))
             assert _outcome(got) == _outcome(want), (name, budget)
             reasons.add(got.reason.split(" (")[0])
-    assert reasons == {"", "graded search budget", "generic search budget", "search space exhausted"}
+            assert _outcome(got) == _outcome(_fingerprint_first_search(a, b, budget)), (name, budget)
+    assert reasons == {"", "graded search budget", "generic search budget", "search space exhausted",
+                       "no candidates share generator invariants"}
+
+
+def _criterion_9_literal_pair(monkeypatch):
+    """The deform of h'_Pi(2;2,2) and psl(4) that criterion 9 compares."""
+    seen = []
+    monkeypatch.setattr(experiments, "search_isomorphism",
+                        lambda a, b: seen.append((a, b)) or search_isomorphism(a, b))
+    experiments.criterion_09_quantization()
+    return seen[0]
+
+
+def test_search_matches_the_fingerprint_first_search(monkeypatch):
+    ab = [Algebra(GF2, ["a%d" % i for i in range(dim)], {}) for dim in (3, 4, 5)]
+    heis = [Algebra(GF2, ["h%d" % i for i in range(dim)], {(0, 1): {2: 1}}) for dim in (3, 4, 5)]
+    pairs = [p for a, h in zip(ab, heis) for p in ((a, h), (h, a), (a, a))]
+    pairs += [(build_kap4B(2), build_poisson(1, (1, 1))), (build_kap2(4), build_kap2(6)),
+              _criterion_9_literal_pair(monkeypatch)]
+    reasons = []
+    for a, b in pairs:
+        for budget in (1, 200_000):  # at budget 1 the Z-graded engine runs out on the literal pair
+            got = search_isomorphism(a, b, budget=budget)
+            assert _outcome(got) == _outcome(_fingerprint_first_search(a, b, budget)), (a.name, b.name)
+        reasons.append(got.reason.split(":")[0])
+    assert reasons[-3:] == ["derived_dims", "dim 15 != 63", "derivation_dim"]
+    assert got.reason == "derivation_dim: 20 != 21"
+    assert isom._try_zgraded_engine(*pairs[-1], 1).reason == "graded search budget"

@@ -877,6 +877,63 @@ def test_verify_morphism_identity_and_zero():
     assert not verify_morphism(crushed, "isomorphism")
 
 
+def _pair_loop_verify(m, kind):
+    """verify_morphism as one LinearMap.apply and two brackets per basis
+    pair, kept as an oracle for the check on the source pair table."""
+    src, tgt = m.source, m.target
+    for i in range(src.dim):
+        for j in range(i + 1, src.dim):
+            lhs = m.apply(src.bracket(src.unit(i), src.unit(j)))
+            if tgt.as_dict(lhs) != tgt.as_dict(tgt.bracket(m.images[i], m.images[j])):
+                return False
+    return m.is_invertible() if kind == "isomorphism" else True
+
+
+def _one_coefficient_off(m):
+    """m with one coefficient of one image changed, for every image and a
+    spread of coefficients."""
+    field, n = m.target.field, m.target.dim
+    for i, im in enumerate(m.images):
+        for k in range(i % 3, n, 3):
+            images = list(m.images)
+            if isinstance(im, int):
+                images[i] = im ^ (1 << k)
+            else:
+                images[i] = dict(im)
+                images[i][k] = field.add(im.get(k, 0), 1)
+                if not images[i][k]:
+                    del images[i][k]
+            yield LinearMap(m.source, m.target, images)
+
+
+def test_verify_morphism_matches_the_pair_loop():
+    from gf2lie.deform import f_alpha_matrix, poisson_family
+    from gf2lie.fields import Scalar
+    from gf2lie.isom import search_isomorphism
+    o3, o5 = build_classical("oPi", 3, "derived"), build_classical("oPi", 5, "derived")
+    maps = [search_isomorphism(a, b).map for a, b in [
+        (build_jurman(2, 1), build_jurman(2, 1)), (build_kap4A(2, 1), o3), (build_kap4A(4, 1), o5),
+        (o5, build_kap3(5)), (build_kap4A(4, 0), direct_sum(o3, o3)),
+        (build_kap1(4), build_div_free_hI(4, (1, 1, 1, 1), "derived"))]]
+    two = direct_sum(o3, o3)
+    maps.append(LinearMap(two, o3, [1 << i for i in range(o3.dim)] + [0] * o3.dim))  # a projection
+    F4 = GF2k(2)
+    for a in range(1, F4.order):
+        fam, po = poisson_family(1, (2, 2), Scalar(F4, a)), poisson_family(1, (2, 2), F4.one)
+        maps.append(LinearMap(fam, po, f_alpha_matrix(fam, Scalar(F4, a))))
+    outcomes = set()
+    for m in maps:
+        for kind in ("homomorphism", "isomorphism"):
+            want = kind == "homomorphism" or m.source.dim == m.target.dim
+            assert verify_morphism(m, kind) == _pair_loop_verify(m, kind) == want, (m, kind)
+        for bad in _one_coefficient_off(m):
+            for kind in ("homomorphism", "isomorphism"):
+                got = verify_morphism(bad, kind)
+                assert got == _pair_loop_verify(bad, kind), (m, kind)
+                outcomes.add(got)
+    assert outcomes == {True, False}
+
+
 def test_derivation_dim_basics():
     ab = Algebra(GF2, ["a"], {})
     assert derivation_dim(ab) == 1

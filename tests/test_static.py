@@ -39,6 +39,11 @@ Every option, a parameter with a default of a module-level function or
 class, must be set by some call in the package, its tests or the benchmark:
 an option no caller sets is one more path nobody runs.
 
+Every name that a package module (``__init__.py`` aside, which may
+re-export) or a test module imports must be loaded somewhere in that
+module: an unused import hides what the module really depends on.  As in
+the first scan, scoping is ignored.
+
 Only an allowlisted set of package functions may build a
 ``random.Random``, under whatever name the module imports ``random`` or
 ``Random``: a verdict drawn from a seeded sample is not exact, so a new
@@ -427,3 +432,39 @@ def test_scan_flags_a_random_generator():
            "def g(rng):\n"
            "    return rng.Random\n")
     assert random_generators(src, "m") == ["m", "m.C.check", "m.f"]
+
+
+def unused_imports(source: str, filename: str = "<src>") -> list:
+    """(line, name) for every imported name the module never loads;
+    ``__future__`` imports are exempt."""
+    tree = ast.parse(source, filename)
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in loaded:
+                    out.append((node.lineno, name))
+    return sorted(out)
+
+
+IMPORTING = [p for p in MODULES if p.name != "__init__.py"] + sorted((ROOT / "tests").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", IMPORTING, ids=lambda p: "%s/%s" % (p.parent.name, p.name))
+def test_no_unused_imports(path):
+    found = unused_imports(path.read_text(), str(path))
+    assert not found, "%s: %s" % (path.name, ", ".join("line %d: %s" % f for f in found))
+
+
+def test_scan_flags_an_unused_import():
+    src = ("from __future__ import annotations\n"
+           "import os.path\n"
+           "import json as js, re\n"
+           "from typing import List, Optional\n"
+           "def f(x: Optional[int]) -> int:\n"
+           "    from math import floor, ceil\n"
+           "    return floor(x) + len(os.sep) + js.loads('1')\n")
+    assert unused_imports(src) == [(3, "re"), (4, "List"), (6, "ceil")]

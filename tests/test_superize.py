@@ -6,6 +6,7 @@ import pytest
 from gf2lie import gf2, superize
 from gf2lie.constructions import (BilinearFormSpec, QuadraticFormSpec, build_kap1, build_kap2,
                                   build_kap3, build_kap4A)
+from gf2lie.fields import GF2
 from gf2lie.liealg import Algebra, AlgebraError, LinearMap, verify_morphism
 from gf2lie.superize import (equivalence_of_superizations, induced_super_iso,
                              nonlinear_reduction_check, parity_nonlinearity_witness,
@@ -19,6 +20,30 @@ def test_closure_dims_and_axioms():
         assert clo.dim == (1 << (2 * m)) - 1 + 2 * m
         assert clo.algebra.validate().ok
         assert clo.check_restricted()
+
+
+def _init_route_closure(base):
+    """The closure algebra through Algebra.__init__, kept as an oracle for
+    the checked GF(2) intake `Algebra.from_gf2_rows`."""
+    n, gamma = base.meta["jsystem_B"].n, base.meta["jsystem_gamma"]
+    sc = {ij: dict(row) for ij, row in base.sc.items()}
+    for t in range(n):
+        for i, u in enumerate(gamma):
+            if (u >> t) & 1:
+                sc[(i, base.dim + t)] = {i: 1}
+    graded = base.grading is not None
+    return Algebra(GF2, list(base.labels) + ["a%d" % (t + 1) for t in range(n)], sc,
+                   grading=list(base.grading) + [(0,) * n] * n if graded else None,
+                   grading_mod=base.grading_mod if graded else None, name=base.name + " 2-closure")
+
+
+@pytest.mark.parametrize("base", [build_kap2(4), build_kap4A(4, 0), build_kap4A(4, 1)],
+                         ids=["Kap2(4)", "Kap4,0(4)", "Kap4,1(4)"])
+def test_closure_algebra_matches_the_init_route(base):
+    got, want = restricted_closure(base).algebra, _init_route_closure(base)
+    assert got.dumps() == want.dumps()
+    assert list(got.sc.items()) == list(want.sc.items())
+    assert (got.grading, got.grading_mod) == (want.grading, want.grading_mod)
 
 
 def test_closure_squaring_values():
