@@ -153,19 +153,26 @@ def _gray_steps(nbits: int):
         prev = cur
 
 
-def zero_defect_representative(g: Algebra, c: Cochain2, constraints=(),
-                               enum_limit: int = 22) -> Optional[Cochain2]:
+# the most coboundaries a block may have: the representative search walks
+# all 2^B sums of a block's B coboundaries
+ENUM_LIMIT = 22
+
+
+def zero_defect_representative(g: Algebra, c: Cochain2, constraints=()) -> Optional[Cochain2]:
     """Search c + (coboundary block) for a representative with zero defect.
 
-    The defect is quadratic over the block.  Small blocks are enumerated
-    exhaustively (conclusive); larger ones fall back to Newton iteration
-    on the quadratic system (conclusive only when it succeeds).
+    The defect is quadratic over the block, and every sum of the block's
+    coboundaries is tried, so None is conclusive.  A block of more than
+    ENUM_LIMIT coboundaries is refused with AlgebraError.
     """
     d_c = defect(c)
     if not d_c:
         return c
     cbs = coboundary_block(g, list(constraints))
     B = len(cbs)
+    if B > ENUM_LIMIT:
+        raise AlgebraError("the zero-defect search walks blocks of at most %d coboundaries "
+                           "(ENUM_LIMIT), this one has %d" % (ENUM_LIMIT, B))
     cross_c = [cyclic_compose(b, c, cyclic_compose(c, b)) for b in cbs]
     d_b: Dict[Tuple[int, int], Dict[Triple, int]] = {}
     for i in range(B):
@@ -176,63 +183,23 @@ def zero_defect_representative(g: Algebra, c: Cochain2, constraints=(),
     enc_dc = c3.encode(d_c)
     enc_cross = [c3.encode(x) for x in cross_c]
     enc_q = {k: c3.encode(d_b[k]) for k in sorted(d_b)}
-    if B <= enum_limit:
-        # Gray-code walk over the block with int-encoded 3-cochains: a bit
-        # flip costs O(B) xors, so 2^B candidates stay affordable to B ~ 22.
-        acc = enc_dc
+    # Gray-code walk over the block with int-encoded 3-cochains: a bit
+    # flip costs O(B) xors, so 2^B candidates stay affordable to ENUM_LIMIT
+    acc = enc_dc
+    cur = 0
+    for g_prev, g_next in _gray_steps(B):
+        t = g_prev ^ g_next
+        i = t.bit_length() - 1
+        delta = enc_cross[i] ^ enc_q[(i, i)]
+        for j in gf2.bits(cur & ~t):
+            a, b = (i, j) if i < j else (j, i)
+            delta ^= enc_q[(a, b)]
+        acc ^= delta
+        cur = g_next
         if not acc:
-            return c
-        cur = 0
-        for g_prev, g_next in _gray_steps(B):
-            t = g_prev ^ g_next
-            i = t.bit_length() - 1
-            delta = enc_cross[i] ^ enc_q[(i, i)]
-            for j in gf2.bits(cur & ~t):
-                a, b = (i, j) if i < j else (j, i)
-                delta ^= enc_q[(a, b)]
-            acc ^= delta
-            cur = g_next
-            if not acc:
-                out = combine(cbs, cur, c)
-                assert not defect(out)
-                return out
-        return None
-    # Newton iteration on F(x) = d_c + sum x_i cross_i + sum x_i x_j q_ij = 0
-    import random as _random
-    rng = _random.Random(0)
-
-    def f_of(xmask: int) -> int:
-        acc = enc_dc
-        sel = list(gf2.bits(xmask))
-        for i in sel:
-            acc ^= enc_cross[i]
-        for ai in range(len(sel)):
-            for bi in range(ai, len(sel)):
-                acc ^= enc_q[(sel[ai], sel[bi])]
-        return acc
-
-    width = c3.width
-    for attempt in range(8):
-        x = 0 if attempt == 0 else rng.getrandbits(B)
-        for _round in range(12):
-            fx = f_of(x)
-            if not fx:
-                out = combine(cbs, x, c)
-                assert not defect(out)
-                return out
-            # derivative at x: L_i = cross_i + sum_j x_j q_{ij} + q_{ii}
-            span = gf2.TaggedSpan(width)
-            for i in range(B):
-                li = enc_cross[i] ^ enc_q[(i, i)]
-                for j in gf2.bits(x):
-                    a, b = min(i, j), max(i, j)
-                    if a != b:
-                        li ^= enc_q[(a, b)]
-                span.add(li)
-            sol = span.solve(fx)
-            if sol is None:
-                break
-            x ^= sol
+            out = combine(cbs, cur, c)
+            assert not defect(out)
+            return out
     return None
 
 

@@ -9,7 +9,7 @@ Pivots sit at the highest set bit of a row.
 from __future__ import annotations
 
 import copy
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
 def dot(a: int, b: int) -> int:
@@ -262,6 +262,37 @@ def apply_rows(rows: Sequence[int], v: int) -> int:
 def compose(a_rows: Sequence[int], b_rows: Sequence[int]) -> List[int]:
     """Composite map v ↦ a(b(v)) in the apply_rows convention."""
     return [apply_rows(a_rows, bj) for bj in b_rows]
+
+
+def invertibles(n: int, fits: Callable[[int, List[int]], bool]) -> Iterator[List[int]]:
+    """The invertible n x n matrices M (rows[j] = M e_j) that pass `fits`,
+    in itertools.product(range(1, 2^n), repeat=n) order.
+
+    The rows are chosen depth-first, each from 1 .. 2^n - 1 ascending, and
+    a prefix rows[:k+1] is extended only while rows[k] is independent of
+    the earlier rows and fits(k, img) holds, where img[u] = M u for every
+    u < 2^(k+1): a condition on the first k+1 rows prunes every matrix
+    that begins with them.
+    """
+    img = [0] * (1 << n)
+    rows = [0] * n
+
+    def extend(k):
+        lo = 1 << k
+        span = set(img[:lo])
+        for r in range(1, 1 << n):
+            if r in span:
+                continue
+            for u in range(lo):
+                img[lo | u] = r ^ img[u]
+            if fits(k, img):
+                rows[k] = r
+                if k + 1 == n:
+                    yield list(rows)
+                else:
+                    yield from extend(k + 1)
+
+    return extend(0)
 
 
 def invert(rows: Sequence[int], n: int) -> Optional[List[int]]:

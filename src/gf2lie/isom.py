@@ -2,7 +2,7 @@
 
 Three engines, tried in order of strength of available structure:
   E1  both algebras carry (Z/2)^r torus gradings with 1-dimensional
-      weight blocks: enumerate small GL(r,2) lattice maps;
+      weight blocks: walk the GL(r,2) maps that send weights to weights;
   E2  both carry a rank-1 Z-grading: block-matched generator search;
   E3  generic generator search over ad-rank invariant classes, walked
       only as far as the search reads them.
@@ -102,19 +102,17 @@ def _try_torus_engine(a: Algebra, b: Algebra) -> Optional[IsoResult]:
         return None
     r, wa = da
     _, wb = db
+    if (0 in wa) != (0 in wb):
+        return None  # M 0 = 0, so weight 0 maps only to weight 0
     pos_b = {w: i for i, w in enumerate(wb)}
-    # enumerate invertible r x r matrices M over GF(2), rows as ints
-    for rows in _cartesian(range(1, 1 << r), repeat=r):
-        if gf2.rank(rows) != r:
-            continue
-        mapped = []
-        for w in wa:
-            mapped.append(pos_b.get(gf2.apply_rows(rows, w)))
-            if mapped[-1] is None:
-                break
-        if None in mapped or len(set(mapped)) != len(mapped):
-            continue
-        m = LinearMap(a, b, [1 << i for i in mapped])
+    by_top = [[w for w in wa if w >> k == 1] for k in range(r)]
+
+    def fits(k, img):  # the weights of a with top bit k land on weights of b
+        return all(img[w] in pos_b for w in by_top[k])
+
+    # an invertible M keeps distinct weights distinct
+    for rows in gf2.invertibles(r, fits):
+        m = LinearMap(a, b, [1 << pos_b[gf2.apply_rows(rows, w)] for w in wa])
         if verify_morphism(m, "isomorphism"):
             return IsoResult("iso", m, engine="torus")
     return None

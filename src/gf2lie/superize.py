@@ -8,7 +8,6 @@ torus, the squaring sends e_u to the functional B(u, .) and fixes V*.
 
 from __future__ import annotations
 
-import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import gf2
@@ -202,69 +201,28 @@ def parity_nonlinearity_witness(s: SuperAlgebra) -> Optional[Tuple[int, int]]:
 # equivalence of superizations
 # ---------------------------------------------------------------------------
 
-def _isometries(B: BilinearFormSpec, Q: Optional[QuadraticFormSpec] = None,
-                budget: Optional[int] = None, rng_seed: int = 0):
-    """Invertible n x n GF(2) matrices M (rows[j] = M e_j) preserving Q,
-    or B when Q is None.
-
-    Exhaustive for n <= 4: the rows are chosen depth-first, each from
-    1 .. 2^n - 1 ascending (itertools.product order), and a prefix is
-    extended only while its new row is independent of the earlier ones
-    and every form condition on rows[:k+1] holds.  Beyond n = 4 a
-    randomized sample of `budget` invertibles is filtered instead.
+def _isometries(B: BilinearFormSpec, Q: Optional[QuadraticFormSpec] = None):
+    """Every invertible n x n GF(2) matrix M (rows[j] = M e_j) preserving
+    Q, or B when Q is None, in `gf2.invertibles` order: a prefix rows[:k+1]
+    is extended only while the form conditions that involve row k hold.
     """
     n = B.n
-    img = [0] * (1 << n)  # img[u] = M u
-
-    def place(k, r):  # rows[k] = r: fill img for the u with top bit k
-        lo = 1 << k
-        for u in range(lo):
-            img[lo | u] = r ^ img[u]
-
-    # fits(k): the form conditions on rows[:k+1] that involve row k; they
-    # read only img[:2^(k+1)]
+    # fits(k, img): the form conditions on rows[:k+1] that involve row k;
+    # they read only img[:2^(k+1)]
     if Q is not None:
         qv = [Q.value(u) for u in range(1 << n)]
 
-        def fits(k):
+        def fits(k, img):
             lo = 1 << k
             return all(qv[img[u]] == qv[u] for u in range(lo, lo << 1))
     else:
         gram = [[B.pair(1 << i, 1 << k) for i in range(k + 1)] for k in range(n)]
 
-        def fits(k):
+        def fits(k, img):
             r = img[1 << k]
             return all(B.pair(img[1 << i], r) == b for i, b in enumerate(gram[k]))
 
-    if n <= 4:
-        rows = [0] * n
-
-        def extend(k):
-            span = set(img[:1 << k])
-            for r in range(1, 1 << n):
-                if r in span:
-                    continue
-                place(k, r)
-                if fits(k):
-                    rows[k] = r
-                    if k + 1 == n:
-                        yield list(rows)
-                    else:
-                        yield from extend(k + 1)
-
-        yield from extend(0)
-    else:
-        rng = random.Random(rng_seed)
-        count = 0
-        while count < (budget or 100000):
-            rows = [rng.getrandbits(n) or 1 for _ in range(n)]
-            if gf2.rank(rows) != n:
-                continue
-            count += 1
-            for k, r in enumerate(rows):
-                place(k, r)
-            if all(fits(k) for k in range(n)):
-                yield rows
+    return gf2.invertibles(n, fits)
 
 
 def induced_super_iso(s1: SuperAlgebra, s2: SuperAlgebra, rows: Sequence[int]) -> Optional[LinearMap]:
@@ -312,7 +270,7 @@ def induced_super_iso(s1: SuperAlgebra, s2: SuperAlgebra, rows: Sequence[int]) -
 
 class EquivalenceVerdict:
     def __init__(self, kind: str, mapping=None, tried: int = 0):
-        self.kind = kind  # "equivalent" | "no-map-found" | "exhausted-no-map"
+        self.kind = kind  # "equivalent" | "exhausted-no-map" (the whole isometry group tried)
         self.map = mapping
         self.tried = tried
 
@@ -326,21 +284,18 @@ def equivalence_of_superizations(s1: SuperAlgebra, s2: SuperAlgebra,
     super-isomorphism: M preserves B (Kap_2) or Q (Kap_4), and the induced
     maps must match parities and squarings.
 
-    Exhaustive over the isometry group of B or Q for n <= 4 (|Sp(4,2)| =
-    720, |O+(4,2)| = 72, |O-(4,2)| = 120 maps); for larger n 100,000
-    random GL(n,2) samples are filtered, so only the positive verdict is
-    certain there.  A negative exhaustive verdict rules out maps of the
-    induced shape only.
+    Exhaustive over the isometry group of B or Q at every n (|Sp(4,2)| =
+    720, |O+(4,2)| = 72, |O-(4,2)| = 120, |O+(6,2)| = 40,320, |O-(6,2)| =
+    51,840 maps), so "exhausted-no-map" is conclusive: it rules out every
+    map of the induced shape, and only those.
     """
-    clo1 = s1.closure
-    n = clo1.n
     tried = 0
-    for rows in _isometries(clo1.B, quadratic):
+    for rows in _isometries(s1.closure.B, quadratic):
         tried += 1
         m = induced_super_iso(s1, s2, rows)
         if m is not None:
             return EquivalenceVerdict("equivalent", m, tried)
-    return EquivalenceVerdict("exhausted-no-map" if n <= 4 else "no-map-found", None, tried)
+    return EquivalenceVerdict("exhausted-no-map", None, tried)
 
 
 # ---------------------------------------------------------------------------

@@ -366,26 +366,22 @@ def test_unit_columns_match_d1_and_d2(name):
         assert not acc, (name, col)
 
 
-def test_newton_branch_of_zero_defect_representative(monkeypatch):
-    # enum_limit=0 sends every representative with a nonzero defect to the
-    # Newton iteration, which encodes its quadratic system through C3Index
-    found = 0
+def test_zero_defect_representative_refuses_a_block_past_the_limit(monkeypatch):
+    """The search walks every sum of the block's coboundaries, so a block
+    larger than ENUM_LIMIT is refused, naming the limit, instead of
+    answering None."""
+    monkeypatch.setattr(deform, "ENUM_LIMIT", 0)
+    refused = 0
     for d in sorted(HI_OUTER_DEGREES):
         cons = _hi(d)
-        blk = Block(HI, cons)
-        cob_span = blk.coboundaries()[0]
         for rep in compute_h2(HI, constraints=cons).representatives:
-            if not defect(rep):
-                continue
-            got = zero_defect_representative(HI, rep, cons, enum_limit=0)
-            with monkeypatch.context() as m:
-                m.setattr(deform, "C3Index", lambda n: OldC3Index())
-                want = zero_defect_representative(HI, rep, cons, enum_limit=0)
-            assert _items([got]) == _items([want])
-            if got is not None:
-                found += 1
-                assert not defect(got) and not cob_span.reduce(blk.encode(got + rep))
-    assert found  # the degree -4 block has one
+            if defect(rep) and Block(HI, cons).coboundaries()[1]:
+                with pytest.raises(AlgebraError, match="at most 0 coboundaries"):
+                    zero_defect_representative(HI, rep, cons)
+                refused += 1
+            else:  # nothing to walk: a zero defect, or a block without coboundaries
+                assert zero_defect_representative(HI, rep, cons) in (rep, None)
+    assert refused
 
 
 def _mixed_cochains(g, blocks, rng):

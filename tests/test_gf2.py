@@ -1,4 +1,7 @@
 import random
+from itertools import product
+
+import pytest
 
 from gf2lie import gf2
 
@@ -451,3 +454,41 @@ def test_compressor_matches_a_bit_by_bit_pick():
         for _ in range(20):
             v = rng.getrandbits(256)
             assert compress(v) == sum(((v >> p) & 1) << t for t, p in enumerate(keep)), keep
+
+
+@pytest.mark.parametrize("n,order", [(1, 1), (2, 6), (3, 168)])
+def test_invertibles_match_the_product_and_rank_filter(n, order):
+    """With no condition the enumeration is GL(n,2) in product order, and
+    each fits call sees img[u] = M u for every u < 2^(k+1)."""
+    def fits(k, img):
+        seen.append(k)
+        return True
+
+    seen = []
+    got = list(gf2.invertibles(n, fits))
+    want = [list(rows) for rows in product(range(1, 1 << n), repeat=n) if gf2.rank(rows) == n]
+    assert got == want and len(got) == order
+    assert seen.count(n - 1) == order
+
+    def checked(k, img):
+        rows = prefix[:k] + [img[1 << k]]
+        assert all(img[u] == gf2.apply_rows(rows, u) for u in range(1 << (k + 1)))
+        prefix[k:] = [img[1 << k]]
+        return True
+
+    prefix = []
+    assert list(gf2.invertibles(n, checked)) == want
+
+
+def test_invertibles_prune_a_prefix_that_fails():
+    """Rows past a refused prefix are never tried: a condition that refuses
+    rows[0] = 1 leaves the invertibles whose first row is not 1."""
+    want = [list(rows) for rows in product(range(1, 8), repeat=3) if gf2.rank(rows) == 3 and rows[0] != 1]
+    calls = []
+
+    def fits(k, img):
+        calls.append((k, img[1 << k]))
+        return k or img[1] != 1
+
+    assert list(gf2.invertibles(3, fits)) == want
+    assert calls[:2] == [(0, 1), (0, 2)]

@@ -202,6 +202,51 @@ def test_find_generators_matches_nested_index_loops():
 
 
 # ---------------------------------------------------------------------------
+# the product-and-rank loop that the torus engine's walk of
+# `gf2.invertibles` replaced, kept as an oracle for it
+# ---------------------------------------------------------------------------
+
+def _torus_product_loop(a, b):
+    da, db = isom._torus_data(a), isom._torus_data(b)
+    if da is None or db is None or da[0] != db[0]:
+        return None
+    r, wa = da
+    _, wb = db
+    pos_b = {w: i for i, w in enumerate(wb)}
+    for rows in product(range(1, 1 << r), repeat=r):
+        if gf2.rank(rows) != r:
+            continue
+        mapped = [pos_b.get(gf2.apply_rows(rows, w)) for w in wa]
+        if None in mapped or len(set(mapped)) != len(mapped):
+            continue
+        m = LinearMap(a, b, [1 << i for i in mapped])
+        if verify_morphism(m, "isomorphism"):
+            return isom.IsoResult("iso", m, engine="torus")
+    return None
+
+
+def _toral(rows, weights):
+    """A GF(2) algebra on e0, e1, ... with the given (Z/2)^2 weights."""
+    return Algebra(GF2, ["e%d" % i for i in range(len(weights))],
+                   {ij: dict.fromkeys(ks, 1) for ij, ks in rows.items()},
+                   grading=weights, grading_mod=(2, 2))
+
+
+def test_torus_engine_matches_the_product_loop():
+    kap1, lhp = build_kap1(4), build_div_free_hI(4, (1, 1, 1, 1), "derived")
+    # weight 0 on one side only: e0 acts diagonally on e1, e2; Heisenberg has no weight 0
+    diag = _toral({(0, 1): (1,), (0, 2): (2,)}, [(0, 0), (1, 0), (0, 1)])
+    heis = _toral({(0, 1): (2,)}, [(1, 0), (0, 1), (1, 1)])
+    found = []
+    for a, b in [(kap1, lhp), (lhp, kap1), (kap1, kap1), (diag, diag), (diag, heis), (heis, diag),
+                 (heis, heis)]:
+        got, want = isom._try_torus_engine(a, b), _torus_product_loop(a, b)
+        assert (got and _outcome(got)) == (want and _outcome(want)), (a.name, b.name)
+        found.append(got is not None)
+    assert found == [True, True, True, True, False, False, True]
+
+
+# ---------------------------------------------------------------------------
 # the two generator-product loops that `isom._search` replaced, kept as an
 # oracle for it
 # ---------------------------------------------------------------------------

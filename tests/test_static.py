@@ -48,6 +48,10 @@ Only an allowlisted set of package functions may build a
 ``random.Random``, under whatever name the module imports ``random`` or
 ``Random``: a verdict drawn from a seeded sample is not exact, so a new
 sampler must be seen and named here.
+
+No package or test module may define a module-level function or class
+twice: the later definition silently replaces the earlier one, and the
+callers of the first run the second.
 """
 
 import ast
@@ -410,8 +414,7 @@ def random_generators(source: str, module: str) -> list:
     return sorted(found)
 
 
-RANDOM_ALLOWLIST = ["deform.zero_defect_representative", "experiments.criterion_13_property_suites",
-                    "liealg.simplicity_check", "superize._isometries"]
+RANDOM_ALLOWLIST = ["experiments.criterion_13_property_suites", "liealg.simplicity_check"]
 
 
 def test_random_generators_are_allowlisted():
@@ -468,3 +471,37 @@ def test_scan_flags_an_unused_import():
            "    from math import floor, ceil\n"
            "    return floor(x) + len(os.sep) + js.loads('1')\n")
     assert unused_imports(src) == [(3, "re"), (4, "List"), (6, "ceil")]
+
+
+def duplicate_definitions(source: str, filename: str = "<src>") -> list:
+    """(line, name) for every module-level def or class whose name an
+    earlier module-level def or class of the same source already took."""
+    seen, out = set(), []
+    for node in ast.parse(source, filename).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if node.name in seen:
+                out.append((node.lineno, node.name))
+            seen.add(node.name)
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES + sorted((ROOT / "tests").glob("*.py")),
+                         ids=lambda p: "%s/%s" % (p.parent.name, p.name))
+def test_no_duplicate_definitions(path):
+    found = duplicate_definitions(path.read_text(), str(path))
+    assert not found, "%s: %s" % (path.name, ", ".join("line %d: %s" % f for f in found))
+
+
+def test_scan_flags_a_duplicate_definition():
+    src = ("def _perturbed(m, i):\n"
+           "    return m\n"
+           "class C:\n"
+           "    def _perturbed(self):\n"
+           "        return self\n"
+           "def test_a():\n"
+           "    assert _perturbed(1, 2)\n"
+           "def _perturbed(m):\n"
+           "    return m\n"
+           "class C:\n"
+           "    pass\n")
+    assert duplicate_definitions(src) == [(8, "_perturbed"), (10, "C")]

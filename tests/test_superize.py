@@ -158,23 +158,10 @@ def test_nonlinear_reduction():
 # prefix-pruned isometry enumeration and the cheap-first induced map
 # ---------------------------------------------------------------------------
 
-def _group_elements(n, keep, budget=None, rng_seed=0):
-    if n <= 4:
-        for rows in product(range(1, 1 << n), repeat=n):
-            if gf2.rank(rows) != n:
-                continue
-            if keep(rows):
-                yield list(rows)
-    else:
-        rng = random.Random(rng_seed)
-        count = 0
-        while count < (budget or 100000):
-            rows = [rng.getrandbits(n) or 1 for _ in range(n)]
-            if gf2.rank(rows) != n:
-                continue
-            count += 1
-            if keep(rows):
-                yield rows
+def _group_elements(n, keep):
+    for rows in product(range(1, 1 << n), repeat=n):
+        if gf2.rank(rows) == n and keep(rows):
+            yield list(rows)
 
 
 def _preserves_form(B, rows):
@@ -245,25 +232,24 @@ def test_quadratic_isometries_match_product_filter(m, arf, order):
     assert len(got) == order
 
 
-def test_random_isometry_branch_keeps_its_draws(monkeypatch):
-    """n = 6: the same rng draws, the same budget, the same survivors."""
-    drawn = []
-    real_rank = gf2.rank
-    monkeypatch.setattr(gf2, "rank", lambda rows: drawn.append(list(rows)) or real_rank(rows))
-    Q = QuadraticFormSpec.standard(3, 1)
-    cases = [(_zero_form(6), None, lambda rows: True),
-             (BilinearFormSpec("Pi", 6), None, lambda rows: _preserves_form(BilinearFormSpec("Pi", 6), rows)),
-             (Q.polar, Q, lambda rows: _preserves_quadratic(Q, rows))]
-    for B, quad, keep in cases:
-        for seed in (0, 5):
-            drawn.clear()
-            got = list(superize._isometries(B, quad, budget=40, rng_seed=seed))
-            got_draws = list(drawn)
-            drawn.clear()
-            assert got == list(_group_elements(6, keep, budget=40, rng_seed=seed))
-            assert got_draws == drawn
-    # every invertible preserves the zero form: the budget bounds the sample
-    assert len(list(superize._isometries(_zero_form(6), budget=40))) == 40
+@pytest.mark.parametrize("build,v1,v2,kind,tried", [
+    (lambda: build_kap1(5), 1, 2, "equivalent", 49),
+    (lambda: build_kap3(5), 1, 2, "equivalent", 49),
+    (lambda: build_kap2(6), 1, 1, "equivalent", 1),
+    (lambda: build_kap4A(6, 0), 9, 63, "equivalent", 79),
+    # Q(1) = 0 != Q(9) = 1: every map of O+(6,2) is tried and refused
+    (lambda: build_kap4A(6, 0), 1, 9, "exhausted-no-map", 40_320),
+], ids=["Kap1(5)", "Kap3(5)", "Kap2(6)", "Kap4,0(6)", "Kap4,0(6) cross-Q"])
+def test_equivalence_is_decided_beyond_n_4(build, v1, v2, kind, tried):
+    base = build()
+    clo = restricted_closure(base)
+    s1, s2 = superize_linear(clo, v1), superize_linear(clo, v2)
+    r = equivalence_of_superizations(s1, s2, quadratic=base.meta.get("quadratic_form"))
+    assert (r.kind, r.tried) == (kind, tried)
+    if r.map is not None:
+        assert verify_morphism(r.map, "isomorphism")
+        assert all(s2.parity[k] == s1.parity[i] for i, img in enumerate(r.map.images)
+                   for k in gf2.bits(img))
 
 
 def _kap_pairs():
