@@ -261,26 +261,42 @@ def cmd_experiment(args) -> int:
     return run_experiment_file(spec)
 
 
+def _resolve(reports: list, path: str):
+    """(True, the value at the dotted path into the reports), or (False, None)."""
+    cur = reports
+    for part in path.split("."):
+        try:
+            cur = cur[int(part)] if isinstance(cur, list) else cur[part]
+        except (ValueError, IndexError, KeyError, TypeError):
+            return False, None
+    return True, cur
+
+
 def run_experiment_file(spec: dict) -> int:
     """Declarative experiments: steps are CLI argv lists, expectations are
-    (path into the collected reports, expected value) pairs."""
+    (path into the collected reports, expected value) pairs; a path that
+    does not resolve is a failed expectation, a malformed spec a usage error."""
+    if not isinstance(spec, dict) or not all(isinstance(spec.get(k, []), list)
+                                             for k in ("steps", "expectations")):
+        raise ValueError('an experiment file holds a JSON object with "steps" and "expectations" lists')
     reports = []
     for t, step in enumerate(spec.get("steps", [])):
-        argv = step["cmd"]
+        argv = step.get("cmd") if isinstance(step, dict) else None
+        if not isinstance(argv, list) or not all(isinstance(a, str) for a in argv):
+            raise ValueError('step %d is not {"cmd": [argument strings]}' % t)
         buf = io.StringIO()
         with redirect_stdout(buf):
             code = main(argv)
         if code in (1, 3):  # a usage error or an internal fault printed no report
-            print("error: step %d (%s) exited %d" % (t, " ".join(map(str, argv)), code), file=sys.stderr)
+            print("error: step %d (%s) exited %d" % (t, " ".join(argv), code), file=sys.stderr)
             return code
         reports.append(json.loads(buf.getvalue()))
     failures = []
-    for exp in spec.get("expectations", []):
-        path = exp["path"].split(".")
-        cur = reports
-        for part in path:
-            cur = cur[int(part)] if isinstance(cur, list) else cur.get(part)
-        if cur != exp["equals"]:
+    for t, exp in enumerate(spec.get("expectations", [])):
+        if not isinstance(exp, dict) or not isinstance(exp.get("path"), str) or "equals" not in exp:
+            raise ValueError('expectation %d is not {"path": "dotted.path", "equals": value}' % t)
+        found, cur = _resolve(reports, exp["path"])
+        if not found or cur != exp["equals"]:
             failures.append({"path": exp["path"], "expected": exp["equals"], "actual": cur})
     doc = {"experiment": spec.get("name", "unnamed"), "steps": len(reports),
            "expectations": len(spec.get("expectations", [])), "failures": failures,

@@ -279,12 +279,12 @@ def invertibles(n: int, fits: Callable[[int, List[int]], bool]) -> Iterator[List
 
     def extend(k):
         lo = 1 << k
-        span = set(img[:lo])
+        low = img[:lo]
+        span = set(low)
         for r in range(1, 1 << n):
             if r in span:
                 continue
-            for u in range(lo):
-                img[lo | u] = r ^ img[u]
+            img[lo:lo << 1] = [r ^ x for x in low]
             if fits(k, img):
                 rows[k] = r
                 if k + 1 == n:

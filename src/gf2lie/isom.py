@@ -151,10 +151,6 @@ class GenWords:
                     break
             frontier = new_frontier
 
-    @property
-    def generates(self) -> bool:
-        return self.span.dim == self.g.dim
-
     @cached_property
     def basis_coords(self) -> Optional[List[int]]:
         """For each unit e_i of the source, its combination over self.vecs."""
@@ -180,13 +176,26 @@ class GenWords:
         return out
 
 
+def _generates(g: Algebra, gens: Sequence[int]) -> bool:
+    """Whether the span of gens closed under the bracket is g; the bracket is
+    symmetric with [v, v] = 0, so vector i meets only the vectors j < i."""
+    span = gf2.Span()
+    vecs = [v for v in gens if span.add(v)]
+    for i, v in enumerate(vecs):  # vecs grows as it is walked
+        if span.dim == g.dim:
+            break
+        ad = g.ad_rows(v)
+        vecs.extend([w for w in (gf2.apply_rows(ad, u) for u in vecs[:i]) if w and span.add(w)])
+    return span.dim == g.dim
+
+
 def find_generators(g: Algebra, candidates: Optional[Sequence[int]] = None,
                     max_size: int = 3) -> Optional[List[int]]:
     """A small generating set among the given vectors (default: basis)."""
     cand = list(candidates) if candidates is not None else [1 << i for i in range(g.dim)]
     for size in range(1, max_size + 1):
         for gens in combinations(cand, size):
-            if GenWords(g, gens).generates:
+            if _generates(g, gens):
                 return list(gens)
     return None
 

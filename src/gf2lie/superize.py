@@ -8,6 +8,8 @@ torus, the squaring sends e_u to the functional B(u, .) and fixes V*.
 
 from __future__ import annotations
 
+import weakref
+from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import gf2
@@ -32,8 +34,8 @@ class ClosureAlgebra:
         self.base = base
         self.B = B
         self.gamma = list(gamma)
-        n = B.n
-        self.n = n
+        self.index = {u: i for i, u in enumerate(self.gamma)}  # gamma vector -> basis index
+        self.n = n = B.n
         dim = base.dim + n
         labels = list(base.labels) + ["a%d" % (t + 1) for t in range(n)]
         sc: Dict[Tuple[int, int], Dict[int, int]] = {}
@@ -51,16 +53,9 @@ class ClosureAlgebra:
             mod = base.grading_mod
         self.algebra = Algebra.from_gf2_rows(labels, sc, grading=grading, grading_mod=mod,
                                              name=(base.name + " 2-closure"))
-        # squaring on the natural basis
-        self.squaring: List[int] = []
-        for u in self.gamma:
-            bu = 0
-            for t in range(n):
-                if B.pair(u, 1 << t):
-                    bu |= 1 << (base.dim + t)
-            self.squaring.append(bu)
-        for t in range(n):
-            self.squaring.append(1 << (base.dim + t))
+        # squaring on the natural basis: bit t of B.rows applied to u is B(u, e_t)
+        self.squaring: List[int] = ([gf2.apply_rows(B.rows, u) << base.dim for u in self.gamma]
+                                    + [1 << (base.dim + t) for t in range(n)])
 
     @property
     def dim(self) -> int:
@@ -68,13 +63,9 @@ class ClosureAlgebra:
 
     def square_vector(self, x: int) -> int:
         """(sum a_i x_i)^[2] = sum a_i^2 x_i^[2] + sum_{i<j} a_i a_j [x_i, x_j]."""
-        idx = list(gf2.bits(x))
-        acc = 0
-        for i in idx:
-            acc ^= self.squaring[i]
-        for a in range(len(idx)):
-            for b in range(a + 1, len(idx)):
-                acc ^= self.algebra.bracket(1 << idx[a], 1 << idx[b])
+        acc = gf2.apply_rows(self.squaring, x)
+        for i, j in combinations(gf2.bits(x), 2):
+            acc ^= self.algebra.bracket(1 << i, 1 << j)
         return acc
 
     def check_restricted(self) -> bool:
@@ -186,43 +177,58 @@ def superize_nonlinear(clo: ClosureAlgebra, Q: QuadraticFormSpec) -> SuperAlgebr
 
 def parity_nonlinearity_witness(s: SuperAlgebra) -> Optional[Tuple[int, int]]:
     """A pair u, v with p(e_{u+v}) != p(e_u) + p(e_v), if one exists."""
-    pos = {u: i for i, u in enumerate(s.closure.gamma)}
-    for u in s.closure.gamma:
-        for v in s.closure.gamma:
-            w = u ^ v
-            if w == 0 or w not in pos:
-                continue
-            if s.parity[pos[w]] != (s.parity[pos[u]] + s.parity[pos[v]]) % 2:
-                return (u, v)
-    return None
+    pos, p = s.closure.index, s.parity  # gamma holds no zero vector
+    return next(((u, v) for u in pos for v in pos
+                 if u ^ v in pos and p[pos[u ^ v]] != p[pos[u]] ^ p[pos[v]]), None)
 
 
 # ---------------------------------------------------------------------------
 # equivalence of superizations
 # ---------------------------------------------------------------------------
 
+# form (Q when given, else B) -> (its live `gf2.invertibles` walk, the matrices it
+# has yielded): each isometry group is walked once per process, then replayed
+_WALKS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
 def _isometries(B: BilinearFormSpec, Q: Optional[QuadraticFormSpec] = None):
     """Every invertible n x n GF(2) matrix M (rows[j] = M e_j) preserving
     Q, or B when Q is None, in `gf2.invertibles` order: a prefix rows[:k+1]
     is extended only while the form conditions that involve row k hold.
+    Replayed from the form's `_WALKS` entry, whose shared walk advances only
+    past what it has yielded; a walk that raises is dropped, not kept as done.
     """
-    n = B.n
-    # fits(k, img): the form conditions on rows[:k+1] that involve row k;
-    # they read only img[:2^(k+1)]
+    form = B if Q is None else Q
+    i = 0
+    while True:
+        walk, seen = (_WALKS.get(form)
+                      or _WALKS.setdefault(form, (gf2.invertibles(B.n, _fits(B, Q)), [])))
+        if i >= len(seen):  # a new walk (the last one raised) may be behind i
+            try:
+                seen.append(tuple(next(walk)))
+            except StopIteration:
+                return
+            except BaseException:
+                _WALKS.pop(form, None)
+                raise
+        while i < len(seen):
+            yield list(seen[i])
+            i += 1
+
+
+def _fits(B: BilinearFormSpec, Q: Optional[QuadraticFormSpec]):
+    """fits(k, img): the conditions on rows[:k+1] that involve row k, read off
+    img[:2^(k+1)]; it holds no reference to the form, which `_WALKS` keys."""
     if Q is not None:
-        qv = [Q.value(u) for u in range(1 << n)]
+        qv = [Q.value(u) for u in range(1 << B.n)]
+        return lambda k, img: all(qv[img[u]] == qv[u] for u in range(1 << k, 2 << k))
+    gram = [[B.pair(1 << i, 1 << k) for i in range(k + 1)] for k in range(B.n)]
+    bimg = [gf2.apply_rows(B.rows, u) for u in range(1 << B.n)]  # bimg[u] & w has parity B(u, w)
 
-        def fits(k, img):
-            lo = 1 << k
-            return all(qv[img[u]] == qv[u] for u in range(lo, lo << 1))
-    else:
-        gram = [[B.pair(1 << i, 1 << k) for i in range(k + 1)] for k in range(n)]
-
-        def fits(k, img):
-            r = img[1 << k]
-            return all(B.pair(img[1 << i], r) == b for i, b in enumerate(gram[k]))
-
-    return gf2.invertibles(n, fits)
+    def fits(k, img):
+        r = bimg[img[1 << k]]
+        return all((r & img[1 << i]).bit_count() & 1 == b for i, b in enumerate(gram[k]))
+    return fits
 
 
 def induced_super_iso(s1: SuperAlgebra, s2: SuperAlgebra, rows: Sequence[int]) -> Optional[LinearMap]:
@@ -234,23 +240,17 @@ def induced_super_iso(s1: SuperAlgebra, s2: SuperAlgebra, rows: Sequence[int]) -
     """
     clo1, clo2 = s1.closure, s2.closure
     n = clo1.n
-    pos2 = {u: i for i, u in enumerate(clo2.gamma)}
     images: List[int] = []
     for i, u in enumerate(clo1.gamma):
-        k = pos2.get(gf2.apply_rows(rows, u))
+        k = clo2.index.get(gf2.apply_rows(rows, u))
         if k is None or s2.parity[k] != s1.parity[i]:
             return None
         images.append(1 << k)
     minv = gf2.invert(list(rows), n)
     if minv is None:
         return None
-    for t in range(n):
-        # alpha_t o M^{-1} = sum_s (M^{-1})_{t s} alpha_s: functional x -> alpha_t(M^{-1} x)
-        img = 0
-        for s in range(n):
-            if (minv[s] >> t) & 1:
-                img |= 1 << (clo2.base.dim + s)
-        images.append(img)
+    # alpha_t o M^{-1} = sum_s (M^{-1})_{t s} alpha_s: functional x -> alpha_t(M^{-1} x)
+    images += [col << clo2.base.dim for col in gf2.transpose(minv, n)]
     # parity match on V*
     for i in range(clo1.base.dim, clo1.dim):
         for k in gf2.bits(images[i]):

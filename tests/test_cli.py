@@ -306,6 +306,31 @@ def test_experiment_file(tmp_path):
     assert code == 0 and "warning" in doc
 
 
+@pytest.mark.parametrize("where", ["0.nosuch.key", "1.dim", "0.dim.x"],
+                         ids=["a-missing-key", "an-index-past-the-end", "a-part-of-a-number"])
+def test_experiment_path_that_does_not_resolve_fails_its_expectation(tmp_path, where):
+    spec = {"name": "paths", "steps": [{"cmd": ["build", "jurman", "--g", "2", "--h", "1"]}],
+            "expectations": [{"path": where, "equals": None}]}
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(spec))
+    code, doc = run_cli(["experiment", str(path)])
+    assert code == 2 and doc["failures"] == [{"path": where, "expected": None, "actual": None}]
+
+
+@pytest.mark.parametrize("spec, why", [
+    ([{"cmd": ["build", "jurman"]}], 'an experiment file holds a JSON object with "steps"'),
+    ({"steps": [{"cmd": "build"}]}, 'step 0 is not {"cmd": [argument strings]}'),
+    ({"steps": {"cmd": ["build", "jurman"]}}, 'an experiment file holds a JSON object with "steps"'),
+    ({"expectations": [{"equals": 14}]}, 'expectation 0 is not {"path"'),
+], ids=["a-list", "a-string-cmd", "a-steps-object", "no-path"])
+def test_malformed_experiment_file_is_a_usage_error(tmp_path, capsys, spec, why):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(spec))
+    code, doc = run_cli(["experiment", str(path)])
+    assert code == 1 and doc is None
+    assert capsys.readouterr().err.startswith("error: " + why)
+
+
 def test_paper_suite_survives_a_crashed_criterion(monkeypatch, capsys):
     from gf2lie import experiments
 

@@ -187,7 +187,7 @@ def _nested_loop_generators(g, cand, max_size=3):
             combos = [(i, j, k) for i in range(m) for j in range(i + 1, m) for k in range(j + 1, m)]
         for combo in combos:
             gens = [cand[t] for t in combo]
-            if GenWords(g, gens).generates:
+            if GenWords(g, gens).span.dim == g.dim:
                 return gens
     return None
 

@@ -1,5 +1,7 @@
+import gc
 import random
-from itertools import product
+import weakref
+from itertools import islice, product
 
 import pytest
 
@@ -296,6 +298,120 @@ def test_bracket_check_gates_every_verdict(monkeypatch, case, order):
     assert (r.kind, r.tried, r.map) == ("exhausted-no-map", order, None)
     # candidates that pass the cheap checks reach the bracket check
     assert bool(calls) == equivalent
+
+
+# ---------------------------------------------------------------------------
+# the form's fits on a plain gf2.invertibles walk, kept as an oracle for the
+# per-form memo that _isometries replays
+# ---------------------------------------------------------------------------
+
+def _fresh_form(case):
+    """(B, Q) of Sp(4,2), O+(4,2) or O-(4,2), as new objects on every call."""
+    if case == 0:
+        return BilinearFormSpec("Pi", 4), None
+    Q = QuadraticFormSpec.standard(2, case - 1)
+    return Q.polar, Q
+
+
+def _unmemoized(B, Q):
+    return list(gf2.invertibles(B.n, superize._fits(B, Q)))
+
+
+@pytest.mark.parametrize("case,order", [(0, 720), (1, 72), (2, 120)],
+                         ids=["Sp(4,2)", "O+(4,2)", "O-(4,2)"])
+def test_isometry_replay_matches_the_unmemoized_walk(case, order):
+    B, Q = _fresh_form(case)
+    want = _unmemoized(B, Q)
+    assert len(want) == order
+    # a full walk after a partial one, then a replay of the finished walk
+    assert list(islice(superize._isometries(B, Q), 5)) == want[:5]
+    assert list(superize._isometries(B, Q)) == want
+    assert list(superize._isometries(B, Q)) == want
+    # two iterators interleaved on the shared walk, each way round
+    B, Q = _fresh_form(case)
+    a, b = superize._isometries(B, Q), superize._isometries(B, Q)
+    head = [next(a) for _ in range(3)]
+    assert list(b) == want and head + list(a) == want
+    B, Q = _fresh_form(case)
+    assert list(zip(superize._isometries(B, Q), superize._isometries(B, Q))) == list(zip(want, want))
+    # a fresh form per call
+    for _ in range(2):
+        assert list(superize._isometries(*_fresh_form(case))) == want
+
+
+def _same_class_pairs(base, Q):
+    vs = range(1, 1 << base.meta["jsystem_B"].n)
+    return [(a, b) for a in vs for b in vs if Q is None or Q.value(a) == Q.value(b)]
+
+
+@pytest.mark.parametrize("build,kap4", [(lambda: build_kap2(4), False), (lambda: build_kap4A(4, 0), True),
+                                        (lambda: build_kap4A(4, 1), True)],
+                         ids=["Kap2(4)", "Kap4,0(4)", "Kap4,1(4)"])
+def test_memoized_verdicts_match_the_unmemoized_walk(build, kap4):
+    base = build()
+    clo = restricted_closure(base)
+    Q = base.meta["quadratic_form"] if kap4 else None
+    group = _unmemoized(clo.B, Q)
+    pairs = _same_class_pairs(base, Q)
+    want = {}
+    for a, b in pairs:
+        s1, s2 = superize_linear(clo, a), superize_linear(clo, b)
+        tried = next(t for t, rows in enumerate(group, 1) if induced_super_iso(s1, s2, rows))
+        want[a, b] = ("equivalent", tried)
+    for order in (pairs, pairs[::-1]):
+        for a, b in order:
+            r = equivalence_of_superizations(superize_linear(clo, a), superize_linear(clo, b), quadratic=Q)
+            assert (r.kind, r.tried) == want[a, b], (a, b)
+
+
+def test_changing_a_yielded_matrix_leaves_the_memo_alone():
+    B, _ = _fresh_form(0)
+    want = _unmemoized(B, None)
+    for rows in superize._isometries(B):
+        rows[0] ^= 1
+        rows.append(7)
+    assert list(superize._isometries(B)) == want
+
+
+def test_the_memo_is_freed_with_the_algebra_that_owns_the_form():
+    base = build_kap4A(4, 1)
+    clo = restricted_closure(base)
+    Q = base.meta["quadratic_form"]
+    r = equivalence_of_superizations(superize_linear(clo, 1), superize_linear(clo, 2), quadratic=Q)
+    assert Q in superize._WALKS and r.tried
+    refs = [weakref.ref(Q), weakref.ref(clo.B)]
+    next(superize._isometries(clo.B))
+    assert clo.B in superize._WALKS
+    del base, clo, Q, r
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+
+
+def test_a_walk_that_raises_leaves_no_entry_behind(monkeypatch):
+    B, _ = _fresh_form(0)
+    want = _unmemoized(B, None)
+    real, calls = superize._fits, []
+
+    def failing_fits(B, Q):
+        fits = real(B, Q)
+
+        def fits_until_the_50th_call(k, img):
+            calls.append(k)
+            if len(calls) == 50:
+                raise RuntimeError("fits failed")
+            return fits(k, img)
+        return fits_until_the_50th_call
+
+    monkeypatch.setattr(superize, "_fits", failing_fits)
+    other = superize._isometries(B)
+    first = next(other)
+    with pytest.raises(RuntimeError, match="fits failed"):
+        list(superize._isometries(B))
+    assert B not in superize._WALKS
+    monkeypatch.undo()
+    # an iterator begun on the broken walk starts a new one where it stood
+    assert [first] + list(other) == want
+    assert list(superize._isometries(B)) == want
 
 
 # ---------------------------------------------------------------------------
