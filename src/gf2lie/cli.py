@@ -279,29 +279,32 @@ def run_experiment_file(spec: dict) -> int:
     if not isinstance(spec, dict) or not all(isinstance(spec.get(k, []), list)
                                              for k in ("steps", "expectations")):
         raise ValueError('an experiment file holds a JSON object with "steps" and "expectations" lists')
-    reports = []
-    for t, step in enumerate(spec.get("steps", [])):
+    steps, expectations = spec.get("steps", []), spec.get("expectations", [])
+    # the whole spec is checked before any step runs
+    for t, step in enumerate(steps):
         argv = step.get("cmd") if isinstance(step, dict) else None
         if not isinstance(argv, list) or not all(isinstance(a, str) for a in argv):
             raise ValueError('step %d is not {"cmd": [argument strings]}' % t)
+    for t, exp in enumerate(expectations):
+        if not isinstance(exp, dict) or not isinstance(exp.get("path"), str) or "equals" not in exp:
+            raise ValueError('expectation %d is not {"path": "dotted.path", "equals": value}' % t)
+    reports = []
+    for t, step in enumerate(steps):
         buf = io.StringIO()
         with redirect_stdout(buf):
-            code = main(argv)
+            code = main(step["cmd"])
         if code in (1, 3):  # a usage error or an internal fault printed no report
-            print("error: step %d (%s) exited %d" % (t, " ".join(argv), code), file=sys.stderr)
+            print("error: step %d (%s) exited %d" % (t, " ".join(step["cmd"]), code), file=sys.stderr)
             return code
         reports.append(json.loads(buf.getvalue()))
     failures = []
-    for t, exp in enumerate(spec.get("expectations", [])):
-        if not isinstance(exp, dict) or not isinstance(exp.get("path"), str) or "equals" not in exp:
-            raise ValueError('expectation %d is not {"path": "dotted.path", "equals": value}' % t)
+    for exp in expectations:
         found, cur = _resolve(reports, exp["path"])
         if not found or cur != exp["equals"]:
             failures.append({"path": exp["path"], "expected": exp["equals"], "actual": cur})
     doc = {"experiment": spec.get("name", "unnamed"), "steps": len(reports),
-           "expectations": len(spec.get("expectations", [])), "failures": failures,
-           "pass": not failures}
-    if not spec.get("steps"):
+           "expectations": len(expectations), "failures": failures, "pass": not failures}
+    if not steps:
         doc["warning"] = "no steps: vacuous pass"
     return _emit(doc, 0 if not failures else 2)
 

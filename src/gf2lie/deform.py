@@ -10,7 +10,7 @@ specializes into GF(2^k) on demand.
 
 from __future__ import annotations
 
-from itertools import product as _cartesian
+from itertools import combinations, product as _cartesian
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import gf2
@@ -22,7 +22,7 @@ from .divpow import check_shearing, mono_offsets, mono_pack, mono_text, monomial
 from .fields import GF2, GF2k, Scalar
 from .grading import cochain_weight
 from .isom import search_isomorphism
-from .liealg import Algebra, AlgebraError, LinearMap, Subspace, quotient, verify_morphism
+from .liealg import Algebra, AlgebraError, LinearMap, Subspace, brackets, quotient, verify_morphism
 
 Pair = Tuple[int, int]
 ParamMono = Tuple[int, ...]
@@ -397,14 +397,8 @@ def jurman_deform_check(g: int, h: int, mirrored: bool = False) -> JurmanDeformR
 
 def bracket_map_cochain(g: Algebra, D: Sequence[int]) -> Cochain2:
     """The 2-cochain (x, y) -> [D x, D y] for a linear map D (image masks)."""
-    n = g.dim
-    terms: Dict[Pair, int] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = g.bracket(D[i], D[j])
-            if w:
-                terms[(i, j)] = w
-    return Cochain2(g, terms)
+    pairs = combinations(range(g.dim), 2)
+    return Cochain2(g, {p: w for p, w in zip(pairs, brackets(g, D)) if w})
 
 
 def partial_matrix(g_alg: Algebra, var: int, power: int = 1) -> List[int]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import time
 import traceback
 from functools import lru_cache
+from itertools import combinations
 from typing import Dict, List
 
 from . import gf2
@@ -29,7 +30,7 @@ from .deform import (bracket_map_cochain, deform_bracket, defect, integrability_
 from .fields import GF2, GF2k
 from .grading import associated_graded, weisfeiler_filtration
 from .isom import fingerprint, search_isomorphism
-from .liealg import (Algebra, LinearMap, Subspace, derivation_dim, derived_subalgebra,
+from .liealg import (Algebra, LinearMap, Subspace, brackets, derivation_dim, derived_subalgebra,
                      direct_sum, quotient, simplicity_check, subalgebra_on, verify_morphism)
 from .superize import (equivalence_of_superizations, nonlinear_reduction_check,
                        parity_nonlinearity_witness, restricted_closure, seven_families,
@@ -77,12 +78,8 @@ def QPO() -> Algebra:
     gl4 = build_gl(4)
     cols = [op_matrix(i, j) for (i, j) in monos]
     inv = gf2.invert(cols, 16)
-    sc = {}
-    for a in range(16):
-        for b in range(a + 1, 16):
-            coords = gf2.apply_rows(inv, gl4.bracket(cols[a], cols[b]))
-            if coords:
-                sc[(a, b)] = dict.fromkeys(gf2.bits(coords), 1)
+    coords = (gf2.apply_rows(inv, w) for w in brackets(gl4, cols))
+    sc = {p: dict.fromkeys(gf2.bits(c), 1) for p, c in zip(combinations(range(16), 2), coords) if c}
     return Algebra(GF2, po.labels, sc, grading=[(i - j,) for (i, j) in monos], grading_mod=(0,),
                    meta=po.meta, name="quantized po")
 

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import gf2
-from .liealg import Algebra, AlgebraError, Subspace, subalgebra_generated
+from .liealg import Algebra, AlgebraError, Subspace, brackets, subalgebra_generated
 
 
 class Filtration:
@@ -21,7 +22,7 @@ class Filtration:
     def layer(self, i: int) -> Subspace:
         if i < -self.depth:
             return self.layers[-self.depth]
-        return self.layers.get(i, Subspace(self.algebra))
+        return self.layers[i] if i in self.layers else Subspace(self.algebra)
 
     def indices(self) -> List[int]:
         return sorted(self.layers)
@@ -40,26 +41,22 @@ class Filtration:
 
     def check_compatible(self) -> bool:
         """Exhaustive [L_i, L_j] ⊆ L_{i+j} check."""
-        g = self.algebra
-        idx = self.indices()
-        for i in idx:
-            for j in idx:
-                tgt = self.layer(max(i + j, min(idx)))
-                for a in self.layers[i].rows():
-                    for b in self.layers[j].rows():
-                        if g.bracket(a, b) not in tgt.span:
-                            return False
+        g, L, idx = self.algebra, self.layers, self.indices()
+        for t, i in enumerate(idx):
+            for j in idx[t:]:  # [L_j, L_i] = [L_i, L_j]
+                tgt = self.layer(max(i + j, idx[0])).span
+                if any(w not in tgt for w in brackets(g, L[i].rows(), L[j].rows())):
+                    return False
         return True
 
 
 def _module_closure(g: Algebra, acting: Subspace, start_rows: Sequence[int]) -> Subspace:
     """Smallest subspace containing start_rows and invariant under [acting, .]."""
     s = Subspace(g, start_rows)
-    queue = [r for r in s.rows()]
+    queue = s.rows()
+    acting_rows = acting.rows()
     while queue:
-        v = queue.pop()
-        for r in acting.rows():
-            w = g.bracket(r, v)
+        for w in brackets(g, [queue.pop()], acting_rows):
             if w and s.add(w):
                 queue.append(w)
     return s
@@ -89,8 +86,7 @@ def weisfeiler_filtration(g: Algebra, L0: Subspace) -> Filtration:
     maximal = True
     for mask in range(1, 1 << len(comp)):
         v = gf2.from_bits(comp[t] for t in gf2.bits(mask))
-        sub = _subalgebra_with(g, L0, v)
-        if sub.dim < n:
+        if subalgebra_generated(g, L0.rows() + [v]).dim < n:
             maximal = False
             break
 
@@ -108,10 +104,8 @@ def weisfeiler_filtration(g: Algebra, L0: Subspace) -> Filtration:
     d = 1
     cur = lm1
     while cur.dim < n:
-        nxt = Subspace(g, cur.rows())
-        for a in lm1.rows():
-            for b in cur.rows():
-                nxt.add(g.bracket(a, b))
+        rows = cur.rows()
+        nxt = Subspace(g, [*rows, *brackets(g, lm1.rows(), rows)])
         d += 1
         layers[-d] = nxt
         if nxt.dim == cur.dim:
@@ -128,9 +122,8 @@ def weisfeiler_filtration(g: Algebra, L0: Subspace) -> Filtration:
         # X in L_i written as combination over Li rows; constraint per b in L_{-1}
         li_rows = Li.rows()
         for b in rows_lm1:
-            imgs = [g.bracket(r, b) for r in li_rows]
-            # residues modulo L_i must vanish
-            res = [span_li.reduce(w) for w in imgs]
+            # residues of [b, r] modulo L_i must vanish
+            res = [span_li.reduce(w) for w in brackets(g, [b], li_rows)]
             eqs.extend(e for e in gf2.transpose(res, n) if e)
         ker = gf2.kernel(eqs, len(li_rows))
         nxt_rows = [gf2.apply_rows(li_rows, x) for x in ker]
@@ -141,10 +134,6 @@ def weisfeiler_filtration(g: Algebra, L0: Subspace) -> Filtration:
     if layers[i].dim == 0:
         del layers[i]  # the chain ends at the last nonzero layer
     return Filtration(g, layers, depth, l0_maximal=maximal)
-
-
-def _subalgebra_with(g: Algebra, L0: Subspace, v: int) -> Subspace:
-    return subalgebra_generated(g, list(L0.rows()) + [v])
 
 
 def associated_graded(f: Filtration) -> Algebra:
@@ -183,29 +172,27 @@ def associated_graded(f: Filtration) -> Algebra:
 
     sc: Dict[Tuple[int, int], Dict[int, int]] = {}
     min_idx = min(idx)
-    for a in range(m):
-        for b in range(a + 1, m):
-            la, lb = rep_layer[a], rep_layer[b]
-            tgt = la + lb
-            w = g.bracket(reps[a], reps[b])
-            if tgt in f.layers:
-                nxt = f.layers.get(tgt + 1)
-                if nxt:
-                    w = nxt.span.reduce(w)
-                if not w:
-                    continue
-                if w not in f.layers[tgt].span:
-                    raise AlgebraError("filtration violated at layers (%d,%d)" % (la, lb))
-                cw = coords(w)
-                row = {}
-                for k in gf2.bits(cw):
-                    if rep_layer[k] == tgt:
-                        row[k] = 1
-                sc[(a, b)] = row
-            else:
-                # below the deepest layer: bracket must vanish or tgt < -d impossible
-                if tgt < min_idx and w:
-                    raise AlgebraError("bracket escapes the filtration")
+    for (a, b), w in zip(combinations(range(m), 2), brackets(g, reps)):
+        la, lb = rep_layer[a], rep_layer[b]
+        tgt = la + lb
+        if tgt in f.layers:
+            nxt = f.layers.get(tgt + 1)
+            if nxt:
+                w = nxt.span.reduce(w)
+            if not w:
+                continue
+            if w not in f.layers[tgt].span:
+                raise AlgebraError("filtration violated at layers (%d,%d)" % (la, lb))
+            cw = coords(w)
+            row = {}
+            for k in gf2.bits(cw):
+                if rep_layer[k] == tgt:
+                    row[k] = 1
+            sc[(a, b)] = row
+        else:
+            # below the deepest layer: bracket must vanish or tgt < -d impossible
+            if tgt < min_idx and w:
+                raise AlgebraError("bracket escapes the filtration")
     labels = []
     for r in reps:
         bs = list(gf2.bits(r))

@@ -22,7 +22,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import gf2
 from .liealg import (Algebra, AlgebraError, LinearMap, ad_walk, center, derivation_dim,
-                     derived_series_dims, lower_central_dims, verify_morphism)
+                     derived_series_dims, lower_central_dims, subalgebra_generated, verify_morphism)
 
 
 class IsoResult:
@@ -176,26 +176,13 @@ class GenWords:
         return out
 
 
-def _generates(g: Algebra, gens: Sequence[int]) -> bool:
-    """Whether the span of gens closed under the bracket is g; the bracket is
-    symmetric with [v, v] = 0, so vector i meets only the vectors j < i."""
-    span = gf2.Span()
-    vecs = [v for v in gens if span.add(v)]
-    for i, v in enumerate(vecs):  # vecs grows as it is walked
-        if span.dim == g.dim:
-            break
-        ad = g.ad_rows(v)
-        vecs.extend([w for w in (gf2.apply_rows(ad, u) for u in vecs[:i]) if w and span.add(w)])
-    return span.dim == g.dim
-
-
-def find_generators(g: Algebra, candidates: Optional[Sequence[int]] = None,
-                    max_size: int = 3) -> Optional[List[int]]:
-    """A small generating set among the given vectors (default: basis)."""
+def find_generators(g: Algebra, candidates: Optional[Sequence[int]] = None) -> Optional[List[int]]:
+    """The first generating set of at most three of the given vectors
+    (default: basis), by size, then in `combinations` order."""
     cand = list(candidates) if candidates is not None else [1 << i for i in range(g.dim)]
-    for size in range(1, max_size + 1):
+    for size in (1, 2, 3):
         for gens in combinations(cand, size):
-            if _generates(g, gens):
+            if subalgebra_generated(g, gens).dim == g.dim:
                 return list(gens)
     return None
 
@@ -274,7 +261,7 @@ def _try_zgraded_engine(a: Algebra, b: Algebra, budget: int) -> Optional[IsoResu
             continue
         # pick generators among homogeneous basis vectors, smallest blocks first
         order = sorted(range(a.dim), key=lambda i: (len(blocks_a[da[i]]), da[i], i))
-        gens = find_generators(a, [1 << i for i in order], max_size=3)
+        gens = find_generators(a, [1 << i for i in order])
         if gens is None:
             continue
         cand_lists = []
@@ -342,11 +329,10 @@ def _generic_engine(a: Algebra, b: Algebra, budget: int) -> IsoResult:
         return IsoResult("exhausted",
                          reason="generic engine capped at dim 16 (dim %d)" % n,
                          engine="generic")
-    gens = find_generators(a, max_size=3)
+    gens = find_generators(a)
     if gens is None:
         gens = find_generators(a, [1 << i for i in range(n)] +
-                               [(1 << i) | (1 << j) for i in range(n) for j in range(i + 1, n)],
-                               max_size=3)
+                               [(1 << i) | (1 << j) for i in range(n) for j in range(i + 1, n)])
         if gens is None:
             return IsoResult("exhausted", reason="no small generating set", engine="generic")
     inv_gens = [_ad_invariant(a.ad_rows(v)) for v in gens]

@@ -465,6 +465,18 @@ class Algebra:
         return "<%s dim=%d over %r>" % (nm, self.dim, self.field)
 
 
+def brackets(g: Algebra, rows: Sequence[int], others: Optional[Sequence[int]] = None) -> Iterator[int]:
+    """[a, b] for each a in rows and each b in others, a-major; with others
+    None, [rows[i], rows[j]] for the pairs i < j, i-major.  Each a's
+    brackets are read off one g.ad_rows(a); GF(2) only."""
+    for i, a in enumerate(rows):
+        bs = rows[i + 1:] if others is None else others
+        if bs:
+            ad = g.ad_rows(a)
+            for b in bs:
+                yield gf2.apply_rows(ad, b)
+
+
 def _jacobiator(T: List[int], n: int, i: int, j: int, k: int) -> int:
     """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_i,e_k],e_j] from the pair table T."""
     i_n, j_n = i * n, j * n
@@ -561,13 +573,10 @@ class Subspace:
         return sorted(self.span.pivots)
 
     def is_subalgebra(self) -> bool:
-        rs = self.rows()
-        return all(self.ambient.bracket(a, b) in self.span for ai, a in enumerate(rs) for b in rs[ai:])
+        return all(w in self.span for w in brackets(self.ambient, self.rows()))
 
     def is_ideal(self) -> bool:
-        g = self.ambient
-        return all(g.bracket(r, 1 << j) in self.span
-                   for r in self.rows() for j in range(g.dim))
+        return all(w in self.span for r in self.rows() for w in self.ambient.ad_rows(r))
 
     def __eq__(self, other):
         return isinstance(other, Subspace) and self.ambient is other.ambient and self.span == other.span
@@ -590,11 +599,7 @@ def derived_series_dims(g: Algebra) -> List[int]:
     dims = [g.dim]
     cur = Subspace(g, [1 << i for i in range(g.dim)])
     while len(dims) < 7:
-        rows = cur.rows()
-        nxt = Subspace(g)
-        for ai, a in enumerate(rows):
-            for b in rows[ai + 1:]:
-                nxt.add(g.bracket(a, b))
+        nxt = Subspace(g, brackets(g, cur.rows()))
         dims.append(nxt.dim)
         if nxt.dim == cur.dim or nxt.dim == 0:
             break
@@ -607,10 +612,7 @@ def lower_central_dims(g: Algebra) -> List[int]:
     dims = [g.dim]
     cur = Subspace(g, [1 << i for i in range(g.dim)])
     for _ in range(4):
-        nxt = Subspace(g)
-        for a in cur.rows():
-            for j in range(g.dim):
-                nxt.add(g.bracket(a, 1 << j))
+        nxt = Subspace(g, (w for r in cur.rows() for w in g.ad_rows(r)))
         dims.append(nxt.dim)
         if nxt.dim in (cur.dim, 0):
             break
@@ -989,18 +991,14 @@ def direct_sum(a: Algebra, b: Algebra) -> Algebra:
 
 
 def subalgebra_generated(g: Algebra, vectors: Sequence[int]) -> Subspace:
-    """Closure of a set of vectors under the bracket (GF(2))."""
+    """Closure of a set of vectors under the bracket (GF(2)).  The bracket is
+    symmetric with [v, v] = 0, so closure vector i meets only the vectors
+    j < i; the walk stops once the span is g."""
     s = Subspace(g)
-    fresh = [v for v in vectors if s.add(v)]
-    while fresh and s.dim < g.dim:
-        newly = []
-        rows = s.rows()
-        for v in fresh:
-            for r in rows:
-                w = g.bracket(v, r)
-                if w and s.add(w):
-                    newly.append(w)
-                    if s.dim == g.dim:
-                        return s
-        fresh = newly
+    span = s.span
+    vecs = [v for v in vectors if span.add(v)]
+    for i, v in enumerate(vecs):  # vecs grows as it is walked
+        if span.dim == g.dim:
+            break
+        vecs.extend([w for w in brackets(g, [v], vecs[:i]) if w and span.add(w)])
     return s

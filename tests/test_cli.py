@@ -331,6 +331,22 @@ def test_malformed_experiment_file_is_a_usage_error(tmp_path, capsys, spec, why)
     assert capsys.readouterr().err.startswith("error: " + why)
 
 
+@pytest.mark.parametrize("later_steps, expectations, why", [
+    ([], [{"path": "0.dim"}], 'expectation 0 is not {"path"'),
+    ([{"cmd": "validate"}], [], 'step 1 is not {"cmd": [argument strings]}'),
+], ids=["a-malformed-expectation", "a-malformed-second-step"])
+def test_malformed_experiment_file_runs_no_step(tmp_path, capsys, later_steps, expectations, why):
+    out = tmp_path / "F.json"
+    first = {"cmd": ["build", "kap", "--family", "2", "--n", "2", "--out", str(out)]}
+    spec = {"steps": [first] + later_steps, "expectations": expectations}
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(spec))
+    code, doc = run_cli(["experiment", str(path)])
+    assert code == 1 and doc is None
+    assert capsys.readouterr().err.startswith("error: " + why)
+    assert not out.exists()
+
+
 def test_paper_suite_survives_a_crashed_criterion(monkeypatch, capsys):
     from gf2lie import experiments
 

@@ -1,8 +1,12 @@
 import pytest
+from test_liealg import _loop_subalgebra_generated
 
+from gf2lie import experiments, gf2
 from gf2lie.constructions import build_hamiltonian, build_jurman
-from gf2lie.grading import associated_graded, cochain_weight, weisfeiler_filtration
-from gf2lie.liealg import Algebra, AlgebraError, LinearMap, Subspace, verify_morphism
+from gf2lie.deform import bracket_map_cochain
+from gf2lie.grading import Filtration, associated_graded, cochain_weight, weisfeiler_filtration
+from gf2lie.isom import fingerprint
+from gf2lie.liealg import Algebra, AlgebraError, LinearMap, Subspace, subalgebra_generated, verify_morphism
 from gf2lie.fields import GF2
 
 
@@ -19,6 +23,61 @@ def test_weisfeiler_jurman_21():
     assert f.layer_dims() == [14, 12, 9, 5, 2]
     assert f.codims() == [2, 3, 4, 3, 2]
     assert f.check_compatible()
+
+
+@pytest.mark.parametrize("g,h", [(2, 1), (3, 1), (2, 2)])
+def test_subalgebra_generated_matches_the_round_based_closure_on_L0_plus_v(g, h):
+    # the maximality inputs of criterion 4: L0 and one complement vector
+    j = build_jurman(g, h)
+    L0 = jurman_L0(j)
+    comp = [i for i in range(j.dim) if not L0.span.mask >> i & 1]
+    for mask in range(1, 1 << len(comp)):
+        vs = L0.rows() + [gf2.from_bits(comp[t] for t in gf2.bits(mask))]
+        assert subalgebra_generated(j, vs) == _loop_subalgebra_generated(j, vs)
+
+
+def _loop_check_compatible(f):
+    """[L_i, L_j] ⊆ L_{i+j} over every ordered pair of layers and of rows,
+    one Algebra.bracket each: the oracle for Filtration.check_compatible."""
+    idx = f.indices()
+    return all(f.algebra.bracket(a, b) in f.layer(max(i + j, min(idx))).span
+               for i in idx for j in idx for a in f.layers[i].rows() for b in f.layers[j].rows())
+
+
+@pytest.mark.parametrize("g,h", [(2, 1), (3, 1)])
+def test_check_compatible_matches_the_bracket_loops(g, h):
+    j = build_jurman(g, h)
+    f = weisfeiler_filtration(j, jurman_L0(j))
+    L = f.layers
+    top = max(L)
+    not_closed = Subspace(j, [1 << j.labels.index(x) for x in ("Y-1(0)", "Y0(1)")])
+    cases = [f,
+             Filtration(j, {i + 1: s for i, s in L.items()}, f.depth - 1),  # indices shifted up
+             Filtration(j, {**L, top: L[top - 1]}, f.depth),  # the top layer one too large
+             Filtration(j, {**L, 1: Subspace(j, L[1].rows()[:-1] + L[0].rows()[-1:])}, f.depth),
+             # only [L_0, L_0] fails: L_0 is not a subalgebra
+             Filtration(j, {-1: L[-1], 0: not_closed}, 1)]
+    got = [c.check_compatible() for c in cases]
+    assert got == [_loop_check_compatible(c) for c in cases]
+    assert got[0] and not all(got)
+
+
+def test_subspace_brackets_do_not_call_algebra_bracket(monkeypatch):
+    j = build_jurman(2, 1)
+    D = [(0x2f3 * (i + 1)) % (1 << j.dim) for i in range(j.dim)]
+    loop = {(a, b): j.bracket(D[a], D[b]) for a in range(j.dim) for b in range(a + 1, j.dim)}
+
+    def refuse(*args):
+        raise AssertionError("Algebra.bracket called")
+
+    monkeypatch.setattr(Algebra, "bracket", refuse)
+    assert fingerprint(j)["dim"] == 14
+    assert subalgebra_generated(j, [1, 2]).dim >= 2
+    f = weisfeiler_filtration(j, jurman_L0(j))
+    assert f.check_compatible() and associated_graded(f).dim == 14
+    assert list(bracket_map_cochain(j, D).terms.items()) == [(p, w) for p, w in loop.items() if w]
+    experiments.QPO.cache_clear()
+    assert experiments.QPO().dim == 16
 
 
 def test_weisfeiler_rejects_non_subalgebra():

@@ -272,7 +272,7 @@ def _zgraded_loop(a, b, budget):
            sorted((d, len(ix)) for d, ix in blocks_b.items()):
             continue
         order = sorted(range(a.dim), key=lambda i: (len(blocks_a[da[i]]), da[i], i))
-        gens = isom.find_generators(a, [1 << i for i in order], max_size=3)
+        gens = isom.find_generators(a, [1 << i for i in order])
         if gens is None:
             continue
         gen_deg = []
@@ -306,11 +306,10 @@ def _generic_loop(a, b, budget):
     if n > 16:
         return isom.IsoResult("exhausted", reason="generic engine capped at dim 16 (dim %d)" % n,
                               engine="generic")
-    gens = isom.find_generators(a, max_size=3)
+    gens = isom.find_generators(a)
     if gens is None:
         gens = isom.find_generators(a, [1 << i for i in range(n)] +
-                                    [(1 << i) | (1 << j) for i in range(n) for j in range(i + 1, n)],
-                                    max_size=3)
+                                    [(1 << i) | (1 << j) for i in range(n) for j in range(i + 1, n)])
         if gens is None:
             return isom.IsoResult("exhausted", reason="no small generating set", engine="generic")
     by_inv = _ad_rows_classes(b)

@@ -513,6 +513,67 @@ def test_subalgebra_on_refuses_a_failing_bracket_with_the_coordinates_of_a_close
         subalgebra_on(po, sub)
 
 
+def test_brackets_match_the_bracket_double_loops():
+    rng = random.Random(25)
+    for g, sub, ideal in _subspace_corpus():
+        rows = (sub if sub is not None else ideal).rows()
+        others = [rng.getrandbits(g.dim) for _ in range(3)] + [0, 1 << rng.randrange(g.dim)]
+        assert list(liealg.brackets(g, rows)) == [g.bracket(a, b) for i, a in enumerate(rows)
+                                                  for b in rows[i + 1:]]
+        assert list(liealg.brackets(g, rows, others)) == [g.bracket(a, b) for a in rows for b in others]
+        assert list(liealg.brackets(g, others, rows)) == [g.bracket(a, b) for a in others for b in rows]
+        assert list(liealg.brackets(g, rows[:1])) == [] and list(liealg.brackets(g, [], others)) == []
+
+
+def _loop_subalgebra_generated(g, vectors):
+    """The round-based closure: each round brackets the vectors it found
+    with every row of the span so far.  The oracle for subalgebra_generated."""
+    s = Subspace(g)
+    fresh = [v for v in vectors if s.add(v)]
+    while fresh and s.dim < g.dim:
+        newly = []
+        rows = s.rows()
+        for v in fresh:
+            for r in rows:
+                w = g.bracket(v, r)
+                if w and s.add(w):
+                    newly.append(w)
+                    if s.dim == g.dim:
+                        return s
+        fresh = newly
+    return s
+
+
+def test_subalgebra_generated_matches_the_round_based_closure():
+    rng = random.Random(26)
+    proper = set()
+    for g in {id(g): g for g, _, _ in _subspace_corpus()}.values():
+        n = g.dim
+        for k in (1, 2, 3):
+            for _ in range(4):
+                vs = [rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n) for _ in range(k)]
+                vs += [0, vs[0]]  # a zero vector and a repeat add nothing
+                got = subalgebra_generated(g, vs)
+                assert got == _loop_subalgebra_generated(g, vs)
+                proper.add(got.dim < n)
+    assert proper == {True, False}
+
+
+def test_is_ideal_and_is_subalgebra_match_the_bracket_loops():
+    rng = random.Random(27)
+    cases = [(g, s) for g, sub, ideal in _subspace_corpus() for s in (sub, ideal) if s is not None]
+    cases += [(g, Subspace(g, [rng.getrandbits(g.dim) for _ in range(3)])) for g, _ in cases[::4]]
+    verdicts = set()
+    for g, s in cases:
+        rows = s.rows()
+        closed = all(g.bracket(a, b) in s for i, a in enumerate(rows) for b in rows[i:])
+        ideal = all(g.bracket(r, 1 << j) in s for r in rows for j in range(g.dim))
+        assert (s.is_subalgebra(), s.is_ideal()) == (closed, ideal)
+        verdicts.add((closed, ideal))
+    # ideals, subalgebras that are not ideals, and subspaces that are not closed
+    assert verdicts == {(True, True), (True, False), (False, False)}
+
+
 def _transpose_kernel_center(g):
     """The center as the kernel of the stacked ad(e_j), one transpose per j:
     the oracle for center()."""
