@@ -49,8 +49,11 @@ def _scalar(field: str, text: str) -> Scalar:
     return Scalar(fld, v)
 
 
-def _parse_N(text: str):
-    return tuple(int(x) for x in text.split(","))
+def _parse_N(text: str, flag: str = "--N"):
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError("%s takes comma-separated integers (e.g. 2,2), not %r" % (flag, text)) from None
 
 
 def _parse_pairs(text: str):
@@ -144,7 +147,7 @@ def cmd_h1(args) -> int:
 
 def cmd_h2(args) -> int:
     g = _load_algebra(args.algebra)
-    weight = _parse_N(args.weight) if args.weight else None
+    weight = _parse_N(args.weight, "--weight") if args.weight else None
     blk = compute_h2(g, weight_filter=weight, mode=args.mode)
     doc = {"name": g.name, "dim": g.dim, "Z2": blk.dims[0], "B2": blk.dims[1],
            "H2": blk.dims[2],

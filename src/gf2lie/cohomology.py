@@ -17,6 +17,7 @@ not dim^3.
 from __future__ import annotations
 
 import re
+import weakref
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import gf2
@@ -163,16 +164,24 @@ def d2(c: Cochain2) -> Dict[Triple, int]:
 
 Constraint = Tuple[str, Tuple[int, ...]]
 
+# algebra -> {mode: None when the mode grades it, else its least bad (i, j, k)}
+_GRADED: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
 def _check_graded(g: Algebra, constraints: Sequence[Constraint]) -> None:
     """Raise unless every bracket term has weight 0 in each constraint's
-    mode; only then do d1 and d2 map each weight block into itself."""
+    mode; only then do d1 and d2 map each weight block into itself.  Each
+    (algebra, mode) is decided once, in `_GRADED`."""
+    verdicts = _GRADED.setdefault(g, {})
     for mode in sorted({mode for mode, _ in constraints}):
-        keys = weight_keys(g, mode)
-        add, xor, wanted = _packed_keys(g, [(mode, (0,) * len(keys[0]) if keys else ())], offset=True)
-        bad = [(i, j, k) for (i, j), row in g.sc.items()
-               for k in row if k not in wanted.get(add[i] + add[j] + (xor[i] ^ xor[j]), ())]
-        if bad:
-            i, j, k = min(bad)
+        if mode not in verdicts:
+            keys = weight_keys(g, mode)
+            add, xor, wanted = _packed_keys(g, [(mode, (0,) * len(keys[0]) if keys else ())], offset=True)
+            bad = [(i, j, k) for (i, j), row in g.sc.items()
+                   for k in row if k not in wanted.get(add[i] + add[j] + (xor[i] ^ xor[j]), ())]
+            verdicts[mode] = min(bad) if bad else None
+        if verdicts[mode] is not None:
+            i, j, k = verdicts[mode]
             raise AlgebraError("weight mode %r does not grade %s: [%s, %s] has the term %s of weight %r"
                                % (mode, g.name or "the algebra", g.labels[i], g.labels[j], g.labels[k],
                                   cochain_term_weight(g, k, (i, j), mode)))

@@ -284,8 +284,7 @@ def build_hamiltonian(m_pairs: int, N: Sequence[int], variant: str = "full") -> 
     if variant == "full":
         return h
     if variant == "derived":
-        hp = subalgebra_on(h, derived_subalgebra(h), name="h'_Pi(%d;%s)" % (2 * m_pairs, list(N)))
-        return hp
+        return _derived(h, "h'_Pi(%d;%s)" % (2 * m_pairs, list(N)))
     raise AlgebraError("unknown variant %r" % variant)
 
 
@@ -306,7 +305,7 @@ def build_hI(nvars: int, N: Sequence[int], variant: str = "full") -> Algebra:
     if variant == "full":
         return g
     if variant == "derived":
-        return subalgebra_on(g, derived_subalgebra(g), name="h'_I(%d;%s)" % (nvars, list(N)))
+        return _derived(g, "h'_I(%d;%s)" % (nvars, list(N)))
     raise AlgebraError("unknown variant %r" % variant)
 
 
@@ -340,7 +339,7 @@ def build_div_free_hI(nvars: int, N: Sequence[int], variant: str = "full") -> Al
     if variant == "full":
         return lh
     if variant == "derived":
-        return subalgebra_on(lh, derived_subalgebra(lh), name="lh_I(%d;%s)'" % (nvars, list(N)))
+        return _derived(lh, "lh_I(%d;%s)'" % (nvars, list(N)))
     raise AlgebraError("unknown variant %r" % variant)
 
 
@@ -498,12 +497,24 @@ def _apply_variant(alg: Algebra, variant: str) -> Algebra:
     """'full', 'derived' (name + "'") or 'derived_mod_center' (name + "'/c")."""
     if variant == "full":
         return alg
-    if variant in ("derived", "derived_mod_center"):
-        der = subalgebra_on(alg, derived_subalgebra(alg), name=alg.name + "'")
-        if variant == "derived":
-            return der
-        return quotient(der, center(der), name=alg.name + "'/c")
+    if variant == "derived":
+        return _derived(alg, alg.name + "'")
+    if variant == "derived_mod_center":
+        return _derived(alg, alg.name + "'/c", mod_center=True)
     raise AlgebraError("unknown variant %r" % variant)
+
+
+def _derived(alg: Algebra, name: str, mod_center: bool = False) -> Algebra:
+    """The derived algebra D of alg, or D modulo its center.  When D is
+    spanned by basis vectors, this is one `quotient` of alg within D's
+    pivots, read off alg's pair table; otherwise (gl(n)) the algebra on D's
+    RREF basis is built first."""
+    D = derived_subalgebra(alg)
+    keep = D.pivots()
+    if all(r & (r - 1) == 0 for r in D.rows()):
+        return quotient(alg, center(alg, keep) if mod_center else Subspace(alg), name, within=keep)
+    der = subalgebra_on(alg, D, name=name)
+    return quotient(der, center(der), name=name) if mod_center else der
 
 
 # ---------------------------------------------------------------------------

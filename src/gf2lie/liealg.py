@@ -575,8 +575,11 @@ class Subspace:
     def is_subalgebra(self) -> bool:
         return all(w in self.span for w in brackets(self.ambient, self.rows()))
 
-    def is_ideal(self) -> bool:
-        return all(w in self.span for r in self.rows() for w in self.ambient.ad_rows(r))
+    def is_ideal(self, within: Optional[Sequence[int]] = None) -> bool:
+        """[s, e_j] lies in self for each s in self and each basis index j,
+        or each j in `within`."""
+        js = range(self.ambient.dim) if within is None else within
+        return all(ad[j] in self.span for ad in map(self.ambient.ad_rows, self.rows()) for j in js)
 
     def __eq__(self, other):
         return isinstance(other, Subspace) and self.ambient is other.ambient and self.span == other.span
@@ -620,13 +623,16 @@ def lower_central_dims(g: Algebra) -> List[int]:
     return dims
 
 
-def center(g: Algebra) -> Subspace:
+def center(g: Algebra, within: Optional[Sequence[int]] = None) -> Subspace:
     """{x : [x, e_j] = 0 for every j}: a basis of candidates, starting from
-    all of g, cut down by the kernel of one ad(e_j) at a time."""
+    all of g, cut down by the kernel of one ad(e_j) at a time.  With
+    `within`, basis indices whose span S is a subalgebra, x and j range
+    over S: the center of S, in g's coordinates."""
     n = g.dim
     T = g.pair_table()
-    cand = [1 << i for i in range(n)]
-    for j in range(n):
+    inside = range(n) if within is None else within
+    cand = [1 << i for i in inside]
+    for j in inside:
         col = T[j * n:(j + 1) * n]  # col[i] = [e_i, e_j]
         images = [gf2.apply_rows(col, x) for x in cand]
         if any(images):
@@ -634,19 +640,24 @@ def center(g: Algebra) -> Subspace:
     return Subspace(g, cand)
 
 
-def quotient(g: Algebra, ideal: Subspace, name: str = "") -> Algebra:
-    """Quotient by a verified ideal, on the complement of its pivots.  The
-    grading descends when every reduced bracket respects it; otherwise the
-    quotient carries none."""
+def quotient(g: Algebra, ideal: Subspace, name: str = "",
+             within: Optional[Sequence[int]] = None) -> Algebra:
+    """Quotient by a verified ideal, on the complement of its pivots.  With
+    `within`, ascending basis indices whose span S holds the ideal, it is
+    S / ideal: S must be bracket-closed and the ideal an ideal of S, and
+    meta carries over as in `subalgebra_on`.  The grading descends when
+    every reduced bracket respects it; otherwise the quotient carries none."""
     if ideal.ambient is not g:
         raise AlgebraError("ideal lives in a different algebra")
-    if not ideal.is_ideal():
+    n = g.dim
+    inside = range(n) if within is None else within
+    off = ~gf2.from_bits(inside)  # the bits outside S
+    if any(r & off for r in ideal.rows()) or not ideal.is_ideal(within):
         raise AlgebraError("subspace is not an ideal")
     span = ideal.span
-    n = g.dim
-    keep = [i for i in range(n) if not (span.mask >> i) & 1]
+    keep = [i for i in inside if not (span.mask >> i) & 1]
     coords = gf2.compressor(keep)
-    pos = [coords(1 << i).bit_length() - 1 for i in range(n)]  # -1 on the ideal's pivots
+    pos = [coords(1 << i).bit_length() - 1 for i in range(n)]  # -1 off S and on the ideal's pivots
     T = g.pair_table()
     new: Dict[int, List[int]] = {}  # bracket mask -> its coordinates, each mask reduced once
     sc: Dict[Tuple[int, int], Dict[int, int]] = {}
@@ -655,11 +666,14 @@ def quotient(g: Algebra, ideal: Subspace, name: str = "") -> Algebra:
             w = T[a * n + b]
             ks = new.get(w)
             if ks is None:
+                if w & off:
+                    raise AlgebraError("subspace is not bracket-closed")
                 ks = new[w] = list(gf2.bits(coords(span.reduce(w))))
             if ks:
                 sc[(pos[a], pos[b])] = dict.fromkeys(ks, 1)
+    meta = _restrict_meta(g, keep) if within is None or "mono_degrees" in g.meta else {}
     q = Algebra.from_gf2_rows([g.labels[i] for i in keep], sc, name=name or (g.name + "/ideal"),
-                              meta=_restrict_meta(g, keep))
+                              meta=meta)
     if g.grading is not None:
         q.grading, q.grading_mod = [g.grading[i] for i in keep], g.grading_mod
         if q._grading_failures(1):

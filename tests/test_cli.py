@@ -56,6 +56,21 @@ def test_malformed_pairs_is_a_usage_error(pairs, capsys):
     assert "--pairs takes g,h;g,h;..." in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("N", ["", "2,x"])
+def test_malformed_N_is_a_usage_error(N, capsys):
+    code, doc = run_cli(["build", "h", "--N", N])
+    assert code == 1 and doc is None
+    assert "--N takes comma-separated integers (e.g. 2,2), not %r" % N in capsys.readouterr().err
+
+
+def test_malformed_weight_is_a_usage_error(tmp_path, capsys):
+    out = str(tmp_path / "hp.json")
+    run_cli(["build", "h", "--N", "2,2", "--variant", "derived", "--out", out])
+    code, doc = run_cli(["h2", "--algebra", out, "--mode", "z", "--weight", "1,x"])
+    assert code == 1 and doc is None
+    assert "--weight takes comma-separated integers (e.g. 2,2), not '1,x'" in capsys.readouterr().err
+
+
 def test_pipeline_h2(tmp_path):
     out = str(tmp_path / "hp.json")
     code, _ = run_cli(["build", "h", "--N", "2,2", "--variant", "derived", "--out", out])

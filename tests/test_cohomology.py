@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gf2lie import gf2
+from gf2lie import cohomology, gf2
 from gf2lie.cohomology import (Cochain2, CochainError, c1_block_coords, c2_block_coords, c2_weights,
                                coboundary_of, compute_h2, d1, d2, h2_weight_table, is_coboundary,
                                parse_cocycle)
@@ -123,6 +123,18 @@ def test_coboundary_of_roundtrip():
     sol = coboundary_of(cb)
     assert sol is not None
     assert d1(HP, sol).terms == cb.terms
+
+
+def test_a_second_coboundary_of_rechecks_no_grading(monkeypatch):
+    rng = random.Random(3)
+    c = d1(HP, [rng.getrandbits(HP.dim) for _ in range(HP.dim)])
+    assert coboundary_of(c) is not None
+    parts = cohomology._weight_parts(c)
+    calls, packed_keys = [], cohomology._packed_keys
+    monkeypatch.setattr(cohomology, "_packed_keys", lambda *a, **k: calls.append(a) or packed_keys(*a, **k))
+    assert coboundary_of(c) is not None
+    # only the C^2 and C^1 coordinates of each part's block remain
+    assert len(calls) == 2 * len(parts)
 
 
 def test_parser_roundtrip_and_errors():

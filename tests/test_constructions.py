@@ -12,8 +12,8 @@ from gf2lie.constructions import (BilinearFormSpec, JSystemSpec, QuadraticFormSp
                                   build_multipair, build_po_tensor_O, build_poisson,
                                   dim_kap4A, pq_names)
 from gf2lie.divpow import check_shearing, mono_mul, mono_pack, mono_text, mono_unpack, monomials
-from gf2lie.liealg import (Algebra, AlgebraError, Subspace, center, quotient, simplicity_check,
-                           subalgebra_on)
+from gf2lie.liealg import (Algebra, AlgebraError, Subspace, center, derived_subalgebra, quotient,
+                           simplicity_check, subalgebra_on)
 
 
 def test_poisson_smallest():
@@ -498,3 +498,67 @@ def test_builders_validate():
     for g in [build_kap1(5), build_kap2(6), build_kap3(5), build_kap4A(6, 1),
               build_kap4B(6), build_classical("oI", 4), build_classical("oPi", 4)]:
         assert g.validate().ok, g.name
+
+
+def _two_step_variant(alg, variant):
+    """A variant through the algebra on the derived subalgebra's RREF basis,
+    then its center and the quotient: the oracle for the one-step path."""
+    der = subalgebra_on(alg, derived_subalgebra(alg), name=alg.name + "'")
+    if variant == "derived":
+        return der
+    return quotient(der, center(der), name=alg.name + "'/c")
+
+
+VARIANT_PARENTS = (
+    [("multipair %s %r" % (kind, pairs), lambda kind=kind, pairs=pairs: build_multipair(kind, pairs))
+     for kind in ("Pi", "I") for pairs in ([(2, 1)], [(3, 1)], [(2, 2)], [(2, 1), (2, 1)])]
+    + [("a(2;%d,%d)" % gh, lambda gh=gh: build_a2gh(*gh)) for gh in ((2, 1), (3, 1))]
+    + [("%s(%d)" % (kind, n), lambda kind=kind, n=n: build_classical(kind, n))
+       for kind in ("gl", "sl", "oI", "oPi") for n in (2, 3, 4, 5)])
+
+
+@pytest.mark.parametrize("variant", ["derived", "derived_mod_center"])
+@pytest.mark.parametrize("build", [b for _, b in VARIANT_PARENTS], ids=[i for i, _ in VARIANT_PARENTS])
+def test_one_step_variant_matches_the_two_step_oracle(build, variant):
+    alg = build()
+    new, old = constructions._apply_variant(alg, variant), _two_step_variant(alg, variant)
+    assert (new.dumps(),) + _output(new) == (old.dumps(),) + _output(old)
+
+
+@pytest.mark.parametrize("build, args, name", [
+    (build_hamiltonian, (1, (2, 2)), "h'_Pi(2;[2, 2])"), (build_hamiltonian, (1, (2, 3)), "h'_Pi(2;[2, 3])"),
+    (build_hamiltonian, (2, (1, 1, 1, 1)), "h'_Pi(4;[1, 1, 1, 1])"),
+    (build_hI, (2, (2, 2)), "h'_I(2;[2, 2])"), (build_hI, (3, (1, 1, 1)), "h'_I(3;[1, 1, 1])"),
+    (build_div_free_hI, (4, (1, 1, 1, 1)), "lh_I(4;[1, 1, 1, 1])'"),
+    (build_div_free_hI, (3, (2, 1, 1)), "lh_I(3;[2, 1, 1])'")])
+def test_function_algebra_derived_matches_the_two_step_oracle(build, args, name):
+    full = build(*args)
+    new = build(*args, "derived")
+    old = subalgebra_on(full, derived_subalgebra(full), name=name)
+    assert (new.dumps(),) + _output(new) == (old.dumps(),) + _output(old)
+
+
+def test_the_variant_corpus_reaches_the_fallback():
+    # gl(n)'s derived algebra is not spanned by basis vectors
+    for n in (2, 3, 4, 5):
+        assert any(r & (r - 1) for r in derived_subalgebra(build_classical("gl", n)).rows())
+
+
+@pytest.mark.parametrize("kind", ["Pi", "I"])
+def test_a_multipair_variant_is_one_checked_intake(kind, monkeypatch):
+    calls, intake = [], Algebra.from_gf2_rows
+    monkeypatch.setattr(Algebra, "from_gf2_rows",
+                        classmethod(lambda cls, *a, **k: calls.append(a) or intake(*a, **k)))
+    build_multipair(kind, [(2, 1), (2, 1)], "derived_mod_center")
+    assert len(calls) == 2  # the full algebra and the variant
+
+
+@pytest.mark.parametrize("build", [b for i, b in VARIANT_PARENTS if not i.startswith("gl")],
+                         ids=[i for i, _ in VARIANT_PARENTS if not i.startswith("gl")])
+def test_center_within_basis_indices_is_the_center_of_their_subalgebra(build):
+    g = build()
+    D = derived_subalgebra(g)
+    keep = D.pivots()
+    assert [1 << i for i in keep] == D.rows()
+    compress = gf2.compressor(keep)
+    assert [compress(r) for r in center(g, keep).rows()] == center(subalgebra_on(g, D)).rows()
