@@ -18,7 +18,7 @@ from . import gf2
 from .divpow import check_shearing, mono_offsets, mono_pack, mono_text, monomials
 from .fields import GF2, Scalar
 from .liealg import (Algebra, AlgebraError, LinearMap, Subspace, center,
-                     derived_subalgebra, quotient, subalgebra_on)
+                     derived_subalgebra, quotient)
 
 Mono = Tuple[int, ...]
 # (left, right) operator images of a monomial, packed; see function_algebra
@@ -49,10 +49,10 @@ class BilinearFormSpec:
                 rows[m + i] = 1 << i
         elif kind == "I":
             rows = [1 << i for i in range(n)]
-        elif kind == "explicit":
-            assert rows is not None and len(rows) == n
-        else:
+        elif kind != "explicit":
             raise AlgebraError("unknown form kind %r" % kind)
+        elif rows is None or len(rows) != n or any(not 0 <= r < 1 << n for r in rows):
+            raise AlgebraError("an explicit form needs %d rows in [0, 2^%d)" % (n, n))
         self.rows = rows
         for i in range(n):
             for j in range(n):
@@ -332,10 +332,7 @@ def divergence_operator_kernel(h: Algebra) -> Subspace:
 def build_div_free_hI(nvars: int, N: Sequence[int], variant: str = "full") -> Algebra:
     """lh_I(n;N): divergence-free part of h_I(n;N); variant 'derived' available."""
     h = build_hI(nvars, N, "full")
-    ker = divergence_operator_kernel(h)
-    if not ker.is_subalgebra():
-        raise AlgebraError("divergence kernel is not bracket-closed for N=%s" % (list(N),))
-    lh = subalgebra_on(h, ker, name="lh_I(%d;%s)" % (nvars, list(N)))
+    lh = quotient(h, Subspace(h), "lh_I(%d;%s)" % (nvars, list(N)), within=divergence_operator_kernel(h))
     if variant == "full":
         return lh
     if variant == "derived":
@@ -505,16 +502,9 @@ def _apply_variant(alg: Algebra, variant: str) -> Algebra:
 
 
 def _derived(alg: Algebra, name: str, mod_center: bool = False) -> Algebra:
-    """The derived algebra D of alg, or D modulo its center.  When D is
-    spanned by basis vectors, this is one `quotient` of alg within D's
-    pivots, read off alg's pair table; otherwise (gl(n)) the algebra on D's
-    RREF basis is built first."""
+    """The derived algebra D of alg, or D modulo its center: one `quotient` within D."""
     D = derived_subalgebra(alg)
-    keep = D.pivots()
-    if all(r & (r - 1) == 0 for r in D.rows()):
-        return quotient(alg, center(alg, keep) if mod_center else Subspace(alg), name, within=keep)
-    der = subalgebra_on(alg, D, name=name)
-    return quotient(der, center(der), name=name) if mod_center else der
+    return quotient(alg, center(alg, D) if mod_center else Subspace(alg), name, within=D)
 
 
 # ---------------------------------------------------------------------------
@@ -735,13 +725,11 @@ def build_classical(kind: str, n: int, variant: str = "full") -> Algebra:
     if kind == "gl":
         g = gl
     elif kind in ("sl", "psl"):
-        # the diagonal mask is both the trace row and the identity matrix
+        # the diagonal mask is the trace row and the identity, a scalar of sl for even n
         diag = gf2.from_bits([i * n + i for i in range(n)])
         sl = Subspace(gl, gf2.kernel([diag], n * n))
-        g = subalgebra_on(gl, sl, name="sl(%d)" % n)
-        if kind == "psl" and n % 2 == 0:
-            # scalars lie in sl; quotient them out, in sl's RREF coordinates
-            g = quotient(g, Subspace(g, [gf2.compressor(sl.pivots())(diag)]), name="psl(%d)" % n)
+        psl = kind == "psl" and n % 2 == 0
+        g = quotient(gl, Subspace(gl, [diag] if psl else []), ("psl(%d)" if psl else "sl(%d)") % n, within=sl)
     elif kind == "oI":
         rows = []
         for i in range(n):
@@ -749,7 +737,7 @@ def build_classical(kind: str, n: int, variant: str = "full") -> Algebra:
         for i in range(n):
             for j in range(i + 1, n):
                 rows.append((1 << (i * n + j)) | (1 << (j * n + i)))
-        g = subalgebra_on(gl, Subspace(gl, rows), name="o_I(%d)" % n)
+        g = quotient(gl, Subspace(gl), "o_I(%d)" % n, within=Subspace(gl, rows))
     elif kind == "oPi":
         P = _pi_matrix(n)
         # condition X^T Pi + Pi X = 0, entrywise linear equations over X
@@ -764,7 +752,7 @@ def build_classical(kind: str, n: int, variant: str = "full") -> Algebra:
                         row ^= 1 << (k * n + c)
                 if row:
                     eqs.append(row)
-        g = subalgebra_on(gl, Subspace(gl, gf2.kernel(eqs, n * n)), name="o_Pi(%d)" % n)
+        g = quotient(gl, Subspace(gl), "o_Pi(%d)" % n, within=Subspace(gl, gf2.kernel(eqs, n * n)))
     else:
         raise AlgebraError("unknown classical kind %r" % kind)
     return _apply_variant(g, variant)

@@ -650,14 +650,9 @@ def kap4b_quotient_map(m: int) -> LinearMap:
     """e_u <-> f_u = prod (1+p_i)^{u_i} (1+q_i)^{u_{m+i}} from Kap_2(2m) to
     Kap_{4,B}(2m)/constants."""
     k4b = build_kap4B(2 * m)
-    const = Subspace(k4b, [1])
-    quo = quotient(k4b, const, name="Kap4B(%d)/c" % (2 * m))
+    quo = quotient(k4b, Subspace(k4b, [1]), name="Kap4B(%d)/c" % (2 * m))
     kap2 = build_kap2(2 * m)
-    basis = k4b.meta["mono_degrees"]
-    index = {mm: t for t, mm in enumerate(basis)}
-    # quotient dropped coordinate 0 (the constant); complement order preserved
-    keep = [i for i in range(k4b.dim) if i != index[tuple(0 for _ in range(2 * m))]]
-    pos = {old: new for new, old in enumerate(keep)}
+    index = {mm: t for t, mm in enumerate(quo.meta["mono_degrees"])}  # all but the constant
     gamma = kap2.meta["jsystem_gamma"]
     images = []
     for u in gamma:
@@ -668,9 +663,9 @@ def kap4b_quotient_map(m: int) -> LinearMap:
             mono = [0] * (2 * m)
             for b in gf2.bits(mask):
                 mono[sup[b]] = 1
-            t = index[tuple(mono)]
-            if t in pos:
-                img ^= 1 << pos[t]
+            t = index.get(tuple(mono))
+            if t is not None:
+                img ^= 1 << t
         images.append(img)
     return LinearMap(kap2, quo, images)
 

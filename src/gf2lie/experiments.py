@@ -31,7 +31,7 @@ from .fields import GF2, GF2k
 from .grading import associated_graded, weisfeiler_filtration
 from .isom import fingerprint, search_isomorphism
 from .liealg import (Algebra, LinearMap, Subspace, brackets, derivation_dim, derived_subalgebra,
-                     direct_sum, quotient, simplicity_check, subalgebra_on, verify_morphism)
+                     direct_sum, quotient, simplicity_check, verify_morphism)
 from .superize import (equivalence_of_superizations, nonlinear_reduction_check,
                        parity_nonlinearity_witness, restricted_closure, seven_families,
                        superize_linear)
@@ -471,7 +471,7 @@ def quantization_realizes_psl() -> dict:
     weight components (0,0), (-1,-1), (-2,-2) only."""
     Q = QPO()
     Qh = quotient(Q, Subspace(Q, [1]))
-    Qd = subalgebra_on(Qh, derived_subalgebra(Qh), name="quantized h'")
+    Qd = quotient(Qh, Subspace(Qh), "quantized h'", within=derived_subalgebra(Qh))
     hp = HP(2, 2)
     from .grading import cochain_term_weight
     weights = set()
@@ -620,7 +620,7 @@ def harmonic_subalgebra_h2_report() -> dict:
         rows.append(img)
     eqs = [e for e in gf2.transpose(rows, po.dim) if e]
     sub = Subspace(po, gf2.kernel(eqs, po.dim))
-    S = subalgebra_on(po, sub, name="harmonic subalgebra m=2")
+    S = quotient(po, Subspace(po), "harmonic subalgebra m=2", within=sub)
     blk = compute_h2(S, budget=40_000_000)
     return {"criterion": "note: harmonic subalgebra H2", "pass": blk.dims[2] == 34,
             "dims": blk.dims, "subalgebra_dim": S.dim}

@@ -575,11 +575,11 @@ class Subspace:
     def is_subalgebra(self) -> bool:
         return all(w in self.span for w in brackets(self.ambient, self.rows()))
 
-    def is_ideal(self, within: Optional[Sequence[int]] = None) -> bool:
-        """[s, e_j] lies in self for each s in self and each basis index j,
-        or each j in `within`."""
-        js = range(self.ambient.dim) if within is None else within
-        return all(ad[j] in self.span for ad in map(self.ambient.ad_rows, self.rows()) for j in js)
+    def is_ideal(self, within: Optional[Subspace] = None) -> bool:
+        """[s, t] lies in self for each s in self and each row t of `within`,
+        a subspace of the same algebra (default: each basis vector)."""
+        ts = _rows_within(self.ambient, within)
+        return all(w in self.span for w in brackets(self.ambient, self.rows(), ts))
 
     def __eq__(self, other):
         return isinstance(other, Subspace) and self.ambient is other.ambient and self.span == other.span
@@ -623,109 +623,89 @@ def lower_central_dims(g: Algebra) -> List[int]:
     return dims
 
 
-def center(g: Algebra, within: Optional[Sequence[int]] = None) -> Subspace:
-    """{x : [x, e_j] = 0 for every j}: a basis of candidates, starting from
-    all of g, cut down by the kernel of one ad(e_j) at a time.  With
-    `within`, basis indices whose span S is a subalgebra, x and j range
-    over S: the center of S, in g's coordinates."""
-    n = g.dim
-    T = g.pair_table()
-    inside = range(n) if within is None else within
-    cand = [1 << i for i in inside]
-    for j in inside:
-        col = T[j * n:(j + 1) * n]  # col[i] = [e_i, e_j]
-        images = [gf2.apply_rows(col, x) for x in cand]
+def _rows_within(g: Algebra, within: Optional[Subspace]) -> List[int]:
+    """The RREF rows of `within`, a subspace of g, or g's basis vectors."""
+    if within is None:
+        return [1 << i for i in range(g.dim)]
+    if within.ambient is not g:
+        raise AlgebraError("subspace lives in a different algebra")
+    return within.rows()
+
+
+def center(g: Algebra, within: Optional[Subspace] = None) -> Subspace:
+    """{x : [x, t] = 0 for every t}: a basis of candidates, starting from
+    all of g, cut down by the kernel of one ad(t) at a time.  With
+    `within`, a subalgebra S of g, x and t range over S: the center of S,
+    in g's coordinates."""
+    cand = ts = _rows_within(g, within)
+    for t in ts:
+        ad = g.ad_rows(t)  # ad[i] = [e_i, t]
+        images = [gf2.apply_rows(ad, x) for x in cand]
         if any(images):
-            cand = [gf2.apply_rows(cand, c) for c in gf2.combination_kernel(images, n)]
+            cand = [gf2.apply_rows(cand, c) for c in gf2.combination_kernel(images, g.dim)]
     return Subspace(g, cand)
 
 
-def quotient(g: Algebra, ideal: Subspace, name: str = "",
-             within: Optional[Sequence[int]] = None) -> Algebra:
-    """Quotient by a verified ideal, on the complement of its pivots.  With
-    `within`, ascending basis indices whose span S holds the ideal, it is
-    S / ideal: S must be bracket-closed and the ideal an ideal of S, and
-    meta carries over as in `subalgebra_on`.  The grading descends when
-    every reduced bracket respects it; otherwise the quotient carries none."""
+def quotient(g: Algebra, ideal: Subspace, name: str = "", within: Optional[Subspace] = None) -> Algebra:
+    """S / ideal, for S a bracket-closed subspace of g (`within`, default all
+    of g) and an ideal of S, on the RREF rows of S whose pivots are not the
+    ideal's pivots.  A basis-vector row keeps g's label, any other row reads
+    "(a+b+...)".  The grading descends when every row of S is homogeneous and
+    the reduced brackets respect it.  Meta carries over when every row of S
+    is a basis vector and either S is all of g or g has mono_degrees."""
+    srows = _rows_within(g, within)
+    S = gf2.Span(srows) if within is None else within.span
     if ideal.ambient is not g:
         raise AlgebraError("ideal lives in a different algebra")
-    n = g.dim
-    inside = range(n) if within is None else within
-    off = ~gf2.from_bits(inside)  # the bits outside S
-    if any(r & off for r in ideal.rows()) or not ideal.is_ideal(within):
+    if any(r not in S for r in ideal.rows()) or not ideal.is_ideal(within):
         raise AlgebraError("subspace is not an ideal")
-    span = ideal.span
-    keep = [i for i in inside if not (span.mask >> i) & 1]
+    n, span = g.dim, ideal.span
+    rows = [r for r in srows if not span.mask >> (r.bit_length() - 1) & 1]
+    keep = [r.bit_length() - 1 for r in rows]  # their pivots, ascending
     coords = gf2.compressor(keep)
-    pos = [coords(1 << i).bit_length() - 1 for i in range(n)]  # -1 off S and on the ideal's pivots
-    T = g.pair_table()
+    row_bits = [list(gf2.bits(r)) for r in rows]
+    units = all(r & (r - 1) == 0 for r in srows)
     new: Dict[int, List[int]] = {}  # bracket mask -> its coordinates, each mask reduced once
     sc: Dict[Tuple[int, int], Dict[int, int]] = {}
-    for a, b in sorted(g.sc):
-        if pos[a] >= 0 and pos[b] >= 0:
-            w = T[a * n + b]
-            ks = new.get(w)
-            if ks is None:
-                if w & off:
-                    raise AlgebraError("subspace is not bracket-closed")
-                ks = new[w] = list(gf2.bits(coords(span.reduce(w))))
-            if ks:
-                sc[(pos[a], pos[b])] = dict.fromkeys(ks, 1)
-    meta = _restrict_meta(g, keep) if within is None or "mono_degrees" in g.meta else {}
-    q = Algebra.from_gf2_rows([g.labels[i] for i in keep], sc, name=name or (g.name + "/ideal"),
-                              meta=meta)
-    if g.grading is not None:
-        q.grading, q.grading_mod = [g.grading[i] for i in keep], g.grading_mod
+    if units:  # walk g's own pairs
+        T, off = g.pair_table(), ~S.mask  # the bits outside S
+        pos = [coords(1 << i).bit_length() - 1 for i in range(n)]  # -1 off the kept pivots
+        for a, b in sorted(g.sc):
+            if pos[a] >= 0 and pos[b] >= 0:
+                w = T[a * n + b]
+                ks = new.get(w)
+                if ks is None:
+                    if w & off:
+                        raise AlgebraError("subspace is not bracket-closed")
+                    ks = new[w] = list(gf2.bits(coords(span.reduce(w))))
+                if ks:
+                    sc[(pos[a], pos[b])] = dict.fromkeys(ks, 1)
+    else:
+        for a in range(len(rows)):
+            A = g.ad_rows(rows[a])  # A[j] = [row a, e_j]
+            for b in range(a + 1, len(rows)):
+                w = 0
+                for j in row_bits[b]:
+                    w ^= A[j]
+                ks = new.get(w)
+                if ks is None:
+                    if w not in S:
+                        raise AlgebraError("subspace is not bracket-closed")
+                    ks = new[w] = list(gf2.bits(coords(span.reduce(w))))
+                if ks:
+                    sc[(a, b)] = dict.fromkeys(ks, 1)
+    labels = [g.labels[bs[0]] if len(bs) == 1 else "(" + "+".join(g.labels[b] for b in bs) + ")"
+              for bs in row_bits]
+    meta, md = {}, g.meta.get("mono_degrees")
+    if units and (within is None or md is not None):
+        meta = {} if md is None else {"mono_degrees": [md[i] for i in keep]}
+        meta.update((key, g.meta[key]) for key in ("vars", "N") if key in g.meta)
+    q = Algebra.from_gf2_rows(labels, sc, name=name or (g.name + "/ideal"), meta=meta)
+    if g.grading is not None and all(len({g.grading[b] for b in gf2.bits(r)}) == 1 for r in srows):
+        q.grading, q.grading_mod = [g.grading[bs[0]] for bs in row_bits], g.grading_mod
         if q._grading_failures(1):
             q.grading = q.grading_mod = None
     return q
-
-
-def _restrict_meta(g: Algebra, keep: List[int]) -> dict:
-    meta = {}
-    md = g.meta.get("mono_degrees")
-    if md is not None:
-        meta["mono_degrees"] = [md[i] for i in keep]
-    for key in ("vars", "N"):
-        if key in g.meta:
-            meta[key] = g.meta[key]
-    return meta
-
-
-def subalgebra_on(g: Algebra, sub: Subspace, name: str = "") -> Algebra:
-    """The algebra induced on a bracket-closed subspace (its RREF basis)."""
-    rows = sub.rows()
-    span = sub.span
-    m = len(rows)
-    # an RREF combination takes row idx exactly when w has its pivot bit
-    coords = gf2.compressor(sub.pivots())
-    row_bits = [list(gf2.bits(r)) for r in rows]
-    new: Dict[int, List[int]] = {}  # bracket mask -> its coordinates, each mask reduced once
-    sc: Dict[Tuple[int, int], Dict[int, int]] = {}
-    for a in range(m):
-        A = g.ad_rows(rows[a])  # A[j] = [row a, e_j]
-        for b in range(a + 1, m):
-            w = 0
-            for j in row_bits[b]:
-                w ^= A[j]
-            if w:
-                ks = new.get(w)
-                if ks is None:
-                    if span.reduce(w):
-                        raise AlgebraError("subspace is not bracket-closed")
-                    ks = new[w] = list(gf2.bits(coords(w)))
-                sc[(a, b)] = dict.fromkeys(ks, 1)
-    labels = [g.labels[bs[0]] if len(bs) == 1 else "(" + "+".join(g.labels[b] for b in bs) + ")"
-              for bs in row_bits]
-    grading = mod = None
-    if g.grading is not None:
-        ws = [{g.grading[b] for b in bs} for bs in row_bits]
-        if all(len(w) == 1 for w in ws):
-            grading, mod = [w.pop() for w in ws], g.grading_mod
-    units = all(len(bs) == 1 for bs in row_bits)
-    meta = _restrict_meta(g, [bs[0] for bs in row_bits]) if units and "mono_degrees" in g.meta else {}
-    return Algebra.from_gf2_rows(labels, sc, grading=grading, grading_mod=mod,
-                                 name=name or (g.name + "|sub"), meta=meta)
 
 
 def ad_walk(g: Algebra) -> Iterator[Tuple[int, int]]:

@@ -12,8 +12,8 @@ from gf2lie.constructions import (BilinearFormSpec, JSystemSpec, QuadraticFormSp
                                   build_multipair, build_po_tensor_O, build_poisson,
                                   dim_kap4A, pq_names)
 from gf2lie.divpow import check_shearing, mono_mul, mono_pack, mono_text, mono_unpack, monomials
-from gf2lie.liealg import (Algebra, AlgebraError, Subspace, center, derived_subalgebra, quotient,
-                           simplicity_check, subalgebra_on)
+from gf2lie.liealg import Algebra, AlgebraError, Subspace, center, derived_subalgebra, simplicity_check
+from test_liealg import _loop_quotient, _loop_subalgebra_on
 
 
 def test_poisson_smallest():
@@ -382,6 +382,13 @@ def test_jsystem_closure_checked():
         JSystemSpec(B, [0b01, 0b10])  # B(e1,e2)=1 but e1+e2 missing
 
 
+@pytest.mark.parametrize("rows", [None, [0b01], [0b10, 0b01, 0b00], [0b110, 0b01], [-1, 0b01]])
+def test_an_explicit_form_refuses_missing_or_out_of_range_rows(rows):
+    with pytest.raises(AlgebraError, match="an explicit form needs 2 rows in"):
+        BilinearFormSpec("explicit", 2, rows)
+    assert BilinearFormSpec("explicit", 2, [0b10, 0b01]).is_nondegenerate()
+
+
 def test_kap4_subalgebra_conditions():
     # m=1, A=0: kernel is spanned by x1 y1 alone
     amb, sub = build_kap4_subalgebra(1, 0)
@@ -403,7 +410,7 @@ def test_kap4_subalgebra_matches_gamma_build():
     # the kernel monomials are exactly the f_u with Q_A(u) = 1
     from gf2lie.isom import search_isomorphism
     amb, sub = build_kap4_subalgebra(2, 1)
-    inner = subalgebra_on(amb, sub)
+    inner = _loop_subalgebra_on(amb, sub)
     r = search_isomorphism(inner, build_kap4A(4, 1))
     assert r.kind == "iso"
 
@@ -454,8 +461,9 @@ def test_classical_dims():
 
 
 def _vector_in_subalgebra(amb, sub, v):
-    """Coordinates of an ambient vector in a subalgebra_on() basis, rebuilt
-    from its labels: a unit row keeps the ambient label, a sum reads "(a+b+...)"."""
+    """Coordinates of an ambient vector in the basis of an algebra on a
+    subspace, rebuilt from its labels: a unit row keeps the ambient label, a
+    sum reads "(a+b+...)"."""
     rows = []
     for lbl in sub.labels:
         parts = lbl[1:-1].split("+") if lbl.startswith("(") and lbl.endswith(")") else [lbl]
@@ -471,9 +479,9 @@ def test_classical_sl_psl_match_the_label_parsing_route(kind, n):
     # off the RREF pivots, and must build the same algebra byte for byte
     gl = constructions.build_gl(n)
     diag = gf2.from_bits(i * n + i for i in range(n))
-    g = subalgebra_on(gl, Subspace(gl, gf2.kernel([diag], n * n)), name="sl(%d)" % n)
+    g = _loop_subalgebra_on(gl, Subspace(gl, gf2.kernel([diag], n * n)), name="sl(%d)" % n)
     if kind == "psl" and n % 2 == 0:
-        g = quotient(g, Subspace(g, [_vector_in_subalgebra(gl, g, diag)]), name="psl(%d)" % n)
+        g = _loop_quotient(g, Subspace(g, [_vector_in_subalgebra(gl, g, diag)]), name="psl(%d)" % n)
     assert build_classical(kind, n).dumps() == g.dumps()
 
 
@@ -503,10 +511,10 @@ def test_builders_validate():
 def _two_step_variant(alg, variant):
     """A variant through the algebra on the derived subalgebra's RREF basis,
     then its center and the quotient: the oracle for the one-step path."""
-    der = subalgebra_on(alg, derived_subalgebra(alg), name=alg.name + "'")
+    der = _loop_subalgebra_on(alg, derived_subalgebra(alg), name=alg.name + "'")
     if variant == "derived":
         return der
-    return quotient(der, center(der), name=alg.name + "'/c")
+    return _loop_quotient(der, center(der), name=alg.name + "'/c")
 
 
 VARIANT_PARENTS = (
@@ -534,12 +542,13 @@ def test_one_step_variant_matches_the_two_step_oracle(build, variant):
 def test_function_algebra_derived_matches_the_two_step_oracle(build, args, name):
     full = build(*args)
     new = build(*args, "derived")
-    old = subalgebra_on(full, derived_subalgebra(full), name=name)
+    old = _loop_subalgebra_on(full, derived_subalgebra(full), name=name)
     assert (new.dumps(),) + _output(new) == (old.dumps(),) + _output(old)
 
 
-def test_the_variant_corpus_reaches_the_fallback():
-    # gl(n)'s derived algebra is not spanned by basis vectors
+def test_the_variant_corpus_covers_a_derived_algebra_off_the_basis_vectors():
+    # gl(n)'s derived algebra is not spanned by basis vectors, so its
+    # variants take quotient's row-pair loop
     for n in (2, 3, 4, 5):
         assert any(r & (r - 1) for r in derived_subalgebra(build_classical("gl", n)).rows())
 
@@ -553,12 +562,20 @@ def test_a_multipair_variant_is_one_checked_intake(kind, monkeypatch):
     assert len(calls) == 2  # the full algebra and the variant
 
 
-@pytest.mark.parametrize("build", [b for i, b in VARIANT_PARENTS if not i.startswith("gl")],
-                         ids=[i for i, _ in VARIANT_PARENTS if not i.startswith("gl")])
-def test_center_within_basis_indices_is_the_center_of_their_subalgebra(build):
+@pytest.mark.parametrize("kind, n, variant", [("psl", 4, "full"), ("gl", 4, "derived_mod_center"),
+                                              ("gl", 5, "derived_mod_center")])
+def test_a_classical_subquotient_is_one_checked_intake(kind, n, variant, monkeypatch):
+    calls, intake = [], Algebra.from_gf2_rows
+    monkeypatch.setattr(Algebra, "from_gf2_rows",
+                        classmethod(lambda cls, *a, **k: calls.append(a) or intake(*a, **k)))
+    g = build_classical(kind, n, variant)
+    # the subquotient's own intake; gl(n) is built through Algebra()
+    assert [len(labels) for labels, _ in calls] == [g.dim]
+
+
+@pytest.mark.parametrize("build", [b for _, b in VARIANT_PARENTS], ids=[i for i, _ in VARIANT_PARENTS])
+def test_center_within_a_subalgebra_is_the_center_of_the_algebra_on_it(build):
     g = build()
     D = derived_subalgebra(g)
-    keep = D.pivots()
-    assert [1 << i for i in keep] == D.rows()
-    compress = gf2.compressor(keep)
-    assert [compress(r) for r in center(g, keep).rows()] == center(subalgebra_on(g, D)).rows()
+    compress = gf2.compressor(D.pivots())
+    assert [compress(r) for r in center(g, D).rows()] == center(_loop_subalgebra_on(g, D)).rows()

@@ -20,8 +20,9 @@ from gf2lie.divpow import mono_mul, mono_text, monomials
 from gf2lie.fields import GF2, GF2k, Scalar
 from gf2lie.isom import search_isomorphism
 from gf2lie.liealg import (Algebra, AlgebraError, LinearMap, Subspace, derived_subalgebra, quotient,
-                           subalgebra_on, verify_morphism)
+                           verify_morphism)
 from test_cohomology import _dense_d2, _loop_algebra_incidence, _loop_cochain_incidence, ordered_incidence
+from test_liealg import _loop_subalgebra_on
 
 F4 = GF2k(2)
 HP = build_hamiltonian(1, (2, 2), "derived")
@@ -471,7 +472,7 @@ def test_quantized_h_prime_meets_psl4_through_the_graded_engine():
     from gf2lie.experiments import QPO, quantization_realizes_psl
     Q = QPO()
     Qh = quotient(Q, Subspace(Q, [1]))
-    Qd = subalgebra_on(Qh, derived_subalgebra(Qh))
+    Qd = _loop_subalgebra_on(Qh, derived_subalgebra(Qh))
     res = search_isomorphism(Qd, build_classical("psl", 4))
     assert res.kind == "iso" and res.engine == "zgraded"
     assert verify_morphism(res.map, "isomorphism")

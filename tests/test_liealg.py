@@ -13,7 +13,7 @@ from gf2lie.liealg import (Algebra, AlgebraError, LinearMap, Subspace, Validatio
                            center, check_invariant_form, compute_h1_dim, derivation_dim,
                            derivation_equations, derivations, derived_subalgebra, direct_sum,
                            ideal_generated, quotient, simplicity_check, subalgebra_generated,
-                           subalgebra_on, verify_morphism)
+                           verify_morphism)
 
 
 def test_alternation_enforced():
@@ -51,7 +51,7 @@ def test_validate_passes_and_detects_flips():
     assert not rep.ok and rep.jacobi_failures
 
 
-def test_subalgebra_on_rejects_a_subspace_not_bracket_closed():
+def test_quotient_within_rejects_a_subspace_not_bracket_closed():
     po = build_poisson(1, (1, 1))
     e = {name: 1 << i for i, name in enumerate(po.labels)}
     sub = Subspace(po, [e["p"], e["q"] ^ e["p*q"]])
@@ -59,8 +59,8 @@ def test_subalgebra_on_rejects_a_subspace_not_bracket_closed():
     w = po.bracket(e["p"], e["q"] ^ e["p*q"])
     assert w == e["1"] ^ e["p"] and w & sub.span.mask and w not in sub
     with pytest.raises(AlgebraError, match="subspace is not bracket-closed"):
-        subalgebra_on(po, sub)
-    closed = subalgebra_on(po, Subspace(po, [e["p"], e["q"] ^ e["p*q"], e["1"]]))
+        quotient(po, Subspace(po), within=sub)
+    closed = quotient(po, Subspace(po), within=Subspace(po, [e["p"], e["q"] ^ e["p*q"], e["1"]]))
     assert closed.dim == 3 and closed.validate().ok
 
 
@@ -370,8 +370,10 @@ def test_quotient_by_a_non_homogeneous_ideal_drops_the_grading():
 
 
 def _loop_subalgebra_on(g, sub, name=""):
-    """subalgebra_on reducing and compressing every row pair's bracket: the
-    oracle for the one reduction per distinct bracket mask."""
+    """The algebra on a bracket-closed subspace's RREF basis, reducing and
+    compressing every row pair's bracket: the oracle for `quotient` by the
+    zero ideal within a subspace, and the first step of the two-step
+    oracle for a subquotient."""
     rows = sub.rows()
     span = sub.span
     m = len(rows)
@@ -399,7 +401,10 @@ def _loop_subalgebra_on(g, sub, name=""):
         if all(len(w) == 1 for w in ws):
             grading, mod = [w.pop() for w in ws], g.grading_mod
     units = all(len(bs) == 1 for bs in row_bits)
-    meta = liealg._restrict_meta(g, [bs[0] for bs in row_bits]) if units and "mono_degrees" in g.meta else {}
+    meta = {}
+    if units and "mono_degrees" in g.meta:
+        meta["mono_degrees"] = [g.meta["mono_degrees"][bs[0]] for bs in row_bits]
+        meta.update((key, g.meta[key]) for key in ("vars", "N") if key in g.meta)
     return Algebra.from_gf2_rows(labels, sc, grading=grading, grading_mod=mod,
                                  name=name or (g.name + "|sub"), meta=meta)
 
@@ -421,8 +426,11 @@ def _loop_quotient(g, ideal, name=""):
             w = span.reduce(T[a * n + b])
             if w:
                 sc[(pos[a], pos[b])] = dict.fromkeys(gf2.bits(coords(w)), 1)
-    q = Algebra.from_gf2_rows([g.labels[i] for i in keep], sc, name=name or (g.name + "/ideal"),
-                              meta=liealg._restrict_meta(g, keep))
+    meta = {}
+    if "mono_degrees" in g.meta:
+        meta["mono_degrees"] = [g.meta["mono_degrees"][i] for i in keep]
+    meta.update((key, g.meta[key]) for key in ("vars", "N") if key in g.meta)
+    q = Algebra.from_gf2_rows([g.labels[i] for i in keep], sc, name=name or (g.name + "/ideal"), meta=meta)
     if g.grading is not None:
         q.grading, q.grading_mod = [g.grading[i] for i in keep], g.grading_mod
         if q._grading_failures(1):
@@ -468,25 +476,47 @@ def _subspace_corpus():
     return cases
 
 
-def test_subalgebra_on_and_quotient_match_the_pair_loops():
+def test_quotient_matches_the_pair_loops():
     corpus = _subspace_corpus()
     for g, sub, ideal in corpus:
         if sub is not None:
-            assert _output(subalgebra_on(g, sub)) == _output(_loop_subalgebra_on(g, sub))
+            got = quotient(g, Subspace(g), "sub", within=sub)
+            assert _output(got) == _output(_loop_subalgebra_on(g, sub, "sub"))
         else:
             assert _output(quotient(g, ideal)) == _output(_loop_quotient(g, ideal))
     # most cases have a row that is not a unit vector
     assert sum(any(r & (r - 1) for r in (s or i).rows()) for _, s, i in corpus) > len(corpus) // 2
 
 
-def test_subalgebra_on_and_quotient_refuse_like_the_pair_loops():
+def _two_step_quotient(g, ideal, sub, name):
+    """The algebra on sub's RREF basis, then its quotient by the ideal in
+    those coordinates: the oracle for one `quotient` within sub."""
+    inner = _loop_subalgebra_on(g, sub, name)
+    coords = gf2.compressor(sub.pivots())
+    return _loop_quotient(inner, Subspace(inner, [coords(r) for r in ideal.rows()]), name)
+
+
+def test_quotient_within_a_subspace_matches_the_two_step_oracle():
+    cases = 0
+    for g, sub, _ in _subspace_corpus():
+        if sub is None or not any(r & (r - 1) for r in sub.rows()):
+            continue
+        for ideal in (center(g, sub), Subspace(g, liealg.brackets(g, sub.rows()))):
+            new, old = quotient(g, ideal, "S/I", within=sub), _two_step_quotient(g, ideal, sub, "S/I")
+            assert (new.dumps(),) + _output(new) == (old.dumps(),) + _output(old)
+            cases += ideal.dim > 0
+    assert cases > 20
+
+
+def test_quotient_refuses_like_the_pair_loops():
     rng = random.Random(17)
     refused = 0
     for g in (build_poisson(1, (2, 2)), _change_basis(build_jurman(2, 1), _random_basis(14, rng))):
         for _ in range(20):
             s = Subspace(g, [rng.getrandbits(g.dim) for _ in range(rng.randint(2, 5))])
             got = []
-            for f in (subalgebra_on, _loop_subalgebra_on, quotient, _loop_quotient):
+            for f in (lambda g, s: quotient(g, Subspace(g), within=s), _loop_subalgebra_on,
+                      quotient, _loop_quotient):
                 try:
                     f(g, s)
                     got.append(None)
@@ -497,7 +527,22 @@ def test_subalgebra_on_and_quotient_refuse_like_the_pair_loops():
     assert refused > 20
 
 
-def test_subalgebra_on_refuses_a_failing_bracket_with_the_coordinates_of_a_closed_one():
+def test_a_subspace_of_another_algebra_is_refused():
+    g, h = build_poisson(1, (2, 2)), build_poisson(1, (2, 2))
+    other = derived_subalgebra(h)
+    with pytest.raises(AlgebraError, match="different algebra"):
+        quotient(g, Subspace(g), within=other)
+    with pytest.raises(AlgebraError, match="different algebra"):
+        center(g, other)
+    with pytest.raises(AlgebraError, match="different algebra"):
+        Subspace(g, [1]).is_ideal(other)
+    # the same subspace of g itself is accepted
+    D = derived_subalgebra(g)
+    assert quotient(g, Subspace(g), within=D).dim == D.dim == other.dim
+    assert center(g, D).dim >= 1 and Subspace(g, [1]).is_ideal(D)
+
+
+def test_quotient_within_refuses_a_failing_bracket_with_the_coordinates_of_a_closed_one():
     po = build_poisson(1, (2, 1))
     e = {name: 1 << i for i, name in enumerate(po.labels)}
     sub = Subspace(po, [e["q"] ^ e["p"], e["p*q"], e["p^(2)"]])
@@ -510,7 +555,7 @@ def test_subalgebra_on_refuses_a_failing_bracket_with_the_coordinates_of_a_close
     w = po.bracket(r[0], r[2])
     assert w == e["p"] and w not in sub and not (w ^ r[0]) & sub.span.mask
     with pytest.raises(AlgebraError, match="subspace is not bracket-closed"):
-        subalgebra_on(po, sub)
+        quotient(po, Subspace(po), within=sub)
 
 
 def test_brackets_match_the_bracket_double_loops():
