@@ -58,7 +58,8 @@ class Cochain2:
         return isinstance(other, Cochain2) and self.algebra is other.algebra and self.terms == other.terms
 
     def __add__(self, other: "Cochain2") -> "Cochain2":
-        assert other.algebra is self.algebra
+        if other.algebra is not self.algebra:
+            raise CochainError("cannot add cochains on different algebras")
         out = dict(self.terms)
         for k, v in other.terms.items():
             out[k] = out.get(k, 0) ^ v

@@ -53,7 +53,8 @@ def poly2_mul(a: int, b: int) -> int:
 
 
 def poly2_divmod(a: int, b: int):
-    assert b != 0
+    if not b:
+        raise FieldError("polynomial division by zero")
     db = poly2_degree(b)
     q = 0
     while a and poly2_degree(a) >= db:

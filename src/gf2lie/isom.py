@@ -16,12 +16,11 @@ are those of comparing whole fingerprints first.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import combinations, product as _cartesian
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import gf2
-from .liealg import (Algebra, AlgebraError, LinearMap, ad_walk, center, derivation_dim,
+from .liealg import (Algebra, AlgebraError, LinearMap, ad_walk, brackets, center, derivation_dim,
                      derived_series_dims, lower_central_dims, subalgebra_generated, verify_morphism)
 
 
@@ -119,62 +118,8 @@ def _try_torus_engine(a: Algebra, b: Algebra) -> Optional[IsoResult]:
 
 
 # ---------------------------------------------------------------------------
-# generation machinery shared by E2/E3
+# generator search shared by E2/E3
 # ---------------------------------------------------------------------------
-
-class GenWords:
-    """Bracket words expressing a spanning set from a few generators."""
-
-    def __init__(self, g: Algebra, gens: Sequence[int]):
-        self.g = g
-        self.vecs: List[int] = []
-        self.words: List[Tuple] = []  # ("g", t) or ("br", i, j)
-        self.span = gf2.Span()
-        for t, v in enumerate(gens):
-            if self.span.add(v):
-                self.vecs.append(v)
-                self.words.append(("g", t))
-        frontier = list(range(len(self.vecs)))
-        while frontier and self.span.dim < g.dim:
-            new_frontier = []
-            for i in frontier:
-                ad = g.ad_rows(self.vecs[i])
-                for j in range(len(self.vecs)):
-                    w = gf2.apply_rows(ad, self.vecs[j])
-                    if w and self.span.add(w):
-                        self.vecs.append(w)
-                        self.words.append(("br", i, j))
-                        new_frontier.append(len(self.vecs) - 1)
-                        if self.span.dim == g.dim:
-                            break
-                if self.span.dim == g.dim:
-                    break
-            frontier = new_frontier
-
-    @cached_property
-    def basis_coords(self) -> Optional[List[int]]:
-        """For each unit e_i of the source, its combination over self.vecs."""
-        span = gf2.TaggedSpan(self.g.dim)
-        for v in self.vecs:
-            span.add(v)
-        out = [span.solve(1 << i) for i in range(self.g.dim)]
-        return None if None in out else out
-
-    def evaluate_in(self, h: Algebra, gen_images: Sequence[int]) -> Optional[List[int]]:
-        """Images of all word vectors under a would-be morphism; None when the
-        linear-dependence pattern already fails."""
-        out: List[int] = []
-        span = gf2.Span()
-        for word, vec in zip(self.words, self.vecs):
-            if word[0] == "g":
-                w = gen_images[word[1]]
-            else:
-                w = h.bracket(out[word[1]], out[word[2]])
-            if not span.add(w):
-                return None  # independent upstairs, dependent downstairs
-            out.append(w)
-        return out
-
 
 def find_generators(g: Algebra, candidates: Optional[Sequence[int]] = None) -> Optional[List[int]]:
     """The first generating set of at most three of the given vectors
@@ -191,18 +136,38 @@ def _search(a: Algebra, b: Algebra, gens: Sequence[int], candidates: Iterable[Tu
             budget: int) -> Tuple[Optional[LinearMap], int]:
     """The first verified isomorphism sending gens[t] to images[t], over the
     candidate tuples `images` in order, and the number of tuples tried;
-    budget + 1 tried means the budget ran out.  The gens must generate a,
-    as `find_generators` ensures."""
-    gw = GenWords(a, gens)
+    budget + 1 tried means the budget ran out.  The gens must be independent
+    and generate a, as `find_generators` ensures.
+
+    The gens are closed under the bracket as in `subalgebra_generated`,
+    recording each vector that grows the span as a word [vecs[i], vecs[j]];
+    a tuple's word images are bracketed in b in that order, and the tuple
+    is dropped as soon as they fall dependent, since an isomorphism keeps
+    them independent."""
+    span, vecs, words = gf2.Span(gens), list(gens), []
+    for i, v in enumerate(vecs):  # vecs grows as it is walked
+        if span.dim == a.dim:
+            break
+        for j, w in enumerate(brackets(a, [v], vecs[:i])):
+            if w and span.add(w):
+                vecs.append(w)
+                words.append((i, j))
+    coords = gf2.invert(vecs, a.dim)  # e_k = sum of vecs over coords[k]
     tried = 0
     for images in candidates:
         tried += 1
         if tried > budget:
             break
-        word_imgs = gw.evaluate_in(b, list(images))
-        if word_imgs is None:
-            continue
-        m = LinearMap(a, b, [gf2.apply_rows(word_imgs, c) for c in gw.basis_coords])
+        out = list(images)
+        span = gf2.Span(out)
+        for i, j in words:
+            if span.dim < len(out):
+                break
+            out.append(b.bracket(out[i], out[j]))
+            span.add(out[-1])
+        if span.dim < a.dim:
+            continue  # independent upstairs, dependent downstairs
+        m = LinearMap(a, b, [gf2.apply_rows(out, c) for c in coords])
         if verify_morphism(m, "isomorphism"):
             return m, tried
     return None, tried

@@ -650,7 +650,7 @@ def quotient(g: Algebra, ideal: Subspace, name: str = "", within: Optional[Subsp
     """S / ideal, for S a bracket-closed subspace of g (`within`, default all
     of g) and an ideal of S, on the RREF rows of S whose pivots are not the
     ideal's pivots.  A basis-vector row keeps g's label, any other row reads
-    "(a+b+...)".  The grading descends when every row of S is homogeneous and
+    "(a+b+...)".  The grading descends when every kept row is homogeneous and
     the reduced brackets respect it.  Meta carries over when every row of S
     is a basis vector and either S is all of g or g has mono_degrees."""
     srows = _rows_within(g, within)
@@ -701,7 +701,7 @@ def quotient(g: Algebra, ideal: Subspace, name: str = "", within: Optional[Subsp
         meta = {} if md is None else {"mono_degrees": [md[i] for i in keep]}
         meta.update((key, g.meta[key]) for key in ("vars", "N") if key in g.meta)
     q = Algebra.from_gf2_rows(labels, sc, name=name or (g.name + "/ideal"), meta=meta)
-    if g.grading is not None and all(len({g.grading[b] for b in gf2.bits(r)}) == 1 for r in srows):
+    if g.grading is not None and all(len({g.grading[b] for b in bs}) == 1 for bs in row_bits):
         q.grading, q.grading_mod = [g.grading[bs[0]] for bs in row_bits], g.grading_mod
         if q._grading_failures(1):
             q.grading = q.grading_mod = None

@@ -137,6 +137,14 @@ def test_a_second_coboundary_of_rechecks_no_grading(monkeypatch):
     assert len(calls) == 2 * len(parts)
 
 
+def test_adding_cochains_on_different_algebras_is_refused():
+    # an assert here is skipped under python -O, and the sum keeps the pair (20, 21) out of j(2,1)'s range
+    j21, j22 = build_jurman(2, 1), build_jurman(2, 2)
+    with pytest.raises(CochainError, match="different algebras"):
+        Cochain2(j21, {(0, 1): 1}) + Cochain2(j22, {(20, 21): 1})
+    assert (Cochain2(j21, {(0, 1): 1}) + Cochain2(j21, {(0, 1): 1, (1, 2): 4})).terms == {(1, 2): 4}
+
+
 def test_parser_roundtrip_and_errors():
     text = "p^(3) (x) d(q)^d(q^(2)) + p^(3) q (x) d(q)^d(q^(3))"
     c = parse_cocycle(text, HP)

@@ -2,7 +2,7 @@ import pytest
 
 from gf2lie.fields import (
     DEFAULT_MODULUS, GF2, FieldError, GF2k, PolyRing,
-    field_make, poly2_irreducible,
+    field_make, poly2_divmod, poly2_irreducible,
 )
 
 
@@ -19,6 +19,13 @@ def test_unique_irreducible_quadratic():
     assert f.order == 4
     with pytest.raises(FieldError):
         GF2k(2, 0b101)  # x^2 + 1 = (x+1)^2
+
+
+def test_division_by_the_zero_polynomial_is_refused():
+    # an assert here is skipped under python -O, and the division loop never ends
+    with pytest.raises(FieldError, match="division by zero"):
+        poly2_divmod(0b1011, 0)
+    assert poly2_divmod(0b1011, 0b11) == (0b110, 1)  # x^3 + x + 1 = (x^2 + x)(x + 1) + 1
 
 
 def test_default_moduli_all_irreducible():

@@ -1,4 +1,7 @@
+import random
+from functools import cached_property
 from itertools import product
+from typing import List, Optional, Sequence, Tuple
 
 from gf2lie.constructions import (build_classical, build_div_free_hI, build_jurman,
                                   build_kap1, build_kap2, build_kap3, build_kap4A,
@@ -6,7 +9,7 @@ from gf2lie.constructions import (build_classical, build_div_free_hI, build_jurm
 import pytest
 
 from gf2lie import experiments, gf2, isom
-from gf2lie.isom import GenWords, fingerprint, search_isomorphism
+from gf2lie.isom import fingerprint, search_isomorphism
 from gf2lie.liealg import Algebra, AlgebraError, LinearMap, direct_sum, verify_morphism
 from gf2lie.fields import GF2
 
@@ -91,47 +94,84 @@ def test_budget_of_1_still_searches():
     assert search_isomorphism(j, j, budget=1).kind == "iso"
 
 
-def _bracket_closure(g, gens):
-    """GenWords' closure through Algebra.bracket, kept as an oracle for the
-    closure through each frontier vector's ad_rows: (vecs, words)."""
-    span, vecs, words = gf2.Span(), [], []
-    for t, v in enumerate(gens):
-        if span.add(v):
-            vecs.append(v)
-            words.append(("g", t))
-    frontier = list(range(len(vecs)))
-    while frontier and span.dim < g.dim:
-        new_frontier = []
-        for i in frontier:
-            for j in range(len(vecs)):
-                w = g.bracket(vecs[i], vecs[j])
-                if w and span.add(w):
-                    vecs.append(w)
-                    words.append(("br", i, j))
-                    new_frontier.append(len(vecs) - 1)
-                    if span.dim == g.dim:
-                        break
-            if span.dim == g.dim:
-                break
-        frontier = new_frontier
-    return vecs, words
+# ---------------------------------------------------------------------------
+# the word closure that `isom._search` folded in, kept as an oracle for it:
+# the product loops below evaluate its words in its round order
+# ---------------------------------------------------------------------------
+
+class GenWords:
+    """Bracket words expressing a spanning set from a few generators."""
+
+    def __init__(self, g: Algebra, gens: Sequence[int]):
+        self.g = g
+        self.vecs: List[int] = []
+        self.words: List[Tuple] = []  # ("g", t) or ("br", i, j)
+        self.span = gf2.Span()
+        for t, v in enumerate(gens):
+            if self.span.add(v):
+                self.vecs.append(v)
+                self.words.append(("g", t))
+        frontier = list(range(len(self.vecs)))
+        while frontier and self.span.dim < g.dim:
+            new_frontier = []
+            for i in frontier:
+                ad = g.ad_rows(self.vecs[i])
+                for j in range(len(self.vecs)):
+                    w = gf2.apply_rows(ad, self.vecs[j])
+                    if w and self.span.add(w):
+                        self.vecs.append(w)
+                        self.words.append(("br", i, j))
+                        new_frontier.append(len(self.vecs) - 1)
+                        if self.span.dim == g.dim:
+                            break
+                if self.span.dim == g.dim:
+                    break
+            frontier = new_frontier
+
+    @cached_property
+    def basis_coords(self) -> Optional[List[int]]:
+        """For each unit e_i of the source, its combination over self.vecs."""
+        span = gf2.TaggedSpan(self.g.dim)
+        for v in self.vecs:
+            span.add(v)
+        out = [span.solve(1 << i) for i in range(self.g.dim)]
+        return None if None in out else out
+
+    def evaluate_in(self, h: Algebra, gen_images: Sequence[int]) -> Optional[List[int]]:
+        """Images of all word vectors under a would-be morphism; None when the
+        linear-dependence pattern already fails."""
+        out: List[int] = []
+        span = gf2.Span()
+        for word, vec in zip(self.words, self.vecs):
+            if word[0] == "g":
+                w = gen_images[word[1]]
+            else:
+                w = h.bracket(out[word[1]], out[word[2]])
+            if not span.add(w):
+                return None  # independent upstairs, dependent downstairs
+            out.append(w)
+        return out
 
 
-def test_genwords_match_the_bracket_closure():
-    for g in [build_jurman(2, 1), build_kap3(5), build_kap4A(4, 1), build_classical("psl", 4),
-              build_kap4B(2), build_poisson(1, (1, 1))]:
-        n = g.dim
-        for gens in ([1], [1, 2], [3, 1 << (n - 1)], [1 << (n - 1), 5, 6], isom.find_generators(g) or [1]):
-            gw = GenWords(g, gens)
-            assert (gw.vecs, gw.words) == _bracket_closure(g, gens), (g.name, gens)
-
-
-def test_basis_coords_is_computed_once_per_genwords():
-    g = build_jurman(2, 1)
-    gw = GenWords(g, isom.find_generators(g))
-    coords = gw.basis_coords
-    assert coords is gw.basis_coords
-    assert [gf2.apply_rows(gw.vecs, c) for c in coords] == [1 << i for i in range(g.dim)]
+def test_search_verifies_no_tuple_with_dependent_images(monkeypatch):
+    verified = []
+    monkeypatch.setattr(isom, "verify_morphism",
+                        lambda m, kind: verified.append(m.images) or verify_morphism(m, kind))
+    a = build_jurman(2, 1)
+    gens = isom.find_generators(a)
+    e0, e9 = gens
+    assert (e0, e9) == (1, 1 << 9)
+    commuting = next((x, y) for x in range(1, 1 << 4) for y in range(x + 1, 1 << 4) if not a.bracket(x, y))
+    for images in [(e0, e0), (e9, e9), (0, e9), (e0, 0), commuting]:
+        assert isom._search(a, a, gens, [images], 1) == (None, 1)
+    assert verified == []  # dependent generator or word images: dropped before verify_morphism
+    rng = random.Random(28)
+    tuples = [(rng.getrandbits(a.dim), rng.getrandbits(a.dim)) for _ in range(200)]
+    assert isom._search(a, a, gens, tuples, 200) == (None, 200)
+    assert 0 < len(verified) < 200
+    assert all(gf2.rank(images) == a.dim for images in verified)  # only bijections are verified
+    m, tried = isom._search(a, a, gens, tuples + [(e0, e9)], 201)
+    assert tried == 201 and m.images == [1 << i for i in range(a.dim)]
 
 
 # ---------------------------------------------------------------------------

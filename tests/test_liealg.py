@@ -490,10 +490,21 @@ def test_quotient_matches_the_pair_loops():
 
 def _two_step_quotient(g, ideal, sub, name):
     """The algebra on sub's RREF basis, then its quotient by the ideal in
-    those coordinates: the oracle for one `quotient` within sub."""
+    those coordinates: the oracle for one `quotient` within sub.  The
+    grading descends when every kept row of sub is homogeneous, even where
+    the algebra on sub has none."""
     inner = _loop_subalgebra_on(g, sub, name)
     coords = gf2.compressor(sub.pivots())
-    return _loop_quotient(inner, Subspace(inner, [coords(r) for r in ideal.rows()]), name)
+    inner_ideal = Subspace(inner, [coords(r) for r in ideal.rows()])
+    q = _loop_quotient(inner, inner_ideal, name)
+    if q.grading is None and g.grading is not None:
+        kept = [r for k, r in enumerate(sub.rows()) if not inner_ideal.span.mask >> k & 1]
+        ws = [{g.grading[b] for b in gf2.bits(r)} for r in kept]
+        if all(len(w) == 1 for w in ws):
+            q.grading, q.grading_mod = [w.pop() for w in ws], g.grading_mod
+            if q._grading_failures(1):
+                q.grading = q.grading_mod = None
+    return q
 
 
 def test_quotient_within_a_subspace_matches_the_two_step_oracle():
@@ -506,6 +517,16 @@ def test_quotient_within_a_subspace_matches_the_two_step_oracle():
             assert (new.dumps(),) + _output(new) == (old.dumps(),) + _output(old)
             cases += ideal.dim > 0
     assert cases > 20
+
+
+def test_quotient_grading_is_decided_on_the_kept_rows():
+    # e1 + e2 is inhomogeneous, but it spans the ideal, so the one kept row e0 is homogeneous
+    g = Algebra(GF2, ["e0", "e1", "e2"], {}, grading=[(0,), (1,), (2,)], grading_mod=(0,))
+    q = quotient(g, Subspace(g, [0b110]), "S/I", within=Subspace(g, [0b001, 0b110]))
+    assert (q.labels, q.grading, q.grading_mod) == (["e0"], [(0,)], (0,))
+    # kept, the inhomogeneous row leaves the quotient ungraded
+    q = quotient(g, Subspace(g, [0b001]), "S/I", within=Subspace(g, [0b001, 0b110]))
+    assert (q.labels, q.grading, q.grading_mod) == (["(e1+e2)"], None, None)
 
 
 def test_quotient_refuses_like_the_pair_loops():
