@@ -19,7 +19,7 @@ from .cohomology import (Block, C3Index, Cochain2, Triple, coboundary_block, com
 from .constructions import (build_hamiltonian, build_jurman, build_kap2, build_kap4B, build_poisson,
                             image_rows, kap4B_images, pq_names)
 from .divpow import check_shearing, mono_offsets, mono_pack, mono_text, monomials, reindex_mono
-from .fields import GF2, GF2k, Scalar
+from .fields import GF2, GF2k, Scalar, add_scaled
 from .grading import cochain_weight
 from .isom import search_isomorphism
 from .liealg import Algebra, AlgebraError, LinearMap, Subspace, brackets, quotient, verify_morphism
@@ -75,13 +75,7 @@ class DeformFamily:
             if not coeff:
                 continue
             for (i, j), w in c.terms.items():
-                row = sc.setdefault((i, j), {})
-                for k in gf2.bits(w):
-                    s = field.add(row.get(k, 0), coeff)
-                    if s:
-                        row[k] = s
-                    else:
-                        row.pop(k, None)
+                add_scaled(field, sc.setdefault((i, j), {}), coeff, self.base.as_dict(w))
         sc = {pr: row for pr, row in sc.items() if row}
         return Algebra(field, self.base.labels, sc, grading=grading, grading_mod=grading_mod,
                        name=self.name + "@" + ",".join(repr(v) for v in values),
@@ -462,15 +456,7 @@ def semitrivial_certificate(fam: DeformFamily, hbar: Scalar) -> Optional[Certifi
             for i in range(base.dim):
                 vec = {i: 1}
                 for k, ck in enumerate(coeffs, start=1):
-                    if not ck:
-                        continue
-                    w = powers[k][i]
-                    for t in gf2.bits(w):
-                        s = field.add(vec.get(t, 0), ck)
-                        if s:
-                            vec[t] = s
-                        else:
-                            vec.pop(t, None)
+                    add_scaled(field, vec, ck, base.as_dict(powers[k][i]))
                 images.append(vec)
             m = LinearMap(deformed, base_f, images)
             if verify_morphism(m, "isomorphism"):
@@ -479,7 +465,7 @@ def semitrivial_certificate(fam: DeformFamily, hbar: Scalar) -> Optional[Certifi
                     if ck:
                         parts.append("%s*(%s)^%d" % (field.text(ck), dname, k))
                 return Certificate(m, "F = id + " + " + ".join(parts))
-    cert = _rescale_and_search_certificate(fam, hbar)
+    cert = _rescale_and_search_certificate(fam, deformed, base_f)
     if cert is not None:
         return cert
     if isinstance(field, GF2k) and field.k == 1:
@@ -489,18 +475,20 @@ def semitrivial_certificate(fam: DeformFamily, hbar: Scalar) -> Optional[Certifi
     return None
 
 
-def _rescale_and_search_certificate(fam: DeformFamily, hbar: Scalar) -> Optional[Certificate]:
+def _rescale_and_search_certificate(fam: DeformFamily, deformed: Algebra,
+                                    base_f: Algebra) -> Optional[Certificate]:
     """Move the parameter to 1 by a grading torus map, search over GF(2),
     and compose; the diagonal scaling carries the sqrt(hbar)-style
-    non-differentiability."""
-    field = hbar.field
+    non-differentiability.  `deformed` is fam at hbar and `base_f` the base,
+    both over the field of hbar."""
+    field = base_f.field
     base = fam.base
     if len(fam.params) != 1 or (1,) not in fam.terms or base.grading is None:
         return None
     c = fam.terms[(1,)]
     try:
         w = cochain_weight(c, "z")
-    except Exception:
+    except AlgebraError:
         return None
     d = next((x for x in w if x), None)
     if d is None:
@@ -516,10 +504,8 @@ def _rescale_and_search_certificate(fam: DeformFamily, hbar: Scalar) -> Optional
     if res.kind != "iso":
         return None
     gmask = res.map.images  # GF(2) masks
-    deformed = fam.specialize([hbar])
-    base_f = Algebra(field, base.labels, base.sc, name=base.name, meta=base.meta)
     exps = [g_[axis] for g_ in base.grading]
-    for eta in range(1, getattr(field, "order", 2) or 2):
+    for eta in range(1, field.order):
         images: List[Dict[int, int]] = []
         for i in range(base.dim):
             e = exps[i] % (field.order - 1) if field.order > 2 else 0
@@ -572,13 +558,7 @@ def poisson_family(m_pairs: int, N: Sequence[int], alpha: Scalar) -> Algebra:
         if not c:
             continue
         for ab, row in image_rows(monos, N, images(parities)).items():
-            out = sc.setdefault(ab, {})
-            for k in row:
-                s = field.add(out.get(k, 0), c)
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
+            add_scaled(field, sc.setdefault(ab, {}), c, row)
     names = pq_names(m_pairs)
     return Algebra(field, [mono_text(m, names) for m in monos], {ab: sc[ab] for ab in sorted(sc) if sc[ab]},
                    name="po_Pi(%d;%s)@alpha=%r" % (2 * m_pairs, list(N), alpha),

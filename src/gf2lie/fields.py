@@ -8,7 +8,7 @@ reference and supplies operators; hot loops work on the raw ints.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Dict, Optional, Union
 
 
 class FieldError(ValueError):
@@ -25,7 +25,7 @@ DEFAULT_MODULUS = {
     5: 0b100101,             # x^5 + x^2 + 1
     6: 0b1000011,            # x^6 + x + 1
     7: 0b10000011,           # x^7 + x + 1
-    8: 0b100011011,          # x^8 + x^4 + x^3 + x + 1
+    8: 0b100011101,          # x^8 + x^4 + x^3 + x^2 + 1
     9: 0b1000010001,         # x^9 + x^4 + 1
     10: 0b10000001001,       # x^10 + x^3 + 1
     11: 0b100000000101,      # x^11 + x^2 + 1
@@ -79,7 +79,46 @@ def poly2_irreducible(p: int) -> bool:
     return True
 
 
-class GF2k:
+class _Char2Ring:
+    """What GF(2^k) and GF(2)[h] share: addition is XOR, and elements are
+    reduced modulo `order` when the ring has one (GF(2)[h] has none)."""
+
+    order: Optional[int] = None
+
+    def add(self, a: int, b: int) -> int:
+        return a ^ b
+
+    def sqr(self, a: int) -> int:
+        return self.mul(a, a)
+
+    def pow(self, a: int, n: int) -> int:
+        r = 1
+        while n:
+            if n & 1:
+                r = self.mul(r, a)
+            a = self.sqr(a)
+            n >>= 1
+        return r
+
+    def el(self, v: Union[int, "Scalar"]) -> "Scalar":
+        if isinstance(v, Scalar):
+            if v.field is self:
+                return v
+            if isinstance(v.field, GF2k) and v.value in (0, 1):
+                return Scalar(self, v.value)
+            raise FieldError("cannot coerce scalar between fields")
+        return Scalar(self, v % self.order if self.order and not 0 <= v < self.order else v)
+
+    @property
+    def zero(self) -> "Scalar":
+        return Scalar(self, 0)
+
+    @property
+    def one(self) -> "Scalar":
+        return Scalar(self, 1)
+
+
+class GF2k(_Char2Ring):
     """The field GF(2^k) as residues modulo an irreducible polynomial."""
 
     kind = "gf2k"
@@ -99,24 +138,8 @@ class GF2k:
         self.modulus = modulus
         self.order = 1 << k
 
-    # -- raw int arithmetic ------------------------------------------------
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         return poly2_mod(poly2_mul(a, b), self.modulus)
-
-    def sqr(self, a: int) -> int:
-        return self.mul(a, a)
-
-    def pow(self, a: int, n: int) -> int:
-        r = 1
-        while n:
-            if n & 1:
-                r = self.mul(r, a)
-            a = self.sqr(a)
-            n >>= 1
-        return r
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -126,24 +149,6 @@ class GF2k:
     def sqrt(self, a: int) -> int:
         """Frobenius is a bijection; the square root is a^(2^(k-1))."""
         return self.pow(a, 1 << (self.k - 1))
-
-    # -- wrappers ----------------------------------------------------------
-    def el(self, v: Union[int, "Scalar"]) -> "Scalar":
-        if isinstance(v, Scalar):
-            if v.field is self:
-                return v
-            if isinstance(v.field, GF2k) and v.value in (0, 1):
-                return Scalar(self, v.value)
-            raise FieldError("cannot coerce scalar between fields")
-        return Scalar(self, v % self.order if v >= self.order or v < 0 else v)
-
-    @property
-    def zero(self) -> "Scalar":
-        return Scalar(self, 0)
-
-    @property
-    def one(self) -> "Scalar":
-        return Scalar(self, 1)
 
     def gen(self) -> "Scalar":
         """The class of x, a generator when the modulus is primitive."""
@@ -164,32 +169,16 @@ class GF2k:
         return hash(("gf2k", self.k, self.modulus))
 
 
-class PolyRing:
+class PolyRing(_Char2Ring):
     """GF(2)[h], the deformation-parameter ring. Not a field: only 1 is a unit."""
 
     kind = "poly"
 
     def __init__(self, var: str = "h"):
         self.var = var
-        self.order = None
-
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
 
     def mul(self, a: int, b: int) -> int:
         return poly2_mul(a, b)
-
-    def sqr(self, a: int) -> int:
-        return poly2_mul(a, a)
-
-    def pow(self, a: int, n: int) -> int:
-        r = 1
-        while n:
-            if n & 1:
-                r = self.mul(r, a)
-            a = self.sqr(a)
-            n >>= 1
-        return r
 
     def inv(self, a: int) -> int:
         if a == 1:
@@ -198,23 +187,6 @@ class PolyRing:
 
     def sqrt(self, a: int) -> int:
         raise FieldError("square roots are not defined in GF(2)[%s]" % self.var)
-
-    def el(self, v: Union[int, "Scalar"]) -> "Scalar":
-        if isinstance(v, Scalar):
-            if v.field is self:
-                return v
-            if isinstance(v.field, GF2k) and v.value in (0, 1):
-                return Scalar(self, v.value)
-            raise FieldError("cannot coerce scalar between fields")
-        return Scalar(self, v)
-
-    @property
-    def zero(self) -> "Scalar":
-        return Scalar(self, 0)
-
-    @property
-    def one(self) -> "Scalar":
-        return Scalar(self, 1)
 
     def gen(self) -> "Scalar":
         return Scalar(self, 2)  # the variable h itself
@@ -233,6 +205,19 @@ class PolyRing:
 
 
 Field = Union[GF2k, PolyRing]
+
+
+def add_scaled(field: Field, acc: Dict[int, int], c: int, row: Dict[int, int]) -> None:
+    """acc += c * row in place, for sparse {index: raw value} vectors; a
+    value that becomes zero is dropped, and c = 1 skips the multiply."""
+    if not c:
+        return
+    for k, w in row.items():
+        s = acc.get(k, 0) ^ (w if c == 1 else field.mul(c, w))
+        if s:
+            acc[k] = s
+        else:
+            acc.pop(k, None)
 
 
 class Scalar:

@@ -16,7 +16,7 @@ import random
 from typing import Container, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import gf2
-from .fields import GF2, Field, GF2k, PolyRing
+from .fields import GF2, Field, GF2k, PolyRing, add_scaled
 
 Vec = Union[int, Dict[int, int]]  # GF(2) mask, or sparse dict elsewhere
 
@@ -92,19 +92,12 @@ class Algebra:
                 i, j = j, i
             if not (0 <= i < j < n):
                 raise AlgebraError("structure constant index out of range: (%d,%d)" % (i, j))
-            row = {k: v for k, v in val.items() if v}
-            if row:
-                if any(not (0 <= k < n) for k in row):
-                    raise AlgebraError("bracket target out of range at (%d,%d)" % (i, j))
-                prev = clean.setdefault((i, j), {})
-                for k, v in row.items():
-                    s = field.add(prev.get(k, 0), v)
-                    if s:
-                        prev[k] = s
-                    else:
-                        prev.pop(k, None)
-                if not prev:
-                    del clean[(i, j)]
+            if any(v and not 0 <= k < n for k, v in val.items()):
+                raise AlgebraError("bracket target out of range at (%d,%d)" % (i, j))
+            prev = clean.setdefault((i, j), {})
+            add_scaled(field, prev, 1, val)
+            if not prev:
+                del clean[(i, j)]
         self._adopt(field, labels, clean, grading, grading_mod, name, meta, None)
 
     @classmethod
@@ -238,17 +231,8 @@ class Algebra:
         for i, a in ud.items():
             for j, b in vd.items():
                 row = self.brk(i, j)
-                if not row:
-                    continue
-                c = f.mul(a, b)
-                if not c:
-                    continue
-                for k, w in row.items():
-                    s = f.add(acc.get(k, 0), f.mul(c, w))
-                    if s:
-                        acc[k] = s
-                    else:
-                        acc.pop(k, None)
+                if row:
+                    add_scaled(f, acc, f.mul(a, b), row)
         return acc
 
     def as_dict(self, v: Vec) -> Dict[int, int]:
@@ -352,12 +336,7 @@ class Algebra:
                     acc: Dict[int, int] = {}
                     for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
                         for l, w in self.brk(a, b).items():
-                            for m, w2 in self.brk(l, c).items():
-                                s = f.add(acc.get(m, 0), f.mul(w, w2))
-                                if s:
-                                    acc[m] = s
-                                else:
-                                    acc.pop(m, None)
+                            add_scaled(f, acc, w, self.brk(l, c))
                     if acc:
                         rep.jacobi_failures.append((i, j, k))
                         if len(rep.jacobi_failures) >= max_report:
@@ -404,7 +383,12 @@ class Algebra:
             field = PolyRing(fd.get("var", "h"))
 
             def parse(s):
-                return int("".join(reversed([c for c in s if c in "01"])), 2) if s.startswith("[") else int(s, 0)
+                if not s.startswith("["):
+                    return int(s, 0)
+                bits = s[1:-1].split(",")
+                if not s.endswith("]") or set(bits) - {"0", "1"}:
+                    raise ValueError
+                return int("".join(reversed(bits)), 2)
         elif kind == "gf2k" and isinstance(fd.get("k"), int) and isinstance(fd.get("modulus"), str):
             field = GF2 if fd["k"] == 1 else GF2k(fd["k"], int(fd["modulus"], 0))
 
@@ -423,7 +407,16 @@ class Algebra:
                             and isinstance(t[1], str) for t in row)):
                 raise AlgebraError('an algebra file\'s sc entries are [i, j, [[k, "c"], ...]], each c a '
                                    'JSON string such as "1", not %s' % json.dumps(e))
-            sc[(e[0], e[1])] = {int(k): parse(v) for k, v in row}
+            pair = (min(e[:2]), max(e[:2]))
+            if pair in sc:
+                raise AlgebraError("an algebra file's sc entry %s repeats the pair %s" % (json.dumps(e), list(pair)))
+            try:
+                sc[pair] = {int(k): parse(v) for k, v in row}
+            except ValueError:
+                raise AlgebraError("an algebra file's sc entry %s holds a target that is not an integer or a "
+                                   "value that is not an element of %r" % (json.dumps(e), field)) from None
+            if len(sc[pair]) < len(row):
+                raise AlgebraError("an algebra file's sc entry %s lists a target twice" % json.dumps(e))
         grading, mod, md = d.get("grading"), d.get("grading_mod"), d.get("meta", {})
         mdd = md if isinstance(md, dict) else {}
 
@@ -837,13 +830,7 @@ class LinearMap:
         f = t.field
         acc: Dict[int, int] = {}
         for i, c in self.source.as_dict(v).items():
-            im = t.as_dict(self.images[i])
-            for k, w in im.items():
-                s = f.add(acc.get(k, 0), f.mul(c, w))
-                if s:
-                    acc[k] = s
-                else:
-                    acc.pop(k, None)
+            add_scaled(f, acc, c, t.as_dict(self.images[i]))
         return acc
 
     def is_invertible(self) -> bool:
@@ -877,7 +864,7 @@ def _generic_invertible(cols: List[Dict[int, int]], n: int, field) -> bool:
         for i in range(n):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [field.add(a, field.mul(f, b)) for a, b in zip(rows[i], rows[r])]
+                rows[i] = [a ^ field.mul(f, b) for a, b in zip(rows[i], rows[r])]
         r += 1
     return True
 

@@ -455,6 +455,7 @@ def test_validate_refuses_a_malformed_algebra_file(tmp_path, capsys, text, why):
 
 
 GF2_FIELD = {"kind": "gf2k", "k": 1, "modulus": "0x3"}
+POLY_FIELD = {"kind": "poly", "var": "h"}
 
 
 @pytest.mark.parametrize("field, labels, sc, why", [
@@ -466,8 +467,16 @@ GF2_FIELD = {"kind": "gf2k", "k": 1, "modulus": "0x3"}
     (GF2_FIELD, ["a", "b"], [["0", 1, [[1, "1"]]]], "sc entries are"),
     (GF2_FIELD, ["a", "b"], 7, "are JSON lists"),
     (GF2_FIELD, 5, [], "are JSON lists"),
+    (GF2_FIELD, ["a", "b", "c", "d"], [[0, 1, [[2, "1"]]], [0, 1, [[3, "1"]]]], "repeats the pair [0, 1]"),
+    (GF2_FIELD, ["a", "b", "c", "d"], [[0, 1, [[2, "1"]]], [1, 0, [[3, "1"]]]], "repeats the pair [0, 1]"),
+    (GF2_FIELD, ["a", "b", "c"], [[0, 1, [[2, "1"], [2, "1"]]]], "lists a target twice"),
+    (POLY_FIELD, ["a", "b", "c"], [[0, 1, [[2, "[1,x,0]"]]]], '[[2, "[1,x,0]"]]] holds a target that is not'),
+    (POLY_FIELD, ["a", "b", "c"], [[0, 1, [[2, "[10]"]]]], '[[2, "[10]"]]] holds a target that is not'),
+    (POLY_FIELD, ["a", "b", "c"], [[0, 1, [[2, "[2]"]]]], '[[2, "[2]"]]] holds a target that is not'),
+    (GF2_FIELD, ["a", "b", "c"], [[0, 1, [["c", "1"]]]], '[["c", "1"]]] holds a target that is not'),
 ], ids=["empty-field", "no-k", "a-string", "an-int-coefficient", "an-int-row", "a-string-index",
-        "an-int-sc", "int-labels"])
+        "an-int-sc", "int-labels", "a-repeated-pair", "a-swapped-repeated-pair", "a-repeated-target",
+        "a-letter-in-a-polynomial", "a-two-digit-coefficient", "a-coefficient-of-2", "a-label-as-target"])
 def test_validate_refuses_a_malformed_field_or_structure(tmp_path, capsys, field, labels, sc, why):
     path = tmp_path / "alg.json"
     path.write_text(json.dumps({"field": field, "labels": labels, "sc": sc}))

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from gf2lie import gf2
+from gf2lie import deform, gf2
 from gf2lie.cohomology import Cochain2, compute_h2, cyclic_compose, d1, d2, is_coboundary, parse_cocycle
 from gf2lie.constructions import (build_classical, build_hI, build_hamiltonian, build_jurman, build_kap4B,
                                   build_poisson, jurman_bracket, pq_names)
@@ -344,6 +344,21 @@ def test_semitrivial_certificate_c0m2():
     cert = semitrivial_certificate(deform_bracket(HP, rep), t)
     assert cert is not None
     assert verify_morphism(cert.map, "isomorphism")
+
+
+def test_a_fault_in_the_rescale_weight_propagates(monkeypatch):
+    # the c_{0,-2} deform is certified by the torus rescale, whose weight
+    # lookup may refuse a cochain with an AlgebraError only; any other
+    # fault must reach the caller, not read as "no certificate"
+    blk = compute_h2(HP, weight_filter=(0, -2), mode="z")
+    rep = zero_defect_representative(HP, blk.representatives[0], [("z", (0, -2))])
+
+    def broken(c, mode):
+        raise RuntimeError("weight lookup broke")
+
+    monkeypatch.setattr(deform, "cochain_weight", broken)
+    with pytest.raises(RuntimeError, match="weight lookup broke"):
+        semitrivial_certificate(deform_bracket(HP, rep), F4.gen())
 
 
 def test_integrability_hI():

@@ -52,6 +52,10 @@ sampler must be seen and named here.
 No package or test module may define a module-level function or class
 twice: the later definition silently replaces the earlier one, and the
 callers of the first run the second.
+
+No package module but ``fields`` may call ``.add(...)`` on a field (a name
+``f`` or ``field``, or a ``.field`` attribute): the sparse ``{index: value}``
+update lives in ``fields.add_scaled``, and a scalar sum elsewhere is ``^``.
 """
 
 import ast
@@ -505,3 +509,33 @@ def test_scan_flags_a_duplicate_definition():
            "class C:\n"
            "    pass\n")
     assert duplicate_definitions(src) == [(8, "_perturbed"), (10, "C")]
+
+
+def field_adds(source: str, filename: str = "<src>") -> list:
+    """Lines of the ``.add(...)`` calls whose receiver is a name ``f`` or
+    ``field`` or an attribute ``.field``."""
+    tree = ast.parse(source, filename)
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "add"
+                  and (getattr(node.func.value, "id", None) in ("f", "field")
+                       or getattr(node.func.value, "attr", None) == "field"))
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "fields.py"], ids=lambda p: p.name)
+def test_no_field_adds_outside_fields(path):
+    found = field_adds(path.read_text(), str(path))
+    assert not found, "%s: field.add at line(s) %s" % (path.name, ", ".join(map(str, found)))
+
+
+def test_scan_flags_a_field_add():
+    src = ("def f(g, field, span, acc):\n"
+           "    s = field.add(acc.get(0, 0), 1)\n"
+           "    f = g.field\n"
+           "    t = f.add(s, f.mul(s, s))\n"
+           "    u = g.field.add(t, 1)\n"
+           "    span.add(t)\n"
+           "    seen = set()\n"
+           "    seen.add(u)\n"
+           "    return acc.get(1, 0) ^ u\n")
+    assert field_adds(src) == [2, 4, 5]
