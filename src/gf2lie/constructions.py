@@ -12,10 +12,10 @@ homogeneous.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import gf2
-from .divpow import check_shearing, mono_offsets, mono_pack, mono_text, monomials
+from .divpow import check_shearing, mono_offsets, mono_pack, mono_partial, mono_text, monomials
 from .fields import GF2, Scalar
 from .liealg import (Algebra, AlgebraError, LinearMap, Subspace, center,
                      derived_subalgebra, quotient)
@@ -218,6 +218,21 @@ def image_rows(basis: Sequence[Mono], N: Sequence[int],
     return sc
 
 
+def monomial_rows(sources: Sequence, target: Sequence[Mono],
+                  images: Callable[..., Iterable[Optional[Mono]]]) -> List[int]:
+    """The linear twin of image_rows: row t is the GF(2) sum (XOR) of the
+    monomials images(sources[t]), as a mask over the monomial list `target`.
+    A None, or a monomial outside `target` (a quotiented constant), drops."""
+    bit = {m: 1 << k for k, m in enumerate(target)}
+    rows = []
+    for src in sources:
+        r = 0
+        for m in images(src):
+            r ^= bit.get(m, 0)
+        rows.append(r)
+    return rows
+
+
 def function_algebra(names: Sequence[str], N: Sequence[int], images: Callable[[Mono], Images],
                      mod_out: Optional[Callable[[Mono], bool]] = None,
                      name: str = "",
@@ -311,22 +326,9 @@ def build_hI(nvars: int, N: Sequence[int], variant: str = "full") -> Algebra:
 
 def divergence_operator_kernel(h: Algebra) -> Subspace:
     """{f : sum_i d_i^2 f = 0} inside a Hamiltonian-type function algebra."""
-    basis: List[Mono] = h.meta["mono_degrees"]
-    N = h.meta["N"]
-    nvars = len(N)
-    index = {m: i for i, m in enumerate(basis)}
-    full_monos = monomials(N)
-    full_index = {m: i for i, m in enumerate(full_monos)}
-    rows = []
-    for m in basis:
-        img = 0
-        for i in range(nvars):
-            if m[i] >= 2:
-                m2 = m[:i] + (m[i] - 2,) + m[i + 1:]
-                img ^= 1 << full_index[m2]
-        rows.append(img)
-    eqs = [e for e in gf2.transpose(rows, len(full_monos)) if e]
-    return Subspace(h, gf2.kernel(eqs, h.dim))
+    full = monomials(h.meta["N"])
+    rows = monomial_rows(h.meta["mono_degrees"], full, lambda m: [mono_partial(m, i, i) for i in range(len(m))])
+    return Subspace(h, gf2.kernel(gf2.transpose(rows, len(full)), h.dim))
 
 
 def build_div_free_hI(nvars: int, N: Sequence[int], variant: str = "full") -> Algebra:

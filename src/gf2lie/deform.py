@@ -17,8 +17,8 @@ from . import gf2
 from .cohomology import (Block, C3Index, Cochain2, Triple, coboundary_block, combine, cyclic_compose, d2,
                          is_coboundary)
 from .constructions import (build_hamiltonian, build_jurman, build_kap2, build_kap4B, build_poisson,
-                            image_rows, kap4B_images, pq_names)
-from .divpow import check_shearing, mono_offsets, mono_pack, mono_text, monomials, reindex_mono
+                            image_rows, kap4B_images, monomial_rows, pq_names)
+from .divpow import check_shearing, mono_offsets, mono_pack, mono_partial, mono_text, monomials, reindex_mono
 from .fields import GF2, GF2k, Scalar, add_scaled
 from .grading import cochain_weight
 from .isom import search_isomorphism
@@ -399,17 +399,7 @@ def partial_matrix(g_alg: Algebra, var: int, power: int = 1) -> List[int]:
     """d^power / d(var)^power as images of the monomial basis; quotiented
     coordinates (constants) drop to zero."""
     basis = g_alg.meta["mono_degrees"]
-    index = {m: t for t, m in enumerate(basis)}
-    out = []
-    for m in basis:
-        if m[var] < power:
-            out.append(0)
-            continue
-        m2 = list(m)
-        m2[var] -= power
-        m2 = tuple(m2)
-        out.append(1 << index[m2] if m2 in index else 0)
-    return out
+    return monomial_rows(basis, basis, lambda m: [mono_partial(m, *[var] * power)])
 
 
 class Certificate:
@@ -578,13 +568,9 @@ def f_alpha_matrix(g_alg: Algebra, alpha: Scalar) -> List[Dict[int, int]]:
 
 def reindex_map(src: Algebra, dst: Algebra) -> LinearMap:
     """The digit-splitting bijection between function algebras as a LinearMap."""
-    src_basis = src.meta["mono_degrees"]
     N = src.meta["N"]
-    dst_index = {m: t for t, m in enumerate(dst.meta["mono_degrees"])}
-    images = []
-    for m in src_basis:
-        images.append(1 << dst_index[reindex_mono(m, N)])
-    return LinearMap(src, dst, images)
+    return LinearMap(src, dst, monomial_rows(src.meta["mono_degrees"], dst.meta["mono_degrees"],
+                                             lambda m: [reindex_mono(m, N)]))
 
 
 # ---------------------------------------------------------------------------
@@ -632,22 +618,11 @@ def kap4b_quotient_map(m: int) -> LinearMap:
     k4b = build_kap4B(2 * m)
     quo = quotient(k4b, Subspace(k4b, [1]), name="Kap4B(%d)/c" % (2 * m))
     kap2 = build_kap2(2 * m)
-    index = {mm: t for t, mm in enumerate(quo.meta["mono_degrees"])}  # all but the constant
-    gamma = kap2.meta["jsystem_gamma"]
-    images = []
-    for u in gamma:
-        # expand prod (1+x) over the support: all sub-monomials of it
-        sup = [2 * t if t < m else 2 * (t - m) + 1 for t in gf2.bits(u)]
-        img = 0
-        for mask in range(1 << len(sup)):
-            mono = [0] * (2 * m)
-            for b in gf2.bits(mask):
-                mono[sup[b]] = 1
-            t = index.get(tuple(mono))
-            if t is not None:
-                img ^= 1 << t
-        images.append(img)
-    return LinearMap(kap2, quo, images)
+
+    def expansion(u):  # prod (1+x) over the support of u: all sub-monomials of it; the constant drops
+        sup = {2 * t if t < m else 2 * (t - m) + 1 for t in gf2.bits(u)}
+        return _cartesian(*[(0, 1) if v in sup else (0,) for v in range(2 * m)])
+    return LinearMap(kap2, quo, monomial_rows(kap2.meta["jsystem_gamma"], quo.meta["mono_degrees"], expansion))
 
 
 def kap4b_as_deform(m: int) -> Kap4bReport:

@@ -75,6 +75,15 @@ def mono_unpack(p: int, N: ShearingVector) -> Monomial:
     return tuple(out)
 
 
+def mono_partial(r: Monomial, *variables: int) -> Optional[Monomial]:
+    """d_v1 d_v2 ... x^(r): one off the exponent of each listed variable (a
+    variable may repeat), or None when an exponent would go below zero."""
+    out = list(r)
+    for v in variables:
+        out[v] -= 1
+    return tuple(out) if min(out, default=0) >= 0 else None
+
+
 def mono_text(r: Monomial, names: Sequence[str]) -> str:
     parts = []
     for e, nm in zip(r, names):

@@ -20,13 +20,14 @@ from .constructions import (QuadraticFormSpec, build_a2gh, build_classical, buil
                             build_div_free_hI, build_hI, build_hamiltonian, build_jurman,
                             build_kap1, build_kap2, build_kap3, build_kap4A, build_kap4B,
                             build_multipair, build_po_tensor_O,
-                            build_poisson, build_tensor_example, dim_kap4A,
+                            build_poisson, build_tensor_example, dim_kap4A, monomial_rows,
                             tensor_example_iso)
 from .deform import (bracket_map_cochain, deform_bracket, defect, integrability_verdict,
                      jurman_cocycle, jurman_deform_check,
                      kap4b_as_deform, partial_matrix, poisson_family, f_alpha_matrix,
                      reindex_map, semitrivial_certificate, zero_defect_representative,
                      lambda_grading)
+from .divpow import mono_mul, mono_partial
 from .fields import GF2, GF2k
 from .grading import associated_graded, weisfeiler_filtration
 from .isom import fingerprint, search_isomorphism
@@ -260,6 +261,15 @@ def criterion_03_kaplansky_identifications() -> dict:
     return _report("3 Kaplansky identifications", ok, checks=checks)
 
 
+def _gr_jurman_rows(gr: Algebra, hp: Algebra, g: int) -> List[int]:
+    """gr j(g,h) -> h'_Pi(2;g,h+1): Y_i(s) -> p^(beta) q^(2a+1-s), (a, beta) = divmod(i+1+s, 2^g)."""
+    def image(lbl):
+        i, s = map(int, lbl[1:-1].split("("))
+        a, beta = divmod(i + 1 + s, 1 << g)
+        return [(beta, 2 * a + 1 - s)]
+    return monomial_rows(gr.labels, hp.meta["mono_degrees"], image)
+
+
 def criterion_04_weisfeiler_gr() -> dict:
     checks = []
     codims21 = None
@@ -269,16 +279,8 @@ def criterion_04_weisfeiler_gr() -> dict:
         filt = weisfeiler_filtration(j, Subspace(j, [1 << i for i in idx0]))
         gr = associated_graded(filt)
         hp = HP(g, h + 1)
-        eta = (1 << g) - 1
-        mono_idx = {m: k for k, m in enumerate(hp.meta["mono_degrees"])}
-        images = []
-        for lbl in gr.labels:
-            i_str, s_str = lbl[1:].split("(")
-            i, s = int(i_str), int(s_str[:-1])
-            a, beta = divmod(i + 1 + s, eta + 1)
-            images.append(1 << mono_idx[(beta, 2 * a + 1 - s)])
         ok = (filt.l0_maximal and filt.check_compatible()
-              and verify_morphism(LinearMap(gr, hp, images), "isomorphism"))
+              and verify_morphism(LinearMap(gr, hp, _gr_jurman_rows(gr, hp, g)), "isomorphism"))
         checks.append(("gr j(%d,%d) ~ h'_Pi(2;%d,%d)" % (g, h, g, h + 1), ok))
         if (g, h) == (2, 1):
             codims21 = filt.codims()
@@ -574,7 +576,6 @@ def criterion_13_property_suites() -> dict:
     import random
     checks = []
     # Lucas rule vs big-integer binomials, exhaustive below 2^6
-    from .divpow import mono_mul
     okl = all(
         (mono_mul((k,), (l,), (6,))[0] == (math.comb(k + l, k) & 1 if k + l < 64 else 0))
         for k in range(64) for l in range(64))
@@ -606,20 +607,8 @@ def harmonic_subalgebra_h2_report() -> dict:
     with sum_i d^2 f / dp_i dq_i = 0.  Reported, not gated."""
     po = build_poisson(2, (1, 1, 1, 1))
     basis = po.meta["mono_degrees"]
-    idx = {mm: t for t, mm in enumerate(basis)}
-    rows = []
-    for mono in basis:
-        img = 0
-        for t in range(2):
-            pi, qi = 2 * t, 2 * t + 1
-            if mono[pi] and mono[qi]:
-                m2 = list(mono)
-                m2[pi] -= 1
-                m2[qi] -= 1
-                img ^= 1 << idx[tuple(m2)]
-        rows.append(img)
-    eqs = [e for e in gf2.transpose(rows, po.dim) if e]
-    sub = Subspace(po, gf2.kernel(eqs, po.dim))
+    rows = monomial_rows(basis, basis, lambda m: [mono_partial(m, 2 * t, 2 * t + 1) for t in range(2)])
+    sub = Subspace(po, gf2.kernel(gf2.transpose(rows, po.dim), po.dim))
     S = quotient(po, Subspace(po), "harmonic subalgebra m=2", within=sub)
     blk = compute_h2(S, budget=40_000_000)
     return {"criterion": "note: harmonic subalgebra H2", "pass": blk.dims[2] == 34,

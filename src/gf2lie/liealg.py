@@ -30,9 +30,20 @@ def _require_gf2(g: "Algebra", what: str) -> None:
         raise AlgebraError("%s is computed over GF(2) only, not over %r" % (what, g.field))
 
 
+def _refuse_outside(g: "Algebra", vecs: Iterable[Vec], what: str) -> None:
+    """Raise AlgebraError unless each of `vecs` is a vector of g: a mask in
+    [0, 2^dim), or a dict {index in [0, dim): value in g's field}."""
+    n, full, top = g.dim, 1 << g.dim, g.field.order or float("inf")  # GF(2)[h] takes every v >= 0
+    for v in vecs:
+        if not (0 <= v < full if isinstance(v, int) else isinstance(v, dict) and all(
+                isinstance(k, int) and isinstance(c, int) and 0 <= k < n and 0 <= c < top
+                for k, c in v.items())):
+            raise AlgebraError("%s %r is not a vector of %r" % (what, v, g))
+
+
 class ValidationReport:
     def __init__(self):
-        self.alternation_failures: List[tuple] = []
+        self.alternation_failures: List[tuple] = []  # stays empty: alternation is structural
         self.jacobi_failures: List[tuple] = []
         self.grading_failures: List[tuple] = []
 
@@ -264,8 +275,10 @@ class Algebra:
 
     # -- validation -------------------------------------------------------
     def validate(self, max_report: int = 5) -> ValidationReport:
-        """Alternation (structural, re-checked) + Jacobi on every triple
-        i<j<k, reporting the first `max_report` failures in (i,j,k) order.
+        """Jacobi on every triple i<j<k, reporting the first `max_report`
+        failures in (i,j,k) order.  Alternation is structural: every
+        constructor refuses or drops [e_i, e_i], so `alternation_failures`
+        stays empty.
 
         Over GF(2) Jacobi is first proven from a few basis vectors.  With an
         alternating bracket the Jacobiator J(x,y,z) is trilinear and
@@ -287,9 +300,6 @@ class Algebra:
         n = self.dim
         if self.is_gf2:
             T = self.pair_table()
-            for i in range(n):
-                if T[i * n + i]:
-                    rep.alternation_failures.append((i,))
             pairs = sorted(self.sc)
             nbr_mask = [0] * n  # bit z of nbr_mask[l]: [e_z,e_l] != 0
             for a, b in pairs:
@@ -304,7 +314,7 @@ class Algebra:
                     r |= nbr_mask[low.bit_length() - 1]
                     w ^= low
                 R[a * n + b] = r & ~((1 << a) | (1 << b))
-            if not rep.alternation_failures and _jacobi_proof(self, pairs, nbr_mask, R):
+            if _jacobi_proof(self, pairs, nbr_mask, R):
                 return rep
             fails = []
             for a, b in pairs:
@@ -426,12 +436,19 @@ class Algebra:
         def int_list(x):
             return list_of(lambda c: isinstance(c, int), x)
 
+        def str_list(x):
+            return list_of(lambda c: isinstance(c, str), x)
+
+        n = len(d["labels"])
         for key, ok, what in (
+                ("name", isinstance(d.get("name", ""), str), "a string"),
+                ("labels", str_list(d["labels"]), "a list of strings"),
+                ("dim", d.get("dim", n) == n, "%d, the number of labels" % n),
                 ("grading", grading is None or list_of(int_list, grading), "a list of integer lists"),
                 ("grading_mod", mod is None or int_list(mod), "an integer list"),
                 ("meta", isinstance(md, dict), "an object"),
                 ("meta.mono_degrees", list_of(int_list, mdd.get("mono_degrees", [])), "a list of integer lists"),
-                ("meta.vars", list_of(lambda v: isinstance(v, str), mdd.get("vars", [])), "a list of strings"),
+                ("meta.vars", str_list(mdd.get("vars", [])), "a list of strings"),
                 ("meta.N", int_list(mdd.get("N", [])), "an integer list")):
             if not ok:
                 raise AlgebraError("an algebra file's %s is %s" % (key, what))
@@ -544,10 +561,12 @@ def _jacobi_proof(g: Algebra, pairs: List[Tuple[int, int]], nbr: List[int], R: L
 class Subspace:
     """Row space of an ambient algebra; rows() is its reduced echelon basis."""
 
-    def __init__(self, ambient: Algebra, rows: Iterable[int] = ()):
+    def __init__(self, ambient: Algebra, rows: Iterable[Vec] = ()):
         _require_gf2(ambient, "a subspace")
+        rows = list(rows)
+        _refuse_outside(ambient, rows, "a subspace row")
         self.ambient = ambient
-        self.span = gf2.Span(rows)
+        self.span = gf2.Span(map(ambient.as_mask, rows))
 
     @property
     def dim(self) -> int:
@@ -816,6 +835,7 @@ class LinearMap:
     def __init__(self, source: Algebra, target: Algebra, images: Sequence[Vec]):
         if len(images) != source.dim:
             raise AlgebraError("need one image per source basis vector")
+        _refuse_outside(target, images, "an image")
         self.source = source
         self.target = target
         self.images = list(images)

@@ -495,8 +495,11 @@ def test_validate_refuses_a_malformed_field_or_structure(tmp_path, capsys, field
     ("meta", {"mono_degrees": 5}, "meta.mono_degrees is a list of integer lists"),
     ("meta", {"vars": [1, 2]}, "meta.vars is a list of strings"),
     ("meta", {"N": ["2"]}, "meta.N is an integer list"),
+    ("name", ["x"], "name is a string"),
+    ("labels", [0, 1], "labels is a list of strings"),
+    ("dim", 99, "dim is 2, the number of labels"),
 ], ids=["int-grading", "string-weight", "int-grading_mod", "nested-grading_mod", "int-meta",
-        "int-mono_degrees", "int-vars", "string-N"])
+        "int-mono_degrees", "int-vars", "string-N", "list-name", "int-labels", "wrong-dim"])
 def test_validate_refuses_a_malformed_optional_key(tmp_path, capsys, key, value, why):
     doc = Algebra(GF2k(1), ["a", "b"], {}).to_json()
     doc[key] = value

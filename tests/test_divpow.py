@@ -3,14 +3,16 @@ import random
 
 import pytest
 
-from gf2lie import gf2
-from gf2lie.constructions import build_po_tensor_O, build_poisson
-from gf2lie.deform import f_alpha_matrix, partial_matrix, poisson_family, reindex_map
+from gf2lie import experiments, gf2
+from gf2lie.constructions import (build_hamiltonian, build_hI, build_jurman, build_kap2, build_kap4B,
+                                  build_po_tensor_O, build_poisson, divergence_operator_kernel, monomial_rows)
+from gf2lie.deform import f_alpha_matrix, kap4b_quotient_map, partial_matrix, poisson_family, reindex_map
 from gf2lie.divpow import (
-    check_shearing, mono_mul, mono_offsets, mono_pack, mono_unpack, monomials, reindex_mono,
+    check_shearing, mono_mul, mono_offsets, mono_pack, mono_partial, mono_unpack, monomials, reindex_mono,
 )
 from gf2lie.fields import GF2, GF2k, Scalar
-from gf2lie.liealg import LinearMap, verify_morphism
+from gf2lie.grading import associated_graded, weisfeiler_filtration
+from gf2lie.liealg import LinearMap, Subspace, quotient, verify_morphism
 from test_deform import POISSON_SHAPES
 
 F4, F8 = GF2k(2), GF2k(3)
@@ -238,3 +240,150 @@ def test_exponent_bounds_enforced():
     with pytest.raises(ValueError):
         build_poisson(1, (0, 2))
     assert max(monomials((2, 1))) == (3, 1)
+
+
+# ---------------------------------------------------------------------------
+# the one divided-power linear walk: mono_partial and monomial_rows, and the
+# hand-rolled {monomial: index} loops they replaced, kept as oracles
+# ---------------------------------------------------------------------------
+
+def test_mono_partial():
+    assert mono_partial((3, 1), 0, 0) == (1, 1)  # a repeated variable lowers twice
+    assert mono_partial((3, 1), 0, 1) == (2, 0)
+    assert mono_partial((3, 1), 1, 1) is None  # below zero
+    assert mono_partial((0, 2), 0) is None
+    assert mono_partial((2, 5)) == (2, 5)  # no variable: the identity
+    assert mono_partial(()) == ()
+    with pytest.raises(IndexError):
+        mono_partial((1, 1), 2)  # no third variable
+
+
+def test_monomial_rows_drops_and_cancels():
+    target = [(0, 1), (1, 0), (1, 1)]
+    images = {"a": [None, (1, 0)],  # None drops
+              "b": [(0, 0), (1, 1)],  # (0, 0) lies outside the target and drops
+              "c": [(0, 1), (1, 1), (0, 1)],  # a monomial listed twice cancels
+              "d": []}
+    assert monomial_rows("abcd", target, images.__getitem__) == [0b010, 0b100, 0b100, 0]
+
+
+def _loop_partial_matrix(g_alg, var, power=1):
+    basis = g_alg.meta["mono_degrees"]
+    index = {m: t for t, m in enumerate(basis)}
+    out = []
+    for m in basis:
+        if m[var] < power:
+            out.append(0)
+            continue
+        m2 = list(m)
+        m2[var] -= power
+        m2 = tuple(m2)
+        out.append(1 << index[m2] if m2 in index else 0)
+    return out
+
+
+@pytest.mark.parametrize("g", [build_poisson(1, (2, 2)), build_hamiltonian(1, (2, 3), "derived"),
+                               build_poisson(2, (1, 1, 1, 1)), build_hI(2, (2, 2))],
+                         ids=lambda g: g.name)
+def test_partial_matrix_matches_the_index_loop(g):
+    for var in range(len(g.meta["N"])):
+        for power in range(1, 5):
+            assert partial_matrix(g, var, power) == _loop_partial_matrix(g, var, power), (var, power)
+
+
+def _loop_divergence_kernel(h):
+    basis = h.meta["mono_degrees"]
+    N = h.meta["N"]
+    nvars = len(N)
+    full_monos = monomials(N)
+    full_index = {m: i for i, m in enumerate(full_monos)}
+    rows = []
+    for m in basis:
+        img = 0
+        for i in range(nvars):
+            if m[i] >= 2:
+                m2 = m[:i] + (m[i] - 2,) + m[i + 1:]
+                img ^= 1 << full_index[m2]
+        rows.append(img)
+    eqs = [e for e in gf2.transpose(rows, len(full_monos)) if e]
+    return rows, Subspace(h, gf2.kernel(eqs, h.dim))
+
+
+@pytest.mark.parametrize("n, N", [(4, (1,) * 4), (5, (1,) * 5), (6, (1,) * 6), (2, (2, 2))])
+def test_divergence_kernel_matches_the_index_loop(n, N):
+    h = build_hI(n, N)
+    rows, kernel = _loop_divergence_kernel(h)
+    assert monomial_rows(h.meta["mono_degrees"], monomials(N),
+                         lambda m: [mono_partial(m, i, i) for i in range(n)]) == rows
+    assert divergence_operator_kernel(h) == kernel
+
+
+def test_harmonic_rows_match_the_index_loop():
+    po = build_poisson(2, (1, 1, 1, 1))
+    basis = po.meta["mono_degrees"]
+    idx = {mm: t for t, mm in enumerate(basis)}
+    rows = []
+    for mono in basis:
+        img = 0
+        for t in range(2):
+            pi, qi = 2 * t, 2 * t + 1
+            if mono[pi] and mono[qi]:
+                m2 = list(mono)
+                m2[pi] -= 1
+                m2[qi] -= 1
+                img ^= 1 << idx[tuple(m2)]
+        rows.append(img)
+    assert any(rows)
+    assert monomial_rows(basis, basis, lambda m: [mono_partial(m, 2 * t, 2 * t + 1) for t in range(2)]) == rows
+
+
+@pytest.mark.parametrize("N", [(2, 2), (3, 2), (2, 3)])
+def test_reindex_map_matches_the_index_loop(N):
+    src = poisson_family(1, N, GF2.zero)
+    dst = build_po_tensor_O(1, [n - 1 for n in N])
+    dst_index = {m: t for t, m in enumerate(dst.meta["mono_degrees"])}
+    images = []
+    for m in src.meta["mono_degrees"]:
+        images.append(1 << dst_index[reindex_mono(m, N)])
+    assert reindex_map(src, dst).images == images
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_kap4b_quotient_map_matches_the_index_loop(m):
+    k4b = build_kap4B(2 * m)
+    quo = quotient(k4b, Subspace(k4b, [1]), name="Kap4B(%d)/c" % (2 * m))
+    kap2 = build_kap2(2 * m)
+    index = {mm: t for t, mm in enumerate(quo.meta["mono_degrees"])}  # all but the constant
+    gamma = kap2.meta["jsystem_gamma"]
+    images = []
+    for u in gamma:
+        # expand prod (1+x) over the support: all sub-monomials of it
+        sup = [2 * t if t < m else 2 * (t - m) + 1 for t in gf2.bits(u)]
+        img = 0
+        for mask in range(1 << len(sup)):
+            mono = [0] * (2 * m)
+            for b in gf2.bits(mask):
+                mono[sup[b]] = 1
+            t = index.get(tuple(mono))
+            if t is not None:
+                img ^= 1 << t
+        images.append(img)
+    assert kap4b_quotient_map(m).images == images
+
+
+@pytest.mark.parametrize("g, h", [(2, 1), (3, 1), (2, 2)])
+def test_gr_jurman_rows_match_the_index_loop(g, h):
+    j = build_jurman(g, h)
+    filt = weisfeiler_filtration(j, Subspace(j, [1 << i for i, lbl in enumerate(j.labels)
+                                                 if not lbl.startswith("Y-1")]))
+    gr = associated_graded(filt)
+    hp = build_hamiltonian(1, (g, h + 1), "derived")
+    eta = (1 << g) - 1
+    mono_idx = {m: k for k, m in enumerate(hp.meta["mono_degrees"])}
+    images = []
+    for lbl in gr.labels:
+        i_str, s_str = lbl[1:].split("(")
+        i, s = int(i_str), int(s_str[:-1])
+        a, beta = divmod(i + 1 + s, eta + 1)
+        images.append(1 << mono_idx[(beta, 2 * a + 1 - s)])
+    assert experiments._gr_jurman_rows(gr, hp, g) == images

@@ -1004,6 +1004,44 @@ def test_verify_morphism_identity_and_zero():
     assert not verify_morphism(crushed, "isomorphism")
 
 
+@pytest.mark.parametrize("field, image", [
+    (GF2k(2), {0: 5}),  # 5 is no element of GF(4)
+    (GF2, 1 << 5),  # a coordinate beyond dim 2
+    (GF2, -1),  # gf2.bits never ends on a negative mask
+    (GF2, {2: 1}),
+    (GF2, {-1: 1}),
+    (GF2, {0: 2}),
+    (PolyRing("h"), {0: -1}),
+    (GF2, "e0"),
+], ids=["gf4-value", "mask-too-wide", "negative-mask", "index-too-large", "negative-index",
+        "gf2-value-2", "negative-polynomial", "a-string"])
+def test_linear_map_refuses_an_image_outside_the_target(field, image):
+    a = Algebra(field, ["a", "b"], {})
+    with pytest.raises(AlgebraError, match="not a vector of"):
+        LinearMap(a, a, [image, {1: 1}])
+
+
+def test_linear_map_takes_images_inside_the_target():
+    a4 = Algebra(GF2k(2), ["a", "b"], {})
+    assert LinearMap(a4, a4, [{0: 3}, 2]).apply({0: 1}) == {0: 3}
+    ah = Algebra(PolyRing("h"), ["a", "b"], {})
+    assert LinearMap(ah, ah, [{0: 1 << 70}, {}]).images[0] == {0: 1 << 70}  # GF(2)[h] has no top
+
+
+@pytest.mark.parametrize("row", [1 << 40, 1 << 14, -3, {14: 1}, {0: 3}],
+                         ids=["far-beyond", "just-beyond", "negative", "index-too-large", "value-3"])
+def test_subspace_refuses_a_row_outside_the_algebra(row):
+    j = build_jurman(2, 1)
+    with pytest.raises(AlgebraError, match="not a vector of"):
+        Subspace(j, [1, row])
+
+
+def test_subspace_takes_dict_rows_as_masks():
+    j = build_jurman(2, 1)
+    assert Subspace(j, [{0: 1, 3: 1}, (1 << 14) - 1]) == Subspace(j, [0b1001, (1 << 14) - 1])
+    assert Subspace(j, (1 << i for i in range(j.dim))).dim == j.dim  # a generator is read once
+
+
 def _pair_loop_verify(m, kind):
     """verify_morphism as one LinearMap.apply and two brackets per basis
     pair, kept as an oracle for the check on the source pair table."""
