@@ -4,7 +4,10 @@ replay the paper-suite experiments with machine-parseable JSON output.
 Every subcommand prints one JSON document (sorted keys) on stdout;
 progress notes go to stderr.  Exit codes: 0 success, 2 check failure,
 1 usage error (bad arguments or unreadable input), 3 internal fault (the
-traceback goes to stderr).
+traceback goes to stderr).  A usage error is an `OSError`, a JSON decode
+error, a `UsageError` from the argument checks here, or one of the
+package's input errors (`AlgebraError`, `FieldError`, `CochainError`); any
+other exception, a bare `ValueError` from a kernel included, is a fault.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import traceback
 from contextlib import redirect_stdout
 from typing import Optional
 
-from .cohomology import compute_h2, parse_cocycle
+from .cohomology import CochainError, compute_h2, parse_cocycle
 from .constructions import (build_a2gh, build_classical, build_div_free_hI, build_hI,
                             build_hamiltonian, build_jurman, build_kaplansky,
                             build_multipair, build_poisson, build_tensor_example)
@@ -28,6 +31,10 @@ from .isom import fingerprint, search_isomorphism
 from .liealg import (Algebra, AlgebraError, Subspace, center, compute_h1_dim, derived_subalgebra,
                      simplicity_check)
 from .superize import restricted_closure, superize_linear, superize_nonlinear
+
+
+class UsageError(ValueError):
+    """A command-line argument or experiment file the CLI refuses."""
 
 
 def _emit(doc: dict, code: int = 0) -> int:
@@ -43,7 +50,10 @@ def _load_algebra(path: str) -> Algebra:
 def _scalar(field: str, text: str) -> Scalar:
     """The int literal `text` as an element of the --field, refused outside it."""
     fld = field_make(field)
-    v = int(text, 0)
+    try:
+        v = int(text, 0)
+    except ValueError:
+        raise UsageError("%r is not an int literal" % text) from None
     if v < 0 or (fld.order and v >= fld.order):
         raise FieldError("%s is not an element of %r" % (text, fld))
     return Scalar(fld, v)
@@ -53,7 +63,7 @@ def _parse_N(text: str, flag: str = "--N"):
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise ValueError("%s takes comma-separated integers (e.g. 2,2), not %r" % (flag, text)) from None
+        raise UsageError("%s takes comma-separated integers (e.g. 2,2), not %r" % (flag, text)) from None
 
 
 def _parse_pairs(text: str):
@@ -62,7 +72,7 @@ def _parse_pairs(text: str):
     except ValueError:
         pairs = []
     if not pairs or any(len(p) != 2 for p in pairs):
-        raise ValueError("--pairs takes g,h;g,h;... (e.g. 2,1;2,1), not %r" % text)
+        raise UsageError("--pairs takes g,h;g,h;... (e.g. 2,1;2,1), not %r" % text)
     return pairs
 
 
@@ -199,7 +209,7 @@ def _parse_rows(raw, dim: int) -> list:
     """--subalgebra rows: a JSON list of ints or int strings ("0x1f"), each
     a vector of the dim-dim algebra."""
     if not isinstance(raw, list):
-        raise ValueError("--subalgebra takes a JSON list of rows, not %r" % (raw,))
+        raise UsageError("--subalgebra takes a JSON list of rows, not %r" % (raw,))
     rows = []
     for x in raw:
         try:
@@ -207,7 +217,7 @@ def _parse_rows(raw, dim: int) -> list:
         except ValueError:
             r = -1
         if r < 0 or r >> dim:
-            raise ValueError("--subalgebra row %r is not a vector of the %d-dim algebra: "
+            raise UsageError("--subalgebra row %r is not a vector of the %d-dim algebra: "
                              "an int or int string in [0, 2^%d)" % (x, dim, dim))
         rows.append(r)
     return rows
@@ -281,16 +291,16 @@ def run_experiment_file(spec: dict) -> int:
     does not resolve is a failed expectation, a malformed spec a usage error."""
     if not isinstance(spec, dict) or not all(isinstance(spec.get(k, []), list)
                                              for k in ("steps", "expectations")):
-        raise ValueError('an experiment file holds a JSON object with "steps" and "expectations" lists')
+        raise UsageError('an experiment file holds a JSON object with "steps" and "expectations" lists')
     steps, expectations = spec.get("steps", []), spec.get("expectations", [])
     # the whole spec is checked before any step runs
     for t, step in enumerate(steps):
         argv = step.get("cmd") if isinstance(step, dict) else None
         if not isinstance(argv, list) or not all(isinstance(a, str) for a in argv):
-            raise ValueError('step %d is not {"cmd": [argument strings]}' % t)
+            raise UsageError('step %d is not {"cmd": [argument strings]}' % t)
     for t, exp in enumerate(expectations):
         if not isinstance(exp, dict) or not isinstance(exp.get("path"), str) or "equals" not in exp:
-            raise ValueError('expectation %d is not {"path": "dotted.path", "equals": value}' % t)
+            raise UsageError('expectation %d is not {"path": "dotted.path", "equals": value}' % t)
     reports = []
     for t, step in enumerate(steps):
         buf = io.StringIO()
@@ -404,7 +414,8 @@ def main(argv: Optional[list] = None) -> int:
         return 1 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (SystemExit, ValueError, OSError) as e:  # bad arguments or unreadable input
+    except (SystemExit, OSError, json.JSONDecodeError, UsageError, AlgebraError, FieldError,
+            CochainError) as e:  # bad arguments or unreadable input
         print("error: %s" % e, file=sys.stderr)
         return 1
     except Exception:  # noqa: BLE001 - CLI boundary: an internal fault

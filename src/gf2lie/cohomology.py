@@ -11,7 +11,8 @@ same composition gives the quadratic Jacobi defect c∘c of a deform and
 every Jacobiator and Massey term (module deform).  `cyclic_compose`
 walks the incidence index that an Algebra and a Cochain2 both expose,
 so its cost, and that of d1 and d2, follows the support of the operands,
-not dim^3.
+not dim^3.  `cyclic_compose_table` is its bilinear twin: every pairwise
+composition of a list of cochains, encoded, from one walk.
 """
 
 from __future__ import annotations
@@ -152,6 +153,53 @@ def cyclic_compose(a: Operand, b: Operand,
     for tri in [tri for tri, w in out.items() if not w]:
         del out[tri]
     return out
+
+
+def _triple_key(z: int, x: int, y: int, n: int) -> int:
+    """(a·n + b)·n + c for {a < b < c} = {z, x, y}, given x < y: a C^3 key
+    before its value index (see `C3Index`)."""
+    return (z * n + x) * n + y if z < x else (x * n + z) * n + y if z < y else (x * n + y) * n + z
+
+
+def cyclic_compose_table(cochains: Sequence[Cochain2], c3: C3Index) -> List[List[int]]:
+    """The compositions of every pair of the cochains a_0 .. a_m-1, encoded
+    through c3: q[i][j] = a_i∘a_j + a_j∘a_i for i < j and q[i][i] = a_i∘a_i,
+    zero below the diagonal.  So the defect of Σ x_i a_i is the XOR of
+    q[i][j] over the pairs i <= j with x_i = x_j = 1.
+
+    One walk over the cochains' incidence indexes, grouped by u: each pair
+    x<y with e_u in a_j(x,y) meets each z with a_i(e_u, e_z) != 0, as in
+    `cyclic_compose`.  The terms of one (u, i, j) are XORed into one mask
+    at their C^3 positions, with no triple dict, and the mask into q.
+    """
+    pres: Dict[int, List[Tuple[int, List[Pair]]]] = {}
+    rows: Dict[int, List[Tuple[int, List[Pair]]]] = {}
+    for t, a in enumerate(cochains):
+        pre, row = a.incidence()
+        for u, pairs in pre.items():
+            pres.setdefault(u, []).append((t, pairs))
+        for u, hits in row.items():
+            rows.setdefault(u, []).append((t, hits))
+    q = [[0] * len(cochains) for _ in cochains]
+    pos, n = c3.positions, c3.n
+    for u, by_j in pres.items():
+        by_i = rows.get(u, ())
+        for j, pairs in by_j:
+            for i, hits in by_i:
+                m = 0
+                for x, y in pairs:
+                    for z, w in hits:
+                        if z != x and z != y:
+                            base = _triple_key(z, x, y, n) * n - 1
+                            while w:
+                                low = w & -w
+                                m ^= 1 << pos.setdefault(base + low.bit_length(), len(pos))
+                                w ^= low
+                if i <= j:
+                    q[i][j] ^= m
+                else:
+                    q[j][i] ^= m
+    return q
 
 
 def d2(c: Cochain2) -> Dict[Triple, int]:
@@ -336,7 +384,9 @@ class Block:
         encoded through c3: μ∘c puts [e_k, e_z] at {i, j, z}, and c∘μ puts
         e_k at {x, y, j} for each pair x<y whose bracket holds e_i, and at
         {x, y, i} for each one whose bracket holds e_j.  Each term is XORed
-        straight into its C^3 position, so repeated terms cancel."""
+        straight into its C^3 position, so repeated terms cancel.  The keys
+        are `_triple_key`'s, inlined: a call per term would add ~4% to a
+        cocycle-tables pass."""
         pre, rows = self.g.incidence()
         pos, n, out = c3.positions, self.g.dim, []
         for (i, j), k in self.coords:
@@ -510,7 +560,8 @@ def block_consistent_representative(g: Algebra, printed: Cochain2,
         if not x0 & class_mask:
             return None
     out = combine(gens, x0, Cochain2(g, {}))
-    assert all(out.pair_value(*pr) & v == v for pr, v in printed.terms.items())
+    if any(out.pair_value(*pr) & v != v for pr, v in printed.terms.items()):
+        raise AlgebraError("the solved representative misses a printed term: the printed-term solve is wrong")
     return out
 
 

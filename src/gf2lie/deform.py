@@ -14,8 +14,8 @@ from itertools import combinations, product as _cartesian
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import gf2
-from .cohomology import (Block, C3Index, Cochain2, Triple, coboundary_block, combine, cyclic_compose, d2,
-                         is_coboundary)
+from .cohomology import (Block, C3Index, Cochain2, Triple, coboundary_block, combine, cyclic_compose,
+                         cyclic_compose_table, d2, is_coboundary)
 from .constructions import (build_hamiltonian, build_jurman, build_kap2, build_kap4B, build_poisson,
                             image_rows, kap4B_images, monomial_rows, pq_names)
 from .divpow import check_shearing, mono_offsets, mono_pack, mono_partial, mono_text, monomials, reindex_mono
@@ -138,18 +138,39 @@ def obstruction_poly(f: DeformFamily) -> ObstructionReport:
 # representative search inside a cohomology class
 # ---------------------------------------------------------------------------
 
-def _gray_steps(nbits: int):
-    """Consecutive Gray-code pairs covering all 2^nbits values from 0."""
-    prev = 0
-    for t in range(1, 1 << nbits):
-        cur = t ^ (t >> 1)
-        yield prev, cur
-        prev = cur
-
-
 # the most coboundaries a block may have: the representative search walks
 # all 2^B sums of a block's B coboundaries
 ENUM_LIMIT = 22
+
+
+def _first_zero(q: List[List[int]]) -> Optional[int]:
+    """The first x over GF(2)^B, in reflected Gray order from 0, at which the
+    quadratic map with table q is zero, or None when it has no zero.
+
+    q is (B+1)×(B+1) upper triangular, as `cyclic_compose_table` gives it
+    for B generators and one start: the map is q[B][B] plus q[i][i] ^ q[i][B]
+    at each set bit i of x plus q[i][j] at each set pair i < j.  Step t flips
+    bit k = ctz(t), and the change of the map is the derivative in bit k at
+    the other bits (Bouillaguet et al., "Fast Exhaustive Search for
+    Polynomial Systems in F2", CHES 2010).  Below k the bits read e_(k-1)
+    then; above k only the second-lowest set bit of t changed since k last
+    flipped, so each derivative is kept up to date with one XOR.
+    """
+    B = len(q) - 1
+    acc = q[B][B]
+    if not acc:
+        return 0
+    d = [q[k][B] ^ q[k][k] ^ (q[k - 1][k] if k else 0) for k in range(B)]
+    for t in range(1, 1 << B):
+        low = t & -t
+        k = low.bit_length() - 1
+        rest = t ^ low
+        if rest:  # not the first flip of bit k
+            d[k] ^= q[k][(rest & -rest).bit_length() - 1]
+        acc ^= d[k]
+        if not acc:
+            return t ^ t >> 1
+    return None
 
 
 def zero_defect_representative(g: Algebra, c: Cochain2, constraints=()) -> Optional[Cochain2]:
@@ -159,42 +180,20 @@ def zero_defect_representative(g: Algebra, c: Cochain2, constraints=()) -> Optio
     coboundaries is tried, so None is conclusive.  A block of more than
     ENUM_LIMIT coboundaries is refused with AlgebraError.
     """
-    d_c = defect(c)
-    if not d_c:
+    if not defect(c):
         return c
     cbs = coboundary_block(g, list(constraints))
     B = len(cbs)
     if B > ENUM_LIMIT:
         raise AlgebraError("the zero-defect search walks blocks of at most %d coboundaries "
                            "(ENUM_LIMIT), this one has %d" % (ENUM_LIMIT, B))
-    cross_c = [cyclic_compose(b, c, cyclic_compose(c, b)) for b in cbs]
-    d_b: Dict[Tuple[int, int], Dict[Triple, int]] = {}
-    for i in range(B):
-        d_b[(i, i)] = defect(cbs[i])
-        for j in range(i + 1, B):
-            d_b[(i, j)] = cyclic_compose(cbs[j], cbs[i], cyclic_compose(cbs[i], cbs[j]))
-    c3 = C3Index(g.dim)
-    enc_dc = c3.encode(d_c)
-    enc_cross = [c3.encode(x) for x in cross_c]
-    enc_q = {k: c3.encode(d_b[k]) for k in sorted(d_b)}
-    # Gray-code walk over the block with int-encoded 3-cochains: a bit
-    # flip costs O(B) xors, so 2^B candidates stay affordable to ENUM_LIMIT
-    acc = enc_dc
-    cur = 0
-    for g_prev, g_next in _gray_steps(B):
-        t = g_prev ^ g_next
-        i = t.bit_length() - 1
-        delta = enc_cross[i] ^ enc_q[(i, i)]
-        for j in gf2.bits(cur & ~t):
-            a, b = (i, j) if i < j else (j, i)
-            delta ^= enc_q[(a, b)]
-        acc ^= delta
-        cur = g_next
-        if not acc:
-            out = combine(cbs, cur, c)
-            assert not defect(out)
-            return out
-    return None
+    x = _first_zero(cyclic_compose_table(cbs + [c], C3Index(g.dim)))
+    if x is None:
+        return None
+    out = combine(cbs, x, c)
+    if defect(out):
+        raise AlgebraError("the representative the zero-defect search found has a nonzero defect")
+    return out
 
 
 def massey_tower(g: Algebra, c: Cochain2, constraints=()) -> dict:

@@ -14,6 +14,8 @@ from __future__ import annotations
 from itertools import product as _cartesian
 from typing import List, Optional, Sequence, Tuple
 
+from .liealg import AlgebraError
+
 Monomial = Tuple[int, ...]
 ShearingVector = Tuple[int, ...]
 
@@ -21,7 +23,7 @@ ShearingVector = Tuple[int, ...]
 def check_shearing(N: Sequence[int]) -> ShearingVector:
     N = tuple(int(n) for n in N)
     if not N or any(n < 1 for n in N):
-        raise ValueError("shearing vector entries must be >= 1: %r" % (N,))
+        raise AlgebraError("shearing vector entries must be >= 1: %r" % (N,))
     return N
 
 

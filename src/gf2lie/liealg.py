@@ -400,7 +400,12 @@ class Algebra:
                     raise ValueError
                 return int("".join(reversed(bits)), 2)
         elif kind == "gf2k" and isinstance(fd.get("k"), int) and isinstance(fd.get("modulus"), str):
-            field = GF2 if fd["k"] == 1 else GF2k(fd["k"], int(fd["modulus"], 0))
+            try:
+                modulus = int(fd["modulus"], 0)
+            except ValueError:
+                raise AlgebraError("an algebra file's field modulus is an int literal such as \"0x7\", not %r"
+                                   % fd["modulus"]) from None
+            field = GF2 if fd["k"] == 1 else GF2k(fd["k"], modulus)
 
             def parse(s):
                 return int(s, 0)

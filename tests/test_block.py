@@ -453,6 +453,18 @@ def test_empty_printed_cochain_meets_every_class():
     assert block_consistent_representative(HP22, empty, cons) == h2.representatives[0]
 
 
+def test_a_representative_missing_a_printed_term_is_refused(monkeypatch):
+    """The printed-term check of block_consistent_representative raises
+    AlgebraError, under python -O too, when the solved representative
+    misses a printed term."""
+    w = (0, -2)
+    printed = parse_cocycle(PRINTED_GH21_PARTIAL[w], HP22)
+    assert block_consistent_representative(HP22, printed, [("z", w)]) is not None
+    monkeypatch.setattr(cohomology, "combine", lambda gens, mask, start: start)
+    with pytest.raises(AlgebraError, match="misses a printed term"):
+        block_consistent_representative(HP22, printed, [("z", w)])
+
+
 def test_ungraded_mode_is_refused_by_every_block_solver():
     # the bracket of h'_Pi(2;2,2) has mod-2 weight (1, 1), not 0
     msg = r"weight mode 'mod2' does not grade h'_Pi\(2;\[2, 2\]\)"

@@ -421,6 +421,44 @@ def test_internal_fault_exit_code(monkeypatch, capsys):
     assert "KeyError" in capsys.readouterr().err
 
 
+def test_a_bare_value_error_in_a_kernel_is_an_internal_fault(tmp_path, monkeypatch, capsys):
+    from gf2lie import cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("not enough values to unpack")
+
+    out = str(tmp_path / "hp.json")
+    assert run_cli(["build", "h", "--N", "2,2", "--variant", "derived", "--out", out])[0] == 0
+    monkeypatch.setattr(cli, "compute_h2", broken)
+    capsys.readouterr()
+    code, doc = run_cli(["h2", "--algebra", out, "--weight", "4,-2", "--mode", "z"])
+    err = capsys.readouterr().err
+    assert code == 3 and doc is None
+    assert "Traceback" in err and "ValueError: not enough values to unpack" in err
+
+
+@pytest.mark.parametrize("argv, why", [
+    (["build", "h", "--N", "0,2"], "shearing vector entries must be >= 1: (0, 2)"),
+    (["build", "po", "--N", "2,-1"], "shearing vector entries must be >= 1: (2, -1)"),
+    (["build", "tensor-example", "--hbar", "0xg"], "'0xg' is not an int literal"),
+], ids=["N-zero", "N-negative", "hbar-not-an-int"])
+def test_bad_build_arguments_are_usage_errors(argv, why, capsys):
+    code, doc = run_cli(argv)
+    err = capsys.readouterr().err
+    assert code == 1 and doc is None
+    assert err.startswith("error: ") and why in err and "Traceback" not in err
+
+
+def test_validate_refuses_a_modulus_that_is_not_an_int(tmp_path, capsys):
+    doc = Algebra(GF2k(2), ["a", "b"], {}).to_json()
+    doc["field"]["modulus"] = "0xg"
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(["validate", "--algebra", str(path)])
+    assert code == 1 and out is None
+    assert "field modulus is an int literal" in capsys.readouterr().err
+
+
 def test_experiment_step_fault_ends_the_experiment(tmp_path, monkeypatch, capsys):
     from gf2lie import cli
 

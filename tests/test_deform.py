@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from gf2lie import deform, gf2
-from gf2lie.cohomology import Cochain2, compute_h2, cyclic_compose, d1, d2, is_coboundary, parse_cocycle
+from gf2lie.cohomology import (C3Index, Cochain2, coboundary_block, combine, compute_h2, cyclic_compose,
+                               cyclic_compose_table, d1, d2, is_coboundary, parse_cocycle)
 from gf2lie.constructions import (build_classical, build_hI, build_hamiltonian, build_jurman, build_kap4B,
                                   build_poisson, jurman_bracket, pq_names)
 from gf2lie.deform import (DeformFamily, bracket_map_cochain,
@@ -17,6 +18,7 @@ from gf2lie.deform import (DeformFamily, bracket_map_cochain,
                            poisson_family, semitrivial_certificate,
                            zero_defect_representative)
 from gf2lie.divpow import mono_mul, mono_text, monomials
+from gf2lie.experiments import HI_OUTER_DEGREES
 from gf2lie.fields import GF2, GF2k, Scalar
 from gf2lie.isom import search_isomorphism
 from gf2lie.liealg import (Algebra, AlgebraError, LinearMap, Subspace, derived_subalgebra, quotient,
@@ -326,6 +328,159 @@ def test_zero_defect_representatives_exist_gh21():
         assert rep is not None, w
         assert not defect(rep)
         assert not is_coboundary(rep)
+
+
+# ---------------------------------------------------------------------------
+# the zero-defect search before cyclic_compose_table, kept as an oracle: one
+# cyclic_compose dict per pair of cochains, each encoded, and a Gray walk
+# that XORs O(B) table entries per step
+# ---------------------------------------------------------------------------
+
+def _gray_steps(nbits):
+    """Consecutive Gray-code pairs covering all 2^nbits values from 0."""
+    prev = 0
+    for t in range(1, 1 << nbits):
+        cur = t ^ (t >> 1)
+        yield prev, cur
+        prev = cur
+
+
+def _pairwise_table(cbs, c, c3):
+    """(defect of c, cross terms of each b_i with c, {(i, j): the x_i x_j part}),
+    each a cyclic_compose dict encoded through c3."""
+    d_b = {}
+    for i in range(len(cbs)):
+        d_b[(i, i)] = defect(cbs[i])
+        for j in range(i + 1, len(cbs)):
+            d_b[(i, j)] = cyclic_compose(cbs[j], cbs[i], cyclic_compose(cbs[i], cbs[j]))
+    cross = [cyclic_compose(b, c, cyclic_compose(c, b)) for b in cbs]
+    return (c3.encode(defect(c)), [c3.encode(x) for x in cross],
+            {k: c3.encode(d_b[k]) for k in sorted(d_b)})
+
+
+def _pairwise_walk(enc_dc, enc_cross, enc_q, B):
+    """The first zero of the encoded defect in Gray order from 0, or None."""
+    if not enc_dc:
+        return 0
+    acc, cur = enc_dc, 0
+    for g_prev, g_next in _gray_steps(B):
+        t = g_prev ^ g_next
+        i = t.bit_length() - 1
+        delta = enc_cross[i] ^ enc_q[(i, i)]
+        for j in gf2.bits(cur & ~t):
+            a, b = (i, j) if i < j else (j, i)
+            delta ^= enc_q[(a, b)]
+        acc ^= delta
+        cur = g_next
+        if not acc:
+            return cur
+    return None
+
+
+def _pairwise_zero_defect_representative(g, c, constraints):
+    if not defect(c):
+        return c
+    cbs = coboundary_block(g, list(constraints))
+    x = _pairwise_walk(*_pairwise_table(cbs, c, C3Index(g.dim)), len(cbs))
+    return None if x is None else combine(cbs, x, c)
+
+
+HI = build_hI(2, (2, 2))
+
+
+def _search_cases():
+    """(name, algebra, cochain, constraints): every representative of the five
+    h_I outer-degree blocks, the 15 class sums of the degree -2 block, and
+    every representative of the h'_Pi(2;2,2) z-blocks that carry a printed class."""
+    cases = []
+    for d in sorted(HI_OUTER_DEGREES):
+        cons = [("mod2", (0, 0)), ("outer", (d,))]
+        reps = compute_h2(HI, constraints=cons).representatives
+        cases += [("hI outer %d rep %d" % (d, t), HI, rep, cons) for t, rep in enumerate(reps)]
+        if d == -2:
+            cases += [("hI outer -2 class %d" % cls, HI, combine(reps, cls, Cochain2(HI, {})), cons)
+                      for cls in range(1, 1 << len(reps))]
+    for w in [(4, -2), (0, -4), (2, 0), (0, -2), (-2, -2)]:
+        reps = compute_h2(HP, weight_filter=w, mode="z").representatives
+        cases += [("hp22 z %r rep %d" % (w, t), HP, rep, [("z", w)]) for t, rep in enumerate(reps)]
+    return cases
+
+
+SEARCH_CASES = _search_cases()
+
+
+def test_search_cases_cover_the_criterion_8_class_sums():
+    assert sum("class" in name for name, _, _, _ in SEARCH_CASES) == 15
+    assert sum(name.startswith("hI outer") and "rep" in name for name, _, _, _ in SEARCH_CASES) == \
+        sum(HI_OUTER_DEGREES.values())
+
+
+@pytest.mark.parametrize("name, g, c, cons", SEARCH_CASES, ids=[case[0] for case in SEARCH_CASES])
+def test_zero_defect_representative_matches_the_pairwise_search(name, g, c, cons):
+    assert zero_defect_representative(g, c, cons) == _pairwise_zero_defect_representative(g, c, cons)
+
+
+@pytest.mark.parametrize("name, g, c, cons", [case for case in SEARCH_CASES if defect(case[2])],
+                         ids=[case[0] for case in SEARCH_CASES if defect(case[2])])
+def test_compose_table_matches_the_pairwise_compositions(name, g, c, cons):
+    cbs = coboundary_block(g, cons)
+    c3 = C3Index(g.dim)
+    q = cyclic_compose_table(cbs + [c], c3)
+    width = len(c3.positions)
+    enc_dc, enc_cross, enc_q = _pairwise_table(cbs, c, c3)
+    assert len(c3.positions) == width  # the table met every coordinate the compositions hold
+    B = len(cbs)
+    assert q[B][B] == enc_dc
+    assert [q[i][B] for i in range(B)] == enc_cross
+    assert {(i, j): q[i][j] for i in range(B) for j in range(i, B)} == enc_q
+    assert not any(q[j][i] for i in range(B + 1) for j in range(i + 1, B + 1))
+
+
+def _random_system(rng, B, width):
+    """A random (B+1)×(B+1) upper-triangular table of width-bit masks."""
+    return [[rng.getrandbits(width) if i <= j else 0 for j in range(B + 1)] for i in range(B + 1)]
+
+
+def _value(q, x):
+    """The quadratic map of the table q at x, summed term by term."""
+    B = len(q) - 1
+    acc = q[B][B]
+    for i in gf2.bits(x):
+        acc ^= q[i][i] ^ q[i][B]
+        for j in gf2.bits(x >> i + 1):
+            acc ^= q[i][i + 1 + j]
+    return acc
+
+
+@pytest.mark.parametrize("B", range(13))
+def test_first_zero_matches_the_pairwise_walk_on_random_systems(B):
+    rng = random.Random(4099 + B)
+    found = missed = 0
+    for trial in range(12):
+        q = _random_system(rng, B, rng.randint(1, B + 3))
+        if trial % 4 == 3:  # a bit only the constant carries: no zero anywhere
+            q[B][B] |= 1 << 40
+        walk = _pairwise_walk(q[B][B], [q[i][B] for i in range(B)],
+                              {(i, j): q[i][j] for i in range(B) for j in range(i, B)}, B)
+        first = next((t ^ t >> 1 for t in range(1 << B) if not _value(q, t ^ t >> 1)), None)
+        assert deform._first_zero(q) == walk == first, (B, trial)
+        found += first is not None
+        missed += first is None
+    assert missed >= 3 and (found or B < 2)
+
+
+def test_a_representative_with_a_defect_is_refused(monkeypatch):
+    """The zero-defect search certifies its hit by recomputing the defect, so a
+    wrong hit raises AlgebraError, under python -O too, instead of being
+    reported as linear-global."""
+    blk = compute_h2(HP, weight_filter=(0, -2), mode="z")
+    rep = blk.representatives[0]
+    assert defect(rep) and zero_defect_representative(HP, rep, [("z", (0, -2))]) is not None
+    monkeypatch.setattr(deform, "combine", lambda gens, mask, start: start)
+    with pytest.raises(AlgebraError, match="nonzero defect"):
+        zero_defect_representative(HP, rep, [("z", (0, -2))])
+    with pytest.raises(AlgebraError, match="nonzero defect"):
+        integrability_verdict(HP, rep, [("z", (0, -2))])
 
 
 def test_semitrivial_certificate_c0m4():
