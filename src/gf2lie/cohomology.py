@@ -328,19 +328,25 @@ class Block:
     coordinates `c1` ((k, i) for e_k ⊗ d(e_i)); all of them when there are
     no constraints.  `encode` and `decode` map a 2-cochain of the block to
     its bit mask over `coords` and back; `d1_columns` and `d2_columns` write
-    the differentials of unit cochains straight from the incidence index.
-    Every constraint's mode must grade the algebra, so that d1 and d2 map
-    the block into itself.
+    the differentials of unit cochains straight from the incidence index,
+    and `d1_span` and `h2` keep what the solvers build from them.  Every
+    constraint's mode must grade the algebra, so that d1 and d2 map the
+    block into itself.  Get a block from `weight_block`, which keeps it.
     """
 
     def __init__(self, g: Algebra, constraints: Sequence[Constraint] = ()):
         _check_graded(g, constraints)
-        self.g = g
+        self._g = weakref.ref(g)  # a strong one would keep g's `_BLOCKS` entry alive forever
         self.coords = c2_block_coords(g, constraints)
         self.c1 = c1_block_coords(g, constraints)
         n = g.dim
         # the position of e_k ⊗ d(e_i)^d(e_j), i < j, at the key (i·n + j)·n + k
         self._pos = {(i * n + j) * n + k: t for t, ((i, j), k) in enumerate(self.coords)}
+        self._d1 = self._h2 = None  # built on first use: see d1_span and h2
+
+    @property
+    def g(self) -> Algebra:
+        return self._g()
 
     def encode(self, c: Cochain2) -> int:
         pos, n, m = self._pos, self.g.dim, 0
@@ -408,25 +414,62 @@ class Block:
             out.append(m)
         return out
 
-    def coboundaries(self) -> Tuple[gf2.Span, List[Cochain2]]:
-        """B^2 of the block, and the unit coboundaries that grew it, in `c1` order."""
-        span, grew = gf2.Span(), []
-        for col in self.d1_columns():
-            if span.add(col):
-                grew.append(self.decode(col))
-        return span, grew
+    def d1_span(self) -> Tuple[gf2.TaggedSpan, Tuple[int, ...]]:
+        """Every d1 column, tagged, for `coboundary_of` to solve against (shared, so only read),
+        and the columns that grew it, in `c1` order: a basis of B^2."""
+        if self._d1 is None:
+            span = gf2.TaggedSpan(len(self.coords))
+            self._d1 = span, tuple(col for col in self.d1_columns() if span.add(col))
+        return self._d1
+
+    def h2(self) -> Tuple[Tuple[int, ...], Tuple[int, int, int]]:
+        """The masks of H^2 representatives and (dim Z2, dim B2, dim H2), solved on first use.
+        Each cocycle is reduced through B^2 plus the representatives chosen
+        before it, so each one is independent modulo coboundaries and reduced."""
+        if self._h2 is None:
+            c3 = C3Index(self.g.dim)
+            z2_masks = gf2.combination_kernel(self.d2_columns(c3), c3.width)
+            grew = self.d1_span()[1]
+            span, reps = gf2.Span(grew), []
+            for zm in z2_masks:
+                res = span.reduce(zm)
+                if res:
+                    span.add(res)
+                    reps.append(res)
+            self._h2 = tuple(reps), (len(z2_masks), len(grew), len(reps))
+        return self._h2
+
+
+# algebra -> {constraints, each weight a tuple: its Block}
+_BLOCKS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def weight_block(g: Algebra, constraints: Sequence[Constraint] = ()) -> Block:
+    """The Block of g at the constraints, built once and kept in `_BLOCKS`
+    with the spans its solvers build for as long as g lives."""
+    blocks, key = _BLOCKS.setdefault(g, {}), tuple((mode, tuple(w)) for mode, w in constraints)
+    if key not in blocks:
+        blocks[key] = Block(g, constraints)
+    return blocks[key]
 
 
 class H2Basis:
-    """Representatives of H^2(g;g), independent modulo coboundaries."""
+    """Representatives of H^2(g;g), independent modulo coboundaries, and a basis of B^2, as
+    masks over the block's coordinates; `representatives` and `coboundaries` decode fresh lists."""
 
-    def __init__(self, block: Block, representatives: List[Cochain2],
-                 dims: Tuple[int, int, int], coboundaries: List[Cochain2]):
+    def __init__(self, block: Block):
         self.block = block
-        self.algebra = block.g
-        self.representatives = representatives
-        self.dims = dims  # (dim Z2, dim B2, dim H2) within the block
-        self.coboundaries = coboundaries  # a basis of B2, as Block.coboundaries gives it
+        self.algebra = block.g  # keeps g alive, for block.decode, while the basis lives
+        self.rep_masks, self.dims = block.h2()  # dims: (dim Z2, dim B2, dim H2) within the block
+        self.cob_masks = block.d1_span()[1]
+
+    @property
+    def representatives(self) -> List[Cochain2]:
+        return [self.block.decode(m) for m in self.rep_masks]
+
+    @property
+    def coboundaries(self) -> List[Cochain2]:
+        return [self.block.decode(m) for m in self.cob_masks]
 
     @property
     def dim(self) -> int:
@@ -448,7 +491,7 @@ def compute_h2(g: Algebra, weight_filter: Optional[Tuple[int, ...]] = None, mode
     constraints = list(constraints or ())
     if weight_filter is not None:
         constraints.append((mode, tuple(weight_filter)))
-    blk = Block(g, constraints)
+    blk = weight_block(g, constraints)
     n = g.dim
     if not constraints:
         est_c3 = n * n * (n - 1) * (n - 2) // 6
@@ -456,20 +499,7 @@ def compute_h2(g: Algebra, weight_filter: Optional[Tuple[int, ...]] = None, mode
             raise AlgebraError(
                 "d2 matrix would have ~%d entries (> budget %d); restrict to a weight block"
                 % (len(blk.coords) * est_c3, budget))
-
-    c3 = C3Index(n)
-    z2_masks = gf2.combination_kernel(blk.d2_columns(c3), c3.width)
-    span, cobs = blk.coboundaries()
-    dim_b2 = span.dim
-    # representatives: reduce cocycles through B2 plus previously chosen reps,
-    # so each one is independent modulo coboundaries and coboundary-reduced
-    reps: List[Cochain2] = []
-    for zm in z2_masks:
-        res = span.reduce(zm)
-        if res:
-            span.add(res)
-            reps.append(blk.decode(res))
-    return H2Basis(blk, reps, (len(z2_masks), dim_b2, len(reps)), cobs)
+    return H2Basis(blk)
 
 
 def _weight_parts(c: Cochain2) -> List[Tuple[List[Constraint], Cochain2]]:
@@ -497,11 +527,8 @@ def coboundary_of(c: Cochain2) -> Optional[List[int]]:
     is solved inside its own block and the images are summed."""
     images = [0] * c.algebra.dim
     for constraints, part in _weight_parts(c):
-        blk = Block(c.algebra, constraints)
-        span = gf2.TaggedSpan(len(blk.coords))
-        for col in blk.d1_columns():
-            span.add(col)
-        sol = span.solve(blk.encode(part))
+        blk = weight_block(c.algebra, constraints)
+        sol = blk.d1_span()[0].solve(blk.encode(part))
         if sol is None:
             return None
         for pos in gf2.bits(sol):
@@ -516,7 +543,8 @@ def is_coboundary(c: Cochain2) -> bool:
 
 def coboundary_block(g: Algebra, constraints: Sequence[Constraint]) -> List[Cochain2]:
     """A basis of the coboundaries restricted to a weight block."""
-    return Block(g, constraints).coboundaries()[1]
+    blk = weight_block(g, constraints)
+    return [blk.decode(m) for m in blk.d1_span()[1]]
 
 
 def combine(gens: Sequence[Cochain2], mask: int, start: Cochain2) -> Cochain2:
@@ -527,19 +555,19 @@ def combine(gens: Sequence[Cochain2], mask: int, start: Cochain2) -> Cochain2:
 
 
 def _printed_solutions(g: Algebra, printed: Cochain2, constraints: Sequence[Constraint]):
-    """(H^2 of the block, generators, x0, kernel).  The generators are the
-    class representatives, then the coboundaries.  The masks over them whose
-    sum carries every printed term are x0 (None when there is none) plus
-    any sum of the kernel vectors."""
+    """(H^2 of the block, x0, kernel).  The generators are the class
+    representatives, then the coboundaries.  The masks over them whose sum
+    carries every printed term are x0 (None when there is none) plus any
+    sum of the kernel vectors."""
     h2 = compute_h2(g, constraints=constraints)
-    gens = h2.representatives + h2.coboundaries
     try:
         target = h2.block.encode(printed)
     except AlgebraError:  # a printed term outside the block: no generator carries it
-        return h2, gens, None, []
-    cols = gf2.transpose([h2.block.encode(c) for c in gens], len(h2.block.coords))
+        return h2, None, []
+    gens = h2.rep_masks + h2.cob_masks
+    cols = gf2.transpose(gens, len(h2.block.coords))
     rows = [cols[p] for p in gf2.bits(target)]
-    return h2, gens, gf2.solve(rows, [1] * len(rows)), gf2.kernel(rows, len(gens))
+    return h2, gf2.solve(rows, [1] * len(rows)), gf2.kernel(rows, len(gens))
 
 
 def block_consistent_representative(g: Algebra, printed: Cochain2,
@@ -551,7 +579,7 @@ def block_consistent_representative(g: Algebra, printed: Cochain2,
     coboundaries; the class part of the solution is forced nonzero.  An
     empty printed cochain is met by the first class representative.
     """
-    h2, gens, x0, kernel = _printed_solutions(g, printed, constraints)
+    h2, x0, kernel = _printed_solutions(g, printed, constraints)
     if x0 is None:
         return None
     class_mask = (1 << h2.dim) - 1
@@ -559,7 +587,7 @@ def block_consistent_representative(g: Algebra, printed: Cochain2,
         x0 ^= next((kv for kv in kernel if kv & class_mask), 0)
         if not x0 & class_mask:
             return None
-    out = combine(gens, x0, Cochain2(g, {}))
+    out = combine(h2.representatives + h2.coboundaries, x0, Cochain2(g, {}))
     if any(out.pair_value(*pr) & v != v for pr, v in printed.terms.items()):
         raise AlgebraError("the solved representative misses a printed term: the printed-term solve is wrong")
     return out
@@ -569,7 +597,7 @@ def consistent_class_masks(g: Algebra, printed: Cochain2,
                            constraints: Sequence[Constraint]) -> Tuple[H2Basis, List[int]]:
     """All cohomology classes of the block (as masks over the block basis)
     admitting a representative whose coordinates contain every printed term."""
-    h2, _, x0, kernel = _printed_solutions(g, printed, constraints)
+    h2, x0, kernel = _printed_solutions(g, printed, constraints)
     if x0 is None:
         return h2, []
     class_mask = (1 << h2.dim) - 1

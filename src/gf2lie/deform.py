@@ -14,8 +14,8 @@ from itertools import combinations, product as _cartesian
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import gf2
-from .cohomology import (Block, C3Index, Cochain2, Triple, coboundary_block, combine, cyclic_compose,
-                         cyclic_compose_table, d2, is_coboundary)
+from .cohomology import (C3Index, Cochain2, Triple, coboundary_block, combine, cyclic_compose,
+                         cyclic_compose_table, d2, is_coboundary, weight_block)
 from .constructions import (build_hamiltonian, build_jurman, build_kap2, build_kap4B, build_poisson,
                             image_rows, kap4B_images, monomial_rows, pq_names)
 from .divpow import check_shearing, mono_offsets, mono_pack, mono_partial, mono_text, monomials, reindex_mono
@@ -247,7 +247,7 @@ def massey_tower(g: Algebra, c: Cochain2, constraints=()) -> dict:
 def _d2_solutions(g: Algebra, target: Dict, constraints, kernel_cap: int = 6):
     """Solutions m of d2(m) = target within a weight block: the particular
     one plus up to kernel_cap kernel offsets (cocycles of the block)."""
-    blk = Block(g, constraints)
+    blk = weight_block(g, constraints)
     if not blk.coords:
         return []
     c3 = C3Index(g.dim)

@@ -69,14 +69,6 @@ def mono_pack(r: Monomial, N: ShearingVector) -> int:
     return p
 
 
-def mono_unpack(p: int, N: ShearingVector) -> Monomial:
-    out = []
-    for n in N:
-        out.append(p & ((1 << n) - 1))
-        p >>= n
-    return tuple(out)
-
-
 def mono_partial(r: Monomial, *variables: int) -> Optional[Monomial]:
     """d_v1 d_v2 ... x^(r): one off the exponent of each listed variable (a
     variable may repeat), or None when an exponent would go below zero."""

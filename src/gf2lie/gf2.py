@@ -169,13 +169,6 @@ class TaggedSpan(Span):
         return None if res & self._low else res >> self.width
 
 
-def rref(rows: Iterable[int]) -> Tuple[List[int], List[int]]:
-    """Reduced row echelon form; returns (nonzero rows, their pivots), both
-    sorted by pivot column ascending."""
-    red = Span(rows)._reduced()
-    return list(red.values()), list(red)
-
-
 def rank(rows: Iterable[int]) -> int:
     return Span(rows).dim
 

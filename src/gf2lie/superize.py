@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import gf2
 from .constructions import BilinearFormSpec, QuadraticFormSpec, arf_invariant
-from .liealg import Algebra, AlgebraError, LinearMap, Subspace, verify_morphism
+from .liealg import Algebra, AlgebraError, LinearMap, verify_morphism
 
 
 class ClosureAlgebra:
@@ -120,9 +120,6 @@ class SuperAlgebra:
     @property
     def odd_dim(self) -> int:
         return self.parity.count(1)
-
-    def even_subspace(self) -> Subspace:
-        return Subspace(self.algebra, [1 << i for i, p in enumerate(self.parity) if p == 0])
 
     def odd_indices(self) -> List[int]:
         return [i for i, p in enumerate(self.parity) if p]

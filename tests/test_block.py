@@ -7,10 +7,14 @@ exactly, including the insertion order of `Cochain2.terms`.  So are the
 unit columns built through `d1`/`d2` and the tuple-keyed `OldC3Index`,
 against the columns `Block` writes from the incidence index, and the
 generator-expression coordinate scans against the packed weight keys.
+The per-algebra block memo (`cohomology.weight_block`) is checked against
+fresh algebras, whose memo is empty.
 """
 
 import copy
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -20,7 +24,7 @@ from gf2lie.cohomology import (Block, C3Index, Cochain2, block_consistent_repres
                                coboundary_of, combine, compute_h2, consistent_class_masks, d1, d2,
                                parse_cocycle)
 from gf2lie.constructions import build_hamiltonian, build_hI, build_tensor_example
-from gf2lie.deform import _d2_solutions, defect, in_d2_image, zero_defect_representative
+from gf2lie.deform import _d2_solutions, defect, in_d2_image, integrability_verdict, zero_defect_representative
 from gf2lie.experiments import (GH31_WEIGHTS, HI_OUTER_DEGREES, PRINTED_GH21, PRINTED_GH21_PARTIAL,
                                 PRINTED_GH31, PRINTED_GH31_PARTIAL, PRINTED_HI, PRINTED_HI_PARTIAL)
 from gf2lie.grading import C2_OFFSET, weight_keys
@@ -317,6 +321,76 @@ def test_block_matches_pre_block_solvers(name):
                 == _items(old_d2_solutions(g, defect(rep), doubled)))
 
 
+# ---------------------------------------------------------------------------
+# the per-algebra block memo against fresh algebras
+# ---------------------------------------------------------------------------
+
+BUILDERS = {"hp22": lambda: build_hamiltonian(1, (2, 2), "derived"),
+            "hp23": lambda: build_hamiltonian(1, (2, 3), "derived"),
+            "hI": lambda: build_hI(2, (2, 2))}
+
+
+def _block_answers(g, cons, texts, integrability):
+    """What the block solvers answer on one block, as plain data: H^2, the
+    coboundaries, coboundary_of on representatives and coboundary sums, the
+    representatives of the printed texts and of coboundaries, and with
+    `integrability` the verdicts (the zero-defect search and Massey tower)."""
+    h2 = compute_h2(g, constraints=cons)
+    cobs = coboundary_block(g, cons)
+    rng = random.Random(repr(cons))
+    probes = h2.representatives + cobs[:3] + [combine(cobs, rng.getrandbits(len(cobs)), Cochain2(g, {}))]
+    printed = [parse_cocycle(text, g) for text in texts] + cobs[:2]
+    verdicts = [integrability_verdict(g, rep, cons) for rep in h2.representatives] if integrability else []
+    return (h2.dims, [rep.text() for rep in h2.representatives], _items(h2.coboundaries), _items(cobs),
+            [coboundary_of(c) for c in probes],
+            _items([block_consistent_representative(g, c, cons) for c in printed]),
+            [(v, _items([rep])) for v, rep in verdicts])
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_the_block_memo_answers_as_a_fresh_algebra(name):
+    """CASES holds every block of the printed tables; each answer, read
+    once and then again from the memo, must be a fresh algebra's."""
+    g, cons, texts = CASES[name]
+    tag = name.split()[0]
+    first = _block_answers(g, cons, texts, tag == "hI")
+    assert cohomology.weight_block(g, cons) is cohomology.weight_block(g, cons)
+    assert _block_answers(g, cons, texts, tag == "hI") == first
+    fresh = BUILDERS[tag]()
+    assert fresh not in cohomology._BLOCKS
+    assert _block_answers(fresh, cons, texts, tag == "hI") == first
+
+
+def test_the_lists_handed_out_leave_the_memo_unchanged():
+    g, cons, _ = CASES["hI outer -2"]
+    h2 = compute_h2(g, constraints=cons)
+    want = (_items(h2.representatives), _items(h2.coboundaries), _items(coboundary_block(g, cons)))
+    assert all(want)
+    for got in (h2.representatives, h2.coboundaries, coboundary_block(g, cons),
+                compute_h2(g, constraints=cons).coboundaries):
+        got[0].terms.clear()
+        got.reverse()
+        got.append(Cochain2(g, {(0, 1): 1}))
+    for h2 in (h2, compute_h2(g, constraints=cons)):
+        assert (_items(h2.representatives), _items(h2.coboundaries), _items(coboundary_block(g, cons))) == want
+
+
+def test_the_memo_dies_with_its_algebra():
+    gc.collect()
+    g = BUILDERS["hp22"]()
+    h2 = compute_h2(g, weight_filter=(0, -2))
+    assert coboundary_of(h2.coboundaries[0]) is not None
+    assert len(cohomology._BLOCKS[g]) >= 2
+    held, alive = weakref.ref(g), len(cohomology._BLOCKS)
+    del g
+    gc.collect()
+    # a basis keeps its algebra, so its cochains can still be decoded
+    assert held() is not None and h2.representatives[0].algebra is held()
+    del h2
+    gc.collect()
+    assert held() is None and len(cohomology._BLOCKS) == alive - 1
+
+
 # every printed block, and the unconstrained blocks
 BLOCKS = dict({name: (g, cons) for name, (g, cons, _) in CASES.items()},
               **{"%s all" % tag: (g, []) for tag, g in (("hp22", HP22), ("hp23", HP23), ("hI", HI))})
@@ -375,7 +449,7 @@ def test_zero_defect_representative_refuses_a_block_past_the_limit(monkeypatch):
     for d in sorted(HI_OUTER_DEGREES):
         cons = _hi(d)
         for rep in compute_h2(HI, constraints=cons).representatives:
-            if defect(rep) and Block(HI, cons).coboundaries()[1]:
+            if defect(rep) and coboundary_block(HI, cons):
                 with pytest.raises(AlgebraError, match="at most 0 coboundaries"):
                     zero_defect_representative(HI, rep, cons)
                 refused += 1
@@ -532,6 +606,7 @@ def _seeded_c3(keys, rng):
 
 
 def _h2_and_solutions(g, cons):
+    cohomology._BLOCKS.pop(g, None)  # solve H^2 again, through the C3Index in force
     h2 = compute_h2(g, constraints=cons)
     doubled = [(mode, w if mode == "mod2" else tuple(2 * x for x in w)) for mode, w in cons]
     rng = random.Random(repr(cons))

@@ -11,8 +11,9 @@ from gf2lie.constructions import (BilinearFormSpec, JSystemSpec, QuadraticFormSp
                                   build_kap4A, build_kap4B, build_kap4_subalgebra,
                                   build_multipair, build_po_tensor_O, build_poisson,
                                   dim_kap4A, pq_names)
-from gf2lie.divpow import check_shearing, mono_mul, mono_pack, mono_text, mono_unpack, monomials
+from gf2lie.divpow import check_shearing, mono_mul, mono_pack, mono_text, monomials
 from gf2lie.liealg import Algebra, AlgebraError, Subspace, center, derived_subalgebra, simplicity_check
+from test_divpow import mono_unpack
 from test_liealg import _loop_quotient, _loop_subalgebra_on
 
 

@@ -8,7 +8,7 @@ from gf2lie.constructions import (build_hamiltonian, build_hI, build_jurman, bui
                                   build_po_tensor_O, build_poisson, divergence_operator_kernel, monomial_rows)
 from gf2lie.deform import f_alpha_matrix, kap4b_quotient_map, partial_matrix, poisson_family, reindex_map
 from gf2lie.divpow import (
-    check_shearing, mono_mul, mono_offsets, mono_pack, mono_partial, mono_unpack, monomials, reindex_mono,
+    check_shearing, mono_mul, mono_offsets, mono_pack, mono_partial, monomials, reindex_mono,
 )
 from gf2lie.fields import GF2, GF2k, Scalar
 from gf2lie.grading import associated_graded, weisfeiler_filtration
@@ -16,6 +16,16 @@ from gf2lie.liealg import LinearMap, Subspace, quotient, verify_morphism
 from test_deform import POISSON_SHAPES
 
 F4, F8 = GF2k(2), GF2k(3)
+
+
+def mono_unpack(p, N):
+    """The inverse of mono_pack: the exponent of each variable, read off its
+    N[i] bits."""
+    out = []
+    for n in N:
+        out.append(p & ((1 << n) - 1))
+        p >>= n
+    return tuple(out)
 
 
 def packed_mul(a, b):

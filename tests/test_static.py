@@ -58,6 +58,10 @@ No package function may hold an ``assert`` unless it is allowlisted:
 raise instead.  The allowlist keeps the internal invariants, each with what
 it guards.
 
+Only ``cohomology.weight_block`` may build a ``Block``: it keeps each
+weight block of an algebra, with the spans its solvers build, for as long
+as the algebra lives, and a block built elsewhere solves its spans again.
+
 No package module but ``fields`` may call ``.add(...)`` on a field (a name
 ``f`` or ``field``, or a ``.field`` attribute): the sparse ``{index: value}``
 update lives in ``fields.add_scaled``, and a scalar sum elsewhere is ``^``.
@@ -256,11 +260,8 @@ TEST_ONLY_ALLOWLIST = {
     "build_kap4_subalgebra": "Kap_{4,A} as the kernel inside Kap_{4,B}: the Kaplansky identifications",
     "check_invariant_form": "the invariant forms on Kap2 and h'_Pi that the paper's simplicity rests on",
     "check_polarization": "the Arf quadratic-form axiom behind every Kaplansky builder",
-    "even_subspace": "the even part of a superization, a subalgebra by the super axioms",
     "h2_weight_table": "the whole H^2 of an algebra split by weight: the printed tables at once",
     "jurman_united_family": "every j(g,h) with g + h = K as one deform of one base",
-    "mono_unpack": "the inverse of mono_pack: the packed-monomial codec's other half",
-    "rref": "reduced echelon form, the gf2 kernel checked against an independent oracle",
 }
 
 
@@ -546,21 +547,25 @@ def test_scan_flags_a_field_add():
     assert field_adds(src) == [2, 4, 5]
 
 
-def asserts_by_function(source: str, module: str) -> list:
+def nodes_by_function(source: str, module: str, hit) -> list:
     """module.qualname of the function (or ``module`` at top level) holding
-    each ``assert``, once per assert."""
+    each node that ``hit`` accepts, once per node."""
     found = []
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = scope + [node.name]
-        if isinstance(node, ast.Assert):
+        if hit(node):
             found.append(".".join([module] + scope))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
     visit(ast.parse(source, module), [])
     return sorted(found)
+
+
+def asserts_by_function(source: str, module: str) -> list:
+    return nodes_by_function(source, module, lambda node: isinstance(node, ast.Assert))
 
 
 # the asserts that guard an internal invariant, not a verdict, each with what it guards
@@ -593,3 +598,27 @@ def test_scan_flags_an_assert():
            "    if not x:\n"
            "        raise ValueError\n")
     assert asserts_by_function(src, "m") == ["m", "m.C.check", "m.C.check.inner", "m.f", "m.f"]
+
+
+def block_builds(source: str, module: str) -> list:
+    """module.qualname of the function holding each ``Block(...)`` or
+    ``<module>.Block(...)`` call, once per call."""
+    return nodes_by_function(source, module, lambda node: isinstance(node, ast.Call) and "Block" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+
+
+def test_blocks_are_built_by_weight_block_only():
+    found = [name for p in MODULES for name in block_builds(p.read_text(), p.stem)]
+    assert found == ["cohomology.weight_block"], ", ".join(found)
+
+
+def test_scan_flags_a_block_build():
+    src = ("from . import cohomology\n"
+           "from .cohomology import Block, weight_block\n"
+           "def solve(g, cons):\n"
+           "    blk = Block(g, cons)\n"
+           "    return blk, weight_block(g, cons), BlockError\n"
+           "class Tower:\n"
+           "    def step(self, g):\n"
+           "        return cohomology.Block(g, []).coords, Blocks(g)\n")
+    assert block_builds(src, "m") == ["m.Tower.step", "m.solve"]
