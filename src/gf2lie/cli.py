@@ -114,7 +114,7 @@ def cmd_build(args) -> int:
     doc["validated"] = rep.ok
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(g.to_json(), fh, sort_keys=True, separators=(",", ":"))
+            fh.write(g.dumps())
         print("wrote %s" % args.out, file=sys.stderr)
     return _emit(doc, 0 if rep.ok else 2)
 

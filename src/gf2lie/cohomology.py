@@ -425,7 +425,9 @@ class Block:
     def h2(self) -> Tuple[Tuple[int, ...], Tuple[int, int, int]]:
         """The masks of H^2 representatives and (dim Z2, dim B2, dim H2), solved on first use.
         Each cocycle is reduced through B^2 plus the representatives chosen
-        before it, so each one is independent modulo coboundaries and reduced."""
+        before it, so each one is independent modulo coboundaries and reduced.
+        The span ends at B2 + Z2, so dim H2 = dim Z2 - dim B2 exactly when
+        B2 ⊆ Z2: that equality certifies d2∘d1 = 0 on the block."""
         if self._h2 is None:
             c3 = C3Index(self.g.dim)
             z2_masks = gf2.combination_kernel(self.d2_columns(c3), c3.width)
@@ -436,6 +438,9 @@ class Block:
                 if res:
                     span.add(res)
                     reps.append(res)
+            if len(reps) != len(z2_masks) - len(grew):
+                raise AlgebraError("d2∘d1 != 0 on the block: dim H2 %d, dim Z2 %d, dim B2 %d"
+                                   % (len(reps), len(z2_masks), len(grew)))
             self._h2 = tuple(reps), (len(z2_masks), len(grew), len(reps))
         return self._h2
 

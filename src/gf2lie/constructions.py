@@ -36,28 +36,18 @@ class BilinearFormSpec:
     (B(e_i, e_{m+i}) = 1), kind 'I' the identity form.
     """
 
-    def __init__(self, kind: str, n: int, rows: Optional[List[int]] = None):
+    def __init__(self, kind: str, n: int):
         self.kind = kind
         self.n = n
         if kind == "Pi":
             if n % 2:
                 raise AlgebraError("alternate non-degenerate form needs even dimension")
             m = n // 2
-            rows = [0] * n
-            for i in range(m):
-                rows[i] = 1 << (m + i)
-                rows[m + i] = 1 << i
+            self.rows = [1 << (m + i) for i in range(m)] + [1 << i for i in range(m)]
         elif kind == "I":
-            rows = [1 << i for i in range(n)]
-        elif kind != "explicit":
+            self.rows = [1 << i for i in range(n)]
+        else:
             raise AlgebraError("unknown form kind %r" % kind)
-        elif rows is None or len(rows) != n or any(not 0 <= r < 1 << n for r in rows):
-            raise AlgebraError("an explicit form needs %d rows in [0, 2^%d)" % (n, n))
-        self.rows = rows
-        for i in range(n):
-            for j in range(n):
-                if ((rows[i] >> j) & 1) != ((rows[j] >> i) & 1):
-                    raise AlgebraError("form is not symmetric")
 
     def pair(self, u: int, v: int) -> int:
         acc = 0
@@ -99,14 +89,6 @@ class QuadraticFormSpec:
             for b in range(a + 1, len(idx)):
                 acc ^= self.polar.pair(1 << idx[a], 1 << idx[b])
         return acc
-
-    def check_polarization(self) -> bool:
-        n = self.polar.n
-        for u in range(1 << n):
-            for v in range(1 << n):
-                if self.value(u ^ v) ^ self.value(u) ^ self.value(v) != self.polar.pair(u, v):
-                    return False
-        return True
 
 
 def arf_invariant(Q: QuadraticFormSpec) -> int:
@@ -396,7 +378,7 @@ def build_jurman(g: int, h: int) -> Algebra:
     labels = ["Y%d(%d)" % (j, t) for (j, t) in basis]
     grading = [(2 * j + (1 - eta) * t,) for (j, t) in basis]
     return Algebra(GF2, labels, sc, grading=grading, grading_mod=(0,),
-                   name="j(%d,%d)" % (g, h), meta={"jurman": (g, h)})
+                   name="j(%d,%d)" % (g, h))
 
 
 # ---------------------------------------------------------------------------
@@ -583,76 +565,13 @@ def kap4B_images(m: int, factors: Sequence[int]) -> Callable[[Mono], Images]:
     return images
 
 
-def build_kap4B(twom: int, coords: str = "p") -> Algebra:
-    """Kap_{4,B}(2m) on all of O[2m;1_s].
-
-    coords 'p': bracket sum (1+p_i)(1+q_i)(d_p f d_q g + d_q f d_p g) on
-    divided powers (p_i^2 = 0).
-    coords 'x': the same algebra written in x_i = 1+p_i, y_i = 1+q_i;
-    those satisfy x_i^2 = 1, so monomial products are exponent xors,
-    every monomial is invertible, and the bracket sum x_i y_i (...) is
-    (Z/2)^(2m)-homogeneous.
-    """
+def build_kap4B(twom: int) -> Algebra:
+    """Kap_{4,B}(2m) on all of O[2m;1_s]: bracket sum
+    (1+p_i)(1+q_i)(d_p f d_q g + d_q f d_p g) on divided powers (p_i^2 = 0)."""
     if twom % 2 or twom < 2:
         raise AlgebraError("Kap_4 needs an even dimension 2m >= 2")
     m = twom // 2
-    N = tuple(1 for _ in range(twom))
-    if coords == "x":
-        # x_i^2 = 1, so products xor exponents; the derivative drops e_u, e_v
-        # and the x_i y_i factor restores exactly those bits: [a, b] is the
-        # monomial a xor b, times the symplectic pairing of a and b
-        names = [nm.replace("p", "x").replace("q", "y") for nm in pq_names(m)]
-        basis = monomials(N)
-        packed = [mono_pack(mono, N) for mono in basis]
-        index = {u: i for i, u in enumerate(packed)}
-        xs = sum(1 << (2 * t) for t in range(m))  # the x_i bits
-        sc: Dict[Tuple[int, int], Dict[int, int]] = {}
-        for a, u in enumerate(packed):
-            w = (u & xs) << 1 | (u >> 1) & xs  # u with x_i and y_i swapped
-            for b in range(a + 1, len(packed)):
-                if (w & packed[b]).bit_count() & 1:
-                    sc[(a, b)] = {index[u ^ packed[b]]: 1}
-        g = Algebra.from_gf2_rows([mono_text(mono, names) for mono in basis], sc, grading=basis,
-                                  grading_mod=(2,) * twom, name="Kap4,B(%d)" % twom,
-                                  meta={"vars": tuple(names), "N": N, "mono_degrees": basis})
-    else:
-        g = function_algebra(pq_names(m), N, kap4B_images(m, (0, 2, 1, 3)), name="Kap4,B(%d)" % twom)
-    g.meta["kap4B_m"] = m
-    g.meta["kap4B_coords"] = coords
-    return g
-
-
-def kap4_subalgebra_condition(m: int, arf: int) -> Callable[[Mono], int]:
-    """The xy-coordinate operator whose kernel is Kap_{4,A}(2m) in Kap_{4,B}(2m).
-
-    Returns a map from monomials to {0,1}: value of (the coefficient of
-    the monomial itself in) A f where A f = f + x1 dx1 f + y1 dy1 f (if
-    arf) + sum x_i y_i dx_i dy_i f.  On monomials each summand is a
-    multiple of the monomial, so the kernel is monomial-spanned.
-    """
-    def cond(mono: Mono) -> int:
-        acc = 1
-        if arf:
-            acc ^= mono[0] & 1   # x1 dx1
-            acc ^= mono[1] & 1   # y1 dy1
-        for t in range(m):
-            acc ^= (mono[2 * t] & 1) & (mono[2 * t + 1] & 1)
-        return acc
-    return cond
-
-
-def build_kap4_subalgebra(m: int, arf: int) -> Tuple[Algebra, Subspace]:
-    """Kernel of the Kap_{4,A} condition inside Kap_{4,B}(2m) in xy coordinates.
-
-    Returns (ambient xy algebra, subspace); the subspace is bracket-closed
-    and of dimension dim Kap_{4,A}(2m).
-    """
-    amb = build_kap4B(2 * m, coords="x")
-    basis: List[Mono] = amb.meta["mono_degrees"]
-    cond = kap4_subalgebra_condition(m, arf)
-    rows = [1 << i for i, mono in enumerate(basis) if cond(mono) == 0]
-    sub = Subspace(amb, rows)
-    return amb, sub
+    return function_algebra(pq_names(m), (1,) * twom, kap4B_images(m, (0, 2, 1, 3)), name="Kap4,B(%d)" % twom)
 
 
 def build_kaplansky(family: str, n: int, arf: Optional[int] = None) -> Algebra:

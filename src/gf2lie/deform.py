@@ -321,32 +321,6 @@ def lambda_grading(g_alg: Algebra, cocycle_weight: Tuple[int, int]):
     return grading
 
 
-def jurman_united_family(K: int) -> DeformFamily:
-    """All Jurman algebras j(g,h) with g+h = K as one multi-parameter family.
-
-    The even part Y(0) and its action on the odd part Y(1) do not depend
-    on the partition; only the odd-odd brackets do.  The base takes
-    [odd, odd] = 0, and each partition contributes its odd-odd part as
-    one parameter direction; the family is linear in the parameters.
-    """
-    partitions = [(g, K - g) for g in range(2, K)]
-    if not partitions:
-        raise AlgebraError("K must be at least 3")
-    sc: Optional[Dict[Pair, Dict[int, int]]] = None
-    odd: List[Dict[Pair, int]] = []
-    for g, h in partitions:
-        j = build_jurman(g, h)  # basis index a holds a Y(a & 1)
-        even = {ab: row for ab, row in j.sc.items() if not ab[0] & ab[1] & 1}
-        assert sc is None or sc == even, "even/mixed brackets must not depend on the partition"
-        sc = even
-        odd.append({ab: gf2.from_bits(row) for ab, row in j.sc.items() if ab[0] & ab[1] & 1})
-    base = Algebra.from_gf2_rows(j.labels, sc, name="jurman united base")
-    terms = {tuple(int(i == t) for i in range(len(partitions))): Cochain2(base, ct)
-             for t, ct in enumerate(odd)}
-    return DeformFamily(base, ["t%d%d" % p for p in partitions], terms,
-                        name="jurman united family K=%d" % K)
-
-
 class JurmanDeformReport:
     def __init__(self, g, h, cocycle, weight, iso_result, deformed, target):
         self.g = g

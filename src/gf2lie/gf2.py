@@ -8,7 +8,6 @@ Pivots sit at the highest set bit of a row.
 
 from __future__ import annotations
 
-import copy
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
@@ -125,11 +124,6 @@ class Span:
 
     def sorted_rows(self) -> List[int]:
         return list(self._reduced().values())
-
-    def copy(self) -> "Span":
-        s = copy.copy(self)
-        s._rows, s.pivots = dict(self._rows), list(self.pivots)
-        return s
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Span):

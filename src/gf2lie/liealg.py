@@ -781,13 +781,19 @@ class SimplicityVerdict:
         return "<%s (%d seeds)>" % (self.kind, self.seeds_tried)
 
 
-def simplicity_check(g: Algebra, random_seeds: int = 1000, exhaustive_dim: int = 20,
-                     rng_seed: int = 0) -> SimplicityVerdict:
+# simplicity_check walks every nonzero seed of a GF(2) algebra up to this
+# dimension; larger algebras spin the basis and this many random seeds
+SIMPLICITY_EXHAUSTIVE_DIM = 20
+SIMPLICITY_RANDOM_SEEDS = 1000
+
+
+def simplicity_check(g: Algebra, rng_seed: int = 0) -> SimplicityVerdict:
     """Spin ideals from seed vectors.
 
     Exhaustive over all nonzero vectors for GF(2) algebras of dim <=
-    exhaustive_dim, which proves simplicity; otherwise spins from the
-    basis plus random vectors and can only report probable-simple.
+    SIMPLICITY_EXHAUSTIVE_DIM, which proves simplicity; otherwise spins
+    from the basis plus SIMPLICITY_RANDOM_SEEDS random vectors and can
+    only report probable-simple.
 
     A spin stops early, exactly, once it meets a settled vector: if a
     nonzero w lies in ideal(v), then ideal(v) is an ideal holding w, so
@@ -811,7 +817,7 @@ def simplicity_check(g: Algebra, random_seeds: int = 1000, exhaustive_dim: int =
         return SimplicityVerdict("ideal-witness", Subspace(g), 0)
     if n == 1:
         return SimplicityVerdict("ideal-witness", Subspace(g, [1]), 1)
-    if g.is_gf2 and n <= exhaustive_dim:
+    if g.is_gf2 and n <= SIMPLICITY_EXHAUSTIVE_DIM:
         mask = (1 << n) - 1
         for seed, ad in ad_walk(g):
             for s in range(0, n * n, n):
@@ -824,7 +830,7 @@ def simplicity_check(g: Algebra, random_seeds: int = 1000, exhaustive_dim: int =
         return SimplicityVerdict("simple", None, (1 << n) - 1)
     rng = random.Random(rng_seed)
     seeds = [1 << i for i in range(n)]
-    seeds += [rng.getrandbits(n) or 1 for _ in range(random_seeds)]
+    seeds += [rng.getrandbits(n) or 1 for _ in range(SIMPLICITY_RANDOM_SEEDS)]
     proven = set()
     for count, seed in enumerate(seeds, 1):
         sp = _spin(g, seed, proven)
@@ -960,27 +966,6 @@ def compute_h1_dim(g: Algebra) -> Tuple[int, int, int]:
     z1 = derivation_dim(g)
     b1 = g.dim - center(g).dim
     return z1, b1, z1 - b1
-
-
-def check_invariant_form(g: Algebra, K: Sequence[int]) -> Tuple[bool, int]:
-    """Verify K([x,z],y) = K(x,[z,y]) on basis triples; returns (invariant, rank deficit).
-
-    K is a symmetric matrix given by row masks over GF(2).
-    """
-    n = g.dim
-    for i in range(n):
-        for j in range(n):
-            if ((K[i] >> j) & 1) != ((K[j] >> i) & 1):
-                raise AlgebraError("form is not symmetric")
-    T = g.pair_table()
-    for u in range(n):
-        for z in range(n):
-            for v in range(n):
-                lhs = (K[v] & T[u * n + z]).bit_count() & 1
-                rhs = (K[u] & T[z * n + v]).bit_count() & 1
-                if lhs != rhs:
-                    return False, n - gf2.rank(K)
-    return True, n - gf2.rank(K)
 
 
 def direct_sum(a: Algebra, b: Algebra) -> Algebra:

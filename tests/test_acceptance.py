@@ -30,7 +30,7 @@ REPORT_SHA256 = {
     8: "b8dd877d8ce3f0b5140d614a7a255ffff027f5ed787eeccbb1f61f2ac1cbb2d0",
     9: "2f1139e4454372314df154c8c1863223f8cd9cf8d6eea14ecebf2d19948f6306",
     11: "8620746142549ecc457e5e9c9ad909bf619d945c68064d69ac2a79bb8ae9463e",
-    13: "1ec222091127b92ff6abe1209b768dbb4fbf9cfe34d26c38816d5bb918d282e3",
+    13: "e82e4f0fa1e2245a798893a47a09ea57103e78f408881ebd3568c6293f04ddfc",
 }
 
 

@@ -638,3 +638,22 @@ def test_c3_layout_is_output_free(name, monkeypatch):
             for module in (cohomology, deform):
                 m.setattr(module, "C3Index", _seeded_c3(seeded, rng))
             assert _h2_and_solutions(g, cons) == want
+
+
+def test_h2_refuses_a_d2_that_misses_a_coboundary(monkeypatch):
+    # dim H2 = dim Z2 - dim B2 holds exactly when B2 ⊆ Z2; one C^3 bit added
+    # to the d2 column of a coordinate that a d1 column holds takes that
+    # coboundary out of Z2
+    assert compute_h2(build_hamiltonian(1, (2, 2), "derived")).dims == (185, 176, 9)
+    g = build_hamiltonian(1, (2, 2), "derived")  # a fresh algebra: an empty memo
+    blk = cohomology.weight_block(g)
+    j = blk.d1_span()[1][0].bit_length() - 1
+    d2_columns = Block.d2_columns
+
+    def corrupted(self, c3):
+        cols = d2_columns(self, c3)
+        cols[j] ^= 1
+        return cols
+    monkeypatch.setattr(Block, "d2_columns", corrupted)
+    with pytest.raises(AlgebraError, match="d2∘d1 != 0 on the block"):
+        blk.h2()

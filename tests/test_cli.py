@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from gf2lie.cli import main
+from gf2lie.constructions import build_kap4B
 from gf2lie.fields import GF2k
 from gf2lie.liealg import Algebra
 
@@ -42,6 +43,12 @@ def test_build_emits_stable_json():
     _, d1 = run_cli(["build", "kap", "--family", "2", "--n", "4"])
     _, d2 = run_cli(["build", "kap", "--family", "2", "--n", "4"])
     assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
+
+
+def test_build_out_writes_the_algebra_dumps(tmp_path):
+    out = tmp_path / "kap4B.json"
+    run_cli(["build", "kap", "--family", "4B", "--n", "4", "--out", str(out)])
+    assert out.read_text() == build_kap4B(4).dumps()
 
 
 def test_usage_error():

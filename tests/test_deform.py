@@ -13,7 +13,7 @@ from gf2lie.constructions import (build_classical, build_hI, build_hamiltonian, 
                                   build_poisson, jurman_bracket, pq_names)
 from gf2lie.deform import (DeformFamily, bracket_map_cochain,
                            defect, deform_bracket, integrability_verdict, jurman_cocycle,
-                           jurman_deform_check, jurman_united_family, kap4b_as_deform, kap4b_family,
+                           jurman_deform_check, kap4b_as_deform, kap4b_family,
                            kap4b_quotient_map, obstruction_poly, partial_matrix,
                            poisson_family, semitrivial_certificate,
                            zero_defect_representative)
@@ -139,6 +139,29 @@ def test_cyclic_compose_matches_the_scan(name):
         both = add3(compose_defect(ta, tb), compose_defect(tb, ta))
         assert cyclic_compose(b, a, cyclic_compose(a, b)) == both
     assert cyclic_compose(g, Cochain2(g, {})) == {} == defect(Cochain2(g, {}))
+
+
+def jurman_united_family(K):
+    """All Jurman algebras j(g,h) with g + h = K as one multi-parameter family.
+
+    The even part Y(0) and its action on the odd part Y(1) do not depend
+    on the partition; only the odd-odd brackets do.  The base takes
+    [odd, odd] = 0, and each partition contributes its odd-odd part as
+    one parameter direction; the family is linear in the parameters.
+    """
+    partitions = [(g, K - g) for g in range(2, K)]
+    sc, odd = None, []
+    for g, h in partitions:
+        j = build_jurman(g, h)  # basis index a holds a Y(a & 1)
+        even = {ab: row for ab, row in j.sc.items() if not ab[0] & ab[1] & 1}
+        assert sc is None or sc == even, "even/mixed brackets must not depend on the partition"
+        sc = even
+        odd.append({ab: gf2.from_bits(row) for ab, row in j.sc.items() if ab[0] & ab[1] & 1})
+    base = Algebra.from_gf2_rows(j.labels, sc, name="jurman united base")
+    terms = {tuple(int(i == t) for i in range(len(partitions))): Cochain2(base, ct)
+             for t, ct in enumerate(odd)}
+    return DeformFamily(base, ["t%d%d" % p for p in partitions], terms,
+                        name="jurman united family K=%d" % K)
 
 
 def _random_family():

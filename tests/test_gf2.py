@@ -163,20 +163,6 @@ def test_span_matches_row_scan():
             assert gf2.rank(rows) == len(_oracle_rref(rows)[0]) == len(scan.rows)
 
 
-def test_span_copy_is_independent():
-    rng = random.Random(4)
-    width = 40
-    span = gf2.Span(rng.getrandbits(width) for _ in range(10))
-    probes = [rng.getrandbits(width) for _ in range(30)]
-    before = ([span.reduce(v) for v in probes], list(span.rows), list(span.pivots))
-    dup = span.copy()
-    assert dup == span and dup.rows == span.rows and dup.pivots == span.pivots
-    grew = sum(dup.add(rng.getrandbits(width)) for _ in range(20))
-    assert grew and dup.dim == span.dim + grew
-    assert ([span.reduce(v) for v in probes], span.rows, span.pivots) == before
-    assert all(dup.reduce(r) == 0 for r in span.rows)
-
-
 def test_rank_edge_cases():
     assert gf2.rank([]) == 0
     assert gf2.rank([0, 0]) == 0

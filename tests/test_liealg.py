@@ -10,7 +10,7 @@ from gf2lie.constructions import (build_classical, build_div_free_hI, build_hami
                                   build_kap4B, build_multipair, build_poisson, build_tensor_example)
 from gf2lie.fields import GF2, GF2k, PolyRing
 from gf2lie.liealg import (Algebra, AlgebraError, LinearMap, Subspace, ValidationReport,
-                           center, check_invariant_form, compute_h1_dim, derivation_dim,
+                           center, compute_h1_dim, derivation_dim,
                            derivation_equations, derivations, derived_subalgebra, direct_sum,
                            ideal_generated, quotient, simplicity_check, subalgebra_generated,
                            verify_morphism)
@@ -774,12 +774,20 @@ def test_ideal_generated():
     assert sp.is_ideal()
 
 
-def test_simplicity_check():
+def _simplicity_with(monkeypatch, g, random_seeds=liealg.SIMPLICITY_RANDOM_SEEDS,
+                     exhaustive_dim=liealg.SIMPLICITY_EXHAUSTIVE_DIM, rng_seed=0):
+    """simplicity_check(g) with the module's seed count and exhaustive bound set."""
+    monkeypatch.setattr(liealg, "SIMPLICITY_RANDOM_SEEDS", random_seeds)
+    monkeypatch.setattr(liealg, "SIMPLICITY_EXHAUSTIVE_DIM", exhaustive_dim)
+    return simplicity_check(g, rng_seed=rng_seed)
+
+
+def test_simplicity_check(monkeypatch):
     assert simplicity_check(build_jurman(2, 1)).kind == "simple"
     v = simplicity_check(build_poisson(1, (1, 1)))
     assert v.kind == "ideal-witness"
     # large algebra goes through the randomized path
-    v2 = simplicity_check(build_kap2(6), random_seeds=50)
+    v2 = _simplicity_with(monkeypatch, build_kap2(6), random_seeds=50)
     assert v2.kind == "probable-simple"
     # a direct sum is caught with one summand as the witness
     v3 = simplicity_check(build_kap4A(4, 0))
@@ -833,14 +841,14 @@ def _verdict_rows(v):
 
 
 @pytest.mark.parametrize("name", sorted(SPIN_ORACLE_ALGEBRAS))
-def test_simplicity_check_matches_full_spins_on_paper_algebras(name):
+def test_simplicity_check_matches_full_spins_on_paper_algebras(name, monkeypatch):
     g = SPIN_ORACLE_ALGEBRAS[name]()
     assert _verdict_rows(simplicity_check(g)) == _full_spin_simplicity(g)
-    assert (_verdict_rows(simplicity_check(g, random_seeds=200, exhaustive_dim=1, rng_seed=5))
+    assert (_verdict_rows(_simplicity_with(monkeypatch, g, random_seeds=200, exhaustive_dim=1, rng_seed=5))
             == _full_spin_simplicity(g, random_seeds=200, exhaustive_dim=1, rng_seed=5))
 
 
-def test_simplicity_check_matches_full_spins_on_random_tables():
+def test_simplicity_check_matches_full_spins_on_random_tables(monkeypatch):
     rng = random.Random(2024)
     kinds = set()
     for n in range(2, 10):
@@ -849,7 +857,8 @@ def test_simplicity_check_matches_full_spins_on_random_tables():
                 g = _random_alternating(n, density, rng)
                 for kw in ({}, {"exhaustive_dim": 1, "random_seeds": 40, "rng_seed": n}):
                     want = _full_spin_simplicity(g, **kw)
-                    assert _verdict_rows(simplicity_check(g, **kw)) == want, (n, density, kw, g.sc)
+                    got = _simplicity_with(monkeypatch, g, **kw)
+                    assert _verdict_rows(got) == want, (n, density, kw, g.sc)
                     kinds.add(want[0])
     assert kinds == {"simple", "probable-simple", "ideal-witness"}
 
@@ -1185,6 +1194,17 @@ def test_compute_h1_dim():
     assert (z1, b1, h1) == (20, 14, 6)  # golden triple
     ab = Algebra(GF2, ["a", "b"], {})
     assert compute_h1_dim(ab) == (4, 0, 4)
+
+
+def check_invariant_form(g, K):
+    """Whether the symmetric form K (row masks) satisfies K([x,z],y) =
+    K(x,[z,y]) on basis triples, and its rank deficit."""
+    n = g.dim
+    assert all((K[i] >> j) & 1 == (K[j] >> i) & 1 for i in range(n) for j in range(n)), "form is not symmetric"
+    T = g.pair_table()
+    invariant = all((K[v] & T[u * n + z]).bit_count() & 1 == (K[u] & T[z * n + v]).bit_count() & 1
+                    for u in range(n) for z in range(n) for v in range(n))
+    return invariant, n - gf2.rank(K)
 
 
 def test_invariant_form_kap2():

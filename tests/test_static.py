@@ -37,7 +37,11 @@ they stand in for.
 
 Every option, a parameter with a default of a module-level function or
 class, must be set by some call in the package, its tests or the benchmark:
-an option no caller sets is one more path nobody runs.
+an option no caller sets is one more path nobody runs.  It must also be set
+by some call in the package or the benchmark, not only in the tests (the
+allowlisted test-only functions aside): an option only tests set is a fork
+the product never takes, and a test reaches a module constant with
+``monkeypatch`` instead.
 
 Every name that a package module (``__init__.py`` aside, which may
 re-export) or a test module imports must be loaded somewhere in that
@@ -257,11 +261,7 @@ def test_scan_flags_a_dead_definition():
 
 # package functions only tests call, each with the claim or check it serves
 TEST_ONLY_ALLOWLIST = {
-    "build_kap4_subalgebra": "Kap_{4,A} as the kernel inside Kap_{4,B}: the Kaplansky identifications",
-    "check_invariant_form": "the invariant forms on Kap2 and h'_Pi that the paper's simplicity rests on",
-    "check_polarization": "the Arf quadratic-form axiom behind every Kaplansky builder",
     "h2_weight_table": "the whole H^2 of an algebra split by weight: the printed tables at once",
-    "jurman_united_family": "every j(g,h) with g + h = K as one deform of one base",
 }
 
 
@@ -332,15 +332,18 @@ def test_scan_flags_an_unused_parameter():
     assert unused_parameters(src, "m") == ["m.C.m(b)", "m.C.m.inner(c)", "m.f(args)", "m.f(y)", "m.f(z)"]
 
 
-def never_set_options(package: dict, searched: list) -> list:
+def never_set_options(package: dict, searched: list, exempt=()) -> list:
     """module.name(param) for each parameter with a default of a
     module-level function of the package sources ({file: text}), or of a
     module-level class's __init__, that no call in the searched texts sets,
-    by keyword or by position.  Calls match by name alone, and a call with
-    *args or **kwargs sets every option."""
+    by keyword or by position; the definitions named in `exempt` are not
+    scanned.  Calls match by name alone, and a call with *args or **kwargs
+    sets every option."""
     options = {}  # function name -> [(label, param, position or None)]
     for fname, text in package.items():
         for node in ast.parse(text, fname).body:
+            if getattr(node, "name", None) in exempt:
+                continue
             fn, skip = node, 0
             if isinstance(node, ast.ClassDef):
                 fn = next((s for s in node.body if getattr(s, "name", None) == "__init__"), None)
@@ -396,6 +399,32 @@ def test_scan_flags_a_never_set_option():
         "lib.R(more)", "lib.f(d)", "lib.h(k)"]
 
 
+# options that only tests set, each with the product call it waits for
+TEST_ONLY_OPTION_ALLOWLIST = []
+
+
+def test_every_option_is_set_by_some_product_call():
+    package = {p.name: p.read_text() for p in MODULES}
+    product = [p.read_text() for top in ("src", "bench") for p in sorted((ROOT / top).rglob("*.py"))]
+    assert never_set_options(package, product, TEST_ONLY_ALLOWLIST) == TEST_ONLY_OPTION_ALLOWLIST
+
+
+def test_scan_flags_a_test_only_option():
+    lib = ("def run(x, fast=False):\n"
+           "    return x, fast\n"
+           "def check(x, strict=False):\n"
+           "    return x, strict\n"
+           "class Form:\n"
+           "    def __init__(self, kind, rows=None):\n"
+           "        self.rows = rows\n")
+    product = "from lib import run, Form\nrun(1, True)\nForm('I')\n"
+    tests = "from lib import check, Form\ncheck(1, strict=True)\nForm('x', rows=[1])\n"
+    assert never_set_options({"lib.py": lib}, [lib, product, tests]) == []
+    # searched without the tests, only the test-only function's option is exempt
+    assert never_set_options({"lib.py": lib}, [lib, product], ["check"]) == ["lib.Form(rows)"]
+    assert never_set_options({"lib.py": lib}, [lib, product]) == ["lib.Form(rows)", "lib.check(strict)"]
+
+
 def random_generators(source: str, module: str) -> list:
     """module.qualname of each function (or ``module`` at top level) that
     calls random.Random, by any import alias; scoping is ignored."""
@@ -424,7 +453,7 @@ def random_generators(source: str, module: str) -> list:
     return sorted(found)
 
 
-RANDOM_ALLOWLIST = ["experiments.criterion_13_property_suites", "liealg.simplicity_check"]
+RANDOM_ALLOWLIST = ["liealg.simplicity_check"]
 
 
 def test_random_generators_are_allowlisted():
@@ -570,7 +599,6 @@ def asserts_by_function(source: str, module: str) -> list:
 
 # the asserts that guard an internal invariant, not a verdict, each with what it guards
 ASSERT_ALLOWLIST = {
-    "deform.jurman_united_family": "the even and mixed brackets of j(g,h) do not depend on the partition",
     "experiments.criterion_09_quantization": "the printed (-2,-2) leading terms pick a class representative",
     "gf2.TaggedSpan.solve": "the target fits below the tag bits",
     "grading.associated_graded": "the graded pieces fill the algebra",

@@ -218,7 +218,9 @@ def _bracket_first_super_iso(s1, s2, rows):
 
 
 def _zero_form(n):
-    return BilinearFormSpec("explicit", n, [0] * n)
+    B = BilinearFormSpec("I", n)
+    B.rows = [0] * n
+    return B
 
 
 @pytest.mark.parametrize("kind,n,order", [
