@@ -13,12 +13,16 @@ walks the incidence index that an Algebra and a Cochain2 both expose,
 so its cost, and that of d1 and d2, follows the support of the operands,
 not dim^3.  `cyclic_compose_table` is its bilinear twin: every pairwise
 composition of a list of cochains, encoded, from one walk.
+
+A weight block, `Block`, is the H^2 answer: its coordinates, its d1 and
+d2 columns, the spans solved from them and the representatives.
+`weight_block` keeps each block in its algebra's `cache`, and
+`compute_h2` hands out that block.
 """
 
 from __future__ import annotations
 
 import re
-import weakref
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import gf2
@@ -213,15 +217,13 @@ def d2(c: Cochain2) -> Dict[Triple, int]:
 
 Constraint = Tuple[str, Tuple[int, ...]]
 
-# algebra -> {mode: None when the mode grades it, else its least bad (i, j, k)}
-_GRADED: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
 
 def _check_graded(g: Algebra, constraints: Sequence[Constraint]) -> None:
     """Raise unless every bracket term has weight 0 in each constraint's
     mode; only then do d1 and d2 map each weight block into itself.  Each
-    (algebra, mode) is decided once, in `_GRADED`."""
-    verdicts = _GRADED.setdefault(g, {})
+    (algebra, mode) is decided once, in g.cache["graded"]: None when the
+    mode grades g, else its least bad (i, j, k)."""
+    verdicts = g.cache.setdefault("graded", {})
     for mode in sorted({mode for mode, _ in constraints}):
         if mode not in verdicts:
             keys = weight_keys(g, mode)
@@ -297,8 +299,8 @@ class C3Index:
     coordinate e_l ⊗ d(e_a)^d(e_b)^d(e_c), a<b<c, is keyed by the one int
     ((a·n + b)·n + c)·n + l; a key without a position gets the next free one.
 
-    Which positions the keys get does not change any result: the solvers
-    (`gf2.combination_kernel`, `TaggedSpan.solve`) return the unique
+    Which positions the keys get does not change any result: the d2 span
+    (`Block.d2_span`: its `kernel` and `solve`) returns the unique
     combination over the inputs that grew the span, and whether an input
     grows the span does not depend on how the C^3 bits are ordered.
     """
@@ -328,25 +330,24 @@ class Block:
     coordinates `c1` ((k, i) for e_k ⊗ d(e_i)); all of them when there are
     no constraints.  `encode` and `decode` map a 2-cochain of the block to
     its bit mask over `coords` and back; `d1_columns` and `d2_columns` write
-    the differentials of unit cochains straight from the incidence index,
-    and `d1_span` and `h2` keep what the solvers build from them.  Every
+    the differentials of unit cochains straight from the incidence index.
+    `d1_span` and `h2` keep what the solvers build from them, `d2_span`
+    builds its span afresh on each call.  The block is the H^2 answer:
+    `dims` (dim Z2, dim B2, dim H2), `dim`, and `representatives` and
+    `coboundaries`, decoded into fresh lists on each read.  Every
     constraint's mode must grade the algebra, so that d1 and d2 map the
     block into itself.  Get a block from `weight_block`, which keeps it.
     """
 
     def __init__(self, g: Algebra, constraints: Sequence[Constraint] = ()):
         _check_graded(g, constraints)
-        self._g = weakref.ref(g)  # a strong one would keep g's `_BLOCKS` entry alive forever
+        self.g = g
         self.coords = c2_block_coords(g, constraints)
         self.c1 = c1_block_coords(g, constraints)
         n = g.dim
         # the position of e_k ⊗ d(e_i)^d(e_j), i < j, at the key (i·n + j)·n + k
         self._pos = {(i * n + j) * n + k: t for t, ((i, j), k) in enumerate(self.coords)}
         self._d1 = self._h2 = None  # built on first use: see d1_span and h2
-
-    @property
-    def g(self) -> Algebra:
-        return self._g()
 
     def encode(self, c: Cochain2) -> int:
         pos, n, m = self._pos, self.g.dim, 0
@@ -422,6 +423,13 @@ class Block:
             self._d1 = span, tuple(col for col in self.d1_columns() if span.add(col))
         return self._d1
 
+    def d2_span(self) -> Tuple[gf2.TaggedSpan, C3Index]:
+        """Every d2 column, tagged, and the C3Index they are encoded through;
+        the span's `kernel` is a basis of Z^2.  Built on each call, not kept."""
+        c3 = C3Index(self.g.dim)
+        cols = self.d2_columns(c3)
+        return gf2.TaggedSpan(c3.width, cols), c3
+
     def h2(self) -> Tuple[Tuple[int, ...], Tuple[int, int, int]]:
         """The masks of H^2 representatives and (dim Z2, dim B2, dim H2), solved on first use.
         Each cocycle is reduced through B^2 plus the representatives chosen
@@ -429,8 +437,7 @@ class Block:
         The span ends at B2 + Z2, so dim H2 = dim Z2 - dim B2 exactly when
         B2 ⊆ Z2: that equality certifies d2∘d1 = 0 on the block."""
         if self._h2 is None:
-            c3 = C3Index(self.g.dim)
-            z2_masks = gf2.combination_kernel(self.d2_columns(c3), c3.width)
+            z2_masks = self.d2_span()[0].kernel
             grew = self.d1_span()[1]
             span, reps = gf2.Span(grew), []
             for zm in z2_masks:
@@ -444,50 +451,41 @@ class Block:
             self._h2 = tuple(reps), (len(z2_masks), len(grew), len(reps))
         return self._h2
 
-
-# algebra -> {constraints, each weight a tuple: its Block}
-_BLOCKS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def weight_block(g: Algebra, constraints: Sequence[Constraint] = ()) -> Block:
-    """The Block of g at the constraints, built once and kept in `_BLOCKS`
-    with the spans its solvers build for as long as g lives."""
-    blocks, key = _BLOCKS.setdefault(g, {}), tuple((mode, tuple(w)) for mode, w in constraints)
-    if key not in blocks:
-        blocks[key] = Block(g, constraints)
-    return blocks[key]
-
-
-class H2Basis:
-    """Representatives of H^2(g;g), independent modulo coboundaries, and a basis of B^2, as
-    masks over the block's coordinates; `representatives` and `coboundaries` decode fresh lists."""
-
-    def __init__(self, block: Block):
-        self.block = block
-        self.algebra = block.g  # keeps g alive, for block.decode, while the basis lives
-        self.rep_masks, self.dims = block.h2()  # dims: (dim Z2, dim B2, dim H2) within the block
-        self.cob_masks = block.d1_span()[1]
-
     @property
-    def representatives(self) -> List[Cochain2]:
-        return [self.block.decode(m) for m in self.rep_masks]
-
-    @property
-    def coboundaries(self) -> List[Cochain2]:
-        return [self.block.decode(m) for m in self.cob_masks]
+    def dims(self) -> Tuple[int, int, int]:
+        return self.h2()[1]
 
     @property
     def dim(self) -> int:
         return self.dims[2]
 
+    @property
+    def representatives(self) -> List[Cochain2]:
+        return [self.decode(m) for m in self.h2()[0]]
+
+    @property
+    def coboundaries(self) -> List[Cochain2]:
+        return [self.decode(m) for m in self.d1_span()[1]]
+
     def __repr__(self):
-        return "<H2 block dim %d (Z2=%d, B2=%d)>" % (self.dims[2], self.dims[0], self.dims[1])
+        return "<H2 block dim %d (Z2=%d, B2=%d)>" % (self.dim, *self.dims[:2])
+
+
+def weight_block(g: Algebra, constraints: Sequence[Constraint] = ()) -> Block:
+    """The Block of g at the constraints, built once and kept in
+    g.cache["blocks"], keyed by the constraints with each weight a tuple,
+    with the spans its solvers build, for as long as g lives."""
+    blocks, key = g.cache.setdefault("blocks", {}), tuple((mode, tuple(w)) for mode, w in constraints)
+    if key not in blocks:
+        blocks[key] = Block(g, constraints)
+    return blocks[key]
 
 
 def compute_h2(g: Algebra, weight_filter: Optional[Tuple[int, ...]] = None, mode: str = "z",
                constraints: Optional[Sequence[Constraint]] = None,
-               budget: int = 20_000_000) -> H2Basis:
-    """Kernel of d2 modulo image of d1, optionally inside one weight block.
+               budget: int = 20_000_000) -> Block:
+    """Kernel of d2 modulo image of d1, optionally inside one weight block:
+    the memoized `Block` (see `weight_block`), with its H^2 solved.
 
     weight_filter + mode is the simple interface; `constraints` allows
     several simultaneous (mode, weight) restrictions.  The matrix budget
@@ -504,7 +502,8 @@ def compute_h2(g: Algebra, weight_filter: Optional[Tuple[int, ...]] = None, mode
             raise AlgebraError(
                 "d2 matrix would have ~%d entries (> budget %d); restrict to a weight block"
                 % (len(blk.coords) * est_c3, budget))
-    return H2Basis(blk)
+    blk.h2()
+    return blk
 
 
 def _weight_parts(c: Cochain2) -> List[Tuple[List[Constraint], Cochain2]]:
@@ -560,19 +559,19 @@ def combine(gens: Sequence[Cochain2], mask: int, start: Cochain2) -> Cochain2:
 
 
 def _printed_solutions(g: Algebra, printed: Cochain2, constraints: Sequence[Constraint]):
-    """(H^2 of the block, x0, kernel).  The generators are the class
+    """(the block, with H^2 solved, x0, kernel).  The generators are the class
     representatives, then the coboundaries.  The masks over them whose sum
     carries every printed term are x0 (None when there is none) plus any
     sum of the kernel vectors."""
-    h2 = compute_h2(g, constraints=constraints)
+    blk = compute_h2(g, constraints=constraints)
     try:
-        target = h2.block.encode(printed)
+        target = blk.encode(printed)
     except AlgebraError:  # a printed term outside the block: no generator carries it
-        return h2, None, []
-    gens = h2.rep_masks + h2.cob_masks
-    cols = gf2.transpose(gens, len(h2.block.coords))
+        return blk, None, []
+    gens = blk.h2()[0] + blk.d1_span()[1]
+    cols = gf2.transpose(gens, len(blk.coords))
     rows = [cols[p] for p in gf2.bits(target)]
-    return h2, gf2.solve(rows, [1] * len(rows)), gf2.kernel(rows, len(gens))
+    return blk, gf2.solve(rows, [1] * len(rows)), gf2.kernel(rows, len(gens))
 
 
 def block_consistent_representative(g: Algebra, printed: Cochain2,
@@ -599,7 +598,7 @@ def block_consistent_representative(g: Algebra, printed: Cochain2,
 
 
 def consistent_class_masks(g: Algebra, printed: Cochain2,
-                           constraints: Sequence[Constraint]) -> Tuple[H2Basis, List[int]]:
+                           constraints: Sequence[Constraint]) -> Tuple[Block, List[int]]:
     """All cohomology classes of the block (as masks over the block basis)
     admitting a representative whose coordinates contain every printed term."""
     h2, x0, kernel = _printed_solutions(g, printed, constraints)
@@ -622,7 +621,7 @@ def c2_weights(g: Algebra, mode: str) -> List[Tuple[int, ...]]:
                    for base in bases for key in set(keys)})
 
 
-def h2_weight_table(g: Algebra, mode: str = "z") -> Dict[Tuple[int, ...], H2Basis]:
+def h2_weight_table(g: Algebra, mode: str = "z") -> Dict[Tuple[int, ...], Block]:
     """Full H^2 split into weight blocks of the given mode."""
     out = {}
     for w in c2_weights(g, mode):

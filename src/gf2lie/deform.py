@@ -246,21 +246,16 @@ def massey_tower(g: Algebra, c: Cochain2, constraints=()) -> dict:
 
 def _d2_solutions(g: Algebra, target: Dict, constraints, kernel_cap: int = 6):
     """Solutions m of d2(m) = target within a weight block: the particular
-    one plus up to kernel_cap kernel offsets (cocycles of the block)."""
+    one plus up to kernel_cap kernel offsets (cocycles of the block), all
+    read off the block's `d2_span`."""
     blk = weight_block(g, constraints)
     if not blk.coords:
         return []
-    c3 = C3Index(g.dim)
-    images = blk.d2_columns(c3)
-    tmask = c3.encode(target)
-    span = gf2.TaggedSpan(c3.width)
-    for im in images:
-        span.add(im)
-    sol = span.solve(tmask)
+    span, c3 = blk.d2_span()
+    sol = span.solve(c3.encode(target))
     if sol is None:
         return []
-    offsets = gf2.combination_kernel(images, c3.width)[:kernel_cap] if kernel_cap else []
-    return [blk.decode(sol ^ kv) for kv in [0] + offsets]
+    return [blk.decode(sol ^ kv) for kv in [0] + span.kernel[:kernel_cap]]
 
 
 def integrability_verdict(g: Algebra, c: Cochain2, constraints=()) -> Tuple[str, Optional[Cochain2]]:

@@ -276,31 +276,25 @@ class Scalar:
 GF2 = GF2k(1)
 
 
-def field_make(spec) -> Field:
-    """Build a field from a descriptor.
-
-    Accepts 'gf2', 'gf4', 'gf2k:<k>', 'gf2k:<k>:<modulus int/hex>',
-    'poly', 'poly:<var>', a (k, modulus) pair, or a Field instance.
-    """
-    if isinstance(spec, (GF2k, PolyRing)):
-        return spec
-    if isinstance(spec, int):
-        return GF2k(spec)
-    if isinstance(spec, tuple):
-        return GF2k(spec[0], spec[1])
-    if isinstance(spec, str):
-        s = spec.strip().lower()
-        if s == "gf2":
-            return GF2
-        if s == "gf4":
-            return GF2k(2)
-        if s.startswith("gf2k:"):
-            parts = s.split(":")
-            k = int(parts[1])
-            mod = int(parts[2], 0) if len(parts) > 2 else None
-            return GF2k(k, mod)
-        if s == "poly":
-            return PolyRing()
-        if s.startswith("poly:"):
-            return PolyRing(s.split(":", 1)[1])
+def field_make(spec: str) -> Field:
+    """Build a field from a descriptor: 'gf2', 'gf4', 'gf2k:<k>',
+    'gf2k:<k>:<modulus int/hex>', 'poly' or 'poly:<var>'."""
+    s = spec.strip().lower()
+    if s == "gf2":
+        return GF2
+    if s == "gf4":
+        return GF2k(2)
+    if s.startswith("gf2k:"):
+        parts = s.split(":")
+        try:
+            if len(parts) > 3:
+                raise ValueError
+            k, mod = int(parts[1]), int(parts[2], 0) if len(parts) > 2 else None
+        except ValueError:
+            raise FieldError("field spec %r is not gf2k:<k> or gf2k:<k>:<modulus int/hex>" % (spec,)) from None
+        return GF2k(k, mod)
+    if s == "poly":
+        return PolyRing()
+    if s.startswith("poly:"):
+        return PolyRing(s.split(":", 1)[1])
     raise FieldError("unrecognized field spec %r" % (spec,))

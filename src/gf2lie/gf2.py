@@ -139,14 +139,17 @@ class TaggedSpan(Span):
 
     add(v) inserts v tagged with a fresh index; solve(t) returns the
     index mask whose inputs xor to t, or None.  The inputs a row combines
-    are all ones that grew the span, so that mask is unique.
+    are all ones that grew the span, so that mask is unique.  `kernel`
+    holds, for each input that did not grow the span, the index mask of
+    the inputs that xor to zero with it: a basis of all such masks.
     """
 
-    def __init__(self, width: int):
-        super().__init__()
+    def __init__(self, width: int, rows: Iterable[int] = ()):
         self.width = width
         self._low = (1 << width) - 1
         self.count = 0
+        self.kernel: List[int] = []
+        super().__init__(rows)
 
     def _tagged(self, v: int) -> int:
         tag = 1 << (self.width + self.count)
@@ -155,10 +158,15 @@ class TaggedSpan(Span):
 
     def add(self, v: int) -> bool:
         """Insert v with a fresh tag; returns True if the image span grew."""
-        return self._insert(self._tagged(v)) is None
+        res = self._insert(self._tagged(v))
+        if res is not None:
+            self.kernel.append(res >> self.width)
+        return res is None
 
     def solve(self, t: int) -> Optional[int]:
-        assert t <= self._low
+        """None as well when t has a bit at or above `width`, which no input reaches."""
+        if t >> self.width:
+            return None
         res = self.reduce(t)
         return None if res & self._low else res >> self.width
 
@@ -203,13 +211,7 @@ def combination_kernel(images: Sequence[int], width: int) -> List[int]:
     the images.  Each x is unique over the images that grew the span, and
     which ones grow does not depend on how the bit positions are ordered.
     """
-    span = TaggedSpan(width)
-    out = []
-    for v in images:
-        res = span._insert(span._tagged(v))
-        if res is not None:
-            out.append(res >> width)
-    return out
+    return TaggedSpan(width, images).kernel
 
 
 def compressor(keep: Sequence[int]) -> Callable[[int], int]:

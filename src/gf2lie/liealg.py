@@ -156,6 +156,7 @@ class Algebra:
             raise AlgebraError("every grading weight has one entry per grading_mod entry")
         self._pair_table: Optional[List[int]] = table
         self._incidence: Optional[Incidence] = None
+        self.cache: Dict[str, dict] = {}  # what other modules solve once per algebra, e.g. cohomology's blocks
         if self.grading is not None:
             bad = self._grading_failures(1)
             if bad:

@@ -355,9 +355,10 @@ def test_the_block_memo_answers_as_a_fresh_algebra(name):
     tag = name.split()[0]
     first = _block_answers(g, cons, texts, tag == "hI")
     assert cohomology.weight_block(g, cons) is cohomology.weight_block(g, cons)
+    assert compute_h2(g, constraints=cons) is cohomology.weight_block(g, cons)
     assert _block_answers(g, cons, texts, tag == "hI") == first
     fresh = BUILDERS[tag]()
-    assert fresh not in cohomology._BLOCKS
+    assert "blocks" not in fresh.cache
     assert _block_answers(fresh, cons, texts, tag == "hI") == first
 
 
@@ -380,15 +381,15 @@ def test_the_memo_dies_with_its_algebra():
     g = BUILDERS["hp22"]()
     h2 = compute_h2(g, weight_filter=(0, -2))
     assert coboundary_of(h2.coboundaries[0]) is not None
-    assert len(cohomology._BLOCKS[g]) >= 2
-    held, alive = weakref.ref(g), len(cohomology._BLOCKS)
+    assert len(g.cache["blocks"]) >= 2
+    held, blocks = weakref.ref(g), [weakref.ref(blk) for blk in g.cache["blocks"].values()]
     del g
     gc.collect()
-    # a basis keeps its algebra, so its cochains can still be decoded
+    # a block keeps its algebra, so its cochains can still be decoded
     assert held() is not None and h2.representatives[0].algebra is held()
     del h2
     gc.collect()
-    assert held() is None and len(cohomology._BLOCKS) == alive - 1
+    assert held() is None and all(blk() is None for blk in blocks)
 
 
 # every printed block, and the unconstrained blocks
@@ -606,11 +607,11 @@ def _seeded_c3(keys, rng):
 
 
 def _h2_and_solutions(g, cons):
-    cohomology._BLOCKS.pop(g, None)  # solve H^2 again, through the C3Index in force
+    g.cache.pop("blocks", None)  # solve H^2 again, through the C3Index in force
     h2 = compute_h2(g, constraints=cons)
     doubled = [(mode, w if mode == "mod2" else tuple(2 * x for x in w)) for mode, w in cons]
     rng = random.Random(repr(cons))
-    c = h2.block.decode(rng.getrandbits(len(h2.block.coords)))
+    c = h2.decode(rng.getrandbits(len(h2.coords)))
     sols = [_d2_solutions(g, d2(c), cons)] + [_d2_solutions(g, defect(rep), doubled) for rep in h2.representatives]
     return (h2.dims, [rep.text() for rep in h2.representatives], [[m.text() for m in ms] for ms in sols])
 

@@ -101,6 +101,14 @@ def test_a_value_outside_the_field_is_a_usage_error(argv, capsys):
     assert "is not an element of GF" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", ["gf2k:x", "gf2k:", "gf2k:2:zz", "gf2k:2:3:4", "gf2k:2:7:4"])
+def test_a_malformed_field_spec_is_a_usage_error(spec, capsys):
+    # a non-integer degree or modulus, or a fourth field, is refused with exit 1
+    code, doc = run_cli(["build", "tensor-example", "--field", spec, "--hbar", "1"])
+    assert code == 1 and doc is None
+    assert "field spec %r" % spec in capsys.readouterr().err
+
+
 def test_deform_cocycle_refuses_an_hbar_outside_the_field(tmp_path, capsys):
     out = str(tmp_path / "hp.json")
     assert run_cli(["build", "h", "--N", "2,2", "--variant", "derived", "--out", out])[0] == 0

@@ -99,6 +99,15 @@ def test_tagged_span_solve():
     assert span.solve(0b1000) is None
 
 
+def test_tagged_span_solve_refuses_a_target_wider_than_the_span():
+    # no input reaches a bit at or above the width, so no combination does;
+    # the low bits alone would solve, and the wide bit must not leak into the tags
+    span = gf2.TaggedSpan(4, [0b1001, 0b0011, 0b0110])
+    assert span.solve(0b1111) == 0b101
+    for t in (0b1111 | 1 << 4, 1 << 4, 0b1001 | 1 << 7, 1 << 100):
+        assert span.solve(t) is None
+
+
 # ---------------------------------------------------------------------------
 # the row-scanning echelon, kept as an oracle for the pivot-indexed Span
 # ---------------------------------------------------------------------------
@@ -395,6 +404,7 @@ def test_tagged_span_and_combination_kernel_match_the_oracles():
     rng = random.Random(12)
     for width, rows in _matrices(13):
         assert gf2.combination_kernel(rows, width) == _oracle_combination_kernel(rows, width)
+        assert gf2.TaggedSpan(width, rows).kernel == _oracle_combination_kernel(rows, width)
         span, oracle = gf2.TaggedSpan(width), _OracleTaggedSpan(width)
         for v in rows:
             assert span.add(v) == oracle.add(v)

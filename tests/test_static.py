@@ -600,7 +600,6 @@ def asserts_by_function(source: str, module: str) -> list:
 # the asserts that guard an internal invariant, not a verdict, each with what it guards
 ASSERT_ALLOWLIST = {
     "experiments.criterion_09_quantization": "the printed (-2,-2) leading terms pick a class representative",
-    "gf2.TaggedSpan.solve": "the target fits below the tag bits",
     "grading.associated_graded": "the graded pieces fill the algebra",
     "superize.kap_s_4A": "the standard vector has the Q value asked for",
 }
