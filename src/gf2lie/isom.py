@@ -21,7 +21,8 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import gf2
 from .liealg import (Algebra, AlgebraError, LinearMap, ad_walk, brackets, center, derivation_dim,
-                     derived_series_dims, lower_central_dims, subalgebra_generated, verify_morphism)
+                     derived_series_dims, lower_central_dims, refuse_outside, subalgebra_generated,
+                     verify_morphism)
 
 
 class IsoResult:
@@ -123,12 +124,34 @@ def _try_torus_engine(a: Algebra, b: Algebra) -> Optional[IsoResult]:
 
 def find_generators(g: Algebra, candidates: Optional[Sequence[int]] = None) -> Optional[List[int]]:
     """The first generating set of at most three of the given vectors
-    (default: basis), by size, then in `combinations` order."""
+    (default: basis), by size, then in `combinations` order.  Each vector
+    must lie in g.
+
+    A set whose members all lie in the closure of a set that failed is
+    skipped: that closure is a proper subalgebra, so it holds the closure
+    of the set too.  Each failed closure of two or more vectors is kept as
+    the mask of the candidates it holds; a prefix (a set minus its last
+    member) ORs the masks that hold it into the last members it skips.  A
+    single vector closes to its own line and is not kept."""
     cand = list(candidates) if candidates is not None else [1 << i for i in range(g.dim)]
+    refuse_outside(g, cand, "a generator candidate")
+    m, failed = len(cand), []
     for size in (1, 2, 3):
-        for gens in combinations(cand, size):
-            if subalgebra_generated(g, gens).dim == g.dim:
-                return list(gens)
+        for prefix in combinations(range(m), size - 1):
+            held, skip = gf2.from_bits(prefix), 0
+            for mask in failed:
+                if mask & held == held:
+                    skip |= mask
+            for k in range(prefix[-1] + 1 if prefix else 0, m):
+                if skip >> k & 1:
+                    continue
+                gens = [cand[i] for i in prefix + (k,)]
+                sub = subalgebra_generated(g, gens)
+                if sub.dim == g.dim:
+                    return gens
+                if prefix:
+                    failed.append(gf2.from_bits(i for i, v in enumerate(cand) if v in sub))
+                    skip |= failed[-1]
     return None
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import random
-from typing import Container, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Container, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import gf2
 from .fields import GF2, Field, GF2k, PolyRing, add_scaled
@@ -30,7 +30,7 @@ def _require_gf2(g: "Algebra", what: str) -> None:
         raise AlgebraError("%s is computed over GF(2) only, not over %r" % (what, g.field))
 
 
-def _refuse_outside(g: "Algebra", vecs: Iterable[Vec], what: str) -> None:
+def refuse_outside(g: "Algebra", vecs: Iterable[Vec], what: str) -> None:
     """Raise AlgebraError unless each of `vecs` is a vector of g: a mask in
     [0, 2^dim), or a dict {index in [0, dim): value in g's field}."""
     n, full, top = g.dim, 1 << g.dim, g.field.order or float("inf")  # GF(2)[h] takes every v >= 0
@@ -156,7 +156,8 @@ class Algebra:
             raise AlgebraError("every grading weight has one entry per grading_mod entry")
         self._pair_table: Optional[List[int]] = table
         self._incidence: Optional[Incidence] = None
-        self.cache: Dict[str, dict] = {}  # what other modules solve once per algebra, e.g. cohomology's blocks
+        # what other modules solve once per algebra: cohomology's blocks, superize's closure
+        self.cache: Dict[str, Any] = {}
         if self.grading is not None:
             bad = self._grading_failures(1)
             if bad:
@@ -570,7 +571,7 @@ class Subspace:
     def __init__(self, ambient: Algebra, rows: Iterable[Vec] = ()):
         _require_gf2(ambient, "a subspace")
         rows = list(rows)
-        _refuse_outside(ambient, rows, "a subspace row")
+        refuse_outside(ambient, rows, "a subspace row")
         self.ambient = ambient
         self.span = gf2.Span(map(ambient.as_mask, rows))
 
@@ -744,6 +745,7 @@ def ad_walk(g: Algebra) -> Iterator[Tuple[int, int]]:
 
 def ideal_generated(g: Algebra, seed: int) -> Subspace:
     """Smallest ideal containing the seed vector (spinning closure)."""
+    refuse_outside(g, [seed], "a seed")
     if not seed:
         raise AlgebraError("seed must be nonzero")
     return _spin(g, seed, ())
@@ -847,7 +849,7 @@ class LinearMap:
     def __init__(self, source: Algebra, target: Algebra, images: Sequence[Vec]):
         if len(images) != source.dim:
             raise AlgebraError("need one image per source basis vector")
-        _refuse_outside(target, images, "an image")
+        refuse_outside(target, images, "an image")
         self.source = source
         self.target = target
         self.images = list(images)
@@ -985,8 +987,9 @@ def direct_sum(a: Algebra, b: Algebra) -> Algebra:
 def subalgebra_generated(g: Algebra, vectors: Sequence[int]) -> Subspace:
     """Closure of a set of vectors under the bracket (GF(2)).  The bracket is
     symmetric with [v, v] = 0, so closure vector i meets only the vectors
-    j < i; the walk stops once the span is g."""
+    j < i; the walk stops once the span is g.  Each vector must lie in g."""
     s = Subspace(g)
+    refuse_outside(g, vectors, "a generator")
     span = s.span
     vecs = [v for v in vectors if span.add(v)]
     for i, v in enumerate(vecs):  # vecs grows as it is walked

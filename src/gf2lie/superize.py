@@ -99,7 +99,14 @@ def _squaring_failure(clo: ClosureAlgebra, indices) -> Optional[Tuple[int, int]]
 
 
 def restricted_closure(base: Algebra) -> ClosureAlgebra:
-    return ClosureAlgebra(base)
+    """The restricted 2-closure of base, built once and kept in
+    base.cache["closure"] for as long as base lives.  Every caller gets the
+    same shared closure: treat it, its algebra and its squaring as
+    read-only."""
+    clo = base.cache.get("closure")
+    if clo is None:
+        clo = base.cache["closure"] = ClosureAlgebra(base)
+    return clo
 
 
 class SuperAlgebra:

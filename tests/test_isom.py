@@ -10,7 +10,7 @@ import pytest
 
 from gf2lie import experiments, gf2, isom
 from gf2lie.isom import fingerprint, search_isomorphism
-from gf2lie.liealg import Algebra, AlgebraError, LinearMap, direct_sum, verify_morphism
+from gf2lie.liealg import Algebra, AlgebraError, LinearMap, direct_sum, subalgebra_generated, verify_morphism
 from gf2lie.fields import GF2
 
 
@@ -232,13 +232,45 @@ def _nested_loop_generators(g, cand, max_size=3):
     return None
 
 
+def _basis_and_pairs(n):
+    """The generic engine's second candidate list: the basis, then e_i + e_j."""
+    return [1 << i for i in range(n)] + [(1 << i) | (1 << j) for i in range(n) for j in range(i + 1, n)]
+
+
 def test_find_generators_matches_nested_index_loops():
     for g in [build_jurman(2, 1), build_kap3(5), build_kap4A(4, 1), build_classical("psl", 4),
-              build_kap4B(2), build_poisson(1, (1, 1))]:
+              build_kap4B(2), build_poisson(1, (1, 1)), build_kap2(4), build_kap1(4), build_kap4A(4, 0),
+              build_classical("oPi", 5, "derived")]:
         n = g.dim
-        pairs = [(1 << i) | (1 << j) for i in range(n) for j in range(i + 1, n)]
-        for cand in ([1 << i for i in range(n)], [1 << i for i in reversed(range(n))] + pairs):
+        pairs = _basis_and_pairs(n)[n:]
+        for cand in ([1 << i for i in range(n)], [1 << i for i in reversed(range(n))] + pairs,
+                     _basis_and_pairs(n)):
             assert isom.find_generators(g, cand) == _nested_loop_generators(g, cand), g.name
+
+
+@pytest.mark.parametrize("build", [lambda: build_classical("oPi", 5, "derived"), lambda: build_kap4A(4, 1)],
+                         ids=["oPi5", "kap4_1_4"])
+@pytest.mark.parametrize("pairs,most", [(False, 60), (True, 110)], ids=["basis", "basis+pairs"])
+def test_find_generators_skips_sets_inside_a_failed_closure(monkeypatch, build, pairs, most):
+    """A set inside a failed closure is never closed: the basis walk takes
+    175 closures without the skip, basis and pairs 570-577."""
+    g = build()
+    calls = []
+    monkeypatch.setattr(isom, "subalgebra_generated",
+                        lambda g, vs: calls.append(vs) or subalgebra_generated(g, vs))
+    cand = _basis_and_pairs(g.dim) if pairs else None
+    assert (isom.find_generators(g, cand) is None) is not pairs  # the basis generates in no three
+    assert len(calls) <= most
+
+
+@pytest.mark.parametrize("cand", [[1, 1 << 5], [1, 2, 1 << 3], [1, 2, -1]],
+                         ids=["far-beyond", "after-a-generating-pair", "negative"])
+def test_find_generators_refuses_a_candidate_outside_the_algebra(monkeypatch, cand):
+    o3 = build_classical("oPi", 3, "derived")
+    assert isom.find_generators(o3, [1, 2]) == [1, 2]  # a walk over cand would stop before its end
+    monkeypatch.setattr(isom, "subalgebra_generated", lambda g, vs: pytest.fail("closed %r" % (vs,)))
+    with pytest.raises(AlgebraError, match="not a vector of"):
+        isom.find_generators(o3, cand)
 
 
 # ---------------------------------------------------------------------------

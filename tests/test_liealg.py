@@ -1045,6 +1045,15 @@ def test_subspace_refuses_a_row_outside_the_algebra(row):
         Subspace(j, [1, row])
 
 
+@pytest.mark.parametrize("vec", [1 << 5, 1 << 3, -1], ids=["far-beyond", "just-beyond", "negative"])
+def test_closures_refuse_a_vector_outside_the_algebra(vec):
+    o3 = build_classical("oPi", 3, "derived")
+    with pytest.raises(AlgebraError, match="not a vector of"):
+        subalgebra_generated(o3, [1, vec])
+    with pytest.raises(AlgebraError, match="not a vector of"):
+        ideal_generated(o3, vec)
+
+
 def test_subspace_takes_dict_rows_as_masks():
     j = build_jurman(2, 1)
     assert Subspace(j, [{0: 1, 3: 1}, (1 << 14) - 1]) == Subspace(j, [0b1001, (1 << 14) - 1])

@@ -65,6 +65,8 @@ it guards.
 Only ``cohomology.weight_block`` may build a ``Block``: it keeps each
 weight block of an algebra, with the spans its solvers build, for as long
 as the algebra lives, and a block built elsewhere solves its spans again.
+Likewise only ``superize.restricted_closure`` may build a
+``ClosureAlgebra``: it keeps one closure per base algebra.
 
 No package module but ``fields`` may call ``.add(...)`` on a field (a name
 ``f`` or ``field``, or a ``.field`` attribute): the sparse ``{index: value}``
@@ -627,16 +629,21 @@ def test_scan_flags_an_assert():
     assert asserts_by_function(src, "m") == ["m", "m.C.check", "m.C.check.inner", "m.f", "m.f"]
 
 
-def block_builds(source: str, module: str) -> list:
-    """module.qualname of the function holding each ``Block(...)`` or
-    ``<module>.Block(...)`` call, once per call."""
-    return nodes_by_function(source, module, lambda node: isinstance(node, ast.Call) and "Block" in (
+def builds(source: str, module: str, cls: str) -> list:
+    """module.qualname of the function holding each ``cls(...)`` or
+    ``<module>.cls(...)`` call, once per call."""
+    return nodes_by_function(source, module, lambda node: isinstance(node, ast.Call) and cls in (
         getattr(node.func, "id", None), getattr(node.func, "attr", None)))
 
 
 def test_blocks_are_built_by_weight_block_only():
-    found = [name for p in MODULES for name in block_builds(p.read_text(), p.stem)]
+    found = [name for p in MODULES for name in builds(p.read_text(), p.stem, "Block")]
     assert found == ["cohomology.weight_block"], ", ".join(found)
+
+
+def test_closures_are_built_by_restricted_closure_only():
+    found = [name for p in MODULES for name in builds(p.read_text(), p.stem, "ClosureAlgebra")]
+    assert found == ["superize.restricted_closure"], ", ".join(found)
 
 
 def test_scan_flags_a_block_build():
@@ -648,4 +655,4 @@ def test_scan_flags_a_block_build():
            "class Tower:\n"
            "    def step(self, g):\n"
            "        return cohomology.Block(g, []).coords, Blocks(g)\n")
-    assert block_builds(src, "m") == ["m.Tower.step", "m.solve"]
+    assert builds(src, "m", "Block") == ["m.Tower.step", "m.solve"]

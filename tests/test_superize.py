@@ -53,6 +53,49 @@ def test_closure_algebra_matches_the_init_route(base):
     assert (got.grading, got.grading_mod) == (want.grading, want.grading_mod)
 
 
+def test_closure_is_memoized_per_base():
+    base = build_kap2(4)
+    clo = restricted_closure(base)
+    assert restricted_closure(base) is clo is base.cache["closure"]
+    assert superize_linear(restricted_closure(base), 1).closure is clo
+    assert restricted_closure(build_kap2(4)) is not clo  # a fresh build, a fresh closure
+
+
+def test_the_closure_memo_is_freed_with_its_base():
+    base = build_kap4A(4, 1)
+    clo = restricted_closure(base)
+    refs = [weakref.ref(base), weakref.ref(clo)]
+    del base, clo
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+
+
+def _iso_search_superization_pairs():
+    """(base, Q or None, v1, v2) for each superization verdict the iso-search
+    benchmark can draw: every ordered pair of distinct vectors, of one Q
+    class or from Q = 0 to Q = 1 for Kap_4."""
+    out = []
+    for base, kap4 in [(build_kap2(2), False), (build_kap2(4), False), (build_kap4A(4, 0), True),
+                       (build_kap4A(4, 1), True)]:
+        Q = base.meta["quadratic_form"] if kap4 else None
+        vs = range(1, 1 << base.meta["jsystem_B"].n)
+        out += [(base, Q, a, b) for a in vs for b in vs
+                if a != b and (Q is None or Q.value(a) <= Q.value(b))]
+    return out
+
+
+def test_memoized_closure_gives_the_fresh_closure_verdicts():
+    def verdict(clo, Q, a, b):
+        r = equivalence_of_superizations(superize_linear(clo, a), superize_linear(clo, b), quadratic=Q)
+        return r.kind, r.tried, r.map and r.map.images
+    kinds = set()
+    for base, Q, a, b in _iso_search_superization_pairs():
+        got = verdict(restricted_closure(base), Q, a, b)
+        assert got == verdict(superize.ClosureAlgebra(base), Q, a, b), (base.name, a, b)
+        kinds.add(got[0])
+    assert kinds == {"equivalent", "exhausted-no-map"}
+
+
 def test_closure_squaring_values():
     # e_u^[2] evaluated on v gives B(u, v)
     clo = restricted_closure(build_kap2(4))
