@@ -20,7 +20,7 @@ import traceback
 from contextlib import redirect_stdout
 from typing import Optional
 
-from .cohomology import CochainError, compute_h2, parse_cocycle
+from .cohomology import CochainError, compute_h1_dim, compute_h2, parse_cocycle
 from .constructions import (build_a2gh, build_classical, build_div_free_hI, build_hI,
                             build_hamiltonian, build_jurman, build_kaplansky,
                             build_multipair, build_poisson, build_tensor_example)
@@ -28,8 +28,7 @@ from .deform import deform_bracket, jurman_deform_check, obstruction_poly, poiss
 from .fields import FieldError, Scalar, field_make
 from .grading import associated_graded, weisfeiler_filtration
 from .isom import fingerprint, search_isomorphism
-from .liealg import (Algebra, AlgebraError, Subspace, center, compute_h1_dim, derived_subalgebra,
-                     simplicity_check)
+from .liealg import Algebra, AlgebraError, Subspace, center, derived_subalgebra, simplicity_check
 from .superize import restricted_closure, superize_linear, superize_nonlinear
 
 

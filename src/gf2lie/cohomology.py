@@ -17,7 +17,9 @@ composition of a list of cochains, encoded, from one walk.
 A weight block, `Block`, is the H^2 answer: its coordinates, its d1 and
 d2 columns, the spans solved from them and the representatives.
 `weight_block` keeps each block in its algebra's `cache`, and
-`compute_h2` hands out that block.
+`compute_h2` hands out that block.  Der(g) = Z^1 = ker d1 and H^1 come
+from the d1 span of the unconstrained block: `derivation_dim` is n^2 minus
+its rank, and no d2 is solved for it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from . import gf2
 from .divpow import mono_text
 from .grading import C2_OFFSET, cochain_term_weight, cochain_weight, weight_keys
-from .liealg import Algebra, AlgebraError, Incidence, incidence_index
+from .liealg import Algebra, AlgebraError, Incidence, center, incidence_index
 
 Pair = Tuple[int, int]
 Triple = Tuple[int, int, int]
@@ -104,29 +106,6 @@ class Cochain2:
 
     def __repr__(self):
         return "<2-cochain %s>" % self.text()
-
-
-def d1(g: Algebra, images: Sequence[int]) -> Cochain2:
-    """Differential of the linear map e_i -> images[i]."""
-    pre, rows = g.incidence()
-    terms: Dict[Pair, int] = {}
-    for i, b in enumerate(images):
-        if not b:
-            continue
-        # [b(e_i), e_j] is nonzero only for j next to the support of b(e_i)
-        row: Dict[int, int] = {}
-        for k in gf2.bits(b):
-            for j, w in rows.get(k, ()):
-                row[j] = row.get(j, 0) ^ w
-        for j, w in row.items():
-            if w and j != i:
-                pr = (i, j) if i < j else (j, i)
-                terms[pr] = terms.get(pr, 0) ^ w
-        # b([e_x, e_y]) picks up b(e_i) wherever e_i occurs in the bracket
-        for pr in pre.get(i, ()):
-            terms[pr] = terms.get(pr, 0) ^ b
-    # ascending pairs: the term order must not depend on the walk above
-    return Cochain2(g, {pr: terms[pr] for pr in sorted(terms)})
 
 
 Operand = Union[Algebra, Cochain2]
@@ -283,7 +262,8 @@ def c2_block_coords(g: Algebra, constraints: Sequence[Constraint] = ()) -> List[
         for j in range(i + 1, g.dim):
             ks = get(a + add[j] + (x ^ xor[j]))
             if ks:
-                coords += [((i, j), k) for k in ks]
+                pr = (i, j)  # one tuple per pair: a dim-30 algebra has 13,050 coordinates
+                coords += [(pr, k) for k in ks]
     return coords
 
 
@@ -545,10 +525,26 @@ def is_coboundary(c: Cochain2) -> bool:
     return coboundary_of(c) is not None
 
 
-def coboundary_block(g: Algebra, constraints: Sequence[Constraint]) -> List[Cochain2]:
-    """A basis of the coboundaries restricted to a weight block."""
-    blk = weight_block(g, constraints)
-    return [blk.decode(m) for m in blk.d1_span()[1]]
+def d1(g: Algebra, images: Sequence[int]) -> Cochain2:
+    """Differential of the linear map e_i -> images[i]: the sum of the d1
+    columns of g's unconstrained block, whose `c1` puts e_k ⊗ d(e_i) at k·n + i."""
+    blk, n = weight_block(g), g.dim
+    x = gf2.from_bits(k * n + i for i, b in enumerate(images) for k in gf2.bits(b))
+    return blk.decode(gf2.apply_rows(list(blk.d1_columns()), x))
+
+
+def derivation_dim(g: Algebra) -> int:
+    """dim Der(g) = dim Z^1 = n^2 - rank d1 (rank-nullity), the rank read off
+    the d1 span of g's unconstrained block: the columns that grew it span B^2."""
+    return g.dim * g.dim - len(weight_block(g).d1_span()[1])
+
+
+def compute_h1_dim(g: Algebra) -> Tuple[int, int, int]:
+    """(dim Z^1, dim B^1, dim H^1) with adjoint coefficients; B^1 = ad(g) has
+    dimension n - dim center."""
+    z1 = derivation_dim(g)
+    b1 = g.dim - center(g).dim
+    return z1, b1, z1 - b1
 
 
 def combine(gens: Sequence[Cochain2], mask: int, start: Cochain2) -> Cochain2:

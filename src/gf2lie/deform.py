@@ -14,8 +14,8 @@ from itertools import combinations, product as _cartesian
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import gf2
-from .cohomology import (C3Index, Cochain2, Triple, coboundary_block, combine, cyclic_compose,
-                         cyclic_compose_table, d2, is_coboundary, weight_block)
+from .cohomology import (C3Index, Cochain2, Triple, combine, cyclic_compose, cyclic_compose_table, d2,
+                         is_coboundary, weight_block)
 from .constructions import (build_hamiltonian, build_jurman, build_kap2, build_kap4B, build_poisson,
                             image_rows, kap4B_images, monomial_rows, pq_names)
 from .divpow import check_shearing, mono_offsets, mono_pack, mono_partial, mono_text, monomials, reindex_mono
@@ -182,7 +182,7 @@ def zero_defect_representative(g: Algebra, c: Cochain2, constraints=()) -> Optio
     """
     if not defect(c):
         return c
-    cbs = coboundary_block(g, list(constraints))
+    cbs = weight_block(g, constraints).coboundaries
     B = len(cbs)
     if B > ENUM_LIMIT:
         raise AlgebraError("the zero-defect search walks blocks of at most %d coboundaries "

@@ -15,7 +15,7 @@ from typing import Dict, List
 
 from . import gf2
 from .cohomology import (Cochain2, block_consistent_representative, combine, compute_h2,
-                          consistent_class_masks, d2, is_coboundary, parse_cocycle)
+                          consistent_class_masks, d2, derivation_dim, is_coboundary, parse_cocycle)
 from .constructions import (QuadraticFormSpec, build_a2gh, build_classical, build_gl,
                             build_div_free_hI, build_hI, build_hamiltonian, build_jurman,
                             build_kap1, build_kap2, build_kap3, build_kap4A, build_kap4B,
@@ -31,8 +31,8 @@ from .divpow import mono_mul, mono_partial
 from .fields import GF2, GF2k
 from .grading import associated_graded, weisfeiler_filtration
 from .isom import fingerprint, search_isomorphism
-from .liealg import (Algebra, LinearMap, Subspace, brackets, derivation_dim, derived_subalgebra,
-                     direct_sum, quotient, simplicity_check, verify_morphism)
+from .liealg import (Algebra, LinearMap, Subspace, brackets, derived_subalgebra, direct_sum, quotient,
+                     simplicity_check, verify_morphism)
 from .superize import (equivalence_of_superizations, nonlinear_reduction_check,
                        parity_nonlinearity_witness, restricted_closure, seven_families,
                        superize_linear)

@@ -20,9 +20,9 @@ from itertools import combinations, product as _cartesian
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import gf2
-from .liealg import (Algebra, AlgebraError, LinearMap, ad_walk, brackets, center, derivation_dim,
-                     derived_series_dims, lower_central_dims, refuse_outside, subalgebra_generated,
-                     verify_morphism)
+from .cohomology import derivation_dim
+from .liealg import (Algebra, AlgebraError, LinearMap, Vec, ad_walk, brackets, center, derived_series_dims,
+                     lower_central_dims, refuse_outside, subalgebra_generated, verify_morphism)
 
 
 class IsoResult:
@@ -122,7 +122,7 @@ def _try_torus_engine(a: Algebra, b: Algebra) -> Optional[IsoResult]:
 # generator search shared by E2/E3
 # ---------------------------------------------------------------------------
 
-def find_generators(g: Algebra, candidates: Optional[Sequence[int]] = None) -> Optional[List[int]]:
+def find_generators(g: Algebra, candidates: Optional[Sequence[Vec]] = None) -> Optional[List[int]]:
     """The first generating set of at most three of the given vectors
     (default: basis), by size, then in `combinations` order.  Each vector
     must lie in g.
@@ -135,6 +135,7 @@ def find_generators(g: Algebra, candidates: Optional[Sequence[int]] = None) -> O
     single vector closes to its own line and is not kept."""
     cand = list(candidates) if candidates is not None else [1 << i for i in range(g.dim)]
     refuse_outside(g, cand, "a generator candidate")
+    cand = [g.as_mask(v) for v in cand]
     m, failed = len(cand), []
     for size in (1, 2, 3):
         for prefix in combinations(range(m), size - 1):

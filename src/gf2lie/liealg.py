@@ -1,7 +1,8 @@
 """Finite-dimensional algebras by structure constants, and the exact
 linear algebra around them: validation, subalgebras, ideals, quotients,
-simplicity by ideal spinning, morphism checking, derivations, invariant
-forms.
+simplicity by ideal spinning, morphism checking, invariant forms.  A basis
+of the derivations is read off the d1 span of `cohomology.weight_block`,
+which also gives dim Der(g) and H^1.
 
 Structure constants are stored sparsely for i < j only; [e_i, e_i] = 0
 and [e_j, e_i] = [e_i, e_j] hold structurally (characteristic 2).  Over
@@ -743,9 +744,10 @@ def ad_walk(g: Algebra) -> Iterator[Tuple[int, int]]:
         yield v, ad
 
 
-def ideal_generated(g: Algebra, seed: int) -> Subspace:
+def ideal_generated(g: Algebra, seed: Vec) -> Subspace:
     """Smallest ideal containing the seed vector (spinning closure)."""
     refuse_outside(g, [seed], "a seed")
+    seed = g.as_mask(seed)
     if not seed:
         raise AlgebraError("seed must be nonzero")
     return _spin(g, seed, ())
@@ -921,54 +923,14 @@ def verify_morphism(m: LinearMap, kind: str = "homomorphism") -> bool:
     return ok and (kind != "isomorphism" or m.is_invertible())
 
 
-def derivation_equations(g: Algebra) -> List[int]:
-    """The nonzero rows of D[e_i,e_j] = [De_i,e_j] + [e_i,De_j], in (i<j, l)
-    order; unknown q = k*n + i is the coefficient of e_k in D(e_i)."""
-    n = g.dim
-    T = g.pair_table()
-    _, nbrs = g.incidence()
-    eqs: List[int] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            # row l = D([e_i,e_j])_l + [D e_i, e_j]_l + [e_i, D e_j]_l; the
-            # bracket terms need D_{k,i} with [e_k,e_j] != 0 and D_{k,j}
-            # with [e_i,e_k] != 0
-            w = T[i * n + j]
-            rows = [w << (l * n) for l in range(n)]
-            for k, v in nbrs.get(j, ()):
-                for l in gf2.bits(v):
-                    rows[l] ^= 1 << (k * n + i)
-            for k, v in nbrs.get(i, ()):
-                for l in gf2.bits(v):
-                    rows[l] ^= 1 << (k * n + j)
-            eqs.extend(row for row in rows if row)
-    return eqs
-
-
 def derivations(g: Algebra) -> List[List[int]]:
-    """Basis of der(g): each derivation as a list of image masks per basis vector."""
+    """Basis of Der(g) = ker d1, each derivation as a list of image masks per
+    basis vector: the kernel of the d1 span of g's unconstrained weight block,
+    whose coordinate k·n + i is e_k ⊗ d(e_i)."""
+    from .cohomology import weight_block  # cohomology builds on this module
     n = g.dim
-    ker = gf2.kernel(derivation_equations(g), n * n)
-    out = []
-    for x in ker:
-        images = [0] * n
-        for q in gf2.bits(x):
-            k, i = divmod(q, n)
-            images[i] |= 1 << k
-        out.append(images)
-    return out
-
-
-def derivation_dim(g: Algebra) -> int:
-    """n^2 minus the rank of the derivation equations (rank-nullity)."""
-    return g.dim * g.dim - gf2.Span(derivation_equations(g)).dim
-
-
-def compute_h1_dim(g: Algebra) -> Tuple[int, int, int]:
-    """(dim Z^1, dim B^1, dim H^1) with adjoint coefficients."""
-    z1 = derivation_dim(g)
-    b1 = g.dim - center(g).dim
-    return z1, b1, z1 - b1
+    return [[gf2.from_bits(k for k in range(n) if x >> (k * n + i) & 1) for i in range(n)]
+            for x in weight_block(g).d1_span()[0].kernel]
 
 
 def direct_sum(a: Algebra, b: Algebra) -> Algebra:
@@ -984,14 +946,14 @@ def direct_sum(a: Algebra, b: Algebra) -> Algebra:
     return Algebra(a.field, labels, sc, name="(%s)+(%s)" % (a.name, b.name))
 
 
-def subalgebra_generated(g: Algebra, vectors: Sequence[int]) -> Subspace:
+def subalgebra_generated(g: Algebra, vectors: Sequence[Vec]) -> Subspace:
     """Closure of a set of vectors under the bracket (GF(2)).  The bracket is
     symmetric with [v, v] = 0, so closure vector i meets only the vectors
     j < i; the walk stops once the span is g.  Each vector must lie in g."""
     s = Subspace(g)
     refuse_outside(g, vectors, "a generator")
     span = s.span
-    vecs = [v for v in vectors if span.add(v)]
+    vecs = [v for v in map(g.as_mask, vectors) if span.add(v)]
     for i, v in enumerate(vecs):  # vecs grows as it is walked
         if span.dim == g.dim:
             break

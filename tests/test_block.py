@@ -20,15 +20,15 @@ import pytest
 
 from gf2lie import cohomology, deform, gf2
 from gf2lie.cohomology import (Block, C3Index, Cochain2, block_consistent_representative,
-                               c1_block_coords, c2_block_coords, c2_weights, coboundary_block,
-                               coboundary_of, combine, compute_h2, consistent_class_masks, d1, d2,
-                               parse_cocycle)
+                               c1_block_coords, c2_block_coords, c2_weights, coboundary_of, combine,
+                               compute_h2, consistent_class_masks, d2, parse_cocycle, weight_block)
 from gf2lie.constructions import build_hamiltonian, build_hI, build_tensor_example
 from gf2lie.deform import _d2_solutions, defect, in_d2_image, integrability_verdict, zero_defect_representative
 from gf2lie.experiments import (GH31_WEIGHTS, HI_OUTER_DEGREES, PRINTED_GH21, PRINTED_GH21_PARTIAL,
                                 PRINTED_GH31, PRINTED_GH31_PARTIAL, PRINTED_HI, PRINTED_HI_PARTIAL)
 from gf2lie.grading import C2_OFFSET, weight_keys
 from gf2lie.liealg import AlgebraError
+from test_cohomology import d1
 
 # ---------------------------------------------------------------------------
 # the pre-Block implementations
@@ -289,7 +289,7 @@ def _items(cochains):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_block_matches_pre_block_solvers(name):
     g, cons, texts = CASES[name]
-    cobs = coboundary_block(g, cons)
+    cobs = weight_block(g, cons).coboundaries
     assert _items(cobs) == _items(old_coboundary_block(g, cons))
     h2 = compute_h2(g, constraints=cons)
     assert _items(h2.coboundaries) == _items(cobs) and h2.dims[1] == len(cobs)
@@ -336,7 +336,7 @@ def _block_answers(g, cons, texts, integrability):
     representatives of the printed texts and of coboundaries, and with
     `integrability` the verdicts (the zero-defect search and Massey tower)."""
     h2 = compute_h2(g, constraints=cons)
-    cobs = coboundary_block(g, cons)
+    cobs = weight_block(g, cons).coboundaries
     rng = random.Random(repr(cons))
     probes = h2.representatives + cobs[:3] + [combine(cobs, rng.getrandbits(len(cobs)), Cochain2(g, {}))]
     printed = [parse_cocycle(text, g) for text in texts] + cobs[:2]
@@ -354,8 +354,8 @@ def test_the_block_memo_answers_as_a_fresh_algebra(name):
     g, cons, texts = CASES[name]
     tag = name.split()[0]
     first = _block_answers(g, cons, texts, tag == "hI")
-    assert cohomology.weight_block(g, cons) is cohomology.weight_block(g, cons)
-    assert compute_h2(g, constraints=cons) is cohomology.weight_block(g, cons)
+    assert weight_block(g, cons) is weight_block(g, cons)
+    assert compute_h2(g, constraints=cons) is weight_block(g, cons)
     assert _block_answers(g, cons, texts, tag == "hI") == first
     fresh = BUILDERS[tag]()
     assert "blocks" not in fresh.cache
@@ -365,15 +365,15 @@ def test_the_block_memo_answers_as_a_fresh_algebra(name):
 def test_the_lists_handed_out_leave_the_memo_unchanged():
     g, cons, _ = CASES["hI outer -2"]
     h2 = compute_h2(g, constraints=cons)
-    want = (_items(h2.representatives), _items(h2.coboundaries), _items(coboundary_block(g, cons)))
+    want = (_items(h2.representatives), _items(h2.coboundaries))
     assert all(want)
-    for got in (h2.representatives, h2.coboundaries, coboundary_block(g, cons),
+    for got in (h2.representatives, h2.coboundaries, weight_block(g, cons).coboundaries,
                 compute_h2(g, constraints=cons).coboundaries):
         got[0].terms.clear()
         got.reverse()
         got.append(Cochain2(g, {(0, 1): 1}))
     for h2 in (h2, compute_h2(g, constraints=cons)):
-        assert (_items(h2.representatives), _items(h2.coboundaries), _items(coboundary_block(g, cons))) == want
+        assert (_items(h2.representatives), _items(h2.coboundaries)) == want
 
 
 def test_the_memo_dies_with_its_algebra():
@@ -450,7 +450,7 @@ def test_zero_defect_representative_refuses_a_block_past_the_limit(monkeypatch):
     for d in sorted(HI_OUTER_DEGREES):
         cons = _hi(d)
         for rep in compute_h2(HI, constraints=cons).representatives:
-            if defect(rep) and coboundary_block(HI, cons):
+            if defect(rep) and weight_block(HI, cons).coboundaries:
                 with pytest.raises(AlgebraError, match="at most 0 coboundaries"):
                     zero_defect_representative(HI, rep, cons)
                 refused += 1
@@ -544,13 +544,13 @@ def test_ungraded_mode_is_refused_by_every_block_solver():
     # the bracket of h'_Pi(2;2,2) has mod-2 weight (1, 1), not 0
     msg = r"weight mode 'mod2' does not grade h'_Pi\(2;\[2, 2\]\)"
     cons = [("mod2", (1, 1))]
-    for call in (lambda: Block(HP22, cons), lambda: coboundary_block(HP22, cons),
+    for call in (lambda: Block(HP22, cons), lambda: weight_block(HP22, cons),
                  lambda: compute_h2(HP22, constraints=cons),
                  lambda: _d2_solutions(HP22, {}, cons),
                  lambda: block_consistent_representative(HP22, Cochain2(HP22, {}), cons)):
         with pytest.raises(AlgebraError, match=msg):
             call()
-    # before Block, coboundary_block handed back cochains outside the block
+    # before Block, the coboundary basis held cochains outside the block
     inside = set(c2_block_coords(HP22, cons))
     assert any((pr, k) not in inside for c in old_coboundary_block(HP22, cons)
                for pr, v in c.terms.items() for k in gf2.bits(v))
@@ -647,7 +647,7 @@ def test_h2_refuses_a_d2_that_misses_a_coboundary(monkeypatch):
     # coboundary out of Z2
     assert compute_h2(build_hamiltonian(1, (2, 2), "derived")).dims == (185, 176, 9)
     g = build_hamiltonian(1, (2, 2), "derived")  # a fresh algebra: an empty memo
-    blk = cohomology.weight_block(g)
+    blk = weight_block(g)
     j = blk.d1_span()[1][0].bit_length() - 1
     d2_columns = Block.d2_columns
 

@@ -4,8 +4,8 @@ import pytest
 
 from gf2lie import cohomology, gf2
 from gf2lie.cohomology import (Cochain2, CochainError, c1_block_coords, c2_block_coords, c2_weights,
-                               coboundary_of, compute_h2, d1, d2, h2_weight_table, is_coboundary,
-                               parse_cocycle)
+                               coboundary_of, compute_h1_dim, compute_h2, d2, derivation_dim,
+                               h2_weight_table, is_coboundary, parse_cocycle)
 from gf2lie.constructions import build_hI, build_hamiltonian, build_jurman, build_tensor_example
 from gf2lie.fields import GF2
 from gf2lie.grading import cochain_term_weight
@@ -137,6 +137,25 @@ def test_a_second_coboundary_of_rechecks_no_grading(monkeypatch):
     assert len(parts) > 1 and calls == []
 
 
+def test_derivation_dim_reads_the_d1_span_and_solves_no_d2():
+    j = build_jurman(2, 1)
+    assert compute_h1_dim(j) == (20, 14, 6)
+    blk = cohomology.weight_block(j)
+    assert list(j.cache["blocks"]) == [()] and blk._d1 is not None and blk._h2 is None
+    # rank d1 is dim B^2 of the whole complex
+    assert derivation_dim(j) == j.dim ** 2 - blk.dims[1]
+
+
+def test_coboundary_of_on_an_ungraded_algebra_reuses_the_derivation_block():
+    j = build_jurman(2, 1)  # no weight mode grades it: no monomial degrees
+    derivation_dim(j)
+    span = cohomology.weight_block(j).d1_span()
+    rng = random.Random(5)
+    c = d1(j, [rng.getrandbits(j.dim) for _ in range(j.dim)])
+    assert cohomology._weight_parts(c) == [([], c)] and coboundary_of(c) is not None
+    assert list(j.cache["blocks"]) == [()] and cohomology.weight_block(j).d1_span() is span
+
+
 def test_adding_cochains_on_different_algebras_is_refused():
     # an assert here is skipped under python -O, and the sum keeps the pair (20, 21) out of j(2,1)'s range
     j21, j22 = build_jurman(2, 1), build_jurman(2, 2)
@@ -185,6 +204,30 @@ def test_hI_block_13_classes():
 # ---------------------------------------------------------------------------
 # the dense differentials, kept as an oracle for the incidence-indexed ones
 # ---------------------------------------------------------------------------
+
+def d1(g, images):
+    """Differential of the linear map e_i -> images[i], walking the
+    incidence index: the oracle for the d1 columns `Block` writes."""
+    pre, rows = g.incidence()
+    terms = {}
+    for i, b in enumerate(images):
+        if not b:
+            continue
+        # [b(e_i), e_j] is nonzero only for j next to the support of b(e_i)
+        row = {}
+        for k in gf2.bits(b):
+            for j, w in rows.get(k, ()):
+                row[j] = row.get(j, 0) ^ w
+        for j, w in row.items():
+            if w and j != i:
+                pr = (i, j) if i < j else (j, i)
+                terms[pr] = terms.get(pr, 0) ^ w
+        # b([e_x, e_y]) picks up b(e_i) wherever e_i occurs in the bracket
+        for pr in pre.get(i, ()):
+            terms[pr] = terms.get(pr, 0) ^ b
+    # ascending pairs: the term order must not depend on the walk above
+    return Cochain2(g, {pr: terms[pr] for pr in sorted(terms)})
+
 
 def _dense_d1(g, images):
     n = g.dim
@@ -253,6 +296,7 @@ def test_sparse_differentials_match_dense(name):
         images = [rng.getrandbits(n) if rng.random() < density else 0 for _ in range(n)]
         b = d1(g, images)
         assert b.terms == _dense_d1(g, images).terms
+        assert list(cohomology.d1(g, images).terms.items()) == list(b.terms.items())
         assert not d2(b)
     assert not d1(g, [0] * n) and not d2(Cochain2(g, {}))
 

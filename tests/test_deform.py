@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 
 from gf2lie import deform, gf2
-from gf2lie.cohomology import (C3Index, Cochain2, coboundary_block, combine, compute_h2, cyclic_compose,
-                               cyclic_compose_table, d1, d2, is_coboundary, parse_cocycle)
+from gf2lie.cohomology import (C3Index, Cochain2, combine, compute_h2, cyclic_compose, cyclic_compose_table,
+                               d2, is_coboundary, parse_cocycle, weight_block)
 from gf2lie.constructions import (build_classical, build_hI, build_hamiltonian, build_jurman, build_kap4B,
                                   build_poisson, jurman_bracket, pq_names)
 from gf2lie.deform import (DeformFamily, bracket_map_cochain,
@@ -23,7 +23,7 @@ from gf2lie.fields import GF2, GF2k, Scalar
 from gf2lie.isom import search_isomorphism
 from gf2lie.liealg import (Algebra, AlgebraError, LinearMap, Subspace, derived_subalgebra, quotient,
                            verify_morphism)
-from test_cohomology import _dense_d2, _loop_algebra_incidence, _loop_cochain_incidence, ordered_incidence
+from test_cohomology import _dense_d2, _loop_algebra_incidence, _loop_cochain_incidence, d1, ordered_incidence
 from test_liealg import _loop_subalgebra_on
 
 F4 = GF2k(2)
@@ -403,7 +403,7 @@ def _pairwise_walk(enc_dc, enc_cross, enc_q, B):
 def _pairwise_zero_defect_representative(g, c, constraints):
     if not defect(c):
         return c
-    cbs = coboundary_block(g, list(constraints))
+    cbs = weight_block(g, constraints).coboundaries
     x = _pairwise_walk(*_pairwise_table(cbs, c, C3Index(g.dim)), len(cbs))
     return None if x is None else combine(cbs, x, c)
 
@@ -446,7 +446,7 @@ def test_zero_defect_representative_matches_the_pairwise_search(name, g, c, cons
 @pytest.mark.parametrize("name, g, c, cons", [case for case in SEARCH_CASES if defect(case[2])],
                          ids=[case[0] for case in SEARCH_CASES if defect(case[2])])
 def test_compose_table_matches_the_pairwise_compositions(name, g, c, cons):
-    cbs = coboundary_block(g, cons)
+    cbs = weight_block(g, cons).coboundaries
     c3 = C3Index(g.dim)
     q = cyclic_compose_table(cbs + [c], c3)
     width = len(c3.positions)
@@ -576,7 +576,6 @@ def test_kap4b_family_at_one():
 def test_coboundary_deform_is_trivial():
     # d1(multiplication by q) is a coboundary with zero defect; its linear
     # deform at t is certified isomorphic to the base
-    from gf2lie.cohomology import d1
     from gf2lie.divpow import mono_mul
     monos = HP.meta["mono_degrees"]
     idx = {m: k for k, m in enumerate(monos)}
@@ -594,7 +593,6 @@ def test_coboundary_deform_is_trivial():
 def test_obstruction_of_bracket_coboundary():
     # d1(identity) is the bracket itself; its linear deform (1+h)[x,y]
     # satisfies Jacobi identically, hence linear-global
-    from gf2lie.cohomology import d1
     c = d1(HP, [1 << i for i in range(HP.dim)])
     T = HP.pair_table()
     assert all(c.pair_value(i, j) == T[i * HP.dim + j] for i in range(HP.dim)

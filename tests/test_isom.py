@@ -10,7 +10,8 @@ import pytest
 
 from gf2lie import experiments, gf2, isom
 from gf2lie.isom import fingerprint, search_isomorphism
-from gf2lie.liealg import Algebra, AlgebraError, LinearMap, direct_sum, subalgebra_generated, verify_morphism
+from gf2lie.liealg import (Algebra, AlgebraError, LinearMap, direct_sum, ideal_generated, subalgebra_generated,
+                           verify_morphism)
 from gf2lie.fields import GF2
 
 
@@ -271,6 +272,14 @@ def test_find_generators_refuses_a_candidate_outside_the_algebra(monkeypatch, ca
     monkeypatch.setattr(isom, "subalgebra_generated", lambda g, vs: pytest.fail("closed %r" % (vs,)))
     with pytest.raises(AlgebraError, match="not a vector of"):
         isom.find_generators(o3, cand)
+
+
+@pytest.mark.parametrize("close", [lambda g, v: subalgebra_generated(g, [v]), ideal_generated,
+                                   lambda g, v: isom.find_generators(g, [v, 2])],
+                         ids=["subalgebra_generated", "ideal_generated", "find_generators"])
+def test_closures_read_a_dict_vector_as_its_mask(close):
+    o3 = build_classical("oPi", 3, "derived")
+    assert close(o3, {0: 1}) == close(o3, 1)
 
 
 # ---------------------------------------------------------------------------

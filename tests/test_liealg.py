@@ -5,15 +5,16 @@ import re
 import pytest
 
 from gf2lie import gf2, liealg
+from gf2lie.cohomology import compute_h1_dim, derivation_dim
 from gf2lie.constructions import (build_classical, build_div_free_hI, build_hamiltonian, build_hI,
                                   build_jurman, build_kap1, build_kap2, build_kap3, build_kap4A,
                                   build_kap4B, build_multipair, build_poisson, build_tensor_example)
 from gf2lie.fields import GF2, GF2k, PolyRing
 from gf2lie.liealg import (Algebra, AlgebraError, LinearMap, Subspace, ValidationReport,
-                           center, compute_h1_dim, derivation_dim,
-                           derivation_equations, derivations, derived_subalgebra, direct_sum,
+                           center, derivations, derived_subalgebra, direct_sum,
                            ideal_generated, quotient, simplicity_check, subalgebra_generated,
                            verify_morphism)
+from test_cohomology import d1
 
 
 def test_alternation_enforced():
@@ -1129,7 +1130,8 @@ def test_derivation_dim_basics():
 
 
 # ---------------------------------------------------------------------------
-# the O(n) scan per equation row, kept as an oracle for the neighbour-list one
+# the derivation equations D[e_i,e_j] = [De_i,e_j] + [e_i,De_j] as rows, one
+# O(n) scan per row: the oracle for Der(g) read off the block's d1 span
 # ---------------------------------------------------------------------------
 
 def _dense_derivation_equations(g):
@@ -1165,6 +1167,11 @@ def _dense_derivations(g):
     return out
 
 
+def _flat(images, n):
+    """A linear map as one n^2-bit mask: bit k*n + i is the e_k coefficient of D(e_i)."""
+    return gf2.from_bits(k * n + i for i, im in enumerate(images) for k in gf2.bits(im))
+
+
 _o3 = build_classical("oPi", 3, "derived")
 DERIVATION_ORACLE_ALGEBRAS = {
     "j21": build_jurman(2, 1),
@@ -1182,8 +1189,11 @@ def test_derivations_match_dense_equations(name):
     g = DERIVATION_ORACLE_ALGEBRAS[name]
     rng = random.Random(sum(map(ord, name)))
     for h in [g] + [_perturbed(g, rng) for _ in range(3)]:
-        assert derivation_equations(h) == _dense_derivation_equations(h)
-        assert derivations(h) == _dense_derivations(h)
+        n = h.dim
+        assert derivation_dim(h) == compute_h1_dim(h)[0] == n * n - gf2.rank(_dense_derivation_equations(h))
+        want = gf2.Span(_flat(D, n) for D in _dense_derivations(h))
+        got = [_flat(D, n) for D in derivations(h)]
+        assert gf2.rank(got) == len(got) == want.dim and not any(map(want.reduce, got)), h.name
 
 
 def test_derivation_dim_is_the_kernel_dimension():
@@ -1194,7 +1204,9 @@ def test_derivation_dim_is_the_kernel_dimension():
     rng = random.Random(884)
     for g in cases:
         for h in [g, _perturbed(g, rng)]:
-            assert derivation_dim(h) == len(derivations(h)), h.name
+            ders = derivations(h)
+            assert derivation_dim(h) == len(ders) == gf2.rank(_flat(D, h.dim) for D in ders), h.name
+            assert not any(d1(h, D) for D in ders), h.name
 
 
 def test_compute_h1_dim():
