@@ -26,7 +26,7 @@ from .constructions import (build_a2gh, build_classical, build_div_free_hI, buil
                             build_multipair, build_poisson, build_tensor_example)
 from .deform import deform_bracket, jurman_deform_check, obstruction_poly, poisson_family, semitrivial_certificate
 from .fields import FieldError, Scalar, field_make
-from .grading import associated_graded, weisfeiler_filtration
+from .grading import MODULUS, associated_graded, weisfeiler_filtration
 from .isom import fingerprint, search_isomorphism
 from .liealg import Algebra, AlgebraError, Subspace, center, derived_subalgebra, simplicity_check
 from .superize import restricted_closure, superize_linear, superize_nonlinear
@@ -358,7 +358,7 @@ def make_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("h2")
     q.add_argument("--algebra", required=True)
     q.add_argument("--weight", default="")
-    q.add_argument("--mode", default="z", choices=["z", "mod2", "outer"])
+    q.add_argument("--mode", default="z", choices=list(MODULUS))
     q.set_defaults(fn=cmd_h2)
 
     q = sub.add_parser("deform")

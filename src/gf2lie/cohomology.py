@@ -29,8 +29,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import gf2
 from .divpow import mono_text
-from .grading import C2_OFFSET, cochain_term_weight, cochain_weight, weight_keys
-from .liealg import Algebra, AlgebraError, Incidence, center, incidence_index
+from .grading import MODULUS, cochain_term_weight, cochain_weight, weight_keys
+from .liealg import Algebra, AlgebraError, Incidence, center, grading_failures, incidence_index
 
 Pair = Tuple[int, int]
 Triple = Tuple[int, int, int]
@@ -198,18 +198,16 @@ Constraint = Tuple[str, Tuple[int, ...]]
 
 
 def _check_graded(g: Algebra, constraints: Sequence[Constraint]) -> None:
-    """Raise unless every bracket term has weight 0 in each constraint's
-    mode; only then do d1 and d2 map each weight block into itself.  Each
-    (algebra, mode) is decided once, in g.cache["graded"]: None when the
-    mode grades g, else its least bad (i, j, k)."""
+    """Raise unless each constraint's mode grades g, i.e. every bracket term
+    has weight 0 in it; only then do d1 and d2 map each weight block into
+    itself.  Each (algebra, mode) is decided once, in g.cache["graded"]:
+    None when the mode grades g, else its least bad (i, j, k)."""
     verdicts = g.cache.setdefault("graded", {})
     for mode in sorted({mode for mode, _ in constraints}):
         if mode not in verdicts:
             keys = weight_keys(g, mode)
-            add, xor, wanted = _packed_keys(g, [(mode, (0,) * len(keys[0]) if keys else ())], offset=True)
-            bad = [(i, j, k) for (i, j), row in g.sc.items()
-                   for k in row if k not in wanted.get(add[i] + add[j] + (xor[i] ^ xor[j]), ())]
-            verdicts[mode] = min(bad) if bad else None
+            bad = grading_failures(g, keys, [MODULUS[mode]] * len(keys[0]) if keys else ())
+            verdicts[mode] = min(b[:3] for b in bad) if bad else None
         if verdicts[mode] is not None:
             i, j, k = verdicts[mode]
             raise AlgebraError("weight mode %r does not grade %s: [%s, %s] has the term %s of weight %r"
@@ -217,24 +215,27 @@ def _check_graded(g: Algebra, constraints: Sequence[Constraint]) -> None:
                                   cochain_term_weight(g, k, (i, j), mode)))
 
 
-def _packed_keys(g: Algebra, constraints: Sequence[Constraint], offset: bool):
-    """The key entries of all constraints packed into ints: (add, xor, wanted).
+def _packed_keys(g: Algebra, constraints: Sequence[Constraint], c2: bool):
+    """The keys of all constraints packed into ints: (add, xor, wanted).
 
-    Z entries (modes "z" and "outer") are digits wide enough for a sum of
-    two keys, mod-2 entries single bits above them.  add[i] + xor[i] packs
-    key(i), and add[i] + add[j] + (xor[i] ^ xor[j]) packs key(i) + key(j).
-    `wanted` maps the packed key(i) + key(j) (offset: C^2) or key(i) (C^1)
-    to the k, ascending, for which e_k ⊗ d(e_i)^d(e_j) or e_k ⊗ d(e_i) lies
-    in the block.  A weight of the wrong length is refused."""
-    zs, ms, n = [], [], g.dim  # per Z or mod-2 entry: its key column and the weight minus offset
+    Unreduced entries are digits wide enough for a sum of two keys, each
+    key column shifted to digits >= 0; mod-2 entries are single bits above
+    them.  add[i] + xor[i] packs key(i), and add[i] + add[j] +
+    (xor[i] ^ xor[j]) packs key(i) + key(j).  `wanted` maps the packed
+    key(i) + key(j) (c2) or key(i) (C^1) to the k, ascending, for which
+    e_k ⊗ d(e_i)^d(e_j) or e_k ⊗ d(e_i) lies in the block.  A weight of the
+    wrong length is refused."""
+    zs, ms, n = [], [], g.dim  # per Z or mod-2 entry: its key column (shifted to >= 0) and the target's shift
     for mode, w in constraints:
-        keys = weight_keys(g, mode)
+        keys, m = weight_keys(g, mode), MODULUS[mode]
         if keys and len(w) != len(keys[0]):
             raise AlgebraError("a weight in mode %r has %d entries, not %d" % (mode, len(w), len(keys[0])))
-        if mode == "mod2" and any(x not in (0, 1) for x in w):
+        if m and any(not 0 <= x < m for x in w):
             return [0] * n, [0] * n, {}  # no coordinate has that weight
-        shift = C2_OFFSET[mode] if offset else 0
-        (ms if mode == "mod2" else zs).extend(([key[d] for key in keys], x - shift) for d, x in enumerate(w))
+        for d, x in enumerate(w):
+            col = [key[d] for key in keys]
+            low = min(col, default=0) if not m else 0
+            (ms if m else zs).append(([v - low for v in col], x + low if c2 else x))
     top = 2 * max((x for col, _ in zs for x in col), default=0)
     width = top.bit_length()
     add, xor, want = [0] * n, [0] * n, [0] * n
@@ -255,7 +256,7 @@ def _packed_keys(g: Algebra, constraints: Sequence[Constraint], offset: bool):
 def c2_block_coords(g: Algebra, constraints: Sequence[Constraint] = ()) -> List[Tuple[Pair, int]]:
     """The C^2 coordinates (pair, k) of a weight block, pair-major with k
     ascending; every coordinate when there are no constraints."""
-    add, xor, wanted = _packed_keys(g, constraints, offset=True)
+    add, xor, wanted = _packed_keys(g, constraints, c2=True)
     get, coords = wanted.get, []
     for i in range(g.dim):
         a, x = add[i], xor[i]
@@ -270,7 +271,7 @@ def c2_block_coords(g: Algebra, constraints: Sequence[Constraint] = ()) -> List[
 def c1_block_coords(g: Algebra, constraints: Sequence[Constraint] = ()) -> List[Tuple[int, int]]:
     """The C^1 coordinates (k, i), i.e. e_k ⊗ d(e_i), of a weight block,
     k-major with i ascending; every coordinate when there are no constraints."""
-    add, xor, wanted = _packed_keys(g, constraints, offset=False)
+    add, xor, wanted = _packed_keys(g, constraints, c2=False)
     return sorted((k, i) for i in range(g.dim) for k in wanted.get(add[i] + xor[i], ()))
 
 
@@ -491,7 +492,7 @@ def _weight_parts(c: Cochain2) -> List[Tuple[List[Constraint], Cochain2]]:
     (constraints, component) pairs; one unconstrained part when no mode
     does, and none for the zero cochain."""
     g, modes, parts = c.algebra, [], {}
-    for mode in C2_OFFSET:
+    for mode in MODULUS:
         try:
             _check_graded(g, [(mode, ())])
             modes.append(mode)
@@ -608,11 +609,9 @@ def consistent_class_masks(g: Algebra, printed: Cochain2,
 
 def c2_weights(g: Algebra, mode: str) -> List[Tuple[int, ...]]:
     """The distinct weights of the C^2 coordinates, ascending: the weight of
-    e_k ⊗ d(e_i)^d(e_j) is key(k) - key(i) - key(j) + shift, mod 2 for "mod2"."""
-    keys = weight_keys(g, mode)
-    shift, m = C2_OFFSET[mode], 2 if mode == "mod2" else 0
-    bases = {tuple(shift - a - b for a, b in zip(keys[i], keys[j]))
-             for i in range(g.dim) for j in range(i + 1, g.dim)}
+    e_k ⊗ d(e_i)^d(e_j) is key(k) - key(i) - key(j), reduced."""
+    keys, m = weight_keys(g, mode), MODULUS[mode]
+    bases = {tuple(-a - b for a, b in zip(keys[i], keys[j])) for i in range(g.dim) for j in range(i + 1, g.dim)}
     return sorted({tuple((x + s) % m if m else x + s for x, s in zip(key, base))
                    for base in bases for key in set(keys)})
 

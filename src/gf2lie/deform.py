@@ -20,7 +20,7 @@ from .constructions import (build_hamiltonian, build_jurman, build_kap2, build_k
                             image_rows, kap4B_images, monomial_rows, pq_names)
 from .divpow import check_shearing, mono_offsets, mono_pack, mono_partial, mono_text, monomials, reindex_mono
 from .fields import GF2, GF2k, Scalar, add_scaled
-from .grading import cochain_weight
+from .grading import MODULUS, cochain_weight
 from .isom import search_isomorphism
 from .liealg import Algebra, AlgebraError, LinearMap, Subspace, brackets, quotient, verify_morphism
 
@@ -200,19 +200,14 @@ def massey_tower(g: Algebra, c: Cochain2, constraints=()) -> dict:
     """Try to integrate [x,y] + h c + h^2 m_2 + ... order by order.
 
     At order k the correction m_k must solve d2(m_k) = sum of composed
-    lower terms; the solution is searched per weight block (constraints
-    scale with the order for Z-type modes).  Backtracks over the affine
+    lower terms; the solution is searched per weight block, at k times
+    each constraint's weight, reduced.  Backtracks over the affine
     solution freedom within 4,096 branches, up to order 8.  Returns a
     report dict.
     """
-    def scaled_constraints(k: int):
-        out = []
-        for mode, w in constraints:
-            if mode == "mod2":
-                out.append((mode, w))
-            else:
-                out.append((mode, tuple(k * x for x in w)))
-        return out
+    def scaled_constraints(k: int):  # weights add under composition
+        return [(mode, tuple(k * x % MODULUS[mode] if MODULUS[mode] else k * x for x in w))
+                for mode, w in constraints]
 
     state = {"budget": 4096, "stuck_order": None}
 

@@ -396,16 +396,7 @@ def criterion_08_hI_integrability() -> dict:
     ok_counts = sum(v.count("linear-global") for v in verdicts.values()) == 12 \
         and len(nonlinear) == 1 and nonlinear[0][0] == -2
     cons2 = [("mod2", (0, 0)), ("outer", (-2,))]
-    # some class matching the printed leading terms must be non-integrable
     blk2, masks = consistent_class_masks(hi, parse_cocycle(PRINTED_HI_C23, hi), cons2)
-    consistent = False
-    for cls in masks:
-        if not cls:
-            continue
-        cc = combine(blk2.representatives, cls, Cochain2(hi, {}))
-        if zero_defect_representative(hi, cc, cons2) is None:
-            consistent = True
-            break
     # basis-robustness: enough independent linearly-integrable classes exist
     # that a basis with exactly one non-integrable element is forced
     lin_masks = []
@@ -413,6 +404,8 @@ def criterion_08_hI_integrability() -> dict:
         cc = combine(blk2.representatives, cls, Cochain2(hi, {}))
         if zero_defect_representative(hi, cc, cons2) is not None:
             lin_masks.append(cls)
+    # some class matching the printed leading terms must be non-integrable
+    consistent = any(cls and cls not in lin_masks for cls in masks)
     n_block = len(blk2.representatives)
     basis_exists = gf2.rank(lin_masks) >= n_block - 1 and len(lin_masks) < (1 << n_block) - 1
     ok = ok_counts and consistent and basis_exists

@@ -91,12 +91,12 @@ def weisfeiler_filtration(g: Algebra, L0: Subspace) -> Filtration:
             break
 
     # choose the complement vector: lowest weight if graded, else lex-first
-    def weight_key(i: int):
+    def lowest_first(i: int):
         if g.grading is not None and g.grading_mod == tuple(0 for _ in g.grading[0]):
             return (sum(g.grading[i]), i)
         return (0, i)
 
-    v0 = 1 << min(comp, key=weight_key)
+    v0 = 1 << min(comp, key=lowest_first)
     lm1 = _module_closure(g, L0, list(L0.rows()) + [v0])
 
     layers: Dict[int, Subspace] = {0: L0, -1: lm1}
@@ -206,45 +206,39 @@ def associated_graded(f: Filtration) -> Algebra:
 # cochain weights
 # ---------------------------------------------------------------------------
 
-# In every mode the weight of x ⊗ d(y)∧d(z) is key(x) - key(y) - key(z) plus
-# this offset (mod 2 for "mod2"), and that of e_x ⊗ d(e_y) is key(x) - key(y).
-C2_OFFSET = {"z": 1, "mod2": 0, "outer": 2}
-
-
-def weight_key(mono: Sequence[int], mode: str) -> Tuple[int, ...]:
-    """The key of one basis monomial in a weight mode."""
-    if mode == "z":
-        return tuple(mono)
-    if mode == "mod2":
-        return tuple(d % 2 for d in mono)
-    if mode == "outer":
-        return (sum(mono),)
-    raise AlgebraError("unknown weight mode %r" % mode)
+# A weight mode is a grading of a function algebra's basis, read off each
+# monomial's degrees by `weight_keys`, and reduced mod MODULUS (0: not
+# reduced).  The weight of x ⊗ d(y)∧d(z) is key(x) - key(y) - key(z), that
+# of x ⊗ d(y) is key(x) - key(y), and weights add under composition.
+MODULUS = {"z": 0, "mod2": 2, "outer": 0}
 
 
 def weight_keys(g: Algebra, mode: str) -> List[Tuple[int, ...]]:
-    """The key of every basis vector of a function algebra, in basis order."""
-    monos = g.meta.get("mono_degrees")
-    if monos is None:
-        raise AlgebraError("algebra carries no monomial degrees")
-    return [weight_key(m, mode) for m in monos]
+    """The grading of a function algebra in a weight mode, in basis order,
+    kept in g.cache: per variable deg - 1 ("z") or deg mod 2 ("mod2"), or
+    the total degree - 2 ("outer")."""
+    keys = g.cache.setdefault("weight_keys", {})
+    if mode not in keys:
+        monos = g.meta.get("mono_degrees")
+        if monos is None:
+            raise AlgebraError("algebra carries no monomial degrees")
+        if mode == "z":
+            keys[mode] = [tuple(d - 1 for d in m) for m in monos]
+        elif mode == "mod2":
+            keys[mode] = [tuple(d % 2 for d in m) for m in monos]
+        elif mode == "outer":
+            keys[mode] = [(sum(m) - 2,) for m in monos]
+        else:
+            raise AlgebraError("unknown weight mode %r" % mode)
+    return keys[mode]
 
 
 def cochain_term_weight(g: Algebra, value_idx: int, pair: Tuple[int, int], mode: str) -> Tuple[int, ...]:
-    """Weight of x ⊗ d(y_i)∧d(y_j) per the stated grading mode.
-
-    z:    (deg_v(x)-1) - sum (deg_v(y)-1) per variable (Z-grading);
-    mod2: (deg_v(x) - sum deg_v(y)) mod 2 (torus grading);
-    outer: (deg x - 2) + (2 - deg y_i) + (2 - deg y_j).
-    """
-    monos = g.meta.get("mono_degrees")
-    if monos is None:
-        raise AlgebraError("algebra carries no monomial degrees")
-    x, yi, yj = (weight_key(monos[t], mode) for t in (value_idx, pair[0], pair[1]))
-    shift = C2_OFFSET[mode]
-    if mode == "mod2":
-        return tuple((a - b - c + shift) % 2 for a, b, c in zip(x, yi, yj))
-    return tuple(a - b - c + shift for a, b, c in zip(x, yi, yj))
+    """Weight of x ⊗ d(y_i)∧d(y_j) in a weight mode: key(x) - key(y_i) - key(y_j), reduced."""
+    keys = weight_keys(g, mode)
+    m = MODULUS[mode]
+    x, yi, yj = keys[value_idx], keys[pair[0]], keys[pair[1]]
+    return tuple((a - b - c) % m if m else a - b - c for a, b, c in zip(x, yi, yj))
 
 
 def cochain_weight(c, mode: str) -> Tuple[int, ...]:

@@ -160,7 +160,7 @@ class Algebra:
         # what other modules solve once per algebra: cohomology's blocks, superize's closure
         self.cache: Dict[str, Any] = {}
         if self.grading is not None:
-            bad = self._grading_failures(1)
+            bad = grading_failures(self, self.grading, self.grading_mod, 1)
             if bad:
                 raise AlgebraError("grading not respected by bracket, e.g. %r" % (bad[0],))
 
@@ -168,37 +168,6 @@ class Algebra:
     @property
     def is_gf2(self) -> bool:
         return isinstance(self.field, GF2k) and self.field.k == 1
-
-    def _grading_failures(self, limit: int) -> List[tuple]:
-        """The first `limit` (i, j, k, want, got), in `sc` row order: e_k lies
-        in [e_i, e_j], but its reduced weight `got` is not `want`, the sum of
-        those of e_i and e_j.  Checked on bit masks: a row passes when its
-        mask lies in the mask of the basis vectors of weight want."""
-        mod = self.grading_mod
-        red = [tuple(w % m if m else w for w, m in zip(gr, mod)) for gr in self.grading]
-        classes: Dict[tuple, int] = {}  # reduced weight -> mask of its basis vectors
-        for k, w in enumerate(red):
-            classes[w] = classes.get(w, 0) | 1 << k
-        ids = {w: c for c, w in enumerate(classes)}
-        nc = len(ids)
-        cid = [ids[w] for w in red]
-        sums: Dict[int, tuple] = {}  # cid[i] * nc + cid[j] -> (want, classes[want])
-        T = self._pair_table  # else the masks come from the rows
-        n = self.dim
-        bad: List[tuple] = []
-        for (i, j), row in self.sc.items():
-            hit = sums.get(cid[i] * nc + cid[j])
-            if hit is None:
-                want = tuple((a + b) % m if m else a + b for a, b, m in zip(red[i], red[j], mod))
-                hit = sums[cid[i] * nc + cid[j]] = (want, classes.get(want, 0))
-            want, ok = hit
-            if (T[i * n + j] if T is not None else gf2.from_bits(row)) & ~ok:
-                for k in row:
-                    if not (ok >> k) & 1:
-                        if len(bad) == limit:
-                            return bad
-                        bad.append((i, j, k, want, red[k]))
-        return bad
 
     # -- basic bracket access -------------------------------------------
     def brk(self, i: int, j: int) -> Dict[int, int]:
@@ -299,7 +268,7 @@ class Algebra:
         """
         rep = ValidationReport()
         if self.grading is not None:
-            rep.grading_failures = self._grading_failures(max_report)
+            rep.grading_failures = grading_failures(self, self.grading, self.grading_mod, max_report)
         n = self.dim
         if self.is_gf2:
             T = self.pair_table()
@@ -517,6 +486,39 @@ def _jacobiator(T: List[int], n: int, i: int, j: int, k: int) -> int:
     return acc
 
 
+def grading_failures(g: Algebra, grading: Sequence[Tuple[int, ...]], moduli: Sequence[int],
+                     limit: Optional[int] = None) -> List[tuple]:
+    """The first `limit` (all when None) (i, j, k, want, got), in `sc` row
+    order: e_k lies in [e_i, e_j], but its weight `got`, reduced by
+    `moduli` (0: not reduced), is not `want`, the reduced sum of those of
+    e_i and e_j.  Checked on bit masks: a row passes when its mask lies in
+    the mask of the basis vectors of weight want."""
+    red = [tuple(w % m if m else w for w, m in zip(gr, moduli)) for gr in grading]
+    classes: Dict[tuple, int] = {}  # reduced weight -> mask of its basis vectors
+    for k, w in enumerate(red):
+        classes[w] = classes.get(w, 0) | 1 << k
+    ids = {w: c for c, w in enumerate(classes)}
+    nc = len(ids)
+    cid = [ids[w] for w in red]
+    sums: Dict[int, tuple] = {}  # cid[i] * nc + cid[j] -> (want, classes[want])
+    T = g._pair_table  # else the masks come from the rows
+    n = g.dim
+    bad: List[tuple] = []
+    for (i, j), row in g.sc.items():
+        hit = sums.get(cid[i] * nc + cid[j])
+        if hit is None:
+            want = tuple((a + b) % m if m else a + b for a, b, m in zip(red[i], red[j], moduli))
+            hit = sums[cid[i] * nc + cid[j]] = (want, classes.get(want, 0))
+        want, ok = hit
+        if (T[i * n + j] if T is not None else gf2.from_bits(row)) & ~ok:
+            for k in row:
+                if not (ok >> k) & 1:
+                    if len(bad) == limit:
+                        return bad
+                    bad.append((i, j, k, want, red[k]))
+    return bad
+
+
 def _jacobi_proof(g: Algebra, pairs: List[Tuple[int, int]], nbr: List[int], R: List[int]) -> bool:
     """True when Jacobi is proven on all of g from an ad-generating set S of
     basis vectors (see `validate`); False when a check fails or the work
@@ -723,7 +725,7 @@ def quotient(g: Algebra, ideal: Subspace, name: str = "", within: Optional[Subsp
     q = Algebra.from_gf2_rows(labels, sc, name=name or (g.name + "/ideal"), meta=meta)
     if g.grading is not None and all(len({g.grading[b] for b in bs}) == 1 for bs in row_bits):
         q.grading, q.grading_mod = [g.grading[bs[0]] for bs in row_bits], g.grading_mod
-        if q._grading_failures(1):
+        if grading_failures(q, q.grading, q.grading_mod, 1):
             q.grading = q.grading_mod = None
     return q
 

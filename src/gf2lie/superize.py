@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import gf2
 from .constructions import BilinearFormSpec, QuadraticFormSpec, arf_invariant
-from .liealg import Algebra, AlgebraError, LinearMap, verify_morphism
+from .liealg import Algebra, AlgebraError, LinearMap, grading_failures, verify_morphism
 
 
 class ClosureAlgebra:
@@ -136,11 +136,9 @@ class SuperAlgebra:
         squaring axiom on the odd basis, then Jacobi: exact for every odd
         x, see `_squaring_failure`."""
         g = self.algebra
-        for (i, j), row in g.sc.items():
-            want = (self.parity[i] + self.parity[j]) % 2
-            for k in row:
-                if self.parity[k] != want:
-                    return False, "parity breaks at [%d,%d] -> %d" % (i, j, k)
+        bad = grading_failures(g, [(p,) for p in self.parity], (2,), 1)
+        if bad:
+            return False, "parity breaks at [%d,%d] -> %d" % bad[0][:3]
         for i in self.odd_indices():
             if any(self.parity[k] for k in gf2.bits(self.closure.squaring[i])):
                 return False, "square of odd %d is not even" % i

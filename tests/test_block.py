@@ -26,7 +26,7 @@ from gf2lie.constructions import build_hamiltonian, build_hI, build_tensor_examp
 from gf2lie.deform import _d2_solutions, defect, in_d2_image, integrability_verdict, zero_defect_representative
 from gf2lie.experiments import (GH31_WEIGHTS, HI_OUTER_DEGREES, PRINTED_GH21, PRINTED_GH21_PARTIAL,
                                 PRINTED_GH31, PRINTED_GH31_PARTIAL, PRINTED_HI, PRINTED_HI_PARTIAL)
-from gf2lie.grading import C2_OFFSET, weight_keys
+from gf2lie.grading import MODULUS, weight_keys
 from gf2lie.liealg import AlgebraError
 from test_cohomology import d1
 
@@ -35,17 +35,17 @@ from test_cohomology import d1
 # ---------------------------------------------------------------------------
 
 
-def _old_block_keys(g, constraints, offset):
+def _old_block_keys(g, constraints):
     specs = []
     for mode, w in constraints:
         keys = weight_keys(g, mode)
         w = tuple(w)
         if keys and len(w) != len(keys[0]):
             raise AlgebraError("a weight in mode %r has %d entries, not %d" % (mode, len(w), len(keys[0])))
-        if mode == "mod2" and any(x not in (0, 1) for x in w):
+        if MODULUS[mode] and any(not 0 <= x < MODULUS[mode] for x in w):
             return None
-        shift = C2_OFFSET[mode] if offset else 0
-        specs.append((keys, tuple(x - shift for x in w), 2 if mode == "mod2" else 0))
+        shift = 0  # the weight of a coordinate is its keys' difference, in C^2 and C^1 alike
+        specs.append((keys, tuple(x - shift for x in w), MODULUS[mode]))
     buckets = {}
     for k in range(g.dim):
         buckets.setdefault(tuple(keys[k] for keys, _, _ in specs), []).append(k)
@@ -55,7 +55,7 @@ def _old_block_keys(g, constraints, offset):
 def old_c2_block_coords(g, constraints=()):
     """The generator-expression scan: one key tuple per pair and constraint."""
     n = g.dim
-    keyed = _old_block_keys(g, constraints, offset=True)
+    keyed = _old_block_keys(g, constraints)
     if keyed is None:
         return []
     specs, buckets = keyed
@@ -72,7 +72,7 @@ def old_c2_block_coords(g, constraints=()):
 
 def old_c1_block_coords(g, constraints=()):
     n = g.dim
-    keyed = _old_block_keys(g, constraints, offset=False)
+    keyed = _old_block_keys(g, constraints)
     if keyed is None:
         return []
     specs, buckets = keyed
@@ -315,7 +315,7 @@ def test_block_matches_pre_block_solvers(name):
     if blk.coords:
         c = blk.decode(rng.getrandbits(len(blk.coords)))
         assert _items(_d2_solutions(g, d2(c), cons)) == _items(old_d2_solutions(g, d2(c), cons))
-    doubled = [(mode, w if mode == "mod2" else tuple(2 * x for x in w)) for mode, w in cons]
+    doubled = [(mode, tuple(2 * x % MODULUS[mode] if MODULUS[mode] else 2 * x for x in w)) for mode, w in cons]
     for rep in h2.representatives:
         assert (_items(_d2_solutions(g, defect(rep), doubled))
                 == _items(old_d2_solutions(g, defect(rep), doubled)))
@@ -609,7 +609,7 @@ def _seeded_c3(keys, rng):
 def _h2_and_solutions(g, cons):
     g.cache.pop("blocks", None)  # solve H^2 again, through the C3Index in force
     h2 = compute_h2(g, constraints=cons)
-    doubled = [(mode, w if mode == "mod2" else tuple(2 * x for x in w)) for mode, w in cons]
+    doubled = [(mode, tuple(2 * x % MODULUS[mode] if MODULUS[mode] else 2 * x for x in w)) for mode, w in cons]
     rng = random.Random(repr(cons))
     c = h2.decode(rng.getrandbits(len(h2.coords)))
     sols = [_d2_solutions(g, d2(c), cons)] + [_d2_solutions(g, defect(rep), doubled) for rep in h2.representatives]

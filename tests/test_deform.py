@@ -548,6 +548,24 @@ def test_integrability_hI():
     assert len([v for v in verdicts if v != "linear-global"]) == 1
 
 
+def test_massey_tower_asks_order_k_at_k_times_the_weight(monkeypatch):
+    """Weights add under composition, so c∘c lies at twice the weight of c,
+    reduced: for mod-2 weight (1, 0) that is (0, 0), not (1, 0)."""
+    hi = build_hI(2, (2, 2))
+    c = parse_cocycle("q (x) d(q^(2))^d(p^(3)*q^(3)) + q^(2) (x) d(p*q^(3))^d(p^(2)*q^(3))", hi)
+    cons = [("mod2", (1, 0)), ("outer", (-5,))]
+    assert [(mode, c.weight(mode)) for mode, _ in cons] == cons
+    # every term e_l ⊗ d(e_i)^d(e_j)^d(e_k) of c∘c, by the monomial degrees mod 2
+    monos = hi.meta["mono_degrees"]
+    cc = cyclic_compose(c, c)
+    assert cc and {tuple((a - b - e - f) % 2 for a, b, e, f in zip(monos[l], monos[i], monos[j], monos[k]))
+                   for (i, j, k), v in cc.items() for l in gf2.bits(v)} == {(0, 0)}
+    asked, solve = [], deform._d2_solutions
+    monkeypatch.setattr(deform, "_d2_solutions", lambda g, t, cs, *a: asked.append(cs) or solve(g, t, cs, *a))
+    deform.massey_tower(hi, c, cons)
+    assert asked[0] == [("mod2", (0, 0)), ("outer", (-10,))]
+
+
 def test_poisson_family_alpha_one_is_po():
     from gf2lie.constructions import build_poisson
     fam = poisson_family(1, (2, 2), GF2.one)

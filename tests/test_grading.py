@@ -2,9 +2,9 @@ import pytest
 from test_liealg import _loop_subalgebra_generated
 
 from gf2lie import experiments, gf2
-from gf2lie.constructions import build_hamiltonian, build_jurman
+from gf2lie.constructions import build_hamiltonian, build_hI, build_jurman, build_poisson
 from gf2lie.deform import bracket_map_cochain
-from gf2lie.grading import Filtration, associated_graded, cochain_weight, weisfeiler_filtration
+from gf2lie.grading import Filtration, associated_graded, cochain_weight, weight_keys, weisfeiler_filtration
 from gf2lie.isom import fingerprint
 from gf2lie.liealg import Algebra, AlgebraError, LinearMap, Subspace, subalgebra_generated, verify_morphism
 from gf2lie.fields import GF2
@@ -133,6 +133,15 @@ def test_gr_jurman_is_hamiltonian(g, h):
     # maximal divided-power degrees: N(p) = g, N(q) = h+1
     assert max(m[0] for m in hp.meta["mono_degrees"]) == (1 << g) - 1
     assert max(m[1] for m in hp.meta["mono_degrees"]) == (1 << (h + 1)) - 1
+
+
+def test_each_builder_grading_is_a_weight_mode():
+    hp = build_hamiltonian(1, (2, 2), "derived")
+    po = build_poisson(2, (1, 1, 1, 1))
+    hi = build_hI(2, (2, 2))
+    assert weight_keys(hp, "z") == hp.grading
+    assert weight_keys(po, "outer") == po.grading
+    assert weight_keys(hi, "mod2") == hi.grading
 
 
 def test_cochain_weight_modes():

@@ -12,7 +12,7 @@ from gf2lie.constructions import (build_classical, build_div_free_hI, build_hami
 from gf2lie.fields import GF2, GF2k, PolyRing
 from gf2lie.liealg import (Algebra, AlgebraError, LinearMap, Subspace, ValidationReport,
                            center, derivations, derived_subalgebra, direct_sum,
-                           ideal_generated, quotient, simplicity_check, subalgebra_generated,
+                           grading_failures, ideal_generated, quotient, simplicity_check, subalgebra_generated,
                            verify_morphism)
 from test_cohomology import d1
 
@@ -434,7 +434,7 @@ def _loop_quotient(g, ideal, name=""):
     q = Algebra.from_gf2_rows([g.labels[i] for i in keep], sc, name=name or (g.name + "/ideal"), meta=meta)
     if g.grading is not None:
         q.grading, q.grading_mod = [g.grading[i] for i in keep], g.grading_mod
-        if q._grading_failures(1):
+        if grading_failures(q, q.grading, q.grading_mod, 1):
             q.grading = q.grading_mod = None
     return q
 
@@ -503,7 +503,7 @@ def _two_step_quotient(g, ideal, sub, name):
         ws = [{g.grading[b] for b in gf2.bits(r)} for r in kept]
         if all(len(w) == 1 for w in ws):
             q.grading, q.grading_mod = [w.pop() for w in ws], g.grading_mod
-            if q._grading_failures(1):
+            if grading_failures(q, q.grading, q.grading_mod, 1):
                 q.grading = q.grading_mod = None
     return q
 
