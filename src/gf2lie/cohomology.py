@@ -6,13 +6,11 @@ All signs are trivial in characteristic 2:
                   + c([x,y],z) + c([x,z],y) + c([y,z],x)
 Cochains are stored sparsely on i<j pairs with GF(2) mask values.
 The second line of d2 and its first are the cyclic compositions c∘μ and
-μ∘c with the bracket μ, where (a∘b)(x,y,z) = Σ_cyc a(b(x,y), z); the
-same composition gives the quadratic Jacobi defect c∘c of a deform and
-every Jacobiator and Massey term (module deform).  `cyclic_compose`
-walks the incidence index that an Algebra and a Cochain2 both expose,
-so its cost, and that of d1 and d2, follows the support of the operands,
-not dim^3.  `cyclic_compose_table` is its bilinear twin: every pairwise
-composition of a list of cochains, encoded, from one walk.
+μ∘c with the bracket μ, `liealg.cyclic_compose`, which walks the
+incidence index that an Algebra and a Cochain2 both expose; so the cost
+of d1 and d2 follows the support of the operands, not dim^3.
+`cyclic_compose_table` is its bilinear twin: every pairwise composition
+of a list of cochains, encoded, from one walk.
 
 A weight block, `Block`, is the H^2 answer: its coordinates, its d1 and
 d2 columns, the spans solved from them and the representatives.
@@ -25,15 +23,15 @@ its rank, and no d2 is solved for it.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import gf2
 from .divpow import mono_text
 from .grading import MODULUS, cochain_term_weight, cochain_weight, weight_keys
-from .liealg import Algebra, AlgebraError, Incidence, center, grading_failures, incidence_index
+from .liealg import (Algebra, AlgebraError, Incidence, Triple, center, cyclic_compose, grading_failures,
+                     incidence_index)
 
 Pair = Tuple[int, int]
-Triple = Tuple[int, int, int]
 
 
 class CochainError(ValueError):
@@ -106,36 +104,6 @@ class Cochain2:
 
     def __repr__(self):
         return "<2-cochain %s>" % self.text()
-
-
-Operand = Union[Algebra, Cochain2]
-
-
-def cyclic_compose(a: Operand, b: Operand,
-                   out: Optional[Dict[Triple, int]] = None) -> Dict[Triple, int]:
-    """The 3-cochain (a∘b)(x,y,z) = Σ_cyc a(b(x,y), z) as a sparse dict on
-    i<j<k triples; an Algebra stands for its bracket.
-
-    The sum runs over the u that both operands touch: each pair x<y with
-    e_u in b(x,y) meets each z with a(e_u,e_z) != 0, walking whichever
-    operand touches fewer u.  With `out` the terms are added into it;
-    either way the dict returned holds no zero value.
-    """
-    pre, rows = b.incidence()[0], a.incidence()[1]
-    if out is None:
-        out = {}
-    for u in (pre if len(pre) <= len(rows) else rows):
-        pairs, row = pre.get(u), rows.get(u)
-        if pairs is None or row is None:
-            continue
-        for x, y in pairs:
-            for z, v in row:
-                if z != x and z != y:
-                    tri = (z, x, y) if z < x else (x, z, y) if z < y else (x, y, z)
-                    out[tri] = out.get(tri, 0) ^ v
-    for tri in [tri for tri, w in out.items() if not w]:
-        del out[tri]
-    return out
 
 
 def _triple_key(z: int, x: int, y: int, n: int) -> int:

@@ -637,7 +637,8 @@ def _pi_matrix(n: int) -> List[int]:
 
 
 def build_classical(kind: str, n: int, variant: str = "full") -> Algebra:
-    """Matrix algebras: gl, sl, psl, o_I(n) (symmetric matrices), o_Pi(n).
+    """Matrix algebras: gl, sl, psl, and o_I(n), o_Pi(n): the X with
+    X^T P + P X = 0, P the identity (symmetric X) or Pi.
 
     o_Pi for odd n uses the alternate form of rank n-1 with a radical
     line, the characteristic-2 convention behind o_Pi(3), o_Pi(5).
@@ -651,29 +652,21 @@ def build_classical(kind: str, n: int, variant: str = "full") -> Algebra:
         sl = Subspace(gl, gf2.kernel([diag], n * n))
         psl = kind == "psl" and n % 2 == 0
         g = quotient(gl, Subspace(gl, [diag] if psl else []), ("psl(%d)" if psl else "sl(%d)") % n, within=sl)
-    elif kind == "oI":
-        rows = []
-        for i in range(n):
-            rows.append(1 << (i * n + i))
-        for i in range(n):
-            for j in range(i + 1, n):
-                rows.append((1 << (i * n + j)) | (1 << (j * n + i)))
-        g = quotient(gl, Subspace(gl), "o_I(%d)" % n, within=Subspace(gl, rows))
-    elif kind == "oPi":
-        P = _pi_matrix(n)
-        # condition X^T Pi + Pi X = 0, entrywise linear equations over X
+    elif kind in ("oI", "oPi"):
+        P = [1 << i for i in range(n)] if kind == "oI" else _pi_matrix(n)
+        # condition X^T P + P X = 0, entrywise linear equations over X
         eqs = []
         for r in range(n):
             for c in range(n):
                 row = 0
                 for k in range(n):
-                    if (P[k] >> c) & 1:   # (X^T Pi)[r,c] = sum_k X[k,r] Pi[k,c]
+                    if (P[k] >> c) & 1:   # (X^T P)[r,c] = sum_k X[k,r] P[k,c]
                         row ^= 1 << (k * n + r)
-                    if (P[r] >> k) & 1:   # (Pi X)[r,c] = sum_k Pi[r,k] X[k,c]
+                    if (P[r] >> k) & 1:   # (P X)[r,c] = sum_k P[r,k] X[k,c]
                         row ^= 1 << (k * n + c)
                 if row:
                     eqs.append(row)
-        g = quotient(gl, Subspace(gl), "o_Pi(%d)" % n, within=Subspace(gl, gf2.kernel(eqs, n * n)))
+        g = quotient(gl, Subspace(gl), "o_%s(%d)" % (kind[1:], n), within=Subspace(gl, gf2.kernel(eqs, n * n)))
     else:
         raise AlgebraError("unknown classical kind %r" % kind)
     return _apply_variant(g, variant)

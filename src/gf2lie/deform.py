@@ -14,15 +14,15 @@ from itertools import combinations, product as _cartesian
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import gf2
-from .cohomology import (C3Index, Cochain2, Triple, combine, cyclic_compose, cyclic_compose_table, d2,
-                         is_coboundary, weight_block)
+from .cohomology import C3Index, Cochain2, combine, cyclic_compose_table, d2, is_coboundary, weight_block
 from .constructions import (build_hamiltonian, build_jurman, build_kap2, build_kap4B, build_poisson,
                             image_rows, kap4B_images, monomial_rows, pq_names)
 from .divpow import check_shearing, mono_offsets, mono_pack, mono_partial, mono_text, monomials, reindex_mono
 from .fields import GF2, GF2k, Scalar, add_scaled
 from .grading import MODULUS, cochain_weight
 from .isom import search_isomorphism
-from .liealg import Algebra, AlgebraError, LinearMap, Subspace, brackets, quotient, verify_morphism
+from .liealg import (Algebra, AlgebraError, LinearMap, Subspace, Triple, brackets, cyclic_compose, quotient,
+                     verify_morphism)
 
 Pair = Tuple[int, int]
 ParamMono = Tuple[int, ...]
@@ -35,7 +35,7 @@ def defect(c: Cochain2) -> Dict[Triple, int]:
 
 def in_d2_image(g: Algebra, target: Dict[Triple, int]) -> Optional[Cochain2]:
     """Solve d2(x) = target over all of C^2; None when the class is nonzero."""
-    sols = _d2_solutions(g, target, (), kernel_cap=0)
+    sols = _d2_solutions(g, target, ())
     return sols[0] if sols else None
 
 
@@ -94,10 +94,9 @@ class DeformFamily:
         return {k: v for k, v in out.items() if v}
 
 
-def deform_bracket(g: Algebra, c: Cochain2, check: bool = True,
-                   name: str = "") -> DeformFamily:
+def deform_bracket(g: Algebra, c: Cochain2, name: str = "") -> DeformFamily:
     """The family [x,y] + h c(x,y); c must be a 2-cocycle."""
-    if check and d2(c):
+    if d2(c):
         raise AlgebraError("the cochain is not a cocycle")
     return DeformFamily(g, ["h"], {(1,): c}, name=name)
 
@@ -203,8 +202,11 @@ def massey_tower(g: Algebra, c: Cochain2, constraints=()) -> dict:
     lower terms; the solution is searched per weight block, at k times
     each constraint's weight, reduced.  Backtracks over the affine
     solution freedom within 4,096 branches, up to order 8.  Returns a
-    report dict.
+    report dict; c must be a 2-cocycle.
     """
+    if d2(c):
+        raise AlgebraError("the cochain is not a cocycle")
+
     def scaled_constraints(k: int):  # weights add under composition
         return [(mode, tuple(k * x % MODULUS[mode] if MODULUS[mode] else k * x for x in w))
                 for mode, w in constraints]
@@ -239,9 +241,12 @@ def massey_tower(g: Algebra, c: Cochain2, constraints=()) -> dict:
     return {"integrable": done, "stuck_order": state["stuck_order"]}
 
 
-def _d2_solutions(g: Algebra, target: Dict, constraints, kernel_cap: int = 6):
+KERNEL_CAP = 6  # the most kernel offsets `_d2_solutions` adds to the particular solution
+
+
+def _d2_solutions(g: Algebra, target: Dict, constraints):
     """Solutions m of d2(m) = target within a weight block: the particular
-    one plus up to kernel_cap kernel offsets (cocycles of the block), all
+    one plus up to KERNEL_CAP kernel offsets (cocycles of the block), all
     read off the block's `d2_span`."""
     blk = weight_block(g, constraints)
     if not blk.coords:
@@ -250,7 +255,7 @@ def _d2_solutions(g: Algebra, target: Dict, constraints, kernel_cap: int = 6):
     sol = span.solve(c3.encode(target))
     if sol is None:
         return []
-    return [blk.decode(sol ^ kv) for kv in [0] + span.kernel[:kernel_cap]]
+    return [blk.decode(sol ^ kv) for kv in [0] + span.kernel[:KERNEL_CAP]]
 
 
 def integrability_verdict(g: Algebra, c: Cochain2, constraints=()) -> Tuple[str, Optional[Cochain2]]:
@@ -334,10 +339,8 @@ def jurman_deform_check(g: int, h: int, mirrored: bool = False) -> JurmanDeformR
     match the result with j(g,h) by isomorphism search."""
     c = jurman_cocycle(g, h, mirrored=mirrored)
     hp = c.algebra
-    if d2(c):
-        raise AlgebraError("jurman cochain is not a cocycle")
     w = cochain_weight(c, "z")
-    fam = deform_bracket(hp, c, check=False, name="h'_Pi deformed by jurman cocycle")
+    fam = deform_bracket(hp, c, name="h'_Pi deformed by jurman cocycle")
     rep = obstruction_poly(fam)
     if rep.verdict != "linear-global":
         raise AlgebraError("jurman deform unexpectedly not linear-global: %r" % rep)

@@ -431,8 +431,7 @@ def criterion_09_quantization() -> dict:
     grading = lambda_grading(hp, (-2, -2))
 
     def at_one(c):
-        return deform_bracket(hp, c, check=True).specialize([GF2.one], grading=grading,
-                                                           grading_mod=(0,))
+        return deform_bracket(hp, c).specialize([GF2.one], grading=grading, grading_mod=(0,))
 
     gens = blk.representatives + blk.coboundaries
     # the masks holding the class generator (bit 0)

@@ -68,6 +68,7 @@ class ValidationReport:
 # (pre, rows): for each basis index u, the pairs x<y whose bracket (or
 # cochain value) holds e_u, and the (z, mask of [e_u,e_z]) with a nonzero mask
 Incidence = Tuple[Dict[int, List[Tuple[int, int]]], Dict[int, List[Tuple[int, int]]]]
+Triple = Tuple[int, int, int]
 
 
 def incidence_index(items: Iterable[Tuple[Tuple[int, int], int]]) -> Incidence:
@@ -81,6 +82,34 @@ def incidence_index(items: Iterable[Tuple[Tuple[int, int], int]]) -> Incidence:
         rows.setdefault(x, []).append((y, w))
         rows.setdefault(y, []).append((x, w))
     return pre, rows
+
+
+def cyclic_compose(a, b, out: Optional[Dict[Triple, int]] = None) -> Dict[Triple, int]:
+    """The 3-cochain (a∘b)(x,y,z) = Σ_cyc a(b(x,y), z) as a sparse dict on
+    i<j<k triples.  a and b are whatever has an `incidence()`: an Algebra,
+    standing for its bracket, or a `cohomology.Cochain2`.  So μ∘μ is the
+    Jacobiator of g, and d2(c) = μ∘c + c∘μ.
+
+    The sum runs over the u that both operands touch: each pair x<y with
+    e_u in b(x,y) meets each z with a(e_u,e_z) != 0, walking whichever
+    operand touches fewer u.  With `out` the terms are added into it;
+    either way the dict returned holds no zero value.
+    """
+    pre, rows = b.incidence()[0], a.incidence()[1]
+    if out is None:
+        out = {}
+    for u in (pre if len(pre) <= len(rows) else rows):
+        pairs, row = pre.get(u), rows.get(u)
+        if pairs is None or row is None:
+            continue
+        for x, y in pairs:
+            for z, v in row:
+                if z != x and z != y:
+                    tri = (z, x, y) if z < x else (x, z, y) if z < y else (x, y, z)
+                    out[tri] = out.get(tri, 0) ^ v
+    for tri in [tri for tri, w in out.items() if not w]:
+        del out[tri]
+    return out
 
 
 class Algebra:
@@ -259,58 +288,19 @@ class Algebra:
         [ad_x, ad_y] is a derivation: D is a subalgebra.  `_jacobi_proof`
         checks ad_s for basis vectors s, in a greedy order fixed by the
         algebra (it affects speed only), until the span of those s closed
-        under their ad_s, inside D, is g.  Otherwise only the triples where
-        some double bracket can be nonzero are evaluated, which is exact:
-        [[e_a,e_b],e_c] != 0 needs (a,b) in `sc` and [e_c,e_l] != 0 for some
-        l in [e_a,e_b], i.e. c in the pair's reach mask R[a*n+b].  Each such
-        triple is evaluated once, from the first of its pairs (i,j), (i,k),
-        (j,k) that reaches it, with the same three-term sum as a full sweep.
+        under their ad_s, inside D, is g.  Otherwise the failing triples are
+        the support of μ∘μ, the Jacobiator as a 3-cochain (`cyclic_compose`).
         """
         rep = ValidationReport()
         if self.grading is not None:
             rep.grading_failures = grading_failures(self, self.grading, self.grading_mod, max_report)
-        n = self.dim
         if self.is_gf2:
-            T = self.pair_table()
-            pairs = sorted(self.sc)
-            nbr_mask = [0] * n  # bit z of nbr_mask[l]: [e_z,e_l] != 0
-            for a, b in pairs:
-                nbr_mask[a] |= 1 << b
-                nbr_mask[b] |= 1 << a
-            R = [0] * (n * n)  # R[a*n+b], a<b: the c with [[e_a,e_b],e_c] possibly != 0
-            for a, b in pairs:
-                r = 0
-                w = T[a * n + b]
-                while w:
-                    low = w & -w
-                    r |= nbr_mask[low.bit_length() - 1]
-                    w ^= low
-                R[a * n + b] = r & ~((1 << a) | (1 << b))
-            if _jacobi_proof(self, pairs, nbr_mask, R):
-                return rep
-            fails = []
-            for a, b in pairs:
-                w = R[a * n + b]
-                while w:
-                    low = w & -w
-                    w ^= low
-                    c = low.bit_length() - 1
-                    if c > b:
-                        i, j, k = a, b, c
-                    elif c > a:  # triple (a,c,b): skip if its pair (a,c) reaches b
-                        if (R[a * n + c] >> b) & 1:
-                            continue
-                        i, j, k = a, c, b
-                    else:  # triple (c,a,b): skip if (c,a) reaches b or (c,b) reaches a
-                        if (R[c * n + a] >> b) & 1 or (R[c * n + b] >> a) & 1:
-                            continue
-                        i, j, k = c, a, b
-                    if _jacobiator(T, n, i, j, k):
-                        fails.append((i, j, k))
-            # a full sweep stops once it holds max_report failures, and
-            # always holds the first one it meets
-            rep.jacobi_failures = sorted(fails)[:max(max_report, 1)]
+            if not _jacobi_proof(self):
+                # as the triple sweep below: the first max_report failures,
+                # and always the first one
+                rep.jacobi_failures = sorted(cyclic_compose(self, self))[:max(max_report, 1)]
             return rep
+        n = self.dim
         f = self.field
         for i in range(n):
             for j in range(i + 1, n):
@@ -519,16 +509,32 @@ def grading_failures(g: Algebra, grading: Sequence[Tuple[int, ...]], moduli: Seq
     return bad
 
 
-def _jacobi_proof(g: Algebra, pairs: List[Tuple[int, int]], nbr: List[int], R: List[int]) -> bool:
+def _jacobi_proof(g: Algebra) -> bool:
     """True when Jacobi is proven on all of g from an ad-generating set S of
     basis vectors (see `validate`); False when a check fails or the work
-    passes the sweep's reach count."""
+    passes the reach count: the triples where some double bracket can be
+    nonzero.  [[e_a,e_b],e_c] != 0 needs (a,b) in `sc` and [e_c,e_l] != 0
+    for some l in [e_a,e_b], i.e. c in the pair's reach mask R[a*n+b]."""
     n, T = g.dim, g.pair_table()
+    pairs = sorted(g.sc)
+    nbr = [0] * n  # bit z of nbr[l]: [e_z,e_l] != 0
+    for a, b in pairs:
+        nbr[a] |= 1 << b
+        nbr[b] |= 1 << a
+    R = [0] * (n * n)
+    for a, b in pairs:
+        r = 0
+        w = T[a * n + b]
+        while w:
+            low = w & -w
+            r |= nbr[low.bit_length() - 1]
+            w ^= low
+        R[a * n + b] = r & ~((1 << a) | (1 << b))
     pre: Dict[int, List[Tuple[int, int]]] = {}  # l -> the pairs a<b with e_l in [e_a,e_b]
     for p in pairs:
         for l in gf2.bits(T[p[0] * n + p[1]]):
             pre.setdefault(l, []).append(p)
-    budget, cost = 0, [0] * n  # the sweep's reach count; a bound on each s's triples
+    budget, cost = 0, [0] * n  # the reach count; a bound on each s's triples
     for a, b in pairs:
         r = R[a * n + b].bit_count()
         budget += r

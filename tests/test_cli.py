@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 from gf2lie.cli import main
-from gf2lie.constructions import build_kap4B
-from gf2lie.fields import GF2k
+from gf2lie.constructions import build_kap4B, build_poisson
+from gf2lie.fields import GF2, GF2k
 from gf2lie.liealg import Algebra
+from test_liealg import _dense_jacobi_failures
 
 
 def run_cli(argv):
@@ -127,6 +128,19 @@ def test_validate_refuses_a_json_value_outside_the_field(tmp_path, capsys, k, va
     code, out = run_cli(["validate", "--algebra", str(path)])
     assert code == 1 and out is None
     assert "structure constant at (2,3) lies outside GF" in capsys.readouterr().err
+
+
+def test_validate_reports_a_jacobi_failure_with_exit_2(tmp_path):
+    # po(1;1,1) with [p, p*q] = q
+    po = build_poisson(1, (1, 1))
+    sc = {k: dict(v) for k, v in po.sc.items()}
+    sc[tuple(sorted((po.labels.index("p"), po.labels.index("p*q"))))] = {po.labels.index("q"): 1}
+    g = Algebra(GF2, po.labels, sc)
+    path = tmp_path / "broken.json"
+    path.write_text(g.dumps())
+    code, doc = run_cli(["validate", "--algebra", str(path)])
+    assert code == 2 and doc["report"]["ok"] is False
+    assert doc["report"]["first_jacobi_failure"] == list(_dense_jacobi_failures(g, 1)[0])
 
 
 @pytest.mark.parametrize("weight", ["1,2,3", "1"])

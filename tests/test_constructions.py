@@ -500,6 +500,22 @@ def test_classical_dims():
     assert build_classical("psl", 4).dim < build_classical("sl", 4).dim
 
 
+def _symmetric_oI(n, variant):
+    """o_I(n) as gl(n) on the symmetric matrices, spanned by the E_ii and the
+    E_ij + E_ji: the oracle for o_I as o_Pi's kernel with the identity form."""
+    gl = constructions.build_gl(n)
+    rows = [1 << (i * n + i) for i in range(n)]
+    rows += [(1 << (i * n + j)) | (1 << (j * n + i)) for i in range(n) for j in range(i + 1, n)]
+    g = liealg.quotient(gl, Subspace(gl), "o_I(%d)" % n, within=Subspace(gl, rows))
+    return constructions._apply_variant(g, variant)
+
+
+@pytest.mark.parametrize("variant", ["full", "derived", "derived_mod_center"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_oI_matches_the_symmetric_matrices(n, variant):
+    assert build_classical("oI", n, variant).dumps() == _symmetric_oI(n, variant).dumps()
+
+
 def _vector_in_subalgebra(amb, sub, v):
     """Coordinates of an ambient vector in the basis of an algebra on a
     subspace, rebuilt from its labels: a unit row keeps the ambient label, a

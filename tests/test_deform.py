@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 
 from gf2lie import deform, gf2
-from gf2lie.cohomology import (C3Index, Cochain2, combine, compute_h2, cyclic_compose, cyclic_compose_table,
-                               d2, is_coboundary, parse_cocycle, weight_block)
+from gf2lie.cohomology import (C3Index, Cochain2, combine, compute_h2, cyclic_compose_table, d2, is_coboundary,
+                               parse_cocycle, weight_block)
 from gf2lie.constructions import (build_classical, build_hI, build_hamiltonian, build_jurman, build_kap4B,
                                   build_poisson, jurman_bracket, pq_names)
 from gf2lie.deform import (DeformFamily, bracket_map_cochain,
@@ -21,7 +21,7 @@ from gf2lie.divpow import mono_mul, mono_text, monomials
 from gf2lie.experiments import HI_OUTER_DEGREES
 from gf2lie.fields import GF2, GF2k, Scalar
 from gf2lie.isom import search_isomorphism
-from gf2lie.liealg import (Algebra, AlgebraError, LinearMap, Subspace, derived_subalgebra, quotient,
+from gf2lie.liealg import (Algebra, AlgebraError, LinearMap, Subspace, cyclic_compose, derived_subalgebra, quotient,
                            verify_morphism)
 from test_cohomology import _dense_d2, _loop_algebra_incidence, _loop_cochain_incidence, d1, ordered_incidence
 from test_liealg import _loop_subalgebra_on
@@ -252,7 +252,7 @@ def test_obstruction_poly_verdicts():
     assert rep.verdict == "linear-global"
     # the Jurman cocycle is linear-global
     c = jurman_cocycle(2, 1)
-    rep2 = obstruction_poly(deform_bracket(c.algebra, c, check=False))
+    rep2 = obstruction_poly(deform_bracket(c.algebra, c))
     assert rep2.verdict == "linear-global"
     # constant term of the Jacobiator always vanishes; linear term vanishes
     # exactly when the cochain is a cocycle
@@ -552,9 +552,10 @@ def test_massey_tower_asks_order_k_at_k_times_the_weight(monkeypatch):
     """Weights add under composition, so c∘c lies at twice the weight of c,
     reduced: for mod-2 weight (1, 0) that is (0, 0), not (1, 0)."""
     hi = build_hI(2, (2, 2))
-    c = parse_cocycle("q (x) d(q^(2))^d(p^(3)*q^(3)) + q^(2) (x) d(p*q^(3))^d(p^(2)*q^(3))", hi)
-    cons = [("mod2", (1, 0)), ("outer", (-5,))]
-    assert [(mode, c.weight(mode)) for mode, _ in cons] == cons
+    cons = [("mod2", (1, 0)), ("outer", (-3,))]
+    blk = weight_block(hi, cons)
+    c = next(c for c in map(blk.decode, blk.d2_span()[0].kernel) if defect(c))
+    assert not d2(c) and [(mode, c.weight(mode)) for mode, _ in cons] == cons
     # every term e_l ⊗ d(e_i)^d(e_j)^d(e_k) of c∘c, by the monomial degrees mod 2
     monos = hi.meta["mono_degrees"]
     cc = cyclic_compose(c, c)
@@ -563,7 +564,15 @@ def test_massey_tower_asks_order_k_at_k_times_the_weight(monkeypatch):
     asked, solve = [], deform._d2_solutions
     monkeypatch.setattr(deform, "_d2_solutions", lambda g, t, cs, *a: asked.append(cs) or solve(g, t, cs, *a))
     deform.massey_tower(hi, c, cons)
-    assert asked[0] == [("mod2", (0, 0)), ("outer", (-10,))]
+    assert asked[0] == [("mod2", (0, 0)), ("outer", (-6,))]
+
+
+def test_massey_tower_refuses_a_cochain_that_is_not_a_cocycle():
+    hi = build_hI(2, (2, 2))
+    c = parse_cocycle("q (x) d(q^(2))^d(p^(3)*q^(3)) + q^(2) (x) d(p*q^(3))^d(p^(2)*q^(3))", hi)
+    assert d2(c)
+    with pytest.raises(AlgebraError, match="the cochain is not a cocycle"):
+        deform.massey_tower(hi, c)
 
 
 def test_poisson_family_alpha_one_is_po():

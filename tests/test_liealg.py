@@ -66,7 +66,7 @@ def test_quotient_within_rejects_a_subspace_not_bracket_closed():
 
 
 # ---------------------------------------------------------------------------
-# the full triple sweep, kept as an oracle for the reach-indexed one
+# the full triple sweep, kept as an oracle for the support of μ∘μ
 # ---------------------------------------------------------------------------
 
 def _dense_jacobi_failures(g, max_report):
@@ -164,8 +164,8 @@ def _flipped(g, rng):
 
 
 def _assert_matches_dense(h):
-    dense = _dense_jacobi_failures(h, 5)  # at max_report 1 the sweep stops at its first failure
-    for max_report in (1, 5):
+    dense = _dense_jacobi_failures(h, 10 ** 9)  # every failure; a sweep at max_report stops at its prefix
+    for max_report in (1, 5, 10 ** 9):
         rep = h.validate(max_report=max_report)
         want = ValidationReport()
         want.jacobi_failures = dense[:max_report]
@@ -231,7 +231,7 @@ def _abelian(n):
 def test_validate_without_double_brackets_skips_the_proof(g, monkeypatch):
     verdicts, _ = _proof_verdicts(monkeypatch)
     _assert_matches_dense(g)
-    assert g.validate().ok and verdicts == [False] * 3
+    assert g.validate().ok and verdicts == [False] * 4  # three from _assert_matches_dense
 
 
 def test_validate_proves_a_sum_with_an_abelian_summand(monkeypatch):
@@ -239,7 +239,7 @@ def test_validate_proves_a_sum_with_an_abelian_summand(monkeypatch):
     g = direct_sum(build_multipair("Pi", PAIRS, "derived_mod_center"), _abelian(20))
     verdicts, _ = _proof_verdicts(monkeypatch)
     _assert_matches_dense(g)
-    assert g.validate().ok and verdicts == [True] * 3
+    assert g.validate().ok and verdicts == [True] * 4  # three from _assert_matches_dense
 
 
 def test_validate_hands_a_later_failing_generator_to_the_sweep(monkeypatch):
