@@ -319,20 +319,29 @@ class Block:
     def d1_columns(self):
         """d1 of each unit 1-cochain e_k ⊗ d(e_i), in `c1` order, encoded (a
         generator): [e_k, e_j] at each pair {i, j}, j != i, plus e_k at each
-        pair x<y whose bracket holds e_i."""
+        pair x<y whose bracket holds e_i.  `c1` is k-major: each bit l of each
+        [e_k, e_j] is taken once per k, with the parts of its key that do not
+        depend on i, j·n + l (key i·n² + j·n + l, i < j) and j·n² + l (key
+        j·n² + i·n + l, j < i); the keys of the pairs holding e_i once per i."""
         pre, rows = self.g.incidence()
         pos, n = self._pos, self.g.dim
+        nn = n * n
+        pair_keys: Dict[int, List[int]] = {}  # i -> (x·n + y)·n for each pair x<y whose bracket holds e_i
+        hits, last = [], None  # (j, j·n + l, j·n² + l) for each bit l of [e_k, e_j], k the current one
         for k, i in self.c1:
-            m = 0
-            for j, w in rows.get(k, ()):
-                if j != i:
-                    base = ((i * n + j) * n if i < j else (j * n + i) * n) - 1
-                    while w:
-                        low = w & -w
-                        m ^= 1 << pos[base + low.bit_length()]
-                        w ^= low
-            for x, y in pre.get(i, ()):
-                m ^= 1 << pos[(x * n + y) * n + k]
+            if k != last:
+                hits, last = [(j, j * n + l, j * nn + l) for j, w in rows.get(k, ()) for l in gf2.bits(w)], k
+            m, i_nn, i_n = 0, i * nn, i * n
+            for j, lo, hi in hits:
+                if j > i:
+                    m ^= 1 << pos[i_nn + lo]
+                elif j < i:
+                    m ^= 1 << pos[hi + i_n]
+            keys = pair_keys.get(i)
+            if keys is None:
+                keys = pair_keys[i] = [(x * n + y) * n for x, y in pre.get(i, ())]
+            for key in keys:
+                m ^= 1 << pos[key + k]
             yield m
 
     def d2_columns(self, c3: C3Index) -> List[int]:

@@ -129,17 +129,16 @@ def jsystem_algebra(spec: JSystemSpec, name: str) -> Algebra:
     gamma = spec.gamma
     index = {u: i for i, u in enumerate(gamma)}
     n = spec.B.n
-    sc: Dict[Tuple[int, int], Dict[int, int]] = {}
+    sc: Dict[Tuple[int, int], int] = {}
     for a in range(len(gamma)):
         for b in range(a + 1, len(gamma)):
             u, v = gamma[a], gamma[b]
             if spec.B.pair(u, v) and (u ^ v) in index:
-                sc[(a, b)] = {index[u ^ v]: 1}
+                sc[(a, b)] = 1 << index[u ^ v]
     labels = ["e" + "".join(str((u >> t) & 1) for t in range(n)) for u in gamma]
     grading = [gf2.to_tuple(u, n) for u in gamma]
-    g = Algebra(GF2, labels, sc, grading=grading, grading_mod=tuple(2 for _ in range(n)),
-                name=name, meta={"jsystem_B": spec.B, "jsystem_gamma": gamma})
-    return g
+    return Algebra.from_gf2_rows(labels, sc, grading=grading, grading_mod=tuple(2 for _ in range(n)),
+                                 name=name, meta={"jsystem_B": spec.B, "jsystem_gamma": gamma})
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +146,8 @@ def jsystem_algebra(spec: JSystemSpec, name: str) -> Algebra:
 # ---------------------------------------------------------------------------
 
 def image_rows(basis: Sequence[Mono], N: Sequence[int],
-               images: Callable[[Mono], Images]) -> Dict[Tuple[int, int], Dict[int, int]]:
-    """The GF(2) rows {(a, b): {k: 1}}, a < b, in (a, b) order, of the
+               images: Callable[[Mono], Images]) -> Dict[Tuple[int, int], int]:
+    """The GF(2) rows {(a, b): mask}, a < b, in (a, b) order, of the
     bilinear map [a, b] = sum over t of left_t(a) right_t(b) on the
     monomials `basis` of O[m;N], where images(mono) = (left, right) lists
     packed monomials (divpow.mono_pack), None where an operator kills mono.
@@ -157,8 +156,8 @@ def image_rows(basis: Sequence[Mono], N: Sequence[int],
     so term t of [a, b] is nonzero exactly when
     right_t(b) is a submask of the bits that u = left_t(a) leaves free.
     Each right image is indexed once, and only those pairs are visited;
-    terms cancel in the order t, as the sum is written.  Values outside
-    `basis` are dropped.
+    each term is XORed into its row's mask, so repeated terms cancel.
+    Values outside `basis` are dropped.
     """
     full = (1 << sum(N)) - 1
     pos: List[Optional[int]] = [None] * (full + 1)  # packed monomial -> basis index, or None
@@ -173,9 +172,9 @@ def image_rows(basis: Sequence[Mono], N: Sequence[int],
         for t, v in enumerate(right):
             if v is not None:
                 R[t].setdefault(v, []).append(b)
-    sc: Dict[Tuple[int, int], Dict[int, int]] = {}
+    sc: Dict[Tuple[int, int], int] = {}
     for a, (left, _) in enumerate(ims):
-        rows: Dict[int, Dict[int, int]] = {}  # b -> the row [a, b] so far
+        rows: Dict[int, int] = {}  # b -> the mask of [a, b] so far
         for u, Rt in zip(left, R):
             if u is None:
                 continue
@@ -186,11 +185,7 @@ def image_rows(basis: Sequence[Mono], N: Sequence[int],
                 if bs is not None and k is not None:
                     for b in bs:
                         if b > a:
-                            row = rows.setdefault(b, {})
-                            if k in row:
-                                del row[k]
-                            else:
-                                row[k] = 1
+                            rows[b] = rows.get(b, 0) ^ 1 << k
                 if not s:
                     break
                 s = (s - 1) & free

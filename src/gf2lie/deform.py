@@ -65,9 +65,7 @@ class DeformFamily:
             raise AlgebraError("need one value per parameter")
         field = values[0].field
         n = self.base.dim
-        sc: Dict[Pair, Dict[int, int]] = {}
-        for (i, j), row in self.base.sc.items():
-            sc[(i, j)] = {k: v for k, v in row.items()}
+        sc: Dict[Pair, Dict[int, int]] = {ij: dict(row) for ij, row in self.base.sc.items()}
         for mono, c in self.terms.items():
             coeff = field.one.value
             for e, val in zip(mono, values):
@@ -277,8 +275,7 @@ def integrability_verdict(g: Algebra, c: Cochain2, constraints=()) -> Tuple[str,
 
 def _image_cochain(g: Algebra, images) -> Cochain2:
     """The 2-cochain of g with the image_rows values of `images`."""
-    rows = image_rows(g.meta["mono_degrees"], g.meta["N"], images)
-    return Cochain2(g, {ab: gf2.from_bits(row) for ab, row in rows.items()})
+    return Cochain2(g, image_rows(g.meta["mono_degrees"], g.meta["N"], images))
 
 
 def jurman_cocycle(g: int, h: int, mirrored: bool = False) -> Cochain2:
@@ -454,8 +451,8 @@ def _rescale_and_search_certificate(fam: DeformFamily, deformed: Algebra,
     grading = lambda_grading(base, w) if len(w) == 2 else None
     mod = (0,) if grading else None
     alg1 = fam.specialize([GF2.one], grading=grading, grading_mod=mod)
-    base1 = Algebra(GF2, base.labels, base.sc, grading=grading, grading_mod=mod,
-                    name=base.name, meta=base.meta)
+    base1 = Algebra.from_gf2_rows(base.labels, base.rows, grading=grading, grading_mod=mod,
+                                  name=base.name, meta=base.meta)
     res = search_isomorphism(alg1, base1)
     if res.kind != "iso":
         return None
@@ -513,8 +510,8 @@ def poisson_family(m_pairs: int, N: Sequence[int], alpha: Scalar) -> Algebra:
         c = field.pow(alpha.value, e)
         if not c:
             continue
-        for ab, row in image_rows(monos, N, images(parities)).items():
-            add_scaled(field, sc.setdefault(ab, {}), c, row)
+        for ab, w in image_rows(monos, N, images(parities)).items():
+            add_scaled(field, sc.setdefault(ab, {}), c, dict.fromkeys(gf2.bits(w), 1))
     names = pq_names(m_pairs)
     return Algebra(field, [mono_text(m, names) for m in monos], {ab: sc[ab] for ab in sorted(sc) if sc[ab]},
                    name="po_Pi(%d;%s)@alpha=%r" % (2 * m_pairs, list(N), alpha),
@@ -601,7 +598,7 @@ def kap4b_as_deform(m: int) -> Kap4bReport:
     quad_cob = is_coboundary(c2)
     at1 = fam.specialize([GF2.one])
     k4b = build_kap4B(2 * m)
-    same = at1.sc == k4b.sc
+    same = at1.rows == k4b.rows
     quo_map = kap4b_quotient_map(m)
     quo_ok = verify_morphism(quo_map, "isomorphism")
     return Kap4bReport(m, lin_cob, quad_cocycle, quad_cob, same, quo_ok)

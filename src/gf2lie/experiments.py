@@ -80,9 +80,9 @@ def QPO() -> Algebra:
     cols = [op_matrix(i, j) for (i, j) in monos]
     inv = gf2.invert(cols, 16)
     coords = (gf2.apply_rows(inv, w) for w in brackets(gl4, cols))
-    sc = {p: dict.fromkeys(gf2.bits(c), 1) for p, c in zip(combinations(range(16), 2), coords) if c}
-    return Algebra(GF2, po.labels, sc, grading=[(i - j,) for (i, j) in monos], grading_mod=(0,),
-                   meta=po.meta, name="quantized po")
+    sc = {p: c for p, c in zip(combinations(range(16), 2), coords) if c}
+    return Algebra.from_gf2_rows(po.labels, sc, grading=[(i - j,) for (i, j) in monos], grading_mod=(0,),
+                                 meta=po.meta, name="quantized po")
 
 
 # the reference cocycle tables for these algebras, in the ingestion grammar;
@@ -240,7 +240,7 @@ def criterion_02_dimensions() -> dict:
 def criterion_03_kaplansky_identifications() -> dict:
     checks = []
     k402 = build_kap4A(2, 0)
-    checks.append(("Kap4,0(2) is 1-dim abelian", k402.dim == 1 and not k402.sc))
+    checks.append(("Kap4,0(2) is 1-dim abelian", k402.dim == 1 and not k402.rows))
     o3 = build_classical("oPi", 3, "derived")
     r1 = search_isomorphism(build_kap4A(2, 1), o3)
     checks.append(("Kap4,1(2) ~ o'_Pi(3)", r1.kind == "iso"))
@@ -469,15 +469,9 @@ def quantization_realizes_psl() -> dict:
     hp = HP(2, 2)
     from .grading import cochain_term_weight
     weights = set()
-    for i in range(hp.dim):
-        for j in range(i + 1, hp.dim):
-            v = 0
-            for k in Qd.brk(i, j):
-                v |= 1 << k
-            for k in hp.brk(i, j):
-                v ^= 1 << k
-            for k in gf2.bits(v):
-                weights.add(cochain_term_weight(hp, k, (i, j), "z"))
+    for ij in Qd.rows.keys() | hp.rows.keys():
+        for k in gf2.bits(Qd.rows.get(ij, 0) ^ hp.rows.get(ij, 0)):
+            weights.add(cochain_term_weight(hp, k, ij, "z"))
     psl4 = build_classical("psl", 4)
     iso = search_isomorphism(Qd, psl4)
     return {"pass": iso.kind == "iso" and Qd.validate().ok,

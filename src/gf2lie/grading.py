@@ -170,7 +170,10 @@ def associated_graded(f: Filtration) -> Algebra:
     def coords(w: int) -> int:
         return gf2.apply_rows(inv, w)
 
-    sc: Dict[Tuple[int, int], Dict[int, int]] = {}
+    in_layer: Dict[int, int] = {}  # layer -> the mask of its representatives
+    for k, i in enumerate(rep_layer):
+        in_layer[i] = in_layer.get(i, 0) | 1 << k
+    sc: Dict[Tuple[int, int], int] = {}
     min_idx = min(idx)
     for (a, b), w in zip(combinations(range(m), 2), brackets(g, reps)):
         la, lb = rep_layer[a], rep_layer[b]
@@ -183,12 +186,9 @@ def associated_graded(f: Filtration) -> Algebra:
                 continue
             if w not in f.layers[tgt].span:
                 raise AlgebraError("filtration violated at layers (%d,%d)" % (la, lb))
-            cw = coords(w)
-            row = {}
-            for k in gf2.bits(cw):
-                if rep_layer[k] == tgt:
-                    row[k] = 1
-            sc[(a, b)] = row
+            row = coords(w) & in_layer.get(tgt, 0)
+            if row:
+                sc[(a, b)] = row
         else:
             # below the deepest layer: bracket must vanish or tgt < -d impossible
             if tgt < min_idx and w:
@@ -198,8 +198,7 @@ def associated_graded(f: Filtration) -> Algebra:
         bs = list(gf2.bits(r))
         labels.append(g.labels[bs[0]] if len(bs) == 1 else "gr(" + "+".join(g.labels[b] for b in bs) + ")")
     grading = [(rep_layer[a],) for a in range(m)]
-    return Algebra(g.field, labels, sc, grading=grading, grading_mod=(0,),
-                   name="gr " + g.name)
+    return Algebra.from_gf2_rows(labels, sc, grading=grading, grading_mod=(0,), name="gr " + g.name)
 
 
 # ---------------------------------------------------------------------------

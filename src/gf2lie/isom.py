@@ -71,7 +71,7 @@ def search_isomorphism(a: Algebra, b: Algebra, budget: int = 200_000) -> IsoResu
     res = _first_difference(_structure_dims(a), _structure_dims(b))
     if res is not None:
         return res
-    if not a.sc and not b.sc:  # abelian: every invertible map is an isomorphism
+    if not a.rows and not b.rows:  # abelian: every invertible map is an isomorphism
         identity = LinearMap(a, b, [b.unit(i) for i in range(b.dim)])
         if verify_morphism(identity, "isomorphism"):
             return IsoResult("iso", identity, engine="trivial")

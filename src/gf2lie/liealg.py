@@ -6,7 +6,7 @@ which also gives dim Der(g) and H^1.
 
 Structure constants are stored sparsely for i < j only; [e_i, e_i] = 0
 and [e_j, e_i] = [e_i, e_j] hold structurally (characteristic 2).  Over
-GF(2) vectors are bit masks and brackets reduce to xors of a cached
+GF(2) vectors and bracket rows are bit masks, brackets xors of a cached
 pair table; over other scalars vectors are {index: raw value} dicts.
 """
 
@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import json
 import random
-from typing import Any, Container, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from types import MappingProxyType
+from typing import Any, Container, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from . import gf2
 from .fields import GF2, Field, GF2k, PolyRing, add_scaled
@@ -112,8 +113,15 @@ def cyclic_compose(a, b, out: Optional[Dict[Triple, int]] = None) -> Dict[Triple
     return out
 
 
+def _decode_rows(rows: Dict[Tuple[int, int], int]) -> Mapping[Tuple[int, int], Mapping[int, int]]:
+    """The `sc` view of GF(2) rows {(i, j): mask}: {(i, j): {k: 1}}, k ascending, read-only."""
+    return MappingProxyType({ij: MappingProxyType(dict.fromkeys(gf2.bits(m), 1)) for ij, m in rows.items()})
+
+
 class Algebra:
-    """Algebra with alternating bracket given by sparse structure constants."""
+    """Algebra with alternating bracket given by sparse structure constants:
+    over GF(2) `rows`, {(i, j): mask of [e_i, e_j]} for the nonzero pairs
+    i < j, and `sc` a view of them; over other scalars `sc` alone."""
 
     def __init__(self, field: Field, labels: Sequence[str], sc: Dict[Tuple[int, int], Dict[int, int]],
                  grading: Optional[Sequence[Tuple[int, ...]]] = None,
@@ -139,44 +147,42 @@ class Algebra:
             add_scaled(field, prev, 1, val)
             if not prev:
                 del clean[(i, j)]
+        if isinstance(field, GF2k) and field.k == 1:
+            clean = {ij: gf2.from_bits(row) for ij, row in clean.items()}
         self._adopt(field, labels, clean, grading, grading_mod, name, meta, None)
 
     @classmethod
-    def from_gf2_rows(cls, labels: Sequence[str], rows: Dict[Tuple[int, int], Dict[int, int]],
+    def from_gf2_rows(cls, labels: Sequence[str], rows: Dict[Tuple[int, int], int],
                       grading: Optional[Sequence[Tuple[int, ...]]] = None,
                       grading_mod: Optional[Tuple[int, ...]] = None,
                       name: str = "", meta: Optional[dict] = None) -> "Algebra":
-        """The GF(2) algebra on clean rows {(i, j): {k: 1}}, kept as `sc` as
-        given (item order included) and checked on bit masks: i < j < dim, a
-        nonzero mask below 1 << dim, values 1, and the grading.  Raises
-        AlgebraError; foreign input (JSON, user dicts, other fields) goes
-        through __init__."""
+        """The GF(2) algebra on clean rows {(i, j): mask of [e_i, e_j]},
+        kept as its `rows` as given (item order included), with the pair
+        table built from them: i < j < dim, each mask an int with 0 < mask <
+        1 << dim, and the grading.  Raises AlgebraError; foreign input (JSON,
+        user dicts, other fields) goes through __init__."""
         n = len(labels)
         T = [0] * (n * n)
         try:
-            for (i, j), row in rows.items():
-                m = 0
-                for k in row:
-                    m |= 1 << k
-                if not (0 <= i < j < n and 0 < m < 1 << n):
+            for (i, j), m in rows.items():
+                if not (type(m) is int and 0 <= i < j < n and 0 < m < 1 << n):
                     raise ValueError
                 T[i * n + j] = T[j * n + i] = m
-            if set().union(*map(dict.values, rows.values())) - {1}:
-                raise ValueError
         except (TypeError, ValueError):
-            raise AlgebraError("not clean GF(2) rows {(i, j): {k: 1}} with i < j < %d" % n) from None
+            raise AlgebraError("not clean GF(2) rows {(i, j): mask} with i < j < %d" % n) from None
         g = cls.__new__(cls)
         g._adopt(GF2, labels, rows, grading, grading_mod, name, meta, T)
         return g
 
-    def _adopt(self, field: Field, labels: Sequence[str], sc: Dict[Tuple[int, int], Dict[int, int]],
+    def _adopt(self, field: Field, labels: Sequence[str], bracket: dict,
                grading, grading_mod, name: str, meta: Optional[dict], table: Optional[List[int]]) -> None:
         self.field = field
         self.labels = list(labels)
         self.dim = len(self.labels)
         self.name = name
         self.meta = dict(meta or {})
-        self.sc = sc
+        # GF(2): rows {(i, j): mask}, sc decoded on first read; else sc, no rows
+        self.rows, self._sc = (bracket, None) if self.is_gf2 else (None, bracket)
         self.grading = [tuple(w) for w in grading] if grading is not None else None
         if self.grading is not None and len(self.grading) != self.dim:
             raise AlgebraError("grading length != dim")
@@ -198,8 +204,17 @@ class Algebra:
     def is_gf2(self) -> bool:
         return isinstance(self.field, GF2k) and self.field.k == 1
 
+    @property
+    def sc(self) -> Mapping[Tuple[int, int], Mapping[int, int]]:
+        """The bracket as {(i, j): {k: value}}, i < j, one entry per nonzero
+        pair.  Over GF(2) a read-only view of `rows`, decoded on first read
+        (`_decode_rows`) for the readers that need field coefficients."""
+        if self._sc is None:
+            self._sc = _decode_rows(self.rows)
+        return self._sc
+
     # -- basic bracket access -------------------------------------------
-    def brk(self, i: int, j: int) -> Dict[int, int]:
+    def brk(self, i: int, j: int) -> Mapping[int, int]:
         """Bracket of basis elements as a sparse dict (chart: [e_i,e_j])."""
         if i == j:
             return {}
@@ -212,8 +227,8 @@ class Algebra:
             _require_gf2(self, "the pair table")
             n = self.dim
             T = [0] * (n * n)
-            for (i, j), row in self.sc.items():
-                T[i * n + j] = T[j * n + i] = gf2.from_bits(row)
+            for (i, j), m in self.rows.items():
+                T[i * n + j] = T[j * n + i] = m
             self._pair_table = T
         return self._pair_table
 
@@ -221,8 +236,8 @@ class Algebra:
         """`incidence_index` of the bracket, pairs ascending, so that pre[u]
         and rows[u] are ascending too; GF(2) only."""
         if self._incidence is None:
-            T, n = self.pair_table(), self.dim
-            self._incidence = incidence_index((xy, T[xy[0] * n + xy[1]]) for xy in sorted(self.sc))
+            _require_gf2(self, "the incidence index")
+            self._incidence = incidence_index(sorted(self.rows.items()))
         return self._incidence
 
     def bracket(self, u: Vec, v: Vec) -> Vec:
@@ -478,11 +493,11 @@ def _jacobiator(T: List[int], n: int, i: int, j: int, k: int) -> int:
 
 def grading_failures(g: Algebra, grading: Sequence[Tuple[int, ...]], moduli: Sequence[int],
                      limit: Optional[int] = None) -> List[tuple]:
-    """The first `limit` (all when None) (i, j, k, want, got), in `sc` row
-    order: e_k lies in [e_i, e_j], but its weight `got`, reduced by
-    `moduli` (0: not reduced), is not `want`, the reduced sum of those of
-    e_i and e_j.  Checked on bit masks: a row passes when its mask lies in
-    the mask of the basis vectors of weight want."""
+    """The first `limit` (all when None) (i, j, k, want, got), in row order
+    and k ascending: e_k lies in [e_i, e_j], but its weight `got`, reduced
+    by `moduli` (0: not reduced), is not `want`, the reduced sum of those
+    of e_i and e_j.  Checked on bit masks: a row passes when its mask lies
+    in the mask of the basis vectors of weight want."""
     red = [tuple(w % m if m else w for w, m in zip(gr, moduli)) for gr in grading]
     classes: Dict[tuple, int] = {}  # reduced weight -> mask of its basis vectors
     for k, w in enumerate(red):
@@ -491,21 +506,19 @@ def grading_failures(g: Algebra, grading: Sequence[Tuple[int, ...]], moduli: Seq
     nc = len(ids)
     cid = [ids[w] for w in red]
     sums: Dict[int, tuple] = {}  # cid[i] * nc + cid[j] -> (want, classes[want])
-    T = g._pair_table  # else the masks come from the rows
-    n = g.dim
+    rows = g.rows.items() if g.is_gf2 else ((ij, gf2.from_bits(row)) for ij, row in g.sc.items())
     bad: List[tuple] = []
-    for (i, j), row in g.sc.items():
+    for (i, j), w in rows:
         hit = sums.get(cid[i] * nc + cid[j])
         if hit is None:
             want = tuple((a + b) % m if m else a + b for a, b, m in zip(red[i], red[j], moduli))
             hit = sums[cid[i] * nc + cid[j]] = (want, classes.get(want, 0))
         want, ok = hit
-        if (T[i * n + j] if T is not None else gf2.from_bits(row)) & ~ok:
-            for k in row:
-                if not (ok >> k) & 1:
-                    if len(bad) == limit:
-                        return bad
-                    bad.append((i, j, k, want, red[k]))
+        if w & ~ok:
+            for k in gf2.bits(w & ~ok):
+                if len(bad) == limit:
+                    return bad
+                bad.append((i, j, k, want, red[k]))
     return bad
 
 
@@ -513,29 +526,28 @@ def _jacobi_proof(g: Algebra) -> bool:
     """True when Jacobi is proven on all of g from an ad-generating set S of
     basis vectors (see `validate`); False when a check fails or the work
     passes the reach count: the triples where some double bracket can be
-    nonzero.  [[e_a,e_b],e_c] != 0 needs (a,b) in `sc` and [e_c,e_l] != 0
+    nonzero.  [[e_a,e_b],e_c] != 0 needs (a,b) in `rows` and [e_c,e_l] != 0
     for some l in [e_a,e_b], i.e. c in the pair's reach mask R[a*n+b]."""
     n, T = g.dim, g.pair_table()
-    pairs = sorted(g.sc)
+    pairs = sorted(g.rows.items())
     nbr = [0] * n  # bit z of nbr[l]: [e_z,e_l] != 0
-    for a, b in pairs:
+    for (a, b), _ in pairs:
         nbr[a] |= 1 << b
         nbr[b] |= 1 << a
     R = [0] * (n * n)
-    for a, b in pairs:
+    pre: Dict[int, List[Tuple[int, int]]] = {}  # l -> the pairs a<b with e_l in [e_a,e_b]
+    for p, w in pairs:
         r = 0
-        w = T[a * n + b]
         while w:
             low = w & -w
-            r |= nbr[low.bit_length() - 1]
-            w ^= low
-        R[a * n + b] = r & ~((1 << a) | (1 << b))
-    pre: Dict[int, List[Tuple[int, int]]] = {}  # l -> the pairs a<b with e_l in [e_a,e_b]
-    for p in pairs:
-        for l in gf2.bits(T[p[0] * n + p[1]]):
+            l = low.bit_length() - 1
+            r |= nbr[l]
             pre.setdefault(l, []).append(p)
+            w ^= low
+        a, b = p
+        R[a * n + b] = r & ~((1 << a) | (1 << b))
     budget, cost = 0, [0] * n  # the reach count; a bound on each s's triples
-    for a, b in pairs:
+    for (a, b), _ in pairs:
         r = R[a * n + b].bit_count()
         budget += r
         cost[a] += r + len(pre.get(b, ()))
@@ -563,7 +575,7 @@ def _jacobi_proof(g: Algebra) -> bool:
             for c in gf2.bits(m):  # a pair in both entries is taken from the lower one
                 if (c > b or not cm.get(c, 0) >> b & 1) and _jacobiator(T, n, s, b, c):
                     return False
-        ads.append(g.ad_rows(1 << s))
+        ads.append(T[sn:sn + n])
         # close V under ad_t, t in S: each bracket [e_t, v] is taken once
         new = [1 << s] + [gf2.apply_rows(ads[-1], v) for v in vecs]
         while new:
@@ -619,8 +631,7 @@ class Subspace:
 def derived_subalgebra(g: Algebra) -> Subspace:
     """Span of all brackets of basis pairs."""
     s = Subspace(g)
-    T = g.pair_table()
-    for w in dict.fromkeys(T[i * g.dim + j] for (i, j) in g.sc):  # each distinct mask once
+    for w in dict.fromkeys(g.rows.values()):  # each distinct mask once
         s.add(w)
     return s
 
@@ -693,21 +704,20 @@ def quotient(g: Algebra, ideal: Subspace, name: str = "", within: Optional[Subsp
     coords = gf2.compressor(keep)
     row_bits = [list(gf2.bits(r)) for r in rows]
     units = all(r & (r - 1) == 0 for r in srows)
-    new: Dict[int, List[int]] = {}  # bracket mask -> its coordinates, each mask reduced once
-    sc: Dict[Tuple[int, int], Dict[int, int]] = {}
+    new: Dict[int, int] = {}  # bracket mask -> its coordinates, each mask reduced once
+    sc: Dict[Tuple[int, int], int] = {}
     if units:  # walk g's own pairs
-        T, off = g.pair_table(), ~S.mask  # the bits outside S
+        off = ~S.mask  # the bits outside S
         pos = [coords(1 << i).bit_length() - 1 for i in range(n)]  # -1 off the kept pivots
-        for a, b in sorted(g.sc):
+        for (a, b), w in sorted(g.rows.items()):
             if pos[a] >= 0 and pos[b] >= 0:
-                w = T[a * n + b]
                 ks = new.get(w)
                 if ks is None:
                     if w & off:
                         raise AlgebraError("subspace is not bracket-closed")
-                    ks = new[w] = list(gf2.bits(coords(span.reduce(w))))
+                    ks = new[w] = coords(span.reduce(w))
                 if ks:
-                    sc[(pos[a], pos[b])] = dict.fromkeys(ks, 1)
+                    sc[(pos[a], pos[b])] = ks
     else:
         for a in range(len(rows)):
             A = g.ad_rows(rows[a])  # A[j] = [row a, e_j]
@@ -719,9 +729,9 @@ def quotient(g: Algebra, ideal: Subspace, name: str = "", within: Optional[Subsp
                 if ks is None:
                     if w not in S:
                         raise AlgebraError("subspace is not bracket-closed")
-                    ks = new[w] = list(gf2.bits(coords(span.reduce(w))))
+                    ks = new[w] = coords(span.reduce(w))
                 if ks:
-                    sc[(a, b)] = dict.fromkeys(ks, 1)
+                    sc[(a, b)] = ks
     labels = [g.labels[bs[0]] if len(bs) == 1 else "(" + "+".join(g.labels[b] for b in bs) + ")"
               for bs in row_bits]
     meta, md = {}, g.meta.get("mono_degrees")
@@ -945,12 +955,8 @@ def direct_sum(a: Algebra, b: Algebra) -> Algebra:
     if a.field != b.field:
         raise AlgebraError("fields differ")
     labels = ["%s.1" % l for l in a.labels] + ["%s.2" % l for l in b.labels]
-    sc: Dict[Tuple[int, int], Dict[int, int]] = {}
-    for (i, j), row in a.sc.items():
-        sc[(i, j)] = dict(row)
-    off = a.dim
-    for (i, j), row in b.sc.items():
-        sc[(i + off, j + off)] = {k + off: v for k, v in row.items()}
+    off, sc = a.dim, dict(a.sc)
+    sc.update(((i + off, j + off), {k + off: v for k, v in row.items()}) for (i, j), row in b.sc.items())
     return Algebra(a.field, labels, sc, name="(%s)+(%s)" % (a.name, b.name))
 
 

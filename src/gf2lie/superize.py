@@ -29,7 +29,7 @@ class ClosureAlgebra:
         gamma = base.meta.get("jsystem_gamma")
         if B is None or gamma is None:
             raise AlgebraError("restricted closure needs a J-system algebra")
-        if base.dim == 1 and not base.sc:
+        if base.dim == 1 and not base.rows:
             raise AlgebraError("the 1-dimensional Kap_{4,0}(2) is excluded from closure")
         self.base = base
         self.B = B
@@ -38,14 +38,12 @@ class ClosureAlgebra:
         self.n = n = B.n
         dim = base.dim + n
         labels = list(base.labels) + ["a%d" % (t + 1) for t in range(n)]
-        sc: Dict[Tuple[int, int], Dict[int, int]] = {}
-        for (i, j), row in base.sc.items():
-            sc[(i, j)] = dict(row)
+        sc: Dict[Tuple[int, int], int] = dict(base.rows)
         for t in range(n):
             at = base.dim + t
             for i, u in enumerate(self.gamma):
                 if (u >> t) & 1:
-                    sc[(i, at)] = {i: 1}
+                    sc[(i, at)] = 1 << i
         grading = None
         mod = None
         if base.grading is not None:

@@ -177,12 +177,12 @@ def _dense_function_algebra(names, N, brmono, mod_out=None, name="", grading=Non
             out = brmono(ma, basis[b])
             if not out:
                 continue
-            row = {}
+            row = 0
             for p, c in out.items():
                 if c & 1:
                     k = index.get(p)
                     if k is not None:
-                        row[k] = 1
+                        row |= 1 << k
                     elif not (mod_out and mod_out(mono_unpack(p, N))):
                         raise AlgebraError("bracket leaves the basis at %r" % (mono_unpack(p, N),))
             if row:
@@ -275,7 +275,7 @@ def _kap4B_xy(twom):
         w = (u & xs) << 1 | (u >> 1) & xs  # u with x_i and y_i swapped
         for b in range(a + 1, len(packed)):
             if (w & packed[b]).bit_count() & 1:
-                sc[(a, b)] = {index[u ^ packed[b]]: 1}
+                sc[(a, b)] = 1 << index[u ^ packed[b]]
     return Algebra.from_gf2_rows([mono_text(mono, names) for mono in basis], sc, grading=basis,
                                  grading_mod=(2,) * twom, name="Kap4,B(%d)" % twom,
                                  meta={"vars": tuple(names), "N": N, "mono_degrees": basis})
@@ -307,9 +307,8 @@ def _dense_build(build, *args):
 
 
 def _output(g):
-    # rows as item lists: dict equality alone would ignore their order
-    return (g.name, g.labels, [(key, list(row.items())) for key, row in g.sc.items()],
-            g.grading, g.grading_mod, g.meta)
+    # rows as an item list: dict equality alone would ignore their order
+    return (g.name, g.labels, list(g.rows.items()), g.grading, g.grading_mod, g.meta)
 
 
 @pytest.mark.parametrize("pairs", [[(2, 1)], [(3, 1)], [(2, 2)], [(3, 2)],
@@ -339,6 +338,73 @@ FUNCTION_ALGEBRAS = [
 def test_function_algebras_match_the_dense_callback_loop(case):
     build, args = case[0], case[1:]
     assert _output(build(*args)) == _output(_dense_build(build, *args))
+
+
+def _dict_image_rows(basis, N, images):
+    """image_rows as it was before its rows became masks: {(a, b): {k: 1}},
+    each row in the order its terms cancel.  The oracle for the masks."""
+    full = (1 << sum(N)) - 1
+    pos = [None] * (full + 1)
+    for i, m in enumerate(basis):
+        pos[mono_pack(m, N)] = i
+    ims = [images(m) for m in basis]
+    R = [{} for _ in ims[0][0]]
+    for b, (_, right) in enumerate(ims):
+        for t, v in enumerate(right):
+            if v is not None:
+                R[t].setdefault(v, []).append(b)
+    sc = {}
+    for a, (left, _) in enumerate(ims):
+        rows = {}
+        for u, Rt in zip(left, R):
+            if u is None:
+                continue
+            free = s = full ^ u
+            while True:
+                bs = Rt.get(s)
+                k = pos[u | s]
+                if bs is not None and k is not None:
+                    for b in bs:
+                        if b > a:
+                            row = rows.setdefault(b, {})
+                            if k in row:
+                                del row[k]
+                            else:
+                                row[k] = 1
+                if not s:
+                    break
+                s = (s - 1) & free
+        for b in sorted(rows):
+            if rows[b]:
+                sc[(a, b)] = rows[b]
+    return sc
+
+
+IMAGE_ROW_BUILDERS = (
+    FUNCTION_ALGEBRAS
+    + [(build_multipair, kind, pairs) for kind in ("Pi", "I")
+       for pairs in ([(2, 1)], [(3, 1)], [(2, 2)], [(3, 2)], [(2, 1), (2, 1)], [(2, 1), (3, 1)])]
+    + [(build_kap4B, twom) for twom in (2, 4, 6)])
+
+
+@pytest.mark.parametrize("case", IMAGE_ROW_BUILDERS, ids=lambda c: "%s%r" % (c[0].__name__, c[1:]))
+def test_image_rows_masks_match_the_dict_oracle(case, monkeypatch):
+    # every function algebra a builder makes: its masks are the oracle's
+    # rows, key order included, its sc view is them, and its JSON is that
+    # of the algebra on the oracle's rows
+    seen, real = [], constructions.function_algebra
+
+    def spy(names, N, images, *args, **kwargs):
+        g = real(names, N, images, *args, **kwargs)
+        seen.append((g, _dict_image_rows(g.meta["mono_degrees"], g.meta["N"], images)))
+        return g
+    monkeypatch.setattr(constructions, "function_algebra", spy)
+    case[0](*case[1:])
+    assert seen
+    for g, old in seen:
+        assert list(g.rows) == list(old) and g.rows == {ab: gf2.from_bits(row) for ab, row in old.items()}
+        assert g.sc == old
+        assert g.dumps() == Algebra(g.field, g.labels, old, g.grading, g.grading_mod, g.name, g.meta).dumps()
 
 
 @pytest.mark.parametrize("coords", ["p", "x"])

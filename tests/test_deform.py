@@ -153,10 +153,10 @@ def jurman_united_family(K):
     sc, odd = None, []
     for g, h in partitions:
         j = build_jurman(g, h)  # basis index a holds a Y(a & 1)
-        even = {ab: row for ab, row in j.sc.items() if not ab[0] & ab[1] & 1}
+        even = {ab: w for ab, w in j.rows.items() if not ab[0] & ab[1] & 1}
         assert sc is None or sc == even, "even/mixed brackets must not depend on the partition"
         sc = even
-        odd.append({ab: gf2.from_bits(row) for ab, row in j.sc.items() if ab[0] & ab[1] & 1})
+        odd.append({ab: w for ab, w in j.rows.items() if ab[0] & ab[1] & 1})
     base = Algebra.from_gf2_rows(j.labels, sc, name="jurman united base")
     terms = {tuple(int(i == t) for i in range(len(partitions))): Cochain2(base, ct)
              for t, ct in enumerate(odd)}

@@ -393,7 +393,7 @@ def _loop_subalgebra_on(g, sub, name=""):
             if w:
                 if span.reduce(w):
                     raise AlgebraError("subspace is not bracket-closed")
-                sc[(a, b)] = dict.fromkeys(gf2.bits(coords(w)), 1)
+                sc[(a, b)] = coords(w)
     labels = [g.labels[bs[0]] if len(bs) == 1 else "(" + "+".join(g.labels[b] for b in bs) + ")"
               for bs in row_bits]
     grading = mod = None
@@ -426,7 +426,7 @@ def _loop_quotient(g, ideal, name=""):
         if pos[a] >= 0 and pos[b] >= 0:
             w = span.reduce(T[a * n + b])
             if w:
-                sc[(pos[a], pos[b])] = dict.fromkeys(gf2.bits(coords(w)), 1)
+                sc[(pos[a], pos[b])] = coords(w)
     meta = {}
     if "mono_degrees" in g.meta:
         meta["mono_degrees"] = [g.meta["mono_degrees"][i] for i in keep]
@@ -440,9 +440,8 @@ def _loop_quotient(g, ideal, name=""):
 
 
 def _output(g):
-    # rows as item lists: dict equality alone would ignore their order
-    return (g.name, g.labels, [(key, list(row.items())) for key, row in g.sc.items()],
-            g.grading, g.grading_mod, g.meta)
+    # rows as an item list: dict equality alone would ignore their order
+    return (g.name, g.labels, list(g.rows.items()), g.grading, g.grading_mod, g.meta)
 
 
 def _in_basis(h, back, s):
@@ -720,15 +719,17 @@ def test_grading_failures_match_the_dict_walk():
 
 
 @pytest.mark.parametrize("rows, grading", [
-    ({(1, 0): {2: 1}}, None),                    # i > j
-    ({(1, 1): {2: 1}}, None),                    # i = j
-    ({(0, 1): {}}, None),                        # an empty row
-    ({(0, 1): {3: 1}}, None),                    # a target out of range
-    ({(0, 1): {-1: 1}}, None),                   # a negative target
-    ({(0, 3): {2: 1}}, None),                    # an index out of range
-    ({(0, 1): {2: 0}}, None),                    # a value that is not 1
-    ({(0, 1): {1: 1}}, [(1,), (1,), (2,)]),      # [a, b] = b breaks the grading
-], ids=["i>j", "i=j", "empty", "target", "negative", "index", "value", "grading"])
+    ({(1, 0): 0b100}, None),                     # i > j
+    ({(1, 1): 0b100}, None),                     # i = j
+    ({(0, 1): 0}, None),                         # an empty row: a zero mask
+    ({(0, 1): 0b1000}, None),                    # a target out of range: a mask at or above 2^n
+    ({(0, 1): -1}, None),                        # a negative mask
+    ({(0, 3): 0b100}, None),                     # an index out of range
+    ({(0, 1): True}, None),                      # a value that is not an int mask: a bool
+    ({(0, 1): "4"}, None),                       # a str
+    ({(0, 1): {2: 1}}, None),                    # a dict row
+    ({(0, 1): 0b10}, [(1,), (1,), (2,)]),        # [a, b] = b breaks the grading
+], ids=["i>j", "i=j", "empty", "target", "negative", "index", "value", "str", "dict", "grading"])
 def test_from_gf2_rows_refuses_unclean_rows(rows, grading):
     with pytest.raises(AlgebraError):
         Algebra.from_gf2_rows(["a", "b", "c"], rows, grading=grading)
@@ -736,13 +737,46 @@ def test_from_gf2_rows_refuses_unclean_rows(rows, grading):
 
 def test_from_gf2_rows_keeps_rows_and_matches_init():
     for g in (build_jurman(2, 1), build_kap1(4), build_hamiltonian(1, (2, 2), "derived")):
-        rows = {key: dict(row) for key, row in g.sc.items()}
+        rows = dict(g.rows)
         h = Algebra.from_gf2_rows(g.labels, rows, g.grading, g.grading_mod, g.name, g.meta)
-        assert h.sc is rows and h.dumps() == g.dumps()
+        assert h.rows is rows and h.dumps() == g.dumps() and h.sc == g.sc
         assert h.pair_table() == Algebra(GF2, g.labels, g.sc).pair_table()
-    # item order is kept as given
-    h = Algebra.from_gf2_rows(["a", "b", "c", "d"], {(0, 1): {3: 1, 2: 1}})
-    assert list(h.sc[(0, 1)]) == [3, 2] and h.pair_table()[1] == 0b1100
+    # item order is kept as given; the view decodes each mask ascending
+    h = Algebra.from_gf2_rows(["a", "b", "c", "d"], {(1, 2): 0b1, (0, 1): 0b1100})
+    assert list(h.rows) == [(1, 2), (0, 1)] and list(h.sc) == [(1, 2), (0, 1)]
+    assert list(h.sc[(0, 1)]) == [2, 3] and h.pair_table()[1] == 0b1100
+
+
+def test_gf2_hot_paths_never_decode_the_sc_view(monkeypatch):
+    # the view is for the readers that need field coefficients; the set-up,
+    # Jacobi, ideal spinning and simplicity read the masks or the pair table
+    def refuse(rows):
+        raise AssertionError("the sc view was decoded")
+    monkeypatch.setattr(liealg, "_decode_rows", refuse)
+    monkeypatch.setattr(liealg, "SIMPLICITY_RANDOM_SEEDS", 3)
+    for kind in ("Pi", "I"):
+        g = build_multipair(kind, [(2, 1), (2, 1)], "derived_mod_center")
+        assert g.validate().ok
+        assert ideal_generated(g, 1 << 7).dim == g.dim
+        assert simplicity_check(g).kind == "probable-simple"
+    for g in (build_jurman(2, 1), build_kap1(4)):
+        assert g.validate().ok and simplicity_check(g).kind == "simple"
+    with pytest.raises(AssertionError, match="sc view"):
+        g.sc
+
+
+def test_sc_view_is_read_only_and_decoded_once():
+    g = build_jurman(2, 1)
+    view = g.sc
+    assert view is g.sc and view == {ij: dict.fromkeys(gf2.bits(w), 1) for ij, w in g.rows.items()}
+    pair = next(iter(view))
+    with pytest.raises(TypeError):
+        view[pair] = {0: 1}
+    with pytest.raises(TypeError):
+        view[pair][0] = 1
+    # other fields keep the dict they were built from, and no rows
+    g4 = Algebra(GF2k(2), ["a", "b", "c"], {(0, 1): {2: 3}})
+    assert g4.rows is None and g4.sc == {(0, 1): {2: 3}}
 
 
 @pytest.mark.parametrize("field, value", [(GF2, 2), (GF2, -1), (GF2k(2), 4), (GF2k(2), -1),
