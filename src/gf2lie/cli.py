@@ -184,8 +184,9 @@ def cmd_deform(args) -> int:
         c = parse_cocycle(args.cocycle, g)
         fam = deform_bracket(g, c)
         rep = obstruction_poly(fam)
+        # a power k prints as "(k,)", so the JSON stays byte-stable
         doc = {"name": g.name, "verdict": rep.verdict,
-               "jacobiator_by_power": {str(k): v for k, v in rep.by_mono.items()}}
+               "jacobiator_by_power": {str((k,)): v for k, v in rep.by_power.items()}}
         if args.hbar:
             cert = semitrivial_certificate(fam, _scalar(args.field, args.hbar))
             doc["semitrivial_certificate"] = cert.description if cert else None

@@ -362,18 +362,17 @@ def build_jurman(g: int, h: int) -> Algebra:
     js = list(range(-1, kmax - 2))
     basis = [(j, t) for j in js for t in (0, 1)]
     index = {bt: i for i, bt in enumerate(basis)}
-    sc: Dict[Tuple[int, int], Dict[int, int]] = {}
+    rows: Dict[Tuple[int, int], int] = {}
     for a in range(len(basis)):
         ja, ta = basis[a]
         for b in range(a + 1, len(basis)):
             jb, tb = basis[b]
             c, m, par = jurman_bracket(ja, ta, jb, tb, g, h)
             if c:
-                sc[(a, b)] = {index[(m, par)]: 1}
+                rows[(a, b)] = 1 << index[(m, par)]
     labels = ["Y%d(%d)" % (j, t) for (j, t) in basis]
     grading = [(2 * j + (1 - eta) * t,) for (j, t) in basis]
-    return Algebra(GF2, labels, sc, grading=grading, grading_mod=(0,),
-                   name="j(%d,%d)" % (g, h))
+    return Algebra.from_gf2_rows(labels, rows, grading=grading, grading_mod=(0,), name="j(%d,%d)" % (g, h))
 
 
 # ---------------------------------------------------------------------------
@@ -595,23 +594,17 @@ def build_gl(n: int) -> Algebra:
         raise AlgebraError("a matrix algebra needs n >= 1, not %d" % n)
     labels = ["E%d%d" % (i + 1, j + 1) for i in range(n) for j in range(n)]
     idx = {(i, j): i * n + j for i in range(n) for j in range(n)}
-    sc: Dict[Tuple[int, int], Dict[int, int]] = {}
+    rows: Dict[Tuple[int, int], int] = {}
     for a in range(n * n):
         i, j = divmod(a, n)
         for b in range(a + 1, n * n):
             k, l = divmod(b, n)
-            row: Dict[int, int] = {}
-            if j == k:
-                t = idx[(i, l)]
-                row[t] = row.get(t, 0) ^ 1
-            if l == i:
-                t = idx[(k, j)]
-                row[t] = row.get(t, 0) ^ 1
-            row = {t: v for t, v in row.items() if v}
-            if row:
-                sc[(a, b)] = row
+            # [E_ij, E_kl] = δ_jk E_il + δ_li E_kj
+            m = (1 << idx[(i, l)] if j == k else 0) ^ (1 << idx[(k, j)] if l == i else 0)
+            if m:
+                rows[(a, b)] = m
     grading = [(j - i,) for i in range(n) for j in range(n)]
-    return Algebra(GF2, labels, sc, grading=grading, grading_mod=(0,), name="gl(%d)" % n)
+    return Algebra.from_gf2_rows(labels, rows, grading=grading, grading_mod=(0,), name="gl(%d)" % n)
 
 
 def _pi_matrix(n: int) -> List[int]:

@@ -1,11 +1,12 @@
-"""Deformation engine: parameter-polynomial bracket families, Jacobiator
-obstructions, semi-triviality certificates, and the named deformation
-checks (Jurman, the alpha-family, Kap_{4,B}).  The quantization
-comparison of h'_Pi(2;2,2) with psl(4) is criterion 9 of `experiments`.
+"""Deformation engine: one-parameter deforms, Jacobiator obstructions,
+semi-triviality certificates, and the named deformation checks (Jurman,
+the alpha-family, Kap_{4,B}).  The quantization comparison of
+h'_Pi(2;2,2) with psl(4) is criterion 9 of `experiments`.
 
-A family is the base bracket plus cochain increments weighted by
-monomials in the formal parameters; everything is exact over GF(2) and
-specializes into GF(2^k) on demand.
+A family is the base bracket mu plus cochains m_a at the powers a >= 1 of
+one formal parameter h, and its Jacobiator at h^k is the sum of
+m_a∘m_b over a + b = k, with m_0 = mu (`jacobiator_part`); everything is
+exact over GF(2) and specializes into GF(2^k) on demand.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .liealg import (Algebra, AlgebraError, LinearMap, Subspace, Triple, bracket
                      verify_morphism)
 
 Pair = Tuple[int, int]
-ParamMono = Tuple[int, ...]
 
 
 def defect(c: Cochain2) -> Dict[Triple, int]:
@@ -33,10 +33,15 @@ def defect(c: Cochain2) -> Dict[Triple, int]:
     return cyclic_compose(c, c)
 
 
-def in_d2_image(g: Algebra, target: Dict[Triple, int]) -> Optional[Cochain2]:
-    """Solve d2(x) = target over all of C^2; None when the class is nonzero."""
-    sols = _d2_solutions(g, target, ())
-    return sols[0] if sols else None
+def jacobiator_part(terms: Dict[int, object], k: int) -> Dict[Triple, int]:
+    """The h^k part of the Jacobiator of sum_a h^a terms[a]: the sum of
+    terms[a]∘terms[k - a] over the powers a present, a ascending; terms[0],
+    when present, is the base algebra (Gerstenhaber, Ann. Math. 79, 1964)."""
+    out: Dict[Triple, int] = {}
+    for a in range(k + 1):
+        if a in terms and k - a in terms:
+            cyclic_compose(terms[a], terms[k - a], out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -44,69 +49,50 @@ def in_d2_image(g: Algebra, target: Dict[Triple, int]) -> Optional[Cochain2]:
 # ---------------------------------------------------------------------------
 
 class DeformFamily:
-    """base bracket + sum over parameter monomials of cochain increments."""
+    """base bracket + sum over the powers a >= 1 of h^a terms[a]."""
 
-    def __init__(self, base: Algebra, params: Sequence[str],
-                 terms: Dict[ParamMono, Cochain2], name: str = ""):
+    def __init__(self, base: Algebra, terms: Dict[int, Cochain2], name: str = ""):
+        if 0 in terms:
+            raise AlgebraError("the constant term is the base bracket, not a cochain")
         self.base = base
-        self.params = list(params)
-        zero = tuple(0 for _ in self.params)
-        for mono in terms:
-            if len(mono) != len(self.params):
-                raise AlgebraError("parameter monomial arity mismatch")
-            if mono == zero:
-                raise AlgebraError("the constant term is the base bracket, not a cochain")
-        self.terms = {m: c for m, c in terms.items() if c}
+        self.terms = {a: c for a, c in terms.items() if c}
         self.name = name or (base.name + " deform")
 
-    def specialize(self, values: Sequence[Scalar], grading=None, grading_mod=None) -> Algebra:
-        """Evaluate the parameters in a common field; zero gives the base."""
-        if len(values) != len(self.params):
-            raise AlgebraError("need one value per parameter")
-        field = values[0].field
-        n = self.base.dim
+    def specialize(self, hbar: Scalar, grading=None, grading_mod=None) -> Algebra:
+        """Evaluate the parameter at hbar, in its field; zero gives the base."""
+        field = hbar.field
         sc: Dict[Pair, Dict[int, int]] = {ij: dict(row) for ij, row in self.base.sc.items()}
-        for mono, c in self.terms.items():
-            coeff = field.one.value
-            for e, val in zip(mono, values):
-                coeff = field.mul(coeff, field.pow(val.value, e))
+        for a, c in self.terms.items():
+            coeff = field.pow(hbar.value, a)
             if not coeff:
                 continue
             for (i, j), w in c.terms.items():
                 add_scaled(field, sc.setdefault((i, j), {}), coeff, self.base.as_dict(w))
         sc = {pr: row for pr, row in sc.items() if row}
         return Algebra(field, self.base.labels, sc, grading=grading, grading_mod=grading_mod,
-                       name=self.name + "@" + ",".join(repr(v) for v in values),
-                       meta=self.base.meta)
+                       name="%s@%r" % (self.name, hbar), meta=self.base.meta)
 
-    def jacobiator(self) -> Dict[ParamMono, Dict[Triple, int]]:
-        """Jacobi defect of the family, collected by parameter monomial."""
-        terms = {tuple(0 for _ in self.params): self.base, **self.terms}
-        out: Dict[ParamMono, Dict[Triple, int]] = {}
-        for m1, a in terms.items():
-            for m2, b in terms.items():
-                key = tuple(x + y for x, y in zip(m1, m2))
-                tri = cyclic_compose(a, b, out.get(key, {}))
-                if tri:
-                    out[key] = tri
-        return {k: v for k, v in out.items() if v}
+    def jacobiator(self) -> Dict[int, Dict[Triple, int]]:
+        """The nonzero h^k parts of the family's Jacobiator, k ascending."""
+        terms = {0: self.base, **self.terms}
+        parts = {k: jacobiator_part(terms, k) for k in range(2 * max(terms) + 1)}
+        return {k: v for k, v in parts.items() if v}
 
 
 def deform_bracket(g: Algebra, c: Cochain2, name: str = "") -> DeformFamily:
     """The family [x,y] + h c(x,y); c must be a 2-cocycle."""
     if d2(c):
         raise AlgebraError("the cochain is not a cocycle")
-    return DeformFamily(g, ["h"], {(1,): c}, name=name)
+    return DeformFamily(g, {1: c}, name=name)
 
 
 class ObstructionReport:
-    def __init__(self, verdict: str, by_mono: Dict[ParamMono, int], witness=None):
+    def __init__(self, verdict: str, by_power: Dict[int, int]):
         self.verdict = verdict  # "linear-global" | "needs-correction" | "obstructed"
-        self.by_mono = by_mono  # parameter monomial -> number of nonzero triples
-        self.witness = witness
+        self.by_power = by_power  # power of h -> number of nonzero triples
 
     def __repr__(self):
-        return "<obstruction %s %r>" % (self.verdict, self.by_mono)
+        return "<obstruction %s %r>" % (self.verdict, self.by_power)
 
 
 def obstruction_poly(f: DeformFamily) -> ObstructionReport:
@@ -114,21 +100,18 @@ def obstruction_poly(f: DeformFamily) -> ObstructionReport:
 
     linear-global: identically zero beyond the base (the deform is a Lie
     bracket for every parameter value); otherwise the first nonvanishing
-    coefficient is tested against im d2: correctable or obstructed.
+    power is tested against im d2: correctable or obstructed.
     """
     jac = f.jacobiator()
-    zero = tuple(0 for _ in f.params)
-    if zero in jac:
+    if 0 in jac:
         raise AlgebraError("the base bracket fails Jacobi at (%s, %s, %s)"
-                           % tuple(f.base.labels[t] for t in min(jac[zero])))
+                           % tuple(f.base.labels[t] for t in min(jac[0])))
     if not jac:
         return ObstructionReport("linear-global", {})
-    by_mono = {m: len(v) for m, v in jac.items()}
-    first = min(jac, key=lambda m: (sum(m), m))
-    fix = in_d2_image(f.base, jac[first])
-    if fix is None:
-        return ObstructionReport("obstructed", by_mono, witness=first)
-    return ObstructionReport("needs-correction", by_mono, witness=(first, fix))
+    by_power = {k: len(v) for k, v in jac.items()}
+    if _d2_solutions(f.base, jac[min(jac)], ()):
+        return ObstructionReport("needs-correction", by_power)
+    return ObstructionReport("obstructed", by_power)
 
 
 # ---------------------------------------------------------------------------
@@ -193,14 +176,15 @@ def zero_defect_representative(g: Algebra, c: Cochain2, constraints=()) -> Optio
     return out
 
 
-def massey_tower(g: Algebra, c: Cochain2, constraints=()) -> dict:
+def massey_tower(g: Algebra, c: Cochain2, constraints=()) -> Optional[Dict[int, Cochain2]]:
     """Try to integrate [x,y] + h c + h^2 m_2 + ... order by order.
 
-    At order k the correction m_k must solve d2(m_k) = sum of composed
-    lower terms; the solution is searched per weight block, at k times
-    each constraint's weight, reduced.  Backtracks over the affine
-    solution freedom within 4,096 branches, up to order 8.  Returns a
-    report dict; c must be a 2-cocycle.
+    At order k the correction m_k must solve d2(m_k) = the h^k part of the
+    Jacobiator of the lower terms; the solution is searched per weight
+    block, at k times each constraint's weight, reduced.  Backtracks over
+    the affine solution freedom within 4,096 branches, up to order 8.
+    Returns the closed tower's terms {1: c, 2: m_2, ...}, or None; c must
+    be a 2-cocycle.
     """
     if d2(c):
         raise AlgebraError("the cochain is not a cocycle")
@@ -209,34 +193,25 @@ def massey_tower(g: Algebra, c: Cochain2, constraints=()) -> dict:
         return [(mode, tuple(k * x % MODULUS[mode] if MODULUS[mode] else k * x for x in w))
                 for mode, w in constraints]
 
-    state = {"budget": 4096, "stuck_order": None}
+    budget = 4096
 
-    def extend(terms: Dict[int, Cochain2], k: int) -> bool:
-        if k > 8 or k > 2 * max(terms):
-            # all higher right-hand sides vanish: the tower closed
-            return k > 2 * max(terms)
-        if state["budget"] <= 0:
-            return False
-        rhs: Dict[Triple, int] = {}
-        for a in range(1, k):
-            b = k - a
-            if a in terms and b in terms:
-                cyclic_compose(terms[a], terms[b], rhs)
+    def extend(terms: Dict[int, Cochain2], k: int) -> Optional[Dict[int, Cochain2]]:
+        nonlocal budget
+        if k > 2 * max(terms):  # all higher right-hand sides vanish: the tower closed
+            return terms
+        if k > 8 or budget <= 0:
+            return None
+        rhs = jacobiator_part(terms, k)
         if not rhs:
             return extend(terms, k + 1)
-        state["budget"] -= 1
-        sols = _d2_solutions(g, rhs, scaled_constraints(k))
-        if not sols and state["stuck_order"] is None:
-            state["stuck_order"] = k
-        for m_k in sols:
-            terms2 = dict(terms)
-            terms2[k] = m_k
-            if extend(terms2, k + 1):
-                return True
-        return False
+        budget -= 1
+        for m_k in _d2_solutions(g, rhs, scaled_constraints(k)):
+            closed = extend({**terms, k: m_k}, k + 1)
+            if closed is not None:
+                return closed
+        return None
 
-    done = extend({1: c}, 2)
-    return {"integrable": done, "stuck_order": state["stuck_order"]}
+    return extend({1: c}, 2)
 
 
 KERNEL_CAP = 6  # the most kernel offsets `_d2_solutions` adds to the particular solution
@@ -258,15 +233,21 @@ def _d2_solutions(g: Algebra, target: Dict, constraints):
 
 def integrability_verdict(g: Algebra, c: Cochain2, constraints=()) -> Tuple[str, Optional[Cochain2]]:
     """('linear-global', rep) when some representative deforms globally and
-    linearly; 'integrable-nonlinear' when a bounded Massey tower closes;
-    else 'obstructed' (with the first-obstruction class noted)."""
+    linearly; ('integrable-nonlinear', x) when a bounded Massey tower
+    closes, x = c + m_2 + ... its Maurer-Cartan element, so mu + x is Lie;
+    else ('obstructed', None).  Raises AlgebraError unless d2(x) = defect(x),
+    which over GF(2) is the Maurer-Cartan equation (Goldman & Millson,
+    Publ. IHES 67, 1988)."""
     rep = zero_defect_representative(g, c, constraints)
     if rep is not None:
         return "linear-global", rep
     tower = massey_tower(g, c, constraints)
-    if tower["integrable"]:
-        return "integrable-nonlinear", None
-    return "obstructed", None
+    if tower is None:
+        return "obstructed", None
+    x = sum(tower.values(), Cochain2(g, {}))
+    if d2(x) != defect(x):
+        raise AlgebraError("the closed Massey tower's sum fails the Maurer-Cartan equation")
+    return "integrable-nonlinear", x
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +323,7 @@ def jurman_deform_check(g: int, h: int, mirrored: bool = False) -> JurmanDeformR
     if rep.verdict != "linear-global":
         raise AlgebraError("jurman deform unexpectedly not linear-global: %r" % rep)
     grading = lambda_grading(hp, w)
-    deformed = fam.specialize([GF2.one], grading=grading, grading_mod=(0,))
+    deformed = fam.specialize(GF2.one, grading=grading, grading_mod=(0,))
     target = build_jurman(g, h) if not mirrored else build_jurman(h + 1, g - 1)
     iso = search_isomorphism(deformed, target)
     return JurmanDeformReport(g, h, c, w, iso, deformed, target)
@@ -384,7 +365,7 @@ def semitrivial_certificate(fam: DeformFamily, hbar: Scalar) -> Optional[Certifi
     """
     field = hbar.field
     base = fam.base
-    deformed = fam.specialize([hbar])
+    deformed = fam.specialize(hbar)
     base_f = Algebra(field, base.labels, base.sc, name=base.name, meta=base.meta)
     candidates = [("d_%s^%d" % (base.meta["vars"][v], 1 << s), partial_matrix(base, v, 1 << s))
                   for v in range(len(base.meta["N"])) for s in range(3)]
@@ -436,9 +417,9 @@ def _rescale_and_search_certificate(fam: DeformFamily, deformed: Algebra,
     both over the field of hbar."""
     field = base_f.field
     base = fam.base
-    if len(fam.params) != 1 or (1,) not in fam.terms or base.grading is None:
+    if 1 not in fam.terms or base.grading is None:
         return None
-    c = fam.terms[(1,)]
+    c = fam.terms[1]
     try:
         w = cochain_weight(c, "z")
     except AlgebraError:
@@ -450,7 +431,7 @@ def _rescale_and_search_certificate(fam: DeformFamily, deformed: Algebra,
     # deform at 1 over GF(2), searched against the base
     grading = lambda_grading(base, w) if len(w) == 2 else None
     mod = (0,) if grading else None
-    alg1 = fam.specialize([GF2.one], grading=grading, grading_mod=mod)
+    alg1 = fam.specialize(GF2.one, grading=grading, grading_mod=mod)
     base1 = Algebra.from_gf2_rows(base.labels, base.rows, grading=grading, grading_mod=mod,
                                   name=base.name, meta=base.meta)
     res = search_isomorphism(alg1, base1)
@@ -546,8 +527,8 @@ def kap4b_family(m: int) -> DeformFamily:
     h^2 one."""
     po = build_poisson(m, (1,) * (2 * m))
     # (1 + h p)(1 + h q) = 1 + h (p + q) + h^2 p q, factors as in kap4B_images
-    return DeformFamily(po, ["h"], {(1,): _image_cochain(po, kap4B_images(m, (1, 2))),
-                                    (2,): _image_cochain(po, kap4B_images(m, (3,)))},
+    return DeformFamily(po, {1: _image_cochain(po, kap4B_images(m, (1, 2))),
+                             2: _image_cochain(po, kap4B_images(m, (3,)))},
                         name="Kap4B family")
 
 
@@ -591,12 +572,12 @@ def kap4b_quotient_map(m: int) -> LinearMap:
 def kap4b_as_deform(m: int) -> Kap4bReport:
     fam = kap4b_family(m)
     po = fam.base
-    c1 = fam.terms[(1,)]
-    c2 = fam.terms[(2,)]
+    c1 = fam.terms[1]
+    c2 = fam.terms[2]
     lin_cob = is_coboundary(c1)
     quad_cocycle = not d2(c2)
     quad_cob = is_coboundary(c2)
-    at1 = fam.specialize([GF2.one])
+    at1 = fam.specialize(GF2.one)
     k4b = build_kap4B(2 * m)
     same = at1.rows == k4b.rows
     quo_map = kap4b_quotient_map(m)

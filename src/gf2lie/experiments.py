@@ -431,7 +431,7 @@ def criterion_09_quantization() -> dict:
     grading = lambda_grading(hp, (-2, -2))
 
     def at_one(c):
-        return deform_bracket(hp, c).specialize([GF2.one], grading=grading, grading_mod=(0,))
+        return deform_bracket(hp, c).specialize(GF2.one, grading=grading, grading_mod=(0,))
 
     gens = blk.representatives + blk.coboundaries
     # the masks holding the class generator (bit 0)
@@ -496,7 +496,7 @@ def criterion_11_kap4b_deform() -> dict:
     rep = kap4b_as_deform(2)
     rep1 = kap4b_as_deform(1)
     o3 = build_classical("oPi", 3, "derived")
-    triv = Algebra(GF2, ["c"], {}, name="c")
+    triv = Algebra.from_gf2_rows(["c"], {}, name="c")
     r = search_isomorphism(build_kap4B(2), direct_sum(o3, triv))
     ok = rep.ok and rep1.ok and r.kind == "iso"
     return _report("11 Kap4B deformation structure", ok,

@@ -23,7 +23,7 @@ from gf2lie.cohomology import (Block, C3Index, Cochain2, block_consistent_repres
                                c1_block_coords, c2_block_coords, c2_weights, coboundary_of, combine,
                                compute_h2, consistent_class_masks, d2, parse_cocycle, weight_block)
 from gf2lie.constructions import build_hamiltonian, build_hI, build_tensor_example
-from gf2lie.deform import _d2_solutions, defect, in_d2_image, integrability_verdict, zero_defect_representative
+from gf2lie.deform import _d2_solutions, defect, integrability_verdict, zero_defect_representative
 from gf2lie.experiments import (GH31_WEIGHTS, HI_OUTER_DEGREES, PRINTED_GH21, PRINTED_GH21_PARTIAL,
                                 PRINTED_GH31, PRINTED_GH31_PARTIAL, PRINTED_HI, PRINTED_HI_PARTIAL)
 from gf2lie.grading import MODULUS, weight_keys
@@ -222,6 +222,7 @@ def old_consistent_class_masks(g, printed, constraints):
 
 
 def old_in_d2_image(g, target):
+    """The solution of d2(x) = target over all of C^2, as a list of at most one."""
     coords = old_c2_block_coords(g)
     c3 = OldC3Index()
     images = _old_d2_columns(g, coords, c3)
@@ -231,8 +232,8 @@ def old_in_d2_image(g, target):
         span.add(im)
     sol = span.solve(tmask)
     if sol is None:
-        return None
-    return _old_coords_to_cochain(g, sol, coords)
+        return []
+    return [_old_coords_to_cochain(g, sol, coords)]
 
 
 def old_d2_solutions(g, target, constraints, kernel_cap=6):
@@ -498,16 +499,18 @@ def test_coboundary_of_matches_pre_block():
 
 
 def test_in_d2_image_matches_pre_block():
+    # the pre-block solve over all of C^2 against the particular solution of
+    # the unconstrained block, the solve obstruction_poly asks
     ex = build_tensor_example()
     rng = random.Random(6)
     for _ in range(4):
         c = Cochain2(ex, {(i, j): rng.getrandbits(ex.dim) for i in range(ex.dim) for j in range(i + 1, ex.dim)
                           if rng.random() < 0.5})
         for target in (d2(c), defect(c)):
-            assert _items([in_d2_image(ex, target)]) == _items([old_in_d2_image(ex, target)])
+            assert _items(_d2_solutions(ex, target, ())[:1]) == _items(old_in_d2_image(ex, target))
     rep = compute_h2(HP22, weight_filter=(-2, -2)).representatives[0]
     for target in (d2(rep + Cochain2(HP22, {(0, 1): 3})), defect(rep)):
-        assert _items([in_d2_image(HP22, target)]) == _items([old_in_d2_image(HP22, target)])
+        assert _items(_d2_solutions(HP22, target, ())[:1]) == _items(old_in_d2_image(HP22, target))
 
 
 def test_combine_adds_left_to_right():

@@ -258,6 +258,49 @@ def test_iso_refuses_a_budget_below_1(tmp_path, budget, capsys):
     assert "search budget must be at least 1, got %s" % budget in err and "Traceback" not in err
 
 
+HP22_NAME = "h'_Pi(2;[2, 2])"
+C_4_M2 = "p^(3) (x) d(q)^d(q^(2)) + p^(3) q (x) d(q)^d(q^(3)) + p^(3) q^(2) (x) d(q^(2))^d(q^(3))"
+# (the --weight of the H^2 representative deformed, None for the printed
+# c_{4,-2}; extra flags; the JSON printed), pinned byte for byte
+DEFORM_PINS = [
+    (None, [], {"jacobiator_by_power": {}, "name": HP22_NAME, "verdict": "linear-global"}),
+    ("0,-2", [], {"jacobiator_by_power": {"(2,)": 26}, "name": HP22_NAME, "verdict": "needs-correction"}),
+    ("0,-2", ["--field", "gf4", "--hbar", "2"],
+     {"jacobiator_by_power": {"(2,)": 26}, "name": HP22_NAME, "semitrivial_certificate": None,
+      "verdict": "needs-correction"}),
+]
+JURMAN_21_PIN = {
+    "cocycle": "p^(3) (x) d(q)^d(q^(2)) + p^(3)*q (x) d(q)^d(q^(3)) + p^(3)*q^(2) (x) d(q^(2))^d(q^(3))",
+    "cocycle_weight": [4, -2], "engine": "zgraded", "g": 2, "h": 1, "isomorphic_to_jurman": True}
+
+
+def _printed(argv):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(argv)
+    return code, buf.getvalue()
+
+
+def _pin_text(doc):
+    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("weight, extra, want", DEFORM_PINS, ids=["c42", "h2-02", "h2-02-gf4"])
+def test_deform_cocycle_prints_the_pinned_verdict(tmp_path, weight, extra, want):
+    out = str(tmp_path / "hp.json")
+    assert run_cli(["build", "h", "--N", "2,2", "--variant", "derived", "--out", out])[0] == 0
+    cocycle = C_4_M2
+    if weight:
+        code, doc = run_cli(["h2", "--algebra", out, "--mode", "z", "--weight", weight])
+        assert code == 0 and doc["H2"] == 1
+        cocycle = doc["representatives"][0]
+    assert _printed(["deform", "cocycle", "--algebra", out, "--cocycle", cocycle] + extra) == (0, _pin_text(want))
+
+
+def test_deform_jurman_prints_the_pinned_report():
+    assert _printed(["deform", "jurman", "--g", "2", "--h", "1"]) == (0, _pin_text(JURMAN_21_PIN))
+
+
 def test_deform_jurman_subcommand():
     code, doc = run_cli(["deform", "jurman", "--g", "2", "--h", "1"])
     assert code == 0

@@ -691,8 +691,8 @@ def test_a_classical_subquotient_is_one_checked_intake(kind, n, variant, monkeyp
     monkeypatch.setattr(Algebra, "from_gf2_rows",
                         classmethod(lambda cls, *a, **k: calls.append(a) or intake(*a, **k)))
     g = build_classical(kind, n, variant)
-    # the subquotient's own intake; gl(n) is built through Algebra()
-    assert [len(labels) for labels, _ in calls] == [g.dim]
+    # gl(n)'s intake, then the subquotient's own
+    assert [len(labels) for labels, _ in calls] == [n * n, g.dim]
 
 
 @pytest.mark.parametrize("build", [b for _, b in VARIANT_PARENTS], ids=[i for i, _ in VARIANT_PARENTS])

@@ -95,16 +95,20 @@ def add3(a, b):
     return out
 
 
-def scan_jacobiator(fam):
-    terms = {tuple(0 for _ in fam.params): BracketTerm.of(fam.base)}
-    terms.update((m, BracketTerm.of(c)) for m, c in fam.terms.items())
+def _xor_rows(g, c):
+    """The GF(2) rows of the bracket mu + c, zero masks dropped."""
+    rows = {ab: g.rows.get(ab, 0) ^ c.terms.get(ab, 0) for ab in {**g.rows, **c.terms}}
+    return {ab: m for ab, m in rows.items() if m}
+
+
+def scan_jacobiator(base, terms):
+    """{power k: the h^k part of the Jacobiator of base + sum_a h^a terms[a]},
+    nonzero parts only, each pair of terms composed by the scan."""
+    maps = {0: BracketTerm.of(base), **{a: BracketTerm.of(c) for a, c in terms.items()}}
     out = {}
-    for m1 in terms:
-        for m2 in terms:
-            tri = compose_defect(terms[m1], terms[m2])
-            if tri:
-                key = tuple(a + b for a, b in zip(m1, m2))
-                out[key] = add3(out.get(key, {}), tri)
+    for a in maps:
+        for b in maps:
+            out[a + b] = add3(out.get(a + b, {}), compose_defect(maps[a], maps[b]))
     return {k: v for k, v in out.items() if v}
 
 
@@ -142,12 +146,13 @@ def test_cyclic_compose_matches_the_scan(name):
 
 
 def jurman_united_family(K):
-    """All Jurman algebras j(g,h) with g + h = K as one multi-parameter family.
+    """All Jurman algebras j(g,h) with g + h = K as one bracket linear in
+    several parameters: (base, {(g, h): cochain}).
 
     The even part Y(0) and its action on the odd part Y(1) do not depend
     on the partition; only the odd-odd brackets do.  The base takes
     [odd, odd] = 0, and each partition contributes its odd-odd part as
-    one parameter direction; the family is linear in the parameters.
+    one parameter direction.
     """
     partitions = [(g, K - g) for g in range(2, K)]
     sc, odd = None, []
@@ -158,23 +163,17 @@ def jurman_united_family(K):
         sc = even
         odd.append({ab: w for ab, w in j.rows.items() if ab[0] & ab[1] & 1})
     base = Algebra.from_gf2_rows(j.labels, sc, name="jurman united base")
-    terms = {tuple(int(i == t) for i in range(len(partitions))): Cochain2(base, ct)
-             for t, ct in enumerate(odd)}
-    return DeformFamily(base, ["t%d%d" % p for p in partitions], terms,
-                        name="jurman united family K=%d" % K)
+    return base, {p: Cochain2(base, ct) for p, ct in zip(partitions, odd)}
 
 
 def _random_family():
-    """Two random cochains of h'_Pi(2;2,2) as two parameter directions: a
-    Jacobiator with several nonzero monomials, to pin their order."""
+    """Two random cochains of h'_Pi(2;2,2) at h and h^2: a Jacobiator with
+    several nonzero powers, to pin their order."""
     rng = random.Random(7)
-    return DeformFamily(HP, ["s", "t"], {(1, 0): _random_cochain(HP, rng),
-                                         (0, 1): _random_cochain(HP, rng)})
+    return DeformFamily(HP, {1: _random_cochain(HP, rng), 2: _random_cochain(HP, rng)})
 
 
 FAMILIES = {
-    "jurman3": lambda: jurman_united_family(3),
-    "jurman4": lambda: jurman_united_family(4),
     "kap4b1": lambda: kap4b_family(1),
     "kap4b2": lambda: kap4b_family(2),
     "random": _random_family,
@@ -184,21 +183,31 @@ FAMILIES = {
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_jacobiator_matches_the_scan(family):
     fam = FAMILIES[family]()
-    terms = {tuple(0 for _ in fam.params): fam.base, **fam.terms}
+    terms = {0: fam.base, **fam.terms}
     for x in terms.values():
         for y in terms.values():
             assert cyclic_compose(x, y) == compose_defect(BracketTerm.of(x), BracketTerm.of(y))
-    jac, want = fam.jacobiator(), scan_jacobiator(fam)
-    assert jac == want and list(jac) == list(want)
-    assert bool(jac) == (family == "random")
+    jac, want = fam.jacobiator(), scan_jacobiator(fam.base, fam.terms)
+    assert jac == want and list(jac) == sorted(want)
+    # kap4b's h and h^2 terms make a Lie bracket at every h; the random ones,
+    # no cocycles, fail at h, h^2 and h^3 (their h^4 part r_2∘r_2 is zero)
+    assert list(jac) == ([1, 2, 3] if family == "random" else [])
 
 
-@pytest.mark.parametrize("family", sorted(FAMILIES))
+def _base_and_cochains(family):
+    if family.startswith("jurman"):
+        base, terms = jurman_united_family(int(family[-1]))
+    else:
+        fam = FAMILIES[family]()
+        base, terms = fam.base, fam.terms
+    return base, list(terms.values())
+
+
+@pytest.mark.parametrize("family", ["jurman3", "jurman4"] + sorted(FAMILIES))
 def test_family_incidence_matches_both_builders(family):
-    fam = FAMILIES[family]()
-    assert (ordered_incidence(fam.base.incidence())
-            == ordered_incidence(_loop_algebra_incidence(fam.base)))
-    for c in fam.terms.values():
+    base, cochains = _base_and_cochains(family)
+    assert ordered_incidence(base.incidence()) == ordered_incidence(_loop_algebra_incidence(base))
+    for c in cochains:
         assert ordered_incidence(c.incidence()) == ordered_incidence(_loop_cochain_incidence(c))
 
 
@@ -239,7 +248,7 @@ def test_deform_bracket_requires_cocycle():
 def test_family_specializes_to_base_at_zero():
     c = jurman_cocycle(2, 1)
     fam = deform_bracket(c.algebra, c)
-    alg0 = fam.specialize([GF2.zero])
+    alg0 = fam.specialize(GF2.zero)
     assert alg0.sc == c.algebra.sc
 
 
@@ -256,11 +265,11 @@ def test_obstruction_poly_verdicts():
     assert rep2.verdict == "linear-global"
     # constant term of the Jacobiator always vanishes; linear term vanishes
     # exactly when the cochain is a cocycle
-    fam = DeformFamily(HP, ["h"], {(1,): bracket_map_cochain(HP, partial_matrix(HP, 1, 1))})
+    fam = DeformFamily(HP, {1: bracket_map_cochain(HP, partial_matrix(HP, 1, 1))})
     jac = fam.jacobiator()
-    assert (0,) not in jac
-    assert (1,) not in jac  # it is a cocycle
-    assert (2,) in jac      # quadratic defect is nonzero for this one
+    assert 0 not in jac
+    assert 1 not in jac  # it is a cocycle
+    assert 2 in jac      # quadratic defect is nonzero for this one
 
 
 def test_jurman_deform_21():
@@ -285,12 +294,16 @@ def test_jurman_deform_31_and_22():
 
 def test_jurman_united_family():
     for K in (3, 4):
-        fam = jurman_united_family(K)
-        assert not fam.jacobiator()
-        parts = [(g, K - g) for g in range(2, K)]
-        for t, (g, h) in enumerate(parts):
-            vals = [GF2.one if i == t else GF2.zero for i in range(len(parts))]
-            assert fam.specialize(vals).sc == build_jurman(g, h).sc
+        base, terms = jurman_united_family(K)
+        # linear in its parameters t_p, so Lie at every value iff each base + h c_p
+        # is Lie at every h and each cross term c_p∘c_q + c_q∘c_p (p != q) vanishes
+        assert not any(scan_jacobiator(base, {1: c}) for c in terms.values())
+        maps = [BracketTerm.of(c) for c in terms.values()]
+        for i, x in enumerate(maps):
+            for y in maps[i + 1:]:
+                assert not add3(compose_defect(x, y), compose_defect(y, x))
+        for (g, h), c in terms.items():
+            assert _xor_rows(base, c) == build_jurman(g, h).rows
 
 
 def _dense_united_family(K):
@@ -328,20 +341,19 @@ def _dense_united_family(K):
                 c, m, par = jurman_bracket(ja, ta, jb, tb, g, h)
                 if c:
                     ct[(a, b)] = ct.get((a, b), 0) ^ (1 << index[(m, par)])
-        mono = tuple(1 if i == t_idx else 0 for i in range(len(partitions)))
-        terms[mono] = Cochain2(base, ct)
+        terms[(g, h)] = Cochain2(base, ct)
     return base, terms
 
 
 @pytest.mark.parametrize("K", [3, 4, 5])
 def test_jurman_united_family_matches_the_dense_loops(K):
-    fam = jurman_united_family(K)
+    new_base, new_terms = jurman_united_family(K)
     base, terms = _dense_united_family(K)
-    assert fam.base.dumps() == base.dumps()
-    assert list(fam.base.sc.items()) == list(base.sc.items())
-    assert list(fam.terms) == list(terms)
-    for mono, c in terms.items():
-        assert list(fam.terms[mono].terms.items()) == list(c.terms.items()), mono
+    assert new_base.dumps() == base.dumps()
+    assert list(new_base.sc.items()) == list(base.sc.items())
+    assert list(new_terms) == list(terms)
+    for p, c in terms.items():
+        assert list(new_terms[p].terms.items()) == list(c.terms.items()), p
 
 
 def test_zero_defect_representatives_exist_gh21():
@@ -548,6 +560,31 @@ def test_integrability_hI():
     assert len([v for v in verdicts if v != "linear-global"]) == 1
 
 
+def test_integrable_nonlinear_carries_its_maurer_cartan_element(monkeypatch):
+    """Criterion 8's one non-linear class: the closed tower's sum x = c + m_2 + ...
+    solves d2(x) = defect(x), so mu + x is a Lie bracket; no single flipped
+    bit of x does, and a tower whose sum fails the equation is refused."""
+    hi = build_hI(2, (2, 2))
+    cons = [("mod2", (0, 0)), ("outer", (-2,))]
+    reps = compute_h2(hi, constraints=cons).representatives
+    found = [(rep, *integrability_verdict(hi, rep, cons)) for rep in reps]
+    (c, verdict, x), = [f for f in found if f[1] != "linear-global"]
+    assert verdict == "integrable-nonlinear" and x and d2(x) == defect(x)
+    assert Algebra.from_gf2_rows(hi.labels, _xor_rows(hi, x)).validate().ok
+    for (i, j), w in x.terms.items():
+        for k in gf2.bits(w):
+            flipped = x + Cochain2(hi, {(i, j): 1 << k})
+            assert d2(flipped) != defect(flipped), (i, j, k)
+    tower = deform.massey_tower(hi, c, cons)
+    assert list(tower) == list(range(1, len(tower) + 1)) and sum(tower.values(), Cochain2(hi, {})) == x
+    top = max(tower)
+    (i, j), w = next(iter(tower[top].terms.items()))
+    bad = {**tower, top: tower[top] + Cochain2(hi, {(i, j): w & -w})}
+    monkeypatch.setattr(deform, "massey_tower", lambda g, c, constraints: bad)
+    with pytest.raises(AlgebraError, match="Maurer-Cartan"):
+        integrability_verdict(hi, c, cons)
+
+
 def test_massey_tower_asks_order_k_at_k_times_the_weight(monkeypatch):
     """Weights add under composition, so c∘c lies at twice the weight of c,
     reduced: for mod-2 weight (1, 0) that is (0, 0), not (1, 0)."""
@@ -596,8 +633,8 @@ def test_kap4b_quotient_map_m3():
 def test_kap4b_family_at_one():
     from gf2lie.deform import kap4b_family
     fam = kap4b_family(2)
-    assert fam.specialize([GF2.one]).sc == build_kap4B(4).sc
-    assert fam.specialize([GF2.zero]).sc == fam.base.sc
+    assert fam.specialize(GF2.one).sc == build_kap4B(4).sc
+    assert fam.specialize(GF2.zero).sc == fam.base.sc
 
 
 def test_coboundary_deform_is_trivial():
@@ -770,8 +807,8 @@ def _dense_kap4b_cochain(po, m, shifts):
 def _dense_kap4b_family(m):
     po = build_poisson(m, (1,) * (2 * m))
     # (1 + h p)(1 + h q) = 1 + h (p + q) + h^2 p q
-    return DeformFamily(po, ["h"], {(1,): _dense_kap4b_cochain(po, m, [(0,), (1,)]),
-                                    (2,): _dense_kap4b_cochain(po, m, [(0, 1)])})
+    return DeformFamily(po, {1: _dense_kap4b_cochain(po, m, [(0,), (1,)]),
+                             2: _dense_kap4b_cochain(po, m, [(0, 1)])})
 
 
 def _dense_poisson_family(m_pairs, N, alpha):
@@ -832,7 +869,7 @@ def test_kap4b_family_matches_the_dense_loop(m):
 @pytest.mark.parametrize("m", [1, 2])
 def test_dense_kap4b_family_at_one_is_kap4b(m):
     # built apart from kap4B_images, so this does not compare build_kap4B with itself
-    assert _dense_kap4b_family(m).specialize([GF2.one]).sc == build_kap4B(2 * m).sc
+    assert _dense_kap4b_family(m).specialize(GF2.one).sc == build_kap4B(2 * m).sc
 
 
 F8 = GF2k(3)

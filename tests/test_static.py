@@ -71,6 +71,11 @@ Likewise only ``superize.restricted_closure`` may build a
 No package module but ``fields`` may call ``.add(...)`` on a field (a name
 ``f`` or ``field``, or a ``.field`` attribute): the sparse ``{index: value}``
 update lives in ``fields.add_scaled``, and a scalar sum elsewhere is ``^``.
+
+No package function may call ``Algebra(GF2, ...)`` (``GF2`` as the first
+argument or as ``field=``, by name or as an attribute): a GF(2) algebra the
+package builds hands its pair masks to ``Algebra.from_gf2_rows``, and the
+``{k: 1}`` dicts of ``Algebra(...)`` are for foreign input.
 """
 
 import ast
@@ -660,3 +665,35 @@ def test_scan_flags_a_block_build():
            "    def step(self, g):\n"
            "        return cohomology.Block(g, []).coords, Blocks(g)\n")
     assert builds(src, "m", "Block") == ["m.Tower.step", "m.solve"]
+
+
+def _names(node, name: str) -> bool:
+    return name in (getattr(node, "id", None), getattr(node, "attr", None))
+
+
+def gf2_dict_intakes(source: str, module: str) -> list:
+    """module.qualname of the function holding each ``Algebra(GF2, ...)`` call."""
+    def hit(node):
+        if not (isinstance(node, ast.Call) and _names(node.func, "Algebra")):
+            return False
+        field = node.args[0] if node.args else next((k.value for k in node.keywords if k.arg == "field"), None)
+        return field is not None and _names(field, "GF2")
+    return nodes_by_function(source, module, hit)
+
+
+def test_gf2_algebras_take_the_mask_intake():
+    found = [name for p in MODULES for name in gf2_dict_intakes(p.read_text(), p.stem)]
+    assert not found, ", ".join(found)
+
+
+def test_scan_flags_a_gf2_dict_intake():
+    src = ("from . import fields\n"
+           "from .fields import GF2\n"
+           "from .liealg import Algebra\n"
+           "TRIV = Algebra(GF2, ['c'], {})\n"
+           "def build(n, field):\n"
+           "    a = liealg.Algebra(fields.GF2, [], {})\n"
+           "    b = Algebra(field=GF2, labels=[], sc={})\n"
+           "    c = Algebra(field, [], {}, name='GF2')\n"
+           "    return a, b, c, Algebra.from_gf2_rows([], {}), GF2.one\n")
+    assert gf2_dict_intakes(src, "m") == ["m", "m.build", "m.build"]
